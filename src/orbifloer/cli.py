@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import zlib
 from fractions import Fraction
@@ -83,15 +84,18 @@ def _c17(z: complex) -> dict:
     return {"re": _F17(z.real), "im": _F17(z.imag)}
 
 
+# json.dumps of the placeholder "\x00f<k>\x00" that enc puts in for float k
+_FLOAT_TOKEN = re.compile(r'"\\u0000f(\d+)\\u0000"')
+
+
 def dump_json(doc) -> str:
     """json.dumps with the package float policy, trailing newline included."""
-    tokens = {}
+    floats = []
 
     def enc(o):
         if isinstance(o, float):
-            key = f"\x00f{len(tokens)}\x00"
-            tokens[key] = format(float(o), ".17g")
-            return key
+            floats.append(format(float(o), ".17g"))
+            return f"\x00f{len(floats) - 1}\x00"
         if isinstance(o, dict):
             return {k: enc(v) for k, v in o.items()}
         if isinstance(o, (list, tuple)):
@@ -99,9 +103,7 @@ def dump_json(doc) -> str:
         return o
 
     text = json.dumps(enc(doc), indent=2)
-    for key, val in tokens.items():
-        text = text.replace(json.dumps(key), val)
-    return text + "\n"
+    return _FLOAT_TOKEN.sub(lambda t: floats[int(t.group(1))], text) + "\n"
 
 
 def _coeff_doc(c) -> dict:
@@ -664,7 +666,6 @@ def _build_parser() -> _Parser:
     reg.add_argument("--closure", action=argparse.BooleanOptionalAction, default=True)
     reg.add_argument("--svg", help="write an 800x800 picture to this path")
     reg.add_argument("--grid", type=int, help="emit a membership CSV on an NxN grid")
-    reg.add_argument("--jobs", type=int, default=1, help="worker processes (result-neutral)")
 
     cone = sub.add_parser("conebasis")
     cone.add_argument("--cone", required=True, help='generators "a,b;c,d"')
@@ -704,8 +705,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.subcommand == "region":
-        if args.jobs < 1:
-            raise InputError("--jobs must be a positive integer")
         r = nondisplaceable_region(
             m, max_levels=args.max_levels, closure=args.closure, seed=args.seed
         )

@@ -228,16 +228,31 @@ class SolvabilityVerdict:
     proof: str | None = None
 
 
+def signature_symbols(lts: LeadingTermSystem) -> tuple:
+    """Symbol names in the order lts_signature renames them s0, s1, ...
+
+    Two systems with equal signatures correspond symbol by symbol through
+    these tuples.
+    """
+    names: dict = {}
+    for lv in lts.levels:
+        for _, s in lv.poly.terms():
+            c = s.leading_coefficient()
+            if not isinstance(c, QC):
+                for name, _ in c.lin:
+                    names.setdefault(name, None)
+    return tuple(names)
+
+
 def lts_signature(lts: LeadingTermSystem):
     """Hashable structural key: systems with equal keys get equal verdicts."""
-    rename: dict = {}
+    rename = {name: f"s{k}" for k, name in enumerate(signature_symbols(lts))}
 
     def ckey(c):
         if isinstance(c, QC):
             return ("q", str(c.re), str(c.im))
         parts = [("q", str(c.const.re), str(c.const.im))]
         for name, q in c.lin:
-            rename.setdefault(name, f"s{len(rename)}")
             parts.append((rename[name], str(q.re), str(q.im)))
         return ("s", tuple(parts))
 

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
-from .errors import TooManyScenarios
+from .errors import InputError, TooManyScenarios
 from .lattice import rank_rational
 from .ltsolver import (
     SolvabilityVerdict,
@@ -31,6 +33,7 @@ from .ltsolver import (
     build_lts,
     lts_signature,
     scenario_stratification,
+    signature_symbols,
     solve,
 )
 from .series import QC, SymLin
@@ -44,10 +47,13 @@ class Constraint:
     kind is one of "interior", "level", "order", "sector", "above"; only
     "interior" constraints stay strict when a region is read in closure
     mode (the limit argument never leaves the open moment polytope).
+    Coefficients are integers or Fractions.  Only the sign of the value is
+    ever read, so a positive multiple of a condition is the same condition:
+    scenario_constraints emits integer multiples of the forms it names.
     """
 
     coeffs: tuple
-    const: Fraction
+    const: int | Fraction
     rel: str  # ">" or "=="
     kind: str
     label: str
@@ -62,6 +68,21 @@ class Constraint:
         if closed and self.kind != "interior":
             return v >= 0
         return v > 0
+
+
+def _homogeneous(u) -> tuple:
+    """Integers (U_1, ..., U_n, D) with D > 0 and u = U / D.
+
+    The sign of a condition at u is the sign of the dot product of its row
+    (coeffs..., const) with this tuple.
+    """
+    u = [Fraction(x) for x in u]
+    d = math.lcm(*(x.denominator for x in u))
+    return (*(x.numerator * (d // x.denominator) for x in u), d)
+
+
+def _row(c: Constraint) -> tuple:
+    return (*c.coeffs, c.const)
 
 
 @dataclass(frozen=True)
@@ -90,7 +111,18 @@ class ScenarioPolyhedron:
     witness: tuple  # Fractions, strictly feasible
 
     def contains(self, u, closed: bool = False) -> bool:
-        return all(c.holds(u, closed) for c in self.equalities + self.inequalities)
+        return self._contains_homogeneous(_homogeneous(u), closed)
+
+    def _contains_homogeneous(self, p: tuple, closed: bool) -> bool:
+        d = p[-1]
+        for c in self.equalities:
+            if sum(map(mul, c.coeffs, p)) + c.const * d:
+                return False
+        for c in self.inequalities:
+            v = sum(map(mul, c.coeffs, p)) + c.const * d
+            if v < 0 or (v == 0 and not (closed and c.kind != "interior")):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -124,8 +156,11 @@ def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6)
     must add span dimension and the span must be full at the last level;
     assignments violating that are dropped here, feasibility in u is a
     separate question.  Enumeration order, and hence the serial numbers,
-    is deterministic.
+    is deterministic.  Levels beyond the dimension could not each add span,
+    so only K <= min(max_levels, m.dim) levels are tried.
     """
+    if max_levels < 1:
+        raise InputError(f"max_levels must be a positive integer, got {max_levels}")
     box = enumerate_box(m)
     nf, ns = len(m.facets), len(box)
     fdirs = [f.stacky_vector for f in m.facets]
@@ -140,7 +175,7 @@ def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6)
 
     out: list = []
     examined = 0
-    for K in range(1, max_levels + 1):
+    for K in range(1, min(max_levels, m.dim) + 1):
         for fassign in itertools.product(range(K + 1), repeat=nf):
             if any(l not in fassign for l in range(1, K + 1)):
                 continue  # some level has no facet pin
@@ -181,98 +216,131 @@ def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6)
     return out
 
 
-def _form_difference(a, b):
-    # (grad, const) of a - b for two affine forms
-    ga, ca = a
-    gb, cb = b
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(ga, gb)), Fraction(ca) - Fraction(cb)
+@lru_cache(maxsize=None)
+def _model_rows(m: StackyModel) -> tuple:
+    """Integer rows (gradient..., constant) of every ell_j, then every ell_nu.
+
+    All forms are scaled by one positive common denominator, so the row
+    difference of two forms is a positive multiple of their difference.
+    """
+    forms = [m.ell_form(j) for j in range(len(m.facets))]
+    forms += [sector_ell_form(m, b) for b in enumerate_box(m)]
+    d = math.lcm(*(Fraction(c).denominator for _, c in forms))
+    rows = tuple((*(x * d for x in g), int(c * d)) for g, c in forms)
+    return rows[: len(m.facets)], rows[len(m.facets) :]
+
+
+def _difference(a: tuple, b: tuple, rel: str, kind: str, label: str) -> Constraint:
+    row = [x - y for x, y in zip(a, b)]
+    return Constraint(tuple(row[:-1]), row[-1], rel, kind, label)
 
 
 def scenario_constraints(m: StackyModel, s: Scenario) -> list:
-    """The scenario's defining conditions on u, each tagged with its origin."""
+    """The scenario's defining conditions on u, each tagged with its origin.
+
+    Each condition is an integer multiple of the form difference it names.
+    """
+    facet, sector = _model_rows(m)
     box = enumerate_box(m)
-    cons = []
-    for j in range(len(m.facets)):
-        g, c = m.ell_form(j)
-        cons.append(
-            Constraint(tuple(Fraction(x) for x in g), Fraction(c), ">", "interior", f"ell_{j} > 0")
-        )
+    cons = [
+        Constraint(row[:-1], row[-1], ">", "interior", f"ell_{j} > 0")
+        for j, row in enumerate(facet)
+    ]
     anchors = []
     for l, tags in enumerate(s.levels):
         facets = [i for k, i in tags if k == "facet"]
-        anchors.append(facets[0])
-        af = m.ell_form(facets[0])
+        a = facets[0]
+        anchors.append(a)
         for j in facets[1:]:
-            g, c = _form_difference(af, m.ell_form(j))
-            cons.append(Constraint(g, c, "==", "level", f"ell_{anchors[l]} = ell_{j}"))
+            cons.append(_difference(facet[a], facet[j], "==", "level", f"ell_{a} = ell_{j}"))
         for k, i in tags:
-            if k != "sector":
-                continue
-            g, c = _form_difference(af, sector_ell_form(m, box[i]))
-            cons.append(
-                Constraint(g, c, ">", "sector", f"ell_nu{box[i].nu} < S{l + 1}")
-            )
+            if k == "sector":
+                label = f"ell_nu{box[i].nu} < S{l + 1}"
+                cons.append(_difference(facet[a], sector[i], ">", "sector", label))
     for l in range(len(anchors) - 1):
-        g, c = _form_difference(m.ell_form(anchors[l + 1]), m.ell_form(anchors[l]))
-        cons.append(Constraint(g, c, ">", "order", f"S{l + 2} > S{l + 1}"))
+        cons.append(
+            _difference(
+                facet[anchors[l + 1]], facet[anchors[l]], ">", "order", f"S{l + 2} > S{l + 1}"
+            )
+        )
     assigned = {i for tags in s.levels for k, i in tags if k == "facet"}
-    top = m.ell_form(anchors[-1])
+    top = facet[anchors[-1]]
     for j in range(len(m.facets)):
         if j not in assigned:
-            g, c = _form_difference(m.ell_form(j), top)
-            cons.append(Constraint(g, c, ">", "above", f"ell_{j} > S{s.K}"))
+            cons.append(_difference(facet[j], top, ">", "above", f"ell_{j} > S{s.K}"))
     return cons
 
 
-def _reduce(vec, subs):
-    # substitute pivot rows (in creation order) into an (n+1)-vector
-    vec = list(vec)
+def _primitive(row: list) -> list:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _cleared(c: Constraint) -> list:
+    # the row (coeffs..., const) times the lcm of its denominators
+    row = _row(c)
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _substitute(vec: list, subs: list) -> list:
+    """Eliminate the pivot columns of subs from an integer row, fraction-free.
+
+    Each pivot row has a positive pivot p, and vec <- p*vec - vec[k]*row
+    multiplies the condition by p > 0, so strict rows keep their meaning.
+    """
     for k, row in subs:
         c = vec[k]
-        if c != 0:
-            vec[k] = Fraction(0)
-            for j in range(len(vec)):
-                if j != k:
-                    vec[j] -= c * row[j]
-    return vec
+        if c:
+            p = row[k]
+            vec = [p * x - c * y for x, y in zip(vec, row)]
+    return _primitive(vec)
 
 
-def _fm_witness(ineqs, var_order):
-    """Fourier-Motzkin with witness reconstruction.
+def _fm_witness(rows, free):
+    """Fourier-Motzkin with witness reconstruction over integer rows.
 
-    Every input is strict (coeffs.u + const > 0); strictness survives the
-    pairwise combinations, so a feasible system always has interior
-    points and the midpoint reconstruction below is safe.  Returns a dict
+    Every row is strict (row[:-1].u + row[-1] > 0) and only involves the
+    variables in free; strictness survives the pairwise combinations, so a
+    feasible system always has interior points and the midpoint
+    reconstruction below is safe.  Only the binding row per primitive
+    direction is kept: FM cost is quadratic in the row count, duplicates
+    are common here, and a dominated row never moves a bound.  Bounds are
+    ratios, unchanged by positive row scalings.  Returns a dict
     var -> Fraction or None.
     """
-    if not var_order:
-        return {} if all(c > 0 for v, c in ineqs) else None
-    k = var_order[-1]
+    best: dict = {}
+    for row in rows:
+        g = math.gcd(*row[:-1])
+        if g == 0:
+            if row[-1] <= 0:
+                return None
+            continue
+        key = tuple(x // g for x in row[:-1])
+        kept = best.get(key)
+        if kept is None or row[-1] * kept[0] < kept[1][-1] * g:
+            best[key] = (g, row)
+    if not free:
+        return {}
+    k = free[-1]
     lowers, uppers, rest = [], [], []
-    for vec, c in ineqs:
-        a = vec[k]
-        if a == 0:
-            rest.append((vec, c))
-        elif a > 0:
-            lowers.append((vec, c))
-        else:
-            uppers.append((vec, c))
-    combined = list(rest)
-    for lvec, lc in lowers:
-        for uvec, uc in uppers:
-            al, au = lvec[k], uvec[k]
-            nvec = [al * uv - au * lv for lv, uv in zip(lvec, uvec)]
-            nvec[k] = Fraction(0)
-            combined.append((nvec, al * uc - au * lc))
-    sol = _fm_witness(combined, var_order[:-1])
+    for _, row in best.values():
+        a = row[k]
+        (rest if a == 0 else lowers if a > 0 else uppers).append(row)
+    for lo in lowers:
+        for up in uppers:
+            al, au = lo[k], -up[k]
+            rest.append(_primitive([au * x + al * y for x, y in zip(lo, up)]))
+    sol = _fm_witness(rest, free[:-1])
     if sol is None:
         return None
 
-    def residue(vec, c):
-        return c + sum(vec[j] * sol.get(j, Fraction(0)) for j in range(len(vec)) if j != k)
+    def bound(row):
+        residue = row[-1] + sum(row[j] * v for j, v in sol.items() if row[j])
+        return Fraction(-residue, row[k])
 
-    lo = max((-residue(v, c) / v[k] for v, c in lowers), default=None)
-    hi = min((-residue(v, c) / v[k] for v, c in uppers), default=None)
+    lo = max(map(bound, lowers), default=None)
+    hi = min(map(bound, uppers), default=None)
     if lo is not None and hi is not None:
         sol[k] = (lo + hi) / 2
     elif lo is not None:
@@ -284,59 +352,56 @@ def _fm_witness(ineqs, var_order):
     return sol
 
 
-def feasible_witness(cons, n):
-    """Exact feasibility of a mixed equality/strict system; witness or None."""
-    subs: list = []
-    for c in cons:
-        if c.rel != "==":
-            continue
-        row = _reduce(list(c.coeffs) + [c.const], subs)
-        pivot = next((k for k in range(n) if row[k] != 0), None)
+def _witness(eqs, ineqs, n):
+    """Witness of integer rows: eqs == 0 and ineqs > 0, or None."""
+    subs: list = []  # (pivot, row) with row[pivot] > 0, in creation order
+    for row in eqs:
+        row = _substitute(row, subs)
+        pivot = next((k for k in range(n) if row[k]), None)
         if pivot is None:
-            if row[n] != 0:
+            if row[n]:
                 return None
             continue
-        p = row[pivot]
-        row = [x / p for x in row]
-        row[pivot] = Fraction(1)
+        if row[pivot] < 0:
+            row = [-x for x in row]
         subs.append((pivot, row))
-    # normalize and keep only the binding inequality per direction: FM cost
-    # is quadratic in the row count, duplicates are common here
-    best: dict = {}
-    for c in cons:
-        if c.rel == "==":
-            continue
-        vec = _reduce(list(c.coeffs) + [c.const], subs)
-        piv = next((x for x in vec[:n] if x), None)
-        if piv is None:
-            if vec[n] <= 0:
-                return None
-            continue
-        scale = abs(piv)
-        key = tuple(x / scale for x in vec[:n])
-        const = vec[n] / scale
-        if key not in best or const < best[key]:
-            best[key] = const
-    ineqs = [(list(g), c) for g, c in best.items()]
-    free = [k for k in range(n) if k not in {p for p, _ in subs}]
-    sol = _fm_witness(ineqs, free)
+    pivots = {p for p, _ in subs}
+    sol = _fm_witness(
+        [_substitute(row, subs) for row in ineqs], [k for k in range(n) if k not in pivots]
+    )
     if sol is None:
         return None
     for pivot, row in reversed(subs):
-        sol[pivot] = -(row[n] + sum(row[j] * sol[j] for j in range(n) if j != pivot and row[j]))
+        rest = row[n] + sum(row[j] * sol[j] for j in range(n) if j != pivot and row[j])
+        sol[pivot] = Fraction(-rest, row[pivot])
     return tuple(sol[k] for k in range(n))
+
+
+def feasible_witness(cons, n):
+    """Exact feasibility of a mixed equality/strict system; witness or None.
+
+    Rows are cleared of denominators and solved over the integers; only the
+    witness coordinates are Fractions.
+    """
+    return _witness(
+        [_cleared(c) for c in cons if c.rel == "=="],
+        [_cleared(c) for c in cons if c.rel != "=="],
+        n,
+    )
 
 
 def scenario_region(m: StackyModel, s: Scenario) -> ScenarioPolyhedron | None:
     """Feasible u-set of a scenario, or None when empty."""
     cons = scenario_constraints(m, s)
-    w = feasible_witness(cons, m.dim)
-    if w is None:
-        return None
     eqs = tuple(c for c in cons if c.rel == "==")
     ineqs = tuple(c for c in cons if c.rel == ">")
-    assert all(c.holds(w) for c in cons), "witness must satisfy its own system"
-    return ScenarioPolyhedron(eqs, ineqs, w)
+    # scenario_constraints rows are integers already
+    w = _witness(list(map(_row, eqs)), list(map(_row, ineqs)), m.dim)
+    if w is None:
+        return None
+    poly = ScenarioPolyhedron(eqs, ineqs, w)
+    assert poly.contains(w), "witness must satisfy its own system"
+    return poly
 
 
 def scenario_lts(m: StackyModel, s: Scenario):
@@ -364,7 +429,8 @@ def nondisplaceable_region(
     """Union of feasible scenario pieces whose systems are certified.
 
     Verdicts are cached by structural signature: scenarios producing the
-    same level polynomials up to symbol renaming share one solve.
+    same level polynomials up to symbol renaming share one solve, and a
+    shared certificate is renamed into each scenario's own symbols.
     """
     pieces = []
     cache: dict = {}
@@ -374,13 +440,29 @@ def nondisplaceable_region(
             continue
         lts = scenario_lts(m, s)
         sig = lts_signature(lts)
-        verdict = cache.get(sig)
-        if verdict is None:
+        hit = cache.get(sig)
+        if hit is None:
             verdict = solve(lts, seed=seed, starts=starts)
-            cache[sig] = verdict
+            cache[sig] = (verdict, signature_symbols(lts))
+        else:
+            verdict = _renamed(*hit, signature_symbols(lts))
         if verdict.status is Solvability.SolvableCertified:
             pieces.append(RegionPiece(s, poly, verdict))
     return FiberRegion(m, tuple(pieces), closure, max_levels)
+
+
+def _renamed(verdict: SolvabilityVerdict, solved: tuple, own: tuple) -> SolvabilityVerdict:
+    """A cached verdict with its symbols renamed from solved to own.
+
+    Both are signature_symbols of systems with one signature, which match
+    the two systems symbol by symbol.
+    """
+    cert = verdict.certificate
+    if cert is None or solved == own:
+        return verdict
+    names = dict(zip(solved, own))
+    values = tuple(sorted((names[name], z) for name, z in cert.symbol_values))
+    return replace(verdict, certificate=replace(cert, symbol_values=values))
 
 
 def query_point(r: FiberRegion, u) -> QueryReport:
@@ -392,7 +474,10 @@ def query_point(r: FiberRegion, u) -> QueryReport:
     uu = tuple(Fraction(x) for x in u)
     if not r.model.is_interior(uu):
         return QueryReport(uu, False, (), interior=False)
-    matches = tuple(p for p in r.pieces if p.polyhedron.contains(uu, closed=r.closure))
+    hu = _homogeneous(uu)
+    matches = tuple(
+        p for p in r.pieces if p.polyhedron._contains_homogeneous(hu, r.closure)
+    )
     return QueryReport(uu, bool(matches), matches)
 
 
@@ -413,7 +498,7 @@ def _piece_interval(p: RegionPiece, closed: bool):
         a = c.coeffs[0]
         if a == 0:
             continue  # constant condition, already feasible
-        v = -c.const / a
+        v = Fraction(-c.const, a)
         if c.rel == "==":
             lo, lo_c = _tighten(lo, lo_c, v, True, True)
             hi, hi_c = _tighten(hi, hi_c, v, True, False)
@@ -479,13 +564,13 @@ def piece_geometry(p: RegionPiece, dim: int):
     if rank == 1:
         g = next(c.coeffs for c in eqs if any(c.coeffs))
         d = (-g[1], g[0])  # direction along the equality line
+        hw = _homogeneous(w)
         tmin, tmax = None, None
         for c in ineqs:
             a = sum(ci * di for ci, di in zip(c.coeffs, d))
-            rhs = -c.value(w)
             if a == 0:
                 continue
-            t = rhs / a
+            t = Fraction(-sum(map(mul, _row(c), hw)), hw[-1] * a)
             if a > 0:
                 tmin = t if tmin is None else max(tmin, t)
             else:
@@ -496,17 +581,19 @@ def piece_geometry(p: RegionPiece, dim: int):
         if a_pt == b_pt:
             return ("point", (a_pt,))
         return ("segment", (a_pt, b_pt))
-    lines = [(c.coeffs, c.const) for c in ineqs if any(c.coeffs)]
+    rows = [_row(c) for c in ineqs]
     pts = set()
-    for (g1, c1), (g2, c2) in itertools.combinations(lines, 2):
-        det = g1[0] * g2[1] - g1[1] * g2[0]
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(
+        [r for r in rows if r[0] or r[1]], 2
+    ):
+        det = a1 * b2 - b1 * a2
         if det == 0:
             continue
-        x = (-c1 * g2[1] + c2 * g1[1]) / det
-        y = (-c2 * g1[0] + c1 * g2[0]) / det
-        cand = (x, y)
-        if all(c.value(cand) >= 0 for c in ineqs):
-            pts.add(cand)
+        # the vertex (x/det, y/det), homogeneous with a positive denominator
+        x, y = -c1 * b2 + c2 * b1, -c2 * a1 + c1 * a2
+        hv = (x, y, det) if det > 0 else (-x, -y, -det)
+        if all(sum(map(mul, r, hv)) >= 0 for r in rows):
+            pts.add((Fraction(x, det), Fraction(y, det)))
     pts = sorted(pts)
     if len(pts) < 3:
         if len(pts) == 2:

@@ -28,6 +28,15 @@ def test_dump_json_float_digits():
     assert dump_json({"q": "1/3"}).count('"1/3"') == 1
 
 
+def test_dump_json_many_floats():
+    # over a thousand placeholders, some sharing a prefix (1 and 10, 12 and 120)
+    values = [k / 7 + 0.1 for k in range(1200)]
+    text = dump_json({"xs": values})
+    lines = [line.strip().rstrip(",") for line in text.splitlines()[2:-2]]
+    assert lines == [format(v, ".17g") for v in values]
+    assert json.loads(text)["xs"] == values
+
+
 def test_box_lists_sectors_with_area_forms(capsys):
     doc = run_json(capsys, "box", "--preset", "wp:1,3,5")
     assert len(doc["sectors"]) == 6
@@ -101,6 +110,16 @@ def test_lte_verdict_shape(capsys):
     assert isinstance(cert["y"][0]["re"], float)
 
 
+def test_region_max_levels_clamped_and_validated(capsys):
+    # no 3-level scenario exists in dimension 2; the request is kept as given
+    two = run_json(capsys, "region", "--preset", "square:2,2,1,1")
+    three = run_json(capsys, "region", "--preset", "square:2,2,1,1", "--max-levels", "3")
+    assert three["pieces"] == two["pieces"] and three["max_levels"] == 3
+    code, out, err = run(capsys, "region", "--preset", "teardrop:3", "--max-levels", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
 def test_model_file_input(tmp_path, capsys):
     model = {
         "dim": 1,
@@ -150,7 +169,6 @@ def test_validation_exit_codes(capsys):
     assert run(capsys, "potential", "--preset", "teardrop:3")[0] == 2  # missing --u
     assert run(capsys, "potential", "--preset", "teardrop:3", "--u", "5")[0] == 2
     assert run(capsys, "potential", "--preset", "teardrop:3", "--u", "1/2,1/2")[0] == 2
-    assert run(capsys, "region", "--preset", "teardrop:3", "--jobs", "0")[0] == 2
     code, _, err = run(capsys, "reproduce", "nope")
     assert code == 2
     assert json.loads(err)["error"] == "InputError"

@@ -1,9 +1,12 @@
 """Scenario enumeration, exact feasibility, and region assembly."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbifloer.errors import TooManyScenarios
 from orbifloer.ltsolver import Solvability
@@ -16,9 +19,10 @@ from orbifloer.region import (
     piece_geometry,
     query_point,
     scenario_constraints,
+    scenario_lts,
     scenario_region,
 )
-from orbifloer.stacky import build_model
+from orbifloer.stacky import build_model, enumerate_box
 
 
 def gt(coeffs, const):
@@ -65,6 +69,20 @@ def test_scenario_constraints_tagged():
     assert level.value((Fraction(1, 10),)) != 0
 
 
+def test_sector_constraints_name_their_sector():
+    m = build_model("wp:1,3,5")
+    box = enumerate_box(m)
+    for s in enumerate_scenarios(m)[:200]:
+        want = [
+            f"ell_nu{box[i].nu} < S{l + 1}"
+            for l, tags in enumerate(s.levels)
+            for k, i in tags
+            if k == "sector"
+        ]
+        got = [c.label for c in scenario_constraints(m, s) if c.kind == "sector"]
+        assert got == want
+
+
 def test_feasible_witness_box():
     cons = [gt([1, 0], 0), gt([0, 1], 0), gt([-1, 0], 1), gt([0, -1], 1)]
     w = feasible_witness(cons, 2)
@@ -100,6 +118,91 @@ def test_feasible_witness_random_agrees_with_sampling():
             )
         else:
             assert all(c.holds(w) for c in cons)
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_rows = st.lists(
+    st.tuples(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        _small,
+        st.sampled_from([">", ">", "=="]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_scales = st.lists(
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    min_size=6,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_rows, scales=_scales)
+def test_feasible_witness_invariant_under_positive_row_scaling(rows, scales):
+    cons = [Constraint(tuple(map(Fraction, g)), c, rel, "level", "t") for g, c, rel in rows]
+    w = feasible_witness(cons, 3)
+    if w is not None:
+        assert all(c.holds(w) for c in cons)
+    # Fraction rows with denominators of their own, cleared row by row
+    scaled = [
+        Constraint(tuple(q * x for x in c.coeffs), q * c.const, c.rel, c.kind, c.label)
+        for c, q in zip(cons, scales)
+    ]
+    assert feasible_witness(scaled, 3) == w
+
+
+def _boundary_points(p):
+    # the witness, the closed piece's corners, and the midpoints of its edges
+    kind, data = piece_geometry(p, 2)
+    pts = [p.polyhedron.witness, *data]
+    ring = list(data) + [data[0]] if kind == "polygon" else list(data)
+    pts += [tuple((a + b) / 2 for a, b in zip(x, y)) for x, y in zip(ring, ring[1:])]
+    return pts
+
+
+def test_query_point_matches_brute_force_membership():
+    m = build_model("wp:1,3,5")
+    closed = nondisplaceable_region(m)
+    rng = random.Random(135)
+    lo = [min(v[k] for v in m.vertices) for k in range(2)]
+    hi = [max(v[k] for v in m.vertices) for k in range(2)]
+    points = [p for piece in closed.pieces for p in _boundary_points(piece)]
+    while len(points) < 400:
+        u = tuple(lo[k] + (hi[k] - lo[k]) * Fraction(rng.randint(1, 199), 200) for k in range(2))
+        if m.is_interior(u):
+            points.append(u)
+    cons = {p.scenario.serial: scenario_constraints(m, p.scenario) for p in closed.pieces}
+    for r in (closed, replace(closed, closure=False)):
+        for u in points:
+            want = [
+                s for s, cs in cons.items() if all(c.holds(u, r.closure) for c in cs)
+            ]
+            rep = query_point(r, u)
+            assert [p.scenario.serial for p in rep.matches] == want, (u, r.closure)
+            assert rep.interior == m.is_interior(u)
+
+
+def test_shared_certificates_carry_own_symbols():
+    # a signature-cache hit reuses another scenario's certificate; its
+    # symbol values must come out under this scenario's own names
+    m = build_model("square:2,2,1,1")
+    r = nondisplaceable_region(m)
+    assert len(r.pieces) == 41
+    for p in r.pieces:
+        lts = scenario_lts(m, p.scenario)
+        cert = p.verdict.certificate
+        env = dict(cert.symbol_values)
+        assert tuple(env) == lts.symbols, p.scenario.serial
+        residual = max(
+            (
+                abs(cert.y[i] * eq.eval_complex(cert.y, 1.0, env))
+                for lv in lts.levels
+                for i, eq in zip(lv.var_indices, lv.equations)
+            ),
+            default=0.0,
+        )
+        assert residual < 1e-10, p.scenario.serial
 
 
 def test_scenario_region_teardrop():
