@@ -174,23 +174,45 @@ def _load_bulk(path: str | None, m) -> BulkParam:
         raise InputError(f"cannot read bulk file: {e}")
     except json.JSONDecodeError as e:
         raise InputError(f"bulk file is not valid JSON: {e}")
-    if not isinstance(doc, dict) or "sectors" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("sectors"), list):
         raise InputError('bulk file must be an object with a "sectors" list')
+    if not isinstance(doc.get("divisors", []), list):
+        raise InputError('bulk file "divisors" must be a list')
     known = {s.nu for s in enumerate_box(m)}
     entries = []
-    for row in doc["sectors"]:
-        nu = tuple(int(x) for x in row["nu"])
+    for k, row in enumerate(doc["sectors"]):
+        where = f"sectors[{k}]"
+        nu = _bulk_field(row, where, "nu", lambda x: tuple(int(v) for v in x))
         if nu not in known:
-            raise InputError(f"{nu} is not a twisted sector of this model")
-        entries.append((nu, QC.of(Fraction(str(row["c"]))), Fraction(str(row["lambda"]))))
-    bp = BulkParam.of(entries)
-    for row in doc.get("divisors", ()):
-        bp = BulkParam(
-            bp.entries,
-            bp.divisors
-            + ((int(row["facet"]), QC.of(Fraction(str(row["c"]))), Fraction(str(row["lambda"]))),),
-        )
-    return bp
+            raise InputError(f"bulk {where}.nu: {nu} is not a twisted sector of this model")
+        entries.append((nu, *_bulk_term(row, where)))
+    divisors = []
+    for k, row in enumerate(doc.get("divisors", [])):
+        where = f"divisors[{k}]"
+        facet = _bulk_field(row, where, "facet", int)
+        if not 0 <= facet < len(m.facets):
+            raise InputError(
+                f"bulk {where}.facet: {facet} is not a facet index of this model"
+                f" (it has {len(m.facets)} facets)"
+            )
+        divisors.append((facet, *_bulk_term(row, where)))
+    return BulkParam(BulkParam.of(entries).entries, tuple(divisors))
+
+
+def _bulk_field(row, where: str, key: str, parse):
+    """Parsed field of one bulk-file row; InputError naming the row and field."""
+    if not isinstance(row, dict) or key not in row:
+        raise InputError(f'bulk {where}: missing field "{key}"')
+    try:
+        return parse(row[key])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"bulk {where}.{key}: cannot read {row[key]!r}") from None
+
+
+def _bulk_term(row, where: str) -> tuple:
+    """(coefficient, T-exponent) of one bulk-file row."""
+    c, lam = (_bulk_field(row, where, key, lambda x: Fraction(str(x))) for key in ("c", "lambda"))
+    return QC.of(c), lam
 
 
 def _parse_cone(text: str) -> SimplicialCone:

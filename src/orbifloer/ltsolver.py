@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -304,6 +305,91 @@ def _env_is_exact(env) -> bool:
     return all(isinstance(v, QC) for v in env.values())
 
 
+# Exact palette kernel.  Exact candidates have every coordinate +-1 and the
+# exact palette is integral, so a level equation at a sign pattern is a signed
+# sum of its Gaussian-rational coefficients: only exponent parities matter.
+# Equations are compiled once per solve into integer rows over a positive
+# common denominator (which does not move the zero set); Gaussian integers
+# are (re, im) pairs of ints.
+
+
+def _common_denominator(values) -> int:
+    """Least positive common denominator of Gaussian rationals."""
+    return lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+
+
+def _gaussian_int(v: QC, den: int) -> tuple:
+    """den * v as (re, im) ints; den must be a common denominator of v."""
+    return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+
+
+def _parity_rows(eq: LaurentPoly) -> tuple:
+    """One level equation as rows (exponent parity mask, const, symbol coefficients).
+
+    Bit k of the mask is the parity of the exponent of y_k; ``const`` is a
+    Gaussian integer and the symbol coefficients are (name, Gaussian integer)
+    pairs, all scaled by one positive common denominator.
+    """
+    terms = []
+    for e, s in eq.terms():
+        if any(q != 0 for q, _ in s.terms):
+            raise ValueError("leading term equations must be T-free")
+        c = s.leading_coefficient()
+        const, lin = (c.const, c.lin) if isinstance(c, SymLin) else (c, ())
+        terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), const, lin))
+    den = _common_denominator(v for _, const, lin in terms for v in (const, *(q for _, q in lin)))
+    return tuple(
+        (mask, _gaussian_int(const, den), tuple((name, _gaussian_int(q, den)) for name, q in lin))
+        for mask, const, lin in terms
+    )
+
+
+def _integer_env(env) -> tuple:
+    """(den, {name: Gaussian integer}) for an exact symbol assignment."""
+    den = _common_denominator(env.values())
+    return den, {name: _gaussian_int(v, den) for name, v in env.items()}
+
+
+def _parity_table(rows, den: int, at: dict) -> tuple:
+    """Rows with the symbols set to at[name] / den, scaled by den and merged by
+    parity mask: ((mask, re, im), ...) with the zero sums dropped."""
+    sums: dict = {}
+    for mask, (re, im), lin in rows:
+        re *= den
+        im *= den
+        for name, (a, b) in lin:
+            x, y = at[name]
+            re += a * x - b * y
+            im += a * y + b * x
+        acc = sums.get(mask, (0, 0))
+        sums[mask] = (acc[0] + re, acc[1] + im)
+    return tuple((mask, re, im) for mask, (re, im) in sums.items() if re or im)
+
+
+def _vanishes(table, bits: int) -> bool:
+    """Whether the equation is zero where y_k = -1 for the set bits, +1 elsewhere."""
+    re = im = 0
+    for mask, a, b in table:
+        if (mask & bits).bit_count() & 1:
+            re -= a
+            im -= b
+        else:
+            re += a
+            im += b
+    return re == 0 and im == 0
+
+
+def _sign_bits(coords) -> int:
+    """Bit k set where exact coordinate k is -1; anything but +-1 is refused."""
+    bits = 0
+    for k, v in enumerate(coords):
+        if v == -1:
+            bits |= 1 << k
+        elif v != 1:
+            raise ValueError(f"exact palette coordinate {v!r} is not +-1")
+    return bits
+
+
 class _EqData:
     """Numeric view of one level for the vectorized Newton search."""
 
@@ -507,16 +593,29 @@ def _univariate_candidates(eq, own_i, vals, env):
 
 
 class _Search:
-    """One solve attempt under a fixed symbol assignment."""
+    """One solve attempt under a fixed symbol assignment.
 
-    def __init__(self, lts, env, seed, starts, exact_only=False):
+    ``rows`` holds the _parity_rows of every level equation, per level.
+    """
+
+    def __init__(self, lts, rows, env, seed, starts, exact_only=False):
         self.lts = lts
         self.env = env
         self.exact_env = _env_is_exact(env)
+        self.rows = rows
+        self.int_env = _integer_env(env) if self.exact_env else None
+        self.tables = [None] * len(lts.levels)
         self.exact_only = exact_only
         self.seed = seed
         self.starts = starts
         self.calls = 0
+
+    def _tables(self, li):
+        """Parity tables of level li under this search's exact env, built once."""
+        if self.tables[li] is None:
+            den, at = self.int_env
+            self.tables[li] = tuple(_parity_table(r, den, at) for r in self.rows[li])
+        return self.tables[li]
 
     def run(self):
         vals = [None] * self.lts.n
@@ -529,7 +628,7 @@ class _Search:
         lv = self.lts.levels[li]
         if not lv.var_indices:
             return self._level(li + 1, vals, evals)
-        for cand, exact in self._candidates(lv, vals, evals):
+        for cand, exact in self._candidates(li, vals, evals):
             for i, idx in enumerate(lv.var_indices):
                 vals[idx] = cand[i]
                 if evals is not None:
@@ -543,21 +642,19 @@ class _Search:
                     evals[idx] = None
         return None
 
-    def _candidates(self, lv, vals, evals):
+    def _candidates(self, li, vals, evals):
+        lv = self.lts.levels[li]
         d = len(lv.var_indices)
         out = []
         seen = set()
-        if evals is not None and all(v is not None for v in evals[: lv.var_indices[0]]) and d <= 6:
-            exact_eqs = [eq.substitute_symbols(self.env) for eq in lv.equations]
-            for combo in itertools.product((QC.of(1), QC.of(-1)), repeat=d):
-                yfull = [QC.of(1)] * self.lts.n
-                for k, v in enumerate(evals):
-                    if v is not None:
-                        yfull[k] = v
-                for i, idx in enumerate(lv.var_indices):
-                    yfull[idx] = combo[i]
-                if all(eq.eval_exact(yfull).is_zero() for eq in exact_eqs):
-                    cvec = tuple(c.to_complex() for c in combo)
+        first = lv.var_indices[0]
+        if evals is not None and all(v is not None for v in evals[:first]) and d <= 6:
+            tables = self._tables(li)
+            fixed = _sign_bits(evals[:first])
+            for combo in itertools.product((1, -1), repeat=d):
+                bits = fixed | _sign_bits(combo) << first
+                if all(_vanishes(t, bits) for t in tables):
+                    cvec = tuple(complex(c) for c in combo)
                     out.append((cvec, combo))
                     seen.add(tuple((round(c.real, 6), round(c.imag, 6)) for c in cvec))
         if self.exact_only:
@@ -589,14 +686,13 @@ class _Search:
         if any(v is None for v in vals):
             return None
         if evals is not None and all(v is not None for v in evals):
-            for lv in self.lts.levels:
-                yfull = list(evals)
-                for eq in lv.equations:
-                    if not eq.substitute_symbols(self.env).eval_exact(yfull).is_zero():
-                        return None
+            bits = _sign_bits(evals)
+            for li in range(len(self.lts.levels)):
+                if not all(_vanishes(t, bits) for t in self._tables(li)):
+                    return None
             return Certificate(
                 tuple((nm, self.env[nm].to_complex()) for nm in self.lts.symbols),
-                tuple(QC.of(v).to_complex() for v in evals),
+                tuple(complex(v) for v in evals),
                 0.0,
                 True,
             )
@@ -755,15 +851,16 @@ def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> Solvabilit
                 Solvability.UnsolvableProven,
                 proof=f"level {li + 1} is a single monomial; its derivative never vanishes on (C*)^n",
             )
+    rows = tuple(tuple(_parity_rows(eq) for eq in lv.equations) for lv in lts.levels)
     envs = _symbol_assignments(lts)
     for env in envs:
         if not _env_is_exact(env):
             continue
-        cert = _Search(lts, env, seed, starts, exact_only=True).run()
+        cert = _Search(lts, rows, env, seed, starts, exact_only=True).run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     for env in envs:
-        cert = _Search(lts, env, seed, starts).run()
+        cert = _Search(lts, rows, env, seed, starts).run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     if lts.symbols:

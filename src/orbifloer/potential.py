@@ -12,6 +12,7 @@ the coordinate-free notion in the y = e^x chart.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,10 +304,13 @@ def critical_points(
     One variable: exact-degree companion-matrix roots, then a Newton polish.
     Several variables: deterministic multistart Newton; the returned list
     holds the distinct converged points.  Either way the list is sorted by
-    rounded coordinates, so reruns with one seed agree.
+    rounded coordinates, so reruns with one seed agree.  T is a positive
+    real number: a non-finite or non-positive t_value raises InputError.
     """
     poly = p.poly if isinstance(p, PotentialAtFiber) else p
     t = float(t_value)
+    if not math.isfinite(t) or t <= 0:
+        raise InputError(f"t_value must be a finite positive number, got {t_value!r}")
     if poly.n == 1:
         found = _univariate_critical(poly, t, env)
     else:

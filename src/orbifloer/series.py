@@ -8,6 +8,9 @@ polynomials in y1..yn over these scalars carry the potentials.
 
 Exact and floating evaluation never mix: `eval_exact` demands T-free input
 and stays in Gaussian rationals, `eval_complex` specializes T to a float.
+The solver's exact palette does not go through `eval_exact`: it tests its
++-1 candidates on integer parity tables of the level equations
+(`ltsolver._parity_rows`).
 """
 
 from __future__ import annotations
@@ -439,11 +442,6 @@ class LaurentPoly:
                         mono = mono / z
             total = total + c * mono
         return total
-
-    def substitute_symbols(self, env: dict) -> "LaurentPoly":
-        return LaurentPoly(
-            self.n, tuple((e, s.substitute_symbols(env)) for e, s in self._terms.items())
-        )
 
     def __repr__(self):
         return f"LaurentPoly({self.n}, {tuple(self._terms.items())!r})"

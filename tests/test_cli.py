@@ -102,6 +102,39 @@ def test_bulk_file(tmp_path, capsys):
     assert code == 2 and "not a twisted sector" in json.loads(err)["message"]
 
 
+def test_bulk_file_rows_fail_typed(tmp_path, capsys):
+    ok = {"nu": [0, -1], "c": "1", "lambda": "1/2"}
+    cases = [
+        ({"sectors": [ok, {"nu": [0, -1], "lambda": "1/2"}]}, 'sectors[1]: missing field "c"'),
+        ({"sectors": [dict(ok, c="x")]}, "sectors[0].c: cannot read 'x'"),
+        ({"sectors": [dict(ok, nu="z")]}, "sectors[0].nu: cannot read 'z'"),
+        ({"sectors": [ok], "divisors": [{"facet": 9, "c": "1", "lambda": "1/2"}]},
+         "divisors[0].facet: 9 is not a facet index"),
+        ({"sectors": [], "divisors": [{"facet": 0, "c": "1"}]},
+         'divisors[0]: missing field "lambda"'),
+    ]
+    for k, (doc, message) in enumerate(cases):
+        path = tmp_path / f"bulk{k}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "potential", "--preset", "wp:1,3,5", "--u", "-1/10,1/100", "--bulk", str(path)
+        )
+        assert code == 2 and out == "", doc
+        error = json.loads(err)
+        assert error["error"] == "InputError" and message in error["message"]
+
+
+def test_critical_rejects_impossible_t_value(capsys):
+    for t in ("0", "-1", "nan", "inf"):
+        code, out, err = run(
+            capsys, "critical", "--preset", "teardrop:3", "--u", "0", "--t-value", t
+        )
+        assert code == 2 and out == "", t
+        assert json.loads(err)["error"] == "InputError"
+    doc = run_json(capsys, "critical", "--preset", "teardrop:3", "--u", "0", "--t-value", "2")
+    assert doc["count"] == 4
+
+
 def test_lte_verdict_shape(capsys):
     doc = run_json(capsys, "lte", "--preset", "teardrop:3", "--u", "0")
     assert doc["verdict"]["status"] == "SolvableCertified"

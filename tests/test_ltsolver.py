@@ -3,12 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbifloer.errors import SpanNeverFull
 from orbifloer.lattice import invert_unimodular
 from orbifloer.ltsolver import (
     LeadingTermSystem,
     Solvability,
+    _integer_env,
+    _parity_rows,
+    _parity_table,
+    _sign_bits,
+    _vanishes,
     build_lts,
     lts_signature,
     scenario_stratification,
@@ -17,7 +24,7 @@ from orbifloer.ltsolver import (
 )
 from orbifloer.potential import BulkParam
 from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin, render_poly
-from orbifloer.stacky import build_model, enumerate_box
+from orbifloer.stacky import build_model, enumerate_box, sector_ell
 
 
 def sector_index(m, nu):
@@ -312,3 +319,81 @@ def test_solve_deterministic():
     a = solve(lts, seed=5)
     b = solve(lts, seed=5)
     assert a == b
+
+
+def parity_vanishes(p, env, y):
+    den, at = _integer_env(env)
+    return _vanishes(_parity_table(_parity_rows(p), den, at), _sign_bits(y))
+
+
+gaussian = st.builds(
+    QC,
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+symbolic = st.builds(
+    SymLin,
+    gaussian,
+    st.lists(
+        st.tuples(st.sampled_from(["c0", "c1"]), gaussian), max_size=2, unique_by=lambda t: t[0]
+    ),
+)
+# the exact palette: 1, -1 and minus the facet labels; a half and i as well
+palette = st.sampled_from([QC(1), QC(-1), QC(-2), QC(-3), QC(-5), QC(Fraction(1, 2)), QC(0, 1)])
+
+
+@st.composite
+def t_free_cases(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    terms = draw(
+        st.lists(
+            st.tuples(exps, st.one_of(gaussian, symbolic)), max_size=5, unique_by=lambda t: t[0]
+        )
+    )
+    p = LaurentPoly(n, [(e, NovikovScalar.of(c)) for e, c in terms])
+    env = {"c0": draw(palette), "c1": draw(palette)}
+    y = draw(st.tuples(*[st.sampled_from([1, -1])] * n))
+    return p, env, y
+
+
+@given(t_free_cases())
+@settings(max_examples=200, deadline=None)
+def test_parity_table_agrees_with_eval_exact(case):
+    p, env, y = case
+    yq = tuple(QC(v) for v in y)
+    value = p.eval_exact(yq, env)
+    assert parity_vanishes(p, env, y) == value.is_zero()
+    # shifted to vanish at y, so both outcomes are exercised
+    q = p - LaurentPoly.monomial((0,) * p.n, NovikovScalar.of(value))
+    assert q.eval_exact(yq, env).is_zero()
+    assert parity_vanishes(q, env, y)
+
+
+def test_solve_rational_bulk_coefficients_exact():
+    # teardrop:5 at u = 0 with sectors (1,) and (2,) tied to the facet
+    # energy: the level equation 5y^4 - y^-2 - 3/2 - (5/2)y vanishes at
+    # y = 1, which only an exact test with the denominators cleared sees
+    # (truncated or floored coefficients miss it)
+    m = build_model("teardrop:5")
+    u = (Fraction(0),)
+    box = enumerate_box(m)
+    entries = []
+    for nu, c in (((1,), Fraction(-3, 2)), ((2,), Fraction(-5, 4))):
+        s = box[sector_index(m, nu)]
+        entries.append((nu, QC(c), 1 - sector_ell(m, s, u)))
+    lts = build_lts(stratify(m, u, BulkParam.of(entries)))
+    (eq,) = lts.levels[0].equations
+    assert render_poly(eq) == "-1*y1^-2 + -3/2 + -5/2*y1 + 5*y1^4"
+    v = solve(lts)
+    assert v.status == Solvability.SolvableCertified
+    assert v.certificate.exact and v.certificate.residual == 0.0
+    assert v.certificate.y == (1 + 0j,)
+
+
+def test_sign_bits_refuses_non_unit_coordinates():
+    assert _sign_bits((1, -1, -1)) == 0b110
+    assert _sign_bits((QC(-1), QC(1))) == 0b01
+    for bad in ((1, 2), (QC(Fraction(1, 2)),), (1, -1j)):
+        with pytest.raises(ValueError):
+            _sign_bits(bad)

@@ -231,6 +231,14 @@ def test_critical_points_off_center():
     assert all(c.residual < 1e-12 for c in pts)
 
 
+def test_critical_points_need_positive_finite_t():
+    m = build_model("teardrop:3")
+    p = smooth_leading_potential(m, (Fraction(0),))
+    for t in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            critical_points(p, t_value=t)
+
+
 def test_multivariate_critical_points():
     m = build_model("wp:1,1,1")
     p = smooth_leading_potential(m, (Fraction(0), Fraction(0)))
