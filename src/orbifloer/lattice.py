@@ -131,9 +131,18 @@ def solve_rational(a: Mat, b) -> QVec | None:
 
 def rank_rational(rows) -> int:
     """Rank of a list of rational/integer row vectors."""
+    return len(echelon_rational(rows))
+
+
+def echelon_rational(rows) -> tuple:
+    """Reduced row echelon basis of the span of rational/integer rows.
+
+    Zero rows are dropped, so rows with one span give one result: the
+    tuple is a canonical key of the subspace.
+    """
     work = [[Fraction(e) for e in row] for row in rows]
     if not work:
-        return 0
+        return ()
     ncols = len(work[0])
     rank = 0
     for col in range(ncols):
@@ -148,7 +157,7 @@ def rank_rational(rows) -> int:
                 f = work[r][col]
                 work[r] = [e - f * p for e, p in zip(work[r], work[rank])]
         rank += 1
-    return rank
+    return tuple(tuple(row) for row in work[:rank])
 
 
 def invert_unimodular(m: Mat) -> Mat:

@@ -549,13 +549,14 @@ def _newton_free(data: _FreeEqData, z0, iters: int = 60):
     return zs, (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
 
 
+def _root_key(z) -> tuple:
+    return tuple((round(c.real, 9), round(c.imag, 9)) for c in z)
+
+
 def _distinct_roots(ys, res, tol=1e-12):
+    # filtering first keeps the stable sort's order of the kept points
     found = []
-    for y, r in sorted(
-        zip(ys, res), key=lambda p: tuple((round(c.real, 9), round(c.imag, 9)) for c in p[0])
-    ):
-        if r > tol:
-            continue
+    for y in sorted((y for y, r in zip(ys, res) if not r > tol), key=_root_key):
         if all(max(abs(a - b) for a, b in zip(y, f)) > 1e-6 for f in found):
             found.append(tuple(complex(c) for c in y))
     return found
@@ -784,14 +785,12 @@ class _FreeSearch:
             zs, res = _newton_free(data, radii * np.exp(1j * angles))
         out = []
         seen = set()
-        order = sorted(
-            range(len(zs)),
-            key=lambda k: tuple((round(c.real, 9), round(c.imag, 9)) for c in zs[k]),
+        good = (
+            z
+            for z, r in zip(zs, res)
+            if not (r > 1e-11 or any(not 1e-8 < abs(c) < 1e8 for c in z))
         )
-        for k in order:
-            z, r = zs[k], res[k]
-            if r > 1e-11 or any(not 1e-8 < abs(c) < 1e8 for c in z):
-                continue
+        for z in sorted(good, key=_root_key):
             key = tuple((round(c.real, 6), round(c.imag, 6)) for c in z)
             if key in seen:
                 continue

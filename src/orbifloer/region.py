@@ -9,11 +9,22 @@ becomes one linear feasibility problem in u.  The leading term system of
 a scenario does not depend on u; a single solvability verdict covers the
 whole feasible piece.
 
-nondisplaceable_region glues the halves together: enumerate scenarios,
+nondisplaceable_region glues the halves together: walk the scenarios,
 keep those whose feasible region is nonempty and whose system is
 certified solvable, and return the union of pieces, each remembering the
 scenario that produced it.  Pieces overlap freely; certificates are
 per-scenario and merging them would lose the audit trail.
+
+Scenarios are searched, not listed: one depth-first walk over the level
+digit of every facet, then every sector, meets the level assignments in
+the order of their product.  The walk never enters a subtree whose span
+can no longer work out (a level's cumulative rank leaving no room for the
+later levels, or a level left without a facet).  The region also prunes
+a prefix whose exact feasibility test already fails, once all facets are
+placed, and a leaf with a one-member level, whose system is a single
+monomial and can never be solved.  A scenario's serial is its rank among
+the span-valid candidates in product order, the same with or without
+pruning: a skipped subtree adds its memoized candidate count.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
-from .lattice import rank_rational
+from .lattice import echelon_rational, rank_rational
 from .ltsolver import (
     SolvabilityVerdict,
     Solvability,
@@ -155,65 +166,145 @@ def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6)
     sectors may be left out (bulk zero) or placed anywhere.  Each level
     must add span dimension and the span must be full at the last level;
     assignments violating that are dropped here, feasibility in u is a
-    separate question.  Enumeration order, and hence the serial numbers,
-    is deterministic.  Levels beyond the dimension could not each add span,
-    so only K <= min(max_levels, m.dim) levels are tried.
+    separate question.  Levels beyond the dimension could not each add
+    span, so only K <= min(max_levels, m.dim) levels are tried.
+
+    The candidates come from the depth-first walk of _scenario_walk, in
+    the order of the (K+1)^(facets+sectors) product of level digits, K
+    ascending; only span-dead subtrees are skipped, so the list is that
+    product filtered by span.  A serial is a candidate's rank in this
+    order.  limit bounds the number of candidates: it is counted before
+    any is built, and TooManyScenarios names the count.
+    """
+    return list(_scenario_walk(m, max_levels, limit=limit))
+
+
+class _SpanTree:
+    """The level digits of the K-level scenarios of one model.
+
+    Digit p is the level of generator p, facets first and then sectors;
+    0 leaves the generator out.  Walking the digits depth first, each
+    taking 0..K in turn, meets the assignments in itertools.product order.
+    A node's state is the tuple of cumulative level spans V_1 <= ... <= V_K
+    and the bit set of levels a facet pins; a span is the id of its
+    echelon basis, so equal spans are equal states.  How many span-valid
+    assignments lie below a node depends on its depth and state alone, so
+    the count is memoized.
+    """
+
+    def __init__(self, dirs: list, nf: int, dim: int, K: int):
+        self.dirs, self.nf, self.dim, self.K = dirs, nf, dim, K
+        self.n = len(dirs)
+        self._bases = [()]  # span id -> echelon basis; 0 is the zero space
+        self._ids = {(): 0}
+        self._joins: dict = {}
+        self._counts: dict = {}
+        self.root = ((0,) * K, 0)
+
+    def rank(self, span: int) -> int:
+        return len(self._bases[span])
+
+    def child(self, state, p: int, v: int):
+        """The state once generator p is placed at level v."""
+        if v == 0:
+            return state
+        spans, pins = state
+        spans = spans[: v - 1] + tuple(self._join(span, p) for span in spans[v - 1 :])
+        return spans, (pins | 1 << v) if p < self.nf else pins
+
+    def _join(self, span: int, p: int) -> int:
+        key = (span, p)
+        out = self._joins.get(key)
+        if out is None:
+            basis = echelon_rational(self._bases[span] + (self.dirs[p],))
+            out = self._ids.get(basis)
+            if out is None:
+                out = self._ids[basis] = len(self._bases)
+                self._bases.append(basis)
+            self._joins[key] = out
+        return out
+
+    def count(self, p: int, state) -> int:
+        """Number of span-valid assignments below a node of depth p."""
+        key = (p, state)
+        c = self._counts.get(key)
+        if c is None:
+            c = self._counts[key] = self._count(p, state)
+        return c
+
+    def _count(self, p: int, state) -> int:
+        spans, pins = state
+        K, dim = self.K, self.dim
+        if pins.bit_count() + max(self.nf - p, 0) < K:
+            return 0  # too few facets left to pin every level
+        ranks = [0] + [self.rank(span) for span in spans]
+        # ranks only grow, and each later level must still add one
+        if any(ranks[l] > dim - (K - l) for l in range(1, K + 1)):
+            return 0
+        if p == self.n:
+            return int(ranks[-1] == dim and all(a < b for a, b in zip(ranks, ranks[1:])))
+        return sum(self.count(p + 1, self.child(state, p, v)) for v in range(K + 1))
+
+
+def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**6):
+    """Span-valid scenarios in product order, serials counted as ranks.
+
+    grow(K, digits, ctx) runs on every node with span-valid leaves below
+    it, once its last digit is placed; it returns the context of the
+    subtree, or None to skip it.  A skipped subtree adds its memoized
+    candidate count to the serial counter without visiting its leaves.
+    Raises TooManyScenarios at once when the candidates exceed limit.
     """
     if max_levels < 1:
         raise InputError(f"max_levels must be a positive integer, got {max_levels}")
     box = enumerate_box(m)
-    nf, ns = len(m.facets), len(box)
-    fdirs = [f.stacky_vector for f in m.facets]
-    sdirs = [s.nu for s in box]
-    rank_cache: dict = {}
+    nf = len(m.facets)
+    dirs = [f.stacky_vector for f in m.facets] + [s.nu for s in box]
+    trees = [_SpanTree(dirs, nf, m.dim, K) for K in range(1, min(max_levels, m.dim) + 1)]
+    total = sum(t.count(0, t.root) for t in trees)
+    if total > limit:
+        raise TooManyScenarios(f"{total} scenario candidates, more than the limit {limit}")
+    return _leaves(trees, nf, grow)
 
-    def rank_of(dirset):
-        r = rank_cache.get(dirset)
-        if r is None:
-            r = rank_cache[dirset] = rank_rational(list(dirset))
-        return r
 
-    out: list = []
-    examined = 0
-    for K in range(1, min(max_levels, m.dim) + 1):
-        for fassign in itertools.product(range(K + 1), repeat=nf):
-            if any(l not in fassign for l in range(1, K + 1)):
-                continue  # some level has no facet pin
-            fsets = [
-                frozenset(fdirs[j] for j in range(nf) if fassign[j] == l)
-                for l in range(K + 1)
-            ]
-            for sassign in itertools.product(range(K + 1), repeat=ns):
-                examined += 1
-                if examined > limit:
-                    raise TooManyScenarios(f"more than {limit} scenario candidates")
-                dirs: frozenset = frozenset()
-                dims = []
-                prev = 0
-                ok = True
-                for l in range(1, K + 1):
-                    dirs = dirs | fsets[l]
-                    for i in range(ns):
-                        if sassign[i] == l:
-                            dirs = dirs | {sdirs[i]}
-                    r = rank_of(dirs)
-                    if r - prev < 1:
-                        ok = False
-                        break
-                    dims.append(r)
-                    prev = r
-                if not ok or prev != m.dim:
-                    continue
-                levels = tuple(
-                    tuple(
-                        [("facet", j) for j in range(nf) if fassign[j] == l]
-                        + [("sector", i) for i in range(ns) if sassign[i] == l]
-                    )
-                    for l in range(1, K + 1)
-                )
-                excluded = tuple(("sector", i) for i in range(ns) if sassign[i] == 0)
-                out.append(Scenario(len(out), levels, excluded, tuple(dims)))
-    return out
+def _leaves(trees: list, nf: int, grow):
+    serial = 0
+    digits: list = []
+
+    def visit(tree, p, state, ctx):
+        nonlocal serial
+        if p == tree.n:
+            yield _scenario(serial, digits, nf, [tree.rank(span) for span in state[0]])
+            serial += 1
+            return
+        for v in range(tree.K + 1):
+            child = tree.child(state, p, v)
+            c = tree.count(p + 1, child)
+            if not c:
+                continue
+            digits.append(v)
+            sub = ctx if grow is None else grow(tree.K, digits, ctx)
+            if sub is None:
+                serial += c
+            else:
+                yield from visit(tree, p + 1, child, sub)
+            digits.pop()
+
+    for tree in trees:
+        yield from visit(tree, 0, tree.root, ())
+
+
+def _scenario(serial: int, digits: list, nf: int, span_dims: list) -> Scenario:
+    sectors = list(enumerate(digits[nf:]))
+    levels = tuple(
+        tuple(
+            [("facet", j) for j in range(nf) if digits[j] == l]
+            + [("sector", i) for i, v in sectors if v == l]
+        )
+        for l in range(1, len(span_dims) + 1)
+    )
+    excluded = tuple(("sector", i) for i, v in sectors if v == 0)
+    return Scenario(serial, levels, excluded, tuple(span_dims))
 
 
 @lru_cache(maxsize=None)
@@ -428,13 +519,17 @@ def nondisplaceable_region(
 ) -> FiberRegion:
     """Union of feasible scenario pieces whose systems are certified.
 
-    Verdicts are cached by structural signature: scenarios producing the
-    same level polynomials up to symbol renaming share one solve, and a
-    shared certificate is renamed into each scenario's own symbols.
+    The scenario walk skips every candidate that cannot become a piece
+    before any work on it: prefixes that are already infeasible and leaves
+    with a one-member level (_piece_candidates).  Serials stay the ranks
+    enumerate_scenarios gives.  Verdicts are cached by structural
+    signature: scenarios producing the same level polynomials up to symbol
+    renaming share one solve, and a shared certificate is renamed into
+    each scenario's own symbols.
     """
     pieces = []
     cache: dict = {}
-    for s in enumerate_scenarios(m, max_levels):
+    for s in _scenario_walk(m, max_levels, _piece_candidates(m)):
         poly = scenario_region(m, s)
         if poly is None:
             continue
@@ -449,6 +544,48 @@ def nondisplaceable_region(
         if verdict.status is Solvability.SolvableCertified:
             pieces.append(RegionPiece(s, poly, verdict))
     return FiberRegion(m, tuple(pieces), closure, max_levels)
+
+
+def _piece_candidates(m: StackyModel):
+    """The walk's grow hook for nondisplaceable_region.
+
+    A prefix is tested once every facet digit is set, so the facet
+    conditions are complete; from there each sector placed at a level
+    adds the one strict row ell_anchor - ell_nu, so an infeasible prefix
+    stays infeasible in every completion.  The test is exact integer FM
+    on the rows scenario_constraints emits.  A leaf with a one-member
+    level is skipped first: that level is one monomial in its own
+    variables, which solve proves unsolvable.  The context of a feasible
+    prefix is its (equality rows, strict rows, level anchors).
+    """
+    facet, sector = _model_rows(m)
+    nf, n = len(facet), len(facet) + len(sector)
+
+    def grow(K, digits, ctx):
+        p = len(digits)
+        if p < nf:
+            return ctx
+        if p == n and any(digits.count(l) == 1 for l in range(1, K + 1)):
+            return None
+        if p == nf:
+            levels = tuple(
+                tuple(("facet", j) for j in range(nf) if digits[j] == l) for l in range(1, K + 1)
+            )
+            cons = scenario_constraints(m, Scenario(-1, levels, (), ()))
+            eqs = [_row(c) for c in cons if c.rel == "=="]
+            ineqs = [_row(c) for c in cons if c.rel == ">"]
+            anchors = [tags[0][1] for tags in levels]
+        elif digits[-1] == 0:
+            return ctx  # a sector left out adds no condition
+        else:
+            eqs, ineqs, anchors = ctx
+            row = [a - b for a, b in zip(facet[anchors[digits[-1] - 1]], sector[p - 1 - nf])]
+            ineqs = ineqs + [row]
+        if _witness(eqs, ineqs, m.dim) is None:
+            return None
+        return eqs, ineqs, anchors
+
+    return grow
 
 
 def _renamed(verdict: SolvabilityVerdict, solved: tuple, own: tuple) -> SolvabilityVerdict:

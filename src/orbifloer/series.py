@@ -18,6 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import inf
+from operator import itemgetter
 
 from .errors import NonLinearSymbolic, NotUnimodular, ZeroCoordinate
 from . import lattice
@@ -99,14 +100,13 @@ class SymLin:
 
     def __init__(self, const=0, lin=()):
         object.__setattr__(self, "const", QC.of(const))
-        clean = tuple(sorted((str(n), QC.of(c)) for n, c in lin if not QC.of(c).is_zero()))
-        names = [n for n, _ in clean]
-        if len(set(names)) != len(names):
-            merged: dict = {}
-            for n, c in clean:
-                merged[n] = merged.get(n, QC()) + c
-            clean = tuple(sorted((n, c) for n, c in merged.items() if not c.is_zero()))
-        object.__setattr__(self, "lin", clean)
+        # merge repeated names first: QC has no order, so only names sort
+        merged: dict = {}
+        for n, c in lin:
+            n, c = str(n), QC.of(c)
+            merged[n] = merged[n] + c if n in merged else c
+        clean = sorted(((n, c) for n, c in merged.items() if not c.is_zero()), key=itemgetter(0))
+        object.__setattr__(self, "lin", tuple(clean))
 
     def __setattr__(self, *a):
         raise AttributeError("SymLin is immutable")

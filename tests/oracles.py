@@ -110,3 +110,48 @@ def p135_battery(u1, u2):
     if l0 == l1 and l2 > l0 and m1 < l0:
         return True
     return False
+
+
+def product_scenarios(fdirs, sdirs, dim, max_levels):
+    """Reference scenario enumeration: filter the whole level-digit product.
+
+    For K = 1..min(max_levels, dim), every facet and every sector direction
+    gets a level digit in 0..K (0 leaves it out), in itertools.product
+    order, facets first.  A candidate needs a facet at every level and a
+    cumulative span that grows at each level and ends full.  Returns
+    (serial, levels, excluded, span_dims) tuples, serial being the rank
+    among candidates.
+    """
+    from itertools import product
+
+    ranks = {}
+
+    def rank(dirs):
+        if dirs not in ranks:
+            ranks[dirs] = sympy.Matrix([list(d) for d in dirs]).rank() if dirs else 0
+        return ranks[dirs]
+
+    nf, ns = len(fdirs), len(sdirs)
+    out = []
+    for K in range(1, min(max_levels, dim) + 1):
+        for fassign in product(range(K + 1), repeat=nf):
+            if any(l not in fassign for l in range(1, K + 1)):
+                continue
+            fsets = [frozenset(fdirs[j] for j in range(nf) if fassign[j] == l) for l in range(K + 1)]
+            for sassign in product(range(K + 1), repeat=ns):
+                dirs, dims = frozenset(), []
+                for l in range(1, K + 1):
+                    dirs = dirs | fsets[l] | {sdirs[i] for i in range(ns) if sassign[i] == l}
+                    dims.append(rank(dirs))
+                if dims[-1] != dim or any(b <= a for a, b in zip([0] + dims, dims)):
+                    continue
+                levels = tuple(
+                    tuple(
+                        [("facet", j) for j in range(nf) if fassign[j] == l]
+                        + [("sector", i) for i in range(ns) if sassign[i] == l]
+                    )
+                    for l in range(1, K + 1)
+                )
+                excluded = tuple(("sector", i) for i in range(ns) if sassign[i] == 0)
+                out.append((len(out), levels, excluded, tuple(dims)))
+    return out

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from orbifloer.lattice import invert_unimodular
 from orbifloer.ltsolver import (
     LeadingTermSystem,
     Solvability,
+    _distinct_roots,
     _integer_env,
     _parity_rows,
     _parity_table,
@@ -397,3 +399,29 @@ def test_sign_bits_refuses_non_unit_coordinates():
     for bad in ((1, 2), (QC(Fraction(1, 2)),), (1, -1j)):
         with pytest.raises(ValueError):
             _sign_bits(bad)
+
+
+def _distinct_roots_reference(ys, res, tol=1e-12):
+    # sort every end point, then drop the unconverged ones
+    found = []
+    key = lambda p: tuple((round(c.real, 9), round(c.imag, 9)) for c in p[0])  # noqa: E731
+    for y, r in sorted(zip(ys, res), key=key):
+        if r > tol:
+            continue
+        if all(max(abs(a - b) for a, b in zip(y, f)) > 1e-6 for f in found):
+            found.append(tuple(complex(c) for c in y))
+    return found
+
+
+def test_distinct_roots_filter_keeps_sorted_order():
+    # repeated and nearly repeated points, residuals on both sides of the
+    # tolerance and NaN residuals: filtering before the stable sort must
+    # keep exactly the reference's roots in the reference's order
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        base = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        jitter = rng.choice([1e-8, 1e-11], size=(64, 1)) * rng.normal(size=(64, 2))
+        ys = base[rng.integers(0, 6, size=64)] + jitter
+        res = 10.0 ** rng.uniform(-16, -8, size=64)
+        res[rng.integers(0, 64, size=4)] = np.nan
+        assert _distinct_roots(ys, res) == _distinct_roots_reference(ys, res)

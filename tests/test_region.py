@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from orbifloer import region
 from orbifloer.errors import TooManyScenarios
-from orbifloer.ltsolver import Solvability
+from orbifloer.ltsolver import Solvability, lts_signature, signature_symbols, solve
 from orbifloer.region import (
     Constraint,
     enumerate_scenarios,
@@ -47,6 +49,74 @@ def test_enumerate_limit():
     m = build_model("wp:1,3,5")
     with pytest.raises(TooManyScenarios):
         enumerate_scenarios(m, limit=10)
+
+
+def test_enumerate_limit_counts_candidates():
+    # the limit bounds span-valid candidates, not the 535,537 product points
+    m = build_model("square:2,2,2,2")
+    assert len(enumerate_scenarios(m, limit=23364)) == 23364
+    with pytest.raises(TooManyScenarios, match="23364 scenario candidates"):
+        enumerate_scenarios(m, limit=23363)
+
+
+def _tuples(scenarios):
+    return [(s.serial, s.levels, s.excluded, s.span_dims) for s in scenarios]
+
+
+@pytest.mark.parametrize(
+    "preset", ["teardrop:5", "wp:1,3,5", "square:2,2,1,1", "interval:3,2", "wp:1,2,3,5"]
+)
+def test_enumerate_matches_product_oracle(preset):
+    m = build_model(preset)
+    fdirs = [f.stacky_vector for f in m.facets]
+    sdirs = [b.nu for b in enumerate_box(m)]
+    want = oracles.product_scenarios(fdirs, sdirs, m.dim, 3)
+    assert _tuples(enumerate_scenarios(m, 3)) == want
+    # K ascends, so the candidates of at most two levels come first
+    assert _tuples(enumerate_scenarios(m, 2)) == [t for t in want if len(t[1]) <= 2]
+
+
+def _brute_force_region(m):
+    """The region without pruning: every candidate through scenario_region,
+    every feasible one through the signature cache and solve.  Also returns
+    the feasible candidates with a one-member level."""
+    pieces, one_member, cache = [], [], {}
+    for s in enumerate_scenarios(m):
+        poly = scenario_region(m, s)
+        if poly is None:
+            continue
+        if any(len(tags) == 1 for tags in s.levels):
+            one_member.append(s)
+        lts = scenario_lts(m, s)
+        sig = lts_signature(lts)
+        if sig not in cache:
+            cache[sig] = (solve(lts), signature_symbols(lts))
+        verdict = region._renamed(*cache[sig], signature_symbols(lts))
+        if verdict.status is Solvability.SolvableCertified:
+            pieces.append((s.serial, poly.witness, verdict))
+    return pieces, one_member
+
+
+@pytest.mark.parametrize("preset", ["wp:1,3,5", "square:2,2,1,1"])
+def test_pruned_region_equals_brute_force(preset, monkeypatch):
+    m = build_model(preset)
+    want, one_member = _brute_force_region(m)
+    assert one_member
+    for s in one_member:
+        assert solve(scenario_lts(m, s)).status is Solvability.UnsolvableProven, s.serial
+    examined = []
+    real = region.scenario_region
+
+    def counted(m, s):
+        examined.append(s.serial)
+        return real(m, s)
+
+    monkeypatch.setattr(region, "scenario_region", counted)
+    r = nondisplaceable_region(m)
+    assert [(p.scenario.serial, p.polyhedron.witness, p.verdict) for p in r.pieces] == want
+    # only feasible candidates without a one-member level reach scenario_region
+    feasible = {s.serial for s in enumerate_scenarios(m) if real(m, s) is not None}
+    assert examined == sorted(feasible - {s.serial for s in one_member})
 
 
 def test_scenario_constraints_tagged():

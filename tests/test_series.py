@@ -65,6 +65,17 @@ def test_symbolic_degree_cap():
     assert (c * 3).substitute_symbols({"c1": QC(2)}) == NovikovScalar.of(6)
 
 
+def test_symlin_merges_repeated_names():
+    c0 = SymLin.symbol("c0")
+    assert series.c_add(c0, SymLin(0, (("c0", QC(2)),))) == SymLin(0, (("c0", QC(3)),))
+    cancel = series.c_add(c0, SymLin(1, (("c0", QC(-1)),)))
+    assert cancel.lin == () and cancel.is_constant() and cancel == SymLin(1)
+    assert SymLin(0, (("b", 1), ("a", 2), ("b", 3))).lin == (("a", QC(2)), ("b", QC(4)))
+    # two terms on one exponent whose coefficients share a symbol
+    p = LaurentPoly(1, [((1,), c0), ((1,), SymLin(0, (("c0", QC(2)),)))])
+    assert p.coefficient((1,)) == NovikovScalar.of(SymLin(0, (("c0", QC(3)),)))
+
+
 def test_qc_arithmetic():
     z = QC(1, 2) * QC(3, -1)
     assert z == QC(5, 5)
