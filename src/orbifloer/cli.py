@@ -186,7 +186,7 @@ def _load_bulk(path: str | None, m) -> BulkParam:
         if nu not in known:
             raise InputError(f"bulk {where}.nu: {nu} is not a twisted sector of this model")
         entries.append((nu, *_bulk_term(row, where)))
-    divisors = []
+    # divisor rows change no leading-order output; they are checked, not kept
     for k, row in enumerate(doc.get("divisors", [])):
         where = f"divisors[{k}]"
         facet = _bulk_field(row, where, "facet", int)
@@ -195,8 +195,8 @@ def _load_bulk(path: str | None, m) -> BulkParam:
                 f"bulk {where}.facet: {facet} is not a facet index of this model"
                 f" (it has {len(m.facets)} facets)"
             )
-        divisors.append((facet, *_bulk_term(row, where)))
-    return BulkParam(BulkParam.of(entries).entries, tuple(divisors))
+        _bulk_term(row, where)
+    return BulkParam.of(entries)
 
 
 def _bulk_field(row, where: str, key: str, parse):

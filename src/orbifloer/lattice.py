@@ -5,13 +5,16 @@ simplicial-cone multiplicities, a unimodular-basis-inside-a-cone subdivision
 algorithm, and flag-adapted lattice bases.  Everything is computed with
 arbitrary-precision integers and ``fractions.Fraction``; no floating point
 enters this module.
+
+Every rational elimination (echelon bases, ranks, square and rectangular
+solves, inverses) runs through one routine, ``row_reduce``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateCone, FlagNotIncreasing
 
@@ -25,10 +28,6 @@ Mat = tuple  # tuple[tuple[int, ...], ...]
 
 def vec(coords) -> Vec:
     return tuple(int(c) for c in coords)
-
-
-def qvec(coords) -> QVec:
-    return tuple(Fraction(c) for c in coords)
 
 
 def mat(rows) -> Mat:
@@ -71,8 +70,16 @@ def is_primitive(v: Vec) -> bool:
     return content(v) == 1
 
 
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0
+def primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries (a zero row as is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def cleared(row) -> list:
+    """A rational row times the lcm of its denominators, as integers."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def det_int(m: Mat) -> int:
@@ -111,27 +118,34 @@ def det_int(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_rational(a: Mat, b) -> QVec | None:
-    """Solve a*x = b exactly; None if the square system is singular."""
-    n = len(a)
-    rows = [[Fraction(e) for e in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+def row_reduce(rows, ncols: int) -> tuple:
+    """Reduced row echelon form over Q with pivots in the first ncols columns.
+
+    Columns from ncols on ride along as right-hand sides.  Returns the
+    pivot rows (Fractions, 1 at their pivot and 0 at every other pivot
+    column), their pivot columns and the leftover rows (integer multiples,
+    zero in the first ncols columns).  The elimination is fraction-free on
+    integer rows: a row scaled by a nonzero number spans the same line, so
+    only the final division by each pivot makes Fractions.
+    """
+    work = [cleared(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [e / pv for e in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
-
-
-def rank_rational(rows) -> int:
-    """Rank of a list of rational/integer row vectors."""
-    return len(echelon_rational(rows))
+            continue
+        prow = work[piv]
+        work[piv], work[rank] = work[rank], prow
+        p = prow[col]
+        for r, row in enumerate(work):
+            f = row[col]
+            if f and r != rank:
+                work[r] = primitive([p * e - f * q for e, q in zip(row, prow)])
+        pivots.append(col)
+    rank = len(pivots)
+    reduced = [tuple(Fraction(e, row[col]) for e in row) for row, col in zip(work, pivots)]
+    return reduced, pivots, work[rank:]
 
 
 def echelon_rational(rows) -> tuple:
@@ -140,24 +154,23 @@ def echelon_rational(rows) -> tuple:
     Zero rows are dropped, so rows with one span give one result: the
     tuple is a canonical key of the subspace.
     """
-    work = [[Fraction(e) for e in row] for row in rows]
-    if not work:
+    if not rows:
         return ()
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [e / pv for e in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], work[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in work[:rank])
+    return tuple(row_reduce(rows, len(rows[0]))[0])
+
+
+def rank_rational(rows) -> int:
+    """Rank of a list of rational/integer row vectors."""
+    return len(echelon_rational(rows))
+
+
+def solve_rational(a: Mat, b) -> QVec | None:
+    """Solve a*x = b exactly; None if the square system is singular."""
+    n = len(a)
+    reduced, _, _ = row_reduce([(*row, bi) for row, bi in zip(a, b)], n)
+    if len(reduced) < n:
+        return None
+    return tuple(row[n] for row in reduced)
 
 
 def invert_unimodular(m: Mat) -> Mat:
@@ -168,14 +181,12 @@ def invert_unimodular(m: Mat) -> Mat:
 
 
 def solve_many(a: Mat, rhs: Mat) -> Mat:
-    """Solve a*X = rhs column by column, exact; raises on singular a."""
-    cols = []
-    for col in transpose(rhs):
-        x = solve_rational(a, col)
-        if x is None:
-            raise DegenerateCone("singular matrix")
-        cols.append(x)
-    return transpose(tuple(cols))
+    """Solve a*X = rhs for all columns in one elimination; raises on singular a."""
+    n = len(a)
+    reduced, _, _ = row_reduce([(*row, *r) for row, r in zip(a, rhs)], n)
+    if len(reduced) < n:
+        raise DegenerateCone("singular matrix")
+    return tuple(row[n:] for row in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +295,6 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     )
 
 
-def snf_diagonal(m: Mat) -> tuple:
-    _, d, _ = smith_normal_form(m)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
-
-
 # ---------------------------------------------------------------------------
 # Simplicial cones
 
@@ -320,6 +326,8 @@ class SimplicialCone:
 
     def coordinates_of(self, x) -> QVec:
         """Barycentric coordinates t with x = sum t_i * g_i, exact."""
+        if len(self.generators) != self.dim:
+            raise DegenerateCone("cone is not full-dimensional")
         t = solve_rational(self.generator_matrix(), x)
         if t is None:
             raise DegenerateCone("generators are linearly dependent")
@@ -513,31 +521,14 @@ def _solve_in_rows(rows, target) -> tuple:
 
 
 def _solve_rect(a: Mat, b) -> QVec:
-    """Least structured exact solve of a (possibly tall) consistent system."""
-    nr = len(a)
+    """Exact solve of a (possibly tall) consistent system; free variables are 0."""
     nc = len(a[0])
-    rows = [[Fraction(e) for e in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [e / pv for e in rows[rank]]
-        for r in range(nr):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nr):
-        if rows[r][nc] != 0:
-            raise FlagNotIncreasing("inconsistent system")
+    reduced, pivots, rest = row_reduce([(*row, bi) for row, bi in zip(a, b)], nc)
+    if any(row[nc] for row in rest):
+        raise FlagNotIncreasing("inconsistent system")
     sol = [Fraction(0)] * nc
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][nc]
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[nc]
     return tuple(sol)
 
 

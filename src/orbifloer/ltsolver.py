@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, SpanNeverFull
 from .lattice import invert_unimodular, rank_rational, saturate_flag
-from .potential import BulkParam
+from .potential import BulkParam, root_key
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, monomial_rewrite
 from .stacky import StackyModel, enumerate_box, sector_ell
 
@@ -422,44 +422,6 @@ class _EqData:
         return fv, jm
 
 
-def _newton_batch(data: _EqData, y0, iters: int = 60):
-    """Log-coordinate Newton on a batch of starts; returns (points, residuals).
-
-    Residuals are the scaled |y_r * eq_r| used by the certificate check:
-    the raw equation values of all-negative-exponent systems vanish along
-    escapes to infinity, and the scaled metric is what keeps those fake
-    wells out of the candidate list.
-    """
-    ys = np.array(y0, dtype=complex)
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    alive = np.ones(len(ys), dtype=bool)
-    for _ in range(iters):
-        fv, jm = data.f_and_jlog(ys)
-        res = (np.abs(fv) * np.abs(ys)).max(axis=1)
-        work = alive & (res > 1e-14)
-        if not work.any():
-            break
-        try:
-            dx = np.linalg.solve(jm[work], -fv[work][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dx = np.empty((int(work.sum()), ys.shape[1]), dtype=complex)
-            for k, idx in enumerate(np.nonzero(work)[0]):
-                try:
-                    dx[k] = np.linalg.solve(jm[idx], -fv[idx])
-                except np.linalg.LinAlgError:
-                    dx[k] = 0
-                    alive[idx] = False
-        norms = np.linalg.norm(dx, axis=1)
-        big = norms > 3.0
-        dx[big] *= (3.0 / norms[big])[:, None]
-        ys[work] *= np.exp(dx)
-        bad = (np.abs(ys) > 1e9).any(axis=1) | (np.abs(ys) < 1e-9).any(axis=1)
-        alive &= ~bad
-    fv, _ = data.f_and_jlog(ys)
-    return ys, (np.abs(fv) * np.abs(ys)).max(axis=1)
-
-
 class _FreeEqData:
     """Level equations with the level's own symbols joined as unknowns.
 
@@ -522,23 +484,43 @@ class _FreeEqData:
         return fv, jm
 
 
-def _newton_free(data: _FreeEqData, z0, iters: int = 60):
-    """Minimal-norm log-Newton for the underdetermined joint system."""
+def _newton(data, z0, iters: int = 60):
+    """Log-coordinate Newton on a batch of starts; returns (points, residuals).
+
+    The first len(data.own) coordinates are the y's.  Residuals are the
+    scaled |y_r * eq_r| used by the certificate check: the raw equation
+    values of all-negative-exponent systems vanish along escapes to
+    infinity, and the scaled metric is what keeps those fake wells out of
+    the candidate list.  A square log-Jacobian takes the Newton step (a
+    start whose Jacobian is singular stops where it is); a wide one, with
+    free coefficients joined as unknowns, takes the minimal-norm step.
+    """
     zs = np.array(z0, dtype=complex)
     d = len(data.own)
     alive = np.ones(len(zs), dtype=bool)
-    res = np.full(len(zs), np.inf)
     for _ in range(iters):
         fv, jm = data.f_and_jlog(zs)
         res = (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
         work = alive & (res > 1e-14)
         if not work.any():
             break
-        try:
-            pin = np.linalg.pinv(jm[work])
-        except np.linalg.LinAlgError:
-            break
-        dx = (pin @ (-fv[work][..., None]))[..., 0]
+        if jm.shape[1] == jm.shape[2]:
+            try:
+                dx = np.linalg.solve(jm[work], -fv[work][..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                dx = np.empty((int(work.sum()), zs.shape[1]), dtype=complex)
+                for k, idx in enumerate(np.nonzero(work)[0]):
+                    try:
+                        dx[k] = np.linalg.solve(jm[idx], -fv[idx])
+                    except np.linalg.LinAlgError:
+                        dx[k] = 0
+                        alive[idx] = False
+        else:
+            try:
+                pin = np.linalg.pinv(jm[work])
+            except np.linalg.LinAlgError:
+                break
+            dx = (pin @ (-fv[work][..., None]))[..., 0]
         norms = np.linalg.norm(dx, axis=1)
         big = norms > 3.0
         dx[big] *= (3.0 / norms[big])[:, None]
@@ -549,14 +531,10 @@ def _newton_free(data: _FreeEqData, z0, iters: int = 60):
     return zs, (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
 
 
-def _root_key(z) -> tuple:
-    return tuple((round(c.real, 9), round(c.imag, 9)) for c in z)
-
-
 def _distinct_roots(ys, res, tol=1e-12):
     # filtering first keeps the stable sort's order of the kept points
     found = []
-    for y in sorted((y for y, r in zip(ys, res) if not r > tol), key=_root_key):
+    for y in sorted((y for y, r in zip(ys, res) if not r > tol), key=root_key):
         if all(max(abs(a - b) for a, b in zip(y, f)) > 1e-6 for f in found):
             found.append(tuple(complex(c) for c in y))
     return found
@@ -668,10 +646,10 @@ class _Search:
             self.calls += 1
             radii = rng.uniform(0.3, 1.8, size=(self.starts, d))
             angles = rng.uniform(0.0, 2 * np.pi, size=(self.starts, d))
-            ys, res = _newton_batch(data, radii * np.exp(1j * angles))
+            ys, res = _newton(data, radii * np.exp(1j * angles))
             numeric = _distinct_roots(ys, res)
         if numeric:
-            ys, res = _newton_batch(data, np.array(numeric, dtype=complex), iters=20)
+            ys, res = _newton(data, np.array(numeric, dtype=complex), iters=20)
             for y, r in zip(ys, res):
                 # magnitude window rejects drift toward 0 or infinity, where
                 # scaled residuals of monomial-heavy equations go quiet
@@ -697,20 +675,29 @@ class _Search:
                 0.0,
                 True,
             )
-        y = tuple(complex(v) for v in vals)
-        if any(not 1e-8 < abs(c) < 1e8 for c in y):
-            return None
-        worst = 0.0
-        for lv in self.lts.levels:
-            for i, eq in zip(lv.var_indices, lv.equations):
-                worst = max(worst, abs(y[i] * eq.eval_complex(y, 1.0, self.env)))
-        if worst >= 1e-10:
-            return None
-        sym = tuple(
-            (nm, self.env[nm].to_complex() if isinstance(self.env[nm], QC) else complex(self.env[nm]))
-            for nm in self.lts.symbols
-        )
-        return Certificate(sym, y, worst, False)
+        return _float_certificate(self.lts, vals, self.env)
+
+
+def _float_certificate(lts, vals, env) -> Certificate | None:
+    """Float certificate of the point vals under env, or None.
+
+    The point must lie in the magnitude window and every scaled residual
+    |y_i * eq_i(y)| must stay below 1e-10.
+    """
+    y = tuple(complex(v) for v in vals)
+    if any(not 1e-8 < abs(c) < 1e8 for c in y):
+        return None
+    worst = 0.0
+    for lv in lts.levels:
+        for i, eq in zip(lv.var_indices, lv.equations):
+            worst = max(worst, abs(y[i] * eq.eval_complex(y, 1.0, env)))
+    if worst >= 1e-10:
+        return None
+    sym = tuple(
+        (nm, env[nm].to_complex() if isinstance(env[nm], QC) else complex(env[nm]))
+        for nm in lts.symbols
+    )
+    return Certificate(sym, y, worst, False)
 
 
 def _level_symbols(lv) -> list:
@@ -773,16 +760,16 @@ class _FreeSearch:
                 starts0 = _univariate_candidates(lv.equations[0], lv.var_indices[0], vals, env)
                 if not starts0:
                     return []
-                zs, res = _newton_batch(data, np.array(starts0, dtype=complex), iters=20)
+                zs, res = _newton(data, np.array(starts0, dtype=complex), iters=20)
             else:
                 radii = rng.uniform(0.3, 1.8, size=(self.starts, d))
                 angles = rng.uniform(0.0, 2 * np.pi, size=(self.starts, d))
-                zs, res = _newton_batch(data, radii * np.exp(1j * angles))
+                zs, res = _newton(data, radii * np.exp(1j * angles))
         else:
             data = _FreeEqData(lv.equations, lv.var_indices, vals, env, new_syms)
             radii = rng.uniform(0.3, 1.8, size=(self.starts, d + s))
             angles = rng.uniform(0.0, 2 * np.pi, size=(self.starts, d + s))
-            zs, res = _newton_free(data, radii * np.exp(1j * angles))
+            zs, res = _newton(data, radii * np.exp(1j * angles))
         out = []
         seen = set()
         good = (
@@ -790,7 +777,7 @@ class _FreeSearch:
             for z, r in zip(zs, res)
             if not (r > 1e-11 or any(not 1e-8 < abs(c) < 1e8 for c in z))
         )
-        for z in sorted(good, key=_root_key):
+        for z in sorted(good, key=root_key):
             key = tuple((round(c.real, 6), round(c.imag, 6)) for c in z)
             if key in seen:
                 continue
@@ -801,22 +788,12 @@ class _FreeSearch:
         return out
 
     def _finish(self, vals, env):
-        y = tuple(complex(v) for v in vals)
-        if any(not 1e-8 < abs(c) < 1e8 for c in y):
-            return None
         full = dict(env)
         for nm in self.lts.symbols:
             # only levels without own variables can leave a symbol unseen,
             # and those levels contribute no equations: any value works
             full.setdefault(nm, 1.0)
-        worst = 0.0
-        for lv in self.lts.levels:
-            for i, eq in zip(lv.var_indices, lv.equations):
-                worst = max(worst, abs(y[i] * eq.eval_complex(y, 1.0, full)))
-        if worst >= 1e-10:
-            return None
-        sym = tuple((nm, complex(full[nm])) for nm in self.lts.symbols)
-        return Certificate(sym, y, worst, False)
+        return _float_certificate(self.lts, vals, full)
 
 
 def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> SolvabilityVerdict:

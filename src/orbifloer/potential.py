@@ -53,13 +53,12 @@ class BulkEntry:
 class BulkParam:
     """Bulk deformation data keyed by sector.
 
-    Sectors absent from ``entries`` carry the zero deformation.  Divisor
-    entries are accepted for interface completeness but do not enter the
-    leading-order formulas, so they are stored and otherwise ignored.
+    Sectors absent from ``entries`` carry the zero deformation.  There is
+    no divisor part: toric divisor terms do not enter the leading-order
+    formulas, so a bulk file's divisor rows are checked and then dropped.
     """
 
     entries: tuple = ()
-    divisors: tuple = ()  # (facet index, coeff, exponent), unused here
 
     @staticmethod
     def zero() -> "BulkParam":
@@ -287,7 +286,8 @@ def _univariate_critical(poly, t, env):
     return out
 
 
-def _sort_key(y):
+def root_key(y) -> tuple:
+    """Sort key of a complex point: coordinates rounded to 9 digits."""
     return tuple((round(c.real, 9), round(c.imag, 9)) for c in y)
 
 
@@ -327,7 +327,7 @@ def critical_points(
             if res < residual_tol and all(abs(c) > 1e-8 for c in y):
                 if all(max(abs(a - b) for a, b in zip(y, q.y)) > 1e-6 for q in found):
                     found.append(CriticalPoint(y, res))
-    return sorted(found, key=lambda c: _sort_key(c.y))
+    return sorted(found, key=lambda c: root_key(c.y))
 
 
 # ---------------------------------------------------------------------------

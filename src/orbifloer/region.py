@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
-from .lattice import echelon_rational, rank_rational
+from .lattice import cleared, echelon_rational, primitive, rank_rational
 from .ltsolver import (
     SolvabilityVerdict,
     Solvability,
@@ -362,18 +362,6 @@ def scenario_constraints(m: StackyModel, s: Scenario) -> list:
     return cons
 
 
-def _primitive(row: list) -> list:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _cleared(c: Constraint) -> list:
-    # the row (coeffs..., const) times the lcm of its denominators
-    row = _row(c)
-    d = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
-
-
 def _substitute(vec: list, subs: list) -> list:
     """Eliminate the pivot columns of subs from an integer row, fraction-free.
 
@@ -385,7 +373,7 @@ def _substitute(vec: list, subs: list) -> list:
         if c:
             p = row[k]
             vec = [p * x - c * y for x, y in zip(vec, row)]
-    return _primitive(vec)
+    return primitive(vec)
 
 
 def _fm_witness(rows, free):
@@ -421,7 +409,7 @@ def _fm_witness(rows, free):
     for lo in lowers:
         for up in uppers:
             al, au = lo[k], -up[k]
-            rest.append(_primitive([au * x + al * y for x, y in zip(lo, up)]))
+            rest.append(primitive([au * x + al * y for x, y in zip(lo, up)]))
     sol = _fm_witness(rest, free[:-1])
     if sol is None:
         return None
@@ -475,8 +463,8 @@ def feasible_witness(cons, n):
     witness coordinates are Fractions.
     """
     return _witness(
-        [_cleared(c) for c in cons if c.rel == "=="],
-        [_cleared(c) for c in cons if c.rel != "=="],
+        [cleared(_row(c)) for c in cons if c.rel == "=="],
+        [cleared(_row(c)) for c in cons if c.rel != "=="],
         n,
     )
 
@@ -553,10 +541,12 @@ def _piece_candidates(m: StackyModel):
     conditions are complete; from there each sector placed at a level
     adds the one strict row ell_anchor - ell_nu, so an infeasible prefix
     stays infeasible in every completion.  The test is exact integer FM
-    on the rows scenario_constraints emits.  A leaf with a one-member
-    level is skipped first: that level is one monomial in its own
-    variables, which solve proves unsolvable.  The context of a feasible
-    prefix is its (equality rows, strict rows, level anchors).
+    on the rows scenario_constraints emits; a child whose new row is
+    positive at its parent's witness is feasible without one.  A leaf with
+    a one-member level is skipped first: that level is one monomial in its
+    own variables, which solve proves unsolvable.  The context of a
+    feasible prefix is its (equality rows, strict rows, level anchors,
+    witness).
     """
     facet, sector = _model_rows(m)
     nf, n = len(facet), len(facet) + len(sector)
@@ -575,15 +565,18 @@ def _piece_candidates(m: StackyModel):
             eqs = [_row(c) for c in cons if c.rel == "=="]
             ineqs = [_row(c) for c in cons if c.rel == ">"]
             anchors = [tags[0][1] for tags in levels]
+            w = _witness(eqs, ineqs, m.dim)
         elif digits[-1] == 0:
             return ctx  # a sector left out adds no condition
         else:
-            eqs, ineqs, anchors = ctx
+            eqs, ineqs, anchors, w = ctx
             row = [a - b for a, b in zip(facet[anchors[digits[-1] - 1]], sector[p - 1 - nf])]
             ineqs = ineqs + [row]
-        if _witness(eqs, ineqs, m.dim) is None:
+            if sum(map(mul, row, w)) + row[-1] <= 0:
+                w = _witness(eqs, ineqs, m.dim)
+        if w is None:
             return None
-        return eqs, ineqs, anchors
+        return eqs, ineqs, anchors, w
 
     return grow
 

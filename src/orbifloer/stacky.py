@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import lattice
 from .errors import (
@@ -299,9 +299,7 @@ def _box_cached(m: StackyModel) -> tuple:
         for t, v in entries:
             if v in seen:
                 continue
-            denom = 1
-            for x in t:
-                denom = lattice.lcm(denom, x.denominator)
+            denom = lcm(*(x.denominator for x in t))
             support = tuple(
                 fi for fi, c in zip(cone.facet_indices, t) if c != 0
             )

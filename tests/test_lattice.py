@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,10 @@ def test_cone_multiplicity_examples():
     assert lattice.cone_multiplicity(c) == 3
     with pytest.raises(DegenerateCone):
         lattice.cone_multiplicity(lattice.SimplicialCone(((1, 2), (2, 4))))
+    flat = lattice.SimplicialCone(((1, 0, 0), (0, 1, 0)))
+    for x in ((1, 1, 0), (1, 1, 5)):
+        with pytest.raises(DegenerateCone):
+            flat.coordinates_of(x)
 
 
 @given(st.integers(2, 3).flatmap(square_matrices))
@@ -207,6 +212,84 @@ def test_snf_transform_entries_stay_small():
     u, d, v = lattice.smith_normal_form(a)
     assert lattice.mat_mul(lattice.mat_mul(u, a), v) == d
     assert max(abs(x) for m in (u, v) for row in m for x in row) < 10**6
+
+
+values = st.one_of(entries, st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def deficient_matrices(draw, rows=st.integers(1, 4), cols=st.integers(1, 4)):
+    """Integer and rational matrices; a row may be a combination of earlier rows."""
+    r, c = draw(rows), draw(cols)
+    out = []
+    for _ in range(r):
+        if out and draw(st.booleans()):
+            ks = draw(st.lists(st.integers(-3, 3), min_size=len(out), max_size=len(out)))
+            out.append([sum(k * row[j] for k, row in zip(ks, out)) for j in range(c)])
+        else:
+            out.append(draw(st.lists(values, min_size=c, max_size=c)))
+    return out
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def from_sympy(m):
+    return [tuple(Fraction(int(e.p), int(e.q)) for e in m.row(i)) for i in range(m.rows)]
+
+
+@given(deficient_matrices())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_sympy_rref(rows):
+    expected = [row for row in from_sympy(to_sympy(rows).rref()[0]) if any(row)]
+    assert list(lattice.echelon_rational(rows)) == expected
+    assert lattice.rank_rational(rows) == len(expected)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(deficient_matrices(st.just(n), st.just(n)))
+    b = draw(st.lists(values, min_size=n, max_size=n))
+    return a, b, draw(deficient_matrices(st.just(n), st.integers(1, 3)))
+
+
+@given(square_systems())
+@settings(max_examples=150, deadline=None)
+def test_square_solves_match_sympy(case):
+    a, b, rhs = case
+    sa = to_sympy(a)
+    if sa.det() == 0:
+        assert lattice.solve_rational(a, b) is None
+        with pytest.raises(DegenerateCone):
+            lattice.solve_many(a, rhs)
+        return
+    inv = sa.inv()
+    x = from_sympy(inv * to_sympy([b]).T)
+    assert lattice.solve_rational(a, b) == tuple(row[0] for row in x)
+    assert list(lattice.solve_many(a, rhs)) == from_sympy(inv * to_sympy(rhs))
+
+
+@given(deficient_matrices(st.integers(2, 5), st.integers(1, 3)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_rect_tall_systems(a, data):
+    if len(a) <= len(a[0]):
+        a = a + [list(a[0])] * (len(a[0]) + 1 - len(a))
+    b = data.draw(st.lists(values, min_size=len(a), max_size=len(a)))
+    sa = to_sympy(a)
+    if sa.rank() < sympy.Matrix.hstack(sa, to_sympy([b]).T).rank():
+        with pytest.raises(FlagNotIncreasing):
+            lattice._solve_rect(a, b)
+        return
+    x = lattice._solve_rect(a, b)
+    assert [sum(Fraction(e) * xi for e, xi in zip(row, x)) for row in a] == list(b)
+
+
+def test_solve_rect_inconsistent_example():
+    with pytest.raises(FlagNotIncreasing):
+        lattice._solve_rect(((1, 0), (0, 1), (1, 1)), (1, 1, 3))
+    assert lattice._solve_rect(((1, 0), (0, 1), (1, 1)), (1, 1, 2)) == (1, 1)
 
 
 def test_doctests():

@@ -13,7 +13,10 @@ from orbifloer.ltsolver import (
     LeadingTermSystem,
     Solvability,
     _distinct_roots,
+    _EqData,
+    _FreeEqData,
     _integer_env,
+    _newton,
     _parity_rows,
     _parity_table,
     _sign_bits,
@@ -425,3 +428,34 @@ def test_distinct_roots_filter_keeps_sorted_order():
         res = 10.0 ** rng.uniform(-16, -8, size=64)
         res[rng.integers(0, 64, size=4)] = np.nan
         assert _distinct_roots(ys, res) == _distinct_roots_reference(ys, res)
+
+
+def _poly(n, terms):
+    return LaurentPoly(n, [(e, NovikovScalar.of(c)) for e, c in terms])
+
+
+def test_newton_square_step_survives_a_singular_jacobian():
+    # y0*y1 = 2 and y0 = y1: the log-Jacobian rows (y0*y1, y0*y1) and
+    # (y0, -y1) are dependent exactly where y0 = -y1
+    eqs = (
+        _poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))]),
+        _poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))]),
+    )
+    data = _EqData(eqs, (0, 1), [None, None], {})
+    starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
+    zs, res = _newton(data, starts)
+    assert zs[0].tolist() == [1.0, -1.0]
+    assert res[1] < 1e-12
+    assert abs(zs[1, 0] - 2**0.5) < 1e-9 and abs(zs[1, 1] - 2**0.5) < 1e-9
+
+
+def test_newton_wide_step_solves_for_free_coefficients():
+    # c*y - 2 = 0 with the symbol c joined as an unknown: one equation in
+    # two unknowns.  The minimal-norm log step is along (1, 1), so c/y
+    # keeps its starting value and the end point is fixed by c*y = 2
+    eq = _poly(1, [((1,), SymLin.symbol("c")), ((0,), QC(-2))])
+    data = _FreeEqData((eq,), (0,), [None], {}, ["c"])
+    zs, res = _newton(data, np.array([[1.0, 1.0], [1.0, 4.0]], dtype=complex))
+    assert (res < 1e-12).all()
+    r = 2**0.5
+    assert np.allclose(zs, [[r, r], [1 / r, 2 * r]], rtol=0, atol=1e-12)
