@@ -14,6 +14,7 @@ and therefore never zero on the torus.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -391,35 +392,56 @@ def _sign_bits(coords) -> int:
 
 
 class _EqData:
-    """Numeric view of one level for the vectorized Newton search."""
+    """Numeric view of one level under E symbol assignments, for the batched Newton.
 
-    def __init__(self, equations, own, vals, env):
+    Points come as E blocks of equal length, block k under ``envs[k]``.
+    Each block goes through its own matmul calls on the same operands as
+    when its assignment runs alone, so its values carry the same bits
+    whatever else is in the batch.
+    """
+
+    def __init__(self, equations, own, vals, envs):
         self.own = own
-        self.coeffs = []  # per equation: complex coefficient * fixed-part value
-        self.exps = []  # per equation: own-variable exponent rows
+        self.blocks = len(envs)
+        self.exps = []  # per equation: own-variable exponent rows, (T, d)
+        self.ops = []  # per equation: matmul operands c and c * e_i, each (E, T, 1)
         for eq in equations:
-            cs, es = [], []
-            for e, s in eq.terms():
-                c = s.eval_complex(1.0, env)  # T-free by construction
-                for k, val in enumerate(vals):
-                    if val is not None and e[k]:
-                        c *= complex(val) ** e[k]
-                cs.append(c)
-                es.append([e[i] for i in own])
-            self.coeffs.append(np.array(cs, dtype=complex))
-            self.exps.append(np.array(es, dtype=float))
+            terms = eq.terms()
+            cs = np.array(
+                [[_term_value(e, s, vals, env) for e, s in terms] for env in envs], dtype=complex
+            )
+            es = np.array([[e[i] for i in own] for e, _ in terms], dtype=float)
+            self.exps.append(es)
+            self.ops.append([cs[..., None]] + [(cs * es[:, i])[..., None] for i in range(len(own))])
 
-    def f_and_jlog(self, ys):
-        """Values and log-Jacobian at a batch of points ys: (S, d)."""
-        s, d = ys.shape
-        fv = np.empty((s, len(self.coeffs)), dtype=complex)
-        jm = np.empty((s, len(self.coeffs), d), dtype=complex)
-        for r, (c, e) in enumerate(zip(self.coeffs, self.exps)):
-            mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2)
-            fv[:, r] = mono @ c
-            for i in range(d):
-                jm[:, r, i] = mono @ (c * e[:, i])
+    def block(self, k):
+        """The view of assignment k alone."""
+        view = copy.copy(self)
+        view.blocks = 1
+        view.ops = [[op[k : k + 1] for op in ops] for ops in self.ops]
+        return view
+
+    def f_and_jlog(self, ys, jac=True):
+        """Values and, if jac, the log-Jacobian at a batch of points ys: (E * S, d)."""
+        n, d = ys.shape
+        fv = np.empty((n, len(self.ops)), dtype=complex)
+        jm = np.empty((n, len(self.ops), d), dtype=complex) if jac else None
+        for r, (e, ops) in enumerate(zip(self.exps, self.ops)):
+            mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2).reshape(self.blocks, -1, len(e))
+            fv[:, r] = (mono @ ops[0]).reshape(n)
+            if jac:
+                for i in range(d):
+                    jm[:, r, i] = (mono @ ops[i + 1]).reshape(n)
         return fv, jm
+
+
+def _term_value(e, s, vals, env) -> complex:
+    """A term's complex coefficient times the value of its fixed-variable part."""
+    c = s.eval_complex(1.0, env)  # T-free by construction
+    for k, val in enumerate(vals):
+        if val is not None and e[k]:
+            c *= complex(val) ** e[k]
+    return c
 
 
 class _FreeEqData:
@@ -465,18 +487,20 @@ class _FreeEqData:
             self.amat.append(np.array(rows, dtype=complex))
             self.exps.append(np.array(es, dtype=float))
 
-    def f_and_jlog(self, zs):
-        """Values and log-Jacobian at a batch zs: (S, d + s)."""
+    def f_and_jlog(self, zs, jac=True):
+        """Values and, if jac, the log-Jacobian at a batch zs: (S, d + s)."""
         d = len(self.own)
         s = len(self.sym)
         y = zs[:, :d]
         c = zs[:, d:]
         fv = np.empty((len(zs), len(self.base)), dtype=complex)
-        jm = np.empty((len(zs), len(self.base), d + s), dtype=complex)
+        jm = np.empty((len(zs), len(self.base), d + s), dtype=complex) if jac else None
         for r, (b, a, e) in enumerate(zip(self.base, self.amat, self.exps)):
             mono = np.prod(y[:, None, :] ** e[None, :, :], axis=2)
             coeff = b[None, :] + c @ a.T
             fv[:, r] = (coeff * mono).sum(axis=1)
+            if not jac:
+                continue
             for i in range(d):
                 jm[:, r, i] = (coeff * mono * e[None, :, i]).sum(axis=1)
             for k in range(s):
@@ -491,9 +515,14 @@ def _newton(data, z0, iters: int = 60):
     scaled |y_r * eq_r| used by the certificate check: the raw equation
     values of all-negative-exponent systems vanish along escapes to
     infinity, and the scaled metric is what keeps those fake wells out of
-    the candidate list.  A square log-Jacobian takes the Newton step (a
-    start whose Jacobian is singular stops where it is); a wide one, with
+    the candidate list.  A square log-Jacobian takes the Newton step; a
+    start whose Jacobian LU meets an exact zero pivot (slogdet sign 0, just
+    where solve raises) stops where it is and is dropped.  A wide one, with
     free coefficients joined as unknowns, takes the minimal-norm step.
+    Each row's step comes from its own LAPACK call, so the rows of several
+    symbol assignments can share one batch.  The loop stops once no start
+    is still working, and the residuals of its last evaluation are
+    returned; after the last iteration only the values are evaluated.
     """
     zs = np.array(z0, dtype=complex)
     d = len(data.own)
@@ -503,18 +532,17 @@ def _newton(data, z0, iters: int = 60):
         res = (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
         work = alive & (res > 1e-14)
         if not work.any():
-            break
+            return zs, res
         if jm.shape[1] == jm.shape[2]:
+            a, b = jm[work], -fv[work][..., None]
             try:
-                dx = np.linalg.solve(jm[work], -fv[work][..., None])[..., 0]
+                dx = np.linalg.solve(a, b)[..., 0]
             except np.linalg.LinAlgError:
-                dx = np.empty((int(work.sum()), zs.shape[1]), dtype=complex)
-                for k, idx in enumerate(np.nonzero(work)[0]):
-                    try:
-                        dx[k] = np.linalg.solve(jm[idx], -fv[idx])
-                    except np.linalg.LinAlgError:
-                        dx[k] = 0
-                        alive[idx] = False
+                sign, _ = np.linalg.slogdet(a)
+                regular = sign != 0
+                dx = np.zeros((len(a), zs.shape[1]), dtype=complex)
+                dx[regular] = np.linalg.solve(a[regular], b[regular])[..., 0]
+                alive[np.nonzero(work)[0][~regular]] = False
         else:
             try:
                 pin = np.linalg.pinv(jm[work])
@@ -527,8 +555,26 @@ def _newton(data, z0, iters: int = 60):
         zs[work] *= np.exp(dx)
         bad = (np.abs(zs) > 1e9).any(axis=1) | (np.abs(zs) < 1e-9).any(axis=1)
         alive &= ~bad
-    fv, _ = data.f_and_jlog(zs)
+    fv, _ = data.f_and_jlog(zs, jac=False)
     return zs, (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
+
+
+def _starts(key, count: int, width: int):
+    """Seeded multistart points: moduli uniform in [0.3, 1.8], phases uniform."""
+    rng = np.random.default_rng(key)
+    radii = rng.uniform(0.3, 1.8, size=(count, width))
+    angles = rng.uniform(0.0, 2 * np.pi, size=(count, width))
+    return radii * np.exp(1j * angles)
+
+
+def _multistart(data, key, count: int):
+    """Newton from the starts of key under each of data's E assignments.
+
+    Returns (E, count, d) end points and (E, count) residuals.
+    """
+    d = len(data.own)
+    ys, res = _newton(data, np.tile(_starts(key, count, d), (data.blocks, 1)))
+    return ys.reshape(data.blocks, count, d), res.reshape(data.blocks, count)
 
 
 def _distinct_roots(ys, res, tol=1e-12):
@@ -544,11 +590,7 @@ def _univariate_candidates(eq, own_i, vals, env):
     """Complete root set of a one-variable level via closed form or companion."""
     bucket: dict = {}
     for e, s in eq.terms():
-        c = s.eval_complex(1.0, env)
-        for k, val in enumerate(vals):
-            if val is not None and e[k]:
-                c *= complex(val) ** e[k]
-        bucket[e[own_i]] = bucket.get(e[own_i], 0j) + c
+        bucket[e[own_i]] = bucket.get(e[own_i], 0j) + _term_value(e, s, vals, env)
     ks = sorted(k for k, c in bucket.items() if abs(c) > 1e-13)
     if not ks:
         return []  # equation vanished numerically; nothing trustworthy to branch on
@@ -575,6 +617,9 @@ class _Search:
     """One solve attempt under a fixed symbol assignment.
 
     ``rows`` holds the _parity_rows of every level equation, per level.
+    ``root``, when set, is this assignment's (data, end points, residuals)
+    of the first level's multistart, taken from a batch over several
+    assignments (_batch_first_level); otherwise the search runs it itself.
     """
 
     def __init__(self, lts, rows, env, seed, starts, exact_only=False):
@@ -588,6 +633,7 @@ class _Search:
         self.seed = seed
         self.starts = starts
         self.calls = 0
+        self.root = None
 
     def _tables(self, li):
         """Parity tables of level li under this search's exact env, built once."""
@@ -638,15 +684,16 @@ class _Search:
                     seen.add(tuple((round(c.real, 6), round(c.imag, 6)) for c in cvec))
         if self.exact_only:
             return out
-        data = _EqData(lv.equations, lv.var_indices, vals, self.env)
+        if li == 0 and self.root is not None:
+            data, ys, res = self.root
+        else:
+            data = _EqData(lv.equations, lv.var_indices, vals, [self.env])
+            if d > 1:
+                (ys,), (res,) = _multistart(data, (self.seed, self.calls), self.starts)
         if d == 1:
             numeric = _univariate_candidates(lv.equations[0], lv.var_indices[0], vals, self.env)
         else:
-            rng = np.random.default_rng((self.seed, self.calls))
             self.calls += 1
-            radii = rng.uniform(0.3, 1.8, size=(self.starts, d))
-            angles = rng.uniform(0.0, 2 * np.pi, size=(self.starts, d))
-            ys, res = _newton(data, radii * np.exp(1j * angles))
             numeric = _distinct_roots(ys, res)
         if numeric:
             ys, res = _newton(data, np.array(numeric, dtype=complex), iters=20)
@@ -752,24 +799,20 @@ class _FreeSearch:
     def _candidates(self, lv, vals, env, new_syms):
         d = len(lv.var_indices)
         s = len(new_syms)
-        rng = np.random.default_rng((self.seed, 991, self.calls))
+        key = (self.seed, 991, self.calls)
         self.calls += 1
         if s == 0:
-            data = _EqData(lv.equations, lv.var_indices, vals, env)
+            data = _EqData(lv.equations, lv.var_indices, vals, [env])
             if d == 1:
                 starts0 = _univariate_candidates(lv.equations[0], lv.var_indices[0], vals, env)
                 if not starts0:
                     return []
                 zs, res = _newton(data, np.array(starts0, dtype=complex), iters=20)
             else:
-                radii = rng.uniform(0.3, 1.8, size=(self.starts, d))
-                angles = rng.uniform(0.0, 2 * np.pi, size=(self.starts, d))
-                zs, res = _newton(data, radii * np.exp(1j * angles))
+                zs, res = _newton(data, _starts(key, self.starts, d))
         else:
             data = _FreeEqData(lv.equations, lv.var_indices, vals, env, new_syms)
-            radii = rng.uniform(0.3, 1.8, size=(self.starts, d + s))
-            angles = rng.uniform(0.0, 2 * np.pi, size=(self.starts, d + s))
-            zs, res = _newton(data, radii * np.exp(1j * angles))
+            zs, res = _newton(data, _starts(key, self.starts, d + s))
         out = []
         seen = set()
         good = (
@@ -796,20 +839,51 @@ class _FreeSearch:
         return _float_certificate(self.lts, vals, full)
 
 
+def _batch_first_level(searches, seed: int, starts: int) -> None:
+    """Run the first level's multistart for all the searches as one batch.
+
+    Each search gets its own slice as its root.  The first level has no
+    fixed variables, so its starts (key (seed, 0)) and exponents are the
+    same for every assignment; only the coefficients differ.  A level with
+    one own variable takes the closed-form path and needs no batch.
+    """
+    lts = searches[0].lts
+    lv = lts.levels[0]
+    if len(lv.var_indices) < 2:
+        return
+    data = _EqData(lv.equations, lv.var_indices, [None] * lts.n, [s.env for s in searches])
+    ys, res = _multistart(data, (seed, 0), starts)
+    for k, search in enumerate(searches):
+        search.root = (data.block(k), ys[k], res[k])
+
+
 def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> SolvabilityVerdict:
     """Verdict for a leading term system.
 
     Levels are solved in energy order, each branch substituted into the
-    next.  Free coefficients run through the special palette (1, -1, minus
-    each facet label) exactly, then through the generic complex table.
-    Exact certificates are searched first across the whole palette: a
-    literal residual-0 witness beats any float one, and the structured
-    models (labels all >= 2, Clifford-type centers) are certified that way.
-    If every palette fails and free coefficients remain, a last pass solves
-    for them jointly with y, catching systems whose solvability hinges on a
-    coefficient relation.  A certificate must re-verify across every level
-    equation before it is believed; failure of the search is reported as
-    unknown, never as a proof.
+    next.  The passes, in order:
+
+    1. Structural proof: a level that is a single monomial in its own
+       variables has a derivative that never vanishes on the torus.
+    2. Exact palette: free coefficients take every combination of 1, -1
+       and minus each facet label, and each level is searched for +-1
+       roots by Gaussian-integer parity sums.  A literal residual-0 witness
+       beats any float one, and the structured models (labels all >= 2,
+       Clifford-type centers) are certified that way.
+    3. Numeric palette: the same assignments, then the generic complex
+       table, each searched with numeric roots as well.  The first
+       assignment runs alone; once it fails, the first level's multistart
+       Newton of all the remaining ones runs as one batch
+       (_batch_first_level).  Every assignment's block is evaluated and
+       solved by the same calls as when it runs alone, so the batch changes
+       no verdict and no bit of any certificate.
+    4. Free search: if free coefficients remain, they are solved for
+       jointly with y, catching systems whose solvability hinges on a
+       coefficient relation.
+
+    A certificate must re-verify across every level equation before it is
+    believed; failure of the search is reported as unknown, never as a
+    proof.
     """
     # The one structural proof: a level that is a single monomial in its own
     # variable(s).  Wider monomial patterns inside derivatives are left to the
@@ -835,8 +909,11 @@ def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> Solvabilit
         cert = _Search(lts, rows, env, seed, starts, exact_only=True).run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
-    for env in envs:
-        cert = _Search(lts, rows, env, seed, starts).run()
+    searches = [_Search(lts, rows, env, seed, starts) for env in envs]
+    for k, search in enumerate(searches):
+        if k == 1:
+            _batch_first_level(searches[1:], seed, starts)
+        cert = search.run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     if lts.symbols:

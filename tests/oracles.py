@@ -155,3 +155,43 @@ def product_scenarios(fdirs, sdirs, dim, max_levels):
                 excluded = tuple(("sector", i) for i in range(ns) if sassign[i] == 0)
                 out.append((len(out), levels, excluded, tuple(dims)))
     return out
+
+
+def solve_each_assignment_alone(lts, seed=0, starts=64):
+    """ltsolver.solve with no batch: every numeric-palette search runs alone.
+
+    solve runs the first level's multistart of every symbol assignment after
+    the first as one batch.  This reference takes the passes of solve in
+    order and lets each assignment's _Search run its own multistart, one
+    assignment at a time.  Unlike the rest of this file it reuses the
+    package's search code on purpose: agreement then isolates the batch.
+    Returns (status, certificate).
+    """
+    from orbifloer import ltsolver as lt
+
+    for lv in lts.levels:
+        terms = lv.poly.terms()
+        if (
+            lv.var_indices
+            and len(terms) == 1
+            and lt._never_zero(terms[0][1].leading_coefficient())
+            and any(terms[0][0][k] for k in lv.var_indices)
+        ):
+            return lt.Solvability.UnsolvableProven, None
+    rows = tuple(tuple(lt._parity_rows(eq) for eq in lv.equations) for lv in lts.levels)
+    envs = lt._symbol_assignments(lts)
+    exact = [
+        lt._Search(lts, rows, env, seed, starts, exact_only=True)
+        for env in envs
+        if lt._env_is_exact(env)
+    ]
+    numeric = [lt._Search(lts, rows, env, seed, starts) for env in envs]
+    for search in exact + numeric:
+        cert = search.run()
+        if cert is not None:
+            return lt.Solvability.SolvableCertified, cert
+    if lts.symbols:
+        cert = lt._FreeSearch(lts, seed, starts).run()
+        if cert is not None:
+            return lt.Solvability.SolvableCertified, cert
+    return lt.Solvability.UnknownLikelyUnsolvable, None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from orbifloer.errors import SpanNeverFull
 from orbifloer.lattice import invert_unimodular
 from orbifloer.ltsolver import (
@@ -20,6 +21,7 @@ from orbifloer.ltsolver import (
     _parity_rows,
     _parity_table,
     _sign_bits,
+    _starts,
     _vanishes,
     build_lts,
     lts_signature,
@@ -441,7 +443,7 @@ def test_newton_square_step_survives_a_singular_jacobian():
         _poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))]),
         _poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))]),
     )
-    data = _EqData(eqs, (0, 1), [None, None], {})
+    data = _EqData(eqs, (0, 1), [None, None], [{}])
     starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
     zs, res = _newton(data, starts)
     assert zs[0].tolist() == [1.0, -1.0]
@@ -459,3 +461,115 @@ def test_newton_wide_step_solves_for_free_coefficients():
     assert (res < 1e-12).all()
     r = 2**0.5
     assert np.allclose(zs, [[r, r], [1 / r, 2 * r]], rtol=0, atol=1e-12)
+
+
+def _two_symbol_level():
+    # s0*y0*y1^2 - 1 and s1*y0^2*y1 + 2: with s0 = s1 = 0 both equations are
+    # constants and the log-Jacobian is zero at every start
+    s0, s1 = SymLin.symbol("s0"), SymLin.symbol("s1")
+    return (
+        _poly(2, [((1, 2), s0), ((0, 0), QC(-1))]),
+        _poly(2, [((2, 1), s1), ((0, 0), QC(2))]),
+    )
+
+
+ENVS = ({"s0": 1.0, "s1": 1.0}, {"s0": 0j, "s1": 0j}, {"s0": -1 + 0.5j, "s1": 2.0})
+
+
+def test_newton_batch_over_assignments_matches_each_alone():
+    eqs = _two_symbol_level()
+    starts = _starts((0, 0), 64, 2)
+    batch = _EqData(eqs, (0, 1), [None, None], ENVS)
+    zs, res = _newton(batch, np.tile(starts, (len(ENVS), 1)))
+    for k, env in enumerate(ENVS):
+        alone = _EqData(eqs, (0, 1), [None, None], [env])
+        zk, rk = _newton(alone, starts)
+        assert np.array_equal(zs[64 * k : 64 * (k + 1)], zk)
+        assert np.array_equal(res[64 * k : 64 * (k + 1)], rk)
+        # a block view evaluates like its assignment alone, and the values
+        # without the Jacobian are the values with it
+        fv, jm = batch.block(k).f_and_jlog(zk)
+        fa, ja = alone.f_and_jlog(zk)
+        assert np.array_equal(fv, fa) and np.array_equal(jm, ja)
+        assert np.array_equal(alone.f_and_jlog(zk, jac=False)[0], fa)
+        assert np.array_equal((np.abs(fa) * np.abs(zk)).max(axis=1), rk)
+    assert (res[:64] < 1e-12).any() and (res[128:] < 1e-12).any()
+    # the constant assignment never moves
+    assert np.array_equal(zs[64:128], starts)
+
+
+class _Fixed:
+    """Newton data with fixed values and one given log-Jacobian per evaluation."""
+
+    def __init__(self, fv, jms):
+        self.own = (0, 1)
+        self.fv = fv
+        self.jms = list(jms)
+        self.calls = 0
+
+    def f_and_jlog(self, zs, jac=True):
+        jm = self.jms[min(self.calls, len(self.jms) - 1)]
+        self.calls += 1
+        return self.fv, jm if jac else None
+
+
+def test_newton_mixed_singular_batch_solves_the_regular_rows():
+    rng = np.random.default_rng(3)
+    n = 12
+    fv = 0.05 * (rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+    regular = np.eye(2) + 0.3 * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    mixed = regular.copy()
+    singular = np.array([1, 4, 5, 11])
+    mixed[singular] = [[1.0, 2.0], [2.0, 4.0]]
+    mixed[singular[0]] = 0
+    z0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, 2)))
+    # second iteration: every Jacobian is regular, so a row moves only if alive
+    zs, _ = _newton(_Fixed(fv, [mixed, regular]), z0, iters=2)
+    for k in range(n):
+        if k in singular:
+            assert np.array_equal(zs[k], z0[k])
+        else:
+            step = np.exp(np.linalg.solve(regular[k], -fv[k]))
+            assert np.array_equal(zs[k], z0[k] * step * step)
+
+
+def test_newton_all_singular_batch_stops_after_one_iteration():
+    data = _EqData(_two_symbol_level(), (0, 1), [None, None], [ENVS[1]] * 2)
+    calls = []
+    evaluate = data.f_and_jlog
+    data.f_and_jlog = lambda zs, jac=True: calls.append(jac) or evaluate(zs, jac)
+    starts = np.tile(_starts((0, 0), 64, 2), (2, 1))
+    zs, res = _newton(data, starts)
+    assert np.array_equal(zs, starts)
+    # one Newton iteration, then the evaluation that finds no start working
+    # is returned as it is
+    assert calls == [True, True]
+    assert np.array_equal(res, np.maximum(np.abs(starts[:, 0]), 2 * np.abs(starts[:, 1])))
+
+
+# on wp:1,3,5 every batch ends unknown; on wp:1,3,7 one batched assignment
+# certifies its system
+@pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 46, 8), ("wp:1,3,7", 130, 12)])
+def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown, monkeypatch):
+    from orbifloer import region
+
+    seen = {}
+    real = region.solve
+
+    def recording(lts, **kw):
+        verdict = real(lts, **kw)
+        seen[lts_signature(lts)] = (lts, verdict, kw)
+        return verdict
+
+    monkeypatch.setattr(region, "solve", recording)
+    region.nondisplaceable_region(build_model(preset))
+    statuses = [v.status for _, v, _ in seen.values()]
+    assert len(seen) == systems and statuses.count(Solvability.UnknownLikelyUnsolvable) == unknown
+    for lts, verdict, kw in seen.values():
+        status, cert = oracles.solve_each_assignment_alone(lts, **kw)
+        assert verdict.status is status
+        if cert is None:
+            assert verdict.certificate is None
+        else:
+            assert verdict.certificate.y == cert.y
+            assert verdict.certificate.symbol_values == cert.symbol_values
