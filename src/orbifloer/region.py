@@ -21,10 +21,12 @@ the order of their product.  The walk never enters a subtree whose span
 can no longer work out (a level's cumulative rank leaving no room for the
 later levels, or a level left without a facet).  The region also prunes
 a prefix whose exact feasibility test already fails, once all facets are
-placed, and a leaf with a one-member level, whose system is a single
-monomial and can never be solved.  A scenario's serial is its rank among
-the span-valid candidates in product order, the same with or without
-pruning: a skipped subtree adds its memoized candidate count.
+placed, and a leaf with a coloop level: a member whose direction, modulo
+the span of the levels below, no other member shares and no combination
+of the others' reaches, so that the level's equations can never be
+solved.  A scenario's serial is its rank among the span-valid candidates
+in product order, the same with or without pruning: a skipped subtree
+adds its memoized candidate count.
 """
 
 from __future__ import annotations
@@ -189,7 +191,9 @@ class _SpanTree:
     and the bit set of levels a facet pins; a span is the id of its
     echelon basis, so equal spans are equal states.  How many span-valid
     assignments lie below a node depends on its depth and state alone, so
-    the count is memoized.
+    the count is memoized.  The tree also holds the region walk's coloop
+    test of a leaf (coloop_leaf), memoized per level; it lives as long as
+    the walk, so no state outlives one region.
     """
 
     def __init__(self, dirs: list, nf: int, dim: int, K: int):
@@ -199,6 +203,7 @@ class _SpanTree:
         self._ids = {(): 0}
         self._joins: dict = {}
         self._counts: dict = {}
+        self._coloops: dict = {}
         self.root = ((0,) * K, 0)
 
     def rank(self, span: int) -> int:
@@ -224,6 +229,26 @@ class _SpanTree:
             self._joins[key] = out
         return out
 
+    def coloop_leaf(self, digits: list, state) -> bool:
+        """Whether some level of a leaf has a coloop member (_has_coloop).
+
+        Each member's direction is reduced modulo the echelon basis of the
+        span below its level.  The answer is memoized per level on (span
+        below, members).
+        """
+        below = 0
+        for l, span in enumerate(state[0], 1):
+            members = tuple(p for p, v in enumerate(digits) if v == l)
+            hit = self._coloops.get((below, members))
+            if hit is None:
+                basis = self._bases[below]
+                hit = _has_coloop([_residue(self.dirs[p], basis) for p in members])
+                self._coloops[below, members] = hit
+            if hit:
+                return True
+            below = span
+        return False
+
     def count(self, p: int, state) -> int:
         """Number of span-valid assignments below a node of depth p."""
         key = (p, state)
@@ -246,13 +271,47 @@ class _SpanTree:
         return sum(self.count(p + 1, self.child(state, p, v)) for v in range(K + 1))
 
 
+def _residue(v, basis: tuple) -> tuple:
+    """v reduced modulo a reduced row echelon basis: zero at every pivot column.
+
+    Two vectors have equal residues exactly when they differ by an element
+    of the span.
+    """
+    v = tuple(v)
+    for row in basis:
+        k = next(i for i, x in enumerate(row) if x)  # the pivot, which is 1
+        if v[k]:
+            v = tuple(a - v[k] * b for a, b in zip(v, row))
+    return v
+
+
+def _has_coloop(residues: list) -> bool:
+    """Whether a level's residues leave one member a coloop.
+
+    Equal residues form one group and the zero residue is dropped.  A
+    one-member group is a coloop when its residue lies outside the span of
+    the other groups' residues, that is when dropping it lowers the rank.
+    """
+    groups: dict = {}
+    for r in residues:
+        if any(r):
+            groups[r] = groups.get(r, 0) + 1
+    keys = list(groups)
+    full = rank_rational(keys)
+    return any(
+        n == 1 and rank_rational(keys[:k] + keys[k + 1 :]) < full
+        for k, n in enumerate(groups.values())
+    )
+
+
 def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**6):
     """Span-valid scenarios in product order, serials counted as ranks.
 
-    grow(K, digits, ctx) runs on every node with span-valid leaves below
-    it, once its last digit is placed; it returns the context of the
-    subtree, or None to skip it.  A skipped subtree adds its memoized
-    candidate count to the serial counter without visiting its leaves.
+    grow(tree, digits, state, ctx) runs on every node with span-valid
+    leaves below it, once its last digit is placed, with the node's
+    _SpanTree state; it returns the context of the subtree, or None to
+    skip it.  A skipped subtree adds its memoized candidate count to the
+    serial counter without visiting its leaves.
     Raises TooManyScenarios at once when the candidates exceed limit.
     """
     if max_levels < 1:
@@ -283,7 +342,7 @@ def _leaves(trees: list, nf: int, grow):
             if not c:
                 continue
             digits.append(v)
-            sub = ctx if grow is None else grow(tree.K, digits, ctx)
+            sub = ctx if grow is None else grow(tree, digits, child, ctx)
             if sub is None:
                 serial += c
             else:
@@ -509,8 +568,9 @@ def nondisplaceable_region(
 
     The scenario walk skips every candidate that cannot become a piece
     before any work on it: prefixes that are already infeasible and leaves
-    with a one-member level (_piece_candidates).  Serials stay the ranks
-    enumerate_scenarios gives.  Verdicts are cached by structural
+    with a coloop level, whose system provably has no root
+    (_piece_candidates).  Serials stay the ranks enumerate_scenarios
+    gives.  Verdicts are cached by structural
     signature: scenarios producing the same level polynomials up to symbol
     renaming share one solve, and a shared certificate is renamed into
     each scenario's own symbols.
@@ -542,22 +602,33 @@ def _piece_candidates(m: StackyModel):
     adds the one strict row ell_anchor - ell_nu, so an infeasible prefix
     stays infeasible in every completion.  The test is exact integer FM
     on the rows scenario_constraints emits; a child whose new row is
-    positive at its parent's witness is feasible without one.  A leaf with
-    a one-member level is skipped first: that level is one monomial in its
-    own variables, which solve proves unsolvable.  The context of a
-    feasible prefix is its (equality rows, strict rows, level anchors,
-    witness).
+    positive at its parent's witness is feasible without one.
+
+    A leaf is first checked for a coloop level (_SpanTree.coloop_leaf): a
+    member whose direction, modulo the span of the levels below, is shared
+    by no other member and lies outside the span of the other members'
+    residues.  The level's own-coordinate equations are
+    sum_a c_a a_i y^a = 0 over the members' residues a, so a root needs a
+    linear relation sum_a w_a a = 0 in which members of equal residue
+    share one weight; a lone member's weight c_a y^a is never zero (every
+    region coefficient is 1 or a pure symbol), and a coloop forces it to
+    zero.  Such a leaf has no root (the leading-term argument of
+    Fukaya-Oh-Ohta-Ono for toric manifolds), and it is skipped before
+    scenario_region, scenario_lts and solve.  A level with one member is
+    the special case of a single group.  The context of a feasible
+    prefix is its (equality rows, strict rows, level anchors, witness).
     """
     facet, sector = _model_rows(m)
     nf, n = len(facet), len(facet) + len(sector)
 
-    def grow(K, digits, ctx):
+    def grow(tree, digits, state, ctx):
         p = len(digits)
         if p < nf:
             return ctx
-        if p == n and any(digits.count(l) == 1 for l in range(1, K + 1)):
+        if p == n and tree.coloop_leaf(digits, state):
             return None
         if p == nf:
+            K = tree.K
             levels = tuple(
                 tuple(("facet", j) for j in range(nf) if digits[j] == l) for l in range(1, K + 1)
             )

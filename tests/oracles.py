@@ -195,3 +195,38 @@ def solve_each_assignment_alone(lts, seed=0, starts=64):
         if cert is not None:
             return lt.Solvability.SolvableCertified, cert
     return lt.Solvability.UnknownLikelyUnsolvable, None
+
+
+def coloop_refutes(lts):
+    """Whether some level of a leading term system has a coloop exponent.
+
+    Computed from the system alone: in each level with own variables the
+    terms are grouped by their exponent in those variables, the zero
+    exponent dropped.  A group of one term whose coefficient can never be
+    zero (a nonzero constant or a bare symbol) is a coloop when its
+    exponent leaves the rational span of the other groups' exponents
+    (sympy rank), and then the own-variable equations have no root on the
+    torus.
+    """
+    from orbifloer.series import QC
+
+    for lv in lts.levels:
+        groups = {}
+        for e, s in lv.poly.terms():
+            a = tuple(e[k] for k in lv.var_indices)
+            if any(a):
+                groups.setdefault(a, []).append(s.leading_coefficient())
+
+        def rank(exps):
+            return sympy.Matrix([list(a) for a in exps]).rank() if exps else 0
+
+        full = rank(list(groups))
+        for a, coeffs in groups.items():
+            c = coeffs[0]
+            if isinstance(c, QC):
+                never_zero = not c.is_zero()
+            else:  # a symbolic coefficient: const + sum q * symbol
+                never_zero = (len(c.lin), c.const.is_zero()) in ((0, False), (1, True))
+            if len(coeffs) == 1 and never_zero and rank([b for b in groups if b != a]) < full:
+                return True
+    return False

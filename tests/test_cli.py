@@ -153,6 +153,17 @@ def test_region_max_levels_clamped_and_validated(capsys):
     assert json.loads(err)["error"] == "InputError"
 
 
+def test_region_three_levels_in_three_dimensions(capsys):
+    # the walk refutes 2,735 leaves by a coloop level and solves one system;
+    # without that pruning the unknown verdicts took minutes
+    doc = run_json(capsys, "region", "--preset", "wp:1,2,3,5", "--max-levels", "3")
+    assert doc["max_levels"] == 3 and doc["piece_count"] == 1
+    (piece,) = doc["pieces"]
+    assert piece["serial"] == 1720
+    assert piece["levels"] == [[["facet", 0], ["facet", 1], ["facet", 2], ["facet", 3]]]
+    assert piece["verdict"]["status"] == "SolvableCertified"
+
+
 def test_model_file_input(tmp_path, capsys):
     model = {
         "dim": 1,

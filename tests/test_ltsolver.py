@@ -550,23 +550,24 @@ def test_newton_all_singular_batch_stops_after_one_iteration():
 # on wp:1,3,5 every batch ends unknown; on wp:1,3,7 one batched assignment
 # certifies its system
 @pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 46, 8), ("wp:1,3,7", 130, 12)])
-def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown, monkeypatch):
+def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
     from orbifloer import region
 
+    # the distinct systems of the feasible candidates without a one-member
+    # level, coloop levels included: those are the ones that end unknown
+    m = build_model(preset)
     seen = {}
-    real = region.solve
-
-    def recording(lts, **kw):
-        verdict = real(lts, **kw)
-        seen[lts_signature(lts)] = (lts, verdict, kw)
-        return verdict
-
-    monkeypatch.setattr(region, "solve", recording)
-    region.nondisplaceable_region(build_model(preset))
-    statuses = [v.status for _, v, _ in seen.values()]
+    for s in region.enumerate_scenarios(m):
+        if any(len(tags) == 1 for tags in s.levels) or region.scenario_region(m, s) is None:
+            continue
+        lts = region.scenario_lts(m, s)
+        sig = lts_signature(lts)
+        if sig not in seen:
+            seen[sig] = (lts, solve(lts))
+    statuses = [v.status for _, v in seen.values()]
     assert len(seen) == systems and statuses.count(Solvability.UnknownLikelyUnsolvable) == unknown
-    for lts, verdict, kw in seen.values():
-        status, cert = oracles.solve_each_assignment_alone(lts, **kw)
+    for lts, verdict in seen.values():
+        status, cert = oracles.solve_each_assignment_alone(lts)
         assert verdict.status is status
         if cert is None:
             assert verdict.certificate is None

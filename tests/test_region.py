@@ -24,6 +24,7 @@ from orbifloer.region import (
     scenario_lts,
     scenario_region,
 )
+from orbifloer.series import render_poly
 from orbifloer.stacky import build_model, enumerate_box
 
 
@@ -78,30 +79,34 @@ def test_enumerate_matches_product_oracle(preset):
 
 def _brute_force_region(m):
     """The region without pruning: every candidate through scenario_region,
-    every feasible one through the signature cache and solve.  Also returns
-    the feasible candidates with a one-member level."""
-    pieces, one_member, cache = [], [], {}
+    and every feasible one whose system the coloop oracle does not refute
+    through the signature cache and solve.  Also returns the feasible
+    candidates the oracle refutes."""
+    pieces, refuted, cache = [], [], {}
     for s in enumerate_scenarios(m):
         poly = scenario_region(m, s)
         if poly is None:
             continue
-        if any(len(tags) == 1 for tags in s.levels):
-            one_member.append(s)
         lts = scenario_lts(m, s)
+        if oracles.coloop_refutes(lts):
+            refuted.append(s)
+            continue
         sig = lts_signature(lts)
         if sig not in cache:
             cache[sig] = (solve(lts), signature_symbols(lts))
         verdict = region._renamed(*cache[sig], signature_symbols(lts))
         if verdict.status is Solvability.SolvableCertified:
             pieces.append((s.serial, poly.witness, verdict))
-    return pieces, one_member
+    return pieces, refuted
 
 
 @pytest.mark.parametrize("preset", ["wp:1,3,5", "square:2,2,1,1"])
 def test_pruned_region_equals_brute_force(preset, monkeypatch):
     m = build_model(preset)
-    want, one_member = _brute_force_region(m)
-    assert one_member
+    want, refuted = _brute_force_region(m)
+    one_member = [s for s in refuted if any(len(tags) == 1 for tags in s.levels)]
+    # the one-member rule is the special case; wider coloop levels occur too
+    assert one_member and len(one_member) < len(refuted)
     for s in one_member:
         assert solve(scenario_lts(m, s)).status is Solvability.UnsolvableProven, s.serial
     examined = []
@@ -114,9 +119,96 @@ def test_pruned_region_equals_brute_force(preset, monkeypatch):
     monkeypatch.setattr(region, "scenario_region", counted)
     r = nondisplaceable_region(m)
     assert [(p.scenario.serial, p.polyhedron.witness, p.verdict) for p in r.pieces] == want
-    # only feasible candidates without a one-member level reach scenario_region
+    # only feasible candidates the oracle does not refute reach scenario_region
     feasible = {s.serial for s in enumerate_scenarios(m) if real(m, s) is not None}
-    assert examined == sorted(feasible - {s.serial for s in one_member})
+    assert examined == sorted(feasible - {s.serial for s in refuted})
+
+
+def test_coloop_groups_equal_residues():
+    # members with one residue share a weight and may cancel (y + c*y
+    # vanishes at c = -1), so only a lone member can be a coloop
+    assert not region._has_coloop([(1, 0), (1, 0)])
+    assert not region._has_coloop([(1, 0), (1, 0), (0, 1), (0, 2)])
+    assert region._has_coloop([(1, 0), (0, 1), (0, 2)])
+    assert region._has_coloop([(1, 0)])
+    # a circuit has no coloop, and the zero residue joins no relation
+    assert not region._has_coloop([(1, 0), (0, 1), (1, 1)])
+    assert not region._has_coloop([(0, 0), (1, 0), (2, 0)])
+    # residues modulo the span of (1, 0): (1, 3) and (5, 3) are one group
+    basis = ((1, 0),)
+    assert region._residue((1, 3), basis) == region._residue((5, 3), basis) == (0, 3)
+    assert not region._has_coloop([region._residue(v, basis) for v in [(1, 3), (5, 3), (2, 0)]])
+
+
+def _walk_refuted(m, max_levels=2):
+    """The region of m and the leaves its walk refutes by a coloop level.
+
+    The leaves come back as Scenarios with serial -1, in walk order.
+    """
+    refuted = []
+    real = region._SpanTree.coloop_leaf
+
+    def recording(tree, digits, state):
+        hit = real(tree, digits, state)
+        if hit:
+            ranks = [tree.rank(span) for span in state[0]]
+            refuted.append(region._scenario(-1, digits, len(m.facets), ranks))
+        return hit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region._SpanTree, "coloop_leaf", recording)
+        r = nondisplaceable_region(m, max_levels)
+    return r, refuted
+
+
+def test_coloop_prunes_a_root_at_infinity():
+    # y2 * df/dy2 = -c5/y2 never vanishes, yet a float search finds a
+    # "root" drifting to |y2| ~ 5e7 inside the certificate's window
+    m = build_model("square:2,2,2,2")
+    s = enumerate_scenarios(m, 1)[18]
+    assert s.levels == ((("facet", 3), ("sector", 3), ("sector", 5)),)
+    lts = scenario_lts(m, s)
+    assert render_poly(lts.levels[0].poly) == "1*y1^-2 + c3*y1^-1 + c5*y2^-1"
+    assert oracles.coloop_refutes(lts)
+    assert scenario_region(m, s) is not None
+    r, refuted = _walk_refuted(m, 1)
+    assert s.levels in [t.levels for t in refuted]
+    assert 18 not in [p.scenario.serial for p in r.pieces]
+
+
+def test_coloop_refutes_dependent_mixed_level():
+    # the one-level system of test_solve_dependent_mixed_level_unknown:
+    # the sector (0,-1) and facet 2 span one line, so facet 0 is a coloop
+    m = build_model("wp:1,1,3")
+    s = enumerate_scenarios(m, 1)[12]
+    assert s.levels == ((("facet", 0), ("facet", 2), ("sector", 0)),)
+    assert enumerate_box(m)[0].nu == (0, -1)
+    lts = scenario_lts(m, s)
+    assert render_poly(lts.levels[0].poly) == "1*y1^-1 + c0*y2^-1 + 1*y2"
+    assert oracles.coloop_refutes(lts)
+    assert solve(lts).status is Solvability.UnknownLikelyUnsolvable
+    assert scenario_region(m, s) is not None
+    _, refuted = _walk_refuted(m, 1)
+    assert s.levels in [t.levels for t in refuted]
+
+
+@pytest.mark.parametrize(
+    "preset", ["square:2,2,2,2", "wp:1,3,5", "wp:1,3,7", "square:2,2,1,1", "wp:1,1,3", "teardrop:5"]
+)
+def test_coloop_refuted_leaves_get_no_exact_certificate(preset):
+    # a coloop proof and an exact root cannot both hold; every refuted
+    # leaf's system is also refuted by the oracle
+    m = build_model(preset)
+    _, refuted = _walk_refuted(m)
+    assert refuted
+    systems = {}
+    for s in refuted:
+        lts = scenario_lts(m, s)
+        systems.setdefault(lts_signature(lts), lts)
+    for lts in systems.values():
+        assert oracles.coloop_refutes(lts)
+        cert = solve(lts).certificate
+        assert cert is None or not cert.exact
 
 
 def test_scenario_constraints_tagged():
@@ -258,7 +350,7 @@ def test_shared_certificates_carry_own_symbols():
     # symbol values must come out under this scenario's own names
     m = build_model("square:2,2,1,1")
     r = nondisplaceable_region(m)
-    assert len(r.pieces) == 41
+    assert len(r.pieces) == 36
     for p in r.pieces:
         lts = scenario_lts(m, p.scenario)
         cert = p.verdict.certificate
