@@ -153,19 +153,30 @@ def log_gradient(p: LaurentPoly) -> tuple:
     return tuple(p.log_derivative(i) for i in range(p.n))
 
 
+def _positive_t(t_value) -> float:
+    t = float(t_value)
+    if not math.isfinite(t) or t <= 0:
+        raise InputError(f"t_value must be a finite positive number, got {t_value!r}")
+    return t
+
+
 def critical_residual(p, y, t_value: float = 0.5, env: dict | None = None) -> float:
     """max_i |y_i dp/dy_i| at the point (y, T = t_value).
 
     Accepts a PotentialAtFiber or a bare LaurentPoly.  Symbolic coefficients
-    need values in ``env``.
+    need values in ``env``.  Non-finite y, or T not finite and positive,
+    raises InputError.
     """
     poly = p.poly if isinstance(p, PotentialAtFiber) else p
+    t = _positive_t(t_value)
     yy = tuple(complex(c) for c in y)
+    if not all(cmath.isfinite(c) for c in yy):
+        raise InputError(f"residual needs finite coordinates, got {y!r}")
     if any(c == 0 for c in yy):
         raise ZeroCoordinate("residual undefined on a coordinate hyperplane")
     worst = 0.0
     for g in log_gradient(poly):
-        worst = max(worst, abs(g.eval_complex(yy, float(t_value), env)))
+        worst = max(worst, abs(g.eval_complex(yy, t, env)))
     return worst
 
 
@@ -223,7 +234,49 @@ class CriticalPoint:
     residual: float
 
 
-def _newton_polish(grads, jac, y, t, env, iters=60):
+def _log_system(poly, t, env):
+    """The log-gradient and log-Jacobian of poly at T = t, prepared once.
+
+    Returns (exps, grads, jac): poly's exponent vectors, one entry per
+    variable, and one (i, k, entry) per k >= i serving both jac[i][k] =
+    y_k d/dy_k of grads[i] and jac[k][i] (exact coefficients c*e_i*e_k).
+    An entry lists (index into exps, complex coefficient) in terms() order.
+    """
+    exps = [e for e, _ in poly.terms()]
+    where = {e: m for m, e in enumerate(exps)}
+
+    def entry(q):
+        return [(where[e], s.eval_complex(t, env)) for e, s in q.terms()]
+
+    gs = log_gradient(poly)
+    jac = [(i, k, entry(g.log_derivative(k))) for i, g in enumerate(gs) for k in range(i, poly.n)]
+    return exps, [entry(g) for g in gs], jac
+
+
+def _monomials(exps, y):
+    """y^e for each e in exps, multiplied up as LaurentPoly.eval_complex does."""
+    zs = [complex(z) for z in y]
+    if any(z == 0 for z in zs):
+        raise ZeroCoordinate("torus coordinates must be nonzero")
+    powers = [{k: z**k for k in set(col)} for z, col in zip(zs, zip(*exps))]
+    out = []
+    for e in exps:
+        mono = 1 + 0j
+        for pw, k in zip(powers, e):
+            mono *= pw[k]
+        out.append(mono)
+    return out
+
+
+def _value(entry, monos):
+    """An entry's value, summed term by term in eval_complex's order."""
+    total = 0j
+    for m, c in entry:
+        total += c * monos[m]
+    return total
+
+
+def _newton_polish(system, y, iters=60):
     """Newton in log coordinates x = log y; returns (y, residual).
 
     The Jacobian entries are y_k d/dy_k of the equations, so the linear
@@ -232,15 +285,17 @@ def _newton_polish(grads, jac, y, t, env, iters=60):
     """
     import numpy as np
 
+    exps, grads, jac = system
     yy = np.array(y, dtype=complex)
     for _ in range(iters):
-        fv = np.array([g.eval_complex(tuple(yy), t, env) for g in grads])
+        monos = _monomials(exps, yy)
+        fv = np.array([_value(g, monos) for g in grads])
         res = max(abs(v) for v in fv)
         if res < 1e-14:
             break
-        jm = np.array(
-            [[jac[i][k].eval_complex(tuple(yy), t, env) for k in range(len(yy))] for i in range(len(fv))]
-        )
+        jm = np.empty((len(fv), len(fv)), dtype=complex)
+        for i, k, entry in jac:
+            jm[i, k] = jm[k, i] = _value(entry, monos)
         try:
             dx = np.linalg.solve(jm, -fv)
         except np.linalg.LinAlgError:
@@ -251,37 +306,25 @@ def _newton_polish(grads, jac, y, t, env, iters=60):
         yy = yy * np.exp(dx)
         if any(abs(c) > 1e9 or abs(c) < 1e-9 for c in yy):
             break
-    fv = [g.eval_complex(tuple(yy), t, env) for g in grads]
-    return tuple(complex(c) for c in yy), max(abs(v) for v in fv)
+    monos = _monomials(exps, yy)
+    return tuple(complex(c) for c in yy), max(abs(_value(g, monos)) for g in grads)
 
 
-def _log_jacobian(grads):
-    """jac[i][k] = y_k d/dy_k of gradient entry i (log-coordinates)."""
-    return [[g.log_derivative(k) for k in range(g.n)] for g in grads]
-
-
-def _univariate_critical(poly, t, env):
+def _univariate_critical(system):
     """All nonzero roots of the single log-gradient entry, via companion matrix."""
     import numpy as np
 
-    g = poly.log_derivative(0)
-    if g.is_zero():
+    exps, (g,), _ = system
+    if not g:
         return []
-    exps = [e[0] for e, _ in g.terms()]
-    lo = min(exps)
-    coeffs = {}
-    for e, s in g.terms():
-        coeffs[e[0] - lo] = s.eval_complex(t, env)
-    deg = max(coeffs)
-    vec = [coeffs.get(d, 0j) for d in range(deg, -1, -1)]
-    roots = [complex(r) for r in np.roots(vec)]
-    grads = log_gradient(poly)
-    jac = _log_jacobian(grads)
+    lo = min(exps[m][0] for m, _ in g)
+    coeffs = {exps[m][0] - lo: c for m, c in g}
+    vec = [coeffs.get(d, 0j) for d in range(max(coeffs), -1, -1)]
     out = []
-    for r in roots:
+    for r in map(complex, np.roots(vec)):
         if abs(r) < 1e-8:
             continue
-        y, res = _newton_polish(grads, jac, (r,), t, env)
+        y, res = _newton_polish(system, (r,))
         out.append(CriticalPoint(y, res))
     return out
 
@@ -308,14 +351,10 @@ def critical_points(
     real number: a non-finite or non-positive t_value raises InputError.
     """
     poly = p.poly if isinstance(p, PotentialAtFiber) else p
-    t = float(t_value)
-    if not math.isfinite(t) or t <= 0:
-        raise InputError(f"t_value must be a finite positive number, got {t_value!r}")
+    system = _log_system(poly, _positive_t(t_value), env)
     if poly.n == 1:
-        found = _univariate_critical(poly, t, env)
+        found = _univariate_critical(system)
     else:
-        grads = log_gradient(poly)
-        jac = _log_jacobian(grads)
         rng = random.Random(seed)
         found = []
         for _ in range(starts):
@@ -323,7 +362,7 @@ def critical_points(
                 cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2 * cmath.pi))
                 for _ in range(poly.n)
             )
-            y, res = _newton_polish(grads, jac, y0, t, env)
+            y, res = _newton_polish(system, y0)
             if res < residual_tol and all(abs(c) > 1e-8 for c in y):
                 if all(max(abs(a - b) for a, b in zip(y, q.y)) > 1e-6 for q in found):
                     found.append(CriticalPoint(y, res))

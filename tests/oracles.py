@@ -230,3 +230,87 @@ def coloop_refutes(lts):
             if len(coeffs) == 1 and never_zero and rank([b for b in groups if b != a]) < full:
                 return True
     return False
+
+
+def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residual_tol=1e-10):
+    """potential.critical_points with every value taken by LaurentPoly.eval_complex.
+
+    Each Newton step evaluates each log-gradient and log-Jacobian entry
+    polynomial afresh, coefficients included.  The loop, its tolerances and
+    the start sequence are those of critical_points, which prepares the
+    entries once per call instead; the two must agree to the bit.
+    """
+    import cmath
+    import random
+
+    import numpy as np
+
+    from orbifloer.potential import CriticalPoint, PotentialAtFiber, log_gradient, root_key
+
+    def newton_polish(grads, jac, y, t, env, iters=60):
+        yy = np.array(y, dtype=complex)
+        for _ in range(iters):
+            fv = np.array([g.eval_complex(tuple(yy), t, env) for g in grads])
+            res = max(abs(v) for v in fv)
+            if res < 1e-14:
+                break
+            jm = np.array(
+                [[jac[i][k].eval_complex(tuple(yy), t, env) for k in range(len(yy))] for i in range(len(fv))]
+            )
+            try:
+                dx = np.linalg.solve(jm, -fv)
+            except np.linalg.LinAlgError:
+                break
+            norm = float(np.linalg.norm(dx))
+            if norm > 3.0:  # trust region in log scale
+                dx *= 3.0 / norm
+            yy = yy * np.exp(dx)
+            if any(abs(c) > 1e9 or abs(c) < 1e-9 for c in yy):
+                break
+        fv = [g.eval_complex(tuple(yy), t, env) for g in grads]
+        return tuple(complex(c) for c in yy), max(abs(v) for v in fv)
+
+    def log_jacobian(grads):
+        return [[g.log_derivative(k) for k in range(g.n)] for g in grads]
+
+    def univariate_critical(poly, t, env):
+        g = poly.log_derivative(0)
+        if g.is_zero():
+            return []
+        exps = [e[0] for e, _ in g.terms()]
+        lo = min(exps)
+        coeffs = {}
+        for e, s in g.terms():
+            coeffs[e[0] - lo] = s.eval_complex(t, env)
+        deg = max(coeffs)
+        vec = [coeffs.get(d, 0j) for d in range(deg, -1, -1)]
+        roots = [complex(r) for r in np.roots(vec)]
+        grads = log_gradient(poly)
+        jac = log_jacobian(grads)
+        out = []
+        for r in roots:
+            if abs(r) < 1e-8:
+                continue
+            y, res = newton_polish(grads, jac, (r,), t, env)
+            out.append(CriticalPoint(y, res))
+        return out
+
+    poly = p.poly if isinstance(p, PotentialAtFiber) else p
+    t = float(t_value)
+    if poly.n == 1:
+        found = univariate_critical(poly, t, env)
+    else:
+        grads = log_gradient(poly)
+        jac = log_jacobian(grads)
+        rng = random.Random(seed)
+        found = []
+        for _ in range(starts):
+            y0 = tuple(
+                cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2 * cmath.pi))
+                for _ in range(poly.n)
+            )
+            y, res = newton_polish(grads, jac, y0, t, env)
+            if res < residual_tol and all(abs(c) > 1e-8 for c in y):
+                if all(max(abs(a - b) for a, b in zip(y, q.y)) > 1e-6 for q in found):
+                    found.append(CriticalPoint(y, res))
+    return sorted(found, key=lambda c: root_key(c.y))

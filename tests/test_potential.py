@@ -1,11 +1,13 @@
 """Leading-order potentials: term formulas, residuals, critical points."""
 
 import doctest
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import oracles
 import orbifloer.potential as potential_mod
 from orbifloer.errors import (
     InputError,
@@ -25,7 +27,7 @@ from orbifloer.potential import (
     wp_central_critical,
 )
 from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin
-from orbifloer.stacky import build_model
+from orbifloer.stacky import build_model, enumerate_box, sector_ell
 
 
 def term_set(p):
@@ -191,6 +193,21 @@ def test_residual_examples():
         critical_residual(p, (0.0,), 0.5)
 
 
+def test_residual_rejects_non_finite_input():
+    # max(0.0, nan) is 0.0, so a NaN must not get as far as the maximum
+    nan, inf = float("nan"), float("inf")
+    p = smooth_leading_potential(build_model("teardrop:3"), (Fraction(0),))
+    for y in [(nan,), (complex(1, nan),), (inf,), (complex(nan, nan),)]:
+        with pytest.raises(InputError):
+            critical_residual(p, y, 0.5)
+    q = smooth_leading_potential(build_model("wp:1,3,5"), (Fraction(1, 20), Fraction(0)))
+    with pytest.raises(InputError):
+        critical_residual(q, (nan, 1), 0.5)
+    for t in (nan, inf, 0, -0.5):
+        with pytest.raises(InputError):
+            critical_residual(p, (0.7,), t)
+
+
 def test_exact_residual_cube_root_case():
     # 1/(y1 y2) + y1 + y2 is critical at y1 = y2 = 1
     poly = (
@@ -249,6 +266,50 @@ def test_multivariate_critical_points():
         assert abs(c.y[0] ** 3 - 1) < 1e-8
     again = critical_points(p, t_value=0.5, seed=11)
     assert [c.y for c in again] == [c.y for c in pts]
+
+
+def seeded_fiber(m, rng, tie):
+    """A seeded interior point; with tie, moved until the lowest facet ties another."""
+    w = [rng.randint(1, 9) for _ in m.vertices]
+    u = tuple(sum(a * Fraction(v[k]) for a, v in zip(w, m.vertices)) / sum(w) for k in range(m.dim))
+    if not tie:
+        return u
+    energies = [m.ell(j, u) for j in range(len(m.facets))]
+    low = min(range(len(energies)), key=energies.__getitem__)
+    other = rng.choice([j for j in range(len(energies)) if j != low])
+    d = [a - b for a, b in zip(m.ell_form(low)[0], m.ell_form(other)[0])]
+    step = (energies[other] - energies[low]) / sum(x * x for x in d)
+    moved = tuple(x + step * dx for x, dx in zip(u, d))
+    return moved if m.is_interior(moved) else u
+
+
+def seeded_bulk(m, u, rng):
+    """Half the sectors on, mostly tied to the lowest facet energy at u."""
+    low = min(m.ell(j, u) for j in range(len(m.facets)))
+    box = enumerate_box(m)
+    out = []
+    for i in sorted(rng.sample(range(len(box)), (len(box) + 1) // 2)):
+        lam = low - sector_ell(m, box[i], u)
+        if lam <= 0 or rng.random() < 0.2:
+            lam = Fraction(rng.randint(1, 12), 12)
+        out.append((box[i].nu, QC.of(rng.choice([1, -1, 2, Fraction(1, 2)])), lam))
+    return BulkParam.of(out)
+
+
+@pytest.mark.parametrize("preset", ["teardrop:3", "wp:1,3,5", "square:3,2,3,2", "wp:1,2,3,5"])
+def test_critical_points_match_eval_complex_oracle(preset):
+    m = build_model(preset)
+    rng = random.Random(f"critical/{preset}")
+    found = 0
+    for tie in (False, True):
+        u = seeded_fiber(m, rng, tie)
+        for pot in (smooth_leading_potential(m, u), bulk_leading_potential(m, u, seeded_bulk(m, u, rng))):
+            for t in (0.5, 2.0):
+                got = critical_points(pot, t_value=t)
+                want = oracles.critical_points_by_eval(pot, t_value=t)
+                assert [(c.y, c.residual) for c in got] == [(c.y, c.residual) for c in want]
+                found += len(got)
+    assert found > 0
 
 
 def test_wp_central_critical():
