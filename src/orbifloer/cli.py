@@ -400,10 +400,14 @@ def _query_doc(r, u) -> dict:
     }
 
 
-def region_grid_csv(r, n: int) -> str:
-    """CSV membership samples on an n-per-axis grid over the vertex box."""
+def _check_grid(n: int) -> None:
     if n < 1:
         raise InputError("--grid must be a positive integer")
+
+
+def region_grid_csv(r, n: int) -> str:
+    """CSV membership samples on an n-per-axis grid over the vertex box."""
+    _check_grid(n)
     m = r.model
     lo = [min(v[k] for v in m.vertices) for k in range(m.dim)]
     hi = [max(v[k] for v in m.vertices) for k in range(m.dim)]
@@ -727,11 +731,15 @@ def _dispatch(args) -> int:
         return 0
 
     if args.subcommand == "region":
+        _check_region_flags(m, args)
         r = nondisplaceable_region(
             m, max_levels=args.max_levels, closure=args.closure, seed=args.seed
         )
         if args.svg is not None:
-            Path(args.svg).write_text(render_svg(r))
+            try:
+                Path(args.svg).write_text(render_svg(r))
+            except OSError as e:
+                raise InputError(f"cannot write --svg file: {e}") from None
         if args.grid is not None:
             sys.stdout.write(region_grid_csv(r, args.grid))
         else:
@@ -751,6 +759,16 @@ def _dispatch(args) -> int:
     elif args.subcommand == "lte":
         sys.stdout.write(dump_json(cmd_lte(m, u, bp, args.seed)))
     return 0
+
+
+def _check_region_flags(m, args) -> None:
+    """InputError for a bad --u, --grid or --svg, before the region is built."""
+    if args.u is not None:
+        _parse_u(args.u, m.dim)
+    if args.grid is not None:
+        _check_grid(args.grid)
+    if args.svg is not None and not Path(args.svg).parent.is_dir():
+        raise InputError(f"--svg {args.svg!r} is not in an existing directory")
 
 
 def _merge_dash_values(argv: list) -> list:

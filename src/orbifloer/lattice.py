@@ -6,17 +6,19 @@ algorithm, and flag-adapted lattice bases.  Everything is computed with
 arbitrary-precision integers and ``fractions.Fraction``; no floating point
 enters this module.
 
-Every rational elimination (echelon bases, ranks, square and rectangular
-solves, inverses) runs through one routine, ``row_reduce``.
+Every elimination (echelon bases, ranks, square and rectangular solves,
+inverses) runs through one fraction-free routine, ``_eliminate``; only
+``row_reduce`` divides, once per entry at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DegenerateCone, FlagNotIncreasing
+from .errors import DegenerateCone, FlagNotIncreasing, NotUnimodular
 
 # Vectors are tuples of ints (lattice) or Fractions (rational); matrices are
 # tuples of row tuples.  Helpers below keep everything immutable.
@@ -37,6 +39,7 @@ def mat(rows) -> Mat:
     return rows
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -118,17 +121,14 @@ def det_int(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def row_reduce(rows, ncols: int) -> tuple:
-    """Reduced row echelon form over Q with pivots in the first ncols columns.
+def _eliminate(work: list, ncols: int) -> list:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Columns from ncols on ride along as right-hand sides.  Returns the
-    pivot rows (Fractions, 1 at their pivot and 0 at every other pivot
-    column), their pivot columns and the leftover rows (integer multiples,
-    zero in the first ncols columns).  The elimination is fraction-free on
-    integer rows: a row scaled by a nonzero number spans the same line, so
-    only the final division by each pivot makes Fractions.
+    Pivots are taken in the first ncols columns, each pivot row moved up to
+    its rank; every other row is cleared in the pivot column and divided by
+    the gcd of its entries.  A row scaled by a nonzero number spans the
+    same line, so no Fraction is ever made.  Returns the pivot columns.
     """
-    work = [cleared(row) for row in rows]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -143,6 +143,21 @@ def row_reduce(rows, ncols: int) -> tuple:
             if f and r != rank:
                 work[r] = primitive([p * e - f * q for e, q in zip(row, prow)])
         pivots.append(col)
+    return pivots
+
+
+def row_reduce(rows, ncols: int) -> tuple:
+    """Reduced row echelon form over Q with pivots in the first ncols columns.
+
+    Columns from ncols on ride along as right-hand sides.  Returns the
+    pivot rows (Fractions, 1 at their pivot and 0 at every other pivot
+    column), their pivot columns and the leftover rows (integer multiples,
+    zero in the first ncols columns).  The elimination is fraction-free on
+    integer rows (_eliminate): only the final division by each pivot makes
+    Fractions.
+    """
+    work = [cleared(row) for row in rows]
+    pivots = _eliminate(work, ncols)
     rank = len(pivots)
     reduced = [tuple(Fraction(e, row[col]) for e in row) for row, col in zip(work, pivots)]
     return reduced, pivots, work[rank:]
@@ -160,8 +175,13 @@ def echelon_rational(rows) -> tuple:
 
 
 def rank_rational(rows) -> int:
-    """Rank of a list of rational/integer row vectors."""
-    return len(echelon_rational(rows))
+    """Rank of a list of rational/integer row vectors.
+
+    The pivot count of the fraction-free elimination; no Fraction is made.
+    """
+    if not rows:
+        return 0
+    return len(_eliminate([cleared(row) for row in rows], len(rows[0])))
 
 
 def solve_rational(a: Mat, b) -> QVec | None:
@@ -174,10 +194,36 @@ def solve_rational(a: Mat, b) -> QVec | None:
 
 
 def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of an integer matrix with det +-1, as an integer matrix."""
+    """Inverse of an integer matrix with det +-1, as an integer matrix.
+
+    Fraction-free Gauss-Jordan on (m | I) leaves each pivot row as
+    p * e_i | p * (row i of the inverse); one exact division per entry at
+    the end recovers the inverse.  An integer matrix has an integer inverse
+    exactly when its determinant is +-1, so a singular matrix or a
+    remainder raises NotUnimodular.
+
+    Examples
+    --------
+    >>> invert_unimodular(((2, 1), (1, 1)))
+    ((1, -1), (-1, 2))
+    """
     n = len(m)
-    inv = solve_many(m, identity(n))
-    return tuple(tuple(int(e) for e in row) for row in inv)
+    work = [[*row, *unit] for row, unit in zip(m, identity(n))]
+    if any(len(row) != 2 * n for row in work):
+        raise NotUnimodular("only a square matrix can be unimodular")
+    if len(_eliminate(work, n)) < n:
+        raise NotUnimodular("singular matrix")
+    inv = []
+    for i, row in enumerate(work):
+        p = row[i]
+        out = []
+        for e in row[n:]:
+            q, r = divmod(e, p)
+            if r:
+                raise NotUnimodular("determinant is not +-1")
+            out.append(q)
+        inv.append(tuple(out))
+    return tuple(inv)
 
 
 def solve_many(a: Mat, rhs: Mat) -> Mat:
@@ -451,15 +497,19 @@ def saturated_span_basis(vecs) -> list:
     stacked vectors and r is the rank: V^-1 is a basis of Z^n and its
     leading rows span the saturation of the row space.
     """
-    m = mat(vecs)
+    return list(_saturation(mat(vecs)))
+
+
+@lru_cache(maxsize=64)
+def _saturation(m: Mat) -> tuple:
+    # memoized: the scenarios of one region share many of their level stacks
     if not m:
-        return []
+        return ()
     _, d, v = smith_normal_form(m)
     r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     # M = U^-1 D V^-1, so the Q-row-space of M is spanned by the first r rows
     # of V^-1, which generate a saturated sublattice (V^-1 is a basis of Z^n).
-    vinv = invert_unimodular(v)
-    return [tuple(vinv[i]) for i in range(r)]
+    return invert_unimodular(v)[:r]
 
 
 def saturate_flag(chain) -> list:
@@ -496,7 +546,7 @@ def saturate_flag(chain) -> list:
         for p in basis:
             coeffs = _solve_in_rows(sat, p)
             xrows.append(coeffs)
-        newrows = _complete_unimodular(xrows, r)
+        newrows = _complete_unimodular(tuple(xrows), r)
         for row in newrows:
             w = tuple(sum(q * s[k] for q, s in zip(row, sat)) for k in range(n))
             for x in w:
@@ -532,17 +582,20 @@ def _solve_rect(a: Mat, b) -> QVec:
     return tuple(sol)
 
 
-def _complete_unimodular(xrows, r) -> list:
-    """Rows completing the primitive row set ``xrows`` to a unimodular r x r matrix."""
+@lru_cache(maxsize=64)
+def _complete_unimodular(xrows: tuple, r: int) -> tuple:
+    """Rows completing the primitive row set ``xrows`` to a unimodular r x r matrix.
+
+    Memoized: the adapted bases of a whole region need only a few of them.
+    """
     k = len(xrows)
     if k == 0:
-        return [tuple(identity(r)[i]) for i in range(r)]
-    u, d, v = smith_normal_form(tuple(xrows))
+        return identity(r)
+    u, d, v = smith_normal_form(xrows)
     for i in range(k):
         if d[i][i] != 1:
             raise FlagNotIncreasing("prefix is not saturated in the next level")
-    vinv = invert_unimodular(v)
-    return [tuple(vinv[i]) for i in range(k, r)]
+    return invert_unimodular(v)[k:r]
 
 
 if __name__ == "__main__":

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 
 from .errors import InputError, SpanNeverFull
 from .lattice import invert_unimodular, rank_rational, saturate_flag
 from .potential import BulkParam, root_key
-from .series import QC, LaurentPoly, NovikovScalar, SymLin, monomial_rewrite
+from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul
 from .stacky import StackyModel, enumerate_box, sector_ell
 
 
@@ -85,31 +86,37 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
         by_energy.setdefault(en, []).append((tag, direction, coeff))
 
     levels = []
-    seen_dirs: list = []
-    prev_rank = 0
-    for en in sorted(by_energy):
-        group = sorted(by_energy[en], key=lambda g: g[0])
-        dirs = tuple(g[1] for g in group)
-        seen_dirs.extend(dirs)
-        r = rank_rational(seen_dirs)
-        levels.append(
-            StratumLevel(
-                en,
-                tuple(g[0] for g in group),
-                dirs,
-                tuple(g[2] for g in group),
-                r - prev_rank,
-                r,
-            )
-        )
-        prev_rank = r
-        if r == m.dim:
+    groups = ((en, sorted(by_energy[en], key=lambda g: g[0])) for en in sorted(by_energy))
+    for lv in _stratum_levels(groups):
+        levels.append(lv)
+        if lv.span_dim == m.dim:
             break
     else:
         raise SpanNeverFull("finite-energy generators never span; model is inconsistent")
+    return EnergyStratification(m, uu, tuple(levels), _adapted_basis(levels))
 
-    basis = _adapted_basis(levels)
-    return EnergyStratification(m, uu, tuple(levels), basis)
+
+def _stratum_levels(groups, span_dims=()):
+    """The StratumLevel of each (energy, [(tag, direction, coeff), ...]) group.
+
+    Groups come lowest first.  A level's cumulative span dimension is read
+    from span_dims when the caller knows it (the scenario walk does), and
+    otherwise is the rank of the directions so far.  Levels are yielded one
+    at a time, so a caller can stop at full span.
+    """
+    seen: list = []
+    prev_rank = 0
+    for l, (energy, group) in enumerate(groups):
+        dirs = tuple(g[1] for g in group)
+        if span_dims:
+            r = span_dims[l]
+        else:
+            seen.extend(dirs)
+            r = rank_rational(seen)
+        yield StratumLevel(
+            energy, tuple(g[0] for g in group), dirs, tuple(g[2] for g in group), r - prev_rank, r
+        )
+        prev_rank = r
 
 
 def _adapted_basis(levels) -> tuple:
@@ -121,39 +128,27 @@ def _adapted_basis(levels) -> tuple:
     return tuple(saturate_flag(chain))
 
 
-def scenario_stratification(m: StackyModel, groups, coeffs) -> EnergyStratification:
+def scenario_stratification(m: StackyModel, groups, coeffs, span_dims=()) -> EnergyStratification:
     """Stratification-shaped data from an abstract level assignment.
 
     ``groups`` lists the member tags per level, lowest first; ``coeffs``
-    maps tags to coefficients.  No energies are involved: the caller is
+    maps tags to coefficients; ``span_dims``, the cumulative span
+    dimension after each level, is taken as given when it is known and
+    computed when it is empty.  No energies are involved: the caller is
     responsible for the feasibility of the assignment, this only rebuilds
     the span bookkeeping so build_lts can run on it.
     """
     box = enumerate_box(m)
-    levels = []
-    seen: list = []
-    prev_rank = 0
-    for group in groups:
-        dirs = []
-        for tag in group:
-            kind, i = tag
-            dirs.append(m.facets[i].stacky_vector if kind == "facet" else box[i].nu)
-        seen.extend(dirs)
-        r = rank_rational(seen)
-        levels.append(
-            StratumLevel(
-                None,
-                tuple(group),
-                tuple(dirs),
-                tuple(coeffs[tag] for tag in group),
-                r - prev_rank,
-                r,
-            )
-        )
-        prev_rank = r
-    if prev_rank != m.dim:
+
+    def member(tag):
+        kind, i = tag
+        return tag, m.facets[i].stacky_vector if kind == "facet" else box[i].nu, coeffs[tag]
+
+    groups = ((None, [member(tag) for tag in group]) for group in groups)
+    levels = tuple(_stratum_levels(groups, span_dims))
+    if not levels or levels[-1].span_dim != m.dim:
         raise SpanNeverFull("scenario levels do not span")
-    return EnergyStratification(m, None, tuple(levels), _adapted_basis(levels))
+    return EnergyStratification(m, None, levels, _adapted_basis(levels))
 
 
 @dataclass(frozen=True)
@@ -173,33 +168,61 @@ class LeadingTermSystem:
     labels: tuple  # facet labels, for the special coefficient palette
 
 
-def build_lts(strat: EnergyStratification) -> LeadingTermSystem:
-    """Rewrite each level in adapted coordinates and differentiate.
+def exponent_rows(strat: EnergyStratification) -> tuple:
+    """Each level's terms in adapted coordinates, with the coordinates it owns.
 
-    The change of basis is unimodular, so the rewrite is a bijection on
-    (C*)^n and solvability is unaffected.  Level l may only involve
-    coordinates of levels <= l; that drop-out is what the adapted basis
-    buys and it is asserted here.
+    Returns one (rows, own) pair per level.  A member's exponent is the
+    integer row direction @ invert_unimodular(adapted basis); members with
+    equal exponents merge into one row whose coefficient is their sum, as
+    LaurentPoly merges equal monomials, and a zero sum drops the row.  The
+    rows are (exponent, coefficient) pairs sorted by exponent.  Level l may
+    only involve coordinates of levels <= l; that drop-out is what the
+    adapted basis buys and it is asserted here.
     """
     n = strat.model.dim
-    change = invert_unimodular(strat.adapted_basis)
+    cols = tuple(zip(*invert_unimodular(strat.adapted_basis)))
     out = []
-    prev_dim = 0
+    for lv in strat.levels:
+        merged: dict = {}
+        for direction, coeff in zip(lv.directions, lv.coeffs):
+            e = tuple(sum(map(mul, direction, col)) for col in cols)
+            merged[e] = c_add(merged[e], coeff) if e in merged else coeff
+        rows = tuple(sorted((e, c) for e, c in merged.items() if not c_is_zero(c)))
+        if any(e[k] for e, _ in rows for k in range(lv.span_dim, n)):
+            raise AssertionError("adapted rewrite leaked a later-level variable")
+        out.append((rows, tuple(range(lv.span_dim - lv.d, lv.span_dim))))
+    return tuple(out)
+
+
+def build_lts(strat: EnergyStratification, rows=None) -> LeadingTermSystem:
+    """Each level as a polynomial in adapted coordinates, with its equations.
+
+    ``rows`` are the exponent_rows of strat, computed when not given.  The
+    change of basis is unimodular, so the rewrite is a bijection on (C*)^n
+    and solvability is unaffected.  The equation of an owned coordinate i
+    has the term c * a_i * y^(a - e_i) for every row (a, c) with a_i != 0.
+    """
+    n = strat.model.dim
     names = set()
     for lv in strat.levels:
-        poly = LaurentPoly.zero(n)
-        for direction, coeff in zip(lv.directions, lv.coeffs):
-            poly = poly + LaurentPoly.monomial(direction, NovikovScalar.of(coeff))
+        for coeff in lv.coeffs:
             if isinstance(coeff, SymLin):
                 names.update(name for name, _ in coeff.lin)
-        poly = monomial_rewrite(poly, change)
-        for e, _ in poly.terms():
-            if any(e[k] for k in range(lv.span_dim, n)):
-                raise AssertionError("adapted rewrite leaked a later-level variable")
-        own = tuple(range(prev_dim, lv.span_dim))
-        eqs = tuple(poly.partial_derivative(i) for i in own)
+    out = []
+    for lv, (terms, own) in zip(strat.levels, rows or exponent_rows(strat)):
+        poly = LaurentPoly(n, tuple((e, NovikovScalar.of(c)) for e, c in terms))
+        eqs = tuple(
+            LaurentPoly(
+                n,
+                tuple(
+                    (e[:i] + (e[i] - 1,) + e[i + 1 :], NovikovScalar.of(c_mul(c, e[i])))
+                    for e, c in terms
+                    if e[i]
+                ),
+            )
+            for i in own
+        )
         out.append(LtsLevel(lv.energy, poly, own, eqs))
-        prev_dim = lv.span_dim
     return LeadingTermSystem(
         n,
         strat.adapted_basis,
@@ -230,41 +253,49 @@ class SolvabilityVerdict:
     proof: str | None = None
 
 
+def row_signature(levels) -> tuple:
+    """(key, symbols) of a system given as (rows, own) pairs per level.
+
+    Systems with equal keys get equal verdicts.  The rows are sorted
+    (exponent, coefficient) pairs (exponent_rows); symbols are renamed by
+    first appearance, level by level, row by row and in name order within
+    a coefficient, and ``symbols`` lists the original names in that order,
+    so two systems with one key correspond symbol by symbol through them.
+    A Gaussian rational coefficient enters as (re, im), a symbolic one as
+    (re, im, ((index, re, im), ...)).
+    """
+    names: dict = {}
+    key = []
+    for rows, own in levels:
+        terms = []
+        for e, c in rows:
+            if isinstance(c, QC):
+                terms.append((e, c.re, c.im))
+            else:
+                lin = tuple((names.setdefault(name, len(names)), q.re, q.im) for name, q in c.lin)
+                terms.append((e, c.const.re, c.const.im, lin))
+        key.append((tuple(terms), own))
+    return tuple(key), tuple(names)
+
+
+def _lts_levels(lts: LeadingTermSystem):
+    # the (rows, own) pairs of a built system, read from its polynomials
+    for lv in lts.levels:
+        yield tuple((e, s.leading_coefficient()) for e, s in lv.poly.terms()), lv.var_indices
+
+
 def signature_symbols(lts: LeadingTermSystem) -> tuple:
-    """Symbol names in the order lts_signature renames them s0, s1, ...
+    """Symbol names in the order lts_signature renames them.
 
     Two systems with equal signatures correspond symbol by symbol through
     these tuples.
     """
-    names: dict = {}
-    for lv in lts.levels:
-        for _, s in lv.poly.terms():
-            c = s.leading_coefficient()
-            if not isinstance(c, QC):
-                for name, _ in c.lin:
-                    names.setdefault(name, None)
-    return tuple(names)
+    return row_signature(_lts_levels(lts))[1]
 
 
 def lts_signature(lts: LeadingTermSystem):
     """Hashable structural key: systems with equal keys get equal verdicts."""
-    rename = {name: f"s{k}" for k, name in enumerate(signature_symbols(lts))}
-
-    def ckey(c):
-        if isinstance(c, QC):
-            return ("q", str(c.re), str(c.im))
-        parts = [("q", str(c.const.re), str(c.const.im))]
-        for name, q in c.lin:
-            parts.append((rename[name], str(q.re), str(q.im)))
-        return ("s", tuple(parts))
-
-    sig = []
-    for lv in lts.levels:
-        terms = tuple(
-            sorted((e, ckey(s.leading_coefficient())) for e, s in lv.poly.terms())
-        )
-        sig.append((terms, lv.var_indices))
-    return tuple(sig)
+    return row_signature(_lts_levels(lts))[0]
 
 
 # deterministic generic nonzero coefficients, spread in modulus and phase

@@ -40,13 +40,16 @@ from operator import mul
 
 from .errors import InputError, TooManyScenarios
 from .lattice import cleared, echelon_rational, primitive, rank_rational
+# lts_signature is not called here, but perfbench/spans.py traces it as bound
+# in this module, so the name stays
 from .ltsolver import (
     SolvabilityVerdict,
     Solvability,
     build_lts,
+    exponent_rows,
     lts_signature,
+    row_signature,
     scenario_stratification,
-    signature_symbols,
     solve,
 )
 from .series import QC, SymLin
@@ -542,19 +545,35 @@ def scenario_region(m: StackyModel, s: Scenario) -> ScenarioPolyhedron | None:
     return poly
 
 
-def scenario_lts(m: StackyModel, s: Scenario):
+@lru_cache(maxsize=None)
+def _tag_coeff(tag: tuple):
+    """The coefficient of a tag in a scenario system.
+
+    Facet terms carry coefficient 1; each sector gets its own free symbol,
+    named by box index, stable across scenarios so structurally equal
+    systems share a signature.
+    """
+    kind, i = tag
+    return QC.of(1) if kind == "facet" else SymLin.symbol(f"c{i}")
+
+
+def scenario_rows(m: StackyModel, s: Scenario) -> tuple:
+    """The stratification of a scenario and its exponent rows.
+
+    The level ranks are the scenario's span_dims, or computed when it has
+    none.  Returns (stratification, exponent_rows of it).
+    """
+    coeffs = {tag: _tag_coeff(tag) for tags in s.levels for tag in tags}
+    strat = scenario_stratification(m, s.levels, coeffs, s.span_dims)
+    return strat, exponent_rows(strat)
+
+
+def scenario_lts(m: StackyModel, s: Scenario, rows=None):
     """The u-independent leading term system of a scenario.
 
-    Facet terms carry coefficient 1; each placed sector gets its own free
-    symbol (named by box index, stable across scenarios so structurally
-    equal systems share a signature).
+    ``rows``, the scenario_rows of s, is computed when not given.
     """
-    coeffs = {}
-    for tags in s.levels:
-        for tag in tags:
-            kind, i = tag
-            coeffs[tag] = QC.of(1) if kind == "facet" else SymLin.symbol(f"c{i}")
-    return build_lts(scenario_stratification(m, s.levels, coeffs))
+    return build_lts(*(rows or scenario_rows(m, s)))
 
 
 def nondisplaceable_region(
@@ -570,10 +589,12 @@ def nondisplaceable_region(
     before any work on it: prefixes that are already infeasible and leaves
     with a coloop level, whose system provably has no root
     (_piece_candidates).  Serials stay the ranks enumerate_scenarios
-    gives.  Verdicts are cached by structural
-    signature: scenarios producing the same level polynomials up to symbol
-    renaming share one solve, and a shared certificate is renamed into
-    each scenario's own symbols.
+    gives.  Verdicts are cached by structural signature: scenarios
+    producing the same level polynomials up to symbol renaming share one
+    solve, and a shared certificate is renamed into each scenario's own
+    symbols.  The signature is read off the integer exponent rows of each
+    level (scenario_rows, row_signature), so a leading term system, with
+    its Laurent polynomials, is built only for a signature not seen yet.
     """
     pieces = []
     cache: dict = {}
@@ -581,14 +602,14 @@ def nondisplaceable_region(
         poly = scenario_region(m, s)
         if poly is None:
             continue
-        lts = scenario_lts(m, s)
-        sig = lts_signature(lts)
+        strat, rows = scenario_rows(m, s)
+        sig, names = row_signature(rows)
         hit = cache.get(sig)
         if hit is None:
-            verdict = solve(lts, seed=seed, starts=starts)
-            cache[sig] = (verdict, signature_symbols(lts))
+            verdict = solve(scenario_lts(m, s, (strat, rows)), seed=seed, starts=starts)
+            cache[sig] = (verdict, names)
         else:
-            verdict = _renamed(*hit, signature_symbols(lts))
+            verdict = _renamed(*hit, names)
         if verdict.status is Solvability.SolvableCertified:
             pieces.append(RegionPiece(s, poly, verdict))
     return FiberRegion(m, tuple(pieces), closure, max_levels)

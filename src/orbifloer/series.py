@@ -57,6 +57,8 @@ class QC:
         return self + (-QC.of(o))
 
     def __mul__(self, o):
+        if isinstance(o, int):
+            return QC(self.re * o, self.im * o)
         o = QC.of(o)
         return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
@@ -177,7 +179,12 @@ def c_neg(a):
 
 
 def c_mul(a, b):
-    a, b = coeff_of(a), coeff_of(b)
+    a = coeff_of(a)
+    if isinstance(b, int):  # an integer multiple, without a QC made of b
+        if isinstance(a, QC):
+            return a * b
+        return SymLin(a.const * b, tuple((n, c * b) for n, c in a.lin))
+    b = coeff_of(b)
     if isinstance(a, QC) and isinstance(b, QC):
         return a * b
     if isinstance(a, SymLin) and isinstance(b, SymLin):

@@ -64,6 +64,15 @@ class StackyModel:
     vertices: tuple  # rational points, sorted
     cones: tuple  # SimplicialCone per vertex, facet_indices recorded
 
+    def __hash__(self):
+        # the model keys the per-model caches (enumerate_box, region._model_rows),
+        # thousands of lookups per region: hash its nested tuples once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.dim, self.facets, self.vertices, self.cones))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def stacky_vectors(self) -> tuple:
         return tuple(f.stacky_vector for f in self.facets)

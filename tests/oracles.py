@@ -314,3 +314,114 @@ def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residua
                 if all(max(abs(a - b) for a, b in zip(y, q.y)) > 1e-6 for q in found):
                     found.append(CriticalPoint(y, res))
     return sorted(found, key=lambda c: root_key(c.y))
+
+
+def lts_by_rewrite(strat):
+    """ltsolver.build_lts as it was before systems were built from exponent rows.
+
+    Each level is summed monomial by monomial into a LaurentPoly,
+    rewritten into adapted coordinates by series.monomial_rewrite, and
+    differentiated by LaurentPoly.partial_derivative.
+    """
+    from orbifloer import ltsolver as lt
+    from orbifloer.lattice import invert_unimodular
+    from orbifloer.series import LaurentPoly, NovikovScalar, SymLin, monomial_rewrite
+
+    n = strat.model.dim
+    change = invert_unimodular(strat.adapted_basis)
+    out = []
+    prev_dim = 0
+    names = set()
+    for lv in strat.levels:
+        poly = LaurentPoly.zero(n)
+        for direction, coeff in zip(lv.directions, lv.coeffs):
+            poly = poly + LaurentPoly.monomial(direction, NovikovScalar.of(coeff))
+            if isinstance(coeff, SymLin):
+                names.update(name for name, _ in coeff.lin)
+        poly = monomial_rewrite(poly, change)
+        for e, _ in poly.terms():
+            if any(e[k] for k in range(lv.span_dim, n)):
+                raise AssertionError("adapted rewrite leaked a later-level variable")
+        own = tuple(range(prev_dim, lv.span_dim))
+        eqs = tuple(poly.partial_derivative(i) for i in own)
+        out.append(lt.LtsLevel(lv.energy, poly, own, eqs))
+        prev_dim = lv.span_dim
+    return lt.LeadingTermSystem(
+        n,
+        strat.adapted_basis,
+        tuple(out),
+        tuple(sorted(names)),
+        tuple(f.label for f in strat.model.facets),
+    )
+
+
+def scenario_lts_by_rewrite(m, s):
+    """region.scenario_lts as it was: level ranks by rank_rational, then lts_by_rewrite."""
+    from orbifloer import ltsolver as lt
+    from orbifloer.lattice import rank_rational
+    from orbifloer.series import QC, SymLin
+    from orbifloer.stacky import enumerate_box
+
+    box = enumerate_box(m)
+    levels = []
+    seen = []
+    prev_rank = 0
+    for group in s.levels:
+        dirs = []
+        for kind, i in group:
+            dirs.append(m.facets[i].stacky_vector if kind == "facet" else box[i].nu)
+        seen.extend(dirs)
+        r = rank_rational(seen)
+        coeffs = tuple(QC.of(1) if kind == "facet" else SymLin.symbol(f"c{i}") for kind, i in group)
+        levels.append(lt.StratumLevel(None, tuple(group), tuple(dirs), coeffs, r - prev_rank, r))
+        prev_rank = r
+    assert prev_rank == m.dim, "scenario levels do not span"
+    strat = lt.EnergyStratification(m, None, tuple(levels), lt._adapted_basis(levels))
+    return lts_by_rewrite(strat)
+
+
+def signature_by_terms(lts):
+    """ltsolver.lts_signature and signature_symbols as they were: (key, symbols).
+
+    Read from the level polynomials' terms, coefficients keyed by their
+    printed parts and symbols renamed s0, s1, ... by first appearance.
+    """
+    from orbifloer.series import QC
+
+    names = {}
+    for lv in lts.levels:
+        for _, s in lv.poly.terms():
+            c = s.leading_coefficient()
+            if not isinstance(c, QC):
+                for name, _ in c.lin:
+                    names.setdefault(name, None)
+    symbols = tuple(names)
+    rename = {name: f"s{k}" for k, name in enumerate(symbols)}
+
+    def ckey(c):
+        if isinstance(c, QC):
+            return ("q", str(c.re), str(c.im))
+        parts = [("q", str(c.const.re), str(c.const.im))]
+        for name, q in c.lin:
+            parts.append((rename[name], str(q.re), str(q.im)))
+        return ("s", tuple(parts))
+
+    sig = []
+    for lv in lts.levels:
+        terms = tuple(sorted((e, ckey(s.leading_coefficient())) for e, s in lv.poly.terms()))
+        sig.append((terms, lv.var_indices))
+    return tuple(sig), symbols
+
+
+def lts_terms(lts):
+    """Every polynomial of a system as its terms in order, the order the solver reads."""
+    return [[p.terms() for p in (lv.poly, *lv.equations)] for lv in lts.levels]
+
+
+def one_to_one(pairs) -> bool:
+    """Whether each first item of the pairs meets exactly one second item and back."""
+    forward, backward = {}, {}
+    for a, b in pairs:
+        forward.setdefault(a, set()).add(b)
+        backward.setdefault(b, set()).add(a)
+    return all(len(v) == 1 for v in (*forward.values(), *backward.values()))

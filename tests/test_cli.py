@@ -1,10 +1,13 @@
 """End-to-end checks of the command line surface."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from orbifloer import cli
 from orbifloer.cli import dump_json, main
 
 
@@ -216,6 +219,40 @@ def test_validation_exit_codes(capsys):
     code, _, err = run(capsys, "reproduce", "nope")
     assert code == 2
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--u", "abc"],
+        ["--u", "1/2"],  # one coordinate on a 2-d model
+        ["--grid", "0"],
+        ["--svg", "/nonexistent/dir/x.svg"],
+    ],
+)
+def test_region_rejects_bad_flags_before_building(capsys, monkeypatch, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the region was built before its flags were checked")
+
+    monkeypatch.setattr(cli, "nondisplaceable_region", refuse)
+    code, out, err = run(capsys, "region", "--preset", "square:2,2,2,2", *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_region_svg_write_error_is_typed(tmp_path, capsys):
+    # the directory exists, but the path is a directory and cannot be written
+    code, out, err = run(capsys, "region", "--preset", "teardrop:3", "--svg", str(tmp_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_python_dash_m_entry_point():
+    cmd = [sys.executable, "-m", "orbifloer", "box", "--preset", "teardrop:3"]
+    done = subprocess.run(cmd, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    doc = json.loads(done.stdout)
+    assert doc["command"] == "box" and len(doc["sectors"]) == 2
 
 
 def test_error_json_on_stderr(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbifloer import lattice
-from orbifloer.errors import DegenerateCone, FlagNotIncreasing
+from orbifloer.errors import DegenerateCone, FlagNotIncreasing, NotUnimodular
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -200,6 +200,56 @@ def test_unimodular_inverse_roundtrip():
     m = ((1, 2, 0), (0, 1, 3), (0, 0, 1))
     inv = lattice.invert_unimodular(m)
     assert lattice.mat_mul(m, inv) == lattice.identity(3)
+
+
+@pytest.mark.parametrize("m", [((2, 0), (0, 1)), ((3, 1), (1, 1)), ((1, 2), (2, 4)), ((1, 0),)])
+def test_invert_unimodular_rejects_other_matrices(m):
+    # det 2, det 2, singular, not square: none has an integer inverse
+    with pytest.raises(NotUnimodular):
+        lattice.invert_unimodular(m)
+
+
+def elementary_products(max_side=4):
+    """Products of elementary integer matrices: row additions, swaps and negations."""
+
+    def build(n, ops):
+        m = [list(row) for row in lattice.identity(n)]
+        for kind, i, j, k in ops:
+            i, j = i % n, j % n
+            if kind == 0 and i != j:
+                m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+            elif kind == 1:
+                m[i], m[j] = m[j], m[i]
+            elif kind == 2:
+                m[i] = [-a for a in m[i]]
+        return lattice.mat(m)
+
+    op = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+    return st.builds(build, st.integers(1, max_side), st.lists(op, max_size=12))
+
+
+@given(elementary_products(), st.integers(0, 15), st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_invert_unimodular_matches_oracle(m, where, bump):
+    assert oracles.is_unimodular(m)
+    inv = lattice.invert_unimodular(m)
+    n = len(m)
+    assert lattice.mat_mul(m, inv) == lattice.identity(n) == lattice.mat_mul(inv, m)
+    # one entry moved: an inverse exactly when the oracle's determinant is +-1
+    rows = [list(row) for row in m]
+    rows[where % n][where // n % n] += bump
+    moved = lattice.mat(rows)
+    if oracles.is_unimodular(moved):
+        assert lattice.mat_mul(moved, lattice.invert_unimodular(moved)) == lattice.identity(n)
+    else:
+        with pytest.raises(NotUnimodular):
+            lattice.invert_unimodular(moved)
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_sympy(rows):
+    assert lattice.rank_rational(rows) == sympy.Matrix(rows).rank()
 
 
 def test_snf_transform_entries_stay_small():

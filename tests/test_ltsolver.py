@@ -1,5 +1,6 @@
 """Stratification, adapted-coordinate systems, and solvability verdicts."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from orbifloer.ltsolver import (
     build_lts,
     lts_signature,
     scenario_stratification,
+    signature_symbols,
     solve,
     stratify,
 )
@@ -318,6 +320,48 @@ def test_signature_stable_under_symbol_names():
     assert lts_signature(make("c")) == lts_signature(make("zz"))
     other = build_lts(stratify(m, (Fraction(0),)))
     assert lts_signature(make("c")) != lts_signature(other)
+
+    # both sectors on the facet's level: a repeated symbol is another system,
+    # and so is a conjugate coefficient
+    both = tags + [("sector", sector_index(m, (2,)))]
+
+    def sig(*coeffs):
+        st = scenario_stratification(m, [both], dict(zip(both, (QC.of(1), *coeffs))))
+        return lts_signature(build_lts(st))
+
+    a, b = SymLin.symbol("a"), SymLin.symbol("b")
+    assert sig(a, b) == sig(b, a) != sig(a, a)
+    assert sig(QC(1, 1), a) != sig(QC(1, -1), a)
+
+
+@pytest.mark.parametrize("preset", ["teardrop:5", "wp:1,3,5", "square:2,2,2,2", "wp:1,2,3,5"])
+def test_build_lts_matches_rewrite_oracle_at_points(preset):
+    # seeded interior points, half the sectors switched on and mostly tied
+    # to the lowest facet energy, with constant and symbolic coefficients
+    m = build_model(preset)
+    box = enumerate_box(m)
+    rng = random.Random(f"rows/{preset}")
+    palette = [QC(1), QC(-1), QC(Fraction(1, 2), 1), SymLin.symbol("b"), SymLin(2, (("a", 3),))]
+    pairs = []
+    for _ in range(16):
+        w = [rng.randint(1, 9) for _ in m.vertices]
+        u = tuple(
+            sum(wi * Fraction(v[k]) for wi, v in zip(w, m.vertices)) / sum(w) for k in range(m.dim)
+        )
+        low = min(m.ell(j, u) for j in range(len(m.facets)))
+        entries = []
+        for i in rng.sample(range(len(box)), (len(box) + 1) // 2):
+            lam = low - sector_ell(m, box[i], u)
+            if lam <= 0 or rng.random() < 0.2:
+                lam = Fraction(rng.randint(1, 12), 12)
+            entries.append((box[i].nu, rng.choice(palette), lam))
+        strat = stratify(m, u, BulkParam.of(entries))
+        lts, want = build_lts(strat), oracles.lts_by_rewrite(strat)
+        assert lts == want and oracles.lts_terms(lts) == oracles.lts_terms(want), u
+        sig, symbols = oracles.signature_by_terms(want)
+        assert signature_symbols(lts) == symbols
+        pairs.append((lts_signature(lts), sig))
+    assert oracles.one_to_one(pairs)
 
 
 def test_solve_deterministic():

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orbifloer import region
+from orbifloer import ltsolver, region
 from orbifloer.errors import TooManyScenarios
-from orbifloer.ltsolver import Solvability, lts_signature, signature_symbols, solve
+from orbifloer.ltsolver import Solvability, lts_signature, row_signature, signature_symbols, solve
 from orbifloer.region import (
     Constraint,
     enumerate_scenarios,
@@ -159,6 +159,54 @@ def _walk_refuted(m, max_levels=2):
         mp.setattr(region._SpanTree, "coloop_leaf", recording)
         r = nondisplaceable_region(m, max_levels)
     return r, refuted
+
+
+@pytest.mark.parametrize(
+    "preset, max_levels",
+    [("teardrop:3", 2), ("wp:1,3,5", 2), ("square:2,2,1,1", 2), ("wp:1,2,3,5", 3)],
+)
+def test_row_systems_match_rewrite_oracle(preset, max_levels, monkeypatch):
+    # every feasible candidate, coloop leaves included; wp:1,2,3,5 has
+    # 34,448 candidates, so there the walk's feasible leaves, with the
+    # coloop prune switched off (it leaves one)
+    m = build_model(preset)
+    if preset == "wp:1,2,3,5":
+        monkeypatch.setattr(region._SpanTree, "coloop_leaf", lambda tree, digits, state: False)
+        leaves = region._scenario_walk(m, max_levels, region._piece_candidates(m))
+    else:
+        leaves = enumerate_scenarios(m, max_levels)
+    pairs, seen = [], set()
+    for s in leaves:
+        if scenario_region(m, s) is None:
+            continue
+        strat, rows = region.scenario_rows(m, s)
+        key, symbols = row_signature(rows)
+        lts = scenario_lts(m, s, (strat, rows))
+        want = oracles.scenario_lts_by_rewrite(m, s)
+        assert lts == want and oracles.lts_terms(lts) == oracles.lts_terms(want), s.serial
+        if key not in seen:
+            # without the walk's span_dims, as a region document is re-read
+            bare = scenario_lts(m, replace(s, span_dims=()))
+            assert oracles.lts_terms(bare) == oracles.lts_terms(want)
+            seen.add(key)
+        sig, want_symbols = oracles.signature_by_terms(want)
+        assert symbols == want_symbols == signature_symbols(lts)
+        assert lts_signature(lts) == key
+        pairs.append((key, sig))
+    assert len(pairs) > 10
+    assert oracles.one_to_one(pairs)
+
+
+def test_scenario_rows_take_ranks_from_the_walk(monkeypatch):
+    m = build_model("wp:1,3,5")
+    s = next(s for s in enumerate_scenarios(m) if s.K == 2 and scenario_region(m, s))
+    want = oracles.lts_terms(scenario_lts(m, s))
+
+    def refuse(rows):
+        raise AssertionError("a level rank was recomputed")
+
+    monkeypatch.setattr(ltsolver, "rank_rational", refuse)
+    assert oracles.lts_terms(scenario_lts(m, s)) == want
 
 
 def test_coloop_prunes_a_root_at_infinity():
