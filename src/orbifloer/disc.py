@@ -31,15 +31,6 @@ class DiscDescriptor:
     def interior_marked(self) -> int:
         return len(self.orb_points) + self.l_interior_smooth
 
-    def combine(self, other: "DiscDescriptor") -> "DiscDescriptor":
-        """Add multiplicities, concatenate orbifold points."""
-        return DiscDescriptor(
-            tuple(a + b for a, b in zip(self.smooth_mults, other.smooth_mults)),
-            self.orb_points + other.orb_points,
-            self.k_boundary + other.k_boundary,
-            self.l_interior_smooth + other.l_interior_smooth,
-        )
-
 
 @dataclass(frozen=True)
 class DiscClass:

@@ -25,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .errors import InputError, SpanNeverFull
-from .lattice import invert_unimodular, rank_rational, saturate_flag
+from .lattice import invert_unimodular, rank_rational, row_reduce, saturate_flag
 from .potential import BulkParam, root_key
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul
 from .stacky import StackyModel, enumerate_box, sector_ell
@@ -314,7 +314,11 @@ def _never_zero(coeff) -> bool:
     )
 
 
-def _symbol_assignments(lts: LeadingTermSystem, limit_exact: int = 64) -> list:
+# the exact palette tries at most this many combinations of its special values
+EXACT_PALETTE_LIMIT = 64
+
+
+def _symbol_assignments(lts: LeadingTermSystem) -> list:
     names = lts.symbols
     if not names:
         return [{}]
@@ -323,9 +327,8 @@ def _symbol_assignments(lts: LeadingTermSystem, limit_exact: int = 64) -> list:
         q = QC.of(-c)
         if q not in special:
             special.append(q)
-    out = []
-    for combo in itertools.islice(itertools.product(special, repeat=len(names)), limit_exact):
-        out.append(dict(zip(names, combo)))
+    combos = itertools.product(special, repeat=len(names))
+    out = [dict(zip(names, combo)) for combo in itertools.islice(combos, EXACT_PALETTE_LIMIT)]
     for k in range(16):
         out.append(
             {nm: GENERIC_COEFFS[(k + 3 * idx) % 16] for idx, nm in enumerate(names)}
@@ -475,111 +478,38 @@ def _term_value(e, s, vals, env) -> complex:
     return c
 
 
-class _FreeEqData:
-    """Level equations with the level's own symbols joined as unknowns.
-
-    Unknown layout z = (y_own..., c_sym...); the c's live on the torus
-    just like the y's (zero is never a legal coefficient), so the same
-    multiplicative Newton applies.  Coefficients are affine in symbols by
-    construction, giving every term a base value plus a symbol-matrix row.
-    """
-
-    def __init__(self, equations, own, vals, env, sym_names):
-        self.own = own
-        self.sym = tuple(sym_names)
-        s = len(self.sym)
-        pos = {nm: k for k, nm in enumerate(self.sym)}
-        self.base = []
-        self.amat = []
-        self.exps = []
-        for eq in equations:
-            bs, rows, es = [], [], []
-            for e, scal in eq.terms():
-                coeff = scal.leading_coefficient()
-                row = [0j] * s
-                if isinstance(coeff, QC):
-                    b = coeff.to_complex()
-                else:
-                    b = coeff.const.to_complex()
-                    for nm, q in coeff.lin:
-                        if nm in pos:
-                            row[pos[nm]] = q.to_complex()
-                        else:
-                            b += q.to_complex() * complex(env[nm])
-                for k, val in enumerate(vals):
-                    if val is not None and e[k]:
-                        scale = complex(val) ** e[k]
-                        b *= scale
-                        row = [x * scale for x in row]
-                bs.append(b)
-                rows.append(row)
-                es.append([e[i] for i in own])
-            self.base.append(np.array(bs, dtype=complex))
-            self.amat.append(np.array(rows, dtype=complex))
-            self.exps.append(np.array(es, dtype=float))
-
-    def f_and_jlog(self, zs, jac=True):
-        """Values and, if jac, the log-Jacobian at a batch zs: (S, d + s)."""
-        d = len(self.own)
-        s = len(self.sym)
-        y = zs[:, :d]
-        c = zs[:, d:]
-        fv = np.empty((len(zs), len(self.base)), dtype=complex)
-        jm = np.empty((len(zs), len(self.base), d + s), dtype=complex) if jac else None
-        for r, (b, a, e) in enumerate(zip(self.base, self.amat, self.exps)):
-            mono = np.prod(y[:, None, :] ** e[None, :, :], axis=2)
-            coeff = b[None, :] + c @ a.T
-            fv[:, r] = (coeff * mono).sum(axis=1)
-            if not jac:
-                continue
-            for i in range(d):
-                jm[:, r, i] = (coeff * mono * e[None, :, i]).sum(axis=1)
-            for k in range(s):
-                jm[:, r, d + k] = c[:, k] * (mono @ a[:, k])
-        return fv, jm
-
-
 def _newton(data, z0, iters: int = 60):
     """Log-coordinate Newton on a batch of starts; returns (points, residuals).
 
-    The first len(data.own) coordinates are the y's.  Residuals are the
-    scaled |y_r * eq_r| used by the certificate check: the raw equation
-    values of all-negative-exponent systems vanish along escapes to
-    infinity, and the scaled metric is what keeps those fake wells out of
-    the candidate list.  A square log-Jacobian takes the Newton step; a
-    start whose Jacobian LU meets an exact zero pivot (slogdet sign 0, just
-    where solve raises) stops where it is and is dropped.  A wide one, with
-    free coefficients joined as unknowns, takes the minimal-norm step.
-    Each row's step comes from its own LAPACK call, so the rows of several
-    symbol assignments can share one batch.  The loop stops once no start
-    is still working, and the residuals of its last evaluation are
-    returned; after the last iteration only the values are evaluated.
+    Every point holds the level's own coordinates, one per equation.
+    Residuals are the scaled |y_r * eq_r| used by the certificate check:
+    the raw equation values of all-negative-exponent systems vanish along
+    escapes to infinity, and the scaled metric is what keeps those fake
+    wells out of the candidate list.  A start whose log-Jacobian LU meets an
+    exact zero pivot (slogdet sign 0, just where solve raises) stops where
+    it is and is dropped.  Each row's step comes from its own LAPACK call,
+    so the rows of several symbol assignments can share one batch.  The
+    loop stops once no start is still working, and the residuals of its
+    last evaluation are returned; after the last iteration only the values
+    are evaluated.
     """
     zs = np.array(z0, dtype=complex)
-    d = len(data.own)
     alive = np.ones(len(zs), dtype=bool)
     for _ in range(iters):
         fv, jm = data.f_and_jlog(zs)
-        res = (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
+        res = (np.abs(fv) * np.abs(zs)).max(axis=1)
         work = alive & (res > 1e-14)
         if not work.any():
             return zs, res
-        if jm.shape[1] == jm.shape[2]:
-            a, b = jm[work], -fv[work][..., None]
-            try:
-                dx = np.linalg.solve(a, b)[..., 0]
-            except np.linalg.LinAlgError:
-                sign, _ = np.linalg.slogdet(a)
-                regular = sign != 0
-                dx = np.zeros((len(a), zs.shape[1]), dtype=complex)
-                dx[regular] = np.linalg.solve(a[regular], b[regular])[..., 0]
-                alive[np.nonzero(work)[0][~regular]] = False
-        else:
-            try:
-                pin = np.linalg.pinv(jm[work])
-            except np.linalg.LinAlgError:
-                break
-            dx = (pin @ (-fv[work][..., None]))[..., 0]
+        a, b = jm[work], -fv[work][..., None]
+        try:
+            dx = np.linalg.solve(a, b)[..., 0]
+        except np.linalg.LinAlgError:
+            sign, _ = np.linalg.slogdet(a)
+            regular = sign != 0
+            dx = np.zeros((len(a), zs.shape[1]), dtype=complex)
+            dx[regular] = np.linalg.solve(a[regular], b[regular])[..., 0]
+            alive[np.nonzero(work)[0][~regular]] = False
         norms = np.linalg.norm(dx, axis=1)
         big = norms > 3.0
         dx[big] *= (3.0 / norms[big])[:, None]
@@ -587,7 +517,7 @@ def _newton(data, z0, iters: int = 60):
         bad = (np.abs(zs) > 1e9).any(axis=1) | (np.abs(zs) < 1e-9).any(axis=1)
         alive &= ~bad
     fv, _ = data.f_and_jlog(zs, jac=False)
-    return zs, (np.abs(fv) * np.abs(zs[:, :d])).max(axis=1)
+    return zs, (np.abs(fv) * np.abs(zs)).max(axis=1)
 
 
 def _starts(key, count: int, width: int):
@@ -778,96 +708,63 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
     return Certificate(sym, y, worst, False)
 
 
-def _level_symbols(lv) -> list:
-    names = set()
-    for _, scal in lv.poly.terms():
-        c = scal.leading_coefficient()
-        if isinstance(c, SymLin):
-            names.update(nm for nm, _ in c.lin)
-    return sorted(names)
+def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
+    """Exact certificate at a +-1 point with the symbols solved for, or None.
 
-
-class _FreeSearch:
-    """Joint Newton over y and the free coefficients, after palettes fail.
-
-    Some systems are solvable precisely because the coefficients can be
-    tuned to an algebraic relation no finite palette hits (two sectors
-    sharing one level can demand c0^2 = 4*c1).  Each level solves for its
-    own variables together with its first-seen symbols; underdetermined
-    steps take the minimal-norm direction.  Anything found is re-verified
-    the same way as palette certificates.
+    ``rows`` are the _parity_rows of every level equation.  With y fixed in
+    {+-1}^n each equation is linear in the symbols: a row (mask, const,
+    symbol coefficients) enters with the sign of the parity of mask & bits,
+    its constant on the right-hand side.  Sign patterns are tried in product
+    order, and one whose system row_reduce leaves inconsistent is skipped.
+    The free parameters of a consistent system are set to t_j = k^(j+1) for
+    k = 0, 1, ..., S * f (S symbols, f free parameters), and the first k
+    that makes every symbol nonzero is taken: a symbol that is not
+    identically zero on the solution space is a nonzero polynomial of degree
+    <= f in k, so at most S * f values of k fail.  The point is re-verified
+    by parity sums.  Needs every coefficient real; any other system gets
+    None.
     """
-
-    def __init__(self, lts, seed, starts):
-        self.lts = lts
-        self.seed = seed
-        self.starts = starts
-        self.calls = 0
-
-    def run(self):
-        return self._level(0, [None] * self.lts.n, {})
-
-    def _level(self, li, vals, env):
-        if li == len(self.lts.levels):
-            return self._finish(vals, env)
-        lv = self.lts.levels[li]
-        if not lv.var_indices:
-            return self._level(li + 1, vals, env)
-        new_syms = [nm for nm in _level_symbols(lv) if nm not in env]
-        for ycand, ccand in self._candidates(lv, vals, env, new_syms):
-            for i, idx in enumerate(lv.var_indices):
-                vals[idx] = ycand[i]
-            env.update(zip(new_syms, ccand))
-            hit = self._level(li + 1, vals, env)
-            if hit:
-                return hit
-            for idx in lv.var_indices:
-                vals[idx] = None
-            for nm in new_syms:
-                del env[nm]
+    eqs = [eq for level in rows for eq in level]
+    if any(im or any(b for _, (_, b) in lin) for eq in eqs for _, (_, im), lin in eq):
         return None
-
-    def _candidates(self, lv, vals, env, new_syms):
-        d = len(lv.var_indices)
-        s = len(new_syms)
-        key = (self.seed, 991, self.calls)
-        self.calls += 1
-        if s == 0:
-            data = _EqData(lv.equations, lv.var_indices, vals, [env])
-            if d == 1:
-                starts0 = _univariate_candidates(lv.equations[0], lv.var_indices[0], vals, env)
-                if not starts0:
-                    return []
-                zs, res = _newton(data, np.array(starts0, dtype=complex), iters=20)
-            else:
-                zs, res = _newton(data, _starts(key, self.starts, d))
-        else:
-            data = _FreeEqData(lv.equations, lv.var_indices, vals, env, new_syms)
-            zs, res = _newton(data, _starts(key, self.starts, d + s))
-        out = []
-        seen = set()
-        good = (
-            z
-            for z, r in zip(zs, res)
-            if not (r > 1e-11 or any(not 1e-8 < abs(c) < 1e8 for c in z))
-        )
-        for z in sorted(good, key=root_key):
-            key = tuple((round(c.real, 6), round(c.imag, 6)) for c in z)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((tuple(complex(c) for c in z[:d]), tuple(complex(c) for c in z[d:])))
-            if len(out) >= 16:
+    names = lts.symbols
+    s = len(names)
+    col = {name: j for j, name in enumerate(names)}
+    for combo in itertools.product((1, -1), repeat=lts.n):
+        bits = _sign_bits(combo)
+        system = []
+        for eq in eqs:
+            row = [0] * (s + 1)
+            for mask, (re, _), lin in eq:
+                sign = -1 if (mask & bits).bit_count() & 1 else 1
+                row[s] -= sign * re
+                for name, (a, _) in lin:
+                    row[col[name]] += sign * a
+            system.append(row)
+        reduced, pivots, rest = row_reduce(system, s)
+        if any(row[s] for row in rest):
+            continue
+        free = [j for j in range(s) if j not in pivots]
+        for k in range(s * len(free) + 1):
+            values = [Fraction(0)] * s
+            for i, j in enumerate(free):
+                values[j] = Fraction(k ** (i + 1))
+            for row, p in zip(reduced, pivots):
+                values[p] = row[s] - sum(row[j] * values[j] for j in free)
+            if all(values):
                 break
-        return out
-
-    def _finish(self, vals, env):
-        full = dict(env)
-        for nm in self.lts.symbols:
-            # only levels without own variables can leave a symbol unseen,
-            # and those levels contribute no equations: any value works
-            full.setdefault(nm, 1.0)
-        return _float_certificate(self.lts, vals, full)
+        else:
+            continue
+        env = {name: QC(v) for name, v in zip(names, values)}
+        den, at = _integer_env(env)
+        if all(_vanishes(_parity_table(eq, den, at), bits) for eq in eqs):
+            return Certificate(
+                tuple((name, env[name].to_complex()) for name in names),
+                tuple(complex(c) for c in combo),
+                0.0,
+                True,
+            )
+    return None
 
 
 def _batch_first_level(searches, seed: int, starts: int) -> None:
@@ -901,16 +798,18 @@ def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> Solvabilit
        roots by Gaussian-integer parity sums.  A literal residual-0 witness
        beats any float one, and the structured models (labels all >= 2,
        Clifford-type centers) are certified that way.
-    3. Numeric palette: the same assignments, then the generic complex
+    3. Linear pass, when there are free coefficients: at each y in
+       {+-1}^n the equations are linear in them, and an exact solve over Q
+       with every coefficient nonzero gives a residual-0 certificate
+       (_linear_certificate).  This catches systems whose solvability
+       hinges on a coefficient relation no palette row hits.
+    4. Numeric palette: the same assignments, then the generic complex
        table, each searched with numeric roots as well.  The first
        assignment runs alone; once it fails, the first level's multistart
        Newton of all the remaining ones runs as one batch
        (_batch_first_level).  Every assignment's block is evaluated and
        solved by the same calls as when it runs alone, so the batch changes
        no verdict and no bit of any certificate.
-    4. Free search: if free coefficients remain, they are solved for
-       jointly with y, catching systems whose solvability hinges on a
-       coefficient relation.
 
     A certificate must re-verify across every level equation before it is
     believed; failure of the search is reported as unknown, never as a
@@ -940,15 +839,14 @@ def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> Solvabilit
         cert = _Search(lts, rows, env, seed, starts, exact_only=True).run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
+    cert = _linear_certificate(lts, rows) if lts.symbols else None
+    if cert is not None:
+        return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     searches = [_Search(lts, rows, env, seed, starts) for env in envs]
     for k, search in enumerate(searches):
         if k == 1:
             _batch_first_level(searches[1:], seed, starts)
         cert = search.run()
-        if cert is not None:
-            return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
-    if lts.symbols:
-        cert = _FreeSearch(lts, seed, starts).run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     return SolvabilityVerdict(Solvability.UnknownLikelyUnsolvable)

@@ -162,7 +162,8 @@ def solve_each_assignment_alone(lts, seed=0, starts=64):
 
     solve runs the first level's multistart of every symbol assignment after
     the first as one batch.  This reference takes the passes of solve in
-    order and lets each assignment's _Search run its own multistart, one
+    order (structural proof, exact palette, linear pass, numeric palette)
+    and lets each assignment's _Search run its own multistart, one
     assignment at a time.  Unlike the rest of this file it reuses the
     package's search code on purpose: agreement then isolates the batch.
     Returns (status, certificate).
@@ -186,12 +187,15 @@ def solve_each_assignment_alone(lts, seed=0, starts=64):
         if lt._env_is_exact(env)
     ]
     numeric = [lt._Search(lts, rows, env, seed, starts) for env in envs]
-    for search in exact + numeric:
+    for search in exact:
         cert = search.run()
         if cert is not None:
             return lt.Solvability.SolvableCertified, cert
-    if lts.symbols:
-        cert = lt._FreeSearch(lts, seed, starts).run()
+    cert = lt._linear_certificate(lts, rows) if lts.symbols else None
+    if cert is not None:
+        return lt.Solvability.SolvableCertified, cert
+    for search in numeric:
+        cert = search.run()
         if cert is not None:
             return lt.Solvability.SolvableCertified, cert
     return lt.Solvability.UnknownLikelyUnsolvable, None

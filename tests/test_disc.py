@@ -109,8 +109,9 @@ def test_area_additivity():
     box = stacky.enumerate_box(m)
     d1 = disc.DiscDescriptor((1, 0, 2), (box[0],))
     d2 = disc.DiscDescriptor((0, 1, 0), (box[4],))
+    both = disc.DiscDescriptor((1, 1, 2), (box[0], box[4]))
     u = (Fraction(1, 50), Fraction(-1, 50))
-    assert disc.area(m, d1.combine(d2), u) == disc.area(m, d1, u) + disc.area(m, d2, u)
+    assert disc.area(m, both, u) == disc.area(m, d1, u) + disc.area(m, d2, u)
 
 
 def test_sector_area_is_weighted_facet_area():

@@ -13,11 +13,12 @@ from orbifloer.errors import SpanNeverFull
 from orbifloer.lattice import invert_unimodular
 from orbifloer.ltsolver import (
     LeadingTermSystem,
+    LtsLevel,
     Solvability,
     _distinct_roots,
     _EqData,
-    _FreeEqData,
     _integer_env,
+    _linear_certificate,
     _newton,
     _parity_rows,
     _parity_table,
@@ -243,7 +244,51 @@ def test_solve_coefficient_relation_needs_free_pass():
     assert v.status == Solvability.SolvableCertified
     c = dict(v.certificate.symbol_values)
     assert abs(c["c0"] ** 2 - 4 * c["c1"]) < 1e-8
-    assert v.certificate.residual < 1e-10
+    # the linear pass proves it exactly, at a +-1 point
+    assert v.certificate.exact and v.certificate.residual == 0.0
+    assert all(y in (1 + 0j, -1 + 0j) for y in v.certificate.y)
+
+
+def _linear_pass(*terms):
+    """The one-variable system of f = sum c * y^e, and its _linear_certificate."""
+    poly = _poly(1, terms)
+    eq = poly.partial_derivative(0)
+    symbols = sorted({name for _, s in poly.terms() for name, _ in s.leading_coefficient().lin})
+    lts = LeadingTermSystem(1, ((1,),), (LtsLevel(None, poly, (0,), (eq,)),), tuple(symbols), (1,))
+    return lts, _linear_certificate(lts, ((_parity_rows(eq),),))
+
+
+def _sym(name, q=1):
+    return SymLin(0, ((name, q),))
+
+
+def test_linear_certificate_moves_free_parameters_off_zero():
+    # f = a*y + (b/3)*y^3 + c*y^-1, so df/dy = a + b*y^2 - c*y^-2 and at
+    # y = +-1 the one equation is a + b - c = 0.  A sum of three +-1 is
+    # odd, so the palette misses it.  With b = k and c = k^2 free,
+    # a = k^2 - k is zero at k = 0 and k = 1; k = 2 gives (2, 2, 4).
+    lts, cert = _linear_pass(
+        ((1,), _sym("a")), ((3,), _sym("b", Fraction(1, 3))), ((-1,), _sym("c"))
+    )
+    assert cert.symbol_values == (("a", 2 + 0j), ("b", 2 + 0j), ("c", 4 + 0j))
+    assert cert.y == (1 + 0j,) and cert.exact and cert.residual == 0.0
+    env = {"a": QC(2), "b": QC(2), "c": QC(4)}
+    assert lts.levels[0].equations[0].eval_exact((QC(1),), env).is_zero()
+    assert solve(lts).certificate == cert
+
+
+def test_linear_certificate_needs_real_coefficients_and_a_nonzero_point():
+    # df/dy = a - 2 + b*y^-2: at y = 1, a = 2 - b; b = k is zero at k = 0
+    _, cert = _linear_pass(((1,), SymLin(-2, (("a", 1),))), ((-1,), _sym("b", -1)))
+    assert cert.symbol_values == (("a", 1 + 0j), ("b", 1 + 0j))
+    # the same with a - 2i: the pass reads real coefficients only
+    _, cert = _linear_pass(((1,), SymLin(QC(0, -2), (("a", 1),))), ((-1,), _sym("b", -1)))
+    assert cert is None
+    # df/dy = a + a*y: y = 1 forces a = 0, and y = -1 leaves a free
+    _, cert = _linear_pass(((1,), _sym("a")), ((2,), _sym("a", Fraction(1, 2))))
+    assert cert.y == (-1 + 0j,) and cert.symbol_values == (("a", 1 + 0j),)
+    # df/dy = a: every sign pattern forces a = 0, whatever b is
+    assert _linear_pass(((1,), _sym("a")), ((0,), _sym("b")))[1] is None
 
 
 def test_solve_two_level_ladder():
@@ -495,18 +540,6 @@ def test_newton_square_step_survives_a_singular_jacobian():
     assert abs(zs[1, 0] - 2**0.5) < 1e-9 and abs(zs[1, 1] - 2**0.5) < 1e-9
 
 
-def test_newton_wide_step_solves_for_free_coefficients():
-    # c*y - 2 = 0 with the symbol c joined as an unknown: one equation in
-    # two unknowns.  The minimal-norm log step is along (1, 1), so c/y
-    # keeps its starting value and the end point is fixed by c*y = 2
-    eq = _poly(1, [((1,), SymLin.symbol("c")), ((0,), QC(-2))])
-    data = _FreeEqData((eq,), (0,), [None], {}, ["c"])
-    zs, res = _newton(data, np.array([[1.0, 1.0], [1.0, 4.0]], dtype=complex))
-    assert (res < 1e-12).all()
-    r = 2**0.5
-    assert np.allclose(zs, [[r, r], [1 / r, 2 * r]], rtol=0, atol=1e-12)
-
-
 def _two_symbol_level():
     # s0*y0*y1^2 - 1 and s1*y0^2*y1 + 2: with s0 = s1 = 0 both equations are
     # constants and the log-Jacobian is zero at every start
@@ -591,9 +624,10 @@ def test_newton_all_singular_batch_stops_after_one_iteration():
     assert np.array_equal(res, np.maximum(np.abs(starts[:, 0]), 2 * np.abs(starts[:, 1])))
 
 
-# on wp:1,3,5 every batch ends unknown; on wp:1,3,7 one batched assignment
-# certifies its system
-@pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 46, 8), ("wp:1,3,7", 130, 12)])
+# on both models every batch ends unknown (the linear pass certifies the
+# system a batched assignment used to), and every unknown system has a
+# coloop level, so none of them is solvable
+@pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 46, 10), ("wp:1,3,7", 130, 16)])
 def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
     from orbifloer import region
 
@@ -611,6 +645,8 @@ def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
     statuses = [v.status for _, v in seen.values()]
     assert len(seen) == systems and statuses.count(Solvability.UnknownLikelyUnsolvable) == unknown
     for lts, verdict in seen.values():
+        if verdict.status is Solvability.UnknownLikelyUnsolvable:
+            assert oracles.coloop_refutes(lts)
         status, cert = oracles.solve_each_assignment_alone(lts)
         assert verdict.status is status
         if cert is None:
