@@ -525,13 +525,13 @@ def saturate_flag(chain) -> list:
     if not levels or any(not grp for grp in levels):
         raise FlagNotIncreasing("chain must be a nonempty list of nonempty groups")
     n = len(levels[0][0])
-    # spans must nest
+    # spans must nest; a group that starts with the one before nests as it is
     for prev, nxt in zip(levels, levels[1:]):
+        if nxt[: len(prev)] == prev:
+            continue
         r = rank_rational(nxt)
         if rank_rational(nxt + prev) != r:
             raise FlagNotIncreasing("span chain does not nest")
-    if rank_rational(levels[-1]) != n:
-        raise FlagNotIncreasing("final span is not all of R^n")
 
     basis: list = []
     seen: list = []
@@ -555,6 +555,9 @@ def saturate_flag(chain) -> list:
                         w = tuple(-y for y in w)
                     break
             basis.append(w)
+    # the spans nest, so the last saturation spans all of them
+    if r != n:
+        raise FlagNotIncreasing("final span is not all of R^n")
     return basis
 
 

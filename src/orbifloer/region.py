@@ -27,6 +27,11 @@ of the others' reaches, so that the level's equations can never be
 solved.  A scenario's serial is its rank among the span-valid candidates
 in product order, the same with or without pruning: a skipped subtree
 adds its memoized candidate count.
+
+query_point reads a region through its row index (FiberRegion.row_index),
+built once on the first query: the region's constraints are a few dozen
+distinct integer rows shared by all its pieces, so each row is evaluated
+once per point and each piece is decided by bit masks over those rows.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
@@ -127,15 +132,11 @@ class ScenarioPolyhedron:
     witness: tuple  # Fractions, strictly feasible
 
     def contains(self, u, closed: bool = False) -> bool:
-        return self._contains_homogeneous(_homogeneous(u), closed)
-
-    def _contains_homogeneous(self, p: tuple, closed: bool) -> bool:
-        d = p[-1]
-        for c in self.equalities:
-            if sum(map(mul, c.coeffs, p)) + c.const * d:
-                return False
+        p = _homogeneous(u)
+        if any(sum(map(mul, _row(c), p)) for c in self.equalities):
+            return False
         for c in self.inequalities:
-            v = sum(map(mul, c.coeffs, p)) + c.const * d
+            v = sum(map(mul, _row(c), p))
             if v < 0 or (v == 0 and not (closed and c.kind != "interior")):
                 return False
         return True
@@ -154,6 +155,34 @@ class FiberRegion:
     pieces: tuple
     closure: bool
     max_levels: int
+
+    @cached_property
+    def row_index(self) -> tuple:
+        """(rows, masks), the region's constraints as query_point reads them.
+
+        rows holds every distinct integer row (coeffs..., const) of the
+        pieces' equalities and inequalities.  masks holds one int per piece
+        with three fields of len(rows) bits, lowest first: the piece's
+        equality rows, its always-strict rows and its rows that may be zero
+        (an inequality that is not "interior", in closure mode).  A row may
+        sit in more than one field.  Built on first use, so a region made
+        by replace() builds its own.
+        """
+        ids: dict = {}
+        fields = []
+        for p in self.pieces:
+            eq = strict = soft = 0
+            for c in p.polyhedron.equalities:
+                eq |= 1 << ids.setdefault(_row(c), len(ids))
+            for c in p.polyhedron.inequalities:
+                bit = 1 << ids.setdefault(_row(c), len(ids))
+                if self.closure and c.kind != "interior":
+                    soft |= bit
+                else:
+                    strict |= bit
+            fields.append((eq, strict, soft))
+        n = len(ids)
+        return tuple(ids), tuple(eq | strict << n | soft << 2 * n for eq, strict, soft in fields)
 
 
 @dataclass(frozen=True)
@@ -691,15 +720,31 @@ def query_point(r: FiberRegion, u) -> QueryReport:
     """Membership report for a rational point.
 
     Points outside the open moment polytope carry no torus fiber, so they
-    are reported as non-members rather than rejected.
+    are reported as non-members rather than rejected; a point with the
+    wrong number of coordinates raises InputError.  Each distinct row of
+    the region's row index is evaluated once, exactly, and a piece matches
+    when its equality rows are zero, its strict rows positive and its
+    other rows positive or zero.
     """
     uu = tuple(Fraction(x) for x in u)
+    if len(uu) != r.model.dim:
+        raise InputError(f"u has {len(uu)} coordinates, model has dimension {r.model.dim}")
     if not r.model.is_interior(uu):
         return QueryReport(uu, False, (), interior=False)
     hu = _homogeneous(uu)
-    matches = tuple(
-        p for p in r.pieces if p.polyhedron._contains_homogeneous(hu, r.closure)
-    )
+    rows, masks = r.row_index
+    pos = zero = 0
+    for k, row in enumerate(rows):
+        v = sum(map(mul, row, hu))
+        if v > 0:
+            pos |= 1 << k
+        elif v == 0:
+            zero |= 1 << k
+    n = len(rows)
+    full = (1 << n) - 1
+    # the rows that break each field: not zero, not positive, negative
+    bad = (full ^ zero) | (full ^ pos) << n | (full ^ (pos | zero)) << 2 * n
+    matches = tuple(p for p, mask in zip(r.pieces, masks) if not mask & bad)
     return QueryReport(uu, bool(matches), matches)
 
 

@@ -429,3 +429,46 @@ def one_to_one(pairs) -> bool:
         forward.setdefault(a, set()).add(b)
         backward.setdefault(b, set()).add(a)
     return all(len(v) == 1 for v in (*forward.values(), *backward.values()))
+
+
+def saturate_flag_checked(chain) -> list:
+    """lattice.saturate_flag with both nesting checks on every chain.
+
+    The reference checks every pair of consecutive spans by rank and the
+    last span's rank before it builds the basis; the package skips the
+    pair check where a group starts with the group before it.  The basis
+    construction reuses the package's kernels on purpose: agreement then
+    isolates the checks.
+    """
+    from orbifloer.errors import FlagNotIncreasing
+    from orbifloer.lattice import (
+        _complete_unimodular,
+        _solve_in_rows,
+        rank_rational,
+        saturated_span_basis,
+        vec,
+    )
+
+    levels = [[vec(w) for w in grp] for grp in chain]
+    if not levels or any(not grp for grp in levels):
+        raise FlagNotIncreasing("chain must be a nonempty list of nonempty groups")
+    n = len(levels[0][0])
+    for prev, nxt in zip(levels, levels[1:]):
+        if rank_rational(nxt + prev) != rank_rational(nxt):
+            raise FlagNotIncreasing("span chain does not nest")
+    if rank_rational(levels[-1]) != n:
+        raise FlagNotIncreasing("final span is not all of R^n")
+    basis: list = []
+    seen: list = []
+    for grp in levels:
+        seen = seen + grp
+        sat = saturated_span_basis(seen)
+        r = len(sat)
+        if r == len(basis):
+            continue
+        xrows = [_solve_in_rows(sat, p) for p in basis]
+        for row in _complete_unimodular(tuple(xrows), r):
+            w = tuple(sum(q * s[k] for q, s in zip(row, sat)) for k in range(n))
+            lead = next(x for x in w if x)
+            basis.append(tuple(-y for y in w) if lead < 0 else w)
+    return basis

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orbifloer import lattice
+from orbifloer import lattice, ltsolver
 from orbifloer.errors import DegenerateCone, FlagNotIncreasing, NotUnimodular
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -194,6 +194,66 @@ def test_saturate_flag_random_chains(g1, g2):
     r1 = lattice.rank_rational([tuple(v) for v in g1])
     head = [list(b) for b in basis[:r1]]
     assert oracles.is_saturated_basis_of_span(g1, head)
+
+
+def _same_flag(chain):
+    # both give one basis, or both refuse the chain
+    try:
+        want = oracles.saturate_flag_checked(chain)
+    except FlagNotIncreasing:
+        with pytest.raises(FlagNotIncreasing):
+            lattice.saturate_flag(chain)
+        return None
+    assert lattice.saturate_flag(chain) == want
+    return want
+
+
+groups3 = st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=2)
+
+
+@given(
+    st.lists(groups3, min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from(["prefix", "reordered", "free"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_saturate_flag_matches_checked_oracle(groups, full, shape):
+    # prefix: cumulative groups, as an adapted basis asks for them, which
+    # skip the pair check; reordered: the same spans with each later group
+    # reversed, so the rank check runs; free: groups as drawn, which may
+    # fail to nest.  The last span is full when full is set.
+    chain, acc = [], []
+    for g in groups:
+        acc = acc + g
+        chain.append(list(acc) if shape != "free" else list(g))
+    if shape == "reordered":
+        chain = chain[:1] + [grp[::-1] for grp in chain[1:]]
+    if full:
+        chain[-1] += [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    got = _same_flag(chain)
+    if full and shape != "free":
+        assert got is not None
+
+
+def test_saturate_flag_matches_checked_oracle_on_leaf_chains(monkeypatch):
+    from orbifloer.region import enumerate_scenarios, scenario_rows
+    from orbifloer.stacky import build_model
+
+    chains = []
+    real = ltsolver.saturate_flag
+
+    def record(chain):
+        chains.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(ltsolver, "saturate_flag", record)
+    m = build_model("square:2,2,1,1")
+    leaves = enumerate_scenarios(m)
+    for s in leaves:
+        scenario_rows(m, s)
+    assert len(chains) == len(leaves)
+    for chain in chains:
+        assert _same_flag(chain) is not None
 
 
 def test_unimodular_inverse_roundtrip():

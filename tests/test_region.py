@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbifloer import ltsolver, region
-from orbifloer.errors import TooManyScenarios
+from orbifloer.errors import InputError, TooManyScenarios
 from orbifloer.ltsolver import Solvability, lts_signature, row_signature, signature_symbols, solve
 from orbifloer.region import (
     Constraint,
@@ -371,8 +371,8 @@ def _boundary_points(p):
     return pts
 
 
-def test_query_point_matches_brute_force_membership():
-    m = build_model("wp:1,3,5")
+def _check_query_against_constraints(preset):
+    m = build_model(preset)
     closed = nondisplaceable_region(m)
     rng = random.Random(135)
     lo = [min(v[k] for v in m.vertices) for k in range(2)]
@@ -383,14 +383,39 @@ def test_query_point_matches_brute_force_membership():
         if m.is_interior(u):
             points.append(u)
     cons = {p.scenario.serial: scenario_constraints(m, p.scenario) for p in closed.pieces}
-    for r in (closed, replace(closed, closure=False)):
+
+    def want(u, closure):
+        return [s for s, cs in cons.items() if all(c.holds(u, closure) for c in cs)]
+
+    def check(r):
         for u in points:
-            want = [
-                s for s, cs in cons.items() if all(c.holds(u, r.closure) for c in cs)
-            ]
             rep = query_point(r, u)
-            assert [p.scenario.serial for p in rep.matches] == want, (u, r.closure)
+            assert [p.scenario.serial for p in rep.matches] == want(u, r.closure), (u, r.closure)
             assert rep.interior == m.is_interior(u)
+
+    check(closed)  # builds the closed region's row index before replace
+    opened = replace(closed, closure=False)
+    check(opened)
+    # a closed-boundary point: a stale index would answer as the closed region
+    edge = next(u for u in points if want(u, True) != want(u, False))
+    assert query_point(opened, edge).matches != query_point(closed, edge).matches
+    return closed
+
+
+def test_query_point_matches_brute_force_membership():
+    _check_query_against_constraints("wp:1,3,5")
+    r = _check_query_against_constraints("square:2,2,1,1")
+    # segments and points: pieces with equality rows
+    assert any(p.polyhedron.equalities for p in r.pieces)
+
+
+def test_query_point_rejects_a_point_of_the_wrong_dimension():
+    # zip would truncate (0, 0, 0) to a member of every piece, and (0,)
+    # would pass the interior test on one facet form
+    r = nondisplaceable_region(build_model("wp:1,3,5"))
+    for u in [(0, 0, 0), (0,)]:
+        with pytest.raises(InputError, match="dimension 2"):
+            query_point(r, u)
 
 
 def test_shared_certificates_carry_own_symbols():
