@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer import lattice, ltsolver
 from orbifloer.errors import DegenerateCone, FlagNotIncreasing, NotUnimodular
+from orbifloer.region import enumerate_scenarios, scenario_rows
+from orbifloer.stacky import build_model
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -236,9 +238,7 @@ def test_saturate_flag_matches_checked_oracle(groups, full, shape):
 
 
 def test_saturate_flag_matches_checked_oracle_on_leaf_chains(monkeypatch):
-    from orbifloer.region import enumerate_scenarios, scenario_rows
-    from orbifloer.stacky import build_model
-
+    # the cumulative chains the leaves of a region pass for their adapted bases
     chains = []
     real = ltsolver.saturate_flag
 

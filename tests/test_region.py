@@ -411,7 +411,8 @@ def test_query_point_matches_brute_force_membership():
 
 def test_query_point_rejects_a_point_of_the_wrong_dimension():
     # zip would truncate (0, 0, 0) to a member of every piece, and (0,)
-    # would pass the interior test on one facet form
+    # would pass the interior test with each facet form cut to its first
+    # coordinate
     r = nondisplaceable_region(build_model("wp:1,3,5"))
     for u in [(0, 0, 0), (0,)]:
         with pytest.raises(InputError, match="dimension 2"):
