@@ -353,12 +353,9 @@ def _geometry_doc(piece, r) -> dict | None:
     return None
 
 
-def cmd_region(m, args, region=None) -> dict:
-    r = region
-    if r is None:
-        r = nondisplaceable_region(
-            m, max_levels=args.max_levels, closure=args.closure, seed=args.seed
-        )
+def cmd_region(r, u=None) -> dict:
+    """The region document; with a point u, also its membership query."""
+    m = r.model
     pieces = []
     for p in r.pieces:
         pieces.append(
@@ -385,8 +382,8 @@ def cmd_region(m, args, region=None) -> dict:
             {"lo": _q(lo), "lo_closed": lc, "hi": _q(hi), "hi_closed": hc}
             for lo, lc, hi, hc in interval_union(r)
         ]
-    if args.u is not None:
-        doc["query"] = _query_doc(r, _parse_u(args.u, m.dim))
+    if u is not None:
+        doc["query"] = _query_doc(r, u)
     return doc
 
 
@@ -529,21 +526,9 @@ def render_svg(r) -> str:
 # reproduction suite
 
 
-class _NS(argparse.Namespace):
-    """Defaults mirroring the region subcommand for internal reuse."""
-
-    max_levels = 2
-    closure = True
-    seed = 0
-    u = None
-
-
 def _region_doc(m, seed, queries=()):
     r = nondisplaceable_region(m, seed=seed)
-    ns = _NS()
-    ns.seed = seed
-    doc = cmd_region(m, ns, region=r)
-    return doc, [_query_doc(r, u) for u in queries]
+    return cmd_region(r), [_query_doc(r, u) for u in queries]
 
 
 def _rep_teardrop_a3(seed) -> dict:
@@ -743,7 +728,8 @@ def _dispatch(args) -> int:
         if args.grid is not None:
             sys.stdout.write(region_grid_csv(r, args.grid))
         else:
-            sys.stdout.write(dump_json(cmd_region(m, args, region=r)))
+            u = None if args.u is None else _parse_u(args.u, m.dim)
+            sys.stdout.write(dump_json(cmd_region(r, u)))
         return 0
 
     # the remaining subcommands are fiber-local

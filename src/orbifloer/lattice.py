@@ -48,11 +48,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_vec(a: Mat, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 

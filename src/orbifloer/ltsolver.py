@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, SpanNeverFull
 from .lattice import invert_unimodular, rank_rational, row_reduce, saturate_flag
-from .potential import BulkParam, root_key
+from .potential import BulkParam, companion_roots, root_key
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul
 from .stacky import StackyModel, enumerate_box, sector_ell
 
@@ -50,10 +50,6 @@ class EnergyStratification:
     u: tuple | None
     levels: tuple  # StratumLevel, lowest energy first, cut at full span
     adapted_basis: tuple  # rows; prefix of length span_dim spans each stage
-
-    @property
-    def member_count(self) -> int:
-        return sum(len(lv.members) for lv in self.levels)
 
 
 def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratification:
@@ -568,10 +564,8 @@ def _univariate_candidates(eq, own_i, vals, env):
             (complex(r * np.cos(theta + 2 * np.pi * k / gap), r * np.sin(theta + 2 * np.pi * k / gap)),)
             for k in range(gap)
         ]
-    lo = ks[0]
-    deg = ks[-1] - lo
-    coeff_vec = [bucket.get(ks[-1] - d, 0j) for d in range(deg + 1)]
-    return [(complex(r),) for r in np.roots(coeff_vec) if abs(r) > 1e-8]
+    lo, hi = ks[0], ks[-1]
+    return [(r,) for r in companion_roots({k: c for k, c in bucket.items() if lo <= k <= hi})]
 
 
 class _Search:

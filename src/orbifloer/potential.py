@@ -27,7 +27,6 @@ from .series import (
     QC,
     LaurentPoly,
     NovikovScalar,
-    SymLin,
     c_is_zero,
     render_coeff,
 )
@@ -180,50 +179,6 @@ def critical_residual(p, y, t_value: float = 0.5, env: dict | None = None) -> fl
     return worst
 
 
-def shared_t_exponent(p) -> Fraction | None:
-    """The single T-exponent carried by every term, or None if they differ.
-
-    The zero polynomial shares vacuously and reports 0.
-    """
-    poly = p.poly if isinstance(p, PotentialAtFiber) else p
-    seen = set()
-    for _, s in poly.terms():
-        for q, _ in s.terms:
-            seen.add(q)
-    if len(seen) > 1:
-        return None
-    return seen.pop() if seen else Fraction(0)
-
-
-def strip_shared_t(p: LaurentPoly) -> tuple:
-    """Split p = T^rho * q with q free of T; requires one shared exponent."""
-    rho = shared_t_exponent(p)
-    if rho is None:
-        raise InputError("terms carry more than one T-exponent")
-    out = LaurentPoly.zero(p.n)
-    for e, s in p.terms():
-        c = s.leading_coefficient()
-        out = out + LaurentPoly.monomial(e, NovikovScalar.of(c))
-    return rho, out
-
-
-def critical_residual_sq_exact(p, y, env: dict | None = None) -> Fraction:
-    """Exact squared residual max_i |y_i dp/dy_i|^2 with T stripped.
-
-    Only defined when all terms share one T-exponent (the leading-term
-    situation), so the common power of T scales every gradient entry alike
-    and certifying residual zero needs no numeric T at all.  Coordinates
-    must be exact Gaussian rationals.
-    """
-    poly = p.poly if isinstance(p, PotentialAtFiber) else p
-    _, tfree = strip_shared_t(poly)
-    yy = tuple(c if isinstance(c, QC) else QC.of(c) for c in y)
-    worst = Fraction(0)
-    for g in log_gradient(tfree):
-        worst = max(worst, g.eval_exact(yy, env).abs2())
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # critical points of a potential at fixed numeric T
 
@@ -310,23 +265,28 @@ def _newton_polish(system, y, iters=60):
     return tuple(complex(c) for c in yy), max(abs(_value(g, monos)) for g in grads)
 
 
-def _univariate_critical(system):
-    """All nonzero roots of the single log-gradient entry, via companion matrix."""
+def companion_roots(coeffs: dict) -> list:
+    """Roots off zero of sum_k coeffs[k] * y^k, by companion matrix.
+
+    Keys are integer exponents, possibly negative: the dense vector runs
+    from the highest key down to the lowest, so a Laurent polynomial gives
+    the roots of its numerator.  Roots with |r| < 1e-8 are dropped.
+    """
     import numpy as np
 
+    vec = [coeffs.get(k, 0j) for k in range(max(coeffs), min(coeffs) - 1, -1)]
+    return [complex(r) for r in np.roots(vec) if abs(r) >= 1e-8]
+
+
+def _univariate_critical(system):
+    """All nonzero roots of the single log-gradient entry, Newton-polished."""
     exps, (g,), _ = system
     if not g:
         return []
-    lo = min(exps[m][0] for m, _ in g)
-    coeffs = {exps[m][0] - lo: c for m, c in g}
-    vec = [coeffs.get(d, 0j) for d in range(max(coeffs), -1, -1)]
-    out = []
-    for r in map(complex, np.roots(vec)):
-        if abs(r) < 1e-8:
-            continue
-        y, res = _newton_polish(system, (r,))
-        out.append(CriticalPoint(y, res))
-    return out
+    return [
+        CriticalPoint(*_newton_polish(system, (r,)))
+        for r in companion_roots({exps[m][0]: c for m, c in g})
+    ]
 
 
 def root_key(y) -> tuple:
@@ -386,65 +346,28 @@ def wp_central_critical(weights) -> CentralFiberCritical:
     """Positive critical point of the P(1, a_1..a_n) potential at u = 0.
 
     The gradient system there reads y_i = a_i * lam with
-    lam = prod_j y_j^{-a_j}; Newton runs on that form starting from the
-    positive real branch.  Restarts rescale the seed; a residual above
-    1e-10 after all of them raises NoConvergence.
+    lam = prod_j y_j^{-a_j}, so lam^{1 + sum a_j} = prod a_j^{-a_j} and
+    the positive branch is lam = exp(-sum a_j log a_j / (1 + sum a_j)).
+    The point is certified by the residual of the smooth potential at
+    T = 0.5; a residual above 1e-10 raises NoConvergence.  Weights must be
+    positive integer values.
 
-    The one-variable elimination gives lam^{1 + sum a_j} = prod a_j^{-a_j},
-    e.g. lam = 2^{-1/2} for weights (1, 2).  Closed-form expressions for
-    lam floating around elsewhere disagree with this; the result here is
-    certified by its residual, not by any printed formula.
+    >>> round(wp_central_critical((1, 2)).lam ** 2, 12)
+    0.5
     """
-    tail = tuple(int(a) for a in weights)
-    if not tail or any(a < 1 for a in tail):
-        raise InputError("weights must be positive integers (the tail a_1..a_n)")
-    import numpy as np
-
-    n = len(tail)
-    a = np.array(tail, dtype=float)
-    best = None
-    for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
-        lam0 = scale
-        y = a * lam0
-        ok = True
-        for _ in range(80):
-            lam = float(np.prod(y ** (-a)))
-            f = y - a * lam
-            res = float(max(abs(f)))
-            if res < 1e-14:
-                break
-            # d lam / d y_k = -a_k lam / y_k
-            jm = np.eye(n) + np.outer(a, a * lam / y)
-            try:
-                step = np.linalg.solve(jm, -f)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            damp = 1.0
-            moved = False
-            for _ in range(20):
-                cand = y + damp * step
-                if all(cand > 1e-9):
-                    lam_c = float(np.prod(cand ** (-a)))
-                    if float(max(abs(cand - a * lam_c))) < res:
-                        y = cand
-                        moved = True
-                        break
-                damp *= 0.5
-            if not moved:
-                break
-        if not ok:
-            continue
-        lam = float(np.prod(y ** (-a)))
-        res = float(max(abs(y - a * lam)))
-        if best is None or res < best[2]:
-            best = (tuple(float(c) for c in y), lam, res)
-        if res < 1e-12:
-            break
-    if best is None or best[2] > 1e-10:
-        raise NoConvergence(f"no positive critical point for weights {tail}")
+    tail = tuple(weights)
+    try:
+        ok = bool(tail) and all(a == int(a) >= 1 for a in tail)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InputError(f"weights must be positive integers (the tail a_1..a_n), got {weights!r}")
+    tail = tuple(int(a) for a in tail)
+    lam = math.exp(-sum(a * math.log(a) for a in tail) / (1 + sum(tail)))
+    y = tuple(complex(a * lam) for a in tail)
     m = build_model({"preset": "weighted_projective", "weights": (1,) + tail})
-    u0 = tuple(Fraction(0) for _ in range(n))
-    pot = smooth_leading_potential(m, u0)
-    resid = critical_residual(pot, [complex(c) for c in best[0]], 0.5)
-    return CentralFiberCritical(tail, u0, tuple(complex(c) for c in best[0]), best[1], resid)
+    u0 = tuple(Fraction(0) for _ in tail)
+    resid = critical_residual(smooth_leading_potential(m, u0), y, 0.5)
+    if resid > 1e-10:
+        raise NoConvergence(f"residual {resid:.3g} at the closed-form point for weights {tail}")
+    return CentralFiberCritical(tail, u0, y, lam, resid)

@@ -808,7 +808,7 @@ def interval_union(r: FiberRegion) -> list:
     return merged
 
 
-def _equality_rank(eqs, n):
+def _equality_rank(eqs):
     return rank_rational([list(c.coeffs) for c in eqs]) if eqs else 0
 
 
@@ -825,7 +825,7 @@ def piece_geometry(p: RegionPiece, dim: int):
     eqs = p.polyhedron.equalities
     ineqs = p.polyhedron.inequalities
     w = p.polyhedron.witness
-    rank = _equality_rank(eqs, 2)
+    rank = _equality_rank(eqs)
     if rank >= 2:
         return ("point", (w,))
     if rank == 1:

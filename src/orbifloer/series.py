@@ -5,23 +5,15 @@ with strictly increasing exact rational exponents.  Coefficients are exact
 Gaussian rationals, or degree-one polynomials in named symbols (used for
 free bulk coefficients; products of two symbols are refused).  Laurent
 polynomials in y1..yn over these scalars carry the potentials.
-
-Exact and floating evaluation never mix: `eval_exact` demands T-free input
-and stays in Gaussian rationals, `eval_complex` specializes T to a float.
-The solver's exact palette does not go through `eval_exact`: it tests its
-+-1 candidates on integer parity tables of the level equations
-(`ltsolver._parity_rows`).
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import inf
 from operator import itemgetter
 
-from .errors import NonLinearSymbolic, NotUnimodular, ZeroCoordinate
-from . import lattice
+from .errors import NonLinearSymbolic, ZeroCoordinate
 
 
 class QC:
@@ -281,12 +273,6 @@ class NovikovScalar:
     def eval_complex(self, t: float, env: dict | None = None) -> complex:
         return sum(c_to_complex(c, env) * (t ** float(q)) for q, c in self.terms)
 
-    def substitute_symbols(self, env: dict) -> "NovikovScalar":
-        out = []
-        for q, c in self.terms:
-            out.append((q, c.substitute(env) if isinstance(c, SymLin) else c))
-        return NovikovScalar(tuple(out))
-
     def __repr__(self):
         return f"NovikovScalar({self.terms!r})"
 
@@ -294,26 +280,6 @@ class NovikovScalar:
 def valuation(s: NovikovScalar):
     """Minimal T-exponent; +inf for the zero scalar."""
     return s.valuation()
-
-
-class LambdaClass(str, Enum):
-    Lambda0 = "Lambda0"
-    LambdaPlus = "LambdaPlus"
-    Units = "Units"
-    Neither = "Neither"
-
-
-def lambda_membership(s: NovikovScalar) -> LambdaClass:
-    """Classify by valuation: units (val 0, invertible lead), Lambda+, Lambda0, or neither."""
-    v = s.valuation()
-    if v == inf or v > 0:
-        return LambdaClass.LambdaPlus
-    if v < 0:
-        return LambdaClass.Neither
-    lead = s.leading_coefficient()
-    if isinstance(lead, QC) and not lead.is_zero():
-        return LambdaClass.Units
-    return LambdaClass.Lambda0
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +359,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def partial_derivative(self, i: int) -> "LaurentPoly":
-        """d/dy_i: exponent e picks up factor e_i and drops by one in slot i."""
-        out = []
-        for e, s in self._terms.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out.append((e2, s * e[i]))
-        return LaurentPoly(self.n, out)
-
     def log_derivative(self, i: int) -> "LaurentPoly":
         """y_i * d/dy_i: same supports, coefficients scaled by e_i."""
         out = []
@@ -425,50 +381,8 @@ class LaurentPoly:
             total += s.eval_complex(t, env) * mono
         return total
 
-    def eval_exact(self, y, env: dict | None = None) -> QC:
-        """Exact evaluation; requires a T-free polynomial and exact nonzero y."""
-        vals = [QC.of(z) for z in y]
-        if any(z.is_zero() for z in vals):
-            raise ZeroCoordinate("torus coordinates must be nonzero")
-        total = QC()
-        for e, s in self._terms.items():
-            if any(q != 0 for q, _ in s.terms):
-                raise ValueError("eval_exact needs a T-free polynomial")
-            c = QC()
-            for q, cf in s.terms:
-                if isinstance(cf, SymLin):
-                    cf = cf.substitute(env or {})
-                c = c + cf
-            mono = QC(1)
-            for z, k in zip(vals, e):
-                if k >= 0:
-                    for _ in range(k):
-                        mono = mono * z
-                else:
-                    for _ in range(-k):
-                        mono = mono / z
-            total = total + c * mono
-        return total
-
     def __repr__(self):
         return f"LaurentPoly({self.n}, {tuple(self._terms.items())!r})"
-
-
-def monomial_rewrite(p: LaurentPoly, basis_change) -> LaurentPoly:
-    """Substitute y_i = prod_j y'_j^(M_ij): exponent row vectors map e -> e M.
-
-    M must be unimodular so the substitution is invertible on the torus.
-    """
-    m = lattice.mat(basis_change)
-    if len(m) != p.n or any(len(r) != p.n for r in m):
-        raise NotUnimodular("basis change must be square of the ambient dimension")
-    if abs(lattice.det_int(m)) != 1:
-        raise NotUnimodular("basis change must have determinant +-1")
-    mt = lattice.transpose(m)
-    out = []
-    for e, s in p.terms():
-        out.append((lattice.mat_vec(mt, e), s))
-    return LaurentPoly(p.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -514,34 +428,3 @@ def render_poly(p: LaurentPoly) -> str:
             head = render_scalar_term(q, c)
             pieces.append(f"{head}*{mono}" if mono else head)
     return " + ".join(pieces) if pieces else "0"
-
-
-def parse_poly(text: str, n: int) -> LaurentPoly:
-    """Inverse of render_poly for constant (symbol-free) coefficients."""
-    import re
-
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly.zero(n)
-    out = []
-    for piece in text.split(" + "):
-        coeff = QC(1)
-        q = Fraction(0)
-        e = [0] * n
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            m = re.fullmatch(r"T\^\{(-?\d+(?:/\d+)?)\}", factor)
-            if m:
-                q = Fraction(m.group(1))
-                continue
-            m = re.fullmatch(r"y(\d+)(?:\^(-?\d+))?", factor)
-            if m:
-                e[int(m.group(1)) - 1] = int(m.group(2) or 1)
-                continue
-            m = re.fullmatch(r"\((-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\)", factor)
-            if m:
-                coeff = coeff * QC(Fraction(m.group(1)), Fraction(m.group(2)))
-                continue
-            coeff = coeff * QC(Fraction(factor))
-        out.append((tuple(e), NovikovScalar.of(coeff, q)))
-    return LaurentPoly(n, out)

@@ -73,10 +73,6 @@ class StackyModel:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
-    def stacky_vectors(self) -> tuple:
-        return tuple(f.stacky_vector for f in self.facets)
-
     def ell_form(self, j: int) -> tuple:
         """Affine form of ell_j as (gradient vector, constant): ell_j(u) = <u,b_j> + const."""
         return (self.facets[j].stacky_vector, -Fraction(self.facets[j].offset))
@@ -277,11 +273,6 @@ def _rational_kernel_vector(rows, n):
 
 
 # ---------------------------------------------------------------------------
-
-
-def local_group_order(m: StackyModel, cone_index: int) -> int:
-    """Order of the local group at a top cone: |det| of its stacky generators."""
-    return lattice.cone_multiplicity(m.cones[cone_index])
 
 
 def enumerate_box(m: StackyModel) -> list:

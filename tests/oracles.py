@@ -5,6 +5,7 @@ cofactor expansion, sympy normal forms) rather than against the package
 internals, so agreement is evidence and not tautology.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -320,16 +321,106 @@ def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residua
     return sorted(found, key=lambda c: root_key(c.y))
 
 
+def mat_mul(a, b):
+    """Integer matrix product, as tuples of row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def partial_derivative(p, i):
+    """d/dy_i of a LaurentPoly: exponent e picks up factor e_i and drops by one in slot i."""
+    from orbifloer.series import LaurentPoly
+
+    out = []
+    for e, s in p.terms():
+        if e[i] == 0:
+            continue
+        out.append((e[:i] + (e[i] - 1,) + e[i + 1 :], s * e[i]))
+    return LaurentPoly(p.n, out)
+
+
+def eval_exact(p, y, env=None):
+    """Exact value of a T-free LaurentPoly at exact nonzero y, by repeated products.
+
+    The reference for the solver's integer parity tables.
+    """
+    from orbifloer.errors import ZeroCoordinate
+    from orbifloer.series import QC, SymLin
+
+    vals = [QC.of(z) for z in y]
+    if any(z.is_zero() for z in vals):
+        raise ZeroCoordinate("torus coordinates must be nonzero")
+    total = QC()
+    for e, s in p.terms():
+        if any(q != 0 for q, _ in s.terms):
+            raise ValueError("eval_exact needs a T-free polynomial")
+        c = QC()
+        for _, cf in s.terms:
+            c = c + (cf.substitute(env or {}) if isinstance(cf, SymLin) else cf)
+        mono = QC(1)
+        for z, k in zip(vals, e):
+            for _ in range(abs(k)):
+                mono = mono * z if k > 0 else mono / z
+        total = total + c * mono
+    return total
+
+
+def monomial_rewrite(p, basis_change):
+    """Substitute y_i = prod_j y'_j^(M_ij): exponent row vectors map e -> e M.
+
+    M must be unimodular so the substitution is invertible on the torus.
+    """
+    from orbifloer.errors import NotUnimodular
+    from orbifloer.series import LaurentPoly
+
+    m = [list(r) for r in basis_change]
+    if len(m) != p.n or any(len(r) != p.n for r in m):
+        raise NotUnimodular("basis change must be square of the ambient dimension")
+    if abs(det_cofactor(m)) != 1:
+        raise NotUnimodular("basis change must have determinant +-1")
+    return LaurentPoly(p.n, [(mat_mul((e,), m)[0], s) for e, s in p.terms()])
+
+
+def parse_poly(text, n):
+    """Inverse of series.render_poly for constant (symbol-free) coefficients."""
+    from orbifloer.series import QC, LaurentPoly, NovikovScalar
+
+    text = text.strip()
+    if text == "0":
+        return LaurentPoly.zero(n)
+    out = []
+    for piece in text.split(" + "):
+        coeff = QC(1)
+        q = Fraction(0)
+        e = [0] * n
+        for factor in piece.split("*"):
+            factor = factor.strip()
+            m = re.fullmatch(r"T\^\{(-?\d+(?:/\d+)?)\}", factor)
+            if m:
+                q = Fraction(m.group(1))
+                continue
+            m = re.fullmatch(r"y(\d+)(?:\^(-?\d+))?", factor)
+            if m:
+                e[int(m.group(1)) - 1] = int(m.group(2) or 1)
+                continue
+            m = re.fullmatch(r"\((-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\)", factor)
+            if m:
+                coeff = coeff * QC(Fraction(m.group(1)), Fraction(m.group(2)))
+                continue
+            coeff = coeff * QC(Fraction(factor))
+        out.append((tuple(e), NovikovScalar.of(coeff, q)))
+    return LaurentPoly(n, out)
+
+
 def lts_by_rewrite(strat):
     """ltsolver.build_lts as it was before systems were built from exponent rows.
 
     Each level is summed monomial by monomial into a LaurentPoly,
-    rewritten into adapted coordinates by series.monomial_rewrite, and
-    differentiated by LaurentPoly.partial_derivative.
+    rewritten into adapted coordinates by monomial_rewrite, and
+    differentiated by partial_derivative.
     """
     from orbifloer import ltsolver as lt
     from orbifloer.lattice import invert_unimodular
-    from orbifloer.series import LaurentPoly, NovikovScalar, SymLin, monomial_rewrite
+    from orbifloer.series import LaurentPoly, NovikovScalar, SymLin
 
     n = strat.model.dim
     change = invert_unimodular(strat.adapted_basis)
@@ -347,7 +438,7 @@ def lts_by_rewrite(strat):
             if any(e[k] for k in range(lv.span_dim, n)):
                 raise AssertionError("adapted rewrite leaked a later-level variable")
         own = tuple(range(prev_dim, lv.span_dim))
-        eqs = tuple(poly.partial_derivative(i) for i in own)
+        eqs = tuple(partial_derivative(poly, i) for i in own)
         out.append(lt.LtsLevel(lv.energy, poly, own, eqs))
         prev_dim = lv.span_dim
     return lt.LeadingTermSystem(

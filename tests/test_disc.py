@@ -78,7 +78,7 @@ def test_h2_generators():
     box = stacky.enumerate_box(m)
     for g in gens:
         if g.kind == "facet":
-            assert g.boundary == m.stacky_vectors[g.index]
+            assert g.boundary == m.facets[g.index].stacky_vector
         else:
             assert g.boundary == box[g.index].nu
     # interior positivity

@@ -31,7 +31,7 @@ def test_snf_postconditions(rows):
     u, d, v = lattice.smith_normal_form(m)
     assert oracles.is_unimodular(u)
     assert oracles.is_unimodular(v)
-    assert lattice.mat_mul(lattice.mat_mul(u, m), v) == d
+    assert oracles.mat_mul(oracles.mat_mul(u, m), v) == d
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     for i in range(len(d)):
         for j in range(len(d[0])):
@@ -259,7 +259,7 @@ def test_saturate_flag_matches_checked_oracle_on_leaf_chains(monkeypatch):
 def test_unimodular_inverse_roundtrip():
     m = ((1, 2, 0), (0, 1, 3), (0, 0, 1))
     inv = lattice.invert_unimodular(m)
-    assert lattice.mat_mul(m, inv) == lattice.identity(3)
+    assert oracles.mat_mul(m, inv) == lattice.identity(3)
 
 
 @pytest.mark.parametrize("m", [((2, 0), (0, 1)), ((3, 1), (1, 1)), ((1, 2), (2, 4)), ((1, 0),)])
@@ -294,13 +294,13 @@ def test_invert_unimodular_matches_oracle(m, where, bump):
     assert oracles.is_unimodular(m)
     inv = lattice.invert_unimodular(m)
     n = len(m)
-    assert lattice.mat_mul(m, inv) == lattice.identity(n) == lattice.mat_mul(inv, m)
+    assert oracles.mat_mul(m, inv) == lattice.identity(n) == oracles.mat_mul(inv, m)
     # one entry moved: an inverse exactly when the oracle's determinant is +-1
     rows = [list(row) for row in m]
     rows[where % n][where // n % n] += bump
     moved = lattice.mat(rows)
     if oracles.is_unimodular(moved):
-        assert lattice.mat_mul(moved, lattice.invert_unimodular(moved)) == lattice.identity(n)
+        assert oracles.mat_mul(moved, lattice.invert_unimodular(moved)) == lattice.identity(n)
     else:
         with pytest.raises(NotUnimodular):
             lattice.invert_unimodular(moved)
@@ -320,7 +320,7 @@ def test_snf_transform_entries_stay_small():
     basis = lattice.saturate_flag([a[:1], a, full])
     assert max(abs(x) for row in basis for x in row) < 10**6
     u, d, v = lattice.smith_normal_form(a)
-    assert lattice.mat_mul(lattice.mat_mul(u, a), v) == d
+    assert oracles.mat_mul(oracles.mat_mul(u, a), v) == d
     assert max(abs(x) for m in (u, v) for row in m for x in row) < 10**6
 
 

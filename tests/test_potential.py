@@ -1,11 +1,14 @@
 """Leading-order potentials: term formulas, residuals, critical points."""
 
 import doctest
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import orbifloer.potential as potential_mod
@@ -21,8 +24,6 @@ from orbifloer.potential import (
     bulk_leading_potential,
     critical_points,
     critical_residual,
-    critical_residual_sq_exact,
-    shared_t_exponent,
     smooth_leading_potential,
     wp_central_critical,
 )
@@ -208,27 +209,6 @@ def test_residual_rejects_non_finite_input():
             critical_residual(p, (0.7,), t)
 
 
-def test_exact_residual_cube_root_case():
-    # 1/(y1 y2) + y1 + y2 is critical at y1 = y2 = 1
-    poly = (
-        LaurentPoly.monomial((-1, -1), NovikovScalar.one())
-        + LaurentPoly.monomial((1, 0), NovikovScalar.one())
-        + LaurentPoly.monomial((0, 1), NovikovScalar.one())
-    )
-    assert critical_residual_sq_exact(poly, (QC.of(1), QC.of(1))) == 0
-    assert critical_residual_sq_exact(poly, (QC.of(1), QC.of(-1))) != 0
-
-
-def test_shared_t_exponent():
-    m = build_model("teardrop:3")
-    assert shared_t_exponent(smooth_leading_potential(m, (Fraction(0),))) == 1
-    assert shared_t_exponent(smooth_leading_potential(m, (Fraction(1, 10),))) is None
-    with pytest.raises(InputError):
-        critical_residual_sq_exact(
-            smooth_leading_potential(m, (Fraction(1, 10),)), (QC.of(1),)
-        )
-
-
 def test_teardrop_critical_points():
     for a in (2, 3, 5):
         m = build_model(f"teardrop:{a}")
@@ -331,6 +311,21 @@ def test_wp_central_critical():
 
     with pytest.raises(InputError):
         wp_central_critical(())
+
+
+@pytest.mark.parametrize("weights", [(1.5, 2), (2.9,), (0, 1), (-2,), (2, "3"), (float("nan"),)])
+def test_wp_central_critical_rejects_weights_that_are_not_positive_integers(weights):
+    with pytest.raises(InputError):
+        wp_central_critical(weights)
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_wp_central_critical_closed_form(tail):
+    r = wp_central_critical(tail)
+    assert r.residual < 1e-10
+    assert all(abs(y - a * r.lam) <= 1e-12 * a * r.lam for y, a in zip(r.y, tail))
+    assert abs(r.lam ** (1 + sum(tail)) * math.prod(a**a for a in tail) - 1) < 1e-12
 
 
 def test_doctests():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbifloer import stacky
+from orbifloer import lattice, stacky
 from orbifloer.errors import (
     EmptyInterior,
     InputError,
@@ -17,10 +17,10 @@ from orbifloer.errors import (
 def test_teardrop_preset():
     m = stacky.build_model("teardrop:3")
     assert m.dim == 1
-    assert m.stacky_vectors == ((3,), (-1,))
+    assert [f.stacky_vector for f in m.facets] == [(3,), (-1,)]
     assert m.vertices == ((Fraction(-1, 3),), (Fraction(1),))
-    assert stacky.local_group_order(m, 0) == 3
-    assert stacky.local_group_order(m, 1) == 1
+    assert lattice.cone_multiplicity(m.cones[0]) == 3
+    assert lattice.cone_multiplicity(m.cones[1]) == 1
     box = stacky.enumerate_box(m)
     assert [s.nu for s in box] == [(1,), (2,)]
     assert [s.iota for s in box] == [Fraction(1, 3), Fraction(2, 3)]
@@ -32,7 +32,7 @@ def test_teardrop_preset():
 
 def test_wp135_preset():
     m = stacky.build_model("wp:1,3,5")
-    assert m.stacky_vectors == ((-3, -5), (1, 0), (0, 1))
+    assert [f.stacky_vector for f in m.facets] == [(-3, -5), (1, 0), (0, 1)]
     assert [f.offset for f in m.facets] == [Fraction(-1)] * 3
     assert m.vertices == (
         (Fraction(-1), Fraction(-1)),
@@ -75,7 +75,7 @@ def test_wp_label_extraction():
 def test_smooth_square_has_no_sectors():
     m = stacky.build_model("square:1,1,1,1")
     assert len(m.cones) == 4
-    assert all(stacky.local_group_order(m, i) == 1 for i in range(4))
+    assert all(lattice.cone_multiplicity(c) == 1 for c in m.cones)
     assert stacky.enumerate_box(m) == []
 
 
@@ -100,7 +100,7 @@ def test_sector_inverse_pairing():
     for s in box:
         if any(c == 0 for c in s.coeffs):
             continue
-        gens = [m.stacky_vectors[i] for i in s.facet_indices]
+        gens = [m.facets[i].stacky_vector for i in s.facet_indices]
         inv = tuple(
             sum((1 - c) * g[k] for c, g in zip(s.coeffs, gens)) for k in range(m.dim)
         )
