@@ -7,11 +7,11 @@ areas are class functions, so nothing finer is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .stacky import BoxElement, StackyModel, sector_ell, sector_ell_form
+from .stacky import StackyModel, sector_ell, sector_ell_form
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,6 @@ def mat_vec(a: Mat, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def content(v: Vec) -> int:
     """gcd of the entries (0 for the zero vector)."""
     g = 0

@@ -5,11 +5,12 @@ by energy; the adapted lattice basis turns each energy level into a Laurent
 polynomial whose own-variable critical equations make up the leading term
 system.  Solvability of that system over (C*)^n certifies the fiber.
 
-Everything up to the verdict is exact.  The numeric search only ever
-produces SolvableCertified (re-verified residuals) or gives up; proven
-unsolvability comes from the single structural special case, a level
-polynomial that is one monomial, whose derivative is again a monomial
-and therefore never zero on the torus.
+Everything up to the verdict is exact.  The one exact certifier is the
+linear pass at +-1 points, whose certificates have residual 0; the numeric
+search only ever produces SolvableCertified (re-verified residuals) or
+gives up.  Proven unsolvability comes from the single structural special
+case, a level polynomial that is one monomial, whose derivative is again a
+monomial and therefore never zero on the torus.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def _never_zero(coeff) -> bool:
     )
 
 
-# the exact palette tries at most this many combinations of its special values
+# the numeric palette tries at most this many combinations of its special values
 EXACT_PALETTE_LIMIT = 64
 
 
@@ -332,16 +333,11 @@ def _symbol_assignments(lts: LeadingTermSystem) -> list:
     return out
 
 
-def _env_is_exact(env) -> bool:
-    return all(isinstance(v, QC) for v in env.values())
-
-
-# Exact palette kernel.  Exact candidates have every coordinate +-1 and the
-# exact palette is integral, so a level equation at a sign pattern is a signed
-# sum of its Gaussian-rational coefficients: only exponent parities matter.
-# Equations are compiled once per solve into integer rows over a positive
-# common denominator (which does not move the zero set); Gaussian integers
-# are (re, im) pairs of ints.
+# Exact kernel of the linear pass.  Its candidates have every coordinate +-1,
+# so a level equation at a sign pattern is a signed sum of its coefficients:
+# only exponent parities matter.  Equations are compiled once per solve into
+# integer rows over a positive common denominator (which does not move the
+# zero set); Gaussian integers are (re, im) pairs of ints.
 
 
 def _common_denominator(values) -> int:
@@ -411,14 +407,8 @@ def _vanishes(table, bits: int) -> bool:
 
 
 def _sign_bits(coords) -> int:
-    """Bit k set where exact coordinate k is -1; anything but +-1 is refused."""
-    bits = 0
-    for k, v in enumerate(coords):
-        if v == -1:
-            bits |= 1 << k
-        elif v != 1:
-            raise ValueError(f"exact palette coordinate {v!r} is not +-1")
-    return bits
+    """Bit k set where coordinate k of a +-1 point is -1."""
+    return sum(1 << k for k, v in enumerate(coords) if v == -1)
 
 
 class _EqData:
@@ -569,76 +559,43 @@ def _univariate_candidates(eq, own_i, vals, env):
 
 
 class _Search:
-    """One solve attempt under a fixed symbol assignment.
+    """One numeric solve attempt under a fixed symbol assignment.
 
-    ``rows`` holds the _parity_rows of every level equation, per level.
     ``root``, when set, is this assignment's (data, end points, residuals)
     of the first level's multistart, taken from a batch over several
     assignments (_batch_first_level); otherwise the search runs it itself.
     """
 
-    def __init__(self, lts, rows, env, seed, starts, exact_only=False):
+    def __init__(self, lts, env, seed, starts):
         self.lts = lts
         self.env = env
-        self.exact_env = _env_is_exact(env)
-        self.rows = rows
-        self.int_env = _integer_env(env) if self.exact_env else None
-        self.tables = [None] * len(lts.levels)
-        self.exact_only = exact_only
         self.seed = seed
         self.starts = starts
         self.calls = 0
         self.root = None
 
-    def _tables(self, li):
-        """Parity tables of level li under this search's exact env, built once."""
-        if self.tables[li] is None:
-            den, at = self.int_env
-            self.tables[li] = tuple(_parity_table(r, den, at) for r in self.rows[li])
-        return self.tables[li]
-
     def run(self):
-        vals = [None] * self.lts.n
-        evals = [None] * self.lts.n if self.exact_env else None
-        return self._level(0, vals, evals)
+        return self._level(0, [None] * self.lts.n)
 
-    def _level(self, li, vals, evals):
+    def _level(self, li, vals):
         if li == len(self.lts.levels):
-            return self._finish(vals, evals)
+            return _float_certificate(self.lts, vals, self.env)
         lv = self.lts.levels[li]
         if not lv.var_indices:
-            return self._level(li + 1, vals, evals)
-        for cand, exact in self._candidates(li, vals, evals):
+            return self._level(li + 1, vals)
+        for cand in self._candidates(li, vals):
             for i, idx in enumerate(lv.var_indices):
                 vals[idx] = cand[i]
-                if evals is not None:
-                    evals[idx] = exact[i] if exact else None
-            hit = self._level(li + 1, vals, evals if exact or evals is None else None)
+            hit = self._level(li + 1, vals)
             if hit:
                 return hit
             for idx in lv.var_indices:
                 vals[idx] = None
-                if evals is not None:
-                    evals[idx] = None
         return None
 
-    def _candidates(self, li, vals, evals):
+    def _candidates(self, li, vals):
         lv = self.lts.levels[li]
         d = len(lv.var_indices)
-        out = []
-        seen = set()
-        first = lv.var_indices[0]
-        if evals is not None and all(v is not None for v in evals[:first]) and d <= 6:
-            tables = self._tables(li)
-            fixed = _sign_bits(evals[:first])
-            for combo in itertools.product((1, -1), repeat=d):
-                bits = fixed | _sign_bits(combo) << first
-                if all(_vanishes(t, bits) for t in tables):
-                    cvec = tuple(complex(c) for c in combo)
-                    out.append((cvec, combo))
-                    seen.add(tuple((round(c.real, 6), round(c.imag, 6)) for c in cvec))
-        if self.exact_only:
-            return out
         if li == 0 and self.root is not None:
             data, ys, res = self.root
         else:
@@ -650,6 +607,8 @@ class _Search:
         else:
             self.calls += 1
             numeric = _distinct_roots(ys, res)
+        out = []
+        seen = set()
         if numeric:
             ys, res = _newton(data, np.array(numeric, dtype=complex), iters=20)
             for y, r in zip(ys, res):
@@ -660,31 +619,18 @@ class _Search:
                 key = tuple((round(c.real, 6), round(c.imag, 6)) for c in y)
                 if key not in seen:
                     seen.add(key)
-                    out.append((tuple(complex(c) for c in y), None))
+                    out.append(tuple(complex(c) for c in y))
         return out[:16]
-
-    def _finish(self, vals, evals):
-        if any(v is None for v in vals):
-            return None
-        if evals is not None and all(v is not None for v in evals):
-            bits = _sign_bits(evals)
-            for li in range(len(self.lts.levels)):
-                if not all(_vanishes(t, bits) for t in self._tables(li)):
-                    return None
-            return Certificate(
-                tuple((nm, self.env[nm].to_complex()) for nm in self.lts.symbols),
-                tuple(complex(v) for v in evals),
-                0.0,
-                True,
-            )
-        return _float_certificate(self.lts, vals, self.env)
 
 
 def _float_certificate(lts, vals, env) -> Certificate | None:
     """Float certificate of the point vals under env, or None.
 
-    The point must lie in the magnitude window and every scaled residual
-    |y_i * eq_i(y)| must stay below 1e-10.
+    The point must lie in the magnitude window, every scaled residual
+    |y_i * eq_i(y)| must stay below 1e-10, and each y_i * eq_i(y) must be
+    small against its own terms t: |sum t| <= 1e-8 * sum |t|.  The scale-free
+    test rejects "roots" drifted toward 0 or infinity, where the scaled
+    residual of an equation goes quiet with all of its terms.
     """
     y = tuple(complex(v) for v in vals)
     if any(not 1e-8 < abs(c) < 1e8 for c in y):
@@ -693,6 +639,9 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
     for lv in lts.levels:
         for i, eq in zip(lv.var_indices, lv.equations):
             worst = max(worst, abs(y[i] * eq.eval_complex(y, 1.0, env)))
+            terms = [y[i] * _term_value(e, s, y, env) for e, s in eq.terms()]
+            if abs(sum(terms)) > 1e-8 * sum(map(abs, terms)):
+                return None
     if worst >= 1e-10:
         return None
     sym = tuple(
@@ -708,19 +657,19 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     ``rows`` are the _parity_rows of every level equation.  With y fixed in
     {+-1}^n each equation is linear in the symbols: a row (mask, const,
     symbol coefficients) enters with the sign of the parity of mask & bits,
-    its constant on the right-hand side.  Sign patterns are tried in product
-    order, and one whose system row_reduce leaves inconsistent is skipped.
-    The free parameters of a consistent system are set to t_j = k^(j+1) for
+    its constant on the right-hand side.  The symbols take real values, so
+    an equation gives its real row and, when that is nonzero, its imaginary
+    row.  Sign patterns are tried in product order, and one whose system
+    row_reduce leaves inconsistent is skipped; without symbols that is
+    every pattern at which some equation does not vanish.  The free
+    parameters of a consistent system are set to t_j = k^(j+1) for
     k = 0, 1, ..., S * f (S symbols, f free parameters), and the first k
     that makes every symbol nonzero is taken: a symbol that is not
     identically zero on the solution space is a nonzero polynomial of degree
     <= f in k, so at most S * f values of k fail.  The point is re-verified
-    by parity sums.  Needs every coefficient real; any other system gets
-    None.
+    by parity sums.
     """
     eqs = [eq for level in rows for eq in level]
-    if any(im or any(b for _, (_, b) in lin) for eq in eqs for _, (_, im), lin in eq):
-        return None
     names = lts.symbols
     s = len(names)
     col = {name: j for j, name in enumerate(names)}
@@ -728,13 +677,16 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
         bits = _sign_bits(combo)
         system = []
         for eq in eqs:
-            row = [0] * (s + 1)
-            for mask, (re, _), lin in eq:
+            parts = ([0] * (s + 1), [0] * (s + 1))  # real and imaginary row
+            for mask, const, lin in eq:
                 sign = -1 if (mask & bits).bit_count() & 1 else 1
-                row[s] -= sign * re
-                for name, (a, _) in lin:
-                    row[col[name]] += sign * a
-            system.append(row)
+                for part, row in enumerate(parts):
+                    row[s] -= sign * const[part]
+                    for name, q in lin:
+                        row[col[name]] += sign * q[part]
+            system.append(parts[0])
+            if any(parts[1]):
+                system.append(parts[1])
         reduced, pivots, rest = row_reduce(system, s)
         if any(row[s] for row in rest):
             continue
@@ -782,23 +734,19 @@ def _batch_first_level(searches, seed: int, starts: int) -> None:
 def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> SolvabilityVerdict:
     """Verdict for a leading term system.
 
-    Levels are solved in energy order, each branch substituted into the
-    next.  The passes, in order:
+    The passes, in order, stop at the first verdict:
 
     1. Structural proof: a level that is a single monomial in its own
        variables has a derivative that never vanishes on the torus.
-    2. Exact palette: free coefficients take every combination of 1, -1
-       and minus each facet label, and each level is searched for +-1
-       roots by Gaussian-integer parity sums.  A literal residual-0 witness
-       beats any float one, and the structured models (labels all >= 2,
-       Clifford-type centers) are certified that way.
-    3. Linear pass, when there are free coefficients: at each y in
-       {+-1}^n the equations are linear in them, and an exact solve over Q
-       with every coefficient nonzero gives a residual-0 certificate
-       (_linear_certificate).  This catches systems whose solvability
-       hinges on a coefficient relation no palette row hits.
-    4. Numeric palette: the same assignments, then the generic complex
-       table, each searched with numeric roots as well.  The first
+    2. Linear pass: at each y in {+-1}^n the equations are linear in the
+       free coefficients, and an exact solve over Q with every coefficient
+       real and nonzero gives a residual-0 certificate
+       (_linear_certificate).  A system without free coefficients is
+       checked at the same points.
+    3. Numeric palette: free coefficients take every combination of 1, -1
+       and minus each facet label, then the generic complex table, and the
+       levels are solved in energy order, each branch substituted into the
+       next, by seeded multistart Newton and univariate roots.  The first
        assignment runs alone; once it fails, the first level's multistart
        Newton of all the remaining ones runs as one batch
        (_batch_first_level).  Every assignment's block is evaluated and
@@ -826,17 +774,10 @@ def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> Solvabilit
                 proof=f"level {li + 1} is a single monomial; its derivative never vanishes on (C*)^n",
             )
     rows = tuple(tuple(_parity_rows(eq) for eq in lv.equations) for lv in lts.levels)
-    envs = _symbol_assignments(lts)
-    for env in envs:
-        if not _env_is_exact(env):
-            continue
-        cert = _Search(lts, rows, env, seed, starts, exact_only=True).run()
-        if cert is not None:
-            return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
-    cert = _linear_certificate(lts, rows) if lts.symbols else None
+    cert = _linear_certificate(lts, rows)
     if cert is not None:
         return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
-    searches = [_Search(lts, rows, env, seed, starts) for env in envs]
+    searches = [_Search(lts, env, seed, starts) for env in _symbol_assignments(lts)]
     for k, search in enumerate(searches):
         if k == 1:
             _batch_first_level(searches[1:], seed, starts)

@@ -77,9 +77,6 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -122,14 +119,6 @@ class SymLin:
 
     def __hash__(self):
         return hash((self.const, self.lin))
-
-    def substitute(self, env: dict) -> QC:
-        out = self.const
-        for name, c in self.lin:
-            if name not in env:
-                raise KeyError(f"unbound symbol {name}")
-            out = out + c * QC.of(env[name])
-        return out
 
     def to_complex(self, env: dict | None = None) -> complex:
         out = self.const.to_complex()
@@ -233,10 +222,6 @@ class NovikovScalar:
     def zero() -> "NovikovScalar":
         return NovikovScalar()
 
-    @staticmethod
-    def one() -> "NovikovScalar":
-        return NovikovScalar.of(1)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -275,11 +260,6 @@ class NovikovScalar:
 
     def __repr__(self):
         return f"NovikovScalar({self.terms!r})"
-
-
-def valuation(s: NovikovScalar):
-    """Minimal T-exponent; +inf for the zero scalar."""
-    return s.valuation()
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +305,6 @@ class LaurentPoly:
     def terms(self):
         """Sorted (exponent_vector, NovikovScalar) pairs."""
         return tuple(self._terms.items())
-
-    def coefficient(self, e) -> NovikovScalar:
-        return self._terms.get(tuple(int(x) for x in e), NovikovScalar.zero())
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -20,7 +20,6 @@ from math import gcd, lcm
 
 from . import lattice
 from .errors import (
-    DegenerateCone,
     EmptyInterior,
     InputError,
     NonPrimitiveNormal,

@@ -163,11 +163,11 @@ def solve_each_assignment_alone(lts, seed=0, starts=64):
 
     solve runs the first level's multistart of every symbol assignment after
     the first as one batch.  This reference takes the passes of solve in
-    order (structural proof, exact palette, linear pass, numeric palette)
-    and lets each assignment's _Search run its own multistart, one
-    assignment at a time.  Unlike the rest of this file it reuses the
-    package's search code on purpose: agreement then isolates the batch.
-    Returns (status, certificate).
+    order (structural proof, linear pass, numeric palette) and lets each
+    assignment's _Search run its own multistart, one assignment at a time.
+    Unlike the rest of this file it reuses the package's search code on
+    purpose: agreement then isolates the batch.  Returns (status,
+    certificate).
     """
     from orbifloer import ltsolver as lt
 
@@ -181,25 +181,37 @@ def solve_each_assignment_alone(lts, seed=0, starts=64):
         ):
             return lt.Solvability.UnsolvableProven, None
     rows = tuple(tuple(lt._parity_rows(eq) for eq in lv.equations) for lv in lts.levels)
-    envs = lt._symbol_assignments(lts)
-    exact = [
-        lt._Search(lts, rows, env, seed, starts, exact_only=True)
-        for env in envs
-        if lt._env_is_exact(env)
-    ]
-    numeric = [lt._Search(lts, rows, env, seed, starts) for env in envs]
-    for search in exact:
-        cert = search.run()
-        if cert is not None:
-            return lt.Solvability.SolvableCertified, cert
-    cert = lt._linear_certificate(lts, rows) if lts.symbols else None
+    cert = lt._linear_certificate(lts, rows)
     if cert is not None:
         return lt.Solvability.SolvableCertified, cert
-    for search in numeric:
-        cert = search.run()
+    for env in lt._symbol_assignments(lts):
+        cert = lt._Search(lts, env, seed, starts).run()
         if cert is not None:
             return lt.Solvability.SolvableCertified, cert
     return lt.Solvability.UnknownLikelyUnsolvable, None
+
+
+def palette_certificate(lts):
+    """(symbol values, y) of an exact +-1 root under a special assignment, or None.
+
+    The reference for the exact palette solve once ran: the symbols take
+    1, -1 and minus each facet label, in itertools.product order and at
+    most 64 combinations, and every y in {+-1}^n is tried.  A point counts
+    when eval_exact makes every level equation zero.
+    """
+    from itertools import islice, product
+
+    from orbifloer.series import QC
+
+    special = [QC(1), QC(-1)]
+    special += [QC(-c) for c in sorted(set(lts.labels)) if QC(-c) not in special]
+    equations = [eq for lv in lts.levels for eq in lv.equations]
+    for combo in islice(product(special, repeat=len(lts.symbols)), 64):
+        env = dict(zip(lts.symbols, combo))
+        for y in product((1, -1), repeat=lts.n):
+            if all(eval_exact(eq, y, env).is_zero() for eq in equations):
+                return combo, y
+    return None
 
 
 def coloop_refutes(lts):
@@ -346,6 +358,7 @@ def eval_exact(p, y, env=None):
     from orbifloer.errors import ZeroCoordinate
     from orbifloer.series import QC, SymLin
 
+    env = env or {}
     vals = [QC.of(z) for z in y]
     if any(z.is_zero() for z in vals):
         raise ZeroCoordinate("torus coordinates must be nonzero")
@@ -355,7 +368,12 @@ def eval_exact(p, y, env=None):
             raise ValueError("eval_exact needs a T-free polynomial")
         c = QC()
         for _, cf in s.terms:
-            c = c + (cf.substitute(env or {}) if isinstance(cf, SymLin) else cf)
+            if isinstance(cf, SymLin):
+                # const + sum q * symbol; an unbound symbol raises KeyError
+                for name, q in cf.lin:
+                    c = c + q * QC.of(env[name])
+                cf = cf.const
+            c = c + cf
         mono = QC(1)
         for z, k in zip(vals, e):
             for _ in range(abs(k)):

@@ -89,7 +89,7 @@ def test_dual_basis_pairing(rows):
     n = len(rows)
     for i in range(n):
         for j in range(n):
-            assert lattice.dot(rows[i], dual[j]) == (1 if i == j else 0)
+            assert sum(x * y for x, y in zip(rows[i], dual[j])) == (1 if i == j else 0)
 
 
 def test_box_points_count_and_membership():

@@ -17,6 +17,7 @@ from orbifloer.ltsolver import (
     Solvability,
     _distinct_roots,
     _EqData,
+    _float_certificate,
     _integer_env,
     _linear_certificate,
     _newton,
@@ -253,7 +254,8 @@ def _linear_pass(*terms):
     """The one-variable system of f = sum c * y^e, and its _linear_certificate."""
     poly = _poly(1, terms)
     eq = oracles.partial_derivative(poly, 0)
-    symbols = sorted({name for _, s in poly.terms() for name, _ in s.leading_coefficient().lin})
+    coeffs = [s.leading_coefficient() for _, s in poly.terms()]
+    symbols = sorted({name for c in coeffs if isinstance(c, SymLin) for name, _ in c.lin})
     lts = LeadingTermSystem(1, ((1,),), (LtsLevel(None, poly, (0,), (eq,)),), tuple(symbols), (1,))
     return lts, _linear_certificate(lts, ((_parity_rows(eq),),))
 
@@ -281,7 +283,8 @@ def test_linear_certificate_needs_real_coefficients_and_a_nonzero_point():
     # df/dy = a - 2 + b*y^-2: at y = 1, a = 2 - b; b = k is zero at k = 0
     _, cert = _linear_pass(((1,), SymLin(-2, (("a", 1),))), ((-1,), _sym("b", -1)))
     assert cert.symbol_values == (("a", 1 + 0j), ("b", 1 + 0j))
-    # the same with a - 2i: the pass reads real coefficients only
+    # the same with a - 2i: the symbols stay real, so the imaginary row
+    # -2 = 0 makes every sign pattern inconsistent
     _, cert = _linear_pass(((1,), SymLin(QC(0, -2), (("a", 1),))), ((-1,), _sym("b", -1)))
     assert cert is None
     # df/dy = a + a*y: y = 1 forces a = 0, and y = -1 leaves a free
@@ -289,6 +292,38 @@ def test_linear_certificate_needs_real_coefficients_and_a_nonzero_point():
     assert cert.y == (-1 + 0j,) and cert.symbol_values == (("a", 1 + 0j),)
     # df/dy = a: every sign pattern forces a = 0, whatever b is
     assert _linear_pass(((1,), _sym("a")), ((0,), _sym("b")))[1] is None
+
+
+def test_linear_certificate_reads_gaussian_coefficients():
+    # f = i*y + i*y^-1: df/dy = i - i*y^-2 vanishes at y = 1, with no symbols
+    lts, cert = _linear_pass(((1,), QC(0, 1)), ((-1,), QC(0, 1)))
+    assert cert.y == (1 + 0j,) and cert.symbol_values == () and cert.exact
+    assert solve(lts).certificate == cert
+    # f = (2i + i*a)*y: the real row is zero, the imaginary row 2 + a = 0
+    lts, cert = _linear_pass(((1,), SymLin(QC(0, 2), (("a", QC(0, 1)),))))
+    assert cert.symbol_values == (("a", -2 + 0j),) and cert.y == (1 + 0j,)
+    assert oracles.eval_exact(lts.levels[0].equations[0], (1,), {"a": QC(-2)}).is_zero()
+
+
+def test_float_certificate_rejects_a_root_drifted_toward_zero():
+    # the system of one fiber-probe lte request: its numeric search once
+    # ended at y = (1, -6.8e-8 + 1.7e-8i), where the scaled residual is
+    # below 1e-10 only because every term of y_2 * eq_2 is that small
+    m = build_model("square:2,2,2,2")
+    u = (Fraction(9, 20), Fraction(9, 20))
+    box = enumerate_box(m)
+    bulk = ((1, -2, Fraction(9, 20)), (5, -2, 1), (6, 2, Fraction(7, 12)), (7, -2, Fraction(1, 12)))
+    lts = build_lts(stratify(m, u, BulkParam.of((box[i].nu, QC(c), lam) for i, c, lam in bulk)))
+    y = (1 + 0j, -6.761678465143594e-08 + 1.720021847948296e-08j)
+    scaled = max(
+        abs(y[i] * eq.eval_complex(y, 1.0, {}))
+        for lv in lts.levels
+        for i, eq in zip(lv.var_indices, lv.equations)
+    )
+    assert scaled < 1e-10
+    assert _float_certificate(lts, y, {}) is None
+    v = solve(lts)
+    assert v.status == Solvability.UnknownLikelyUnsolvable and v.certificate is None
 
 
 def test_solve_two_level_ladder():
@@ -487,14 +522,6 @@ def test_solve_rational_bulk_coefficients_exact():
     assert v.certificate.y == (1 + 0j,)
 
 
-def test_sign_bits_refuses_non_unit_coordinates():
-    assert _sign_bits((1, -1, -1)) == 0b110
-    assert _sign_bits((QC(-1), QC(1))) == 0b01
-    for bad in ((1, 2), (QC(Fraction(1, 2)),), (1, -1j)):
-        with pytest.raises(ValueError):
-            _sign_bits(bad)
-
-
 def _distinct_roots_reference(ys, res, tol=1e-12):
     # sort every end point, then drop the unconverged ones
     found = []
@@ -626,8 +653,9 @@ def test_newton_all_singular_batch_stops_after_one_iteration():
 
 # on both models every batch ends unknown (the linear pass certifies the
 # system a batched assignment used to), and every unknown system has a
-# coloop level, so none of them is solvable
-@pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 46, 10), ("wp:1,3,7", 130, 16)])
+# coloop level, so none of them is solvable; the scale-free float test
+# turns 1 and 3 float "roots" at a coloop into unknowns
+@pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 46, 11), ("wp:1,3,7", 130, 19)])
 def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
     from orbifloer import region
 
@@ -654,3 +682,36 @@ def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
         else:
             assert verdict.certificate.y == cert.y
             assert verdict.certificate.symbol_values == cert.symbol_values
+
+
+def _exact_value(z: complex) -> QC:
+    # certificate entries are floats of small rationals
+    return QC(Fraction(z.real).limit_denominator(10**6), Fraction(z.imag).limit_denominator(10**6))
+
+
+@pytest.mark.parametrize(
+    "preset, systems, hits",
+    [("teardrop:3", 12, 5), ("wp:1,3,5", 335, 10), ("wp:1,3,7", 1379, 21), ("square:2,2,1,1", 75, 15)],
+)
+def test_linear_pass_certifies_every_palette_certificate(preset, systems, hits):
+    # the exact palette solve once ran, rebuilt from eval_exact: every
+    # system of a feasible scenario that it certifies gets an exact
+    # certificate from solve, and eval_exact confirms it
+    from orbifloer import region
+
+    m = build_model(preset)
+    seen = {}
+    for s in region.enumerate_scenarios(m):
+        if region.scenario_region(m, s) is not None:
+            lts = region.scenario_lts(m, s)
+            seen.setdefault(lts_signature(lts), lts)
+    certified = [lts for lts in seen.values() if oracles.palette_certificate(lts) is not None]
+    assert (len(seen), len(certified)) == (systems, hits)
+    for lts in certified:
+        cert = solve(lts).certificate
+        assert cert.exact and cert.residual == 0.0
+        y = tuple(_exact_value(z) for z in cert.y)
+        env = {name: _exact_value(z) for name, z in cert.symbol_values}
+        for lv in lts.levels:
+            for eq in lv.equations:
+                assert oracles.eval_exact(eq, y, env).is_zero()

@@ -30,7 +30,7 @@ def test_scalar_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + NovikovScalar.zero() == a
-    assert a * NovikovScalar.one() == a
+    assert a * NovikovScalar.of(1) == a
     assert (a - a).is_zero()
 
 
@@ -46,9 +46,9 @@ def test_valuation_inequalities(a, b):
 
 
 def test_valuation_and_membership():
-    assert series.valuation(NovikovScalar.zero()) == inf
+    assert NovikovScalar.zero().valuation() == inf
     s = NovikovScalar.of(3, Fraction(1, 2)) + NovikovScalar.of(QC(0, 1), 2)
-    assert series.valuation(s) == Fraction(1, 2)
+    assert s.valuation() == Fraction(1, 2)
 
 
 def test_symbolic_degree_cap():
@@ -67,14 +67,14 @@ def test_symlin_merges_repeated_names():
     assert SymLin(0, (("b", 1), ("a", 2), ("b", 3))).lin == (("a", QC(2)), ("b", QC(4)))
     # two terms on one exponent whose coefficients share a symbol
     p = LaurentPoly(1, [((1,), c0), ((1,), SymLin(0, (("c0", QC(2)),)))])
-    assert p.coefficient((1,)) == NovikovScalar.of(SymLin(0, (("c0", QC(3)),)))
+    assert p.terms() == (((1,), NovikovScalar.of(SymLin(0, (("c0", QC(3)),)))),)
 
 
 def test_qc_arithmetic():
     z = QC(1, 2) * QC(3, -1)
     assert z == QC(5, 5)
     assert (QC(1, 1) / QC(1, 1)) == QC(1)
-    assert QC(2, 3).abs2() == 13
+    assert QC(2, 3) * QC(2, -3) == QC(13)
     with pytest.raises(ZeroDivisionError):
         QC(1) / QC(0)
 
