@@ -469,7 +469,7 @@ symbolic = st.builds(
         st.tuples(st.sampled_from(["c0", "c1"]), gaussian), max_size=2, unique_by=lambda t: t[0]
     ),
 )
-# the exact palette: 1, -1 and minus the facet labels; a half and i as well
+# symbol values: 1, -1 and minus the facet labels; a half and i as well
 palette = st.sampled_from([QC(1), QC(-1), QC(-2), QC(-3), QC(-5), QC(Fraction(1, 2)), QC(0, 1)])
 
 
