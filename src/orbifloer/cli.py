@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 import zlib
@@ -496,8 +497,6 @@ def render_svg(r) -> str:
         to_px = _svg_frame([v[0] for v in verts], [v[1] for v in verts])
         cx = sum(v[0] for v in verts) / len(verts)
         cy = sum(v[1] for v in verts) / len(verts)
-        import math
-
         ordered = sorted(
             verts, key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx))
         )

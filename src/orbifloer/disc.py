@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .stacky import StackyModel, sector_ell, sector_ell_form
+from .stacky import StackyModel, enumerate_box, sector_ell, sector_ell_form
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ def basic_smooth_discs(m: StackyModel) -> list:
 
 def basic_orbi_discs(m: StackyModel) -> list:
     """One descriptor per twisted sector, with a single orbifold marked point."""
-    from .stacky import enumerate_box
-
     n = len(m.facets)
     zero = tuple(0 for _ in range(n))
     return [DiscDescriptor(zero, (s,)) for s in enumerate_box(m)]
@@ -85,11 +83,6 @@ def maslov_de(m: StackyModel, d) -> int:
     return 2 * total
 
 
-def maslov_cw(m: StackyModel, d: DiscDescriptor) -> Fraction:
-    """Chen-Weil Maslov index: desingularized index plus twice the degree shifts."""
-    return maslov_de(m, d) + 2 * sum((s.iota for s in d.orb_points), Fraction(0))
-
-
 def area(m: StackyModel, d: DiscDescriptor, u) -> Fraction:
     """Symplectic area (in units of 2 pi) at an interior fiber, exact."""
     m.require_interior(u)
@@ -107,8 +100,6 @@ def virtual_dimension(m: StackyModel, d: DiscDescriptor) -> int:
 
 def h2_generators(m: StackyModel) -> list:
     """Relative homology generators: one class per facet and per sector."""
-    from .stacky import enumerate_box
-
     out = []
     for j, f in enumerate(m.facets):
         b, c = m.ell_form(j)

@@ -217,15 +217,6 @@ def invert_unimodular(m: Mat) -> Mat:
     return tuple(inv)
 
 
-def solve_many(a: Mat, rhs: Mat) -> Mat:
-    """Solve a*X = rhs for all columns in one elimination; raises on singular a."""
-    n = len(a)
-    reduced, _, _ = row_reduce([(*row, *r) for row, r in zip(a, rhs)], n)
-    if len(reduced) < n:
-        raise DegenerateCone("singular matrix")
-    return tuple(row[n:] for row in reduced)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -361,18 +352,6 @@ class SimplicialCone:
         """Generators as columns."""
         return transpose(self.generators)
 
-    def coordinates_of(self, x) -> QVec:
-        """Barycentric coordinates t with x = sum t_i * g_i, exact."""
-        if len(self.generators) != self.dim:
-            raise DegenerateCone("cone is not full-dimensional")
-        t = solve_rational(self.generator_matrix(), x)
-        if t is None:
-            raise DegenerateCone("generators are linearly dependent")
-        return t
-
-    def contains(self, x) -> bool:
-        return all(c >= 0 for c in self.coordinates_of(x))
-
 
 def cone_multiplicity(c: SimplicialCone) -> int:
     """|det| of the generator matrix; DegenerateCone if the generators are dependent."""
@@ -382,23 +361,6 @@ def cone_multiplicity(c: SimplicialCone) -> int:
     if d == 0:
         raise DegenerateCone("generators are linearly dependent")
     return abs(d)
-
-
-def dual_rational_basis(gens) -> list:
-    """Rational vectors u_1..u_n with <g_i, u_j> exactly delta_ij.
-
-    Examples
-    --------
-    >>> dual_rational_basis([(2, 0), (0, 2)])
-    [(Fraction(1, 2), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))]
-    """
-    gens = [vec(g) for g in gens]
-    n = len(gens)
-    if n == 0 or any(len(g) != n for g in gens):
-        raise DegenerateCone("need n independent generators in dimension n")
-    cols = solve_many(tuple(gens), identity(n))
-    # column j of G^-1 pairs to delta with row i of G
-    return [tuple(cols[i][j] for i in range(n)) for j in range(n)]
 
 
 def box_points(c: SimplicialCone) -> list[tuple]:

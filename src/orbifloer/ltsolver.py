@@ -15,7 +15,6 @@ monomial and therefore never zero on the torus.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, SpanNeverFull
 from .lattice import invert_unimodular, rank_rational, row_reduce, saturate_flag
-from .potential import BulkParam, companion_roots, root_key
+from .potential import BulkParam, _EqData, _newton, companion_roots, root_key
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul
 from .stacky import StackyModel, enumerate_box, sector_ell
 
@@ -281,15 +280,6 @@ def _lts_levels(lts: LeadingTermSystem):
         yield tuple((e, s.leading_coefficient()) for e, s in lv.poly.terms()), lv.var_indices
 
 
-def signature_symbols(lts: LeadingTermSystem) -> tuple:
-    """Symbol names in the order lts_signature renames them.
-
-    Two systems with equal signatures correspond symbol by symbol through
-    these tuples.
-    """
-    return row_signature(_lts_levels(lts))[1]
-
-
 def lts_signature(lts: LeadingTermSystem):
     """Hashable structural key: systems with equal keys get equal verdicts."""
     return row_signature(_lts_levels(lts))[0]
@@ -411,48 +401,20 @@ def _sign_bits(coords) -> int:
     return sum(1 << k for k, v in enumerate(coords) if v == -1)
 
 
-class _EqData:
-    """Numeric view of one level under E symbol assignments, for the batched Newton.
+def _level_data(equations, own, vals, envs) -> _EqData:
+    """Numeric view of one level's equations under E symbol assignments.
 
-    Points come as E blocks of equal length, block k under ``envs[k]``.
-    Each block goes through its own matmul calls on the same operands as
-    when its assignment runs alone, so its values carry the same bits
-    whatever else is in the batch.
+    The unknowns are the level's own coordinates; the fixed ones (vals) are
+    folded into the coefficients.  Its residual is _EqData's scaled
+    |y_r * eq_r|, the measure the certificate check uses.
     """
-
-    def __init__(self, equations, own, vals, envs):
-        self.own = own
-        self.blocks = len(envs)
-        self.exps = []  # per equation: own-variable exponent rows, (T, d)
-        self.ops = []  # per equation: matmul operands c and c * e_i, each (E, T, 1)
-        for eq in equations:
-            terms = eq.terms()
-            cs = np.array(
-                [[_term_value(e, s, vals, env) for e, s in terms] for env in envs], dtype=complex
-            )
-            es = np.array([[e[i] for i in own] for e, _ in terms], dtype=float)
-            self.exps.append(es)
-            self.ops.append([cs[..., None]] + [(cs * es[:, i])[..., None] for i in range(len(own))])
-
-    def block(self, k):
-        """The view of assignment k alone."""
-        view = copy.copy(self)
-        view.blocks = 1
-        view.ops = [[op[k : k + 1] for op in ops] for ops in self.ops]
-        return view
-
-    def f_and_jlog(self, ys, jac=True):
-        """Values and, if jac, the log-Jacobian at a batch of points ys: (E * S, d)."""
-        n, d = ys.shape
-        fv = np.empty((n, len(self.ops)), dtype=complex)
-        jm = np.empty((n, len(self.ops), d), dtype=complex) if jac else None
-        for r, (e, ops) in enumerate(zip(self.exps, self.ops)):
-            mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2).reshape(self.blocks, -1, len(e))
-            fv[:, r] = (mono @ ops[0]).reshape(n)
-            if jac:
-                for i in range(d):
-                    jm[:, r, i] = (mono @ ops[i + 1]).reshape(n)
-        return fv, jm
+    exps, coeffs = [], []
+    for eq in equations:
+        terms = eq.terms()
+        values = [[_term_value(e, s, vals, env) for e, s in terms] for env in envs]
+        coeffs.append(np.array(values, dtype=complex))
+        exps.append(np.array([[e[i] for i in own] for e, _ in terms], dtype=float))
+    return _EqData(exps, coeffs)
 
 
 def _term_value(e, s, vals, env) -> complex:
@@ -464,48 +426,6 @@ def _term_value(e, s, vals, env) -> complex:
     return c
 
 
-def _newton(data, z0, iters: int = 60):
-    """Log-coordinate Newton on a batch of starts; returns (points, residuals).
-
-    Every point holds the level's own coordinates, one per equation.
-    Residuals are the scaled |y_r * eq_r| used by the certificate check:
-    the raw equation values of all-negative-exponent systems vanish along
-    escapes to infinity, and the scaled metric is what keeps those fake
-    wells out of the candidate list.  A start whose log-Jacobian LU meets an
-    exact zero pivot (slogdet sign 0, just where solve raises) stops where
-    it is and is dropped.  Each row's step comes from its own LAPACK call,
-    so the rows of several symbol assignments can share one batch.  The
-    loop stops once no start is still working, and the residuals of its
-    last evaluation are returned; after the last iteration only the values
-    are evaluated.
-    """
-    zs = np.array(z0, dtype=complex)
-    alive = np.ones(len(zs), dtype=bool)
-    for _ in range(iters):
-        fv, jm = data.f_and_jlog(zs)
-        res = (np.abs(fv) * np.abs(zs)).max(axis=1)
-        work = alive & (res > 1e-14)
-        if not work.any():
-            return zs, res
-        a, b = jm[work], -fv[work][..., None]
-        try:
-            dx = np.linalg.solve(a, b)[..., 0]
-        except np.linalg.LinAlgError:
-            sign, _ = np.linalg.slogdet(a)
-            regular = sign != 0
-            dx = np.zeros((len(a), zs.shape[1]), dtype=complex)
-            dx[regular] = np.linalg.solve(a[regular], b[regular])[..., 0]
-            alive[np.nonzero(work)[0][~regular]] = False
-        norms = np.linalg.norm(dx, axis=1)
-        big = norms > 3.0
-        dx[big] *= (3.0 / norms[big])[:, None]
-        zs[work] *= np.exp(dx)
-        bad = (np.abs(zs) > 1e9).any(axis=1) | (np.abs(zs) < 1e-9).any(axis=1)
-        alive &= ~bad
-    fv, _ = data.f_and_jlog(zs, jac=False)
-    return zs, (np.abs(fv) * np.abs(zs)).max(axis=1)
-
-
 def _starts(key, count: int, width: int):
     """Seeded multistart points: moduli uniform in [0.3, 1.8], phases uniform."""
     rng = np.random.default_rng(key)
@@ -514,14 +434,17 @@ def _starts(key, count: int, width: int):
     return radii * np.exp(1j * angles)
 
 
-def _multistart(data, key, count: int):
-    """Newton from the starts of key under each of data's E assignments.
+# seeded starts of one multistart Newton
+MULTISTARTS = 64
 
-    Returns (E, count, d) end points and (E, count) residuals.
+
+def _multistart(data, key):
+    """Newton from the MULTISTARTS starts of key under each of data's E assignments.
+
+    Returns (E, MULTISTARTS, d) end points and (E, MULTISTARTS) residuals.
     """
-    d = len(data.own)
-    ys, res = _newton(data, np.tile(_starts(key, count, d), (data.blocks, 1)))
-    return ys.reshape(data.blocks, count, d), res.reshape(data.blocks, count)
+    ys, res = _newton(data, np.tile(_starts(key, MULTISTARTS, data.d), (data.blocks, 1)))
+    return ys.reshape(data.blocks, MULTISTARTS, data.d), res.reshape(data.blocks, MULTISTARTS)
 
 
 def _distinct_roots(ys, res, tol=1e-12):
@@ -566,11 +489,10 @@ class _Search:
     assignments (_batch_first_level); otherwise the search runs it itself.
     """
 
-    def __init__(self, lts, env, seed, starts):
+    def __init__(self, lts, env, seed):
         self.lts = lts
         self.env = env
         self.seed = seed
-        self.starts = starts
         self.calls = 0
         self.root = None
 
@@ -599,9 +521,9 @@ class _Search:
         if li == 0 and self.root is not None:
             data, ys, res = self.root
         else:
-            data = _EqData(lv.equations, lv.var_indices, vals, [self.env])
+            data = _level_data(lv.equations, lv.var_indices, vals, [self.env])
             if d > 1:
-                (ys,), (res,) = _multistart(data, (self.seed, self.calls), self.starts)
+                (ys,), (res,) = _multistart(data, (self.seed, self.calls))
         if d == 1:
             numeric = _univariate_candidates(lv.equations[0], lv.var_indices[0], vals, self.env)
         else:
@@ -713,7 +635,7 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     return None
 
 
-def _batch_first_level(searches, seed: int, starts: int) -> None:
+def _batch_first_level(searches, seed: int) -> None:
     """Run the first level's multistart for all the searches as one batch.
 
     Each search gets its own slice as its root.  The first level has no
@@ -725,13 +647,13 @@ def _batch_first_level(searches, seed: int, starts: int) -> None:
     lv = lts.levels[0]
     if len(lv.var_indices) < 2:
         return
-    data = _EqData(lv.equations, lv.var_indices, [None] * lts.n, [s.env for s in searches])
-    ys, res = _multistart(data, (seed, 0), starts)
+    data = _level_data(lv.equations, lv.var_indices, [None] * lts.n, [s.env for s in searches])
+    ys, res = _multistart(data, (seed, 0))
     for k, search in enumerate(searches):
         search.root = (data.block(k), ys[k], res[k])
 
 
-def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> SolvabilityVerdict:
+def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     """Verdict for a leading term system.
 
     The passes, in order, stop at the first verdict:
@@ -777,10 +699,10 @@ def solve(lts: LeadingTermSystem, seed: int = 0, starts: int = 64) -> Solvabilit
     cert = _linear_certificate(lts, rows)
     if cert is not None:
         return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
-    searches = [_Search(lts, env, seed, starts) for env in _symbol_assignments(lts)]
+    searches = [_Search(lts, env, seed) for env in _symbol_assignments(lts)]
     for k, search in enumerate(searches):
         if k == 1:
-            _batch_first_level(searches[1:], seed, starts)
+            _batch_first_level(searches[1:], seed)
         cert = search.run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)

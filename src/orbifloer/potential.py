@@ -6,16 +6,21 @@ leading order is built here: higher corrections have no closed formula, and
 the downstream solvability pipeline never needs them.
 
 Residuals are measured with the logarithmic gradient (y_i d/dy_i), which is
-the coordinate-free notion in the y = e^x chart.
+the coordinate-free notion in the y = e^x chart.  The batched Newton in log
+coordinates that finds critical points here is also the one ltsolver.solve
+runs on its level equations.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     InputError,
@@ -180,89 +185,102 @@ def critical_residual(p, y, t_value: float = 0.5, env: dict | None = None) -> fl
 
 
 # ---------------------------------------------------------------------------
-# critical points of a potential at fixed numeric T
+# batched log-coordinate Newton, shared by critical_points and ltsolver.solve
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    y: tuple  # complex coordinates
-    residual: float
+class _EqData:
+    """Numeric view of d Laurent equations in d unknowns, for the batched Newton.
 
-
-def _log_system(poly, t, env):
-    """The log-gradient and log-Jacobian of poly at T = t, prepared once.
-
-    Returns (exps, grads, jac): poly's exponent vectors, one entry per
-    variable, and one (i, k, entry) per k >= i serving both jac[i][k] =
-    y_k d/dy_k of grads[i] and jac[k][i] (exact coefficients c*e_i*e_k).
-    An entry lists (index into exps, complex coefficient) in terms() order.
+    ``exps`` holds one (T, d) float array of exponent rows per equation and
+    ``coeffs`` one (E, T) complex array of its term coefficients under each
+    of E coefficient sets.  Points come as E blocks of equal length, block k
+    under set k.  Each block goes through its own matmul calls on the same
+    operands as when its set runs alone, so its values carry the same bits
+    whatever else is in the batch.  ``residual`` is the measure _newton
+    stops on; a caller that needs another rule builds a subclass.
     """
-    exps = [e for e, _ in poly.terms()]
-    where = {e: m for m, e in enumerate(exps)}
 
-    def entry(q):
-        return [(where[e], s.eval_complex(t, env)) for e, s in q.terms()]
+    def __init__(self, exps, coeffs):
+        self.d = exps[0].shape[1]
+        self.blocks = len(coeffs[0])
+        self.exps = exps
+        # per equation: matmul operands c and c * e_i, each (E, T, 1)
+        self.ops = [
+            [cs[..., None]] + [(cs * es[:, i])[..., None] for i in range(self.d)]
+            for es, cs in zip(exps, coeffs)
+        ]
 
-    gs = log_gradient(poly)
-    jac = [(i, k, entry(g.log_derivative(k))) for i, g in enumerate(gs) for k in range(i, poly.n)]
-    return exps, [entry(g) for g in gs], jac
+    def block(self, k):
+        """The view of coefficient set k alone."""
+        view = copy.copy(self)
+        view.blocks = 1
+        view.ops = [[op[k : k + 1] for op in ops] for ops in self.ops]
+        return view
+
+    def f_and_jlog(self, ys, jac=True):
+        """Values and, if jac, the log-Jacobian at a batch of points ys: (E * S, d)."""
+        n, d = ys.shape
+        fv = np.empty((n, len(self.ops)), dtype=complex)
+        jm = np.empty((n, len(self.ops), d), dtype=complex) if jac else None
+        for r, (e, ops) in enumerate(zip(self.exps, self.ops)):
+            mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2)
+            mono = mono.reshape(self.blocks, n // self.blocks, len(e))
+            fv[:, r] = (mono @ ops[0]).reshape(n)
+            if jac:
+                for i in range(d):
+                    jm[:, r, i] = (mono @ ops[i + 1]).reshape(n)
+        return fv, jm
+
+    def residual(self, fv, ys):
+        """Each point's worst scaled |y_r * eq_r|, the measure of _newton.
+
+        Equation r belongs to unknown r.  The raw values of all-negative-
+        exponent systems vanish along escapes to infinity, and the scaled
+        metric is what keeps those fake wells out of the candidate list.
+        """
+        return (np.abs(fv) * np.abs(ys)).max(axis=1)
 
 
-def _monomials(exps, y):
-    """y^e for each e in exps, multiplied up as LaurentPoly.eval_complex does."""
-    zs = [complex(z) for z in y]
-    if any(z == 0 for z in zs):
-        raise ZeroCoordinate("torus coordinates must be nonzero")
-    powers = [{k: z**k for k in set(col)} for z, col in zip(zs, zip(*exps))]
-    out = []
-    for e in exps:
-        mono = 1 + 0j
-        for pw, k in zip(powers, e):
-            mono *= pw[k]
-        out.append(mono)
-    return out
-
-
-def _value(entry, monos):
-    """An entry's value, summed term by term in eval_complex's order."""
-    total = 0j
-    for m, c in entry:
-        total += c * monos[m]
-    return total
-
-
-def _newton_polish(system, y, iters=60):
-    """Newton in log coordinates x = log y; returns (y, residual).
+def _newton(data, z0, iters: int = 60):
+    """Log-coordinate Newton on a batch of starts; returns (points, residuals).
 
     The Jacobian entries are y_k d/dy_k of the equations, so the linear
-    solve yields a step in x and the update is multiplicative.  That keeps
-    every coordinate off zero without any projection step.
+    solve yields a step in x = log y and the update is multiplicative,
+    which keeps every coordinate off zero without any projection step.
+    Steps longer than 3 in log scale are cut to 3, and a start stops once
+    it leaves 1e-9 < |y_i| < 1e9.  A start works while data.residual
+    exceeds 1e-14.  A start whose log-Jacobian LU meets an exact zero pivot
+    (slogdet sign 0, just where solve raises) stops where it is and is
+    dropped.  Each row's step comes from its own LAPACK call, so the rows
+    of several coefficient sets can share one batch.  The loop stops once
+    no start is still working, and the residuals of its last evaluation are
+    returned; after the last iteration only the values are evaluated.
     """
-    import numpy as np
-
-    exps, grads, jac = system
-    yy = np.array(y, dtype=complex)
+    zs = np.array(z0, dtype=complex)
+    alive = np.ones(len(zs), dtype=bool)
     for _ in range(iters):
-        monos = _monomials(exps, yy)
-        fv = np.array([_value(g, monos) for g in grads])
-        res = max(abs(v) for v in fv)
-        if res < 1e-14:
-            break
-        jm = np.empty((len(fv), len(fv)), dtype=complex)
-        for i, k, entry in jac:
-            jm[i, k] = jm[k, i] = _value(entry, monos)
+        fv, jm = data.f_and_jlog(zs)
+        res = data.residual(fv, zs)
+        work = alive & (res > 1e-14)
+        if not work.any():
+            return zs, res
+        a, b = jm[work], -fv[work][..., None]
         try:
-            dx = np.linalg.solve(jm, -fv)
+            dx = np.linalg.solve(a, b)[..., 0]
         except np.linalg.LinAlgError:
-            break
-        norm = float(np.linalg.norm(dx))
-        if norm > 3.0:  # trust region in log scale
-            dx *= 3.0 / norm
-        yy = yy * np.exp(dx)
-        if any(abs(c) > 1e9 or abs(c) < 1e-9 for c in yy):
-            break
-    monos = _monomials(exps, yy)
-    return tuple(complex(c) for c in yy), max(abs(_value(g, monos)) for g in grads)
+            sign, _ = np.linalg.slogdet(a)
+            regular = sign != 0
+            dx = np.zeros((len(a), zs.shape[1]), dtype=complex)
+            dx[regular] = np.linalg.solve(a[regular], b[regular])[..., 0]
+            alive[np.nonzero(work)[0][~regular]] = False
+        norms = np.linalg.norm(dx, axis=1)
+        big = norms > 3.0
+        dx[big] *= (3.0 / norms[big])[:, None]
+        zs[work] *= np.exp(dx)
+        bad = (np.abs(zs) > 1e9).any(axis=1) | (np.abs(zs) < 1e-9).any(axis=1)
+        alive &= ~bad
+    fv, _ = data.f_and_jlog(zs, jac=False)
+    return zs, data.residual(fv, zs)
 
 
 def companion_roots(coeffs: dict) -> list:
@@ -272,21 +290,8 @@ def companion_roots(coeffs: dict) -> list:
     from the highest key down to the lowest, so a Laurent polynomial gives
     the roots of its numerator.  Roots with |r| < 1e-8 are dropped.
     """
-    import numpy as np
-
     vec = [coeffs.get(k, 0j) for k in range(max(coeffs), min(coeffs) - 1, -1)]
     return [complex(r) for r in np.roots(vec) if abs(r) >= 1e-8]
-
-
-def _univariate_critical(system):
-    """All nonzero roots of the single log-gradient entry, Newton-polished."""
-    exps, (g,), _ = system
-    if not g:
-        return []
-    return [
-        CriticalPoint(*_newton_polish(system, (r,)))
-        for r in companion_roots({exps[m][0]: c for m, c in g})
-    ]
 
 
 def root_key(y) -> tuple:
@@ -294,38 +299,83 @@ def root_key(y) -> tuple:
     return tuple((round(c.real, 9), round(c.imag, 9)) for c in y)
 
 
-def critical_points(
-    p,
-    t_value: float = 0.5,
-    env: dict | None = None,
-    seed: int = 0,
-    starts: int = 64,
-    residual_tol: float = 1e-10,
-) -> list:
+# ---------------------------------------------------------------------------
+# critical points of a potential at fixed numeric T
+
+
+@dataclass(frozen=True)
+class CriticalPoint:
+    y: tuple  # complex coordinates
+    residual: float  # max_i |y_i dp/dy_i| at y
+
+
+# the multivariate search: seeded starts, and the bound both residuals must meet
+CRITICAL_STARTS = 64
+CRITICAL_TOL = 1e-10
+
+
+class _GradientData(_EqData):
+    """The log-gradient entries of a potential at T = t, one coefficient set.
+
+    Every entry of a leading-order potential scales with a power of T, so
+    the residual divides each entry by the largest modulus among its
+    coefficients at T: the Newton stop and the acceptance bound then mean
+    the same at every T.
+    """
+
+    def __init__(self, grads, t, env):
+        n = len(grads)
+        exps = [np.array([e for e, _ in g.terms()], dtype=float).reshape(-1, n) for g in grads]
+        coeffs = [np.array([[s.eval_complex(t, env) for _, s in g.terms()]], dtype=complex) for g in grads]
+        super().__init__(exps, coeffs)
+        # an entry without terms is zero everywhere, and any scale serves it
+        self.scale = np.array([np.abs(cs).max(initial=0.0) or 1.0 for cs in coeffs])
+
+    def residual(self, fv, ys):
+        return (np.abs(fv) / self.scale).max(axis=1)
+
+
+def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int = 0) -> list:
     """Search for critical points of p at T = t_value.
 
-    One variable: exact-degree companion-matrix roots, then a Newton polish.
-    Several variables: deterministic multistart Newton; the returned list
-    holds the distinct converged points.  Either way the list is sorted by
-    rounded coordinates, so reruns with one seed agree.  T is a positive
-    real number: a non-finite or non-positive t_value raises InputError.
+    One variable: the companion-matrix roots of the log-derivative, each
+    polished by Newton and all kept.  Several variables: CRITICAL_STARTS
+    seeded starts (moduli in [0.2, 2.0], phases uniform) run through Newton
+    as one batch; a point is kept when its scale-free residual
+    (_GradientData) and its absolute residual are both below CRITICAL_TOL
+    and it lies more than 1e-6 from every point kept before it.  Either way
+    the list is sorted by rounded coordinates, so reruns with one seed
+    agree.  T is a positive real number: a non-finite or non-positive
+    t_value raises InputError.
     """
     poly = p.poly if isinstance(p, PotentialAtFiber) else p
-    system = _log_system(poly, _positive_t(t_value), env)
+    t = _positive_t(t_value)
+    grads = log_gradient(poly)
     if poly.n == 1:
-        found = _univariate_critical(system)
+        terms = grads[0].terms()
+        roots = companion_roots({e[0]: s.eval_complex(t, env) for e, s in terms}) if terms else []
+        starts = [(r,) for r in roots]
     else:
         rng = random.Random(seed)
-        found = []
-        for _ in range(starts):
-            y0 = tuple(
-                cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2 * cmath.pi))
-                for _ in range(poly.n)
-            )
-            y, res = _newton_polish(system, y0)
-            if res < residual_tol and all(abs(c) > 1e-8 for c in y):
-                if all(max(abs(a - b) for a, b in zip(y, q.y)) > 1e-6 for q in found):
-                    found.append(CriticalPoint(y, res))
+        starts = [
+            [cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2 * cmath.pi)) for _ in range(poly.n)]
+            for _ in range(CRITICAL_STARTS)
+        ]
+    if not starts:
+        return []
+    data = _GradientData(grads, t, env)
+    ys, res = _newton(data, starts)
+    fv, _ = data.f_and_jlog(ys, jac=False)
+    found = []
+    for y, scaled, absolute in zip(ys, res, np.abs(fv).max(axis=1)):
+        point = CriticalPoint(tuple(complex(c) for c in y), float(absolute))
+        if poly.n == 1 or (
+            scaled < CRITICAL_TOL
+            and absolute < CRITICAL_TOL
+            and all(abs(c) > 1e-8 for c in point.y)
+            and all(max(abs(a - b) for a, b in zip(point.y, q.y)) > 1e-6 for q in found)
+        ):
+            found.append(point)
     return sorted(found, key=lambda c: root_key(c.y))
 
 

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
-from .lattice import cleared, echelon_rational, primitive, rank_rational
+from .lattice import echelon_rational, primitive, rank_rational
 # lts_signature is not called here, but perfbench/spans.py traces it as bound
 # in this module, so the name stays
 from .ltsolver import (
@@ -547,19 +547,6 @@ def _witness(eqs, ineqs, n):
     return tuple(sol[k] for k in range(n))
 
 
-def feasible_witness(cons, n):
-    """Exact feasibility of a mixed equality/strict system; witness or None.
-
-    Rows are cleared of denominators and solved over the integers; only the
-    witness coordinates are Fractions.
-    """
-    return _witness(
-        [cleared(_row(c)) for c in cons if c.rel == "=="],
-        [cleared(_row(c)) for c in cons if c.rel != "=="],
-        n,
-    )
-
-
 def scenario_region(m: StackyModel, s: Scenario) -> ScenarioPolyhedron | None:
     """Feasible u-set of a scenario, or None when empty."""
     cons = scenario_constraints(m, s)
@@ -610,7 +597,6 @@ def nondisplaceable_region(
     max_levels: int = 2,
     closure: bool = True,
     seed: int = 0,
-    starts: int = 64,
 ) -> FiberRegion:
     """Union of feasible scenario pieces whose systems are certified.
 
@@ -635,7 +621,7 @@ def nondisplaceable_region(
         sig, names = row_signature(rows)
         hit = cache.get(sig)
         if hit is None:
-            verdict = solve(scenario_lts(m, s, (strat, rows)), seed=seed, starts=starts)
+            verdict = solve(scenario_lts(m, s, (strat, rows)), seed=seed)
             cache[sig] = (verdict, names)
         else:
             verdict = _renamed(*hit, names)
@@ -705,8 +691,8 @@ def _piece_candidates(m: StackyModel):
 def _renamed(verdict: SolvabilityVerdict, solved: tuple, own: tuple) -> SolvabilityVerdict:
     """A cached verdict with its symbols renamed from solved to own.
 
-    Both are signature_symbols of systems with one signature, which match
-    the two systems symbol by symbol.
+    Both are the symbol tuples row_signature gives for systems with one
+    signature, which match the two systems symbol by symbol.
     """
     cert = verdict.certificate
     if cert is None or solved == own:

@@ -10,7 +10,6 @@ polynomials in y1..yn over these scalars carry the potentials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 from operator import itemgetter
 
 from .errors import NonLinearSymbolic, ZeroCoordinate
@@ -56,13 +55,6 @@ class QC:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = QC.of(o)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QC((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
 
     def __eq__(self, o):
         try:
@@ -248,9 +240,6 @@ class NovikovScalar:
 
     def __hash__(self):
         return hash(self.terms)
-
-    def valuation(self):
-        return self.terms[0][0] if self.terms else inf
 
     def leading_coefficient(self):
         return self.terms[0][1] if self.terms else QC()

@@ -8,7 +8,7 @@ internals, so agreement is evidence and not tautology.
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, inf
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -51,6 +51,22 @@ def snf_diagonal_via_divisors(m):
             break
         diag.append(div[k] // div[k - 1])
     return diag
+
+
+def cone_coordinates(gens, x):
+    """Coordinates t with x = sum t_i * gens_i, by a sympy solve; gens independent."""
+    t = sympy.Matrix([list(g) for g in gens]).T.LUsolve(sympy.Matrix(list(x)))
+    return tuple(Fraction(int(v.p), int(v.q)) for v in t)
+
+
+def in_cone(gens, x):
+    """Whether x lies in the closed simplicial cone of independent generators."""
+    return all(t >= 0 for t in cone_coordinates(gens, x))
+
+
+def valuation(s):
+    """Lowest T-exponent of a NovikovScalar's terms, inf for zero."""
+    return min((q for q, _ in s.terms), default=inf)
 
 
 def is_unimodular(m):
@@ -158,7 +174,7 @@ def product_scenarios(fdirs, sdirs, dim, max_levels):
     return out
 
 
-def solve_each_assignment_alone(lts, seed=0, starts=64):
+def solve_each_assignment_alone(lts, seed=0):
     """ltsolver.solve with no batch: every numeric-palette search runs alone.
 
     solve runs the first level's multistart of every symbol assignment after
@@ -185,7 +201,7 @@ def solve_each_assignment_alone(lts, seed=0, starts=64):
     if cert is not None:
         return lt.Solvability.SolvableCertified, cert
     for env in lt._symbol_assignments(lts):
-        cert = lt._Search(lts, env, seed, starts).run()
+        cert = lt._Search(lts, env, seed).run()
         if cert is not None:
             return lt.Solvability.SolvableCertified, cert
     return lt.Solvability.UnknownLikelyUnsolvable, None
@@ -250,12 +266,13 @@ def coloop_refutes(lts):
 
 
 def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residual_tol=1e-10):
-    """potential.critical_points with every value taken by LaurentPoly.eval_complex.
+    """Critical points by per-start Newton, every value taken by LaurentPoly.eval_complex.
 
     Each Newton step evaluates each log-gradient and log-Jacobian entry
-    polynomial afresh, coefficients included.  The loop, its tolerances and
-    the start sequence are those of critical_points, which prepares the
-    entries once per call instead; the two must agree to the bit.
+    polynomial afresh, coefficients included, with absolute tolerances.
+    The start sequence and trust region are those of
+    potential.critical_points, so at moderate T the two find the same
+    points, to rounding.
     """
     import cmath
     import random
@@ -376,8 +393,10 @@ def eval_exact(p, y, env=None):
             c = c + cf
         mono = QC(1)
         for z, k in zip(vals, e):
+            # 1/z = conj(z) / |z|^2
+            step = z if k > 0 else QC(z.re, -z.im) * QC(1 / (z.re * z.re + z.im * z.im))
             for _ in range(abs(k)):
-                mono = mono * z if k > 0 else mono / z
+                mono = mono * step
         total = total + c * mono
     return total
 

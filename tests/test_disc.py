@@ -14,7 +14,7 @@ def test_basic_smooth_discs():
     discs = disc.basic_smooth_discs(m)
     assert len(discs) == 2
     assert all(disc.maslov_de(m, d) == 2 for d in discs)
-    assert all(disc.maslov_cw(m, d) == 2 for d in discs)
+    assert [c.mu_cw for c in disc.h2_generators(m) if c.kind == "facet"] == [2, 2]
     m2 = stacky.build_model("wp:1,3,5")
     assert len(disc.basic_smooth_discs(m2)) == 3
     assert len(disc.basic_smooth_discs(stacky.build_model("square:1,1,1,1"))) == 4
@@ -23,7 +23,7 @@ def test_basic_smooth_discs():
 def test_basic_orbi_discs():
     m = stacky.build_model("teardrop:3")
     discs = disc.basic_orbi_discs(m)
-    assert [disc.maslov_cw(m, d) for d in discs] == [Fraction(2, 3), Fraction(4, 3)]
+    assert [c.mu_cw for c in disc.h2_generators(m) if c.kind == "sector"] == [Fraction(2, 3), Fraction(4, 3)]
     assert all(disc.maslov_de(m, d) == 0 for d in discs)
     assert len(disc.basic_orbi_discs(stacky.build_model("wp:1,3,5"))) == 6
     assert disc.basic_orbi_discs(stacky.build_model("square:1,1,1,1")) == []
@@ -94,14 +94,20 @@ def test_index_identity_randomized():
         stacky.build_model("wp:1,3,5"),
         stacky.build_model("square:2,2,2,2"),
     ]
+    # mu_CW - mu_de is twice the degree shifts on every basic class
+    for m in models:
+        descriptors = disc.basic_smooth_discs(m) + disc.basic_orbi_discs(m)
+        for cls, d in zip(disc.h2_generators(m), descriptors):
+            lhs = cls.mu_cw - disc.maslov_de(m, d)
+            assert lhs == 2 * sum((s.iota for s in d.orb_points), Fraction(0))
+    # and mu_de sees only the facet multiplicities
     for _ in range(300):
         m = rng.choice(models)
         box = stacky.enumerate_box(m)
         mults = tuple(rng.randrange(4) for _ in m.facets)
         orbs = tuple(rng.choice(box) for _ in range(rng.randrange(3))) if box else ()
         d = disc.DiscDescriptor(mults, orbs, rng.randrange(3), rng.randrange(3))
-        lhs = disc.maslov_cw(m, d) - disc.maslov_de(m, d)
-        assert lhs == 2 * sum((s.iota for s in orbs), Fraction(0))
+        assert disc.maslov_de(m, d) == 2 * sum(mults)
 
 
 def test_area_additivity():

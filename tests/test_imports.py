@@ -1,11 +1,17 @@
-"""Every module-level import of the package is used by its own module."""
+"""The package carries no dead weight.
+
+Every module-level import is used by its own module, and every top-level
+function and method is named by the package or by the benchmark.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "orbifloer"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "orbifloer"
+PERFBENCH = ROOT / "perfbench"
 
 # (module, name) pairs bound for other code, not for the module itself
 KEPT = {
@@ -39,3 +45,68 @@ def test_kept_imports_are_still_unused_otherwise():
     # an entry that the module starts to use itself is no longer an exception
     for module, name in KEPT:
         assert name in unused_imports(SRC / f"{module}.py")
+
+
+# (module, qualified name) pairs defined for callers outside the package
+FOR_OUTSIDE = {
+    # the README documents it as a paper result
+    ("potential", "wp_central_critical"),
+    # argparse calls it on a bad command line
+    ("cli", "_Parser.error"),
+}
+
+
+def definitions(path: Path) -> list:
+    """Qualified names of a module's top-level functions and of its classes' methods.
+
+    Dunder methods are left out: Python calls them by protocol, not by name.
+    """
+    out = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            methods = [sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            out += [f"{node.name}.{m}" for m in methods if not (m.startswith("__") and m.endswith("__"))]
+    return out
+
+
+def names_read(paths) -> set:
+    """Every name and attribute name that appears in the given files."""
+    out = set()
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+def traced_names() -> set:
+    """The function names perfbench/spans.py wraps: the key tails of its SPANS table."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
+            return {key.value.split(".", 1)[1] for key in node.value.keys}
+    raise AssertionError("perfbench/spans.py has no SPANS table")
+
+
+def test_every_definition_is_named_by_the_package_or_the_benchmark():
+    sources = sorted(SRC.glob("*.py"))
+    benchmark = [p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
+    used = names_read(sources + benchmark) | traced_names()
+    unused = [
+        (path.stem, name)
+        for path in sources
+        for name in definitions(path)
+        if name.rsplit(".", 1)[-1] not in used and (path.stem, name) not in FOR_OUTSIDE
+    ]
+    assert unused == []
+
+
+def test_definitions_kept_for_outside_callers_still_need_the_exception():
+    used = names_read(sorted(SRC.glob("*.py")))
+    for module, name in FOR_OUTSIDE:
+        assert name in definitions(SRC / f"{module}.py")
+        assert name.rsplit(".", 1)[-1] not in used

@@ -16,24 +16,24 @@ from orbifloer.ltsolver import (
     LtsLevel,
     Solvability,
     _distinct_roots,
-    _EqData,
     _float_certificate,
     _integer_env,
+    _level_data,
     _linear_certificate,
-    _newton,
     _parity_rows,
     _parity_table,
     _sign_bits,
     _starts,
     _vanishes,
     build_lts,
+    exponent_rows,
     lts_signature,
+    row_signature,
     scenario_stratification,
-    signature_symbols,
     solve,
     stratify,
 )
-from orbifloer.potential import BulkParam
+from orbifloer.potential import BulkParam, _EqData, _newton
 from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin, render_poly
 from orbifloer.stacky import build_model, enumerate_box, sector_ell
 
@@ -439,7 +439,7 @@ def test_build_lts_matches_rewrite_oracle_at_points(preset):
         lts, want = build_lts(strat), oracles.lts_by_rewrite(strat)
         assert lts == want and oracles.lts_terms(lts) == oracles.lts_terms(want), u
         sig, symbols = oracles.signature_by_terms(want)
-        assert signature_symbols(lts) == symbols
+        assert row_signature(exponent_rows(strat))[1] == symbols
         pairs.append((lts_signature(lts), sig))
     assert oracles.one_to_one(pairs)
 
@@ -559,7 +559,7 @@ def test_newton_square_step_survives_a_singular_jacobian():
         _poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))]),
         _poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))]),
     )
-    data = _EqData(eqs, (0, 1), [None, None], [{}])
+    data = _level_data(eqs, (0, 1), [None, None], [{}])
     starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
     zs, res = _newton(data, starts)
     assert zs[0].tolist() == [1.0, -1.0]
@@ -583,10 +583,10 @@ ENVS = ({"s0": 1.0, "s1": 1.0}, {"s0": 0j, "s1": 0j}, {"s0": -1 + 0.5j, "s1": 2.
 def test_newton_batch_over_assignments_matches_each_alone():
     eqs = _two_symbol_level()
     starts = _starts((0, 0), 64, 2)
-    batch = _EqData(eqs, (0, 1), [None, None], ENVS)
+    batch = _level_data(eqs, (0, 1), [None, None], ENVS)
     zs, res = _newton(batch, np.tile(starts, (len(ENVS), 1)))
     for k, env in enumerate(ENVS):
-        alone = _EqData(eqs, (0, 1), [None, None], [env])
+        alone = _level_data(eqs, (0, 1), [None, None], [env])
         zk, rk = _newton(alone, starts)
         assert np.array_equal(zs[64 * k : 64 * (k + 1)], zk)
         assert np.array_equal(res[64 * k : 64 * (k + 1)], rk)
@@ -602,11 +602,10 @@ def test_newton_batch_over_assignments_matches_each_alone():
     assert np.array_equal(zs[64:128], starts)
 
 
-class _Fixed:
+class _Fixed(_EqData):
     """Newton data with fixed values and one given log-Jacobian per evaluation."""
 
     def __init__(self, fv, jms):
-        self.own = (0, 1)
         self.fv = fv
         self.jms = list(jms)
         self.calls = 0
@@ -638,7 +637,7 @@ def test_newton_mixed_singular_batch_solves_the_regular_rows():
 
 
 def test_newton_all_singular_batch_stops_after_one_iteration():
-    data = _EqData(_two_symbol_level(), (0, 1), [None, None], [ENVS[1]] * 2)
+    data = _level_data(_two_symbol_level(), (0, 1), [None, None], [ENVS[1]] * 2)
     calls = []
     evaluate = data.f_and_jlog
     data.f_and_jlog = lambda zs, jac=True: calls.append(jac) or evaluate(zs, jac)

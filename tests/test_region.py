@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer import ltsolver, region
 from orbifloer.errors import InputError, TooManyScenarios
-from orbifloer.ltsolver import Solvability, lts_signature, row_signature, signature_symbols, solve
+from orbifloer.lattice import cleared
+from orbifloer.ltsolver import Solvability, lts_signature, row_signature, solve
 from orbifloer.region import (
     Constraint,
     enumerate_scenarios,
-    feasible_witness,
     interval_union,
     nondisplaceable_region,
     piece_geometry,
@@ -34,6 +34,13 @@ def gt(coeffs, const):
 
 def eq(coeffs, const):
     return Constraint(tuple(map(Fraction, coeffs)), Fraction(const), "==", "level", "t")
+
+
+def feasible_witness(cons, n):
+    """region._witness on Constraint rows, cleared of their denominators."""
+    eqs = [cleared((*c.coeffs, c.const)) for c in cons if c.rel == "=="]
+    ineqs = [cleared((*c.coeffs, c.const)) for c in cons if c.rel != "=="]
+    return region._witness(eqs, ineqs, n)
 
 
 def test_enumerate_teardrop():
@@ -91,10 +98,10 @@ def _brute_force_region(m):
         if oracles.coloop_refutes(lts):
             refuted.append(s)
             continue
-        sig = lts_signature(lts)
+        sig, symbols = lts_signature(lts), oracles.signature_by_terms(lts)[1]
         if sig not in cache:
-            cache[sig] = (solve(lts), signature_symbols(lts))
-        verdict = region._renamed(*cache[sig], signature_symbols(lts))
+            cache[sig] = (solve(lts), symbols)
+        verdict = region._renamed(*cache[sig], symbols)
         if verdict.status is Solvability.SolvableCertified:
             pieces.append((s.serial, poly.witness, verdict))
     return pieces, refuted
@@ -190,7 +197,7 @@ def test_row_systems_match_rewrite_oracle(preset, max_levels, monkeypatch):
             assert oracles.lts_terms(bare) == oracles.lts_terms(want)
             seen.add(key)
         sig, want_symbols = oracles.signature_by_terms(want)
-        assert symbols == want_symbols == signature_symbols(lts)
+        assert symbols == want_symbols
         assert lts_signature(lts) == key
         pairs.append((key, sig))
     assert len(pairs) > 10
