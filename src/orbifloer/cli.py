@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 import zlib
 from fractions import Fraction
@@ -77,34 +76,62 @@ def _qvec(v) -> list:
     return [_q(x) for x in v]
 
 
-class _F17(float):
-    """Marker for floats that must be printed with 17 significant digits."""
-
-
 def _c17(z: complex) -> dict:
-    return {"re": _F17(z.real), "im": _F17(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
-# json.dumps of the placeholder "\x00f<k>\x00" that enc puts in for float k
-_FLOAT_TOKEN = re.compile(r'"\\u0000f(\d+)\\u0000"')
+_str = json.encoder.encode_basestring_ascii
 
 
 def dump_json(doc) -> str:
-    """json.dumps with the package float policy, trailing newline included."""
-    floats = []
+    """json.dumps(doc, indent=2) with every float as format(x, ".17g"), plus a newline.
 
-    def enc(o):
-        if isinstance(o, float):
-            floats.append(format(float(o), ".17g"))
-            return f"\x00f{len(floats) - 1}\x00"
-        if isinstance(o, dict):
-            return {k: enc(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [enc(v) for v in o]
-        return o
+    One recursive pass (_emit) writes the text; json's own indented encoder
+    is a pure-Python generator, and it would print floats by repr.
+    """
+    out: list = []
+    _emit(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
 
-    text = json.dumps(enc(doc), indent=2)
-    return _FLOAT_TOKEN.sub(lambda t: floats[int(t.group(1))], text) + "\n"
+
+def _emit(o, pad: str, put) -> None:
+    # pad is the newline and indent of the line that closes o
+    if isinstance(o, str):
+        put(_str(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(format(float(o), ".17g"))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for k, v in o.items():
+            # keys that are not strings are named as json.dumps names them
+            put(sep + inner + _str(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            _emit(v, inner, put)
+            sep = ","
+        put(pad + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner, sep = pad + "  ", "["
+        for v in o:
+            put(sep + inner)
+            _emit(v, inner, put)
+            sep = ","
+        put(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _coeff_doc(c) -> dict:
@@ -131,7 +158,7 @@ def _verdict_doc(v) -> dict:
         doc["certificate"] = {
             "y": [_c17(z) for z in c.y],
             "symbols": {name: _c17(z) for name, z in c.symbol_values},
-            "residual": _F17(c.residual),
+            "residual": c.residual,
             "exact": c.exact,
         }
     return doc
@@ -308,10 +335,10 @@ def cmd_critical(m, u, bp, t_value, seed) -> dict:
     return {
         "command": "critical",
         "u": _qvec(u),
-        "t_value": _F17(t_value),
+        "t_value": t_value,
         "count": len(pts),
         "points": [
-            {"y": [_c17(z) for z in p.y], "residual": _F17(p.residual)} for p in pts
+            {"y": [_c17(z) for z in p.y], "residual": p.residual} for p in pts
         ],
     }
 

@@ -28,6 +28,13 @@ solved.  A scenario's serial is its rank among the span-valid candidates
 in product order, the same with or without pruning: a skipped subtree
 adds its memoized candidate count.
 
+Feasibility is exact Fourier-Motzkin over integer rows, run on the binding
+rows of a system (_binding) and memoized on them (_eliminate): the walk's
+prefixes and the pieces share a few dozen distinct rows, so most systems
+recur.  piece_geometry likewise finds each distinct set of binding rows'
+polygon once (_polygon).  Both memos are bounded LRU caches of results
+that depend on their key alone.
+
 query_point reads a region through its row index (FiberRegion.row_index),
 built once on the first query: the region's constraints are a few dozen
 distinct integer rows shared by all its pieces, so each row is evaluated
@@ -467,17 +474,16 @@ def _substitute(vec: list, subs: list) -> list:
     return primitive(vec)
 
 
-def _fm_witness(rows, free):
-    """Fourier-Motzkin with witness reconstruction over integer rows.
+def _binding(rows):
+    """The binding rows of a strict integer system, or None when infeasible.
 
-    Every row is strict (row[:-1].u + row[-1] > 0) and only involves the
-    variables in free; strictness survives the pairwise combinations, so a
-    feasible system always has interior points and the midpoint
-    reconstruction below is safe.  Only the binding row per primitive
-    direction is kept: FM cost is quadratic in the row count, duplicates
-    are common here, and a dominated row never moves a bound.  Bounds are
-    ratios, unchanged by positive row scalings.  Returns a dict
-    var -> Fraction or None.
+    Every row is strict (row[:-1].u + row[-1] > 0).  Of the rows sharing a
+    primitive direction only the tightest binds: a looser parallel row is
+    implied by it and never moves a bound or carries a vertex.  Rows of
+    zero direction are constants; a nonpositive one makes the system
+    infeasible, a positive one is dropped.  Returns a frozenset of tuples;
+    it depends neither on the order of the rows nor on repeated rows (of
+    rows that are positive multiples of each other, the first is kept).
     """
     best: dict = {}
     for row in rows:
@@ -490,11 +496,42 @@ def _fm_witness(rows, free):
         kept = best.get(key)
         if kept is None or row[-1] * kept[0] < kept[1][-1] * g:
             best[key] = (g, row)
+    return frozenset(tuple(row) for _, row in best.values())
+
+
+def _fm_witness(rows, free):
+    """Fourier-Motzkin with witness reconstruction over integer rows.
+
+    Every row is strict and only involves the variables in free; only the
+    binding rows are eliminated (_binding): FM cost is quadratic in the row
+    count and duplicates are common here.  The elimination is memoized on
+    the binding rows and free (_eliminate), so systems that differ only in
+    row order, duplicates or dominated rows share one run.  Returns a new
+    dict var -> Fraction, or None.
+    """
+    rows = _binding(rows)
+    if rows is None:
+        return None
+    sol = _eliminate(rows, tuple(free))
+    return None if sol is None else dict(sol)
+
+
+@lru_cache(maxsize=4096)
+def _eliminate(rows: frozenset, free: tuple):
+    """Witness of binding rows over free, eliminating free[-1] first.
+
+    Strictness survives the pairwise combinations, so a feasible system
+    always has interior points and the midpoint reconstruction below is
+    safe.  Bounds are ratios, unchanged by positive row scalings, and the
+    max and min of a set of them do not depend on its order, so the result
+    is a function of the key.  Returns the witness as (var, Fraction) pairs,
+    or None.
+    """
     if not free:
-        return {}
+        return ()
     k = free[-1]
     lowers, uppers, rest = [], [], []
-    for _, row in best.values():
+    for row in rows:
         a = row[k]
         (rest if a == 0 else lowers if a > 0 else uppers).append(row)
     for lo in lowers:
@@ -519,7 +556,7 @@ def _fm_witness(rows, free):
         sol[k] = hi - 1
     else:
         sol[k] = Fraction(0)
-    return sol
+    return tuple(sol.items())
 
 
 def _witness(eqs, ineqs, n):
@@ -834,11 +871,19 @@ def piece_geometry(p: RegionPiece, dim: int):
         if a_pt == b_pt:
             return ("point", (a_pt,))
         return ("segment", (a_pt, b_pt))
-    rows = [_row(c) for c in ineqs]
+    return _polygon(_binding(map(_row, ineqs))) or ("point", (w,))
+
+
+@lru_cache(maxsize=1024)
+def _polygon(rows: frozenset):
+    """Closed geometry of the binding rows of a 2-d piece, None without a vertex.
+
+    A vertex meets two non-parallel binding rows and satisfies all of them;
+    a dominated parallel row carries no vertex and cuts none off, so the
+    binding rows give the same vertices as all of a piece's rows.
+    """
     pts = set()
-    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(
-        [r for r in rows if r[0] or r[1]], 2
-    ):
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
         det = a1 * b2 - b1 * a2
         if det == 0:
             continue
@@ -851,7 +896,7 @@ def piece_geometry(p: RegionPiece, dim: int):
     if len(pts) < 3:
         if len(pts) == 2:
             return ("segment", tuple(pts))
-        return ("point", (pts[0] if pts else w,))
+        return ("point", (pts[0],)) if pts else None
     cx = sum(x for x, _ in pts) / len(pts)
     cy = sum(y for _, y in pts) / len(pts)
     ordered = sorted(pts, key=lambda q: math.atan2(float(q[1] - cy), float(q[0] - cx)))

@@ -5,10 +5,11 @@ cofactor expansion, sympy normal forms) rather than against the package
 internals, so agreement is evidence and not tautology.
 """
 
+import json
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, inf
+from math import atan2, gcd, inf
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -600,3 +601,73 @@ def saturate_flag_checked(chain) -> list:
             lead = next(x for x in w if x)
             basis.append(tuple(-y for y in w) if lead < 0 else w)
     return basis
+
+
+# json.dumps of the placeholder "\x00f<k>\x00" that enc puts in for float k
+_FLOAT_TOKEN = re.compile(r'"\\u0000f(\d+)\\u0000"')
+
+
+def dump_json_by_placeholders(doc) -> str:
+    """cli.dump_json through json.dumps: each float becomes a string token
+    that is swapped for format(x, ".17g") in the indented text."""
+    floats = []
+
+    def enc(o):
+        if isinstance(o, float):
+            floats.append(format(float(o), ".17g"))
+            return f"\x00f{len(floats) - 1}\x00"
+        if isinstance(o, dict):
+            return {k: enc(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [enc(v) for v in o]
+        return o
+
+    text = json.dumps(enc(doc), indent=2)
+    return _FLOAT_TOKEN.sub(lambda t: floats[int(t.group(1))], text) + "\n"
+
+
+def piece_geometry_all_pairs(p):
+    """region.piece_geometry of a 2-d piece by intersecting every pair of rows.
+
+    Every inequality row of the piece takes part, dominated or not, and
+    each pairwise vertex is tested against all of them; the equality rank
+    comes from sympy.
+    """
+    eqs, ineqs = p.polyhedron.equalities, p.polyhedron.inequalities
+    w = p.polyhedron.witness
+    rank = sympy.Matrix([list(c.coeffs) for c in eqs]).rank() if eqs else 0
+    if rank >= 2:
+        return ("point", (w,))
+
+    def value(row, pt):
+        return row[0] * pt[0] + row[1] * pt[1] + row[2]
+
+    rows = [(*c.coeffs, c.const) for c in ineqs]
+    if rank == 1:
+        g = next(c.coeffs for c in eqs if any(c.coeffs))
+        d = (-g[1], g[0])
+        ts = [
+            (Fraction(-value(r, w), r[0] * d[0] + r[1] * d[1]), r[0] * d[0] + r[1] * d[1] > 0)
+            for r in rows
+            if r[0] * d[0] + r[1] * d[1]
+        ]
+        tmin = max(t for t, up in ts if up)
+        tmax = min(t for t, up in ts if not up)
+        a = tuple(wi + tmin * di for wi, di in zip(w, d))
+        b = tuple(wi + tmax * di for wi, di in zip(w, d))
+        return ("point", (a,)) if a == b else ("segment", (a, b))
+    pts = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations([r for r in rows if r[0] or r[1]], 2):
+        det = a1 * b2 - b1 * a2
+        if det:
+            v = (Fraction(-c1 * b2 + c2 * b1, det), Fraction(-c2 * a1 + c1 * a2, det))
+            if all(value(r, v) >= 0 for r in rows):
+                pts.add(v)
+    pts = sorted(pts)
+    if len(pts) < 3:
+        if len(pts) == 2:
+            return ("segment", tuple(pts))
+        return ("point", (pts[0] if pts else w,))
+    cx = sum(x for x, _ in pts) / len(pts)
+    cy = sum(y for _, y in pts) / len(pts)
+    return ("polygon", tuple(sorted(pts, key=lambda q: atan2(float(q[1] - cy), float(q[0] - cx)))))

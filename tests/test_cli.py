@@ -1,12 +1,17 @@
 """End-to-end checks of the command line surface."""
 
+import enum
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from orbifloer import cli
 from orbifloer.cli import dump_json, main
 
@@ -38,6 +43,86 @@ def test_dump_json_many_floats():
     lines = [line.strip().rstrip(",") for line in text.splitlines()[2:-2]]
     assert lines == [format(v, ".17g") for v in values]
     assert json.loads(text)["xs"] == values
+
+
+class _Color(str, enum.Enum):
+    RED = "red"
+
+
+def test_dump_json_equals_json_dumps_without_floats():
+    docs = [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, [[]], {"d": []}]},
+        (1, (2, 3), ()),
+        {"t": ("x", ("y",)), "n": None},
+        ["ümlaut", "€", "\U0001f600", "tab\there", "nl\n", "\x00\x1f\x7f", '"q"\\'],
+        [True, False, 1, 0, -7, 10**30],
+        {"status": _Color.RED, _Color.RED: [_Color.RED]},
+        {1: "int key", False: "bool key", None: "null key"},
+        "top-level string",
+        42,
+        None,
+    ]
+    for doc in docs:
+        assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_json_floats_as_before():
+    doc = {
+        "x": [0.1, -0.0, 1e300, 5e-324, 2.0, math.nan, math.inf, -math.inf],
+        "nested": {"f": [[1.5], {"g": 1 / 3}]},
+        "mixed": [1, 1.0, True],
+    }
+    text = dump_json(doc)
+    assert text == oracles.dump_json_by_placeholders(doc)
+    assert '"x": [\n    0.10000000000000001,\n    -0,' in text
+    assert "    nan,\n    inf,\n    -inf\n" in text
+    assert dump_json(0.5) == "0.5\n"
+
+
+def test_dump_json_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        dump_json({"s": {1, 2}})
+
+
+# no NUL in generated text: the placeholder oracle would read "\x00f0\x00" as a float
+_text = st.text(st.characters(blacklist_characters="\x00"), max_size=8)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _text,
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_keys = st.one_of(_text, st.integers(-9, 9), st.booleans(), st.none())
+_docs = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_keys, kids, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_docs)
+def test_dump_json_matches_oracles_on_random_docs(doc):
+    text = dump_json(doc)
+    assert text == oracles.dump_json_by_placeholders(doc)
+    if float not in _leaf_types(doc):
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+
+def _leaf_types(doc) -> set:
+    # the types of a nested doc's leaves, dict keys aside
+    if isinstance(doc, dict):
+        return set().union(*map(_leaf_types, doc.values()))
+    if isinstance(doc, (list, tuple)):
+        return set().union(*map(_leaf_types, doc))
+    return {type(doc)}
 
 
 def test_box_lists_sectors_with_area_forms(capsys):

@@ -355,8 +355,8 @@ _scales = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=_rows, scales=_scales)
-def test_feasible_witness_invariant_under_positive_row_scaling(rows, scales):
+@given(rows=_rows, scales=_scales, data=st.data())
+def test_feasible_witness_invariant_under_positive_row_scaling(rows, scales, data):
     cons = [Constraint(tuple(map(Fraction, g)), c, rel, "level", "t") for g, c, rel in rows]
     w = feasible_witness(cons, 3)
     if w is not None:
@@ -367,6 +367,18 @@ def test_feasible_witness_invariant_under_positive_row_scaling(rows, scales):
         for c, q in zip(cons, scales)
     ]
     assert feasible_witness(scaled, 3) == w
+    # the Fourier-Motzkin memo is keyed on the binding rows: row order,
+    # repeated rows and looser parallel rows must not move the witness
+    order = data.draw(st.permutations(range(len(cons))))
+    repeats = data.draw(st.lists(st.sampled_from(scaled), max_size=3))
+    looser = [
+        Constraint(c.coeffs, c.const + slack, ">", c.kind, c.label)
+        for c, slack in zip(
+            scaled, data.draw(st.lists(_small.filter(lambda x: x > 0), max_size=6))
+        )
+        if c.rel == ">"
+    ]
+    assert feasible_witness([scaled[k] for k in order] + repeats + looser, 3) == w
 
 
 def _boundary_points(p):
@@ -455,6 +467,28 @@ def test_scenario_region_teardrop():
     for s in feas:
         poly = scenario_region(m, s)
         assert poly.contains(poly.witness)
+
+
+def test_region_equal_with_warm_and_cold_memos():
+    m = build_model("wp:1,3,5")
+    region._eliminate.cache_clear()
+    region._polygon.cache_clear()
+    cold = nondisplaceable_region(m)
+    cold_geoms = [piece_geometry(p, 2) for p in cold.pieces]
+    misses = region._eliminate.cache_info().misses, region._polygon.cache_info().misses
+    warm = nondisplaceable_region(m)
+    assert (region._eliminate.cache_info().misses, region._polygon.cache_info().misses) == misses
+    assert warm.pieces == cold.pieces
+    assert [p.polyhedron.witness for p in warm.pieces] == [p.polyhedron.witness for p in cold.pieces]
+    assert [piece_geometry(p, 2) for p in warm.pieces] == cold_geoms
+    assert region._polygon.cache_info().misses == misses[1]
+
+
+@pytest.mark.parametrize("preset", ["square:2,2,1,1", "wp:1,3,5", "wp:1,3,7"])
+def test_piece_geometry_matches_all_pairs_oracle(preset):
+    r = nondisplaceable_region(build_model(preset))
+    for p in r.pieces:
+        assert piece_geometry(p, 2) == oracles.piece_geometry_all_pairs(p)
 
 
 def test_region_teardrop_interval():
