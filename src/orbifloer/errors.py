@@ -9,10 +9,6 @@ class DegenerateCone(OrbifloerError):
     """Cone generators are linearly dependent."""
 
 
-class FlagNotIncreasing(OrbifloerError):
-    """Spans of a flag chain do not nest (or the last one is not full)."""
-
-
 class NotUnimodular(OrbifloerError):
     """A basis-change matrix was expected to have determinant +-1."""
 

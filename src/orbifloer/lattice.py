@@ -1,14 +1,15 @@
 """Exact integer and rational linear algebra over lattices.
 
-Smith normal form with transform matrices, determinants, dual bases,
-simplicial-cone multiplicities, a unimodular-basis-inside-a-cone subdivision
-algorithm, and flag-adapted lattice bases.  Everything is computed with
-arbitrary-precision integers and ``fractions.Fraction``; no floating point
-enters this module.
+Smith normal form with transform matrices, a column Hermite form whose
+transform is a flag-adapted lattice basis and whose diagonal gives
+determinants, simplicial-cone multiplicities, and a
+unimodular-basis-inside-a-cone subdivision algorithm.  Everything is
+computed with arbitrary-precision integers and ``fractions.Fraction``; no
+floating point enters this module.
 
-Every elimination (echelon bases, ranks, square and rectangular solves,
-inverses) runs through one fraction-free routine, ``_eliminate``; only
-``row_reduce`` divides, once per entry at the end.
+Every rational elimination (echelon bases, ranks, square solves, inverses)
+runs through one fraction-free routine, ``_eliminate``; only ``row_reduce``
+divides, once per entry at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DegenerateCone, FlagNotIncreasing, NotUnimodular
+from .errors import DegenerateCone, NotUnimodular
 
 # Vectors are tuples of ints (lattice) or Fractions (rational); matrices are
 # tuples of row tuples.  Helpers below keep everything immutable.
@@ -77,7 +78,8 @@ def cleared(row) -> list:
 
 
 def det_int(m: Mat) -> int:
-    """Determinant of a square integer matrix, exact (Bareiss elimination).
+    """Determinant of a square integer matrix, exact: the signed product of
+    the diagonal of its column_hermite form.
 
     Examples
     --------
@@ -87,29 +89,83 @@ def det_int(m: Mat) -> int:
     15
     """
     n = len(m)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
+    h, _, sign = column_hermite(m, n)
+    # a row without a pivot is the first to leave a zero on the diagonal
+    for i in range(n):
+        sign *= h[i][i]
+    return sign
+
+
+def column_hermite(rows, n: int) -> tuple:
+    """Lower echelon form H = M V of integer rows M, V unimodular.
+
+    When row i is reached with k pivots placed, Euclid steps on columns
+    (swaps and subtractions) bring its entries from column k on to one
+    gcd at column k, made positive; each entry of the row left of that
+    pivot p then drops to its centred residue in (-p/2, p/2] by
+    subtracting multiples of column k.  Earlier rows are zero from column
+    k on, so no step touches them.  For M of rank n this H is unique.
+
+    Returns (H, W, sign): W = V^-1, kept by the inverse row operations,
+    and sign = det V.  M = H W, so each row of H is its row of M in the
+    basis W of Z^n; when the rows of M come in groups, the rows of the
+    groups up to one lie in the first r columns of H, r their rank, and
+    the first r rows of W are a Z-basis of their span met with Z^n.
+
+    Examples
+    --------
+    >>> column_hermite(((3, 5), (1, 7)), 2)
+    ([[1, 0], [-5, 16]], [[3, 5], [1, 2]], 1)
+    """
+    h = [list(row) for row in rows]
+    w = [list(row) for row in identity(n)]
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
+    k = 0
+    for i, row in enumerate(h):
+        if k == n:
+            break
+        low = h[i:]
+
+        def sub(j, q):
+            # column j -= q * column k; row k of W += q * row j
+            if q:
+                for r in low:
+                    r[j] -= q * r[k]
+                w[k] = [a + q * b for a, b in zip(w[k], w[j])]
+
+        while True:
+            nonzero = [j for j in range(k, n) if row[j]]
+            if not nonzero:
+                break
+            j = min(nonzero, key=lambda c: abs(row[c]))
+            if j != k:
+                for r in low:
+                    r[j], r[k] = r[k], r[j]
+                w[j], w[k] = w[k], w[j]
+                sign = -sign
+            if row[k] < 0:
+                for r in low:
+                    r[k] = -r[k]
+                w[k] = [-a for a in w[k]]
+                sign = -sign
+            if not any(row[k + 1 :]):
+                break
             for j in range(k + 1, n):
-                # Bareiss: exact division keeps entries integral
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                sub(j, _centred_quotient(row[j], row[k]))
+        if not row[k]:
+            continue
+        for j in range(k):
+            sub(j, _centred_quotient(row[j], row[k]))
+        k += 1
+    return h, w, sign
+
+
+def _centred_quotient(x: int, p: int) -> int:
+    # q with x - q * p in (-p/2, p/2], for p > 0
+    q, r = divmod(x, p)
+    return q + 1 if 2 * r > p else q
 
 
 def _eliminate(work: list, ncols: int) -> list:
@@ -437,124 +493,3 @@ def integral_basis_in_cone(c: SimplicialCone, trace: list | None = None) -> list
                     best = (key, sub)
         # a nonzero box point always exists when mult > 1
         gens = best[1]
-
-
-# ---------------------------------------------------------------------------
-# Flag-adapted bases
-
-
-def saturated_span_basis(vecs) -> list:
-    """Z-basis of (Q-span of vecs) intersected with Z^n.
-
-    The first r rows of V^-1, where U*M*V = D is the Smith form of the
-    stacked vectors and r is the rank: V^-1 is a basis of Z^n and its
-    leading rows span the saturation of the row space.
-    """
-    return list(_saturation(mat(vecs)))
-
-
-@lru_cache(maxsize=64)
-def _saturation(m: Mat) -> tuple:
-    # memoized: the scenarios of one region share many of their level stacks
-    if not m:
-        return ()
-    _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    # M = U^-1 D V^-1, so the Q-row-space of M is spanned by the first r rows
-    # of V^-1, which generate a saturated sublattice (V^-1 is a basis of Z^n).
-    return invert_unimodular(v)[:r]
-
-
-def saturate_flag(chain) -> list:
-    """Ordered Z-basis of Z^n adapted to an increasing chain of spans.
-
-    ``chain`` is a list of lists of lattice vectors A_1, ..., A_L with
-    span(A_l) nested increasingly and span(A_L) = R^n.  The first
-    dim(span(A_l)) output vectors form a Z-basis of span(A_l) /\\ Z^n for
-    every l.  Raises FlagNotIncreasing when the spans fail to nest or the
-    last one is not full.
-    """
-    levels = [[vec(w) for w in grp] for grp in chain]
-    if not levels or any(not grp for grp in levels):
-        raise FlagNotIncreasing("chain must be a nonempty list of nonempty groups")
-    n = len(levels[0][0])
-    # spans must nest; a group that starts with the one before nests as it is
-    for prev, nxt in zip(levels, levels[1:]):
-        if nxt[: len(prev)] == prev:
-            continue
-        r = rank_rational(nxt)
-        if rank_rational(nxt + prev) != r:
-            raise FlagNotIncreasing("span chain does not nest")
-
-    basis: list = []
-    seen: list = []
-    for grp in levels:
-        seen = seen + grp
-        sat = saturated_span_basis(seen)
-        r = len(sat)
-        if r == len(basis):
-            continue
-        # write the current partial basis in coordinates of the saturated one
-        xrows = []
-        for p in basis:
-            coeffs = _solve_in_rows(sat, p)
-            xrows.append(coeffs)
-        newrows = _complete_unimodular(tuple(xrows), r)
-        for row in newrows:
-            w = tuple(sum(q * s[k] for q, s in zip(row, sat)) for k in range(n))
-            for x in w:
-                if x != 0:
-                    if x < 0:
-                        w = tuple(-y for y in w)
-                    break
-            basis.append(w)
-    # the spans nest, so the last saturation spans all of them
-    if r != n:
-        raise FlagNotIncreasing("final span is not all of R^n")
-    return basis
-
-
-def _solve_in_rows(rows, target) -> tuple:
-    # coefficients x with x . rows = target; must come out integral here
-    a = transpose(tuple(rows))
-    sol = _solve_rect(a, target)
-    out = []
-    for f in sol:
-        if f.denominator != 1:
-            raise FlagNotIncreasing("prefix vector not integral over the saturation")
-        out.append(f.numerator)
-    return tuple(out)
-
-
-def _solve_rect(a: Mat, b) -> QVec:
-    """Exact solve of a (possibly tall) consistent system; free variables are 0."""
-    nc = len(a[0])
-    reduced, pivots, rest = row_reduce([(*row, bi) for row, bi in zip(a, b)], nc)
-    if any(row[nc] for row in rest):
-        raise FlagNotIncreasing("inconsistent system")
-    sol = [Fraction(0)] * nc
-    for row, col in zip(reduced, pivots):
-        sol[col] = row[nc]
-    return tuple(sol)
-
-
-@lru_cache(maxsize=64)
-def _complete_unimodular(xrows: tuple, r: int) -> tuple:
-    """Rows completing the primitive row set ``xrows`` to a unimodular r x r matrix.
-
-    Memoized: the adapted bases of a whole region need only a few of them.
-    """
-    k = len(xrows)
-    if k == 0:
-        return identity(r)
-    u, d, v = smith_normal_form(xrows)
-    for i in range(k):
-        if d[i][i] != 1:
-            raise FlagNotIncreasing("prefix is not saturated in the next level")
-    return invert_unimodular(v)[k:r]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 import numpy as np
 
 from .errors import InputError, SpanNeverFull
-from .lattice import invert_unimodular, rank_rational, row_reduce, saturate_flag
+from .lattice import column_hermite, rank_rational, row_reduce
 from .potential import BulkParam, _EqData, _newton, companion_roots, root_key
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul
 from .stacky import StackyModel, enumerate_box, sector_ell
@@ -50,6 +49,7 @@ class EnergyStratification:
     u: tuple | None
     levels: tuple  # StratumLevel, lowest energy first, cut at full span
     adapted_basis: tuple  # rows; prefix of length span_dim spans each stage
+    exponents: tuple  # per level, each member's direction in the adapted basis
 
 
 def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratification:
@@ -89,7 +89,7 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
             break
     else:
         raise SpanNeverFull("finite-energy generators never span; model is inconsistent")
-    return EnergyStratification(m, uu, tuple(levels), _adapted_basis(levels))
+    return EnergyStratification(m, uu, tuple(levels), *_adapted_basis(levels, m.dim))
 
 
 def _stratum_levels(groups, span_dims=()):
@@ -115,13 +115,17 @@ def _stratum_levels(groups, span_dims=()):
         prev_rank = r
 
 
-def _adapted_basis(levels) -> tuple:
-    chain = []
-    acc: list = []
-    for lv in levels:
-        acc = acc + list(lv.directions)
-        chain.append(list(acc))
-    return tuple(saturate_flag(chain))
+def _adapted_basis(levels, n: int) -> tuple:
+    """The adapted basis of the levels and each level's exponents in it.
+
+    One column_hermite pass over the directions stacked level by level:
+    its W is the basis, whose first span_dim rows are a Z-basis of each
+    stage's span met with Z^n, and its H holds the members' exponents.
+    """
+    h, w, _ = column_hermite([d for lv in levels for d in lv.directions], n)
+    rows = iter(map(tuple, h))
+    exponents = tuple(tuple(itertools.islice(rows, len(lv.directions))) for lv in levels)
+    return tuple(map(tuple, w)), exponents
 
 
 def scenario_stratification(m: StackyModel, groups, coeffs, span_dims=()) -> EnergyStratification:
@@ -144,7 +148,7 @@ def scenario_stratification(m: StackyModel, groups, coeffs, span_dims=()) -> Ene
     levels = tuple(_stratum_levels(groups, span_dims))
     if not levels or levels[-1].span_dim != m.dim:
         raise SpanNeverFull("scenario levels do not span")
-    return EnergyStratification(m, None, levels, _adapted_basis(levels))
+    return EnergyStratification(m, None, levels, *_adapted_basis(levels, m.dim))
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,8 @@ class LeadingTermSystem:
 def exponent_rows(strat: EnergyStratification) -> tuple:
     """Each level's terms in adapted coordinates, with the coordinates it owns.
 
-    Returns one (rows, own) pair per level.  A member's exponent is the
-    integer row direction @ invert_unimodular(adapted basis); members with
+    Returns one (rows, own) pair per level.  A member's exponent is its
+    integer direction in the adapted basis (strat.exponents); members with
     equal exponents merge into one row whose coefficient is their sum, as
     LaurentPoly merges equal monomials, and a zero sum drops the row.  The
     rows are (exponent, coefficient) pairs sorted by exponent.  Level l may
@@ -176,12 +180,10 @@ def exponent_rows(strat: EnergyStratification) -> tuple:
     adapted basis buys and it is asserted here.
     """
     n = strat.model.dim
-    cols = tuple(zip(*invert_unimodular(strat.adapted_basis)))
     out = []
-    for lv in strat.levels:
+    for lv, exponents in zip(strat.levels, strat.exponents):
         merged: dict = {}
-        for direction, coeff in zip(lv.directions, lv.coeffs):
-            e = tuple(sum(map(mul, direction, col)) for col in cols)
+        for e, coeff in zip(exponents, lv.coeffs):
             merged[e] = c_add(merged[e], coeff) if e in merged else coeff
         rows = tuple(sorted((e, c) for e, c in merged.items() if not c_is_zero(c)))
         if any(e[k] for e, _ in rows for k in range(lv.span_dim, n)):

@@ -509,7 +509,7 @@ def scenario_lts_by_rewrite(m, s):
         levels.append(lt.StratumLevel(None, tuple(group), tuple(dirs), coeffs, r - prev_rank, r))
         prev_rank = r
     assert prev_rank == m.dim, "scenario levels do not span"
-    strat = lt.EnergyStratification(m, None, tuple(levels), lt._adapted_basis(levels))
+    strat = lt.EnergyStratification(m, None, tuple(levels), *lt._adapted_basis(levels, m.dim))
     return lts_by_rewrite(strat)
 
 
@@ -560,47 +560,29 @@ def one_to_one(pairs) -> bool:
     return all(len(v) == 1 for v in (*forward.values(), *backward.values()))
 
 
-def saturate_flag_checked(chain) -> list:
-    """lattice.saturate_flag with both nesting checks on every chain.
+def is_column_hermite(rows, h, w, sign) -> bool:
+    """Whether (h, w, sign) is the lower Hermite form of the integer rows.
 
-    The reference checks every pair of consecutive spans by rank and the
-    last span's rank before it builds the basis; the package skips the
-    pair check where a group starts with the group before it.  The basis
-    construction reuses the package's kernels on purpose: agreement then
-    isolates the checks.
+    rows = h * w with w unimodular of determinant sign, and h lower echelon:
+    with k pivots placed, a row is zero from column k + 1 on; a nonzero
+    entry at column k is the next pivot p, positive, and each entry left of
+    it lies in (-p/2, p/2].  For rows of full column rank exactly one
+    triple passes.
     """
-    from orbifloer.errors import FlagNotIncreasing
-    from orbifloer.lattice import (
-        _complete_unimodular,
-        _solve_in_rows,
-        rank_rational,
-        saturated_span_basis,
-        vec,
-    )
-
-    levels = [[vec(w) for w in grp] for grp in chain]
-    if not levels or any(not grp for grp in levels):
-        raise FlagNotIncreasing("chain must be a nonempty list of nonempty groups")
-    n = len(levels[0][0])
-    for prev, nxt in zip(levels, levels[1:]):
-        if rank_rational(nxt + prev) != rank_rational(nxt):
-            raise FlagNotIncreasing("span chain does not nest")
-    if rank_rational(levels[-1]) != n:
-        raise FlagNotIncreasing("final span is not all of R^n")
-    basis: list = []
-    seen: list = []
-    for grp in levels:
-        seen = seen + grp
-        sat = saturated_span_basis(seen)
-        r = len(sat)
-        if r == len(basis):
+    if mat_mul(h, w) != tuple(map(tuple, rows)) or det_cofactor(w) != sign or abs(sign) != 1:
+        return False
+    k = 0
+    for row in h:
+        if k == len(w):
             continue
-        xrows = [_solve_in_rows(sat, p) for p in basis]
-        for row in _complete_unimodular(tuple(xrows), r):
-            w = tuple(sum(q * s[k] for q, s in zip(row, sat)) for k in range(n))
-            lead = next(x for x in w if x)
-            basis.append(tuple(-y for y in w) if lead < 0 else w)
-    return basis
+        if any(row[k + 1 :]) or row[k] < 0:
+            return False
+        if row[k]:
+            p = row[k]
+            if not all(-p < 2 * x <= p for x in row[:k]):
+                return False
+            k += 1
+    return True
 
 
 # json.dumps of the placeholder "\x00f<k>\x00" that enc puts in for float k

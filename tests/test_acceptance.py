@@ -13,10 +13,9 @@ from orbifloer.disc import DiscDescriptor, basic_orbi_discs, basic_smooth_discs,
 from orbifloer.lattice import (
     SimplicialCone,
     cone_multiplicity,
+    column_hermite,
     det_int,
     integral_basis_in_cone,
-    saturated_span_basis,
-    saturate_flag,
     smith_normal_form,
     rank_rational,
 )
@@ -220,17 +219,13 @@ def test_snf_and_saturation_properties():
         assert all(y % x == 0 for x, y in zip(nz, nz[1:]))
         assert [abs(x) for x in diag[: len(nz)]] == oracles.snf_diagonal_via_divisors(a)
 
-        sat = saturated_span_basis(a)
-        assert oracles.is_saturated_basis_of_span(a, [list(s) for s in sat])
-
-        # adapted flag: saturation property must hold for every prefix span
+        # adapted basis: saturation property must hold for every prefix span
         full = a + [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        flag = saturate_flag([a[:1], a, full])
+        h, basis, sign = column_hermite(full, cols)
+        assert oracles.is_column_hermite(full, h, basis, sign)
         for prefix in (a[:1], a, full):
             r = rank_rational(prefix)
-            assert oracles.is_saturated_basis_of_span(
-                prefix, [list(x) for x in flag[:r]]
-            )
+            assert oracles.is_saturated_basis_of_span(prefix, basis[:r])
 
 
 # 11 -----------------------------------------------------------------------

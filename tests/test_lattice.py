@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith form, cones, box points, adapted bases."""
+"""Exact linear algebra: Smith and Hermite forms, cones, box points, adapted bases."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbifloer import lattice, ltsolver
-from orbifloer.errors import DegenerateCone, FlagNotIncreasing, NotUnimodular
+from orbifloer.errors import DegenerateCone, NotUnimodular
 from orbifloer.region import enumerate_scenarios, scenario_rows
 from orbifloer.stacky import build_model
 
@@ -129,114 +129,102 @@ def test_integral_basis_random_cones(rows):
     assert all(a > b for a, b in zip(trace, trace[1:]))
 
 
-@given(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=1, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_saturated_span_basis_oracle(vectors):
-    got = lattice.saturated_span_basis(vectors)
-    if lattice.rank_rational([tuple(v) for v in vectors]) == 0:
-        assert got == []
-        return
-    assert oracles.is_saturated_basis_of_span(vectors, [list(v) for v in got])
-
-
-def test_saturate_flag_small():
-    # line spanned by (0,1),(0,-1) inside Z^2, then everything
-    basis = lattice.saturate_flag([[(0, 1), (0, -1)], [(0, 1), (0, -1), (1, 0), (-1, -2)]])
-    assert len(basis) == 2
-    assert abs(lattice.det_int(lattice.mat(basis))) == 1
-    assert lattice.rank_rational([basis[0], (0, 1)]) == 1
-
-
-def test_saturate_flag_saturates_each_level():
-    # first group spans a line through (2,4): saturation is generated by (1,2)
-    basis = lattice.saturate_flag([[(2, 4)], [(2, 4), (0, 7)]])
-    assert basis[0] == (1, 2)
-    assert abs(lattice.det_int(lattice.mat(basis))) == 1
-
-
-def test_saturate_flag_identity_chain():
-    assert lattice.saturate_flag([[(1, 0)], [(1, 0), (0, 1)]]) == [(1, 0), (0, 1)]
-
-
-def test_saturate_flag_rejects_bad_chains():
-    with pytest.raises(FlagNotIncreasing):
-        lattice.saturate_flag([[(1, 0)], [(2, 0)]])  # never reaches full span
-    with pytest.raises(FlagNotIncreasing):
-        lattice.saturate_flag([])
-
-
-@given(
-    st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=2),
-    st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=2),
-)
-@settings(max_examples=60, deadline=None)
-def test_saturate_flag_random_chains(g1, g2):
-    chain = [g1, g1 + g2 + [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
-    if lattice.rank_rational([tuple(v) for v in g1]) == 0:
-        return
-    basis = lattice.saturate_flag(chain)
-    assert abs(lattice.det_int(lattice.mat(basis))) == 1
-    r1 = lattice.rank_rational([tuple(v) for v in g1])
-    head = [list(b) for b in basis[:r1]]
-    assert oracles.is_saturated_basis_of_span(g1, head)
-
-
-def _same_flag(chain):
-    # both give one basis, or both refuse the chain
-    try:
-        want = oracles.saturate_flag_checked(chain)
-    except FlagNotIncreasing:
-        with pytest.raises(FlagNotIncreasing):
-            lattice.saturate_flag(chain)
-        return None
-    assert lattice.saturate_flag(chain) == want
-    return want
-
-
-groups3 = st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=2)
-
-
-@given(
-    st.lists(groups3, min_size=1, max_size=3),
-    st.booleans(),
-    st.sampled_from(["prefix", "reordered", "free"]),
-)
-@settings(max_examples=150, deadline=None)
-def test_saturate_flag_matches_checked_oracle(groups, full, shape):
-    # prefix: cumulative groups, as an adapted basis asks for them, which
-    # skip the pair check; reordered: the same spans with each later group
-    # reversed, so the rank check runs; free: groups as drawn, which may
-    # fail to nest.  The last span is full when full is set.
-    chain, acc = [], []
+def hermite_basis(groups, n):
+    """column_hermite of the groups stacked in order, with the rank after each group."""
+    rows = [tuple(v) for g in groups for v in g]
+    h, w, sign = lattice.column_hermite(rows, n)
+    ranks, seen = [], []
     for g in groups:
-        acc = acc + g
-        chain.append(list(acc) if shape != "free" else list(g))
-    if shape == "reordered":
-        chain = chain[:1] + [grp[::-1] for grp in chain[1:]]
-    if full:
-        chain[-1] += [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    got = _same_flag(chain)
-    if full and shape != "free":
-        assert got is not None
+        seen += [tuple(v) for v in g]
+        ranks.append(lattice.rank_rational(seen))
+    return rows, h, w, sign, ranks
 
 
-def test_saturate_flag_matches_checked_oracle_on_leaf_chains(monkeypatch):
-    # the cumulative chains the leaves of a region pass for their adapted bases
-    chains = []
-    real = ltsolver.saturate_flag
+def test_hermite_basis_small():
+    # line spanned by (0,1),(0,-1) inside Z^2, then everything
+    _, h, w, sign, _ = hermite_basis([[(0, 1), (0, -1)], [(1, 0), (-1, -2)]], 2)
+    assert w == [[0, 1], [1, 0]] and sign == -1
+    assert h == [[1, 0], [-1, 0], [0, 1], [-2, -1]]
 
-    def record(chain):
-        chains.append(chain)
-        return real(chain)
 
-    monkeypatch.setattr(ltsolver, "saturate_flag", record)
+def test_hermite_basis_saturates_each_level():
+    # first group spans a line through (2,4): saturation is generated by (1,2)
+    _, h, w, _, _ = hermite_basis([[(2, 4)], [(0, 7)]], 2)
+    assert w[0] == [1, 2]
+    assert h == [[2, 0], [0, 7]]
+    assert abs(lattice.det_int(lattice.mat(w))) == 1
+
+
+def test_hermite_basis_identity_chain():
+    assert lattice.column_hermite(((1, 0), (0, 1)), 2) == ([[1, 0], [0, 1]], [[1, 0], [0, 1]], 1)
+
+
+def test_hermite_centres_the_residues_left_of_a_pivot():
+    # (1, 7) reads as (-5, 16) against the pivot 16: -5 is its residue in (-8, 8]
+    h, w, sign = lattice.column_hermite(((3, 5), (1, 7)), 2)
+    assert (h, w, sign) == ([[1, 0], [-5, 16]], [[3, 5], [1, 2]], 1)
+    # a residue of exactly p/2 stays positive
+    h, _, _ = lattice.column_hermite(((1, 0), (2, 4)), 2)
+    assert h == [[1, 0], [2, 4]]
+    h, _, _ = lattice.column_hermite(((1, 0), (-2, 4)), 2)
+    assert h == [[1, 0], [2, 4]]
+
+
+def level_groups(draw_n=st.integers(2, 4)):
+    """(groups, n): up to three groups of small vectors in n = 2..4 dimensions,
+    the last followed by a full-rank group so the stack spans."""
+
+    def build(n):
+        vectors = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+        groups = st.lists(st.lists(vectors, min_size=1, max_size=3), min_size=1, max_size=3)
+        last = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        return st.tuples(groups, last, st.just(n))
+
+    return draw_n.flatmap(build)
+
+
+@given(level_groups())
+@settings(max_examples=150, deadline=None)
+def test_hermite_basis_is_adapted_to_random_level_groups(case):
+    groups, last, n = case
+    if lattice.rank_rational([tuple(v) for v in last]) < n:
+        last = [[int(i == j) for j in range(n)] for i in range(n)]
+    groups = groups + [last]
+    rows, h, w, sign, ranks = hermite_basis(groups, n)
+    assert oracles.is_unimodular(w)
+    assert oracles.is_column_hermite(rows, h, w, sign)
+    seen = []
+    for g, r in zip(groups, ranks):
+        seen += g
+        assert oracles.is_saturated_basis_of_span(seen, w[:r])
+        # each group's rows live in the first r columns
+        assert not any(x for row in h[: len(seen)] for x in row[r:])
+
+
+def test_hermite_basis_on_leaf_stacks(monkeypatch):
+    # the stacks the leaves of a region pass for their adapted bases
+    stacks = []
+    real = ltsolver.column_hermite
+
+    def record(rows, n):
+        stacks.append((rows, n))
+        return real(rows, n)
+
+    monkeypatch.setattr(ltsolver, "column_hermite", record)
     m = build_model("square:2,2,1,1")
     leaves = enumerate_scenarios(m)
     for s in leaves:
-        scenario_rows(m, s)
-    assert len(chains) == len(leaves)
-    for chain in chains:
-        assert _same_flag(chain) is not None
+        strat, _ = scenario_rows(m, s)
+        got = stacks[-1]
+        assert got[1] == m.dim == len(strat.adapted_basis)
+        h, w, sign = real(*got)
+        assert oracles.is_column_hermite(got[0], h, w, sign)
+        assert strat.adapted_basis == tuple(map(tuple, w))
+        seen = []
+        for lv in strat.levels:
+            seen += lv.directions
+            assert oracles.is_saturated_basis_of_span(seen, w[: lv.span_dim])
+    assert len(stacks) == len(leaves)
 
 
 def test_unimodular_inverse_roundtrip():
@@ -300,8 +288,8 @@ def test_snf_transform_entries_stay_small():
     # balanced remainders keep them a few digits wide
     a = [[-9, -9, 2, 5, 8], [4, 3, -9, -7, 8], [0, -2, -3, 9, -7], [5, 6, -3, -8, -6]]
     full = a + [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-    basis = lattice.saturate_flag([a[:1], a, full])
-    assert max(abs(x) for row in basis for x in row) < 10**6
+    h, basis, _ = lattice.column_hermite(full, 5)
+    assert max(abs(x) for m in (h, basis) for row in m for x in row) < 10**6
     u, d, v = lattice.smith_normal_form(a)
     assert oracles.mat_mul(oracles.mat_mul(u, a), v) == d
     assert max(abs(x) for m in (u, v) for row in m for x in row) < 10**6
@@ -358,27 +346,6 @@ def test_square_solves_match_sympy(case):
         return
     x = from_sympy(sa.inv() * to_sympy([b]).T)
     assert lattice.solve_rational(a, b) == tuple(row[0] for row in x)
-
-
-@given(deficient_matrices(st.integers(2, 5), st.integers(1, 3)), st.data())
-@settings(max_examples=150, deadline=None)
-def test_solve_rect_tall_systems(a, data):
-    if len(a) <= len(a[0]):
-        a = a + [list(a[0])] * (len(a[0]) + 1 - len(a))
-    b = data.draw(st.lists(values, min_size=len(a), max_size=len(a)))
-    sa = to_sympy(a)
-    if sa.rank() < sympy.Matrix.hstack(sa, to_sympy([b]).T).rank():
-        with pytest.raises(FlagNotIncreasing):
-            lattice._solve_rect(a, b)
-        return
-    x = lattice._solve_rect(a, b)
-    assert [sum(Fraction(e) * xi for e, xi in zip(row, x)) for row in a] == list(b)
-
-
-def test_solve_rect_inconsistent_example():
-    with pytest.raises(FlagNotIncreasing):
-        lattice._solve_rect(((1, 0), (0, 1), (1, 1)), (1, 1, 3))
-    assert lattice._solve_rect(((1, 0), (0, 1), (1, 1)), (1, 1, 2)) == (1, 1)
 
 
 def test_doctests():

@@ -217,13 +217,13 @@ def test_scenario_rows_take_ranks_from_the_walk(monkeypatch):
 
 
 def test_coloop_prunes_a_root_at_infinity():
-    # y2 * df/dy2 = -c5/y2 never vanishes, yet a float search finds a
-    # "root" drifting to |y2| ~ 5e7 inside the certificate's window
+    # y2 * df/dy2 = c5*y2 never vanishes, yet a float search finds a
+    # "root" drifting to y2 ~ 0 inside the certificate's window
     m = build_model("square:2,2,2,2")
     s = enumerate_scenarios(m, 1)[18]
     assert s.levels == ((("facet", 3), ("sector", 3), ("sector", 5)),)
     lts = scenario_lts(m, s)
-    assert render_poly(lts.levels[0].poly) == "1*y1^-2 + c3*y1^-1 + c5*y2^-1"
+    assert render_poly(lts.levels[0].poly) == "c5*y2 + c3*y1 + 1*y1^2"
     assert oracles.coloop_refutes(lts)
     assert scenario_region(m, s) is not None
     r, refuted = _walk_refuted(m, 1)
@@ -239,7 +239,7 @@ def test_coloop_refutes_dependent_mixed_level():
     assert s.levels == ((("facet", 0), ("facet", 2), ("sector", 0)),)
     assert enumerate_box(m)[0].nu == (0, -1)
     lts = scenario_lts(m, s)
-    assert render_poly(lts.levels[0].poly) == "1*y1^-1 + c0*y2^-1 + 1*y2"
+    assert render_poly(lts.levels[0].poly) == "c0*y2^-1 + 1*y2 + 1*y1"
     assert oracles.coloop_refutes(lts)
     assert solve(lts).status is Solvability.UnknownLikelyUnsolvable
     assert scenario_region(m, s) is not None
@@ -436,6 +436,21 @@ def test_query_point_rejects_a_point_of_the_wrong_dimension():
     for u in [(0, 0, 0), (0,)]:
         with pytest.raises(InputError, match="dimension 2"):
             query_point(r, u)
+
+
+def test_square_region_solves_once_per_signature(monkeypatch):
+    # the adapted basis is the column Hermite form's, with positive pivots,
+    # so the square's 984 pieces come down to 183 distinct systems
+    calls = []
+    real = region.solve
+
+    def counted(lts, **kw):
+        calls.append(lts)
+        return real(lts, **kw)
+
+    monkeypatch.setattr(region, "solve", counted)
+    r = nondisplaceable_region(build_model("square:2,2,2,2"))
+    assert (len(r.pieces), len(calls)) == (984, 183)
 
 
 def test_shared_certificates_carry_own_symbols():
