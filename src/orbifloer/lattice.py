@@ -78,8 +78,9 @@ def cleared(row) -> list:
 
 
 def det_int(m: Mat) -> int:
-    """Determinant of a square integer matrix, exact: the signed product of
-    the diagonal of its column_hermite form.
+    """Determinant of a square integer matrix, exact.
+
+    The signed product of the diagonal of its column_hermite form.
 
     Examples
     --------
@@ -110,9 +111,10 @@ def column_hermite(rows, n: int) -> tuple:
 
     Returns (H, W, sign): W = V^-1, kept by the inverse row operations,
     and sign = det V.  M = H W, so each row of H is its row of M in the
-    basis W of Z^n; when the rows of M come in groups, the rows of the
-    groups up to one lie in the first r columns of H, r their rank, and
-    the first r rows of W are a Z-basis of their span met with Z^n.
+    basis W of Z^n.  The rows of M up to any row lie in the first r
+    columns of H, r their rank, so the first r rows of W are a Z-basis of
+    their span met with Z^n: stacked level by level, W is adapted to the
+    levels' flag.
 
     Examples
     --------

@@ -170,9 +170,9 @@ def test_hermite_centres_the_residues_left_of_a_pivot():
     assert h == [[1, 0], [2, 4]]
 
 
-def level_groups(draw_n=st.integers(2, 4)):
-    """(groups, n): up to three groups of small vectors in n = 2..4 dimensions,
-    the last followed by a full-rank group so the stack spans."""
+def level_groups():
+    """(groups, last, n): up to three groups of small vectors in n = 2..4
+    dimensions, and an n x n group to follow them so the stack spans."""
 
     def build(n):
         vectors = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
@@ -180,7 +180,7 @@ def level_groups(draw_n=st.integers(2, 4)):
         last = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
         return st.tuples(groups, last, st.just(n))
 
-    return draw_n.flatmap(build)
+    return st.integers(2, 4).flatmap(build)
 
 
 @given(level_groups())
@@ -207,18 +207,17 @@ def test_hermite_basis_on_leaf_stacks(monkeypatch):
     real = ltsolver.column_hermite
 
     def record(rows, n):
-        stacks.append((rows, n))
-        return real(rows, n)
+        out = real(rows, n)
+        stacks.append((rows, *out))
+        return out
 
     monkeypatch.setattr(ltsolver, "column_hermite", record)
     m = build_model("square:2,2,1,1")
     leaves = enumerate_scenarios(m)
     for s in leaves:
         strat, _ = scenario_rows(m, s)
-        got = stacks[-1]
-        assert got[1] == m.dim == len(strat.adapted_basis)
-        h, w, sign = real(*got)
-        assert oracles.is_column_hermite(got[0], h, w, sign)
+        rows, h, w, sign = stacks[-1]
+        assert oracles.is_column_hermite(rows, h, w, sign)
         assert strat.adapted_basis == tuple(map(tuple, w))
         seen = []
         for lv in strat.levels:
