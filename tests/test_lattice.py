@@ -170,6 +170,61 @@ def test_hermite_centres_the_residues_left_of_a_pivot():
     assert h == [[1, 0], [2, 4]]
 
 
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_column_hermite_of_rows_of_any_rank(rows):
+    # short, tall and rank-deficient stacks: one pivot per unit of rank
+    n = len(rows[0])
+    h, w, sign = lattice.column_hermite(rows, n)
+    assert oracles.is_unimodular(w)
+    assert oracles.is_column_hermite(rows, h, w, sign)
+    pivots = sum(1 for i in range(n) if any(row[i] for row in h))
+    assert pivots == lattice.rank_rational([tuple(r) for r in rows])
+
+
+def unimodular_columns(n):
+    """An n x n unimodular matrix: a few column swaps, negations and
+    additions applied to the identity."""
+    step = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+
+    def build(steps):
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for a, b, q in steps:
+            for row in u:
+                if a == b:
+                    row[a] = -row[a]
+                elif q == 0:
+                    row[a], row[b] = row[b], row[a]
+                else:
+                    row[a] += q * row[b]
+        return u
+
+    return st.lists(step, max_size=6).map(build)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n + 2),
+            unimodular_columns(n),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_column_hermite_is_unique_for_full_rank(case):
+    # M and M U have one H when M has rank n; their W differ by U
+    rows, u = case
+    n = len(u)
+    if lattice.rank_rational([tuple(r) for r in rows]) < n:
+        rows = rows + [[int(i == j) for j in range(n)] for i in range(n)]
+    h, w, sign = lattice.column_hermite(rows, n)
+    moved = [list(r) for r in oracles.mat_mul(rows, u)]
+    h2, w2, sign2 = lattice.column_hermite(moved, n)
+    assert h2 == h
+    assert oracles.mat_mul(w, u) == tuple(map(tuple, w2))
+    assert sign2 == sign * oracles.det_cofactor(u)
+
+
 def level_groups():
     """(groups, last, n): up to three groups of small vectors in n = 2..4
     dimensions, and an n x n group to follow them so the stack spans."""
@@ -224,6 +279,22 @@ def test_hermite_basis_on_leaf_stacks(monkeypatch):
             seen += lv.directions
             assert oracles.is_saturated_basis_of_span(seen, w[: lv.span_dim])
     assert len(stacks) == len(leaves)
+
+
+def test_leaf_exponents_rebuild_each_level_in_the_adapted_basis():
+    # strat.exponents, cut from H level by level, read each member's
+    # direction back in the basis and own no coordinate past its level
+    m = build_model("wp:1,3,5")
+    leaves = enumerate_scenarios(m)
+    assert leaves
+    for s in leaves:
+        strat, _ = scenario_rows(m, s)
+        assert len(strat.exponents) == len(strat.levels)
+        for lv, exponents in zip(strat.levels, strat.exponents):
+            assert len(exponents) == len(lv.directions)
+            for e, d in zip(exponents, lv.directions):
+                assert oracles.mat_mul([e], strat.adapted_basis) == (tuple(d),)
+                assert not any(e[lv.span_dim :])
 
 
 def test_unimodular_inverse_roundtrip():
