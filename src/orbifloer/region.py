@@ -28,12 +28,17 @@ solved.  A scenario's serial is its rank among the span-valid candidates
 in product order, the same with or without pruning: a skipped subtree
 adds its memoized candidate count.
 
-Feasibility is exact Fourier-Motzkin over integer rows, run on the binding
-rows of a system (_binding) and memoized on them (_eliminate): the walk's
-prefixes and the pieces share a few dozen distinct rows, so most systems
-recur.  piece_geometry likewise finds each distinct set of binding rows'
-polygon once (_polygon).  Both memos are bounded LRU caches of results
-that depend on their key alone.
+Feasibility is exact Fourier-Motzkin over integer rows.  A system is held
+as the pivots of its equalities (_pivots) and a binding table of its strict
+rows (_fold): of the rows sharing a primitive direction only the tightest
+is kept.  The walk carries one system down each path and folds in the one
+row a placed sector adds, so no row is substituted twice, and each leaf
+hands its system to scenario_region.  The elimination (_solve) is memoized
+on the table's binding rows (_eliminate): the walk's prefixes and the
+pieces share a few dozen distinct rows, so most systems recur.
+piece_geometry likewise finds each distinct set of binding rows' polygon
+once (_polygon).  Both memos are bounded LRU caches of results that depend
+on their key alone.
 
 query_point reads a region through its row index (FiberRegion.row_index),
 built once on the first query: the region's constraints are a few dozen
@@ -217,7 +222,7 @@ def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6)
     order.  limit bounds the number of candidates: it is counted before
     any is built, and TooManyScenarios names the count.
     """
-    return list(_scenario_walk(m, max_levels, limit=limit))
+    return [s for s, _ in _scenario_walk(m, max_levels, limit=limit)]
 
 
 class _SpanTree:
@@ -350,7 +355,8 @@ def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**
     leaves below it, once its last digit is placed, with the node's
     _SpanTree state; it returns the context of the subtree, or None to
     skip it.  A skipped subtree adds its memoized candidate count to the
-    serial counter without visiting its leaves.
+    serial counter without visiting its leaves.  Yields (scenario, ctx)
+    pairs, ctx the leaf's context (() without grow).
     Raises TooManyScenarios at once when the candidates exceed limit.
     """
     if max_levels < 1:
@@ -372,7 +378,7 @@ def _leaves(trees: list, nf: int, grow):
     def visit(tree, p, state, ctx):
         nonlocal serial
         if p == tree.n:
-            yield _scenario(serial, digits, nf, [tree.rank(span) for span in state[0]])
+            yield _scenario(serial, digits, nf, [tree.rank(span) for span in state[0]]), ctx
             serial += 1
             return
         for v in range(tree.K + 1):
@@ -424,40 +430,71 @@ def _difference(a: tuple, b: tuple, rel: str, kind: str, label: str) -> Constrai
     return Constraint(tuple(row[:-1]), row[-1], rel, kind, label)
 
 
+class _ConstraintTable(dict):
+    """A model's Constraint objects keyed by (kind, indices), each built once.
+
+    The keys, with a the anchor facet of a level l (0-based) and K the
+    scenario's level count:
+      ("interior", j)       ell_j > 0
+      ("level", a, j)       ell_a = ell_j
+      ("sector", a, i, l)   ell_nu_i < S_{l+1}, as ell_a - ell_nu_i > 0
+      ("order", b, a, l)    S_{l+2} > S_{l+1}, as ell_b - ell_a > 0
+      ("above", j, a, K)    ell_j > S_K, as ell_j - ell_a > 0
+    A missing key builds its Constraint from the model's rows (_model_rows).
+    """
+
+    def __init__(self, m: StackyModel):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, key: tuple) -> Constraint:
+        facet, sector = _model_rows(self.m)
+        kind, x, *rest = key
+        if kind == "interior":
+            c = Constraint(facet[x][:-1], facet[x][-1], ">", "interior", f"ell_{x} > 0")
+        elif kind == "level":
+            c = _difference(facet[x], facet[rest[0]], "==", "level", f"ell_{x} = ell_{rest[0]}")
+        elif kind == "sector":
+            i, l = rest
+            label = f"ell_nu{enumerate_box(self.m)[i].nu} < S{l + 1}"
+            c = _difference(facet[x], sector[i], ">", "sector", label)
+        elif kind == "order":
+            a, l = rest
+            c = _difference(facet[x], facet[a], ">", "order", f"S{l + 2} > S{l + 1}")
+        else:
+            a, K = rest
+            c = _difference(facet[x], facet[a], ">", "above", f"ell_{x} > S{K}")
+        self[key] = c
+        return c
+
+
+@lru_cache(maxsize=None)
+def _model_constraints(m: StackyModel) -> _ConstraintTable:
+    """The model's constraint table, one per model like _model_rows."""
+    return _ConstraintTable(m)
+
+
 def scenario_constraints(m: StackyModel, s: Scenario) -> list:
     """The scenario's defining conditions on u, each tagged with its origin.
 
     Each condition is an integer multiple of the form difference it names.
+    The Constraint objects are shared by every scenario of the model
+    (_model_constraints).
     """
-    facet, sector = _model_rows(m)
-    box = enumerate_box(m)
-    cons = [
-        Constraint(row[:-1], row[-1], ">", "interior", f"ell_{j} > 0")
-        for j, row in enumerate(facet)
-    ]
+    table = _model_constraints(m)
+    nf = len(m.facets)
+    keys = [("interior", j) for j in range(nf)]
     anchors = []
     for l, tags in enumerate(s.levels):
         facets = [i for k, i in tags if k == "facet"]
         a = facets[0]
         anchors.append(a)
-        for j in facets[1:]:
-            cons.append(_difference(facet[a], facet[j], "==", "level", f"ell_{a} = ell_{j}"))
-        for k, i in tags:
-            if k == "sector":
-                label = f"ell_nu{box[i].nu} < S{l + 1}"
-                cons.append(_difference(facet[a], sector[i], ">", "sector", label))
-    for l in range(len(anchors) - 1):
-        cons.append(
-            _difference(
-                facet[anchors[l + 1]], facet[anchors[l]], ">", "order", f"S{l + 2} > S{l + 1}"
-            )
-        )
+        keys += [("level", a, j) for j in facets[1:]]
+        keys += [("sector", a, i, l) for k, i in tags if k == "sector"]
+    keys += [("order", anchors[l + 1], anchors[l], l) for l in range(len(anchors) - 1)]
     assigned = {i for tags in s.levels for k, i in tags if k == "facet"}
-    top = facet[anchors[-1]]
-    for j in range(len(m.facets)):
-        if j not in assigned:
-            cons.append(_difference(facet[j], top, ">", "above", f"ell_{j} > S{s.K}"))
-    return cons
+    keys += [("above", j, anchors[-1], s.K) for j in range(nf) if j not in assigned]
+    return [table[key] for key in keys]
 
 
 def _substitute(vec: list, subs: list) -> list:
@@ -474,58 +511,72 @@ def _substitute(vec: list, subs: list) -> list:
     return primitive(vec)
 
 
-def _binding(rows):
-    """The binding rows of a strict integer system, or None when infeasible.
+def _pivots(eqs, n: int):
+    """The pivot rows of integer equalities eqs == 0, or None when they conflict.
 
-    Every row is strict (row[:-1].u + row[-1] > 0).  Of the rows sharing a
-    primitive direction only the tightest binds: a looser parallel row is
-    implied by it and never moves a bound or carries a vertex.  Rows of
-    zero direction are constants; a nonpositive one makes the system
-    infeasible, a positive one is dropped.  Returns a frozenset of tuples;
-    it depends neither on the order of the rows nor on repeated rows (of
-    rows that are positive multiples of each other, the first is kept).
+    Returns subs, a list of (pivot, row) with row[pivot] > 0 in creation
+    order, each row free of the earlier pivots (_substitute).
     """
-    best: dict = {}
-    for row in rows:
-        g = math.gcd(*row[:-1])
-        if g == 0:
-            if row[-1] <= 0:
+    subs: list = []
+    for row in eqs:
+        row = _substitute(row, subs)
+        pivot = next((k for k in range(n) if row[k]), None)
+        if pivot is None:
+            if row[n]:
                 return None
             continue
-        key = tuple(x // g for x in row[:-1])
-        kept = best.get(key)
-        if kept is None or row[-1] * kept[0] < kept[1][-1] * g:
-            best[key] = (g, row)
-    return frozenset(tuple(row) for _, row in best.values())
+        if row[pivot] < 0:
+            row = [-x for x in row]
+        subs.append((pivot, row))
+    return subs
 
 
-def _fm_witness(rows, free):
-    """Fourier-Motzkin with witness reconstruction over integer rows.
+def _fold(table: dict, row) -> bool:
+    """Fold one strict integer row into a binding table; False when infeasible.
 
-    Every row is strict and only involves the variables in free; only the
-    binding rows are eliminated (_binding): FM cost is quadratic in the row
-    count and duplicates are common here.  The elimination is memoized on
-    the binding rows and free (_eliminate), so systems that differ only in
-    row order, duplicates or dominated rows share one run.  Returns a new
-    dict var -> Fraction, or None.
+    The row is strict (row[:-1].u + row[-1] > 0).  The table maps each
+    primitive direction to (g, row), the tightest row of that direction
+    folded so far and its direction's gcd g: a looser parallel row is
+    implied by it and never moves a bound or carries a vertex.  A row of
+    zero direction is a constant; a nonpositive one makes the system
+    infeasible, a positive one is dropped.  Of rows that are positive
+    multiples of each other the first stays, so on primitive rows the
+    table's rows depend neither on the order of the folds nor on repeats.
     """
-    rows = _binding(rows)
-    if rows is None:
-        return None
-    sol = _eliminate(rows, tuple(free))
-    return None if sol is None else dict(sol)
+    g = math.gcd(*row[:-1])
+    if g == 0:
+        return row[-1] > 0
+    key = tuple(x // g for x in row[:-1])
+    kept = table.get(key)
+    if kept is None or row[-1] * kept[0] < kept[1][-1] * g:
+        table[key] = (g, tuple(row))
+    return True
+
+
+def _binding(rows):
+    """The binding rows of a strict integer system (_fold), or None when infeasible.
+
+    Returns a frozenset of tuples.
+    """
+    table: dict = {}
+    if all(_fold(table, row) for row in rows):
+        return frozenset(row for _, row in table.values())
+    return None
 
 
 @lru_cache(maxsize=4096)
 def _eliminate(rows: frozenset, free: tuple):
     """Witness of binding rows over free, eliminating free[-1] first.
 
+    Every row is strict and only involves the variables in free.
     Strictness survives the pairwise combinations, so a feasible system
     always has interior points and the midpoint reconstruction below is
-    safe.  Bounds are ratios, unchanged by positive row scalings, and the
-    max and min of a set of them do not depend on its order, so the result
-    is a function of the key.  Returns the witness as (var, Fraction) pairs,
-    or None.
+    safe.  Only the binding rows of the combinations go on (_binding): FM
+    cost is quadratic in the row count and duplicates are common here.
+    Bounds are ratios, unchanged by positive row scalings, and the max and
+    min of a set of them do not depend on its order, so the result is a
+    function of the key.  Returns the witness as (var, Fraction) pairs, or
+    None.
     """
     if not free:
         return ()
@@ -538,9 +589,11 @@ def _eliminate(rows: frozenset, free: tuple):
         for up in uppers:
             al, au = lo[k], -up[k]
             rest.append(primitive([au * x + al * y for x, y in zip(lo, up)]))
-    sol = _fm_witness(rest, free[:-1])
+    rest = _binding(rest)
+    sol = None if rest is None else _eliminate(rest, free[:-1])
     if sol is None:
         return None
+    sol = dict(sol)
 
     def bound(row):
         residue = row[-1] + sum(row[j] * v for j, v in sol.items() if row[j])
@@ -559,42 +612,70 @@ def _eliminate(rows: frozenset, free: tuple):
     return tuple(sol.items())
 
 
-def _witness(eqs, ineqs, n):
-    """Witness of integer rows: eqs == 0 and ineqs > 0, or None."""
-    subs: list = []  # (pivot, row) with row[pivot] > 0, in creation order
-    for row in eqs:
-        row = _substitute(row, subs)
-        pivot = next((k for k in range(n) if row[k]), None)
-        if pivot is None:
-            if row[n]:
-                return None
-            continue
-        if row[pivot] < 0:
-            row = [-x for x in row]
-        subs.append((pivot, row))
+def _system(eqs, ineqs, n: int):
+    """(subs, table) of integer rows eqs == 0 and ineqs > 0, or None.
+
+    subs are the equalities' pivots (_pivots) and table the binding table
+    of the strict rows with the pivots substituted (_fold).  None means a
+    contradiction already shows: conflicting equalities or a nonpositive
+    constant row.
+    """
+    subs = _pivots(eqs, n)
+    if subs is None:
+        return None
+    table: dict = {}
+    if all(_fold(table, _substitute(row, subs)) for row in ineqs):
+        return subs, table
+    return None
+
+
+def _solve(subs: list, table: dict, n: int):
+    """Witness of a system (_system), or None when it is infeasible.
+
+    Fourier-Motzkin on the table's binding rows over the non-pivot
+    variables (_eliminate), then each pivot solved from its row, last
+    first.
+    """
     pivots = {p for p, _ in subs}
-    sol = _fm_witness(
-        [_substitute(row, subs) for row in ineqs], [k for k in range(n) if k not in pivots]
+    sol = _eliminate(
+        frozenset(row for _, row in table.values()), tuple(k for k in range(n) if k not in pivots)
     )
     if sol is None:
         return None
+    sol = dict(sol)
     for pivot, row in reversed(subs):
         rest = row[n] + sum(row[j] * sol[j] for j in range(n) if j != pivot and row[j])
         sol[pivot] = Fraction(-rest, row[pivot])
     return tuple(sol[k] for k in range(n))
 
 
-def scenario_region(m: StackyModel, s: Scenario) -> ScenarioPolyhedron | None:
-    """Feasible u-set of a scenario, or None when empty."""
+def _witness(eqs, ineqs, n):
+    """Witness of integer rows: eqs == 0 and ineqs > 0, or None."""
+    system = _system(eqs, ineqs, n)
+    return None if system is None else _solve(*system, n)
+
+
+def scenario_region(m: StackyModel, s: Scenario, system=None) -> ScenarioPolyhedron | None:
+    """Feasible u-set of a scenario, or None when empty.
+
+    ``system``, the (subs, table) of the scenario's rows as _system builds
+    them, is built from scenario_constraints when not given; the region
+    walk hands each leaf's own.  The witness must satisfy every
+    constraint, which also checks that a given system is this scenario's.
+    """
     cons = scenario_constraints(m, s)
     eqs = tuple(c for c in cons if c.rel == "==")
     ineqs = tuple(c for c in cons if c.rel == ">")
-    # scenario_constraints rows are integers already
-    w = _witness(list(map(_row, eqs)), list(map(_row, ineqs)), m.dim)
+    if system is None:
+        # scenario_constraints rows are integers already
+        w = _witness(list(map(_row, eqs)), list(map(_row, ineqs)), m.dim)
+    else:
+        w = _solve(*system, m.dim)
     if w is None:
         return None
     poly = ScenarioPolyhedron(eqs, ineqs, w)
-    assert poly.contains(w), "witness must satisfy its own system"
+    if not poly.contains(w):
+        raise AssertionError(f"scenario {s.serial}: witness {w} breaks its own system")
     return poly
 
 
@@ -640,8 +721,9 @@ def nondisplaceable_region(
     The scenario walk skips every candidate that cannot become a piece
     before any work on it: prefixes that are already infeasible and leaves
     with a coloop level, whose system provably has no root
-    (_piece_candidates).  Serials stay the ranks enumerate_scenarios
-    gives.  Verdicts are cached by structural signature: scenarios
+    (_piece_candidates).  Each leaf's feasibility system comes from the
+    walk's context, so scenario_region only solves it, usually a memo
+    hit.  Serials stay the ranks enumerate_scenarios gives.  Verdicts are cached by structural signature: scenarios
     producing the same level polynomials up to symbol renaming share one
     solve, and a shared certificate is renamed into each scenario's own
     symbols.  The signature is read off the integer exponent rows of each
@@ -650,8 +732,8 @@ def nondisplaceable_region(
     """
     pieces = []
     cache: dict = {}
-    for s in _scenario_walk(m, max_levels, _piece_candidates(m)):
-        poly = scenario_region(m, s)
+    for s, (system, _, _) in _scenario_walk(m, max_levels, _piece_candidates(m)):
+        poly = scenario_region(m, s, system)
         if poly is None:
             continue
         strat, rows = scenario_rows(m, s)
@@ -674,8 +756,11 @@ def _piece_candidates(m: StackyModel):
     conditions are complete; from there each sector placed at a level
     adds the one strict row ell_anchor - ell_nu, so an infeasible prefix
     stays infeasible in every completion.  The test is exact integer FM
-    on the rows scenario_constraints emits; a child whose new row is
-    positive at its parent's witness is feasible without one.
+    on the rows scenario_constraints emits.  The facet-complete node
+    builds their system once (_system); a sector child substitutes its one
+    new row and folds it into a copy of its parent's binding table
+    (_fold), and solves (_solve) only when the row is not positive at its
+    parent's witness.
 
     A leaf is first checked for a coloop level (_SpanTree.coloop_leaf): a
     member whose direction, modulo the span of the levels below, is shared
@@ -689,7 +774,9 @@ def _piece_candidates(m: StackyModel):
     Fukaya-Oh-Ohta-Ono for toric manifolds), and it is skipped before
     scenario_region, scenario_lts and solve.  A level with one member is
     the special case of a single group.  The context of a feasible
-    prefix is its (equality rows, strict rows, level anchors, witness).
+    prefix is its (system, level anchors, witness), system the
+    (equality pivots, binding table) of its rows, which a leaf hands to
+    scenario_region.
     """
     facet, sector = _model_rows(m)
     nf, n = len(facet), len(facet) + len(sector)
@@ -706,21 +793,29 @@ def _piece_candidates(m: StackyModel):
                 tuple(("facet", j) for j in range(nf) if digits[j] == l) for l in range(1, K + 1)
             )
             cons = scenario_constraints(m, Scenario(-1, levels, (), ()))
-            eqs = [_row(c) for c in cons if c.rel == "=="]
-            ineqs = [_row(c) for c in cons if c.rel == ">"]
+            system = _system(
+                [_row(c) for c in cons if c.rel == "=="],
+                [_row(c) for c in cons if c.rel == ">"],
+                m.dim,
+            )
+            if system is None:
+                return None
             anchors = [tags[0][1] for tags in levels]
-            w = _witness(eqs, ineqs, m.dim)
+            w = _solve(*system, m.dim)
         elif digits[-1] == 0:
             return ctx  # a sector left out adds no condition
         else:
-            eqs, ineqs, anchors, w = ctx
+            (subs, table), anchors, w = ctx
             row = [a - b for a, b in zip(facet[anchors[digits[-1] - 1]], sector[p - 1 - nf])]
-            ineqs = ineqs + [row]
+            table = dict(table)
+            if not _fold(table, _substitute(row, subs)):
+                return None
+            system = subs, table
             if sum(map(mul, row, w)) + row[-1] <= 0:
-                w = _witness(eqs, ineqs, m.dim)
+                w = _solve(*system, m.dim)
         if w is None:
             return None
-        return eqs, ineqs, anchors, w
+        return system, anchors, w
 
     return grow
 

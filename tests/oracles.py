@@ -653,3 +653,45 @@ def piece_geometry_all_pairs(p):
     cx = sum(x for x, _ in pts) / len(pts)
     cy = sum(y for _, y in pts) / len(pts)
     return ("polygon", tuple(sorted(pts, key=lambda q: atan2(float(q[1] - cy), float(q[0] - cx)))))
+
+
+def scenario_constraints_row_by_row(m, s):
+    """region.scenario_constraints as it was: every Constraint built afresh.
+
+    Rows are differences of the model's integer form rows, built and
+    labelled in the order the scenario names them.
+    """
+    from orbifloer.region import Constraint, _model_rows
+    from orbifloer.stacky import enumerate_box
+
+    def difference(a, b, rel, kind, label):
+        row = [x - y for x, y in zip(a, b)]
+        return Constraint(tuple(row[:-1]), row[-1], rel, kind, label)
+
+    facet, sector = _model_rows(m)
+    box = enumerate_box(m)
+    cons = [
+        Constraint(row[:-1], row[-1], ">", "interior", f"ell_{j} > 0")
+        for j, row in enumerate(facet)
+    ]
+    anchors = []
+    for l, tags in enumerate(s.levels):
+        facets = [i for k, i in tags if k == "facet"]
+        a = facets[0]
+        anchors.append(a)
+        for j in facets[1:]:
+            cons.append(difference(facet[a], facet[j], "==", "level", f"ell_{a} = ell_{j}"))
+        for k, i in tags:
+            if k == "sector":
+                label = f"ell_nu{box[i].nu} < S{l + 1}"
+                cons.append(difference(facet[a], sector[i], ">", "sector", label))
+    for l in range(len(anchors) - 1):
+        cons.append(
+            difference(facet[anchors[l + 1]], facet[anchors[l]], ">", "order", f"S{l + 2} > S{l + 1}")
+        )
+    assigned = {i for tags in s.levels for k, i in tags if k == "facet"}
+    top = facet[anchors[-1]]
+    for j in range(len(m.facets)):
+        if j not in assigned:
+            cons.append(difference(facet[j], top, ">", "above", f"ell_{j} > S{s.K}"))
+    return cons

@@ -1,6 +1,10 @@
 """Scenario enumeration, exact feasibility, and region assembly."""
 
+import itertools
+import math
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer import ltsolver, region
 from orbifloer.errors import InputError, TooManyScenarios
-from orbifloer.lattice import cleared
+from orbifloer.lattice import cleared, primitive
 from orbifloer.ltsolver import Solvability, lts_signature, row_signature, solve
 from orbifloer.region import (
     Constraint,
@@ -119,9 +123,9 @@ def test_pruned_region_equals_brute_force(preset, monkeypatch):
     examined = []
     real = region.scenario_region
 
-    def counted(m, s):
+    def counted(m, s, *system):
         examined.append(s.serial)
-        return real(m, s)
+        return real(m, s, *system)
 
     monkeypatch.setattr(region, "scenario_region", counted)
     r = nondisplaceable_region(m)
@@ -179,7 +183,7 @@ def test_row_systems_match_rewrite_oracle(preset, max_levels, monkeypatch):
     m = build_model(preset)
     if preset == "wp:1,2,3,5":
         monkeypatch.setattr(region._SpanTree, "coloop_leaf", lambda tree, digits, state: False)
-        leaves = region._scenario_walk(m, max_levels, region._piece_candidates(m))
+        leaves = [s for s, _ in region._scenario_walk(m, max_levels, region._piece_candidates(m))]
     else:
         leaves = enumerate_scenarios(m, max_levels)
     pairs, seen = [], set()
@@ -379,6 +383,119 @@ def test_feasible_witness_invariant_under_positive_row_scaling(rows, scales, dat
         if c.rel == ">"
     ]
     assert feasible_witness([scaled[k] for k in order] + repeats + looser, 3) == w
+
+
+def _binding_oracle(rows):
+    """Per primitive direction, the row of least constant over its gcd."""
+    best = {}
+    for row in rows:
+        g = math.gcd(*row[:-1])
+        if g == 0:
+            if row[-1] <= 0:
+                return None
+            continue
+        d = tuple(x // g for x in row[:-1])
+        q = Fraction(row[-1], g)
+        best[d] = min(best.get(d, q), q)
+    return frozenset((*(x * q.denominator for x in d), q.numerator) for d, q in best.items())
+
+
+_int_rows = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_int_rows, data=st.data())
+def test_folding_rows_one_at_a_time_gives_the_binding_rows(rows, data):
+    # the walk folds primitive rows (_substitute's) one per node, each into
+    # a copy of its parent's table
+    rows = [tuple(primitive(r)) for r in rows]
+    want = region._binding(rows)
+    assert want == _binding_oracle(rows)
+    repeats = data.draw(st.lists(st.sampled_from(rows), max_size=4))
+    slack = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    looser = [(*r[:-1], r[-1] + k) for r, k in zip(rows, slack)]
+    folds = rows + repeats + looser
+    scales = data.draw(st.lists(st.integers(1, 5), min_size=len(folds), max_size=len(folds)))
+    scaled = [tuple(q * x for x in r) for r, q in zip(folds, scales)]
+    table, got = {}, None
+    for row in data.draw(st.permutations(scaled)):
+        table = dict(table)
+        if not region._fold(table, row):
+            break
+    else:
+        # a positive multiple folded first stands for its primitive row
+        got = frozenset(tuple(primitive(list(r))) for _, r in table.values())
+    assert got == want
+    # in the order of a primitive list, the fold is _binding
+    table = {}
+    if all(region._fold(table, row) for row in rows + repeats):
+        assert frozenset(r for _, r in table.values()) == want
+    else:
+        assert want is None
+
+
+@pytest.mark.parametrize(
+    "preset, max_levels",
+    [("teardrop:3", 2), ("wp:1,3,5", 2), ("square:2,2,1,1", 2), ("wp:1,2,3,5", 3)],
+)
+def test_carried_system_gives_the_leaf_region(preset, max_levels, monkeypatch):
+    # every leaf the walk yields: its carried system is the one built from
+    # its constraints, and scenario_region gives the same constraints in
+    # the same order and the same witness with it as without; on the 3-d
+    # model the coloop prune is off, as in test_row_systems_match_rewrite_oracle
+    m = build_model(preset)
+    if m.dim == 3:
+        monkeypatch.setattr(region._SpanTree, "coloop_leaf", lambda tree, digits, state: False)
+    leaves = list(region._scenario_walk(m, max_levels, region._piece_candidates(m)))
+    assert leaves
+    for s, (system, _, _) in leaves:
+        cons = scenario_constraints(m, s)
+        built = region._system(
+            [region._row(c) for c in cons if c.rel == "=="],
+            [region._row(c) for c in cons if c.rel == ">"],
+            m.dim,
+        )
+        assert system[0] == built[0], s.serial
+        assert sorted(system[1].values()) == sorted(built[1].values()), s.serial
+        carried = scenario_region(m, s, system)
+        assert carried is not None and carried == scenario_region(m, s), s.serial
+
+
+def test_scenario_constraints_match_row_by_row_oracle():
+    for preset, count in [("wp:1,3,5", None), ("square:2,2,2,2", 2000)]:
+        m = build_model(preset)
+        shared: dict = {}
+        for s, _ in itertools.islice(region._scenario_walk(m, 2), count):
+            got = scenario_constraints(m, s)
+            assert got == oracles.scenario_constraints_row_by_row(m, s), s.serial
+            # each Constraint is built once per model
+            assert all(shared.setdefault(c, c) is c for c in got), s.serial
+        assert count is None or s.serial == count - 1
+
+
+def test_witness_self_check_survives_python_O():
+    # handed another leaf's system, scenario_region finds a witness that
+    # breaks this scenario's constraints; an assert statement would let it
+    # through under -O
+    code = """
+import sys
+from orbifloer import region
+from orbifloer.stacky import build_model
+m = build_model("wp:1,3,5")
+leaves = list(region._scenario_walk(m, 2, region._piece_candidates(m)))
+polys = [region.scenario_region(m, s) for s, _ in leaves]
+s, other = next(
+    (s, ctx[0]) for (s, _), poly in zip(leaves, polys) for (_, ctx), q in zip(leaves, polys)
+    if not poly.contains(q.witness)
+)
+try:
+    region.scenario_region(m, s, other)
+except AssertionError as e:
+    print(sys.flags.optimize, "refused", e)
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1 refused scenario "), done.stdout
 
 
 def _boundary_points(p):
