@@ -723,12 +723,13 @@ def nondisplaceable_region(
     with a coloop level, whose system provably has no root
     (_piece_candidates).  Each leaf's feasibility system comes from the
     walk's context, so scenario_region only solves it, usually a memo
-    hit.  Serials stay the ranks enumerate_scenarios gives.  Verdicts are cached by structural signature: scenarios
-    producing the same level polynomials up to symbol renaming share one
-    solve, and a shared certificate is renamed into each scenario's own
-    symbols.  The signature is read off the integer exponent rows of each
-    level (scenario_rows, row_signature), so a leading term system, with
-    its Laurent polynomials, is built only for a signature not seen yet.
+    hit.  Serials stay the ranks enumerate_scenarios gives.  Verdicts are
+    cached by structural signature: scenarios producing the same level
+    polynomials up to symbol renaming share one solve, and a shared
+    certificate is renamed into each scenario's own symbols.  The
+    signature is read off the integer exponent rows of each level
+    (scenario_rows, row_signature), so a leading term system, with its
+    Laurent polynomials, is built only for a signature not seen yet.
     """
     pieces = []
     cache: dict = {}

@@ -686,9 +686,8 @@ def scenario_constraints_row_by_row(m, s):
                 label = f"ell_nu{box[i].nu} < S{l + 1}"
                 cons.append(difference(facet[a], sector[i], ">", "sector", label))
     for l in range(len(anchors) - 1):
-        cons.append(
-            difference(facet[anchors[l + 1]], facet[anchors[l]], ">", "order", f"S{l + 2} > S{l + 1}")
-        )
+        label = f"S{l + 2} > S{l + 1}"
+        cons.append(difference(facet[anchors[l + 1]], facet[anchors[l]], ">", "order", label))
     assigned = {i for tags in s.levels for k, i in tags if k == "facet"}
     top = facet[anchors[-1]]
     for j in range(len(m.facets)):

@@ -183,7 +183,8 @@ def test_row_systems_match_rewrite_oracle(preset, max_levels, monkeypatch):
     m = build_model(preset)
     if preset == "wp:1,2,3,5":
         monkeypatch.setattr(region._SpanTree, "coloop_leaf", lambda tree, digits, state: False)
-        leaves = [s for s, _ in region._scenario_walk(m, max_levels, region._piece_candidates(m))]
+        walk = region._scenario_walk(m, max_levels, region._piece_candidates(m))
+        leaves = [s for s, _ in walk]
     else:
         leaves = enumerate_scenarios(m, max_levels)
     pairs, seen = [], set()
@@ -400,7 +401,9 @@ def _binding_oracle(rows):
     return frozenset((*(x * q.denominator for x in d), q.numerator) for d, q in best.items())
 
 
-_int_rows = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=8)
+_int_rows = st.lists(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=8
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -426,12 +429,6 @@ def test_folding_rows_one_at_a_time_gives_the_binding_rows(rows, data):
         # a positive multiple folded first stands for its primitive row
         got = frozenset(tuple(primitive(list(r))) for _, r in table.values())
     assert got == want
-    # in the order of a primitive list, the fold is _binding
-    table = {}
-    if all(region._fold(table, row) for row in rows + repeats):
-        assert frozenset(r for _, r in table.values()) == want
-    else:
-        assert want is None
 
 
 @pytest.mark.parametrize(
@@ -456,7 +453,7 @@ def test_carried_system_gives_the_leaf_region(preset, max_levels, monkeypatch):
             m.dim,
         )
         assert system[0] == built[0], s.serial
-        assert sorted(system[1].values()) == sorted(built[1].values()), s.serial
+        assert system[1] == built[1], s.serial
         carried = scenario_region(m, s, system)
         assert carried is not None and carried == scenario_region(m, s), s.serial
 
