@@ -9,10 +9,6 @@ class DegenerateCone(OrbifloerError):
     """Cone generators are linearly dependent."""
 
 
-class NotUnimodular(OrbifloerError):
-    """A basis-change matrix was expected to have determinant +-1."""
-
-
 class NotSimple(OrbifloerError):
     """Polytope is not simple (or a facet inequality is not supported)."""
 

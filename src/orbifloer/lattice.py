@@ -1,13 +1,13 @@
 """Exact integer and rational linear algebra over lattices.
 
-Smith normal form with transform matrices, a column Hermite form whose
-transform is a flag-adapted lattice basis and whose diagonal gives
-determinants, simplicial-cone multiplicities, and a
-unimodular-basis-inside-a-cone subdivision algorithm.  Everything is
-computed with arbitrary-precision integers and ``fractions.Fraction``; no
-floating point enters this module.
+One integer normal form, ``column_hermite``: its transform is a
+flag-adapted lattice basis, its diagonal gives determinants and the coset
+representatives of a cone's box points.  On top of it sit simplicial-cone
+multiplicities, box points and a unimodular-basis-inside-a-cone
+subdivision algorithm.  Everything is computed with arbitrary-precision
+integers and ``fractions.Fraction``; no floating point enters this module.
 
-Every rational elimination (echelon bases, ranks, square solves, inverses)
+Every rational elimination (echelon bases, ranks, square solves)
 runs through one fraction-free routine, ``_eliminate``; only ``row_reduce``
 divides, once per entry at the end.
 """
@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
-from .errors import DegenerateCone, NotUnimodular
+from .errors import DegenerateCone
 
 # Vectors are tuples of ints (lattice) or Fractions (rational); matrices are
 # tuples of row tuples.  Helpers below keep everything immutable.
@@ -33,13 +34,6 @@ def vec(coords) -> Vec:
     return tuple(int(c) for c in coords)
 
 
-def mat(rows) -> Mat:
-    rows = tuple(tuple(int(e) for e in row) for row in rows)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    return rows
-
-
 @lru_cache(maxsize=None)
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -47,10 +41,6 @@ def identity(n: int) -> Mat:
 
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(a: Mat, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def content(v: Vec) -> int:
@@ -242,145 +232,6 @@ def solve_rational(a: Mat, b) -> QVec | None:
     return tuple(row[n] for row in reduced)
 
 
-def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of an integer matrix with det +-1, as an integer matrix.
-
-    Fraction-free Gauss-Jordan on (m | I) leaves each pivot row as
-    p * e_i | p * (row i of the inverse); one exact division per entry at
-    the end recovers the inverse.  An integer matrix has an integer inverse
-    exactly when its determinant is +-1, so a singular matrix or a
-    remainder raises NotUnimodular.
-
-    Examples
-    --------
-    >>> invert_unimodular(((2, 1), (1, 1)))
-    ((1, -1), (-1, 2))
-    """
-    n = len(m)
-    work = [[*row, *unit] for row, unit in zip(m, identity(n))]
-    if any(len(row) != 2 * n for row in work):
-        raise NotUnimodular("only a square matrix can be unimodular")
-    if len(_eliminate(work, n)) < n:
-        raise NotUnimodular("singular matrix")
-    inv = []
-    for i, row in enumerate(work):
-        p = row[i]
-        out = []
-        for e in row[n:]:
-            q, r = divmod(e, p)
-            if r:
-                raise NotUnimodular("determinant is not +-1")
-            out.append(q)
-        inv.append(tuple(out))
-    return tuple(inv)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form with transforms: U * m * V = D.
-
-    U and V are unimodular; D is (rectangular) diagonal with nonnegative
-    entries satisfying d1 | d2 | ... .  Total on all integer matrices.
-
-    Examples
-    --------
-    >>> U, D, V = smith_normal_form(((2, 0), (0, 3)))
-    >>> [D[i][i] for i in range(2)]
-    [1, 6]
-    """
-    m = mat(m)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    a = [list(row) for row in m]
-    u = [list(row) for row in identity(nr)]
-    v = [list(row) for row in identity(nc)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(dst, src, q):
-        # R_dst += q * R_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def col_add(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def near_q(x, p):
-        # quotient with minimal remainder; floor quotients let the transform
-        # entries snowball on alternating signs
-        q, r = divmod(x, p)
-        if 2 * abs(r) > abs(p):
-            q += 1
-        return q
-
-    t = 0
-    while t < min(nr, nc):
-        # pick the absolutely smallest nonzero entry of the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = near_q(a[i][t], a[t][t])
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        # remainder is smaller than the pivot; promote it
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = near_q(a[t][j], a[t][t])
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return (
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in v),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Simplicial cones
 
@@ -425,26 +276,21 @@ def box_points(c: SimplicialCone) -> list[tuple]:
     """All nonzero lattice points v = sum t_i g_i with every t_i in [0, 1).
 
     Returns (v, t) pairs; there are exactly multiplicity-1 of them.  The
-    enumeration walks coset representatives of the quotient of the ambient
-    lattice by the sublattice the generators span (via Smith normal form),
-    so it never scans a search box.
+    generators' column_hermite form H = B V spans their lattice and is lower
+    triangular with a positive diagonal, so reducing a point's coordinates
+    top to bottom by the columns of H shows that the points x with
+    0 <= x_i < H_ii are one representative per coset of that lattice.  Each
+    is moved into the fundamental cell; no search box is scanned.
     """
-    b = c.generator_matrix()
-    mult = cone_multiplicity(c)
-    if mult == 1:
+    if cone_multiplicity(c) == 1:
         return []
-    u, d, _ = smith_normal_form(b)
+    b = c.generator_matrix()
     n = c.dim
-    uinv = invert_unimodular(u)
-    diag = [d[i][i] for i in range(n)]
-    reps = [()]
-    for di in diag:
-        reps = [r + (k,) for r in reps for k in range(max(di, 1))]
+    h, _, _ = column_hermite(b, n)
     out = []
-    for r in reps:
-        if all(k == 0 for k in r):
+    for x in product(*(range(h[i][i]) for i in range(n))):
+        if not any(x):
             continue
-        x = mat_vec(uinv, r)
         t = solve_rational(b, x)
         tfrac = tuple(ti - (ti.numerator // ti.denominator) for ti in t)
         v = []

@@ -88,12 +88,35 @@ class StackyModel:
             raise PointNotInterior(f"{tuple(str(Fraction(x)) for x in u)} is not interior")
 
 
+def _field(row, where: str, key: str, parse, default=None):
+    """A parsed field of a model description; InputError naming the field."""
+    x = row.get(key, default) if isinstance(row, dict) else None
+    if x is None:
+        raise InputError(f"model {where}{key}: missing")
+    try:
+        return parse(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"model {where}{key}: cannot read {x!r}") from None
+
+
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise InputError(f"expected rational, got {type(x).__name__}")
+    if not isinstance(x, (str, int, Fraction)):
+        raise TypeError(f"expected rational, got {type(x).__name__}")
+    return Fraction(x)
+
+
+def _integer(x) -> int:
+    """2, "2" and 2.0 read as 2; 2.5 and "two" raise ValueError."""
+    q = Fraction(str(x))
+    if q.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return q.numerator
+
+
+def _integers(x) -> tuple:
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(x).__name__}")
+    return tuple(map(_integer, x))
 
 
 def preset_description(name: str) -> dict:
@@ -167,18 +190,16 @@ def build_model(description) -> StackyModel:
     if "preset" in description:
         if description["preset"] != "weighted_projective":
             raise InputError(f"unknown preset {description['preset']!r}")
-        facets = _weighted_projective_facets(list(description["weights"]))
+        facets = _weighted_projective_facets(_field(description, "", "weights", _integers))
     else:
-        try:
-            raw = description["facets"]
-            n = int(description["dim"])
-        except KeyError as e:
-            raise InputError(f"missing model field {e}")
+        raw = _field(description, "", "facets", list)
+        n = _field(description, "", "dim", _integer)
         facets = []
-        for f in raw:
-            normal = tuple(int(x) for x in f["normal"])
-            label = int(f.get("label", 1))
-            offset = _as_fraction(f["offset"])
+        for k, f in enumerate(raw):
+            where = f"facets[{k}]."
+            normal = _field(f, where, "normal", _integers)
+            label = _field(f, where, "label", _integer, default=1)
+            offset = _field(f, where, "offset", _as_fraction)
             if len(normal) != n:
                 raise InputError("normal has wrong dimension")
             if label < 1:
@@ -246,11 +267,6 @@ def _reject_recession_rays(b, n):
     suffices to scan kernels of (n-1)-subsets.
     """
     m = len(b)
-    if n == 1:
-        for d in ((1,), (-1,)):
-            if all(d[0] * bj[0] >= 0 for bj in b):
-                raise Unbounded(f"direction {d} recedes")
-        return
     for subset in combinations(range(m), n - 1):
         rows = [b[j] for j in subset]
         if lattice.rank_rational(rows) != n - 1:
@@ -262,13 +278,14 @@ def _reject_recession_rays(b, n):
 
 
 def _rational_kernel_vector(rows, n):
-    """One nonzero integer vector orthogonal to n-1 independent rows."""
-    _, d, v = lattice.smith_normal_form(lattice.mat(rows))
-    # columns of V beyond the rank span the kernel of (rows as a map)
-    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    col = tuple(v[i][r] for i in range(n))
-    assert any(x != 0 for x in col)
-    return col
+    """The primitive integer vector, up to sign, orthogonal to n-1 independent rows."""
+    reduced, pivots, _ = lattice.row_reduce(rows, n)
+    (free,) = set(range(n)) - set(pivots)
+    x = [int(j == free) for j in range(n)]
+    for row, col in zip(reduced, pivots):
+        x[col] = -row[free]
+    # with an entry 1, the cleared vector is already primitive
+    return tuple(lattice.cleared(x))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ internals, so agreement is evidence and not tautology.
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import atan2, gcd, inf
 
 import sympy
@@ -58,6 +58,39 @@ def cone_coordinates(gens, x):
     """Coordinates t with x = sum t_i * gens_i, by a sympy solve; gens independent."""
     t = sympy.Matrix([list(g) for g in gens]).T.LUsolve(sympy.Matrix(list(x)))
     return tuple(Fraction(int(v.p), int(v.q)) for v in t)
+
+
+def box_points_by_scan(gens):
+    """Box points of a full-rank cone by scanning a bounding box.
+
+    Every integer point of the bounding box of the fundamental
+    parallelepiped {sum t_i g_i : 0 <= t_i <= 1} is tried, and the nonzero
+    ones whose cone coordinates lie in [0, 1) are kept as (v, t) pairs.
+    The coordinates are adj(G) v / det G, G the generators as columns, with
+    the adjugate from sympy.  The scan runs in lexicographic order of v.
+    """
+    g = sympy.Matrix([list(v) for v in gens]).T
+    d = int(g.det())
+    adj = [[int(e) for e in g.adjugate().row(i)] for i in range(g.rows)]
+    ranges = [
+        range(sum(min(0, v[k]) for v in gens), sum(max(0, v[k]) for v in gens) + 1)
+        for k in range(g.rows)
+    ]
+    out = []
+    for v in product(*ranges):
+        if not any(v):
+            continue
+        t = [Fraction(sum(a * x for a, x in zip(row, v)), d) for row in adj]
+        if all(0 <= ti < 1 for ti in t):
+            out.append((v, tuple(t)))
+    return out
+
+
+def integer_inverse(m):
+    """Exact inverse of a unimodular integer matrix, by sympy."""
+    inv = sympy.Matrix([list(r) for r in m]).inv()
+    assert all(e.is_Integer for e in inv), "the matrix is not unimodular"
+    return tuple(tuple(int(e) for e in inv.row(i)) for i in range(inv.rows))
 
 
 def in_cone(gens, x):
@@ -407,14 +440,13 @@ def monomial_rewrite(p, basis_change):
 
     M must be unimodular so the substitution is invertible on the torus.
     """
-    from orbifloer.errors import NotUnimodular
     from orbifloer.series import LaurentPoly
 
     m = [list(r) for r in basis_change]
     if len(m) != p.n or any(len(r) != p.n for r in m):
-        raise NotUnimodular("basis change must be square of the ambient dimension")
+        raise ValueError("basis change must be square of the ambient dimension")
     if abs(det_cofactor(m)) != 1:
-        raise NotUnimodular("basis change must have determinant +-1")
+        raise ValueError("basis change must have determinant +-1")
     return LaurentPoly(p.n, [(mat_mul((e,), m)[0], s) for e, s in p.terms()])
 
 
@@ -457,11 +489,10 @@ def lts_by_rewrite(strat):
     differentiated by partial_derivative.
     """
     from orbifloer import ltsolver as lt
-    from orbifloer.lattice import invert_unimodular
     from orbifloer.series import LaurentPoly, NovikovScalar, SymLin
 
     n = strat.model.dim
-    change = invert_unimodular(strat.adapted_basis)
+    change = integer_inverse(strat.adapted_basis)
     out = []
     prev_dim = 0
     names = set()

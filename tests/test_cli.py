@@ -265,6 +265,56 @@ def test_model_file_input(tmp_path, capsys):
     doc = run_json(capsys, "box", "--model", str(path))
     preset = run_json(capsys, "box", "--preset", "teardrop:3")
     assert doc["sectors"] == preset["sectors"]
+    # integer fields read 3, "3" and 3.0 alike
+    model["dim"] = "1"
+    model["facets"][0].update(normal=[1.0], label="3")
+    model["facets"][1].update(normal=["-1"], label=1.0)
+    path.write_text(json.dumps(model))
+    assert run_json(capsys, "box", "--model", str(path)) == doc
+
+
+SIMPLEX = {
+    "dim": 2,
+    "facets": [
+        {"normal": [1, 0], "label": 1, "offset": "0"},
+        {"normal": [0, 1], "label": 1, "offset": "0"},
+        {"normal": [-1, -1], "label": 1, "offset": "-1"},
+    ],
+}
+
+
+def with_facet(k, **fields):
+    doc = json.loads(json.dumps(SIMPLEX))
+    doc["facets"][k].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**SIMPLEX, "facets": [*SIMPLEX["facets"][:2], {"label": 1, "offset": "-1"}]},
+         "facets[2].normal: missing"),
+        (with_facet(0, normal="ab"), "facets[0].normal"),
+        (with_facet(1, label="x"), "facets[1].label"),
+        ({**SIMPLEX, "dim": "two"}, "dim"),
+        ({**SIMPLEX, "facets": 5}, "facets"),
+        ({**SIMPLEX, "facets": [None]}, "facets[0]"),
+        (with_facet(0, offset="1/0"), "facets[0].offset"),
+        (with_facet(0, offset="abc"), "facets[0].offset"),
+        ({"preset": "weighted_projective"}, "weights"),
+        ({"preset": "weighted_projective", "weights": [1, 2.5]}, "weights: cannot read [1, 2.5]"),
+        # int() would truncate these to a model nobody wrote
+        (with_facet(0, normal=[1.5, 0]), "facets[0].normal"),
+        ({**SIMPLEX, "dim": 2.5}, "dim"),
+    ],
+)
+def test_malformed_model_files_fail_typed(tmp_path, capsys, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "box", "--model", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "InputError" and message in error["message"]
 
 
 def test_conebasis(capsys):

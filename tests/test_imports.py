@@ -1,7 +1,7 @@
 """The package carries no dead weight.
 
 Every module-level import is used by its own module, and every top-level
-function and method is named by the package or by the benchmark.
+function, class and method is named by the package or by the benchmark.
 """
 
 import ast
@@ -57,7 +57,8 @@ FOR_OUTSIDE = {
 
 
 def definitions(path: Path) -> list:
-    """Qualified names of a module's top-level functions and of its classes' methods.
+    """Qualified names of a module's top-level functions and classes and of
+    its classes' methods.
 
     Dunder methods are left out: Python calls them by protocol, not by name.
     """
@@ -66,6 +67,7 @@ def definitions(path: Path) -> list:
         if isinstance(node, ast.FunctionDef):
             out.append(node.name)
         elif isinstance(node, ast.ClassDef):
+            out.append(node.name)
             methods = [sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)]
             out += [f"{node.name}.{m}" for m in methods if not (m.startswith("__") and m.endswith("__"))]
     return out

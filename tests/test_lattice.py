@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith and Hermite forms, cones, box points, adapted bases."""
+"""Exact linear algebra: the Hermite form, cones, box points, adapted bases."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbifloer import lattice, ltsolver
-from orbifloer.errors import DegenerateCone, NotUnimodular
+from orbifloer.errors import DegenerateCone
 from orbifloer.region import enumerate_scenarios, scenario_rows
 from orbifloer.stacky import build_model
 
@@ -24,35 +24,6 @@ def matrices(max_side=4):
     )
 
 
-@given(matrices())
-@settings(max_examples=150, deadline=None)
-def test_snf_postconditions(rows):
-    m = lattice.mat(rows)
-    u, d, v = lattice.smith_normal_form(m)
-    assert oracles.is_unimodular(u)
-    assert oracles.is_unimodular(v)
-    assert oracles.mat_mul(oracles.mat_mul(u, m), v) == d
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    for i in range(len(d)):
-        for j in range(len(d[0])):
-            if i != j:
-                assert d[i][j] == 0
-    nz = [x for x in diag if x != 0]
-    assert all(x > 0 for x in nz)
-    assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
-    assert diag[len(nz) :] == [0] * (len(diag) - len(nz))
-
-
-@given(matrices())
-@settings(max_examples=150, deadline=None)
-def test_snf_matches_determinantal_divisors(rows):
-    m = lattice.mat(rows)
-    _, d, _ = lattice.smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    expected = oracles.snf_diagonal_via_divisors(rows)
-    assert [x for x in diag if x != 0] == expected
-
-
 def square_matrices(side):
     return st.lists(st.lists(entries, min_size=side, max_size=side), min_size=side, max_size=side)
 
@@ -60,7 +31,7 @@ def square_matrices(side):
 @given(st.integers(1, 4).flatmap(square_matrices))
 @settings(max_examples=150, deadline=None)
 def test_det_matches_cofactor_expansion(rows):
-    assert lattice.det_int(lattice.mat(rows)) == oracles.det_cofactor(rows)
+    assert lattice.det_int(tuple(map(tuple, rows))) == oracles.det_cofactor(rows)
 
 
 def test_cone_multiplicity_examples():
@@ -100,13 +71,34 @@ def test_box_points_random_cones(rows):
     for v, t in pts:
         coords = oracles.cone_coordinates(c.generators, v)
         assert t == tuple(x - (x.numerator // x.denominator) for x in coords)
+    assert pts == oracles.box_points_by_scan(c.generators)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ((1,),),
+        ((-1,),),
+        ((5,),),
+        ((-7,),),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)),
+        ((2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, -2)),
+        ((-1, -2, -3, -5), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((3, 0, 1, -1), (1, -2, 0, 1), (0, 1, 3, 0), (-1, 1, 1, 2)),
+    ],
+)
+def test_box_points_match_scan_oracle_in_one_and_four_dimensions(gens):
+    c = lattice.SimplicialCone(gens)
+    pts = lattice.box_points(c)
+    assert len(pts) == lattice.cone_multiplicity(c) - 1
+    assert pts == oracles.box_points_by_scan(gens)
 
 
 def test_integral_basis_unimodular_and_inside():
     trace = []
     c = lattice.SimplicialCone(((1, 0), (1, 5)))
     basis = lattice.integral_basis_in_cone(c, trace)
-    assert abs(lattice.det_int(lattice.mat(basis))) == 1
+    assert abs(lattice.det_int(tuple(basis))) == 1
     for b in basis:
         assert oracles.in_cone(c.generators, b)
     assert trace == sorted(trace, reverse=True)
@@ -123,7 +115,7 @@ def test_integral_basis_random_cones(rows):
     c = lattice.SimplicialCone(tuple(tuple(r) for r in rows))
     trace = []
     basis = lattice.integral_basis_in_cone(c, trace)
-    assert abs(lattice.det_int(lattice.mat(basis))) == 1
+    assert abs(lattice.det_int(tuple(basis))) == 1
     for b in basis:
         assert oracles.in_cone(c.generators, b)
     assert all(a > b for a, b in zip(trace, trace[1:]))
@@ -152,7 +144,7 @@ def test_hermite_basis_saturates_each_level():
     _, h, w, _, _ = hermite_basis([[(2, 4)], [(0, 7)]], 2)
     assert w[0] == [1, 2]
     assert h == [[2, 0], [0, 7]]
-    assert abs(lattice.det_int(lattice.mat(w))) == 1
+    assert abs(lattice.det_int(tuple(map(tuple, w)))) == 1
 
 
 def test_hermite_basis_identity_chain():
@@ -297,72 +289,19 @@ def test_leaf_exponents_rebuild_each_level_in_the_adapted_basis():
                 assert not any(e[lv.span_dim :])
 
 
-def test_unimodular_inverse_roundtrip():
-    m = ((1, 2, 0), (0, 1, 3), (0, 0, 1))
-    inv = lattice.invert_unimodular(m)
-    assert oracles.mat_mul(m, inv) == lattice.identity(3)
-
-
-@pytest.mark.parametrize("m", [((2, 0), (0, 1)), ((3, 1), (1, 1)), ((1, 2), (2, 4)), ((1, 0),)])
-def test_invert_unimodular_rejects_other_matrices(m):
-    # det 2, det 2, singular, not square: none has an integer inverse
-    with pytest.raises(NotUnimodular):
-        lattice.invert_unimodular(m)
-
-
-def elementary_products(max_side=4):
-    """Products of elementary integer matrices: row additions, swaps and negations."""
-
-    def build(n, ops):
-        m = [list(row) for row in lattice.identity(n)]
-        for kind, i, j, k in ops:
-            i, j = i % n, j % n
-            if kind == 0 and i != j:
-                m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-            elif kind == 1:
-                m[i], m[j] = m[j], m[i]
-            elif kind == 2:
-                m[i] = [-a for a in m[i]]
-        return lattice.mat(m)
-
-    op = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
-    return st.builds(build, st.integers(1, max_side), st.lists(op, max_size=12))
-
-
-@given(elementary_products(), st.integers(0, 15), st.integers(-2, 2))
-@settings(max_examples=150, deadline=None)
-def test_invert_unimodular_matches_oracle(m, where, bump):
-    assert oracles.is_unimodular(m)
-    inv = lattice.invert_unimodular(m)
-    n = len(m)
-    assert oracles.mat_mul(m, inv) == lattice.identity(n) == oracles.mat_mul(inv, m)
-    # one entry moved: an inverse exactly when the oracle's determinant is +-1
-    rows = [list(row) for row in m]
-    rows[where % n][where // n % n] += bump
-    moved = lattice.mat(rows)
-    if oracles.is_unimodular(moved):
-        assert oracles.mat_mul(moved, lattice.invert_unimodular(moved)) == lattice.identity(n)
-    else:
-        with pytest.raises(NotUnimodular):
-            lattice.invert_unimodular(moved)
-
-
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_sympy(rows):
     assert lattice.rank_rational(rows) == sympy.Matrix(rows).rank()
 
 
-def test_snf_transform_entries_stay_small():
-    # this matrix once blew the transforms past 4300 digits (floor quotients);
-    # balanced remainders keep them a few digits wide
+def test_hermite_transform_entries_stay_small():
+    # this matrix once blew a normal form's transforms past 4300 digits
+    # (floor quotients); centred residues keep them a few digits wide
     a = [[-9, -9, 2, 5, 8], [4, 3, -9, -7, 8], [0, -2, -3, 9, -7], [5, 6, -3, -8, -6]]
     full = a + [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     h, basis, _ = lattice.column_hermite(full, 5)
     assert max(abs(x) for m in (h, basis) for row in m for x in row) < 10**6
-    u, d, v = lattice.smith_normal_form(a)
-    assert oracles.mat_mul(oracles.mat_mul(u, a), v) == d
-    assert max(abs(x) for m in (u, v) for row in m for x in row) < 10**6
 
 
 values = st.one_of(entries, st.fractions(min_value=-9, max_value=9, max_denominator=6))

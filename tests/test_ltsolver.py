@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import oracles
 from orbifloer.errors import SpanNeverFull
-from orbifloer.lattice import invert_unimodular
 from orbifloer.ltsolver import (
     LeadingTermSystem,
     LtsLevel,
@@ -124,7 +123,7 @@ def test_build_lts_uses_unimodular_inverse():
     m = build_model("wp:1,3,5")
     st = stratify(m, (Fraction(1, 100), Fraction(1, 100)))
     lts = build_lts(st)
-    assert invert_unimodular(lts.basis)  # basis is unimodular
+    assert oracles.is_unimodular(lts.basis)
     # every level only uses coordinates unlocked so far
     dim = 0
     for lv in lts.levels:
@@ -367,7 +366,7 @@ def test_certificate_transfers_to_original_coordinates():
     v = solve(lts)
     assert v.status == Solvability.SolvableCertified
 
-    minv = invert_unimodular(lts.basis)
+    minv = oracles.integer_inverse(lts.basis)
     z = v.certificate.y
     yorig = tuple(
         complex(z[0]) ** minv[i][0] * complex(z[1]) ** minv[i][1] for i in range(2)
