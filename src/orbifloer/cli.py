@@ -11,6 +11,7 @@ and the error is mirrored as a JSON object on stderr.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -47,7 +48,7 @@ from .region import (
     query_point,
 )
 from .series import QC, render_poly
-from .stacky import build_model, enumerate_box, sector_ell_form
+from .stacky import _integer, _integers, build_model, enumerate_box, sector_ell_form
 
 _VALIDATION_ERRORS = (
     InputError,
@@ -210,14 +211,14 @@ def _load_bulk(path: str | None, m) -> BulkParam:
     entries = []
     for k, row in enumerate(doc["sectors"]):
         where = f"sectors[{k}]"
-        nu = _bulk_field(row, where, "nu", lambda x: tuple(int(v) for v in x))
+        nu = _bulk_field(row, where, "nu", _integers)
         if nu not in known:
             raise InputError(f"bulk {where}.nu: {nu} is not a twisted sector of this model")
         entries.append((nu, *_bulk_term(row, where)))
     # divisor rows change no leading-order output; they are checked, not kept
     for k, row in enumerate(doc.get("divisors", [])):
         where = f"divisors[{k}]"
-        facet = _bulk_field(row, where, "facet", int)
+        facet = _bulk_field(row, where, "facet", _integer)
         if not 0 <= facet < len(m.facets):
             raise InputError(
                 f"bulk {where}.facet: {facet} is not a facet index of this model"
@@ -443,16 +444,8 @@ def region_grid_csv(r, n: int) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow([f"u{k + 1}" for k in range(m.dim)] + ["member"])
-
-    def rec(prefix):
-        k = len(prefix)
-        if k == m.dim:
-            w.writerow(_qvec(prefix) + [str(query_point(r, prefix).member).lower()])
-            return
-        for x in axes[k]:
-            rec(prefix + (x,))
-
-    rec(())
+    for u in itertools.product(*axes):
+        w.writerow(_qvec(u) + [str(query_point(r, u).member).lower()])
     return buf.getvalue()
 
 
@@ -528,7 +521,7 @@ def render_svg(r) -> str:
             verts, key=lambda v: math.atan2(float(v[1] - cy), float(v[0] - cx))
         )
         for p in r.pieces:
-            kind, data = piece_geometry(p, 2)
+            kind, data = piece_geometry(p, m.dim)
             c = _color(p.scenario.serial)
             if kind == "polygon":
                 pts = " ".join(to_px(q) for q in data)
@@ -779,8 +772,11 @@ def _check_region_flags(m, args) -> None:
         _parse_u(args.u, m.dim)
     if args.grid is not None:
         _check_grid(args.grid)
-    if args.svg is not None and not Path(args.svg).parent.is_dir():
-        raise InputError(f"--svg {args.svg!r} is not in an existing directory")
+    if args.svg is not None:
+        if m.dim > 2:
+            raise InputError(f"--svg draws models of dimension 1 or 2, not {m.dim}")
+        if not Path(args.svg).parent.is_dir():
+            raise InputError(f"--svg {args.svg!r} is not in an existing directory")
 
 
 def _merge_dash_values(argv: list) -> list:

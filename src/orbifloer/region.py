@@ -21,19 +21,19 @@ the order of their product.  The walk never enters a subtree whose span
 can no longer work out (a level's cumulative rank leaving no room for the
 later levels, or a level left without a facet).  The region also prunes
 a prefix whose exact feasibility test already fails, once all facets are
-placed, and a leaf with a coloop level: a member whose direction, modulo
-the span of the levels below, no other member shares and no combination
-of the others' reaches, so that the level's equations can never be
-solved.  A scenario's serial is its rank among the span-valid candidates
+placed, and a leaf with a coloop level: a member whose direction lies
+outside the span of the levels below joined with the level's other
+members, so that the level's equations can never be solved.  A
+scenario's serial is its rank among the span-valid candidates
 in product order, the same with or without pruning: a skipped subtree
 adds its memoized candidate count.
 
 Feasibility is exact Fourier-Motzkin over integer rows.  A system is held
-as the pivots of its equalities (_pivots) and a binding table of its strict
-rows (_fold): of the rows sharing a primitive direction only the tightest
-is kept.  The walk carries one system down each path and folds in the one
-row a placed sector adds, so no row is substituted twice, and each leaf
-hands its system to scenario_region.  The elimination (_solve) is memoized
+as the reduced pivot rows of its equalities (_pivots) and a binding table
+of its strict rows (_fold): of the rows sharing a primitive direction only
+the tightest is kept.  The walk carries one system down each path and
+folds in the one row a placed sector adds, so no row is substituted
+twice, and each leaf hands its system to scenario_region.  The elimination (_solve) is memoized
 on the table's binding rows (_eliminate): the walk's prefixes and the
 pieces share a few dozen distinct rows, so most systems recur.
 piece_geometry likewise finds each distinct set of binding rows' polygon
@@ -52,11 +52,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
-from .lattice import echelon_rational, primitive, rank_rational
+from .lattice import cleared, echelon_rational, primitive, rank_rational, row_reduce
 # lts_signature is not called here, but perfbench/spans.py traces it as bound
 # in this module, so the name stays
 from .ltsolver import (
@@ -235,9 +235,10 @@ class _SpanTree:
     and the bit set of levels a facet pins; a span is the id of its
     echelon basis, so equal spans are equal states.  How many span-valid
     assignments lie below a node depends on its depth and state alone, so
-    the count is memoized.  The tree also holds the region walk's coloop
-    test of a leaf (coloop_leaf), memoized per level; it lives as long as
-    the walk, so no state outlives one region.
+    the count is memoized, and so is each join of a span with a generator
+    (_join), which the region walk's coloop test of a leaf (coloop_leaf)
+    reuses.  The tree lives as long as the walk, so no state outlives one
+    region.
     """
 
     def __init__(self, dirs: list, nf: int, dim: int, K: int):
@@ -247,7 +248,6 @@ class _SpanTree:
         self._ids = {(): 0}
         self._joins: dict = {}
         self._counts: dict = {}
-        self._coloops: dict = {}
         self.root = ((0,) * K, 0)
 
     def rank(self, span: int) -> int:
@@ -274,22 +274,19 @@ class _SpanTree:
         return out
 
     def coloop_leaf(self, digits: list, state) -> bool:
-        """Whether some level of a leaf has a coloop member (_has_coloop).
+        """Whether some level of a leaf has a coloop member.
 
-        Each member's direction is reduced modulo the echelon basis of the
-        span below its level.  The answer is memoized per level on (span
-        below, members).
+        Member a of level l is a coloop when the span V_{l-1} of the levels
+        below, joined with the level's other members, is smaller than V_l:
+        no combination of the others and the lower levels reaches a.
         """
         below = 0
         for l, span in enumerate(state[0], 1):
-            members = tuple(p for p, v in enumerate(digits) if v == l)
-            hit = self._coloops.get((below, members))
-            if hit is None:
-                basis = self._bases[below]
-                hit = _has_coloop([_residue(self.dirs[p], basis) for p in members])
-                self._coloops[below, members] = hit
-            if hit:
-                return True
+            members = [p for p, v in enumerate(digits) if v == l]
+            for a in members:
+                rest = reduce(self._join, (p for p in members if p != a), below)
+                if self.rank(rest) < self.rank(span):
+                    return True
             below = span
         return False
 
@@ -313,39 +310,6 @@ class _SpanTree:
         if p == self.n:
             return int(ranks[-1] == dim and all(a < b for a, b in zip(ranks, ranks[1:])))
         return sum(self.count(p + 1, self.child(state, p, v)) for v in range(K + 1))
-
-
-def _residue(v, basis: tuple) -> tuple:
-    """v reduced modulo a reduced row echelon basis: zero at every pivot column.
-
-    Two vectors have equal residues exactly when they differ by an element
-    of the span.
-    """
-    v = tuple(v)
-    for row in basis:
-        k = next(i for i, x in enumerate(row) if x)  # the pivot, which is 1
-        if v[k]:
-            v = tuple(a - v[k] * b for a, b in zip(v, row))
-    return v
-
-
-def _has_coloop(residues: list) -> bool:
-    """Whether a level's residues leave one member a coloop.
-
-    Equal residues form one group and the zero residue is dropped.  A
-    one-member group is a coloop when its residue lies outside the span of
-    the other groups' residues, that is when dropping it lowers the rank.
-    """
-    groups: dict = {}
-    for r in residues:
-        if any(r):
-            groups[r] = groups.get(r, 0) + 1
-    keys = list(groups)
-    full = rank_rational(keys)
-    return any(
-        n == 1 and rank_rational(keys[:k] + keys[k + 1 :]) < full
-        for k, n in enumerate(groups.values())
-    )
 
 
 def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**6):
@@ -514,21 +478,14 @@ def _substitute(vec: list, subs: list) -> list:
 def _pivots(eqs, n: int):
     """The pivot rows of integer equalities eqs == 0, or None when they conflict.
 
-    Returns subs, a list of (pivot, row) with row[pivot] > 0 in creation
-    order, each row free of the earlier pivots (_substitute).
+    Returns subs, a list of (pivot, row) from the reduced row echelon form
+    (row_reduce), each row cleared to integers: row[pivot] > 0 and the row
+    is zero at every other pivot column.
     """
-    subs: list = []
-    for row in eqs:
-        row = _substitute(row, subs)
-        pivot = next((k for k in range(n) if row[k]), None)
-        if pivot is None:
-            if row[n]:
-                return None
-            continue
-        if row[pivot] < 0:
-            row = [-x for x in row]
-        subs.append((pivot, row))
-    return subs
+    reduced, pivots, rest = row_reduce(eqs, n)
+    if any(row[n] for row in rest):
+        return None
+    return [(k, cleared(row)) for row, k in zip(reduced, pivots)]
 
 
 def _fold(table: dict, row) -> bool:
@@ -633,8 +590,8 @@ def _solve(subs: list, table: dict, n: int):
     """Witness of a system (_system), or None when it is infeasible.
 
     Fourier-Motzkin on the table's binding rows over the non-pivot
-    variables (_eliminate), then each pivot solved from its row, last
-    first.
+    variables (_eliminate), then each pivot solved from its row, which
+    involves no other pivot.
     """
     pivots = {p for p, _ in subs}
     sol = _eliminate(
@@ -643,7 +600,7 @@ def _solve(subs: list, table: dict, n: int):
     if sol is None:
         return None
     sol = dict(sol)
-    for pivot, row in reversed(subs):
+    for pivot, row in subs:
         rest = row[n] + sum(row[j] * sol[j] for j in range(n) if j != pivot and row[j])
         sol[pivot] = Fraction(-rest, row[pivot])
     return tuple(sol[k] for k in range(n))
@@ -764,17 +721,17 @@ def _piece_candidates(m: StackyModel):
     parent's witness.
 
     A leaf is first checked for a coloop level (_SpanTree.coloop_leaf): a
-    member whose direction, modulo the span of the levels below, is shared
-    by no other member and lies outside the span of the other members'
-    residues.  The level's own-coordinate equations are
-    sum_a c_a a_i y^a = 0 over the members' residues a, so a root needs a
-    linear relation sum_a w_a a = 0 in which members of equal residue
-    share one weight; a lone member's weight c_a y^a is never zero (every
-    region coefficient is 1 or a pure symbol), and a coloop forces it to
-    zero.  Such a leaf has no root (the leading-term argument of
+    member a of level l whose direction lies outside V_{l-1} + span(others),
+    V_{l-1} the span of the levels below.  Modulo V_{l-1}, the level's
+    own-coordinate equations are sum_a c_a a_i y^a = 0 over the members'
+    residues a, so a root needs a linear relation sum_a w_a a = 0 in which
+    members of equal residue share one weight.  Such a member is alone in
+    its group, with a nonzero residue, and every relation gives it weight
+    zero, yet its weight c_a y^a is never zero (every region coefficient
+    is 1 or a pure symbol).  Such a leaf has no root (the leading-term argument of
     Fukaya-Oh-Ohta-Ono for toric manifolds), and it is skipped before
-    scenario_region, scenario_lts and solve.  A level with one member is
-    the special case of a single group.  The context of a feasible
+    scenario_region, scenario_lts and solve.  A level with one member,
+    which must add span, always has one.  The context of a feasible
     prefix is its (system, level anchors, witness), system the
     (equality pivots, binding table) of its rows, which a leaf hands to
     scenario_region.

@@ -212,6 +212,43 @@ def test_bulk_file_rows_fail_typed(tmp_path, capsys):
         assert error["error"] == "InputError" and message in error["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value, readable",
+    [
+        ("nu", [0, -1], True),
+        ("nu", ["0", "-1"], True),
+        ("nu", [0.0, -1.0], True),
+        ("nu", [0.9, -1.2], False),
+        ("nu", [0, "-1/2"], False),
+        ("facet", 2, True),
+        ("facet", "2", True),
+        ("facet", 2.0, True),
+        ("facet", 1.7, False),
+        ("facet", "1.5", False),
+    ],
+)
+def test_bulk_file_integers_are_not_truncated(tmp_path, capsys, key, value, readable):
+    sector = {"nu": [0, -1], "c": "1", "lambda": "1/2"}
+    divisor = {"facet": 2, "c": "1", "lambda": "1/2"}
+    if key == "nu":
+        sector["nu"] = value
+    else:
+        divisor["facet"] = value
+    path = tmp_path / "bulk.json"
+    path.write_text(json.dumps({"sectors": [sector], "divisors": [divisor]}))
+    args = ("potential", "--preset", "wp:1,3,5", "--u", "-1/10,1/100", "--bulk")
+    code, out, err = run(capsys, *args, str(path))
+    if readable:
+        want = tmp_path / "want.json"
+        want.write_text(json.dumps({"sectors": [dict(sector, nu=[0, -1])], "divisors": []}))
+        assert code == 0 and out == run(capsys, *args, str(want))[1]
+    else:
+        where = "sectors[0].nu" if key == "nu" else "divisors[0].facet"
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InputError" and f"bulk {where}: cannot read" in error["message"]
+
+
 def test_critical_rejects_impossible_t_value(capsys):
     for t in ("0", "-1", "nan", "inf"):
         code, out, err = run(
@@ -373,6 +410,19 @@ def test_region_rejects_bad_flags_before_building(capsys, monkeypatch, flags):
     code, out, err = run(capsys, "region", "--preset", "square:2,2,2,2", *flags)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InputError"
+
+
+def test_region_svg_refuses_three_dimensional_models(tmp_path, capsys, monkeypatch):
+    # a 3-d region has no faithful 800x800 picture; refused before the build
+    def refuse(*args, **kwargs):
+        raise AssertionError("the region was built before --svg was checked")
+
+    monkeypatch.setattr(cli, "nondisplaceable_region", refuse)
+    path = tmp_path / "pic.svg"
+    code, out, err = run(capsys, "region", "--preset", "wp:1,2,3,5", "--svg", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    error = json.loads(err)
+    assert error["error"] == "InputError" and "dimension 1 or 2" in error["message"]
 
 
 def test_region_svg_write_error_is_typed(tmp_path, capsys):

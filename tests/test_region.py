@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,20 +136,90 @@ def test_pruned_region_equals_brute_force(preset, monkeypatch):
     assert examined == sorted(feasible - {s.serial for s in refuted})
 
 
+def _coloop(levels, dirs):
+    """coloop_leaf of a hand-built span tree: dirs[p] placed at level levels[p]."""
+    tree = region._SpanTree(dirs, 0, len(dirs[0]), max(levels))
+    state = tree.root
+    for p, v in enumerate(levels):
+        state = tree.child(state, p, v)
+    return tree.coloop_leaf(list(levels), state)
+
+
 def test_coloop_groups_equal_residues():
-    # members with one residue share a weight and may cancel (y + c*y
-    # vanishes at c = -1), so only a lone member can be a coloop
-    assert not region._has_coloop([(1, 0), (1, 0)])
-    assert not region._has_coloop([(1, 0), (1, 0), (0, 1), (0, 2)])
-    assert region._has_coloop([(1, 0), (0, 1), (0, 2)])
-    assert region._has_coloop([(1, 0)])
-    # a circuit has no coloop, and the zero residue joins no relation
-    assert not region._has_coloop([(1, 0), (0, 1), (1, 1)])
-    assert not region._has_coloop([(0, 0), (1, 0), (2, 0)])
-    # residues modulo the span of (1, 0): (1, 3) and (5, 3) are one group
-    basis = ((1, 0),)
-    assert region._residue((1, 3), basis) == region._residue((5, 3), basis) == (0, 3)
-    assert not region._has_coloop([region._residue(v, basis) for v in [(1, 3), (5, 3), (2, 0)]])
+    # members with one direction modulo the span below share a weight and
+    # may cancel (y + c*y vanishes at c = -1), so only a lone member can
+    # be a coloop; on one level the span below is zero
+    assert not _coloop([1, 1], [(1, 0), (1, 0)])
+    assert not _coloop([1, 1, 1, 1], [(1, 0), (1, 0), (0, 1), (0, 2)])
+    assert _coloop([1, 1, 1], [(1, 0), (0, 1), (0, 2)])
+    assert _coloop([1], [(1, 0)])
+    # a circuit has no coloop, and a member inside the span below joins
+    # no relation: over the first level's span of e3, the second level
+    # reads (0,0,0), (1,0,0), (2,0,0)
+    assert not _coloop([1, 1, 1], [(1, 0), (0, 1), (1, 1)])
+    below = [(0, 0, 1), (0, 0, 2)]
+    assert not _coloop([1, 1, 2, 2, 2], below + [(0, 0, 5), (1, 0, 0), (2, 0, 0)])
+    # over the span of (1, 0), (1, 3) and (5, 3) are one group; alone,
+    # (1, 3) is a coloop
+    below = [(1, 0), (2, 0)]
+    assert not _coloop([1, 1, 2, 2, 2], below + [(1, 3), (5, 3), (2, 0)])
+    assert _coloop([1, 1, 2, 2], below + [(1, 3), (2, 0)])
+
+
+def test_coloop_leaf_matches_the_system_oracle():
+    # on every span-valid leaf, pruned or not, the span test agrees with
+    # the coloop oracle read off the leaf's leading term system
+    leaves = 0
+    for preset in ["teardrop:3", "wp:1,2,2", "wp:1,1,3", "wp:1,3,5", "square:2,2,1,1"]:
+        m = build_model(preset)
+        nf = len(m.facets)
+        n = nf + len(enumerate_box(m))
+        seen = []
+
+        def grow(tree, digits, state, ctx):
+            if len(digits) == n:
+                ranks = [tree.rank(span) for span in state[0]]
+                s = region._scenario(-1, digits, nf, ranks)
+                seen.append((s, tree.coloop_leaf(digits, state)))
+            return ctx
+
+        for _ in region._scenario_walk(m, 2, grow):
+            pass
+        for s, hit in seen:
+            assert hit == oracles.coloop_refutes(scenario_lts(m, s)), (preset, s.levels)
+        leaves += len(seen)
+    assert leaves == 1736
+
+
+@st.composite
+def equality_systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), max_size=5))
+    # a row combined from earlier ones makes dependent and conflicting systems
+    if rows and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        mixed = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+        mixed[-1] += draw(st.integers(-1, 1))
+        rows.append(mixed)
+    return n, rows
+
+
+@given(equality_systems())
+@settings(max_examples=200, deadline=None)
+def test_pivots_match_sympy_rref(system):
+    n, rows = system
+    subs = region._pivots(rows, n)
+    if not rows:
+        assert subs == []
+        return
+    reduced, pivots = sympy.Matrix(rows).rref()
+    if n in pivots:  # a row reads 0 = nonzero constant
+        assert subs is None
+        return
+    assert [k for k, _ in subs] == list(pivots)
+    for (k, row), want in zip(subs, reduced.tolist()):
+        assert row[k] > 0 and all(row[j] == 0 for j in pivots if j != k)
+        assert [Fraction(x, row[k]) for x in row] == want
 
 
 def _walk_refuted(m, max_levels=2):
