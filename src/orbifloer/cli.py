@@ -666,44 +666,80 @@ def _fail(code: int, kind: str, message: str):
     raise SystemExit(code)
 
 
-def _build_parser() -> _Parser:
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, the only seeds numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _model_flags(p) -> None:
+    p.add_argument("--preset", help="model preset, e.g. wp:1,3,5 or teardrop:3")
+    p.add_argument("--model", help="path to a model JSON file")
+
+
+def _fiber_flags(p) -> None:
+    p.add_argument("--u", help='interior fiber point "p/q,p/q"')
+    p.add_argument("--bulk", help="path to a bulk deformation JSON file")
+
+
+def _seed_flag(p) -> None:
+    p.add_argument("--seed", type=_seed, default=0)
+
+
+def _critical_flags(p) -> None:
+    p.add_argument("--t-value", type=float, default=0.5)
+
+
+def _region_flags(p) -> None:
+    p.add_argument("--u", help="query point to test for membership")
+    p.add_argument("--max-levels", type=int, default=2)
+    p.add_argument("--closure", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--svg", help="write an 800x800 picture to this path")
+    p.add_argument("--grid", type=int, help="emit a membership CSV on an NxN grid")
+
+
+def _cone_flags(p) -> None:
+    p.add_argument("--cone", required=True, help='generators "a,b;c,d"')
+
+
+def _reproduce_flags(p) -> None:
+    p.add_argument("name", nargs="?", help=f"one of: {', '.join(REPRODUCE)}")
+    p.add_argument("--all", action="store_true", help="run the whole suite")
+    p.add_argument("--write", action="store_true", help="refresh the committed expectation")
+
+
+# each subcommand's flags, added in this order
+_SUBCOMMANDS = {
+    "box": (_model_flags,),
+    "discs": (_model_flags, _fiber_flags),
+    "potential": (_model_flags, _fiber_flags),
+    "critical": (_model_flags, _fiber_flags, _seed_flag, _critical_flags),
+    "lte": (_model_flags, _fiber_flags, _seed_flag),
+    "region": (_model_flags, _seed_flag, _region_flags),
+    "conebasis": (_cone_flags,),
+    "reproduce": (_seed_flag, _reproduce_flags),
+}
+
+
+def _build_parser(argv: list) -> _Parser:
+    """The parser for argv: only the subcommand that argv names first.
+
+    The top-level parser takes no flag but -h, so a request that parses
+    names its subcommand first.  Help, a missing subcommand or a typo get
+    all eight subparsers, so their text and errors list every choice.
+    """
     p = _Parser(prog="orbifloer", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--preset", help="model preset, e.g. wp:1,3,5 or teardrop:3")
-    model_flags.add_argument("--model", help="path to a model JSON file")
-
-    fiber_flags = argparse.ArgumentParser(add_help=False)
-    fiber_flags.add_argument("--u", help='interior fiber point "p/q,p/q"')
-    fiber_flags.add_argument("--bulk", help="path to a bulk deformation JSON file")
-
-    seed_flags = argparse.ArgumentParser(add_help=False)
-    seed_flags.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("box", parents=[model_flags])
-    sub.add_parser("discs", parents=[model_flags, fiber_flags])
-    sub.add_parser("potential", parents=[model_flags, fiber_flags])
-
-    crit = sub.add_parser("critical", parents=[model_flags, fiber_flags, seed_flags])
-    crit.add_argument("--t-value", type=float, default=0.5)
-
-    sub.add_parser("lte", parents=[model_flags, fiber_flags, seed_flags])
-
-    reg = sub.add_parser("region", parents=[model_flags, seed_flags])
-    reg.add_argument("--u", help="query point to test for membership")
-    reg.add_argument("--max-levels", type=int, default=2)
-    reg.add_argument("--closure", action=argparse.BooleanOptionalAction, default=True)
-    reg.add_argument("--svg", help="write an 800x800 picture to this path")
-    reg.add_argument("--grid", type=int, help="emit a membership CSV on an NxN grid")
-
-    cone = sub.add_parser("conebasis")
-    cone.add_argument("--cone", required=True, help='generators "a,b;c,d"')
-
-    rep = sub.add_parser("reproduce", parents=[seed_flags])
-    rep.add_argument("name", nargs="?", help=f"one of: {', '.join(REPRODUCE)}")
-    rep.add_argument("--all", action="store_true", help="run the whole suite")
-    rep.add_argument("--write", action="store_true", help="refresh the committed expectation")
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        s = sub.add_parser(name)
+        for add_flags in _SUBCOMMANDS[name]:
+            add_flags(s)
     return p
 
 
@@ -795,9 +831,8 @@ def _merge_dash_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_dash_values(list(argv)))
+    argv = _merge_dash_values(sys.argv[1:] if argv is None else list(argv))
+    args = _build_parser(argv).parse_args(argv)
     try:
         return _dispatch(args)
     except SystemExit:

@@ -7,9 +7,13 @@ multiplicities, box points and a unimodular-basis-inside-a-cone
 subdivision algorithm.  Everything is computed with arbitrary-precision
 integers and ``fractions.Fraction``; no floating point enters this module.
 
-Every rational elimination (echelon bases, ranks, square solves)
-runs through one fraction-free routine, ``_eliminate``; only ``row_reduce``
-divides, once per entry at the end.
+Every rational elimination (echelon bases, ranks, square solves) runs
+through one fraction-free routine, ``_eliminate``.  ``row_reduce`` divides,
+once per entry at the end; ``solve_integer`` does not divide at all, and
+returns A^-1 B as an integer matrix over one denominator.  Box points use
+it for the scaled inverse d B^-1 of a cone's generators: each point and
+its coordinates then come from integer products and one reduction mod d,
+and a Fraction is made once per coordinate.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .errors import DegenerateCone
 # tuples of row tuples.  Helpers below keep everything immutable.
 
 Vec = tuple  # tuple[int, ...]
-QVec = tuple  # tuple[Fraction, ...]
 Mat = tuple  # tuple[tuple[int, ...], ...]
 
 
@@ -223,13 +226,27 @@ def rank_rational(rows) -> int:
     return len(_eliminate([cleared(row) for row in rows], len(rows[0])))
 
 
-def solve_rational(a: Mat, b) -> QVec | None:
-    """Solve a*x = b exactly; None if the square system is singular."""
+def solve_integer(a: Mat, b: Mat) -> tuple | None:
+    """(X, d) with A X = d B, X integer and d > 0; None if A is singular.
+
+    A is a square integer matrix and B integer rows beside it, with any
+    number of columns.  One fraction-free elimination of the rows [A | B]
+    (_eliminate) leaves row i as (p_i e_i | r_i), so row i of A^-1 B is
+    r_i / p_i: d is the lcm of the |p_i|, and no Fraction is made.
+
+    Examples
+    --------
+    >>> solve_integer(((3, 5), (1, 2)), ((1, 0), (0, 1)))
+    ([[2, -5], [-1, 3]], 1)
+    >>> solve_integer(((2, 0), (0, 3)), ((1,), (1,)))
+    ([[3], [2]], 6)
+    """
     n = len(a)
-    reduced, _, _ = row_reduce([(*row, bi) for row, bi in zip(a, b)], n)
-    if len(reduced) < n:
+    work = [[*row, *rhs] for row, rhs in zip(a, b)]
+    if len(_eliminate(work, n)) < n:
         return None
-    return tuple(row[n] for row in reduced)
+    d = lcm(*(row[i] for i, row in enumerate(work)))
+    return [[e * (d // row[i]) for e in row[n:]] for i, row in enumerate(work)], d
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +292,35 @@ def cone_multiplicity(c: SimplicialCone) -> int:
 def box_points(c: SimplicialCone) -> list[tuple]:
     """All nonzero lattice points v = sum t_i g_i with every t_i in [0, 1).
 
-    Returns (v, t) pairs; there are exactly multiplicity-1 of them.  The
-    generators' column_hermite form H = B V spans their lattice and is lower
-    triangular with a positive diagonal, so reducing a point's coordinates
-    top to bottom by the columns of H shows that the points x with
-    0 <= x_i < H_ii are one representative per coset of that lattice.  Each
-    is moved into the fundamental cell; no search box is scanned.
+    Returns (v, t) pairs sorted by v; there are exactly multiplicity-1 of
+    them.  One column_hermite pass H = B V of the generator matrix gives
+    the multiplicity, the product of its diagonal, and the coset
+    representatives: H spans the generators' lattice and is lower
+    triangular with a positive diagonal, so reducing a point top to bottom
+    by the columns of H shows that the points x with 0 <= x_i < H_ii are
+    one per coset.  With adj = d B^-1 integer (solve_integer), the
+    fractional coordinates of x are r / d for r = adj x mod d, and
+    v = B r / d exactly; no search box is scanned and no Fraction is
+    summed.
     """
-    if cone_multiplicity(c) == 1:
-        return []
-    b = c.generator_matrix()
     n = c.dim
+    if len(c.generators) != n:
+        raise DegenerateCone("cone is not full-dimensional")
+    b = c.generator_matrix()
     h, _, _ = column_hermite(b, n)
+    diag = [h[i][i] for i in range(n)]
+    if not all(diag):
+        raise DegenerateCone("generators are linearly dependent")
+    if max(diag) == 1:
+        return []
+    adj, d = solve_integer(b, identity(n))
     out = []
-    for x in product(*(range(h[i][i]) for i in range(n))):
+    for x in product(*map(range, diag)):
         if not any(x):
             continue
-        t = solve_rational(b, x)
-        tfrac = tuple(ti - (ti.numerator // ti.denominator) for ti in t)
-        v = []
-        for k in range(n):
-            coord = sum(Fraction(g[k]) * ti for g, ti in zip(c.generators, tfrac))
-            assert coord.denominator == 1
-            v.append(coord.numerator)
-        out.append((tuple(v), tfrac))
+        r = [sum(a * xi for a, xi in zip(row, x)) % d for row in adj]
+        v = tuple(sum(g * ri for g, ri in zip(row, r)) // d for row in b)
+        out.append((v, tuple(Fraction(ri, d) for ri in r)))
     out.sort(key=lambda p: p[0])
     return out
 
@@ -314,30 +336,30 @@ def integral_basis_in_cone(c: SimplicialCone, trace: list | None = None) -> list
     are the answer.
 
     Ties between subdivisions are broken by lexicographic minimality of the
-    sorted generator matrix.
+    sorted generator matrix.  Each candidate is scored by Cramer's rule:
+    swapping g_i for w = v / content(v) scales the determinant by
+    t_i / content(v), so its multiplicity is mult * t_i / content(v).
     """
     gens = list(c.generators)
-    n = c.dim
-    if len(gens) != n:
-        raise DegenerateCone("cone is not full-dimensional")
+    mult = cone_multiplicity(c)
     while True:
-        cur = SimplicialCone(tuple(gens))
-        mult = cone_multiplicity(cur)
         if trace is not None:
             trace.append(mult)
         if mult == 1:
             return sorted(vec(g) for g in gens)
         best = None
-        for v, t in box_points(cur):
+        for v, t in box_points(SimplicialCone(tuple(gens))):
             d = content(v)
             w = tuple(x // d for x in v)
             for i, ti in enumerate(t):
-                if ti == 0:
+                if not ti:
+                    continue
+                submult = mult * ti.numerator // (ti.denominator * d)
+                if best is not None and submult > best[0][0]:
                     continue
                 sub = gens[:i] + [w] + gens[i + 1 :]
-                submult = abs(det_int(transpose(tuple(sub))))
                 key = (submult, tuple(sorted(sub)))
                 if best is None or key < best[0]:
                     best = (key, sub)
         # a nonzero box point always exists when mult > 1
-        gens = best[1]
+        (mult, _), gens = best

@@ -2,8 +2,9 @@
 
 A model is a list of facets (primitive inward normal, positive integer
 label, rational offset).  The polytope is {u : <u, label*normal> >= offset};
-validation computes vertices exactly, rejects unbounded, non-simple, or
-hollow input, and records one simplicial cone of stacky vectors per vertex.
+validation computes vertices exactly, in integers over one common
+denominator of the offsets, rejects unbounded, non-simple, or hollow
+input, and records one simplicial cone of stacky vectors per vertex.
 
 Twisted sectors are the nonzero lattice points in the fundamental cells of
 those cones, carried with their fractional coordinates, group order, and
@@ -212,24 +213,28 @@ def build_model(description) -> StackyModel:
         raise EmptyInterior("need at least n+1 facets in dimension n")
 
     b = [f.stacky_vector for f in facets]
-    lam = [Fraction(f.offset) for f in facets]
+    # the offsets over one denominator: offset_j = lam[j] / den
+    den = lcm(*(f.offset.denominator for f in facets))
+    lam = [int(f.offset * den) for f in facets]
     m = len(facets)
 
     if lattice.rank_rational(b) < n:
         raise Unbounded("normals do not span; the polytope recedes along their common kernel")
     _reject_recession_rays(b, n)
 
-    # exact vertex enumeration over all n-subsets of facets
+    # exact vertex enumeration over all n-subsets of facets: the vertex is
+    # x / (d * den), and each slack times d * den > 0 is an integer
     vertex_map: dict = {}
     for subset in combinations(range(m), n):
-        a = tuple(b[j] for j in subset)
-        rhs = tuple(lam[j] for j in subset)
-        u = lattice.solve_rational(a, rhs)
-        if u is None:
+        solved = lattice.solve_integer([b[j] for j in subset], [(lam[j],) for j in subset])
+        if solved is None:
             continue
-        slacks = [sum(Fraction(x) * g for x, g in zip(u, b[j])) - lam[j] for j in range(m)]
+        column, d = solved
+        x = [row[0] for row in column]
+        slacks = [sum(xi * g for xi, g in zip(x, b[j])) - lam[j] * d for j in range(m)]
         if any(s < 0 for s in slacks):
             continue
+        u = tuple(Fraction(xi, d * den) for xi in x)
         active = tuple(j for j in range(m) if slacks[j] == 0)
         if len(active) > n:
             raise NotSimple(f"vertex {u} lies on {len(active)} facets")
@@ -242,13 +247,12 @@ def build_model(description) -> StackyModel:
     if missing:
         raise NotSimple(f"facet inequality {missing[0]} does not support the polytope")
 
-    # interior witness: vertex centroid must satisfy everything strictly
+    # interior witness: the vertex centroid must satisfy everything strictly.
+    # Its slack on a facet is the mean of the vertices' slacks, all >= 0, so
+    # it fails exactly on a facet that holds every vertex.
+    if set.intersection(*map(set, vertex_map.values())):
+        raise EmptyInterior("polytope has no interior point")
     verts = sorted(vertex_map)
-    k = len(verts)
-    centroid = tuple(sum(v[i] for v in verts) / k for i in range(n))
-    for j in range(m):
-        if sum(centroid[i] * b[j][i] for i in range(n)) - lam[j] <= 0:
-            raise EmptyInterior("polytope has no interior point")
 
     cones = []
     for v in verts:

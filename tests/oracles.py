@@ -725,3 +725,80 @@ def scenario_constraints_row_by_row(m, s):
         if j not in assigned:
             cons.append(difference(facet[j], top, ">", "above", f"ell_{j} > S{s.K}"))
     return cons
+
+
+def solve_by_cramer(a, rhs):
+    """The solution of the square system a x = rhs in Fractions; None if singular."""
+    d = det_cofactor(a)
+    if d == 0:
+        return None
+    return tuple(
+        Fraction(det_cofactor([row[:i] + [r] + row[i + 1 :] for row, r in zip(a, rhs)]), d)
+        for i in range(len(a))
+    )
+
+
+def vertices_by_fractions(b, lam, n):
+    """stacky.build_model's vertex enumeration as it was: every slack a Fraction.
+
+    b are the stacky vectors, lam the rational offsets.  Returns the sorted
+    vertices and the map from each to its active facets, or raises the
+    NotSimple or EmptyInterior that build_model raised, with its message.
+    """
+    from orbifloer.errors import EmptyInterior, NotSimple
+
+    m = len(b)
+    vertex_map = {}
+    for subset in combinations(range(m), n):
+        u = solve_by_cramer([list(b[j]) for j in subset], [lam[j] for j in subset])
+        if u is None:
+            continue
+        slacks = [sum(Fraction(x) * g for x, g in zip(u, b[j])) - lam[j] for j in range(m)]
+        if any(s < 0 for s in slacks):
+            continue
+        active = tuple(j for j in range(m) if slacks[j] == 0)
+        if len(active) > n:
+            raise NotSimple(f"vertex {u} lies on {len(active)} facets")
+        vertex_map[u] = active
+    if not vertex_map:
+        raise EmptyInterior("no vertices: the constraint system is infeasible or degenerate")
+    supporting = {j for active in vertex_map.values() for j in active}
+    missing = sorted(set(range(m)) - supporting)
+    if missing:
+        raise NotSimple(f"facet inequality {missing[0]} does not support the polytope")
+    verts = sorted(vertex_map)
+    k = len(verts)
+    centroid = tuple(sum(v[i] for v in verts) / k for i in range(n))
+    for j in range(m):
+        if sum(centroid[i] * b[j][i] for i in range(n)) - lam[j] <= 0:
+            raise EmptyInterior("polytope has no interior point")
+    return verts, vertex_map
+
+
+def integral_basis_by_det(gens, trace):
+    """lattice.integral_basis_in_cone as it was: each candidate scored by a determinant.
+
+    Box points come from the bounding-box scan and multiplicities from
+    cofactor expansion; ties go to the lexicographically least sorted
+    generator matrix.  Appends each round's multiplicity to trace.
+    """
+    gens = [tuple(g) for g in gens]
+    while True:
+        mult = abs(det_cofactor([list(g) for g in gens]))
+        trace.append(mult)
+        if mult == 1:
+            return sorted(gens)
+        best = None
+        for v, t in box_points_by_scan(gens):
+            c = 0
+            for x in v:
+                c = gcd(c, abs(x))
+            w = tuple(x // c for x in v)
+            for i, ti in enumerate(t):
+                if ti == 0:
+                    continue
+                sub = gens[:i] + [w] + gens[i + 1 :]
+                key = (abs(det_cofactor([list(g) for g in sub])), tuple(sorted(sub)))
+                if best is None or key < best[0]:
+                    best = (key, sub)
+        gens = best[1]

@@ -453,3 +453,97 @@ def test_reproduce_matches_committed(capsys):
     doc = json.loads(out)
     assert doc["name"] == "teardrop-a3"
     assert doc["critical_at_center"]["count"] == 4
+
+
+def subparsers(parser) -> dict:
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_lazy_subparser_help_equals_the_full_parsers(name):
+    lazy = subparsers(cli._build_parser([name]))
+    full = subparsers(cli._build_parser([]))
+    assert list(lazy) == [name] and list(full) == list(cli._SUBCOMMANDS)
+    assert lazy[name].format_help() == full[name].format_help()
+
+
+ARGV_BATTERY = [
+    ["box", "--preset", "wp:1,3,5"],
+    ["box", "--model", "m.json"],
+    ["discs", "--preset", "wp:1,3,5", "--u", "-1/12,1/3", "--bulk", "b.json"],
+    ["potential", "--model", "m.json", "--u=-1/12,-1/12"],
+    ["potential", "--preset", "teardrop:3", "--u", "-1/12"],
+    ["critical", "--preset", "x", "--u", "1/2", "--bulk", "b.json", "--t-value", "0.25", "--seed", "3"],
+    ["critical", "--preset", "x", "--u", "1/2"],
+    ["lte", "--preset", "x", "--u", "-1/12,-1/12", "--bulk", "b.json", "--seed", "7"],
+    ["region", "--preset", "x", "--u", "-1/2,1/3", "--max-levels", "3", "--no-closure"],
+    ["region", "--model", "m.json", "--closure", "--svg", "a.svg", "--grid", "4", "--seed", "2"],
+    ["conebasis", "--cone", "-1,0;1,5"],
+    ["reproduce", "--all"],
+    ["reproduce", "p1aa-a2", "--write", "--seed", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_BATTERY, ids=lambda a: " ".join(a))
+def test_lazy_parser_reads_every_flag_as_the_full_parser(argv):
+    argv = cli._merge_dash_values(argv)
+    lazy = cli._build_parser(argv).parse_args(argv)
+    assert lazy == cli._build_parser([]).parse_args(argv)
+    assert lazy.subcommand == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["typo", "--preset", "x"], ["box", "--nope"], [], ["lte", "--seed", "x"], ["region", "--grid"]],
+)
+def test_lazy_parser_fails_as_the_full_parser(argv, capsys):
+    def error_of(parser):
+        with pytest.raises(SystemExit) as done:
+            parser.parse_args(argv)
+        return done.value.code, capsys.readouterr()
+
+    lazy = error_of(cli._build_parser(argv))
+    assert lazy == error_of(cli._build_parser([]))
+    assert lazy[0] == 2 and json.loads(lazy[1].err)["error"] == "ArgumentError"
+
+
+def test_a_request_builds_one_subparser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    code, out, _ = run(capsys, "lte", "--preset", "teardrop:3", "--u", "1/5")
+    assert code == 0 and json.loads(out)["command"] == "lte"
+    assert built == ["orbifloer", "orbifloer lte"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical", "--preset", "teardrop:3", "--u", "0"],
+        ["lte", "--preset", "teardrop:3", "--u", "0"],
+        ["region", "--preset", "wp:1,2,2"],
+        ["reproduce", "p1aa-a2"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_negative_seed_fails_before_any_model_is_built(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    for name in ("build_model", "run_reproduce", "nondisplaceable_region"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv, "--seed", "-5")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ArgumentError",
+        "message": "argument --seed: must be a non-negative integer, got -5",
+    }
+    assert run(capsys, *argv[:1], "--seed", "abc")[2] == dump_json(
+        {"error": "ArgumentError", "message": "argument --seed: invalid int value: 'abc'"}
+    )

@@ -59,19 +59,34 @@ def test_box_points_count_and_membership():
     assert ((-1, -2), (Fraction(2, 5), Fraction(1, 5))) in pts
 
 
-@given(st.integers(2, 3).flatmap(square_matrices))
-@settings(max_examples=60, deadline=None)
-def test_box_points_random_cones(rows):
-    if oracles.det_cofactor(rows) == 0:
-        return
-    c = lattice.SimplicialCone(tuple(tuple(r) for r in rows))
+@st.composite
+def cones(draw, dims=st.integers(1, 4)):
+    """Generators of a full-dimensional cone in any order, so det may be negative.
+
+    Entries shrink with the dimension to keep the scan oracle's bounding box small.
+    """
+    n = draw(dims)
+    bound = {1: 9, 2: 9, 3: 4, 4: 2}[n]
+    gens = draw(
+        st.lists(
+            st.tuples(*[st.integers(-bound, bound)] * n), min_size=n, max_size=n
+        ).filter(lambda g: oracles.det_cofactor([list(v) for v in g]) != 0)
+    )
+    return draw(st.permutations(gens))
+
+
+@given(cones())
+@settings(max_examples=200, deadline=None)
+def test_box_points_random_cones(gens):
+    c = lattice.SimplicialCone(tuple(gens))
     pts = lattice.box_points(c)
     assert len(pts) == lattice.cone_multiplicity(c) - 1
     assert len({v for v, _ in pts}) == len(pts)
     for v, t in pts:
+        assert all(type(ti) is Fraction for ti in t)
         coords = oracles.cone_coordinates(c.generators, v)
         assert t == tuple(x - (x.numerator // x.denominator) for x in coords)
-    assert pts == oracles.box_points_by_scan(c.generators)
+    assert pts == oracles.box_points_by_scan(gens)
 
 
 @pytest.mark.parametrize(
@@ -92,6 +107,28 @@ def test_box_points_match_scan_oracle_in_one_and_four_dimensions(gens):
     pts = lattice.box_points(c)
     assert len(pts) == lattice.cone_multiplicity(c) - 1
     assert pts == oracles.box_points_by_scan(gens)
+
+
+@given(cones(st.integers(2, 4)))
+@settings(max_examples=150, deadline=None)
+def test_cramer_multiplicity_equals_det_int(gens):
+    # swapping g_i for w = v / content(v) scales |det| by t_i / content(v)
+    mult = abs(lattice.det_int(tuple(gens)))
+    for v, t in lattice.box_points(lattice.SimplicialCone(tuple(gens))):
+        d = lattice.content(v)
+        w = tuple(x // d for x in v)
+        for i, ti in enumerate(t):
+            swapped = tuple(gens[:i]) + (w,) + tuple(gens[i + 1 :])
+            assert mult * ti / d == abs(lattice.det_int(swapped))
+
+
+@given(cones(st.integers(1, 3)))
+@settings(max_examples=100, deadline=None)
+def test_integral_basis_matches_determinant_scoring(gens):
+    trace, expected_trace = [], []
+    basis = lattice.integral_basis_in_cone(lattice.SimplicialCone(tuple(gens)), trace)
+    assert basis == oracles.integral_basis_by_det(gens, expected_trace)
+    assert trace == expected_trace
 
 
 def test_integral_basis_unimodular_and_inside():
@@ -348,13 +385,19 @@ def square_systems(draw):
 @given(square_systems())
 @settings(max_examples=150, deadline=None)
 def test_square_solves_match_sympy(case):
+    # each row of [a | b] cleared of denominators: the same system in integers
     a, b = case
+    rows = [lattice.cleared([*row, bi]) for row, bi in zip(a, b)]
+    n = len(a)
+    solved = lattice.solve_integer([row[:n] for row in rows], [row[n:] for row in rows])
     sa = to_sympy(a)
     if sa.det() == 0:
-        assert lattice.solve_rational(a, b) is None
+        assert solved is None
         return
-    x = from_sympy(sa.inv() * to_sympy([b]).T)
-    assert lattice.solve_rational(a, b) == tuple(row[0] for row in x)
+    x, d = solved
+    assert d > 0 and all(type(e) is int for row in x for e in row)
+    expected = from_sympy(sa.inv() * to_sympy([b]).T)
+    assert [Fraction(row[0], d) for row in x] == [row[0] for row in expected]
 
 
 def test_doctests():

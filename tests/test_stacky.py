@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from orbifloer import lattice, stacky
 from orbifloer.errors import (
     EmptyInterior,
@@ -228,3 +229,127 @@ def test_rational_kernel_vector_is_the_primitive_normal(rows):
     g = gcd(*ints)
     expected = tuple(x // g for x in ints)
     assert d in (expected, tuple(-x for x in expected))
+
+
+PRESETS = (
+    "teardrop:3",
+    "teardrop:5",
+    "interval:2,2",
+    "interval:1,3",
+    "wp:1,2,2",
+    "wp:1,1,3",
+    "wp:1,3,5",
+    "wp:1,3,7",
+    "wp:1,2,3,5",
+    "wp:1,3,5,7",
+    "wp:1,1,2,2",
+    "square:1,1,1,1",
+    "square:2,2,1,1",
+    "square:2,2,2,2",
+    "square:3,2,3,2",
+)
+
+
+def check_vertices_against_fractions(description):
+    """build_model's integer vertex enumeration against the Fraction oracle.
+
+    Both give the same vertices and cones, or the same error and message.
+    """
+    try:
+        m = stacky.build_model(description)
+    except Unbounded:
+        # refused before any vertex is solved
+        return None
+    except (NotSimple, EmptyInterior) as e:
+        m, error = None, e
+    desc = stacky.preset_description(description) if isinstance(description, str) else description
+    if "preset" in desc:
+        facets = stacky._weighted_projective_facets(desc["weights"])
+    else:
+        facets = [
+            stacky.Facet(tuple(f["normal"]), f["label"], Fraction(f["offset"])) for f in desc["facets"]
+        ]
+    b = [f.stacky_vector for f in facets]
+    lam = [f.offset for f in facets]
+    if m is None:
+        with pytest.raises(type(error)) as expected:
+            oracles.vertices_by_fractions(b, lam, len(b[0]))
+        assert str(expected.value) == str(error)
+        return error
+    verts, vertex_map = oracles.vertices_by_fractions(b, lam, m.dim)
+    assert m.vertices == tuple(verts)
+    assert all(type(x) is Fraction for v in m.vertices for x in v)
+    assert [c.facet_indices for c in m.cones] == [vertex_map[v] for v in verts]
+    return m
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_vertices_match_fraction_enumeration(preset):
+    assert isinstance(check_vertices_against_fractions(preset), stacky.StackyModel)
+
+
+@st.composite
+def polytopes(draw):
+    """n+1 to n+3 facets with small primitive normals, labels and rational offsets.
+
+    The last normal is minus the sum of the others, so the normals span
+    positively and the polytope is bounded once they span; offsets are
+    mostly negative, which keeps the origin inside.
+    """
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(n, n + 2))
+    normals = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)) for _ in range(k)]
+    closing = [-sum(col) for col in zip(*normals)]
+    normals.append(closing if any(closing) else [-1] * n)
+    facets = []
+    for normal in normals:
+        g = gcd(*normal)
+        offset = draw(st.fractions(min_value=-3, max_value=Fraction(1, 2), max_denominator=4))
+        facets.append(
+            {
+                "normal": [x // g for x in normal],
+                "label": draw(st.integers(1, 3)),
+                "offset": str(offset),
+            }
+        )
+    return {"dim": n, "facets": facets}
+
+
+@given(polytopes())
+@settings(max_examples=300, deadline=None)
+def test_random_polytope_vertices_match_fraction_enumeration(desc):
+    check_vertices_against_fractions(desc)
+
+
+def test_vertex_errors_keep_their_messages():
+    # three facets through the origin, and an interval shrunk to a point
+    through_origin = {
+        "dim": 2,
+        "facets": [
+            {"normal": [1, 0], "label": 1, "offset": "0"},
+            {"normal": [0, 1], "label": 1, "offset": "0"},
+            {"normal": [1, 1], "label": 1, "offset": "0"},
+            {"normal": [-1, 0], "label": 1, "offset": "-1"},
+            {"normal": [0, -1], "label": 1, "offset": "-1"},
+        ],
+    }
+    error = check_vertices_against_fractions(through_origin)
+    assert str(error) == "vertex (Fraction(0, 1), Fraction(0, 1)) lies on 3 facets"
+    point = {
+        "dim": 1,
+        "facets": [
+            {"normal": [1], "label": 2, "offset": "1/2"},
+            {"normal": [-1], "label": 1, "offset": "-1/4"},
+        ],
+    }
+    error = check_vertices_against_fractions(point)
+    assert str(error) == "vertex (Fraction(1, 4),) lies on 2 facets"
+    empty = {
+        "dim": 1,
+        "facets": [
+            {"normal": [1], "label": 1, "offset": "1/3"},
+            {"normal": [-1], "label": 3, "offset": "0"},
+        ],
+    }
+    error = check_vertices_against_fractions(empty)
+    assert str(error) == "no vertices: the constraint system is infeasible or degenerate"
