@@ -1,15 +1,18 @@
 """Energy stratification, leading term equations, and solvability verdicts.
 
 At a fiber point the generators (facets, plus bulk-activated sectors) sort
-by energy; the adapted lattice basis turns each energy level into a Laurent
-polynomial whose own-variable critical equations make up the leading term
-system.  Solvability of that system over (C*)^n certifies the fiber.
+by energy; the adapted lattice basis turns each energy level into exponent
+rows, one (integer exponent, coefficient) pair per monomial, whose
+own-variable derivatives make up the leading term system.  The solver reads
+those rows and nothing else; Laurent polynomials are built from them only
+to print a system.  Solvability of the system over (C*)^n certifies the
+fiber.
 
 Everything up to the verdict is exact.  The one exact certifier is the
 linear pass at +-1 points, whose certificates have residual 0; the numeric
 search only ever produces SolvableCertified (re-verified residuals) or
 gives up.  Proven unsolvability comes from the single structural special
-case, a level polynomial that is one monomial, whose derivative is again a
+case, a level that is one monomial (one row), whose derivative is again a
 monomial and therefore never zero on the torus.
 """
 
@@ -19,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import InputError, SpanNeverFull
 from .lattice import column_hermite, rank_rational, row_reduce
 from .potential import BulkParam, _EqData, _newton, companion_roots, root_key
-from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul
+from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box, sector_ell
 
 
@@ -151,12 +155,38 @@ def scenario_stratification(m: StackyModel, groups, coeffs, span_dims=()) -> Ene
     return EnergyStratification(m, None, levels, *_adapted_basis(levels, m.dim))
 
 
+def _laurent(n: int, terms) -> LaurentPoly:
+    return LaurentPoly(n, tuple((e, NovikovScalar.of(c)) for e, c in terms))
+
+
 @dataclass(frozen=True)
 class LtsLevel:
+    """One T-free level in adapted coordinates, as sorted (exponent, coefficient) rows.
+
+    The solver reads ``rows`` and ``terms``; ``poly`` and ``equations`` are
+    Laurent polynomial views of them, built on first use, for printing.
+    """
+
     energy: Fraction | None
-    poly: LaurentPoly  # in adapted coordinates, T-free
+    rows: tuple
     var_indices: tuple  # adapted coordinates owned by this level
-    equations: tuple  # partial derivatives wrt the owned coordinates
+    n: int  # ambient dimension
+
+    @cached_property
+    def terms(self) -> tuple:
+        """Per owned i, d/dy_i as terms (a - e_i, c * a_i), one per row (a, c) with a_i != 0."""
+        return tuple(
+            tuple((a[:i] + (a[i] - 1,) + a[i + 1 :], c_mul(c, a[i])) for a, c in self.rows if a[i])
+            for i in self.var_indices
+        )
+
+    @cached_property
+    def poly(self) -> LaurentPoly:
+        return _laurent(self.n, self.rows)
+
+    @cached_property
+    def equations(self) -> tuple:
+        return tuple(_laurent(self.n, eq) for eq in self.terms)
 
 
 @dataclass(frozen=True)
@@ -168,59 +198,30 @@ class LeadingTermSystem:
     labels: tuple  # facet labels, for the special coefficient palette
 
 
-def exponent_rows(strat: EnergyStratification) -> tuple:
-    """Each level's terms in adapted coordinates, with the coordinates it owns.
+def build_lts(strat: EnergyStratification) -> LeadingTermSystem:
+    """Each level's exponent rows in adapted coordinates, with the coordinates it owns.
 
-    Returns one (rows, own) pair per level.  A member's exponent is its
-    integer direction in the adapted basis (strat.exponents); members with
-    equal exponents merge into one row whose coefficient is their sum, as
-    LaurentPoly merges equal monomials, and a zero sum drops the row.  The
-    rows are (exponent, coefficient) pairs sorted by exponent.  Level l may
-    only involve coordinates of levels <= l; that drop-out is what the
-    adapted basis buys and it is asserted here.
+    A member's exponent is its integer direction in the adapted basis
+    (strat.exponents); members with equal exponents merge into one row
+    whose coefficient is their sum, and a zero sum drops the row.  Level l
+    may only involve coordinates of levels <= l; that drop-out is what the
+    adapted basis buys and it is asserted here.  The change of basis is
+    unimodular, so the rewrite is a bijection on (C*)^n and solvability is
+    unaffected.
     """
     n = strat.model.dim
+    names = set()
     out = []
     for lv, exponents in zip(strat.levels, strat.exponents):
         merged: dict = {}
         for e, coeff in zip(exponents, lv.coeffs):
             merged[e] = c_add(merged[e], coeff) if e in merged else coeff
+            if isinstance(coeff, SymLin):
+                names.update(name for name, _ in coeff.lin)
         rows = tuple(sorted((e, c) for e, c in merged.items() if not c_is_zero(c)))
         if any(e[k] for e, _ in rows for k in range(lv.span_dim, n)):
             raise AssertionError("adapted rewrite leaked a later-level variable")
-        out.append((rows, tuple(range(lv.span_dim - lv.d, lv.span_dim))))
-    return tuple(out)
-
-
-def build_lts(strat: EnergyStratification, rows=None) -> LeadingTermSystem:
-    """Each level as a polynomial in adapted coordinates, with its equations.
-
-    ``rows`` are the exponent_rows of strat, computed when not given.  The
-    change of basis is unimodular, so the rewrite is a bijection on (C*)^n
-    and solvability is unaffected.  The equation of an owned coordinate i
-    has the term c * a_i * y^(a - e_i) for every row (a, c) with a_i != 0.
-    """
-    n = strat.model.dim
-    names = set()
-    for lv in strat.levels:
-        for coeff in lv.coeffs:
-            if isinstance(coeff, SymLin):
-                names.update(name for name, _ in coeff.lin)
-    out = []
-    for lv, (terms, own) in zip(strat.levels, rows or exponent_rows(strat)):
-        poly = LaurentPoly(n, tuple((e, NovikovScalar.of(c)) for e, c in terms))
-        eqs = tuple(
-            LaurentPoly(
-                n,
-                tuple(
-                    (e[:i] + (e[i] - 1,) + e[i + 1 :], NovikovScalar.of(c_mul(c, e[i])))
-                    for e, c in terms
-                    if e[i]
-                ),
-            )
-            for i in own
-        )
-        out.append(LtsLevel(lv.energy, poly, own, eqs))
+        out.append(LtsLevel(lv.energy, rows, tuple(range(lv.span_dim - lv.d, lv.span_dim)), n))
     return LeadingTermSystem(
         n,
         strat.adapted_basis,
@@ -251,40 +252,28 @@ class SolvabilityVerdict:
     proof: str | None = None
 
 
-def row_signature(levels) -> tuple:
-    """(key, symbols) of a system given as (rows, own) pairs per level.
+def lts_signature(lts: LeadingTermSystem) -> tuple:
+    """(key, symbols) of a system: systems with equal keys get equal verdicts.
 
-    Systems with equal keys get equal verdicts.  The rows are sorted
-    (exponent, coefficient) pairs (exponent_rows); symbols are renamed by
-    first appearance, level by level, row by row and in name order within
-    a coefficient, and ``symbols`` lists the original names in that order,
-    so two systems with one key correspond symbol by symbol through them.
-    A Gaussian rational coefficient enters as (re, im), a symbolic one as
-    (re, im, ((index, re, im), ...)).
+    The key is read off each level's rows and owned coordinates.  Symbols
+    are renamed by first appearance, level by level, row by row and in
+    name order within a coefficient, and ``symbols`` lists the original
+    names in that order, so two systems with one key correspond symbol by
+    symbol through them.  A Gaussian rational coefficient enters as (re,
+    im), a symbolic one as (re, im, ((index, re, im), ...)).
     """
     names: dict = {}
     key = []
-    for rows, own in levels:
+    for lv in lts.levels:
         terms = []
-        for e, c in rows:
+        for e, c in lv.rows:
             if isinstance(c, QC):
                 terms.append((e, c.re, c.im))
             else:
                 lin = tuple((names.setdefault(name, len(names)), q.re, q.im) for name, q in c.lin)
                 terms.append((e, c.const.re, c.const.im, lin))
-        key.append((tuple(terms), own))
+        key.append((tuple(terms), lv.var_indices))
     return tuple(key), tuple(names)
-
-
-def _lts_levels(lts: LeadingTermSystem):
-    # the (rows, own) pairs of a built system, read from its polynomials
-    for lv in lts.levels:
-        yield tuple((e, s.leading_coefficient()) for e, s in lv.poly.terms()), lv.var_indices
-
-
-def lts_signature(lts: LeadingTermSystem):
-    """Hashable structural key: systems with equal keys get equal verdicts."""
-    return row_signature(_lts_levels(lts))[0]
 
 
 # deterministic generic nonzero coefficients, spread in modulus and phase
@@ -304,7 +293,7 @@ def _never_zero(coeff) -> bool:
 
 
 # the numeric palette tries at most this many combinations of its special values
-EXACT_PALETTE_LIMIT = 64
+PALETTE_LIMIT = 64
 
 
 def _symbol_assignments(lts: LeadingTermSystem) -> list:
@@ -317,7 +306,7 @@ def _symbol_assignments(lts: LeadingTermSystem) -> list:
         if q not in special:
             special.append(q)
     combos = itertools.product(special, repeat=len(names))
-    out = [dict(zip(names, combo)) for combo in itertools.islice(combos, EXACT_PALETTE_LIMIT)]
+    out = [dict(zip(names, combo)) for combo in itertools.islice(combos, PALETTE_LIMIT)]
     for k in range(16):
         out.append(
             {nm: GENERIC_COEFFS[(k + 3 * idx) % 16] for idx, nm in enumerate(names)}
@@ -342,18 +331,15 @@ def _gaussian_int(v: QC, den: int) -> tuple:
     return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
 
 
-def _parity_rows(eq: LaurentPoly) -> tuple:
-    """One level equation as rows (exponent parity mask, const, symbol coefficients).
+def _parity_rows(eq) -> tuple:
+    """One level equation's terms as rows (exponent parity mask, const, symbol coefficients).
 
     Bit k of the mask is the parity of the exponent of y_k; ``const`` is a
     Gaussian integer and the symbol coefficients are (name, Gaussian integer)
     pairs, all scaled by one positive common denominator.
     """
     terms = []
-    for e, s in eq.terms():
-        if any(q != 0 for q, _ in s.terms):
-            raise ValueError("leading term equations must be T-free")
-        c = s.leading_coefficient()
+    for e, c in eq:
         const, lin = (c.const, c.lin) if isinstance(c, SymLin) else (c, ())
         terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), const, lin))
     den = _common_denominator(v for _, const, lin in terms for v in (const, *(q for _, q in lin)))
@@ -404,7 +390,7 @@ def _sign_bits(coords) -> int:
 
 
 def _level_data(equations, own, vals, envs) -> _EqData:
-    """Numeric view of one level's equations under E symbol assignments.
+    """Numeric view of one level's equation terms under E symbol assignments.
 
     The unknowns are the level's own coordinates; the fixed ones (vals) are
     folded into the coefficients.  Its residual is _EqData's scaled
@@ -412,16 +398,15 @@ def _level_data(equations, own, vals, envs) -> _EqData:
     """
     exps, coeffs = [], []
     for eq in equations:
-        terms = eq.terms()
-        values = [[_term_value(e, s, vals, env) for e, s in terms] for env in envs]
+        values = [[_term_value(e, c, vals, env) for e, c in eq] for env in envs]
         coeffs.append(np.array(values, dtype=complex))
-        exps.append(np.array([[e[i] for i in own] for e, _ in terms], dtype=float))
+        exps.append(np.array([[e[i] for i in own] for e, _ in eq], dtype=float))
     return _EqData(exps, coeffs)
 
 
-def _term_value(e, s, vals, env) -> complex:
+def _term_value(e, c, vals, env) -> complex:
     """A term's complex coefficient times the value of its fixed-variable part."""
-    c = s.eval_complex(1.0, env)  # T-free by construction
+    c = c_to_complex(c, env)
     for k, val in enumerate(vals):
         if val is not None and e[k]:
             c *= complex(val) ** e[k]
@@ -461,8 +446,8 @@ def _distinct_roots(ys, res, tol=1e-12):
 def _univariate_candidates(eq, own_i, vals, env):
     """Complete root set of a one-variable level via closed form or companion."""
     bucket: dict = {}
-    for e, s in eq.terms():
-        bucket[e[own_i]] = bucket.get(e[own_i], 0j) + _term_value(e, s, vals, env)
+    for e, c in eq:
+        bucket[e[own_i]] = bucket.get(e[own_i], 0j) + _term_value(e, c, vals, env)
     ks = sorted(k for k, c in bucket.items() if abs(c) > 1e-13)
     if not ks:
         return []  # equation vanished numerically; nothing trustworthy to branch on
@@ -523,11 +508,11 @@ class _Search:
         if li == 0 and self.root is not None:
             data, ys, res = self.root
         else:
-            data = _level_data(lv.equations, lv.var_indices, vals, [self.env])
+            data = _level_data(lv.terms, lv.var_indices, vals, [self.env])
             if d > 1:
                 (ys,), (res,) = _multistart(data, (self.seed, self.calls))
         if d == 1:
-            numeric = _univariate_candidates(lv.equations[0], lv.var_indices[0], vals, self.env)
+            numeric = _univariate_candidates(lv.terms[0], lv.var_indices[0], vals, self.env)
         else:
             self.calls += 1
             numeric = _distinct_roots(ys, res)
@@ -547,6 +532,17 @@ class _Search:
         return out[:16]
 
 
+def _evaluate(eq, y, env) -> complex:
+    """The value of an equation's terms at y, summed as LaurentPoly.eval_complex does."""
+    total = 0j
+    for e, c in eq:
+        mono = 1 + 0j
+        for z, k in zip(y, e):
+            mono *= z**k
+        total += c_to_complex(c, env) * mono
+    return total
+
+
 def _float_certificate(lts, vals, env) -> Certificate | None:
     """Float certificate of the point vals under env, or None.
 
@@ -561,9 +557,9 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
         return None
     worst = 0.0
     for lv in lts.levels:
-        for i, eq in zip(lv.var_indices, lv.equations):
-            worst = max(worst, abs(y[i] * eq.eval_complex(y, 1.0, env)))
-            terms = [y[i] * _term_value(e, s, y, env) for e, s in eq.terms()]
+        for i, eq in zip(lv.var_indices, lv.terms):
+            worst = max(worst, abs(y[i] * _evaluate(eq, y, env)))
+            terms = [y[i] * _term_value(e, c, y, env) for e, c in eq]
             if abs(sum(terms)) > 1e-8 * sum(map(abs, terms)):
                 return None
     if worst >= 1e-10:
@@ -578,7 +574,7 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
 def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     """Exact certificate at a +-1 point with the symbols solved for, or None.
 
-    ``rows`` are the _parity_rows of every level equation.  With y fixed in
+    ``rows`` are the _parity_rows of every level's equation terms.  With y fixed in
     {+-1}^n each equation is linear in the symbols: a row (mask, const,
     symbol coefficients) enters with the sign of the parity of mask & bits,
     its constant on the right-hand side.  The symbols take real values, so
@@ -649,7 +645,7 @@ def _batch_first_level(searches, seed: int) -> None:
     lv = lts.levels[0]
     if len(lv.var_indices) < 2:
         return
-    data = _level_data(lv.equations, lv.var_indices, [None] * lts.n, [s.env for s in searches])
+    data = _level_data(lv.terms, lv.var_indices, [None] * lts.n, [s.env for s in searches])
     ys, res = _multistart(data, (seed, 0))
     for k, search in enumerate(searches):
         search.root = (data.block(k), ys[k], res[k])
@@ -685,19 +681,17 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     # variable(s).  Wider monomial patterns inside derivatives are left to the
     # search, which then reports unknown, not proven.
     for li, lv in enumerate(lts.levels):
-        if not lv.var_indices:
-            continue
-        terms = lv.poly.terms()
+        rows = lv.rows
         if (
-            len(terms) == 1
-            and _never_zero(terms[0][1].leading_coefficient())
-            and any(terms[0][0][k] for k in lv.var_indices)
+            len(rows) == 1
+            and _never_zero(rows[0][1])
+            and any(rows[0][0][k] for k in lv.var_indices)
         ):
             return SolvabilityVerdict(
                 Solvability.UnsolvableProven,
                 proof=f"level {li + 1} is a single monomial; its derivative never vanishes on (C*)^n",
             )
-    rows = tuple(tuple(_parity_rows(eq) for eq in lv.equations) for lv in lts.levels)
+    rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
     cert = _linear_certificate(lts, rows)
     if cert is not None:
         return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)

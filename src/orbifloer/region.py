@@ -57,15 +57,11 @@ from operator import mul
 
 from .errors import InputError, TooManyScenarios
 from .lattice import cleared, echelon_rational, primitive, rank_rational, row_reduce
-# lts_signature is not called here, but perfbench/spans.py traces it as bound
-# in this module, so the name stays
 from .ltsolver import (
     SolvabilityVerdict,
     Solvability,
     build_lts,
-    exponent_rows,
     lts_signature,
-    row_signature,
     scenario_stratification,
     solve,
 )
@@ -648,23 +644,14 @@ def _tag_coeff(tag: tuple):
     return QC.of(1) if kind == "facet" else SymLin.symbol(f"c{i}")
 
 
-def scenario_rows(m: StackyModel, s: Scenario) -> tuple:
-    """The stratification of a scenario and its exponent rows.
-
-    The level ranks are the scenario's span_dims, or computed when it has
-    none.  Returns (stratification, exponent_rows of it).
-    """
-    coeffs = {tag: _tag_coeff(tag) for tags in s.levels for tag in tags}
-    strat = scenario_stratification(m, s.levels, coeffs, s.span_dims)
-    return strat, exponent_rows(strat)
-
-
-def scenario_lts(m: StackyModel, s: Scenario, rows=None):
+def scenario_lts(m: StackyModel, s: Scenario):
     """The u-independent leading term system of a scenario.
 
-    ``rows``, the scenario_rows of s, is computed when not given.
+    The level ranks are the scenario's span_dims, or computed when it has
+    none.
     """
-    return build_lts(*(rows or scenario_rows(m, s)))
+    coeffs = {tag: _tag_coeff(tag) for tags in s.levels for tag in tags}
+    return build_lts(scenario_stratification(m, s.levels, coeffs, s.span_dims))
 
 
 def nondisplaceable_region(
@@ -684,9 +671,8 @@ def nondisplaceable_region(
     cached by structural signature: scenarios producing the same level
     polynomials up to symbol renaming share one solve, and a shared
     certificate is renamed into each scenario's own symbols.  The
-    signature is read off the integer exponent rows of each level
-    (scenario_rows, row_signature), so a leading term system, with its
-    Laurent polynomials, is built only for a signature not seen yet.
+    signature is read off the exponent rows of each level (lts_signature),
+    and solve reads the same rows, so no Laurent polynomial is built.
     """
     pieces = []
     cache: dict = {}
@@ -694,11 +680,11 @@ def nondisplaceable_region(
         poly = scenario_region(m, s, system)
         if poly is None:
             continue
-        strat, rows = scenario_rows(m, s)
-        sig, names = row_signature(rows)
+        lts = scenario_lts(m, s)
+        sig, names = lts_signature(lts)
         hit = cache.get(sig)
         if hit is None:
-            verdict = solve(scenario_lts(m, s, (strat, rows)), seed=seed)
+            verdict = solve(lts, seed=seed)
             cache[sig] = (verdict, names)
         else:
             verdict = _renamed(*hit, names)
@@ -781,7 +767,7 @@ def _piece_candidates(m: StackyModel):
 def _renamed(verdict: SolvabilityVerdict, solved: tuple, own: tuple) -> SolvabilityVerdict:
     """A cached verdict with its symbols renamed from solved to own.
 
-    Both are the symbol tuples row_signature gives for systems with one
+    Both are the symbol tuples lts_signature gives for systems with one
     signature, which match the two systems symbol by symbol.
     """
     cert = verdict.certificate

@@ -241,9 +241,6 @@ class NovikovScalar:
     def __hash__(self):
         return hash(self.terms)
 
-    def leading_coefficient(self):
-        return self.terms[0][1] if self.terms else QC()
-
     def eval_complex(self, t: float, env: dict | None = None) -> complex:
         return sum(c_to_complex(c, env) * (t ** float(q)) for q, c in self.terms)
 

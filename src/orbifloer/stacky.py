@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from . import lattice
 from .errors import (
@@ -82,7 +83,18 @@ class StackyModel:
         return sum(Fraction(x) * g for x, g in zip(u, b)) + c
 
     def is_interior(self, u) -> bool:
-        return all(self.ell(j, u) > 0 for j in range(len(self.facets)))
+        """Whether every ell_j(u) > 0, tested in integers.
+
+        u and the offsets are put over one common denominator d, so
+        d * ell_j(u) > 0 compares an integer dot product with an integer.
+        """
+        uu = [Fraction(x) for x in u]
+        d = lcm(*(x.denominator for x in uu), *(f.offset.denominator for f in self.facets))
+        v = [x.numerator * (d // x.denominator) for x in uu]
+        return all(
+            f.label * sum(map(mul, v, f.normal)) > f.offset.numerator * (d // f.offset.denominator)
+            for f in self.facets
+        )
 
     def require_interior(self, u):
         if not self.is_interior(u):

@@ -222,15 +222,15 @@ def solve_each_assignment_alone(lts, seed=0):
     from orbifloer import ltsolver as lt
 
     for lv in lts.levels:
-        terms = lv.poly.terms()
+        rows = lv.rows
         if (
             lv.var_indices
-            and len(terms) == 1
-            and lt._never_zero(terms[0][1].leading_coefficient())
-            and any(terms[0][0][k] for k in lv.var_indices)
+            and len(rows) == 1
+            and lt._never_zero(rows[0][1])
+            and any(rows[0][0][k] for k in lv.var_indices)
         ):
             return lt.Solvability.UnsolvableProven, None
-    rows = tuple(tuple(lt._parity_rows(eq) for eq in lv.equations) for lv in lts.levels)
+    rows = tuple(tuple(lt._parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
     cert = lt._linear_certificate(lts, rows)
     if cert is not None:
         return lt.Solvability.SolvableCertified, cert
@@ -282,7 +282,7 @@ def coloop_refutes(lts):
         for e, s in lv.poly.terms():
             a = tuple(e[k] for k in lv.var_indices)
             if any(a):
-                groups.setdefault(a, []).append(s.leading_coefficient())
+                groups.setdefault(a, []).append(s.terms[0][1])
 
         def rank(exps):
             return sympy.Matrix([list(a) for a in exps]).rank() if exps else 0
@@ -486,14 +486,17 @@ def lts_by_rewrite(strat):
 
     Each level is summed monomial by monomial into a LaurentPoly,
     rewritten into adapted coordinates by monomial_rewrite, and
-    differentiated by partial_derivative.
+    differentiated by partial_derivative.  Returns (system, terms): the
+    system with each level's rows read off its rewritten polynomial, and
+    per level the terms of that polynomial and of its equations, as
+    lts_terms lists them.
     """
     from orbifloer import ltsolver as lt
     from orbifloer.series import LaurentPoly, NovikovScalar, SymLin
 
     n = strat.model.dim
     change = integer_inverse(strat.adapted_basis)
-    out = []
+    out, terms = [], []
     prev_dim = 0
     names = set()
     for lv in strat.levels:
@@ -508,15 +511,20 @@ def lts_by_rewrite(strat):
                 raise AssertionError("adapted rewrite leaked a later-level variable")
         own = tuple(range(prev_dim, lv.span_dim))
         eqs = tuple(partial_derivative(poly, i) for i in own)
-        out.append(lt.LtsLevel(lv.energy, poly, own, eqs))
+        if any(q != 0 for _, s in poly.terms() for q, _ in s.terms):
+            raise AssertionError("a leading term level must be T-free")
+        rows = tuple((e, s.terms[0][1]) for e, s in poly.terms())
+        out.append(lt.LtsLevel(lv.energy, rows, own, n))
+        terms.append([p.terms() for p in (poly, *eqs)])
         prev_dim = lv.span_dim
-    return lt.LeadingTermSystem(
+    system = lt.LeadingTermSystem(
         n,
         strat.adapted_basis,
         tuple(out),
         tuple(sorted(names)),
         tuple(f.label for f in strat.model.facets),
     )
+    return system, terms
 
 
 def scenario_lts_by_rewrite(m, s):
@@ -545,7 +553,7 @@ def scenario_lts_by_rewrite(m, s):
 
 
 def signature_by_terms(lts):
-    """ltsolver.lts_signature and signature_symbols as they were: (key, symbols).
+    """ltsolver.lts_signature as it once was, read from polynomials: (key, symbols).
 
     Read from the level polynomials' terms, coefficients keyed by their
     printed parts and symbols renamed s0, s1, ... by first appearance.
@@ -555,7 +563,7 @@ def signature_by_terms(lts):
     names = {}
     for lv in lts.levels:
         for _, s in lv.poly.terms():
-            c = s.leading_coefficient()
+            c = s.terms[0][1]
             if not isinstance(c, QC):
                 for name, _ in c.lin:
                     names.setdefault(name, None)
@@ -572,7 +580,7 @@ def signature_by_terms(lts):
 
     sig = []
     for lv in lts.levels:
-        terms = tuple(sorted((e, ckey(s.leading_coefficient())) for e, s in lv.poly.terms()))
+        terms = tuple(sorted((e, ckey(s.terms[0][1])) for e, s in lv.poly.terms()))
         sig.append((terms, lv.var_indices))
     return tuple(sig), symbols
 

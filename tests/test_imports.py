@@ -17,8 +17,6 @@ PERFBENCH = ROOT / "perfbench"
 KEPT = {
     # the package re-exports its root error type
     ("__init__", "OrbifloerError"),
-    # perfbench/spans.py times lts_signature through region's binding
-    ("region", "lts_signature"),
 }
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer import lattice, ltsolver
 from orbifloer.errors import DegenerateCone
-from orbifloer.region import enumerate_scenarios, scenario_rows
+from orbifloer.region import enumerate_scenarios
+from orbifloer.series import QC
 from orbifloer.stacky import build_model
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -285,6 +286,12 @@ def test_hermite_basis_is_adapted_to_random_level_groups(case):
         assert not any(x for row in h[: len(seen)] for x in row[r:])
 
 
+def _stratification(m, s):
+    """The stratification of a scenario, every member with coefficient 1."""
+    coeffs = {tag: QC(1) for tags in s.levels for tag in tags}
+    return ltsolver.scenario_stratification(m, s.levels, coeffs, s.span_dims)
+
+
 def test_hermite_basis_on_leaf_stacks(monkeypatch):
     # the stacks the leaves of a region pass for their adapted bases
     stacks = []
@@ -299,7 +306,7 @@ def test_hermite_basis_on_leaf_stacks(monkeypatch):
     m = build_model("square:2,2,1,1")
     leaves = enumerate_scenarios(m)
     for s in leaves:
-        strat, _ = scenario_rows(m, s)
+        strat = _stratification(m, s)
         rows, h, w, sign = stacks[-1]
         assert oracles.is_column_hermite(rows, h, w, sign)
         assert strat.adapted_basis == tuple(map(tuple, w))
@@ -317,7 +324,7 @@ def test_leaf_exponents_rebuild_each_level_in_the_adapted_basis():
     leaves = enumerate_scenarios(m)
     assert leaves
     for s in leaves:
-        strat, _ = scenario_rows(m, s)
+        strat = _stratification(m, s)
         assert len(strat.exponents) == len(strat.levels)
         for lv, exponents in zip(strat.levels, strat.exponents):
             assert len(exponents) == len(lv.directions)

@@ -25,9 +25,7 @@ from orbifloer.ltsolver import (
     _starts,
     _vanishes,
     build_lts,
-    exponent_rows,
     lts_signature,
-    row_signature,
     scenario_stratification,
     solve,
     stratify,
@@ -252,11 +250,12 @@ def test_solve_coefficient_relation_needs_free_pass():
 def _linear_pass(*terms):
     """The one-variable system of f = sum c * y^e, and its _linear_certificate."""
     poly = _poly(1, terms)
-    eq = oracles.partial_derivative(poly, 0)
-    coeffs = [s.leading_coefficient() for _, s in poly.terms()]
-    symbols = sorted({name for c in coeffs if isinstance(c, SymLin) for name, _ in c.lin})
-    lts = LeadingTermSystem(1, ((1,),), (LtsLevel(None, poly, (0,), (eq,)),), tuple(symbols), (1,))
-    return lts, _linear_certificate(lts, ((_parity_rows(eq),),))
+    rows = _terms(poly)
+    symbols = sorted({name for _, c in rows if isinstance(c, SymLin) for name, _ in c.lin})
+    level = LtsLevel(None, rows, (0,), 1)
+    assert level.equations == (oracles.partial_derivative(poly, 0),)
+    lts = LeadingTermSystem(1, ((1,),), (level,), tuple(symbols), (1,))
+    return lts, _linear_certificate(lts, ((_parity_rows(level.terms[0]),),))
 
 
 def _sym(name, q=1):
@@ -394,11 +393,11 @@ def test_signature_stable_under_symbol_names():
         st = scenario_stratification(
             m, [tags], {tags[0]: QC.of(1), tags[1]: SymLin.symbol(symbol)}
         )
-        return build_lts(st)
+        return lts_signature(build_lts(st))[0]
 
-    assert lts_signature(make("c")) == lts_signature(make("zz"))
+    assert make("c") == make("zz")
     other = build_lts(stratify(m, (Fraction(0),)))
-    assert lts_signature(make("c")) != lts_signature(other)
+    assert make("c") != lts_signature(other)[0]
 
     # both sectors on the facet's level: a repeated symbol is another system,
     # and so is a conjugate coefficient
@@ -406,7 +405,7 @@ def test_signature_stable_under_symbol_names():
 
     def sig(*coeffs):
         st = scenario_stratification(m, [both], dict(zip(both, (QC.of(1), *coeffs))))
-        return lts_signature(build_lts(st))
+        return lts_signature(build_lts(st))[0]
 
     a, b = SymLin.symbol("a"), SymLin.symbol("b")
     assert sig(a, b) == sig(b, a) != sig(a, a)
@@ -435,11 +434,12 @@ def test_build_lts_matches_rewrite_oracle_at_points(preset):
                 lam = Fraction(rng.randint(1, 12), 12)
             entries.append((box[i].nu, rng.choice(palette), lam))
         strat = stratify(m, u, BulkParam.of(entries))
-        lts, want = build_lts(strat), oracles.lts_by_rewrite(strat)
-        assert lts == want and oracles.lts_terms(lts) == oracles.lts_terms(want), u
+        lts, (want, want_terms) = build_lts(strat), oracles.lts_by_rewrite(strat)
+        assert lts == want and oracles.lts_terms(lts) == want_terms, u
         sig, symbols = oracles.signature_by_terms(want)
-        assert row_signature(exponent_rows(strat))[1] == symbols
-        pairs.append((lts_signature(lts), sig))
+        key, names = lts_signature(lts)
+        assert names == symbols
+        pairs.append((key, sig))
     assert oracles.one_to_one(pairs)
 
 
@@ -453,7 +453,7 @@ def test_solve_deterministic():
 
 def parity_vanishes(p, env, y):
     den, at = _integer_env(env)
-    return _vanishes(_parity_table(_parity_rows(p), den, at), _sign_bits(y))
+    return _vanishes(_parity_table(_parity_rows(_terms(p)), den, at), _sign_bits(y))
 
 
 gaussian = st.builds(
@@ -551,12 +551,17 @@ def _poly(n, terms):
     return LaurentPoly(n, [(e, NovikovScalar.of(c)) for e, c in terms])
 
 
+def _terms(p):
+    """A T-free polynomial's (exponent, coefficient) terms, as LtsLevel holds them."""
+    return tuple((e, s.terms[0][1]) for e, s in p.terms())
+
+
 def test_newton_square_step_survives_a_singular_jacobian():
     # y0*y1 = 2 and y0 = y1: the log-Jacobian rows (y0*y1, y0*y1) and
     # (y0, -y1) are dependent exactly where y0 = -y1
     eqs = (
-        _poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))]),
-        _poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))]),
+        _terms(_poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))])),
+        _terms(_poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))])),
     )
     data = _level_data(eqs, (0, 1), [None, None], [{}])
     starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
@@ -571,8 +576,8 @@ def _two_symbol_level():
     # constants and the log-Jacobian is zero at every start
     s0, s1 = SymLin.symbol("s0"), SymLin.symbol("s1")
     return (
-        _poly(2, [((1, 2), s0), ((0, 0), QC(-1))]),
-        _poly(2, [((2, 1), s1), ((0, 0), QC(2))]),
+        _terms(_poly(2, [((1, 2), s0), ((0, 0), QC(-1))])),
+        _terms(_poly(2, [((2, 1), s1), ((0, 0), QC(2))])),
     )
 
 
@@ -665,7 +670,7 @@ def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
         if any(len(tags) == 1 for tags in s.levels) or region.scenario_region(m, s) is None:
             continue
         lts = region.scenario_lts(m, s)
-        sig = lts_signature(lts)
+        sig = lts_signature(lts)[0]
         if sig not in seen:
             seen[sig] = (lts, solve(lts))
     statuses = [v.status for _, v in seen.values()]
@@ -702,7 +707,7 @@ def test_linear_pass_certifies_every_palette_certificate(preset, systems, hits):
     for s in region.enumerate_scenarios(m):
         if region.scenario_region(m, s) is not None:
             lts = region.scenario_lts(m, s)
-            seen.setdefault(lts_signature(lts), lts)
+            seen.setdefault(lts_signature(lts)[0], lts)
     certified = [lts for lts in seen.values() if oracles.palette_certificate(lts) is not None]
     assert (len(seen), len(certified)) == (systems, hits)
     for lts in certified:

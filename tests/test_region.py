@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orbifloer import ltsolver, region
+from orbifloer import ltsolver, region, series
 from orbifloer.errors import InputError, TooManyScenarios
 from orbifloer.lattice import cleared, primitive
-from orbifloer.ltsolver import Solvability, lts_signature, row_signature, solve
+from orbifloer.ltsolver import Solvability, lts_signature, solve
 from orbifloer.region import (
     Constraint,
     enumerate_scenarios,
@@ -103,7 +103,7 @@ def _brute_force_region(m):
         if oracles.coloop_refutes(lts):
             refuted.append(s)
             continue
-        sig, symbols = lts_signature(lts), oracles.signature_by_terms(lts)[1]
+        sig, symbols = lts_signature(lts)[0], oracles.signature_by_terms(lts)[1]
         if sig not in cache:
             cache[sig] = (solve(lts), symbols)
         verdict = region._renamed(*cache[sig], symbols)
@@ -262,25 +262,23 @@ def test_row_systems_match_rewrite_oracle(preset, max_levels, monkeypatch):
     for s in leaves:
         if scenario_region(m, s) is None:
             continue
-        strat, rows = region.scenario_rows(m, s)
-        key, symbols = row_signature(rows)
-        lts = scenario_lts(m, s, (strat, rows))
-        want = oracles.scenario_lts_by_rewrite(m, s)
-        assert lts == want and oracles.lts_terms(lts) == oracles.lts_terms(want), s.serial
+        lts = scenario_lts(m, s)
+        key, symbols = lts_signature(lts)
+        want, want_terms = oracles.scenario_lts_by_rewrite(m, s)
+        assert lts == want and oracles.lts_terms(lts) == want_terms, s.serial
         if key not in seen:
             # without the walk's span_dims, as a region document is re-read
             bare = scenario_lts(m, replace(s, span_dims=()))
-            assert oracles.lts_terms(bare) == oracles.lts_terms(want)
+            assert oracles.lts_terms(bare) == want_terms
             seen.add(key)
         sig, want_symbols = oracles.signature_by_terms(want)
         assert symbols == want_symbols
-        assert lts_signature(lts) == key
         pairs.append((key, sig))
     assert len(pairs) > 10
     assert oracles.one_to_one(pairs)
 
 
-def test_scenario_rows_take_ranks_from_the_walk(monkeypatch):
+def test_scenario_lts_takes_ranks_from_the_walk(monkeypatch):
     m = build_model("wp:1,3,5")
     s = next(s for s in enumerate_scenarios(m) if s.K == 2 and scenario_region(m, s))
     want = oracles.lts_terms(scenario_lts(m, s))
@@ -335,7 +333,7 @@ def test_coloop_refuted_leaves_get_no_exact_certificate(preset):
     systems = {}
     for s in refuted:
         lts = scenario_lts(m, s)
-        systems.setdefault(lts_signature(lts), lts)
+        systems.setdefault(lts_signature(lts)[0], lts)
     for lts in systems.values():
         assert oracles.coloop_refutes(lts)
         cert = solve(lts).certificate
@@ -636,6 +634,22 @@ def test_square_region_solves_once_per_signature(monkeypatch):
     monkeypatch.setattr(region, "solve", counted)
     r = nondisplaceable_region(build_model("square:2,2,2,2"))
     assert (len(r.pieces), len(calls)) == (984, 183)
+
+
+@pytest.mark.parametrize("preset", ["wp:1,3,7", "teardrop:3"])
+def test_region_builds_no_laurent_polynomial(preset, monkeypatch):
+    # signature and solve read each system's exponent rows; Laurent
+    # polynomials are built only to print a system
+    built = []
+    real = series.LaurentPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(series.LaurentPoly, "__init__", counted)
+    r = nondisplaceable_region(build_model(preset))
+    assert r.pieces and built == []
 
 
 def test_shared_certificates_carry_own_symbols():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -353,3 +353,34 @@ def test_vertex_errors_keep_their_messages():
     }
     error = check_vertices_against_fractions(empty)
     assert str(error) == "no vertices: the constraint system is infeasible or degenerate"
+
+
+@given(polytopes(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_interior_matches_the_fraction_forms(desc, data):
+    # the integer test against ell_j(u) > 0 in Fractions, at random points,
+    # at the vertices and on each facet, where no point is interior
+    try:
+        m = stacky.build_model(desc)
+    except (Unbounded, NotSimple, EmptyInterior):
+        assume(False)
+
+    def by_fractions(u):
+        return all(m.ell(j, u) > 0 for j in range(len(m.facets)))
+
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    for _ in range(4):
+        u = tuple(data.draw(q) for _ in range(m.dim))
+        assert m.is_interior(u) == by_fractions(u)
+    weights = [data.draw(st.integers(1, 5)) for _ in m.vertices]
+    inside = tuple(
+        sum(w * v[k] for w, v in zip(weights, m.vertices)) / sum(weights) for k in range(m.dim)
+    )
+    assert m.is_interior(inside) and by_fractions(inside)
+    boundary = list(m.vertices)
+    for j in range(len(m.facets)):
+        on = [v for v in m.vertices if m.ell(j, v) == 0]
+        if on:
+            boundary.append(tuple(sum(v[k] for v in on) / len(on) for k in range(m.dim)))
+    for u in boundary:
+        assert not m.is_interior(u) and not by_fractions(u)
