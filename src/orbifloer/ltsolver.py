@@ -574,8 +574,8 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
 def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     """Exact certificate at a +-1 point with the symbols solved for, or None.
 
-    ``rows`` are the _parity_rows of every level's equation terms.  With y fixed in
-    {+-1}^n each equation is linear in the symbols: a row (mask, const,
+    ``rows`` are the _parity_rows of every level's equation terms.  With y
+    fixed in {+-1}^n each equation is linear in the symbols: a row (mask, const,
     symbol coefficients) enters with the sign of the parity of mask & bits,
     its constant on the right-hand side.  The symbols take real values, so
     an equation gives its real row and, when that is nonzero, its imaginary
@@ -681,11 +681,10 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     # variable(s).  Wider monomial patterns inside derivatives are left to the
     # search, which then reports unknown, not proven.
     for li, lv in enumerate(lts.levels):
-        rows = lv.rows
         if (
-            len(rows) == 1
-            and _never_zero(rows[0][1])
-            and any(rows[0][0][k] for k in lv.var_indices)
+            len(lv.rows) == 1
+            and _never_zero(lv.rows[0][1])
+            and any(lv.rows[0][0][k] for k in lv.var_indices)
         ):
             return SolvabilityVerdict(
                 Solvability.UnsolvableProven,

@@ -356,7 +356,7 @@ def test_vertex_errors_keep_their_messages():
 
 
 @given(polytopes(), st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_is_interior_matches_the_fraction_forms(desc, data):
     # the integer test against ell_j(u) > 0 in Fractions, at random points,
     # at the vertices and on each facet, where no point is interior
