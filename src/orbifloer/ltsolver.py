@@ -61,7 +61,9 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
 
     Facet j sits at energy ell_j(u); an activated sector at
     ell_nu(u) + lambda_nu.  Bulk exponents must be concrete rationals
-    (scenario machinery never calls this).  Levels that add no span
+    (scenario machinery never calls this).  Bulk rows of one sector at one
+    energy are one member whose coefficient is their sum, and a zero sum is
+    no member: it neither spans nor cuts.  Levels that add no span
     dimension still appear: their members are part of the partition below
     the cut, they just own no variables.
     """
@@ -73,13 +75,14 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
     entries = []
     for j, f in enumerate(m.facets):
         entries.append((m.ell(j, uu), ("facet", j), f.stacky_vector, QC.of(1)))
+    sums: dict = {}
     for e in bp.entries:
         if e.nu not in by_nu:
             raise InputError(f"{e.nu} is not a twisted sector of this model")
-        if isinstance(e.coeff, QC) and e.coeff.is_zero():
-            continue
         i, s = by_nu[e.nu]
-        entries.append((sector_ell(m, s, uu) + e.exponent, ("sector", i), e.nu, e.coeff))
+        key = (sector_ell(m, s, uu) + e.exponent, ("sector", i), e.nu)
+        sums[key] = c_add(sums[key], e.coeff) if key in sums else e.coeff
+    entries.extend((*key, c) for key, c in sums.items() if not c_is_zero(c))
 
     by_energy: dict = {}
     for en, tag, direction, coeff in entries:
@@ -202,8 +205,8 @@ def build_lts(strat: EnergyStratification) -> LeadingTermSystem:
     """Each level's exponent rows in adapted coordinates, with the coordinates it owns.
 
     A member's exponent is its integer direction in the adapted basis
-    (strat.exponents); members with equal exponents merge into one row
-    whose coefficient is their sum, and a zero sum drops the row.  Level l
+    (strat.exponents), so each member is one row: distinct members have
+    distinct directions, and the change of basis is injective.  Level l
     may only involve coordinates of levels <= l; that drop-out is what the
     adapted basis buys and it is asserted here.  The change of basis is
     unimodular, so the rewrite is a bijection on (C*)^n and solvability is
@@ -213,12 +216,10 @@ def build_lts(strat: EnergyStratification) -> LeadingTermSystem:
     names = set()
     out = []
     for lv, exponents in zip(strat.levels, strat.exponents):
-        merged: dict = {}
-        for e, coeff in zip(exponents, lv.coeffs):
-            merged[e] = c_add(merged[e], coeff) if e in merged else coeff
+        for coeff in lv.coeffs:
             if isinstance(coeff, SymLin):
                 names.update(name for name, _ in coeff.lin)
-        rows = tuple(sorted((e, c) for e, c in merged.items() if not c_is_zero(c)))
+        rows = tuple(sorted(zip(exponents, lv.coeffs)))
         if any(e[k] for e, _ in rows for k in range(lv.span_dim, n)):
             raise AssertionError("adapted rewrite leaked a later-level variable")
         out.append(LtsLevel(lv.energy, rows, tuple(range(lv.span_dim - lv.d, lv.span_dim)), n))
@@ -389,8 +390,8 @@ def _sign_bits(coords) -> int:
     return sum(1 << k for k, v in enumerate(coords) if v == -1)
 
 
-def _level_data(equations, own, vals, envs) -> _EqData:
-    """Numeric view of one level's equation terms under E symbol assignments.
+def _level_data(equations, own, vals, env) -> _EqData:
+    """Numeric view of one level's equation terms under a symbol assignment.
 
     The unknowns are the level's own coordinates; the fixed ones (vals) are
     folded into the coefficients.  Its residual is _EqData's scaled
@@ -398,8 +399,7 @@ def _level_data(equations, own, vals, envs) -> _EqData:
     """
     exps, coeffs = [], []
     for eq in equations:
-        values = [[_term_value(e, c, vals, env) for e, c in eq] for env in envs]
-        coeffs.append(np.array(values, dtype=complex))
+        coeffs.append(np.array([_term_value(e, c, vals, env) for e, c in eq], dtype=complex))
         exps.append(np.array([[e[i] for i in own] for e, _ in eq], dtype=float))
     return _EqData(exps, coeffs)
 
@@ -423,15 +423,6 @@ def _starts(key, count: int, width: int):
 
 # seeded starts of one multistart Newton
 MULTISTARTS = 64
-
-
-def _multistart(data, key):
-    """Newton from the MULTISTARTS starts of key under each of data's E assignments.
-
-    Returns (E, MULTISTARTS, d) end points and (E, MULTISTARTS) residuals.
-    """
-    ys, res = _newton(data, np.tile(_starts(key, MULTISTARTS, data.d), (data.blocks, 1)))
-    return ys.reshape(data.blocks, MULTISTARTS, data.d), res.reshape(data.blocks, MULTISTARTS)
 
 
 def _distinct_roots(ys, res, tol=1e-12):
@@ -469,19 +460,13 @@ def _univariate_candidates(eq, own_i, vals, env):
 
 
 class _Search:
-    """One numeric solve attempt under a fixed symbol assignment.
-
-    ``root``, when set, is this assignment's (data, end points, residuals)
-    of the first level's multistart, taken from a batch over several
-    assignments (_batch_first_level); otherwise the search runs it itself.
-    """
+    """One numeric solve attempt under a fixed symbol assignment."""
 
     def __init__(self, lts, env, seed):
         self.lts = lts
         self.env = env
         self.seed = seed
         self.calls = 0
-        self.root = None
 
     def run(self):
         return self._level(0, [None] * self.lts.n)
@@ -505,15 +490,11 @@ class _Search:
     def _candidates(self, li, vals):
         lv = self.lts.levels[li]
         d = len(lv.var_indices)
-        if li == 0 and self.root is not None:
-            data, ys, res = self.root
-        else:
-            data = _level_data(lv.terms, lv.var_indices, vals, [self.env])
-            if d > 1:
-                (ys,), (res,) = _multistart(data, (self.seed, self.calls))
+        data = _level_data(lv.terms, lv.var_indices, vals, self.env)
         if d == 1:
             numeric = _univariate_candidates(lv.terms[0], lv.var_indices[0], vals, self.env)
         else:
+            ys, res = _newton(data, _starts((self.seed, self.calls), MULTISTARTS, d))
             self.calls += 1
             numeric = _distinct_roots(ys, res)
         out = []
@@ -633,24 +614,6 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     return None
 
 
-def _batch_first_level(searches, seed: int) -> None:
-    """Run the first level's multistart for all the searches as one batch.
-
-    Each search gets its own slice as its root.  The first level has no
-    fixed variables, so its starts (key (seed, 0)) and exponents are the
-    same for every assignment; only the coefficients differ.  A level with
-    one own variable takes the closed-form path and needs no batch.
-    """
-    lts = searches[0].lts
-    lv = lts.levels[0]
-    if len(lv.var_indices) < 2:
-        return
-    data = _level_data(lv.terms, lv.var_indices, [None] * lts.n, [s.env for s in searches])
-    ys, res = _multistart(data, (seed, 0))
-    for k, search in enumerate(searches):
-        search.root = (data.block(k), ys[k], res[k])
-
-
 def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     """Verdict for a leading term system.
 
@@ -666,12 +629,8 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     3. Numeric palette: free coefficients take every combination of 1, -1
        and minus each facet label, then the generic complex table, and the
        levels are solved in energy order, each branch substituted into the
-       next, by seeded multistart Newton and univariate roots.  The first
-       assignment runs alone; once it fails, the first level's multistart
-       Newton of all the remaining ones runs as one batch
-       (_batch_first_level).  Every assignment's block is evaluated and
-       solved by the same calls as when it runs alone, so the batch changes
-       no verdict and no bit of any certificate.
+       next, by seeded multistart Newton and univariate roots.  The
+       assignments run one at a time, in that order, until one certifies.
 
     A certificate must re-verify across every level equation before it is
     believed; failure of the search is reported as unknown, never as a
@@ -694,11 +653,8 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     cert = _linear_certificate(lts, rows)
     if cert is not None:
         return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
-    searches = [_Search(lts, env, seed) for env in _symbol_assignments(lts)]
-    for k, search in enumerate(searches):
-        if k == 1:
-            _batch_first_level(searches[1:], seed)
-        cert = search.run()
+    for env in _symbol_assignments(lts):
+        cert = _Search(lts, env, seed).run()
         if cert is not None:
             return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     return SolvabilityVerdict(Solvability.UnknownLikelyUnsolvable)

@@ -6,7 +6,7 @@ leading order is built here: higher corrections have no closed formula, and
 the downstream solvability pipeline never needs them.
 
 Residuals are measured with the logarithmic gradient (y_i d/dy_i), which is
-the coordinate-free notion in the y = e^x chart.  The batched Newton in log
+the coordinate-free notion in the y = e^x chart.  The Newton in log
 coordinates that finds critical points here is also the one ltsolver.solve
 runs on its level equations.
 """
@@ -14,7 +14,6 @@ runs on its level equations.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 import random
 from dataclasses import dataclass
@@ -185,50 +184,39 @@ def critical_residual(p, y, t_value: float = 0.5, env: dict | None = None) -> fl
 
 
 # ---------------------------------------------------------------------------
-# batched log-coordinate Newton, shared by critical_points and ltsolver.solve
+# log-coordinate Newton, shared by critical_points and ltsolver.solve
 
 
 class _EqData:
-    """Numeric view of d Laurent equations in d unknowns, for the batched Newton.
+    """Numeric view of d Laurent equations in d unknowns, for _newton.
 
     ``exps`` holds one (T, d) float array of exponent rows per equation and
-    ``coeffs`` one (E, T) complex array of its term coefficients under each
-    of E coefficient sets.  Points come as E blocks of equal length, block k
-    under set k.  Each block goes through its own matmul calls on the same
-    operands as when its set runs alone, so its values carry the same bits
-    whatever else is in the batch.  ``residual`` is the measure _newton
-    stops on; a caller that needs another rule builds a subclass.
+    ``coeffs`` one (T,) complex array of its term coefficients.  Values and
+    log-Jacobian entries at S points are (S, T) @ (T, 1) products of the
+    points' monomials with c and c * e_i.  ``residual`` is the measure
+    _newton stops on; a caller that needs another rule builds a subclass.
     """
 
     def __init__(self, exps, coeffs):
         self.d = exps[0].shape[1]
-        self.blocks = len(coeffs[0])
         self.exps = exps
-        # per equation: matmul operands c and c * e_i, each (E, T, 1)
+        # per equation: matmul operands c and c * e_i, each (T, 1)
         self.ops = [
-            [cs[..., None]] + [(cs * es[:, i])[..., None] for i in range(self.d)]
+            [cs[:, None]] + [(cs * es[:, i])[:, None] for i in range(self.d)]
             for es, cs in zip(exps, coeffs)
         ]
 
-    def block(self, k):
-        """The view of coefficient set k alone."""
-        view = copy.copy(self)
-        view.blocks = 1
-        view.ops = [[op[k : k + 1] for op in ops] for ops in self.ops]
-        return view
-
     def f_and_jlog(self, ys, jac=True):
-        """Values and, if jac, the log-Jacobian at a batch of points ys: (E * S, d)."""
+        """Values and, if jac, the log-Jacobian at the points ys, an (S, d) array."""
         n, d = ys.shape
         fv = np.empty((n, len(self.ops)), dtype=complex)
         jm = np.empty((n, len(self.ops), d), dtype=complex) if jac else None
         for r, (e, ops) in enumerate(zip(self.exps, self.ops)):
             mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2)
-            mono = mono.reshape(self.blocks, n // self.blocks, len(e))
-            fv[:, r] = (mono @ ops[0]).reshape(n)
+            fv[:, r] = (mono @ ops[0])[:, 0]
             if jac:
                 for i in range(d):
-                    jm[:, r, i] = (mono @ ops[i + 1]).reshape(n)
+                    jm[:, r, i] = (mono @ ops[i + 1])[:, 0]
         return fv, jm
 
     def residual(self, fv, ys):
@@ -251,10 +239,9 @@ def _newton(data, z0, iters: int = 60):
     it leaves 1e-9 < |y_i| < 1e9.  A start works while data.residual
     exceeds 1e-14.  A start whose log-Jacobian LU meets an exact zero pivot
     (slogdet sign 0, just where solve raises) stops where it is and is
-    dropped.  Each row's step comes from its own LAPACK call, so the rows
-    of several coefficient sets can share one batch.  The loop stops once
-    no start is still working, and the residuals of its last evaluation are
-    returned; after the last iteration only the values are evaluated.
+    dropped.  The loop stops once no start is still working, and the
+    residuals of its last evaluation are returned; after the last iteration
+    only the values are evaluated.
     """
     zs = np.array(z0, dtype=complex)
     alive = np.ones(len(zs), dtype=bool)
@@ -326,7 +313,7 @@ class _GradientData(_EqData):
     def __init__(self, grads, t, env):
         n = len(grads)
         exps = [np.array([e for e, _ in g.terms()], dtype=float).reshape(-1, n) for g in grads]
-        coeffs = [np.array([[s.eval_complex(t, env) for _, s in g.terms()]], dtype=complex) for g in grads]
+        coeffs = [np.array([s.eval_complex(t, env) for _, s in g.terms()], dtype=complex) for g in grads]
         super().__init__(exps, coeffs)
         # an entry without terms is zero everywhere, and any scale serves it
         self.scale = np.array([np.abs(cs).max(initial=0.0) or 1.0 for cs in coeffs])

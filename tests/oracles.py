@@ -208,39 +208,6 @@ def product_scenarios(fdirs, sdirs, dim, max_levels):
     return out
 
 
-def solve_each_assignment_alone(lts, seed=0):
-    """ltsolver.solve with no batch: every numeric-palette search runs alone.
-
-    solve runs the first level's multistart of every symbol assignment after
-    the first as one batch.  This reference takes the passes of solve in
-    order (structural proof, linear pass, numeric palette) and lets each
-    assignment's _Search run its own multistart, one assignment at a time.
-    Unlike the rest of this file it reuses the package's search code on
-    purpose: agreement then isolates the batch.  Returns (status,
-    certificate).
-    """
-    from orbifloer import ltsolver as lt
-
-    for lv in lts.levels:
-        rows = lv.rows
-        if (
-            lv.var_indices
-            and len(rows) == 1
-            and lt._never_zero(rows[0][1])
-            and any(rows[0][0][k] for k in lv.var_indices)
-        ):
-            return lt.Solvability.UnsolvableProven, None
-    rows = tuple(tuple(lt._parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
-    cert = lt._linear_certificate(lts, rows)
-    if cert is not None:
-        return lt.Solvability.SolvableCertified, cert
-    for env in lt._symbol_assignments(lts):
-        cert = lt._Search(lts, env, seed).run()
-        if cert is not None:
-            return lt.Solvability.SolvableCertified, cert
-    return lt.Solvability.UnknownLikelyUnsolvable, None
-
-
 def palette_certificate(lts):
     """(symbol values, y) of an exact +-1 root under a special assignment, or None.
 

@@ -190,6 +190,30 @@ def test_bulk_file(tmp_path, capsys):
     assert code == 2 and "not a twisted sector" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "coeffs, same",
+    [
+        # c = 1 and c = -1 cancel: the deformation is zero, and a level whose
+        # sum is the zero polynomial must not be certified solvable
+        (("1", "-1"), []),
+        (("1", "1"), [{"nu": [1], "c": "2", "lambda": "1/12"}]),
+    ],
+    ids=["cancelling", "equal"],
+)
+def test_lte_sums_bulk_rows_of_one_sector(tmp_path, capsys, coeffs, same):
+    def lte(rows):
+        args = ["lte", "--preset", "teardrop:3", "--u", "1/4"]
+        if rows:
+            path = tmp_path / f"bulk{len(list(tmp_path.iterdir()))}.json"
+            path.write_text(json.dumps({"sectors": rows}))
+            args += ["--bulk", str(path)]
+        return run_json(capsys, *args)
+
+    doc = lte([{"nu": [1], "c": c, "lambda": "1/12"} for c in coeffs])
+    assert doc == lte(same)
+    assert doc["verdict"]["status"] == "UnsolvableProven"
+
+
 def test_bulk_file_rows_fail_typed(tmp_path, capsys):
     ok = {"nu": [0, -1], "c": "1", "lambda": "1/2"}
     cases = [

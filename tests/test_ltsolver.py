@@ -21,8 +21,10 @@ from orbifloer.ltsolver import (
     _linear_certificate,
     _parity_rows,
     _parity_table,
+    _Search,
     _sign_bits,
     _starts,
+    _symbol_assignments,
     _vanishes,
     build_lts,
     lts_signature,
@@ -563,7 +565,7 @@ def test_newton_square_step_survives_a_singular_jacobian():
         _terms(_poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))])),
         _terms(_poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))])),
     )
-    data = _level_data(eqs, (0, 1), [None, None], [{}])
+    data = _level_data(eqs, (0, 1), [None, None], {})
     starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
     zs, res = _newton(data, starts)
     assert zs[0].tolist() == [1.0, -1.0]
@@ -584,26 +586,21 @@ def _two_symbol_level():
 ENVS = ({"s0": 1.0, "s1": 1.0}, {"s0": 0j, "s1": 0j}, {"s0": -1 + 0.5j, "s1": 2.0})
 
 
-def test_newton_batch_over_assignments_matches_each_alone():
-    eqs = _two_symbol_level()
+@pytest.mark.parametrize("env", ENVS)
+def test_newton_residual_is_the_scaled_value_under_each_assignment(env):
     starts = _starts((0, 0), 64, 2)
-    batch = _level_data(eqs, (0, 1), [None, None], ENVS)
-    zs, res = _newton(batch, np.tile(starts, (len(ENVS), 1)))
-    for k, env in enumerate(ENVS):
-        alone = _level_data(eqs, (0, 1), [None, None], [env])
-        zk, rk = _newton(alone, starts)
-        assert np.array_equal(zs[64 * k : 64 * (k + 1)], zk)
-        assert np.array_equal(res[64 * k : 64 * (k + 1)], rk)
-        # a block view evaluates like its assignment alone, and the values
-        # without the Jacobian are the values with it
-        fv, jm = batch.block(k).f_and_jlog(zk)
-        fa, ja = alone.f_and_jlog(zk)
-        assert np.array_equal(fv, fa) and np.array_equal(jm, ja)
-        assert np.array_equal(alone.f_and_jlog(zk, jac=False)[0], fa)
-        assert np.array_equal((np.abs(fa) * np.abs(zk)).max(axis=1), rk)
-    assert (res[:64] < 1e-12).any() and (res[128:] < 1e-12).any()
-    # the constant assignment never moves
-    assert np.array_equal(zs[64:128], starts)
+    data = _level_data(_two_symbol_level(), (0, 1), [None, None], env)
+    zs, res = _newton(data, starts)
+    # the values without the Jacobian are the values with it, and the
+    # residual is max |f| * |y|
+    fv, _ = data.f_and_jlog(zs)
+    assert np.array_equal(data.f_and_jlog(zs, jac=False)[0], fv)
+    assert np.array_equal((np.abs(fv) * np.abs(zs)).max(axis=1), res)
+    if env["s0"]:
+        assert (res < 1e-12).any()
+    else:
+        # the constant assignment never moves
+        assert np.array_equal(zs, starts)
 
 
 class _Fixed(_EqData):
@@ -641,11 +638,11 @@ def test_newton_mixed_singular_batch_solves_the_regular_rows():
 
 
 def test_newton_all_singular_batch_stops_after_one_iteration():
-    data = _level_data(_two_symbol_level(), (0, 1), [None, None], [ENVS[1]] * 2)
+    data = _level_data(_two_symbol_level(), (0, 1), [None, None], ENVS[1])
     calls = []
     evaluate = data.f_and_jlog
     data.f_and_jlog = lambda zs, jac=True: calls.append(jac) or evaluate(zs, jac)
-    starts = np.tile(_starts((0, 0), 64, 2), (2, 1))
+    starts = _starts((0, 0), 128, 2)
     zs, res = _newton(data, starts)
     assert np.array_equal(zs, starts)
     # one Newton iteration, then the evaluation that finds no start working
@@ -654,12 +651,10 @@ def test_newton_all_singular_batch_stops_after_one_iteration():
     assert np.array_equal(res, np.maximum(np.abs(starts[:, 0]), 2 * np.abs(starts[:, 1])))
 
 
-# on both models every batch ends unknown (the linear pass certifies the
-# system a batched assignment used to), and every unknown system has a
-# coloop level, so none of them is solvable; the scale-free float test
-# turns float "roots" at a coloop into unknowns
+# every unknown system has a coloop level, so none of them is solvable;
+# the scale-free float test turns float "roots" at a coloop into unknowns
 @pytest.mark.parametrize("preset, systems, unknown", [("wp:1,3,5", 44, 9), ("wp:1,3,7", 122, 12)])
-def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
+def test_solve_leaves_only_coloop_systems_unknown_on_region(preset, systems, unknown):
     from orbifloer import region
 
     # the distinct systems of the feasible candidates without a one-member
@@ -678,13 +673,25 @@ def test_solve_matches_unbatched_oracle_on_region(preset, systems, unknown):
     for lts, verdict in seen.values():
         if verdict.status is Solvability.UnknownLikelyUnsolvable:
             assert oracles.coloop_refutes(lts)
-        status, cert = oracles.solve_each_assignment_alone(lts)
-        assert verdict.status is status
-        if cert is None:
-            assert verdict.certificate is None
-        else:
-            assert verdict.certificate.y == cert.y
-            assert verdict.certificate.symbol_values == cert.symbol_values
+
+
+def test_palette_certifies_at_its_first_certifying_assignment():
+    # a one-level square system without a linear certificate: the palette
+    # runs its assignments in order, and (c10, c12) = (1, 1) and (1, -1)
+    # fail before (1, -2) certifies
+    from orbifloer import region
+
+    m = build_model("square:3,2,3,2")
+    level = (("facet", 1), ("facet", 3), ("sector", 10), ("sector", 12))
+    lts = region.scenario_lts(m, region.Scenario(0, (level,), (), ()))
+    assert lts.symbols == ("c10", "c12")
+    rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
+    assert _linear_certificate(lts, rows) is None
+    envs = _symbol_assignments(lts)
+    assert [_Search(lts, env, 0).run() for env in envs[:2]] == [None, None]
+    cert = solve(lts).certificate
+    assert cert.symbol_values == (("c10", 1 + 0j), ("c12", -2 + 0j))
+    assert not cert.exact and cert.residual < 1e-10
 
 
 def _exact_value(z: complex) -> QC:
