@@ -13,7 +13,12 @@ linear pass at +-1 points, whose certificates have residual 0; the numeric
 search only ever produces SolvableCertified (re-verified residuals) or
 gives up.  Proven unsolvability comes from the single structural special
 case, a level that is one monomial (one row), whose derivative is again a
-monomial and therefore never zero on the torus.
+monomial and therefore never zero on the torus.  Between the linear pass
+and the numeric palette, a level with a coloop in its own exponents (a
+lone row outside the span of the others) ends the solve without a search:
+such a system has no torus root, but its verdict stays unknown, with no
+proof text, until the benchmark gate accepts a proof that cites a level
+which is not a single monomial.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from math import lcm
 
 import numpy as np
 
-from .errors import InputError, SpanNeverFull
+from .errors import SpanNeverFull
 from .lattice import column_hermite, rank_rational, row_reduce
-from .potential import BulkParam, _EqData, _newton, companion_roots, root_key
-from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_add, c_is_zero, c_mul, c_to_complex
-from .stacky import StackyModel, enumerate_box, sector_ell
+from .potential import BulkParam, _EqData, _newton, companion_roots, far_apart, sector_terms
+from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
+from .stacky import StackyModel, enumerate_box
 
 
 # member tags are ("facet", j) or ("sector", box_index)
@@ -63,26 +68,18 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
     ell_nu(u) + lambda_nu.  Bulk exponents must be concrete rationals
     (scenario machinery never calls this).  Bulk rows of one sector at one
     energy are one member whose coefficient is their sum, and a zero sum is
-    no member: it neither spans nor cuts.  Levels that add no span
-    dimension still appear: their members are part of the partition below
-    the cut, they just own no variables.
+    no member: it neither spans nor cuts (potential.sector_terms).  Levels
+    that add no span dimension still appear: their members are part of the
+    partition below the cut, they just own no variables.
     """
     m.require_interior(u)
     uu = tuple(Fraction(x) for x in u)
     bp = bp or BulkParam.zero()
     box = enumerate_box(m)
-    by_nu = {s.nu: (i, s) for i, s in enumerate(box)}
     entries = []
     for j, f in enumerate(m.facets):
         entries.append((m.ell(j, uu), ("facet", j), f.stacky_vector, QC.of(1)))
-    sums: dict = {}
-    for e in bp.entries:
-        if e.nu not in by_nu:
-            raise InputError(f"{e.nu} is not a twisted sector of this model")
-        i, s = by_nu[e.nu]
-        key = (sector_ell(m, s, uu) + e.exponent, ("sector", i), e.nu)
-        sums[key] = c_add(sums[key], e.coeff) if key in sums else e.coeff
-    entries.extend((*key, c) for key, c in sums.items() if not c_is_zero(c))
+    entries.extend((en, ("sector", i), box[i].nu, c) for i, en, c in sector_terms(m, uu, bp))
 
     by_energy: dict = {}
     for en, tag, direction, coeff in entries:
@@ -293,6 +290,29 @@ def _never_zero(coeff) -> bool:
     )
 
 
+def _has_coloop(lv: LtsLevel) -> bool:
+    """Whether a level has a coloop in its own variables, so no root on the torus.
+
+    The rows are grouped by their exponent in the level's own variables,
+    the zero exponent dropped.  A group of one row whose coefficient is
+    never zero is a coloop when its exponent b leaves the rational span of
+    the other groups' exponents.  A functional that is 1 at b and 0 on
+    that span, applied to the equations y_i d/dy_i, leaves that row's
+    weight c y^a = 0, which no torus point meets.  A group of several rows
+    is no coloop: their summed weight can vanish at some lower root.
+    """
+    groups: dict = {}
+    for a, c in lv.rows:
+        own = tuple(a[k] for k in lv.var_indices)
+        if any(own):
+            groups.setdefault(own, []).append(c)
+    full = rank_rational(list(groups))
+    return any(
+        len(cs) == 1 and _never_zero(cs[0]) and rank_rational([b for b in groups if b != a]) < full
+        for a, cs in groups.items()
+    )
+
+
 # the numeric palette tries at most this many combinations of its special values
 PALETTE_LIMIT = 64
 
@@ -426,12 +446,18 @@ MULTISTARTS = 64
 
 
 def _distinct_roots(ys, res, tol=1e-12):
-    # filtering first keeps the stable sort's order of the kept points
-    found = []
-    for y in sorted((y for y, r in zip(ys, res) if not r > tol), key=root_key):
-        if all(max(abs(a - b) for a, b in zip(y, f)) > 1e-6 for f in found):
-            found.append(tuple(complex(c) for c in y))
-    return found
+    """The converged points of a multistart, sorted by root_key, less their near repeats.
+
+    A point is converged unless its residual exceeds tol, so a NaN residual
+    passes.  The keys are np.round of the coordinates, which is root_key on
+    numpy scalars; Python's stable sort orders them, a NaN among them
+    included, and far_apart keeps each point more than 1e-6 from those
+    kept before it.
+    """
+    ys = ys[~(res > tol)]
+    keys = np.round(np.stack((ys.real, ys.imag), axis=2), 9).reshape(len(ys), 2 * ys.shape[1])
+    ys = ys[sorted(range(len(ys)), key=keys.tolist().__getitem__)]
+    return [tuple(ys[i].tolist()) for i in far_apart(ys)]
 
 
 def _univariate_candidates(eq, own_i, vals, env):
@@ -494,13 +520,13 @@ class _Search:
         if d == 1:
             numeric = _univariate_candidates(lv.terms[0], lv.var_indices[0], vals, self.env)
         else:
-            ys, res = _newton(data, _starts((self.seed, self.calls), MULTISTARTS, d))
+            ys, res, _ = _newton(data, _starts((self.seed, self.calls), MULTISTARTS, d))
             self.calls += 1
             numeric = _distinct_roots(ys, res)
         out = []
         seen = set()
         if numeric:
-            ys, res = _newton(data, np.array(numeric, dtype=complex), iters=20)
+            ys, res, _ = _newton(data, np.array(numeric, dtype=complex), iters=20)
             for y, r in zip(ys, res):
                 # magnitude window rejects drift toward 0 or infinity, where
                 # scaled residuals of monomial-heavy equations go quiet
@@ -626,7 +652,10 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
        real and nonzero gives a residual-0 certificate
        (_linear_certificate).  A system without free coefficients is
        checked at the same points.
-    3. Numeric palette: free coefficients take every combination of 1, -1
+    3. Coloop short-circuit: a level with a coloop in its own exponents
+       (_has_coloop) has no torus root, so no search is run and the
+       verdict is unknown, with no proof text.
+    4. Numeric palette: free coefficients take every combination of 1, -1
        and minus each facet label, then the generic complex table, and the
        levels are solved in energy order, each branch substituted into the
        next, by seeded multistart Newton and univariate roots.  The
@@ -637,8 +666,8 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     proof.
     """
     # The one structural proof: a level that is a single monomial in its own
-    # variable(s).  Wider monomial patterns inside derivatives are left to the
-    # search, which then reports unknown, not proven.
+    # variable(s).  Wider coloop patterns wait for _has_coloop after the
+    # linear pass, which reports them unknown, not proven.
     for li, lv in enumerate(lts.levels):
         if (
             len(lv.rows) == 1
@@ -653,6 +682,8 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     cert = _linear_certificate(lts, rows)
     if cert is not None:
         return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
+    if any(_has_coloop(lv) for lv in lts.levels):
+        return SolvabilityVerdict(Solvability.UnknownLikelyUnsolvable)
     for env in _symbol_assignments(lts):
         cert = _Search(lts, env, seed).run()
         if cert is not None:

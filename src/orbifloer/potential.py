@@ -31,6 +31,7 @@ from .series import (
     QC,
     LaurentPoly,
     NovikovScalar,
+    c_add,
     c_is_zero,
     render_coeff,
 )
@@ -128,26 +129,41 @@ def smooth_leading_potential(m: StackyModel, u) -> PotentialAtFiber:
     return PotentialAtFiber(uu, poly, tuple(terms))
 
 
-def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber:
-    """Smooth potential plus c_nu T^{exponent + ell_nu(u)} y^nu per entry.
+def sector_terms(m: StackyModel, u, bp: BulkParam) -> list:
+    """(box index, T-exponent, coefficient) of each activated sector at u.
 
-    Entries with zero coefficient are dropped.  Every entry's lattice vector
-    must name an actual twisted sector of the model.
+    A sector's T-exponent is lambda + ell_nu(u).  Bulk rows of one sector
+    at one T-exponent are one term whose coefficient is their sum, and a
+    zero sum is no term.  Terms come in the order of their first row.
+    Every entry's lattice vector must name an actual twisted sector of the
+    model.
     """
-    base = smooth_leading_potential(m, u)
-    sectors = enumerate_box(m)
-    by_nu = {s.nu: (i, s) for i, s in enumerate(sectors)}
-    poly = base.poly
-    terms = list(base.terms)
+    box = enumerate_box(m)
+    by_nu = {s.nu: i for i, s in enumerate(box)}
+    sums: dict = {}
     for e in bp.entries:
         if e.nu not in by_nu:
             raise InputError(f"{e.nu} is not a twisted sector of this model")
-        if c_is_zero(e.coeff):
-            continue
-        i, s = by_nu[e.nu]
-        a = e.exponent + sector_ell(m, s, base.u)
-        poly = poly + LaurentPoly.monomial(e.nu, NovikovScalar.of(e.coeff, a))
-        terms.append(PotentialTerm("sector", i, e.nu, a, e.coeff))
+        i = by_nu[e.nu]
+        key = (i, e.exponent + sector_ell(m, box[i], u))
+        sums[key] = c_add(sums[key], e.coeff) if key in sums else e.coeff
+    return [(i, a, c) for (i, a), c in sums.items() if not c_is_zero(c)]
+
+
+def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber:
+    """Smooth potential plus c_nu T^{lambda + ell_nu(u)} y^nu per sector term.
+
+    The sector terms are those of sector_terms: rows of one sector at one
+    T-exponent are summed, and a zero sum is dropped.
+    """
+    base = smooth_leading_potential(m, u)
+    sectors = enumerate_box(m)
+    poly = base.poly
+    terms = list(base.terms)
+    for i, a, c in sector_terms(m, base.u, bp):
+        nu = sectors[i].nu
+        poly = poly + LaurentPoly.monomial(nu, NovikovScalar.of(c, a))
+        terms.append(PotentialTerm("sector", i, nu, a, c))
     return PotentialAtFiber(base.u, poly, tuple(terms))
 
 
@@ -191,15 +207,19 @@ class _EqData:
     """Numeric view of d Laurent equations in d unknowns, for _newton.
 
     ``exps`` holds one (T, d) float array of exponent rows per equation and
-    ``coeffs`` one (T,) complex array of its term coefficients.  Values and
-    log-Jacobian entries at S points are (S, T) @ (T, 1) products of the
-    points' monomials with c and c * e_i.  ``residual`` is the measure
-    _newton stops on; a caller that needs another rule builds a subclass.
+    ``coeffs`` one (T,) complex array of its term coefficients.  The rows
+    of all equations are stacked, so one power and one product give every
+    monomial at S points; values and log-Jacobian entries are then (S, T)
+    @ (T, 1) products of each equation's columns with c and c * e_i.
+    ``residual`` is the measure _newton stops on; a caller that needs
+    another rule builds a subclass.
     """
 
     def __init__(self, exps, coeffs):
         self.d = exps[0].shape[1]
-        self.exps = exps
+        self.exps = np.concatenate(exps)
+        ends = np.cumsum([len(es) for es in exps])
+        self.cols = [slice(end - len(es), end) for end, es in zip(ends, exps)]
         # per equation: matmul operands c and c * e_i, each (T, 1)
         self.ops = [
             [cs[:, None]] + [(cs * es[:, i])[:, None] for i in range(self.d)]
@@ -211,26 +231,28 @@ class _EqData:
         n, d = ys.shape
         fv = np.empty((n, len(self.ops)), dtype=complex)
         jm = np.empty((n, len(self.ops), d), dtype=complex) if jac else None
-        for r, (e, ops) in enumerate(zip(self.exps, self.ops)):
-            mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2)
+        monos = np.multiply.reduce(ys[:, None, :] ** self.exps[None, :, :], axis=2)
+        for r, (cols, ops) in enumerate(zip(self.cols, self.ops)):
+            mono = monos[:, cols]
             fv[:, r] = (mono @ ops[0])[:, 0]
             if jac:
                 for i in range(d):
                     jm[:, r, i] = (mono @ ops[i + 1])[:, 0]
         return fv, jm
 
-    def residual(self, fv, ys):
+    def residual(self, fv, absy):
         """Each point's worst scaled |y_r * eq_r|, the measure of _newton.
 
-        Equation r belongs to unknown r.  The raw values of all-negative-
-        exponent systems vanish along escapes to infinity, and the scaled
-        metric is what keeps those fake wells out of the candidate list.
+        ``absy`` holds the moduli |y| of the points.  Equation r belongs to
+        unknown r.  The raw values of all-negative-exponent systems vanish
+        along escapes to infinity, and the scaled metric is what keeps
+        those fake wells out of the candidate list.
         """
-        return (np.abs(fv) * np.abs(ys)).max(axis=1)
+        return (np.abs(fv) * absy).max(axis=1)
 
 
 def _newton(data, z0, iters: int = 60):
-    """Log-coordinate Newton on a batch of starts; returns (points, residuals).
+    """Log-coordinate Newton on a batch of starts; returns (points, residuals, values).
 
     The Jacobian entries are y_k d/dy_k of the equations, so the linear
     solve yields a step in x = log y and the update is multiplicative,
@@ -240,17 +262,18 @@ def _newton(data, z0, iters: int = 60):
     exceeds 1e-14.  A start whose log-Jacobian LU meets an exact zero pivot
     (slogdet sign 0, just where solve raises) stops where it is and is
     dropped.  The loop stops once no start is still working, and the
-    residuals of its last evaluation are returned; after the last iteration
-    only the values are evaluated.
+    values and residuals of its last evaluation are returned; after the
+    last iteration only the values are evaluated.
     """
     zs = np.array(z0, dtype=complex)
+    absz = np.abs(zs)
     alive = np.ones(len(zs), dtype=bool)
     for _ in range(iters):
         fv, jm = data.f_and_jlog(zs)
-        res = data.residual(fv, zs)
+        res = data.residual(fv, absz)
         work = alive & (res > 1e-14)
         if not work.any():
-            return zs, res
+            return zs, res, fv
         a, b = jm[work], -fv[work][..., None]
         try:
             dx = np.linalg.solve(a, b)[..., 0]
@@ -260,14 +283,15 @@ def _newton(data, z0, iters: int = 60):
             dx = np.zeros((len(a), zs.shape[1]), dtype=complex)
             dx[regular] = np.linalg.solve(a[regular], b[regular])[..., 0]
             alive[np.nonzero(work)[0][~regular]] = False
-        norms = np.linalg.norm(dx, axis=1)
+        # np.linalg.norm(dx, axis=1), without its argument handling
+        norms = np.sqrt(np.add.reduce((dx.conj() * dx).real, axis=1))
         big = norms > 3.0
         dx[big] *= (3.0 / norms[big])[:, None]
         zs[work] *= np.exp(dx)
-        bad = (np.abs(zs) > 1e9).any(axis=1) | (np.abs(zs) < 1e-9).any(axis=1)
-        alive &= ~bad
+        absz = np.abs(zs)
+        alive &= ~((absz > 1e9).any(axis=1) | (absz < 1e-9).any(axis=1))
     fv, _ = data.f_and_jlog(zs, jac=False)
-    return zs, data.residual(fv, zs)
+    return zs, data.residual(fv, absz), fv
 
 
 def companion_roots(coeffs: dict) -> list:
@@ -284,6 +308,28 @@ def companion_roots(coeffs: dict) -> list:
 def root_key(y) -> tuple:
     """Sort key of a complex point: coordinates rounded to 9 digits."""
     return tuple((round(c.real, 9), round(c.imag, 9)) for c in y)
+
+
+def far_apart(ys) -> list:
+    """Indices of the rows of ys that a greedy pass keeps, in row order.
+
+    A row is kept when it lies more than 1e-6 from every row kept before
+    it, in the largest coordinate distance.  The distances are those of
+    Python complex abs (np.hypot of the parts; np.abs differs in the last
+    bit), and the largest is taken as Python's max takes it: a NaN first
+    distance wins and later NaNs are skipped.  One matrix of "farther than
+    1e-6" answers serves every row, and the loop runs once per kept row.
+    """
+    diff = ys[:, None, :] - ys[None, :, :]
+    dist = np.hypot(diff.real, diff.imag)
+    far = (dist > 1e-6).any(axis=2) & (dist[..., 0] == dist[..., 0])
+    left = np.ones(len(ys), dtype=bool)
+    kept = []
+    while left.any():
+        i = int(left.argmax())
+        kept.append(i)
+        left &= far[i]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +364,7 @@ class _GradientData(_EqData):
         # an entry without terms is zero everywhere, and any scale serves it
         self.scale = np.array([np.abs(cs).max(initial=0.0) or 1.0 for cs in coeffs])
 
-    def residual(self, fv, ys):
+    def residual(self, fv, absy):
         return (np.abs(fv) / self.scale).max(axis=1)
 
 
@@ -351,18 +397,15 @@ def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int 
     if not starts:
         return []
     data = _GradientData(grads, t, env)
-    ys, res = _newton(data, starts)
-    fv, _ = data.f_and_jlog(ys, jac=False)
-    found = []
-    for y, scaled, absolute in zip(ys, res, np.abs(fv).max(axis=1)):
-        point = CriticalPoint(tuple(complex(c) for c in y), float(absolute))
-        if poly.n == 1 or (
-            scaled < CRITICAL_TOL
-            and absolute < CRITICAL_TOL
-            and all(abs(c) > 1e-8 for c in point.y)
-            and all(max(abs(a - b) for a, b in zip(point.y, q.y)) > 1e-6 for q in found)
-        ):
-            found.append(point)
+    ys, res, fv = _newton(data, starts)
+    absolute = np.abs(fv).max(axis=1)
+    if poly.n == 1:
+        keep = range(len(ys))
+    else:
+        off_zero = (np.hypot(ys.real, ys.imag) > 1e-8).all(axis=1)
+        (candidates,) = np.nonzero((res < CRITICAL_TOL) & (absolute < CRITICAL_TOL) & off_zero)
+        keep = candidates[far_apart(ys[candidates])]
+    found = [CriticalPoint(tuple(ys[i].tolist()), float(absolute[i])) for i in keep]
     return sorted(found, key=lambda c: root_key(c.y))
 
 

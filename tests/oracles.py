@@ -266,6 +266,70 @@ def coloop_refutes(lts):
     return False
 
 
+def distinct_roots_by_loop(ys, res, tol=1e-12):
+    """The multistart root filter of ltsolver as a Python loop.
+
+    The points whose residual does not exceed tol (a NaN residual passes),
+    sorted by root_key with Python's stable sort; a point is kept when its
+    largest coordinate distance, by Python's max, to every point kept
+    before it exceeds 1e-6.
+    """
+    from orbifloer.potential import root_key
+
+    found = []
+    for y in sorted((y for y, r in zip(ys, res) if not r > tol), key=root_key):
+        if all(max(abs(a - b) for a, b in zip(y, f)) > 1e-6 for f in found):
+            found.append(tuple(complex(c) for c in y))
+    return found
+
+
+def critical_keep_by_loop(ys, res, fv, n):
+    """The points critical_points keeps from its Newton output, as a Python loop.
+
+    One variable keeps every point.  Otherwise points are taken in start
+    order, and one is kept when its scale-free residual res and its
+    absolute residual max |fv| are below CRITICAL_TOL, every |y_i| exceeds
+    1e-8, and it lies more than 1e-6 (largest coordinate distance) from
+    every point kept before it.  The kept points are sorted by root_key.
+    """
+    import numpy as np
+
+    from orbifloer.potential import CRITICAL_TOL, CriticalPoint, root_key
+
+    found = []
+    for y, scaled, absolute in zip(ys, res, np.abs(fv).max(axis=1)):
+        point = CriticalPoint(tuple(complex(c) for c in y), float(absolute))
+        if n == 1 or (
+            scaled < CRITICAL_TOL
+            and absolute < CRITICAL_TOL
+            and all(abs(c) > 1e-8 for c in point.y)
+            and all(max(abs(a - b) for a, b in zip(point.y, q.y)) > 1e-6 for q in found)
+        ):
+            found.append(point)
+    return sorted(found, key=lambda c: root_key(c.y))
+
+
+def f_and_jlog_by_equation(exps, coeffs, ys):
+    """Values and log-Jacobian of Laurent equations at the points ys, one equation at a time.
+
+    Equation r has the (T, d) exponent rows exps[r] and the (T,)
+    coefficients coeffs[r].  Its monomials are np.prod of the coordinate
+    powers, and each value or Jacobian entry is one (S, T) @ (T, 1)
+    product with c or c * e_i.
+    """
+    import numpy as np
+
+    n, d = ys.shape
+    fv = np.empty((n, len(exps)), dtype=complex)
+    jm = np.empty((n, len(exps), d), dtype=complex)
+    for r, (e, cs) in enumerate(zip(exps, coeffs)):
+        mono = np.prod(ys[:, None, :] ** e[None, :, :], axis=2)
+        fv[:, r] = (mono @ cs[:, None])[:, 0]
+        for i in range(d):
+            jm[:, r, i] = (mono @ (cs * e[:, i])[:, None])[:, 0]
+    return fv, jm
+
+
 def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residual_tol=1e-10):
     """Critical points by per-start Newton, every value taken by LaurentPoly.eval_complex.
 

@@ -214,6 +214,38 @@ def test_lte_sums_bulk_rows_of_one_sector(tmp_path, capsys, coeffs, same):
     assert doc["verdict"]["status"] == "UnsolvableProven"
 
 
+@pytest.mark.parametrize(
+    "coeffs, same, rendered",
+    [
+        # the potential lists the sum, as stratify does: cancelling rows
+        # leave no sector term
+        (("1", "-1"), [], "T^{7/4}*y1^3 + T^{3/4}*y1^-1"),
+        (
+            ("1", "1"),
+            [{"nu": [1], "c": "2", "lambda": "1/12"}],
+            "T^{7/4}*y1^3 + T^{3/4}*y1^-1 + 2*T^{2/3}*y1^1",
+        ),
+    ],
+    ids=["cancelling", "equal"],
+)
+def test_potential_sums_bulk_rows_of_one_sector(tmp_path, capsys, coeffs, same, rendered):
+    def request(kind, rows):
+        args = [kind, "--preset", "teardrop:3", "--u", "1/4"]
+        if rows:
+            path = tmp_path / f"bulk{len(list(tmp_path.iterdir()))}.json"
+            path.write_text(json.dumps({"sectors": rows}))
+            args += ["--bulk", str(path)]
+        return run_json(capsys, *args)
+
+    rows = [{"nu": [1], "c": c, "lambda": "1/12"} for c in coeffs]
+    doc = request("potential", rows)
+    assert doc == request("potential", same)
+    assert doc["rendered"] == rendered
+    assert [t["kind"] for t in doc["terms"]].count("sector") == len(same)
+    # the polynomial was a sum before, so critical points do not move
+    assert request("critical", rows) == request("critical", same)
+
+
 def test_bulk_file_rows_fail_typed(tmp_path, capsys):
     ok = {"nu": [0, -1], "c": "1", "lambda": "1/2"}
     cases = [

@@ -15,6 +15,7 @@ from orbifloer.ltsolver import (
     LtsLevel,
     Solvability,
     _distinct_roots,
+    _has_coloop,
     _float_certificate,
     _integer_env,
     _level_data,
@@ -35,6 +36,7 @@ from orbifloer.ltsolver import (
 from orbifloer.potential import BulkParam, _EqData, _newton
 from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin, render_poly
 from orbifloer.stacky import build_model, enumerate_box, sector_ell
+from test_potential import RIM, TIE_X, TIE_Y, TIE_Z, seeded_bulk, seeded_fiber
 
 
 def sector_index(m, nu):
@@ -549,6 +551,74 @@ def test_distinct_roots_filter_keeps_sorted_order():
         assert _distinct_roots(ys, res) == _distinct_roots_reference(ys, res)
 
 
+def _same_points(got, want):
+    # tuples of complex, compared bit for bit with NaN equal to NaN
+    return len(got) == len(want) and all(
+        np.array_equal(np.array(a), np.array(b), equal_nan=True) for a, b in zip(got, want)
+    )
+
+
+def test_distinct_roots_match_the_loop_on_seeded_multistarts():
+    # random square Laurent systems in 2 and 3 unknowns, each run from
+    # seeded starts twice over, so that every root comes back repeated
+    rng = np.random.default_rng(23)
+    kept = repeats = 0
+    for trial in range(40):
+        d = 2 + trial % 2
+        exps = [rng.integers(-3, 4, size=(int(rng.integers(2, 6)), d)).astype(float) for _ in range(d)]
+        coeffs = [rng.normal(size=len(e)) + 1j * rng.normal(size=len(e)) for e in exps]
+        starts = _starts((trial, 0), 32, d)
+        ys, res, _ = _newton(_EqData(exps, coeffs), np.concatenate([starts, starts]))
+        got = _distinct_roots(ys, res)
+        assert _same_points(got, oracles.distinct_roots_by_loop(ys, res))
+        kept += len(got)
+        repeats += int((~(res > 1e-12)).sum()) - len(got)
+    assert kept > 0 and repeats > 0
+
+
+# RIM and the TIE_ values are the edge coordinates of the critical keep tests
+DISTINCT_EDGES = {
+    "nan-residual": (
+        [(1.0, 2.0), (0.5, 0.5), (1.0 + 1e-9, 2.0), (np.nan, 1.0), (3.0, np.nan), (3.0, 7.0), (3.1, 7.0)],
+        [1e-14, np.nan, 1e-13, np.nan, 1e-15, np.nan, 1e-14],
+    ),
+    "at-the-radius": ([(1e-3 + 1e-3j, 1.0), (RIM, 1.0), (1e-3 + 1e-6 + 1e-3j, 1.0)], [0.0, 0.0, 0.0]),
+    "rounding-ties": ([(TIE_Y, 0.1), (TIE_X, 0.9), (TIE_Z, 0.5), (TIE_Y, 0.3)], [0.0, 0.0, 0.0, 0.0]),
+    "none-converged": ([(1.0, 1.0), (2.0, 2.0)], [1e-3, np.inf]),
+}
+
+
+@pytest.mark.parametrize("edge", DISTINCT_EDGES)
+def test_distinct_roots_match_the_loop_on_edge_cases(edge):
+    points, residuals = DISTINCT_EDGES[edge]
+    ys = np.array(points, dtype=complex)
+    res = np.array(residuals)
+    assert _same_points(_distinct_roots(ys, res), oracles.distinct_roots_by_loop(ys, res))
+    empty = np.empty((0, 2), dtype=complex)
+    assert _distinct_roots(empty, np.empty(0)) == [] == oracles.distinct_roots_by_loop(empty, [])
+
+
+# The stacked kernel keeps the bits of the per-equation loop.  Three
+# rewrites that look equivalent were measured to change bits, so they stay
+# out: one gemm over the columns c, c * e_1, ... in place of the per-column
+# gemv calls (186 of 193 recorded calls changed), chained * in place of
+# np.prod over the coordinate powers (201 changed), and evaluating only the
+# rows still working (244 of 7,334 row-subset gemv checks changed: BLAS
+# results depend on the rows passed with them).
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_f_and_jlog_is_bit_identical_to_the_per_equation_loop(d):
+    rng = np.random.default_rng(d)
+    for trial in range(60):
+        # unequal term counts, so every equation's columns sit at another offset
+        exps = [rng.integers(-4, 5, size=(int(rng.integers(1, 12)), d)).astype(float) for _ in range(d)]
+        coeffs = [rng.normal(size=len(e)) + 1j * rng.normal(size=len(e)) for e in exps]
+        ys = _starts((d, trial), int(rng.choice([1, 5, 20, 64, 128])), d)
+        fv, jm = _EqData(exps, coeffs).f_and_jlog(ys)
+        want_fv, want_jm = oracles.f_and_jlog_by_equation(exps, coeffs, ys)
+        assert np.array_equal(fv, want_fv) and np.array_equal(jm, want_jm)
+        assert np.array_equal(_EqData(exps, coeffs).f_and_jlog(ys, jac=False)[0], want_fv)
+
+
 def _poly(n, terms):
     return LaurentPoly(n, [(e, NovikovScalar.of(c)) for e, c in terms])
 
@@ -567,7 +637,7 @@ def test_newton_square_step_survives_a_singular_jacobian():
     )
     data = _level_data(eqs, (0, 1), [None, None], {})
     starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
-    zs, res = _newton(data, starts)
+    zs, res, _ = _newton(data, starts)
     assert zs[0].tolist() == [1.0, -1.0]
     assert res[1] < 1e-12
     assert abs(zs[1, 0] - 2**0.5) < 1e-9 and abs(zs[1, 1] - 2**0.5) < 1e-9
@@ -590,11 +660,12 @@ ENVS = ({"s0": 1.0, "s1": 1.0}, {"s0": 0j, "s1": 0j}, {"s0": -1 + 0.5j, "s1": 2.
 def test_newton_residual_is_the_scaled_value_under_each_assignment(env):
     starts = _starts((0, 0), 64, 2)
     data = _level_data(_two_symbol_level(), (0, 1), [None, None], env)
-    zs, res = _newton(data, starts)
-    # the values without the Jacobian are the values with it, and the
-    # residual is max |f| * |y|
+    zs, res, values = _newton(data, starts)
+    # the values without the Jacobian are the values with it, Newton
+    # returns them, and the residual is max |f| * |y|
     fv, _ = data.f_and_jlog(zs)
     assert np.array_equal(data.f_and_jlog(zs, jac=False)[0], fv)
+    assert np.array_equal(values, fv)
     assert np.array_equal((np.abs(fv) * np.abs(zs)).max(axis=1), res)
     if env["s0"]:
         assert (res < 1e-12).any()
@@ -628,7 +699,7 @@ def test_newton_mixed_singular_batch_solves_the_regular_rows():
     mixed[singular[0]] = 0
     z0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, 2)))
     # second iteration: every Jacobian is regular, so a row moves only if alive
-    zs, _ = _newton(_Fixed(fv, [mixed, regular]), z0, iters=2)
+    zs, _, _ = _newton(_Fixed(fv, [mixed, regular]), z0, iters=2)
     for k in range(n):
         if k in singular:
             assert np.array_equal(zs[k], z0[k])
@@ -643,7 +714,7 @@ def test_newton_all_singular_batch_stops_after_one_iteration():
     evaluate = data.f_and_jlog
     data.f_and_jlog = lambda zs, jac=True: calls.append(jac) or evaluate(zs, jac)
     starts = _starts((0, 0), 128, 2)
-    zs, res = _newton(data, starts)
+    zs, res, _ = _newton(data, starts)
     assert np.array_equal(zs, starts)
     # one Newton iteration, then the evaluation that finds no start working
     # is returned as it is
@@ -673,6 +744,86 @@ def test_solve_leaves_only_coloop_systems_unknown_on_region(preset, systems, unk
     for lts, verdict in seen.values():
         if verdict.status is Solvability.UnknownLikelyUnsolvable:
             assert oracles.coloop_refutes(lts)
+
+
+COLOOP_SYSTEMS = {
+    # y + 1: the lone exponent 1 leaves the zero span, and d/dy = 1
+    "one-variable": (1, ((((0,), QC(1)), ((1,), QC(1))), (0,))),
+    # y1 + y1^2 + c y2: (0, 1) leaves the span of (1, 0) and (2, 0), and
+    # d/dy2 = c is never zero
+    "two-variable": (
+        2,
+        ((((1, 0), QC(1)), ((2, 0), QC(1)), ((0, 1), SymLin.symbol("c"))), (0, 1)),
+    ),
+    # y1 + 1/y1 below, which vanishes in d/dy1 at y1 = +-1, then 1 + 3 y2:
+    # the coloop sits in the upper level
+    "upper-level": (
+        2,
+        ((((-1, 0), QC(1)), ((1, 0), QC(1))), (0,)),
+        ((((0, 0), QC(1)), ((0, 1), QC(3))), (1,)),
+    ),
+}
+
+
+def _system(n, *levels):
+    """A leading term system of hand-made (rows, own coordinates) levels, basis the identity."""
+    lts_levels = tuple(LtsLevel(None, rows, own, n) for rows, own in levels)
+    symbols = {name for lv in lts_levels for _, c in lv.rows if isinstance(c, SymLin) for name, _ in c.lin}
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return LeadingTermSystem(n, basis, lts_levels, tuple(sorted(symbols)), (1,) * (n + 1))
+
+
+class _NoSearch:
+    def __init__(self, *args):
+        raise AssertionError("a coloop system ran the numeric palette")
+
+
+@pytest.mark.parametrize("name", COLOOP_SYSTEMS)
+def test_solve_short_circuits_a_coloop_system(monkeypatch, name):
+    lts = _system(*COLOOP_SYSTEMS[name])
+    assert _has_coloop(lts.levels[-1]) and oracles.coloop_refutes(lts)
+    monkeypatch.setattr("orbifloer.ltsolver._Search", _NoSearch)
+    verdict = solve(lts)
+    assert verdict.status is Solvability.UnknownLikelyUnsolvable and verdict.proof is None
+
+
+def test_coloop_needs_a_lone_row():
+    # y1 + 1/y1 below, then y2 + y1 y2: level 2's one own exponent holds two
+    # rows, whose summed coefficient 1 + y1 vanishes at the root y1 = -1
+    lts = _system(2, ((((-1, 0), QC(1)), ((1, 0), QC(1))), (0,)), ((((0, 1), QC(1)), ((1, 1), QC(1))), (1,)))
+    assert not any(_has_coloop(lv) for lv in lts.levels)
+    assert not oracles.coloop_refutes(lts)
+    assert solve(lts).status is Solvability.SolvableCertified
+
+
+def test_has_coloop_matches_the_oracle_at_seeded_fibers():
+    # lte systems of seeded fiber points, most moved to a facet tie and all
+    # with seeded bulk data; a level of one row is the monomial proof's case
+    seen = {}
+    for preset in ("teardrop:5", "wp:1,3,5", "wp:1,3,7", "square:2,2,2,2", "wp:1,2,3,5"):
+        m = build_model(preset)
+        rng = random.Random(f"coloop/{preset}")
+        for k in range(12):
+            u = seeded_fiber(m, rng, tie=k % 3 != 0)
+            lts = build_lts(stratify(m, u, seeded_bulk(m, u, rng)))
+            hit = any(_has_coloop(lv) for lv in lts.levels)
+            assert hit == oracles.coloop_refutes(lts), (preset, u)
+            monomial = any(len(lv.rows) == 1 for lv in lts.levels)
+            seen[hit, monomial] = seen.get((hit, monomial), 0) + 1
+    assert seen.get((True, False)) and seen.get((False, False)), seen
+
+
+def test_has_coloop_finds_none_on_region_leaves(monkeypatch):
+    # the region walk prunes coloop leaves before scenario_lts, so solve
+    # is never short-circuited in a region
+    from orbifloer import region
+
+    systems = []
+    build = region.scenario_lts
+    monkeypatch.setattr(region, "scenario_lts", lambda m, s: systems.append(build(m, s)) or systems[-1])
+    region.nondisplaceable_region(build_model("wp:1,3,7"))
+    assert systems
+    assert not any(_has_coloop(lv) for lts in systems for lv in lts.levels)
 
 
 def test_palette_certifies_at_its_first_certifying_assignment():

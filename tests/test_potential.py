@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -293,6 +294,69 @@ def test_critical_points_match_eval_complex_oracle(preset):
                     assert critical_residual(pot, c.y, t) < 1e-10
                 found += len(got)
     assert found > 0
+
+
+def _newton_recorded(monkeypatch, outputs=None):
+    """Record each Newton result of critical_points; with outputs, return those instead."""
+    seen = []
+    newton = potential_mod._newton
+
+    def run(data, z0, iters=60):
+        out = newton(data, z0, iters) if outputs is None else outputs
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(potential_mod, "_newton", run)
+    return seen
+
+
+@pytest.mark.parametrize("preset", ["teardrop:5", "wp:1,3,5", "square:2,2,2,2", "wp:1,2,3,5"])
+def test_critical_keep_matches_the_loop_on_seeded_runs(monkeypatch, preset):
+    m = build_model(preset)
+    rng = random.Random(f"keep/{preset}")
+    seen = _newton_recorded(monkeypatch)
+    found = 0
+    for tie in (False, True, True):
+        u = seeded_fiber(m, rng, tie)
+        for pot in (smooth_leading_potential(m, u), bulk_leading_potential(m, u, seeded_bulk(m, u, rng))):
+            for seed in (0, 1):
+                got = critical_points(pot, seed=seed)
+                assert got == oracles.critical_keep_by_loop(*seen[-1], m.dim)
+                found += len(got)
+    assert found > 0
+
+
+# (x, y) rounds to one 9-digit key under np.round but to two under Python's
+# round, and (y, z) the other way about
+TIE_X, TIE_Y, TIE_Z = 0.14427251049999998, 0.1442725105, 0.14427251050000003
+# |RIM - (1e-3 + 1e-3j)| is exactly 1e-6 as Python's abs (libm hypot) takes
+# it, while np.abs of the difference exceeds 1e-6 by one bit
+RIM = 0.001000887152822908 + 0.0010004614757510492j
+# hand-made Newton outputs, with the residuals as both the scaled and the
+# absolute one; test_ltsolver.py runs the multistart filter on the same kind
+KEEP_EDGES = {
+    "nan-residual": (
+        [(1.0, 2.0), (0.5, 0.5), (1.0 + 1e-9, 2.0), (np.nan, 1.0), (3.0, 7.0), (3.0, 7.0 + 1e-5)],
+        [1e-14, np.nan, 1e-13, 1e-15, np.nan, 1e-14],
+    ),
+    "at-the-radius": ([(1e-3 + 1e-3j, 1.0), (RIM, 1.0), (1e-3 + 1e-6 + 1e-3j, 1.0)], [0.0, 0.0, 0.0]),
+    "rounding-ties": ([(TIE_Y, 0.1), (TIE_X, 0.9), (TIE_Z, 0.5), (TIE_Y, 0.3)], [0.0, 0.0, 0.0, 0.0]),
+    "none-kept": ([(1.0, 1.0), (2.0, 2.0), (1e-9, 1.0)], [1e-3, np.inf, 0.0]),
+}
+
+
+@pytest.mark.parametrize("edge", KEEP_EDGES)
+def test_critical_keep_matches_the_loop_on_edge_cases(monkeypatch, edge):
+    points, residuals = KEEP_EDGES[edge]
+    ys = np.array(points, dtype=complex)
+    res = np.array(residuals)
+    fv = np.stack([res, res / 2], axis=1).astype(complex)
+    _newton_recorded(monkeypatch, (ys, res, fv))
+    pot = smooth_leading_potential(build_model("wp:1,3,5"), (Fraction(0), Fraction(0)))
+    got = critical_points(pot)
+    assert got == oracles.critical_keep_by_loop(ys, res, fv, 2)
+    if edge == "none-kept":
+        assert got == []
 
 
 def test_critical_point_count_holds_as_t_goes_to_zero():
