@@ -10,7 +10,6 @@ and the error is mirrored as a JSON object on stderr.
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import math
@@ -88,12 +87,31 @@ def dump_json(doc) -> str:
     """json.dumps(doc, indent=2) with every float as format(x, ".17g"), plus a newline.
 
     One recursive pass (_emit) writes the text; json's own indented encoder
-    is a pure-Python generator, and it would print floats by repr.
+    is a pure-Python generator, and it would print floats by repr.  A
+    _Streamed value is written as a list, one element at a time: each
+    element's fragments are joined as soon as it is written, so the
+    fragment list holds at most one of them and a region document is held
+    in memory one piece at a time.
     """
     out: list = []
     _emit(doc, "\n", out.append)
     out.append("\n")
     return "".join(out)
+
+
+class _Streamed:
+    """A sized, re-iterable list view whose elements are built only while written."""
+
+    __slots__ = ("items", "build")
+
+    def __init__(self, items, build):
+        self.items, self.build = items, build
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return map(self.build, self.items)
 
 
 def _emit(o, pad: str, put) -> None:
@@ -121,14 +139,19 @@ def _emit(o, pad: str, put) -> None:
             _emit(v, inner, put)
             sep = ","
         put(pad + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
+    elif isinstance(o, (list, tuple, _Streamed)):
+        if not len(o):
             put("[]")
             return
-        inner, sep = pad + "  ", "["
+        inner, sep, streamed = pad + "  ", "[", isinstance(o, _Streamed)
         for v in o:
             put(sep + inner)
-            _emit(v, inner, put)
+            if streamed:
+                element: list = []
+                _emit(v, inner, element.append)
+                put("".join(element))
+            else:
+                _emit(v, inner, put)
             sep = ","
         put(pad + "]")
     else:
@@ -382,29 +405,32 @@ def _geometry_doc(piece, r) -> dict | None:
     return None
 
 
+def _piece_doc(p, r) -> dict:
+    return {
+        "serial": p.scenario.serial,
+        "scenario": p.scenario.describe(),
+        "levels": [[list(tag) for tag in tags] for tags in p.scenario.levels],
+        "excluded": [list(tag) for tag in p.scenario.excluded],
+        "witness": _qvec(p.polyhedron.witness),
+        "geometry": _geometry_doc(p, r),
+        "verdict": _verdict_doc(p.verdict),
+    }
+
+
 def cmd_region(r, u=None) -> dict:
-    """The region document; with a point u, also its membership query."""
+    """The region document; with a point u, also its membership query.
+
+    Its "pieces" are a _Streamed view: dump_json builds each piece's
+    document only while it writes it.
+    """
     m = r.model
-    pieces = []
-    for p in r.pieces:
-        pieces.append(
-            {
-                "serial": p.scenario.serial,
-                "scenario": p.scenario.describe(),
-                "levels": [[list(tag) for tag in tags] for tags in p.scenario.levels],
-                "excluded": [list(tag) for tag in p.scenario.excluded],
-                "witness": _qvec(p.polyhedron.witness),
-                "geometry": _geometry_doc(p, r),
-                "verdict": _verdict_doc(p.verdict),
-            }
-        )
     doc = {
         "command": "region",
         "model": _model_doc(m),
         "max_levels": r.max_levels,
         "closure": r.closure,
-        "piece_count": len(pieces),
-        "pieces": pieces,
+        "piece_count": len(r.pieces),
+        "pieces": _Streamed(r.pieces, lambda p: _piece_doc(p, r)),
     }
     if m.dim == 1:
         doc["interval_union"] = [
@@ -431,8 +457,11 @@ def _check_grid(n: int) -> None:
         raise InputError("--grid must be a positive integer")
 
 
-def region_grid_csv(r, n: int) -> str:
-    """CSV membership samples on an n-per-axis grid over the vertex box."""
+def region_grid_csv(r, n: int, out) -> None:
+    """Write CSV membership samples on an n-per-axis grid over the vertex box to out.
+
+    Each row is written as soon as its point is answered.
+    """
     _check_grid(n)
     m = r.model
     lo = [min(v[k] for v in m.vertices) for k in range(m.dim)]
@@ -441,12 +470,10 @@ def region_grid_csv(r, n: int) -> str:
         [lo[k] + Fraction(i + 1, n + 1) * (hi[k] - lo[k]) for i in range(n)]
         for k in range(m.dim)
     ]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    w = csv.writer(out, lineterminator="\n")
     w.writerow([f"u{k + 1}" for k in range(m.dim)] + ["member"])
     for u in itertools.product(*axes):
         w.writerow(_qvec(u) + [str(query_point(r, u).member).lower()])
-    return buf.getvalue()
 
 
 def cmd_conebasis(cone_text: str) -> dict:
@@ -781,7 +808,7 @@ def _dispatch(args) -> int:
             except OSError as e:
                 raise InputError(f"cannot write --svg file: {e}") from None
         if args.grid is not None:
-            sys.stdout.write(region_grid_csv(r, args.grid))
+            region_grid_csv(r, args.grid, sys.stdout)
         else:
             u = None if args.u is None else _parse_u(args.u, m.dim)
             sys.stdout.write(dump_json(cmd_region(r, u)))

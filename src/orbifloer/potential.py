@@ -209,8 +209,9 @@ class _EqData:
     ``exps`` holds one (T, d) float array of exponent rows per equation and
     ``coeffs`` one (T,) complex array of its term coefficients.  The rows
     of all equations are stacked, so one power and one product give every
-    monomial at S points; values and log-Jacobian entries are then (S, T)
-    @ (T, 1) products of each equation's columns with c and c * e_i.
+    monomial at S points; values and log-Jacobian entries then come from
+    one (S, T) @ (d + 1, T, 1) matmul per equation, its columns against c
+    and c * e_i stacked, which runs the gemv of each operand on its own.
     ``residual`` is the measure _newton stops on; a caller that needs
     another rule builds a subclass.
     """
@@ -220,9 +221,9 @@ class _EqData:
         self.exps = np.concatenate(exps)
         ends = np.cumsum([len(es) for es in exps])
         self.cols = [slice(end - len(es), end) for end, es in zip(ends, exps)]
-        # per equation: matmul operands c and c * e_i, each (T, 1)
+        # per equation: the matmul operands c and c * e_i stacked, (d + 1, T, 1)
         self.ops = [
-            [cs[:, None]] + [(cs * es[:, i])[:, None] for i in range(self.d)]
+            np.stack([cs] + [cs * es[:, i] for i in range(self.d)])[:, :, None]
             for es, cs in zip(exps, coeffs)
         ]
 
@@ -234,10 +235,12 @@ class _EqData:
         monos = np.multiply.reduce(ys[:, None, :] ** self.exps[None, :, :], axis=2)
         for r, (cols, ops) in enumerate(zip(self.cols, self.ops)):
             mono = monos[:, cols]
-            fv[:, r] = (mono @ ops[0])[:, 0]
             if jac:
-                for i in range(d):
-                    jm[:, r, i] = (mono @ ops[i + 1])[:, 0]
+                vals = np.matmul(mono, ops)[:, :, 0]
+                fv[:, r] = vals[0]
+                jm[:, r, :] = vals[1:].T
+            else:
+                fv[:, r] = (mono @ ops[0])[:, 0]
         return fv, jm
 
     def residual(self, fv, absy):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer import cli
 from orbifloer.cli import dump_json, main
+from orbifloer.region import nondisplaceable_region, query_point
+from orbifloer.stacky import build_model
 
 
 def run(capsys, *args):
@@ -123,6 +126,68 @@ def _leaf_types(doc) -> set:
     if isinstance(doc, (list, tuple)):
         return set().union(*map(_leaf_types, doc))
     return {type(doc)}
+
+
+def _streamed(doc):
+    # doc with every list and tuple in it a view that builds its elements
+    # only while they are written
+    if isinstance(doc, dict):
+        return {k: _streamed(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return cli._Streamed(doc, _streamed)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_docs)
+def test_dump_json_writes_streamed_lists_as_lists(doc):
+    text = dump_json(_streamed(doc))
+    assert text == oracles.dump_json_by_placeholders(doc)
+    if float not in _leaf_types(doc):
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_json_of_an_empty_view_and_twice_over():
+    assert dump_json({"pieces": cli._Streamed([], dict)}) == '{\n  "pieces": []\n}\n'
+    r = nondisplaceable_region(build_model("wp:1,3,5"))
+    doc = cli.cmd_region(r)
+    assert len(doc["pieces"]) == doc["piece_count"] == len(r.pieces) > 0
+    text = dump_json(doc)
+    assert dump_json(doc) == text
+    # the view's certificates carry floats
+    materialized = dict(doc, pieces=list(doc["pieces"]))
+    assert text == oracles.dump_json_by_placeholders(materialized) == dump_json(materialized)
+
+
+def test_region_document_is_held_one_piece_at_a_time():
+    # a piece list built whole and its fragments joined at the end took
+    # over 9 times the text; one piece at a time the text and its pieces
+    # dominate
+    r = nondisplaceable_region(build_model("square:2,2,2,2"))
+    tracemalloc.start()
+    try:
+        text = dump_json(cli.cmd_region(r))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10**6
+    assert peak <= 3 * len(text)
+
+
+def test_cli_requests_never_import_numpy_random():
+    # the multistart draws its starts without numpy.random: a region with
+    # float certificates, and an lte certified by a 2-variable multistart
+    script = """
+import contextlib, io, json, sys
+from orbifloer import cli
+for argv in (["region", "--preset", "wp:1,3,7"], ["lte", "--preset", "wp:1,3,5", "--u", "0,0"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+print(json.dumps([json.loads(buf.getvalue())["verdict"]["certificate"]["exact"], "numpy.random" in sys.modules]))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [False, False]
 
 
 def test_box_lists_sectors_with_area_forms(capsys):
@@ -425,6 +490,21 @@ def test_grid_csv(capsys):
     assert lines[0] == "u1,member"
     assert len(lines) == 4
     assert all(line.endswith(("true", "false")) for line in lines[1:])
+
+
+def test_grid_csv_rows_are_the_query_answers(capsys):
+    code, out, _ = run(capsys, "region", "--preset", "wp:1,3,5", "--grid", "7")
+    assert code == 0
+    m = build_model("wp:1,3,5")
+    r = nondisplaceable_region(m)
+    lo = [min(v[k] for v in m.vertices) for k in range(2)]
+    hi = [max(v[k] for v in m.vertices) for k in range(2)]
+    axes = [[lo[k] + Fraction(i, 8) * (hi[k] - lo[k]) for i in range(1, 8)] for k in range(2)]
+    rows = ["u1,u2,member"] + [
+        f"{x},{y},{str(query_point(r, (x, y)).member).lower()}" for x in axes[0] for y in axes[1]
+    ]
+    assert out == "\n".join(rows) + "\n"
+    assert "true" in out and "false" in out
 
 
 def test_svg_output(tmp_path, capsys):

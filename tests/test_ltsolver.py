@@ -598,13 +598,18 @@ def test_distinct_roots_match_the_loop_on_edge_cases(edge):
     assert _distinct_roots(empty, np.empty(0)) == [] == oracles.distinct_roots_by_loop(empty, [])
 
 
-# The stacked kernel keeps the bits of the per-equation loop.  Three
-# rewrites that look equivalent were measured to change bits, so they stay
-# out: one gemm over the columns c, c * e_1, ... in place of the per-column
-# gemv calls (186 of 193 recorded calls changed), chained * in place of
-# np.prod over the coordinate powers (201 changed), and evaluating only the
-# rows still working (244 of 7,334 row-subset gemv checks changed: BLAS
-# results depend on the rows passed with them).
+# The stacked kernel keeps the bits of the per-equation loop.  Its one
+# np.matmul per equation, of the columns against c, c * e_1, ... stacked as
+# a (d + 1, T, 1) array, runs the same gemv per operand as d + 1 lone
+# products (0 of 20,248 random gemv checks differed).  Four rewrites that
+# look equivalent were measured to change bits, so they stay out: one gemm
+# over a (T, d + 1) matrix of those columns (186 of 193 recorded calls
+# changed), zero-padding every equation's operands to one length so that
+# one matmul serves all equations (1,659 of 6,046 random equations
+# changed), chained * in place of np.prod over the coordinate powers (201
+# changed), and evaluating only the rows still working (244 of 7,334
+# row-subset gemv checks changed: BLAS results depend on the rows passed
+# with them).
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_f_and_jlog_is_bit_identical_to_the_per_equation_loop(d):
     rng = np.random.default_rng(d)
@@ -617,6 +622,31 @@ def test_f_and_jlog_is_bit_identical_to_the_per_equation_loop(d):
         want_fv, want_jm = oracles.f_and_jlog_by_equation(exps, coeffs, ys)
         assert np.array_equal(fv, want_fv) and np.array_equal(jm, want_jm)
         assert np.array_equal(_EqData(exps, coeffs).f_and_jlog(ys, jac=False)[0], want_fv)
+
+
+def _default_rng_starts(key, count, width):
+    # the multistart points as numpy's own generator draws them
+    rng = np.random.default_rng(key)
+    radii = rng.uniform(0.3, 1.8, size=(count, width))
+    angles = rng.uniform(0.0, 2 * np.pi, size=(count, width))
+    return radii * np.exp(1j * angles)
+
+
+def test_starts_are_default_rng_bit_for_bit():
+    # two-word keys, a seed just past 2**32 and a three-word seed
+    keys = [(s, c) for s in range(40) for c in range(12)] + [2**32 + 3, 2**70]
+    for key in keys:
+        for count in (1, 5, 64, 128):
+            for width in (1, 2, 3):
+                assert np.array_equal(_starts(key, count, width), _default_rng_starts(key, count, width))
+
+
+@pytest.mark.parametrize("key", [-1, (3, -2)])
+def test_starts_refuse_a_negative_seed_as_numpy_does(key):
+    with pytest.raises(ValueError):
+        np.random.default_rng(key)
+    with pytest.raises(ValueError):
+        _starts(key, 4, 2)
 
 
 def _poly(n, terms):
