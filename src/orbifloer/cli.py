@@ -460,7 +460,10 @@ def _check_grid(n: int) -> None:
 def region_grid_csv(r, n: int, out) -> None:
     """Write CSV membership samples on an n-per-axis grid over the vertex box to out.
 
-    Each row is written as soon as its point is answered.
+    A row gives the point, whether it lies in the polytope's interior (the
+    box holds points outside the polytope, which are never members) and
+    whether it is a member.  Each row is written as soon as its point is
+    answered.
     """
     _check_grid(n)
     m = r.model
@@ -471,9 +474,10 @@ def region_grid_csv(r, n: int, out) -> None:
         for k in range(m.dim)
     ]
     w = csv.writer(out, lineterminator="\n")
-    w.writerow([f"u{k + 1}" for k in range(m.dim)] + ["member"])
+    w.writerow([f"u{k + 1}" for k in range(m.dim)] + ["interior", "member"])
     for u in itertools.product(*axes):
-        w.writerow(_qvec(u) + [str(query_point(r, u).member).lower()])
+        rep = query_point(r, u)
+        w.writerow(_qvec(u) + [str(rep.interior).lower(), str(rep.member).lower()])
 
 
 def cmd_conebasis(cone_text: str) -> dict:

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-
-import numpy as np
+from math import cos, lcm, sin
 
 from .errors import SpanNeverFull
 from .lattice import column_hermite, rank_rational, row_reduce
@@ -276,7 +274,7 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
 
 # deterministic generic nonzero coefficients, spread in modulus and phase
 GENERIC_COEFFS = tuple(
-    complex((0.6 + 0.09 * k) * np.cos(2.39996 * k + 0.5), (0.6 + 0.09 * k) * np.sin(2.39996 * k + 0.5))
+    complex((0.6 + 0.09 * k) * cos(2.39996 * k + 0.5), (0.6 + 0.09 * k) * sin(2.39996 * k + 0.5))
     for k in range(16)
 )
 
@@ -417,6 +415,8 @@ def _level_data(equations, own, vals, env) -> _EqData:
     folded into the coefficients.  Its residual is _EqData's scaled
     |y_r * eq_r|, the measure the certificate check uses.
     """
+    import numpy as np
+
     exps, coeffs = [], []
     for eq in equations:
         coeffs.append(np.array([_term_value(e, c, vals, env) for e, c in eq], dtype=complex))
@@ -500,6 +500,8 @@ def _starts(key, count: int, width: int):
     The draws are those of np.random.default_rng(key).uniform, radii first,
     bit for bit; _uniforms makes them, so numpy.random is never imported.
     """
+    import numpy as np
+
     n = count * width
     u = _uniforms(key, 2 * n)
     radii = np.array([0.3 + (1.8 - 0.3) * x for x in u[:n]])
@@ -520,6 +522,8 @@ def _distinct_roots(ys, res, tol=1e-12):
     included, and far_apart keeps each point more than 1e-6 from those
     kept before it.
     """
+    import numpy as np
+
     ys = ys[~(res > tol)]
     keys = np.round(np.stack((ys.real, ys.imag), axis=2), 9).reshape(len(ys), 2 * ys.shape[1])
     ys = ys[sorted(range(len(ys)), key=keys.tolist().__getitem__)]
@@ -528,6 +532,8 @@ def _distinct_roots(ys, res, tol=1e-12):
 
 def _univariate_candidates(eq, own_i, vals, env):
     """Complete root set of a one-variable level via closed form or companion."""
+    import numpy as np
+
     bucket: dict = {}
     for e, c in eq:
         bucket[e[own_i]] = bucket.get(e[own_i], 0j) + _term_value(e, c, vals, env)
@@ -580,6 +586,8 @@ class _Search:
         return None
 
     def _candidates(self, li, vals):
+        import numpy as np
+
         lv = self.lts.levels[li]
         d = len(lv.var_indices)
         data = _level_data(lv.terms, lv.var_indices, vals, self.env)

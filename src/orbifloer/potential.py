@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     InputError,
     NoConvergence,
@@ -217,6 +215,8 @@ class _EqData:
     """
 
     def __init__(self, exps, coeffs):
+        import numpy as np
+
         self.d = exps[0].shape[1]
         self.exps = np.concatenate(exps)
         ends = np.cumsum([len(es) for es in exps])
@@ -229,6 +229,8 @@ class _EqData:
 
     def f_and_jlog(self, ys, jac=True):
         """Values and, if jac, the log-Jacobian at the points ys, an (S, d) array."""
+        import numpy as np
+
         n, d = ys.shape
         fv = np.empty((n, len(self.ops)), dtype=complex)
         jm = np.empty((n, len(self.ops), d), dtype=complex) if jac else None
@@ -251,7 +253,7 @@ class _EqData:
         along escapes to infinity, and the scaled metric is what keeps
         those fake wells out of the candidate list.
         """
-        return (np.abs(fv) * absy).max(axis=1)
+        return (abs(fv) * absy).max(axis=1)
 
 
 def _newton(data, z0, iters: int = 60):
@@ -268,6 +270,8 @@ def _newton(data, z0, iters: int = 60):
     values and residuals of its last evaluation are returned; after the
     last iteration only the values are evaluated.
     """
+    import numpy as np
+
     zs = np.array(z0, dtype=complex)
     absz = np.abs(zs)
     alive = np.ones(len(zs), dtype=bool)
@@ -304,6 +308,8 @@ def companion_roots(coeffs: dict) -> list:
     from the highest key down to the lowest, so a Laurent polynomial gives
     the roots of its numerator.  Roots with |r| < 1e-8 are dropped.
     """
+    import numpy as np
+
     vec = [coeffs.get(k, 0j) for k in range(max(coeffs), min(coeffs) - 1, -1)]
     return [complex(r) for r in np.roots(vec) if abs(r) >= 1e-8]
 
@@ -323,6 +329,8 @@ def far_apart(ys) -> list:
     distance wins and later NaNs are skipped.  One matrix of "farther than
     1e-6" answers serves every row, and the loop runs once per kept row.
     """
+    import numpy as np
+
     diff = ys[:, None, :] - ys[None, :, :]
     dist = np.hypot(diff.real, diff.imag)
     far = (dist > 1e-6).any(axis=2) & (dist[..., 0] == dist[..., 0])
@@ -360,6 +368,8 @@ class _GradientData(_EqData):
     """
 
     def __init__(self, grads, t, env):
+        import numpy as np
+
         n = len(grads)
         exps = [np.array([e for e, _ in g.terms()], dtype=float).reshape(-1, n) for g in grads]
         coeffs = [np.array([s.eval_complex(t, env) for _, s in g.terms()], dtype=complex) for g in grads]
@@ -368,7 +378,7 @@ class _GradientData(_EqData):
         self.scale = np.array([np.abs(cs).max(initial=0.0) or 1.0 for cs in coeffs])
 
     def residual(self, fv, absy):
-        return (np.abs(fv) / self.scale).max(axis=1)
+        return (abs(fv) / self.scale).max(axis=1)
 
 
 def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int = 0) -> list:
@@ -384,6 +394,8 @@ def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int 
     agree.  T is a positive real number: a non-finite or non-positive
     t_value raises InputError.
     """
+    import numpy as np
+
     poly = p.poly if isinstance(p, PotentialAtFiber) else p
     t = _positive_t(t_value)
     grads = log_gradient(poly)

@@ -190,6 +190,50 @@ print(json.dumps([json.loads(buf.getvalue())["verdict"]["certificate"]["exact"],
     assert json.loads(out.stdout) == [False, False]
 
 
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from orbifloer import cli
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    seen.append("numpy" in sys.modules)
+print(json.dumps([seen, json.loads(buf.getvalue()).get("verdict")]))
+"""
+
+
+def _numpy_probe(*argvs):
+    """Whether numpy was loaded after the import of cli and after each request,
+    all in one fresh interpreter, and the verdict of the last request."""
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_exact_requests_never_import_numpy():
+    fiber = ["--preset", "wp:1,3,5", "--u", "-1/10,1/100"]
+    seen, verdict = _numpy_probe(
+        ["box", "--preset", "wp:1,3,5"],
+        ["discs", *fiber],
+        ["potential", *fiber],
+        ["conebasis", "--cone", "1,0;1,3"],
+        ["lte", *fiber],
+    )
+    assert seen == [False] * 6 and verdict["status"] == "UnsolvableProven"
+    # the linear pass certifies this one exactly
+    seen, verdict = _numpy_probe(["lte", "--preset", "square:2,2,2,2", "--u", "1/2,1/2"])
+    assert seen == [False, False] and verdict["certificate"]["exact"] is True
+
+
+def test_float_searches_import_numpy_when_they_run():
+    seen, _ = _numpy_probe(["critical", "--preset", "teardrop:3", "--u", "1/4"])
+    assert seen == [False, True]
+    seen, verdict = _numpy_probe(["lte", "--preset", "wp:1,3,5", "--u", "0,0"])
+    assert seen == [False, True] and verdict["certificate"]["exact"] is False
+
+
 def test_box_lists_sectors_with_area_forms(capsys):
     doc = run_json(capsys, "box", "--preset", "wp:1,3,5")
     assert len(doc["sectors"]) == 6
@@ -487,9 +531,11 @@ def test_grid_csv(capsys):
     code, out, err = run(capsys, "region", "--preset", "teardrop:3", "--grid", "3")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "u1,member"
+    assert lines[0] == "u1,interior,member"
     assert len(lines) == 4
-    assert all(line.endswith(("true", "false")) for line in lines[1:])
+    # a point outside the polytope is never a member
+    kinds = {tuple(line.split(",")[1:]) for line in lines[1:]}
+    assert kinds <= {("true", "true"), ("true", "false"), ("false", "false")}
 
 
 def test_grid_csv_rows_are_the_query_answers(capsys):
@@ -500,11 +546,16 @@ def test_grid_csv_rows_are_the_query_answers(capsys):
     lo = [min(v[k] for v in m.vertices) for k in range(2)]
     hi = [max(v[k] for v in m.vertices) for k in range(2)]
     axes = [[lo[k] + Fraction(i, 8) * (hi[k] - lo[k]) for i in range(1, 8)] for k in range(2)]
-    rows = ["u1,u2,member"] + [
-        f"{x},{y},{str(query_point(r, (x, y)).member).lower()}" for x in axes[0] for y in axes[1]
+    reports = [query_point(r, (x, y)) for x in axes[0] for y in axes[1]]
+    rows = ["u1,u2,interior,member"] + [
+        f"{rep.u[0]},{rep.u[1]},{str(rep.interior).lower()},{str(rep.member).lower()}" for rep in reports
     ]
     assert out == "\n".join(rows) + "\n"
-    assert "true" in out and "false" in out
+    # the box around the vertices holds members, interior non-members and
+    # points outside the polytope
+    kinds = {(rep.interior, rep.member) for rep in reports}
+    assert kinds == {(True, True), (True, False), (False, False)}
+    assert sum(not rep.interior for rep in reports) == 28
 
 
 def test_svg_output(tmp_path, capsys):

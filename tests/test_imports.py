@@ -1,7 +1,8 @@
 """The package carries no dead weight.
 
-Every module-level import is used by its own module, and every top-level
-function, class and method is named by the package or by the benchmark.
+Every module-level import is used by its own module, no module loads
+numpy when it is imported, and every top-level function, class and method
+is named by the package or by the benchmark.
 """
 
 import ast
@@ -43,6 +44,34 @@ def test_kept_imports_are_still_unused_otherwise():
     # an entry that the module starts to use itself is no longer an exception
     for module, name in KEPT:
         assert name in unused_imports(SRC / f"{module}.py")
+
+
+def import_time_modules(path: Path) -> list:
+    """Top-level names of the modules a module imports when it is imported.
+
+    Every import statement counts except those inside a function body,
+    which run only when the function is called; class bodies and
+    module-level if and try blocks run at import.
+    """
+    out = []
+    todo = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module.split(".")[0])
+        todo += ast.iter_child_nodes(node)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_numpy_when_imported(path):
+    # numpy is loaded by the first float search of a request, not by the
+    # import of the package: most requests are exact and never need it
+    assert "numpy" not in import_time_modules(path)
 
 
 # (module, qualified name) pairs defined for callers outside the package

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer.errors import SpanNeverFull
 from orbifloer.ltsolver import (
+    GENERIC_COEFFS,
     LeadingTermSystem,
     LtsLevel,
     Solvability,
@@ -647,6 +648,13 @@ def test_starts_refuse_a_negative_seed_as_numpy_does(key):
         np.random.default_rng(key)
     with pytest.raises(ValueError):
         _starts(key, 4, 2)
+
+
+def test_generic_coeffs_are_the_numpy_formula_bit_for_bit():
+    # math.cos and math.sin build them at import time, without numpy
+    want = oracles.generic_coeffs_by_numpy()
+    bits = [(c.real.hex(), c.imag.hex()) for c in GENERIC_COEFFS]
+    assert bits == [(c.real.hex(), c.imag.hex()) for c in want]
 
 
 def _poly(n, terms):
