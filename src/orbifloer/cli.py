@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import zlib
 from fractions import Fraction
@@ -698,7 +699,7 @@ def _fail(code: int, kind: str, message: str):
 
 
 def _seed(text: str) -> int:
-    """--seed: a non-negative integer, the only seeds numpy's generators take."""
+    """--seed: a non-negative integer, the seed of the multistart draws."""
     try:
         seed = int(text)
     except ValueError:
@@ -868,6 +869,11 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except SystemExit:
         raise
+    except BrokenPipeError:
+        # the reader closed stdout (say, head): stop quietly, and point
+        # stdout at devnull so that the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _VALIDATION_ERRORS as e:
         _fail(2, type(e).__name__, str(e))
     except OrbifloerError as e:

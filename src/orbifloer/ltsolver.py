@@ -24,15 +24,24 @@ which is not a single monomial.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import cos, lcm, sin
+from math import lcm
 
 from .errors import SpanNeverFull
 from .lattice import column_hermite, rank_rational, row_reduce
-from .potential import BulkParam, _EqData, _newton, companion_roots, far_apart, sector_terms
+from .potential import (
+    BulkParam,
+    _EqData,
+    _newton,
+    companion_roots,
+    far_apart,
+    random_starts,
+    sector_terms,
+)
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
 
@@ -272,13 +281,6 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
     return tuple(key), tuple(names)
 
 
-# deterministic generic nonzero coefficients, spread in modulus and phase
-GENERIC_COEFFS = tuple(
-    complex((0.6 + 0.09 * k) * cos(2.39996 * k + 0.5), (0.6 + 0.09 * k) * sin(2.39996 * k + 0.5))
-    for k in range(16)
-)
-
-
 def _never_zero(coeff) -> bool:
     # constants are nonzero by normalization; a pure symbol ranges over C*
     if isinstance(coeff, QC):
@@ -325,12 +327,7 @@ def _symbol_assignments(lts: LeadingTermSystem) -> list:
         if q not in special:
             special.append(q)
     combos = itertools.product(special, repeat=len(names))
-    out = [dict(zip(names, combo)) for combo in itertools.islice(combos, PALETTE_LIMIT)]
-    for k in range(16):
-        out.append(
-            {nm: GENERIC_COEFFS[(k + 3 * idx) % 16] for idx, nm in enumerate(names)}
-        )
-    return out
+    return [dict(zip(names, combo)) for combo in itertools.islice(combos, PALETTE_LIMIT)]
 
 
 # Exact kernel of the linear pass.  Its candidates have every coordinate +-1,
@@ -433,80 +430,15 @@ def _term_value(e, c, vals, env) -> complex:
     return c
 
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_words(key) -> list:
-    """SeedSequence(key).generate_state(8) of numpy: a 4-word pool, hashmix and mix."""
-    entropy = []
-    for n in key if isinstance(key, tuple) else (key,):
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        entropy += [(n >> s) & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
-    h = 0x43B0D7E5
-
-    def hashmix(v):
-        nonlocal h
-        v ^= h
-        h = h * 0x931E8875 & _M32
-        v = v * h & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    words, h = [], 0x8B51F9DD
-    for i in range(8):
-        v = pool[i % 4] ^ h
-        h = h * 0x58F38DED & _M32
-        v = v * h & _M32
-        words.append(v ^ v >> 16)
-    return words
-
-
-def _uniforms(key, n: int) -> list:
-    """The first n doubles in [0, 1) of np.random.default_rng(key).
-
-    The generator is PCG64 (O'Neill 2014): a 128-bit LCG whose output is
-    XSL-RR 128/64, and a double keeps the top 53 bits of one output.
-    """
-    # the 64-bit state words are little-endian pairs; seed and increment
-    # each take two of them, high word first
-    w = _seed_words(key)
-    seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1
-    state = (inc + seed) * _PCG_MULT + inc & _M128
-    out = []
-    for _ in range(n):
-        state = state * _PCG_MULT + inc & _M128
-        x, rot = ((state >> 64) ^ state) & _M64, state >> 122
-        out.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2**-53)
-    return out
-
-
 def _starts(key, count: int, width: int):
     """Seeded multistart points: moduli uniform in [0.3, 1.8], phases uniform.
 
-    The draws are those of np.random.default_rng(key).uniform, radii first,
-    bit for bit; _uniforms makes them, so numpy.random is never imported.
+    The draws are random_starts' from random.Random(str(key)); a string
+    seed keeps them off PYTHONHASHSEED.
     """
     import numpy as np
 
-    n = count * width
-    u = _uniforms(key, 2 * n)
-    radii = np.array([0.3 + (1.8 - 0.3) * x for x in u[:n]])
-    angles = np.array([0.0 + (2 * np.pi - 0.0) * x for x in u[n:]])
-    return (radii * np.exp(1j * angles)).reshape(count, width)
+    return np.array(random_starts(random.Random(str(key)), count, width, 0.3, 1.8), dtype=complex)
 
 
 # seeded starts of one multistart Newton
@@ -730,7 +662,7 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
        (_has_coloop) has no torus root, so no search is run and the
        verdict is unknown, with no proof text.
     4. Numeric palette: free coefficients take every combination of 1, -1
-       and minus each facet label, then the generic complex table, and the
+       and minus each facet label (at most PALETTE_LIMIT of them), and the
        levels are solved in energy order, each branch substituted into the
        next, by seeded multistart Newton and univariate roots.  The
        assignments run one at a time, in that order, until one certifies.

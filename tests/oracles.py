@@ -309,16 +309,6 @@ def critical_keep_by_loop(ys, res, fv, n):
     return sorted(found, key=lambda c: root_key(c.y))
 
 
-def generic_coeffs_by_numpy():
-    """The 16 generic palette coefficients by their first formula, numpy's cos and sin."""
-    import numpy as np
-
-    return tuple(
-        complex((0.6 + 0.09 * k) * np.cos(2.39996 * k + 0.5), (0.6 + 0.09 * k) * np.sin(2.39996 * k + 0.5))
-        for k in range(16)
-    )
-
-
 def f_and_jlog_by_equation(exps, coeffs, ys):
     """Values and log-Jacobian of Laurent equations at the points ys, one equation at a time.
 

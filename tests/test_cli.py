@@ -3,6 +3,7 @@
 import enum
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -625,6 +626,20 @@ def test_python_dash_m_entry_point():
     assert done.returncode == 0, done.stderr.decode()
     doc = json.loads(done.stdout)
     assert doc["command"] == "box" and len(doc["sectors"]) == 2
+
+
+def test_closed_stdout_stops_quietly():
+    # as in "orbifloer region ... | head -2": the reader is gone before the
+    # first write, and the command exits 1 without a word on stderr
+    read, write = os.pipe()
+    os.close(read)
+    cmd = [sys.executable, "-m", "orbifloer", "region", "--preset", "wp:1,3,5", "--grid", "7"]
+    try:
+        done = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 def test_error_json_on_stderr(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from orbifloer.errors import SpanNeverFull
 from orbifloer.ltsolver import (
-    GENERIC_COEFFS,
+    PALETTE_LIMIT,
     LeadingTermSystem,
     LtsLevel,
     Solvability,
@@ -625,36 +625,16 @@ def test_f_and_jlog_is_bit_identical_to_the_per_equation_loop(d):
         assert np.array_equal(_EqData(exps, coeffs).f_and_jlog(ys, jac=False)[0], want_fv)
 
 
-def _default_rng_starts(key, count, width):
-    # the multistart points as numpy's own generator draws them
-    rng = np.random.default_rng(key)
-    radii = rng.uniform(0.3, 1.8, size=(count, width))
-    angles = rng.uniform(0.0, 2 * np.pi, size=(count, width))
-    return radii * np.exp(1j * angles)
-
-
-def test_starts_are_default_rng_bit_for_bit():
-    # two-word keys, a seed just past 2**32 and a three-word seed
-    keys = [(s, c) for s in range(40) for c in range(12)] + [2**32 + 3, 2**70]
-    for key in keys:
-        for count in (1, 5, 64, 128):
-            for width in (1, 2, 3):
-                assert np.array_equal(_starts(key, count, width), _default_rng_starts(key, count, width))
-
-
-@pytest.mark.parametrize("key", [-1, (3, -2)])
-def test_starts_refuse_a_negative_seed_as_numpy_does(key):
-    with pytest.raises(ValueError):
-        np.random.default_rng(key)
-    with pytest.raises(ValueError):
-        _starts(key, 4, 2)
-
-
-def test_generic_coeffs_are_the_numpy_formula_bit_for_bit():
-    # math.cos and math.sin build them at import time, without numpy
-    want = oracles.generic_coeffs_by_numpy()
-    bits = [(c.real.hex(), c.imag.hex()) for c in GENERIC_COEFFS]
-    assert bits == [(c.real.hex(), c.imag.hex()) for c in want]
+def test_starts_are_seeded_by_their_key_in_the_modulus_window():
+    # one key repeats its points; keys whose digits run together do not
+    # collide; every modulus lies in [0.3, 1.8]
+    for width in (1, 2, 3):
+        starts = _starts((1, 23), 64, width)
+        assert starts.shape == (64, width)
+        assert np.array_equal(starts, _starts((1, 23), 64, width))
+        assert not np.array_equal(starts, _starts((12, 3), 64, width))
+        moduli = np.abs(starts)
+        assert ((0.3 <= moduli) & (moduli <= 1.8)).all()
 
 
 def _poly(n, terms):
@@ -866,7 +846,8 @@ def test_has_coloop_finds_none_on_region_leaves(monkeypatch):
 
 def test_palette_certifies_at_its_first_certifying_assignment():
     # a one-level square system without a linear certificate: the palette
-    # runs its assignments in order, and (c10, c12) = (1, 1) and (1, -1)
+    # takes only the special values 1, -1 and minus each label, at most
+    # PALETTE_LIMIT times, in order, and (c10, c12) = (1, 1) and (1, -1)
     # fail before (1, -2) certifies
     from orbifloer import region
 
@@ -877,6 +858,9 @@ def test_palette_certifies_at_its_first_certifying_assignment():
     rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
     assert _linear_certificate(lts, rows) is None
     envs = _symbol_assignments(lts)
+    special = [QC(1), QC(-1)] + [QC(-c) for c in lts.labels]
+    assert len(envs) <= PALETTE_LIMIT
+    assert all(v in special for env in envs for v in env.values())
     assert [_Search(lts, env, 0).run() for env in envs[:2]] == [None, None]
     cert = solve(lts).certificate
     assert cert.symbol_values == (("c10", 1 + 0j), ("c12", -2 + 0j))
