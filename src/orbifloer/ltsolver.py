@@ -463,28 +463,13 @@ def _distinct_roots(ys, res, tol=1e-12):
 
 
 def _univariate_candidates(eq, own_i, vals, env):
-    """Complete root set of a one-variable level via closed form or companion."""
-    import numpy as np
-
+    """Complete root set of a one-variable level by companion matrix; none for a monomial."""
     bucket: dict = {}
     for e, c in eq:
         bucket[e[own_i]] = bucket.get(e[own_i], 0j) + _term_value(e, c, vals, env)
     ks = sorted(k for k, c in bucket.items() if abs(c) > 1e-13)
     if not ks:
         return []  # equation vanished numerically; nothing trustworthy to branch on
-    if len(ks) == 1:
-        return []  # monomial: no torus roots (structural scan reports the proven case)
-    if len(ks) == 2:
-        # binomial c_hi y^hi + c_lo y^lo = 0 in closed form
-        lo, hi = ks
-        gap = hi - lo
-        ratio = -bucket[lo] / bucket[hi]
-        r = abs(ratio) ** (1.0 / gap)
-        theta = np.angle(ratio) / gap
-        return [
-            (complex(r * np.cos(theta + 2 * np.pi * k / gap), r * np.sin(theta + 2 * np.pi * k / gap)),)
-            for k in range(gap)
-        ]
     lo, hi = ks[0], ks[-1]
     return [(r,) for r in companion_roots({k: c for k, c in bucket.items() if lo <= k <= hi})]
 
