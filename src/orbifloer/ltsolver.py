@@ -24,7 +24,6 @@ which is not a single monomial.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,15 +32,7 @@ from math import lcm
 
 from .errors import SpanNeverFull
 from .lattice import column_hermite, rank_rational, row_reduce
-from .potential import (
-    BulkParam,
-    _EqData,
-    _newton,
-    companion_roots,
-    far_apart,
-    random_starts,
-    sector_terms,
-)
+from .potential import BulkParam, _EqData, _newton, companion_roots, far_apart, random_starts, sector_terms
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
 
@@ -433,12 +424,11 @@ def _term_value(e, c, vals, env) -> complex:
 def _starts(key, count: int, width: int):
     """Seeded multistart points: moduli uniform in [0.3, 1.8], phases uniform.
 
-    The draws are random_starts' from random.Random(str(key)); a string
-    seed keeps them off PYTHONHASHSEED.
+    The key is seeded as its str, which PYTHONHASHSEED does not move.
     """
     import numpy as np
 
-    return np.array(random_starts(random.Random(str(key)), count, width, 0.3, 1.8), dtype=complex)
+    return np.array(random_starts(str(key), count, width, 0.3, 1.8), dtype=complex)
 
 
 # seeded starts of one multistart Newton

@@ -314,13 +314,14 @@ def companion_roots(coeffs: dict) -> list:
     return [complex(r) for r in np.roots(vec) if abs(r) >= 1e-8]
 
 
-def random_starts(rng: random.Random, count: int, width: int, lo: float, hi: float) -> list:
-    """count seeded points of width coordinates, each rect(modulus, phase).
+def random_starts(seed, count: int, width: int, lo: float, hi: float) -> list:
+    """count Newton starts of width coordinates, drawn from random.Random(seed).
 
-    Every coordinate draws its modulus uniform in [lo, hi], then its phase
-    uniform in [0, 2 pi), point by point; critical_points and the ltsolver
-    multistart both draw their Newton starts here.
+    Each coordinate is rect(modulus, phase): its modulus uniform in [lo, hi],
+    then its phase uniform in [0, 2 pi).  critical_points and the ltsolver
+    multistart both draw their starts here.
     """
+    rng = random.Random(seed)
     return [
         [cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2 * cmath.pi)) for _ in range(width)]
         for _ in range(count)
@@ -417,7 +418,7 @@ def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int 
         roots = companion_roots({e[0]: s.eval_complex(t, env) for e, s in terms}) if terms else []
         starts = [(r,) for r in roots]
     else:
-        starts = random_starts(random.Random(seed), CRITICAL_STARTS, poly.n, 0.2, 2.0)
+        starts = random_starts(seed, CRITICAL_STARTS, poly.n, 0.2, 2.0)
     if not starts:
         return []
     data = _GradientData(grads, t, env)
