@@ -716,6 +716,9 @@ def _model_flags(p) -> None:
 
 def _fiber_flags(p) -> None:
     p.add_argument("--u", help='interior fiber point "p/q,p/q"')
+
+
+def _bulk_flag(p) -> None:
     p.add_argument("--bulk", help="path to a bulk deformation JSON file")
 
 
@@ -749,9 +752,9 @@ def _reproduce_flags(p) -> None:
 _SUBCOMMANDS = {
     "box": (_model_flags,),
     "discs": (_model_flags, _fiber_flags),
-    "potential": (_model_flags, _fiber_flags),
-    "critical": (_model_flags, _fiber_flags, _seed_flag, _critical_flags),
-    "lte": (_model_flags, _fiber_flags, _seed_flag),
+    "potential": (_model_flags, _fiber_flags, _bulk_flag),
+    "critical": (_model_flags, _fiber_flags, _bulk_flag, _seed_flag, _critical_flags),
+    "lte": (_model_flags, _fiber_flags, _bulk_flag, _seed_flag),
     "region": (_model_flags, _seed_flag, _region_flags),
     "conebasis": (_cone_flags,),
     "reproduce": (_seed_flag, _reproduce_flags),
@@ -797,11 +800,6 @@ def _dispatch(args) -> int:
     if args.subcommand == "box":
         sys.stdout.write(dump_json(cmd_box(m)))
         return 0
-    if args.subcommand == "discs":
-        u = None if args.u is None else _parse_u(args.u, m.dim)
-        sys.stdout.write(dump_json(cmd_discs(m, u)))
-        return 0
-
     if args.subcommand == "region":
         _check_region_flags(m, args)
         r = nondisplaceable_region(
@@ -819,11 +817,15 @@ def _dispatch(args) -> int:
             sys.stdout.write(dump_json(cmd_region(r, u)))
         return 0
 
-    # the remaining subcommands are fiber-local
-    if args.u is None:
+    # the remaining subcommands are fiber-local; discs alone runs without --u
+    u = None if args.u is None else _parse_u(args.u, m.dim)
+    if u is not None:
+        m.require_interior(u)
+    if args.subcommand == "discs":
+        sys.stdout.write(dump_json(cmd_discs(m, u)))
+        return 0
+    if u is None:
         raise InputError(f"{args.subcommand} requires --u")
-    u = _parse_u(args.u, m.dim)
-    m.require_interior(u)
     bp = _load_bulk(args.bulk, m)
     if args.subcommand == "potential":
         sys.stdout.write(dump_json(cmd_potential(m, u, bp)))

@@ -1,19 +1,22 @@
 """Exact integer and rational linear algebra over lattices.
 
-One integer normal form, ``column_hermite``: its transform is a
-flag-adapted lattice basis, its diagonal gives determinants and the coset
-representatives of a cone's box points.  On top of it sit simplicial-cone
-multiplicities, box points and a unimodular-basis-inside-a-cone
-subdivision algorithm.  Everything is computed with arbitrary-precision
-integers and ``fractions.Fraction``; no floating point enters this module.
+One integer normal form, ``column_hermite``, the only unimodular pass:
+its transform is a flag-adapted Z-basis, its diagonal gives determinants
+and the coset representatives of a cone's box points.  On top of it sit
+simplicial-cone multiplicities, box points and a unimodular-basis-inside-
+a-cone subdivision algorithm.  Everything is computed with arbitrary-
+precision integers and ``fractions.Fraction``; no floating point enters
+this module.
 
-Every rational elimination (echelon bases, ranks, square solves) runs
-through one fraction-free routine, ``_eliminate``.  ``row_reduce`` divides,
-once per entry at the end; ``solve_integer`` does not divide at all, and
-returns A^-1 B as an integer matrix over one denominator.  Box points use
-it for the scaled inverse d B^-1 of a cone's generators: each point and
-its coordinates then come from integer products and one reduction mod d,
-and a Fraction is made once per coordinate.
+Every elimination over Q runs here, fraction-free on integer rows: one
+step, ``clear``, combines two rows, and ``_eliminate`` is Gauss-Jordan made
+of it.  ``echelon`` gives the RREF cleared of denominators (a canonical
+span key), ``back_substitute`` solves its pivots and ``rank_rational``
+counts them; ``solve_integer`` returns A^-1 B as an integer matrix over
+one denominator.  Box points use it for the scaled inverse d B^-1 of a
+cone's generators: each point and its coordinates then come from integer
+products and one reduction mod d, and a Fraction is made once per
+coordinate.
 """
 
 from __future__ import annotations
@@ -163,13 +166,23 @@ def _centred_quotient(x: int, p: int) -> int:
     return q + 1 if 2 * r > p else q
 
 
+def clear(row, prow, col: int) -> list:
+    """primitive(p*row - row[col]*prow) with p = prow[col]: row cleared at col.
+
+    For p > 0 the result is a positive multiple of the combination, so a
+    strict row keeps its sense.
+    """
+    p, f = prow[col], row[col]
+    return primitive([p * x - f * y for x, y in zip(row, prow)])
+
+
 def _eliminate(work: list, ncols: int) -> list:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Pivots are taken in the first ncols columns, each pivot row moved up to
-    its rank; every other row is cleared in the pivot column and divided by
-    the gcd of its entries.  A row scaled by a nonzero number spans the
-    same line, so no Fraction is ever made.  Returns the pivot columns.
+    its rank, and every other row cleared in the pivot column (clear).  A
+    row scaled by a nonzero number spans the same line, so no Fraction is
+    ever made.  Returns the pivot columns.
     """
     pivots = []
     for col in range(ncols):
@@ -179,41 +192,45 @@ def _eliminate(work: list, ncols: int) -> list:
             continue
         prow = work[piv]
         work[piv], work[rank] = work[rank], prow
-        p = prow[col]
         for r, row in enumerate(work):
-            f = row[col]
-            if f and r != rank:
-                work[r] = primitive([p * e - f * q for e, q in zip(row, prow)])
+            if row[col] and r != rank:
+                work[r] = clear(row, prow, col)
         pivots.append(col)
     return pivots
 
 
-def row_reduce(rows, ncols: int) -> tuple:
-    """Reduced row echelon form over Q with pivots in the first ncols columns.
+def echelon(rows, ncols: int) -> tuple:
+    """Reduced row echelon form of integer rows, cleared of denominators.
 
-    Columns from ncols on ride along as right-hand sides.  Returns the
-    pivot rows (Fractions, 1 at their pivot and 0 at every other pivot
-    column), their pivot columns and the leftover rows (integer multiples,
-    zero in the first ncols columns).  The elimination is fraction-free on
-    integer rows (_eliminate): only the final division by each pivot makes
-    Fractions.
+    Pivots are taken in the first ncols columns; columns from ncols on ride
+    along as right-hand sides.  Returns (pivot rows, pivot columns,
+    leftover rows).  Each pivot row is a primitive integer tuple with a
+    positive pivot and zero at every other pivot column: its RREF row
+    times the lcm of that row's denominators, so rows with one span get
+    one result.  The leftover rows are zero in the first ncols columns.
+
+    Examples
+    --------
+    >>> echelon([(2, 4, 6), (1, 1, 1), (3, 5, 7)], 2)
+    ([(1, 0, -1), (0, 1, 2)], [0, 1], [[0, 0, 0]])
     """
-    work = [cleared(row) for row in rows]
+    work = [list(row) for row in rows]
     pivots = _eliminate(work, ncols)
-    rank = len(pivots)
-    reduced = [tuple(Fraction(e, row[col]) for e in row) for row, col in zip(work, pivots)]
-    return reduced, pivots, work[rank:]
+    out = [tuple(primitive(r if r[c] > 0 else [-x for x in r])) for r, c in zip(work, pivots)]
+    return out, pivots, work[len(pivots) :]
 
 
-def echelon_rational(rows) -> tuple:
-    """Reduced row echelon basis of the span of rational/integer rows.
+def back_substitute(rows, pivots, values) -> list:
+    """values with each pivot column solved from its row: row . x = 0.
 
-    Zero rows are dropped, so rows with one span give one result: the
-    tuple is a canonical key of the subspace.
+    rows and pivots are echelon's; values gives every column that is not a
+    pivot, a constant column as the value 1.  A pivot row is zero at every
+    other pivot column, so the pivots are solved in any order.
     """
-    if not rows:
-        return ()
-    return tuple(row_reduce(rows, len(rows[0]))[0])
+    x = list(values)
+    for row, p in zip(rows, pivots):
+        x[p] = Fraction(-sum(a * v for j, (a, v) in enumerate(zip(row, x)) if a and j != p), row[p])
+    return x
 
 
 def rank_rational(rows) -> int:
@@ -269,6 +286,9 @@ class SimplicialCone:
         object.__setattr__(self, "generators", gens)
         if not gens or any(len(g) != len(gens[0]) for g in gens):
             raise DegenerateCone("generators must share one ambient dimension")
+        n = len(gens[0])
+        if len(gens) != n:
+            raise DegenerateCone(f"{len(gens)} generators in dimension {n}: a simplicial cone has {n}")
 
     @property
     def dim(self) -> int:
@@ -281,8 +301,6 @@ class SimplicialCone:
 
 def cone_multiplicity(c: SimplicialCone) -> int:
     """|det| of the generator matrix; DegenerateCone if the generators are dependent."""
-    if len(c.generators) != c.dim:
-        raise DegenerateCone("cone is not full-dimensional")
     d = det_int(c.generator_matrix())
     if d == 0:
         raise DegenerateCone("generators are linearly dependent")
@@ -304,8 +322,6 @@ def box_points(c: SimplicialCone) -> list[tuple]:
     summed.
     """
     n = c.dim
-    if len(c.generators) != n:
-        raise DegenerateCone("cone is not full-dimensional")
     b = c.generator_matrix()
     h, _, _ = column_hermite(b, n)
     diag = [h[i][i] for i in range(n)]

@@ -31,7 +31,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import SpanNeverFull
-from .lattice import column_hermite, rank_rational, row_reduce
+from .lattice import back_substitute, column_hermite, echelon, rank_rational
 from .potential import BulkParam, _EqData, _newton, companion_roots, far_apart, random_starts, sector_terms
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
@@ -565,17 +565,17 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     ``rows`` are the _parity_rows of every level's equation terms.  With y
     fixed in {+-1}^n each equation is linear in the symbols: a row (mask, const,
     symbol coefficients) enters with the sign of the parity of mask & bits,
-    its constant on the right-hand side.  The symbols take real values, so
-    an equation gives its real row and, when that is nonzero, its imaginary
-    row.  Sign patterns are tried in product order, and one whose system
-    row_reduce leaves inconsistent is skipped; without symbols that is
-    every pattern at which some equation does not vanish.  The free
-    parameters of a consistent system are set to t_j = k^(j+1) for
-    k = 0, 1, ..., S * f (S symbols, f free parameters), and the first k
-    that makes every symbol nonzero is taken: a symbol that is not
-    identically zero on the solution space is a nonzero polynomial of degree
-    <= f in k, so at most S * f values of k fail.  The point is re-verified
-    by parity sums.
+    its constant in a last column of value 1.  The symbols take real
+    values, so an equation gives its real row and, when that is nonzero,
+    its imaginary row.  Sign patterns are tried in product order, and one
+    whose echelon leaves a nonzero constant is skipped; without symbols
+    that is every pattern at which some equation does not vanish.  The
+    free parameters of a consistent system are set to t_j = k^(j+1) for
+    k = 0, 1, ..., S * f (S symbols, f free parameters), the pivots solved
+    (back_substitute), and the first k that makes every symbol nonzero is
+    taken: a symbol that is not identically zero on the solution space is
+    a nonzero polynomial of degree <= f in k, so at most S * f values of k
+    fail.  The point is re-verified by parity sums.
     """
     eqs = [eq for level in rows for eq in level]
     names = lts.symbols
@@ -589,22 +589,21 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
             for mask, const, lin in eq:
                 sign = -1 if (mask & bits).bit_count() & 1 else 1
                 for part, row in enumerate(parts):
-                    row[s] -= sign * const[part]
+                    row[s] += sign * const[part]
                     for name, q in lin:
                         row[col[name]] += sign * q[part]
             system.append(parts[0])
             if any(parts[1]):
                 system.append(parts[1])
-        reduced, pivots, rest = row_reduce(system, s)
+        reduced, pivots, rest = echelon(system, s)
         if any(row[s] for row in rest):
             continue
         free = [j for j in range(s) if j not in pivots]
         for k in range(s * len(free) + 1):
-            values = [Fraction(0)] * s
+            values = [0] * s + [1]
             for i, j in enumerate(free):
                 values[j] = Fraction(k ** (i + 1))
-            for row, p in zip(reduced, pivots):
-                values[p] = row[s] - sum(row[j] * values[j] for j in free)
+            values = back_substitute(reduced, pivots, values)[:s]
             if all(values):
                 break
         else:

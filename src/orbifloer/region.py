@@ -28,14 +28,17 @@ scenario's serial is its rank among the span-valid candidates
 in product order, the same with or without pruning: a skipped subtree
 adds its memoized candidate count.
 
-Feasibility is exact Fourier-Motzkin over integer rows.  A system is held
-as the reduced pivot rows of its equalities (_pivots) and a binding table
-of its strict rows (_fold): of the rows sharing a primitive direction only
+Feasibility is exact Fourier-Motzkin over integer rows (lattice.clear).
+A system is held as the integer echelon rows of its equalities
+(lattice.echelon) and a binding table of its strict rows (_fold): of
+the rows sharing a primitive direction only
 the tightest is kept.  The walk carries one system down each path and
 folds in the one row a placed sector adds, so no row is substituted
-twice, and each leaf hands its system to scenario_region.  The elimination (_solve) is memoized
-on the table's binding rows (_eliminate): the walk's prefixes and the
-pieces share a few dozen distinct rows, so most systems recur.
+twice, and each leaf hands its system to scenario_region.  _solve
+eliminates the non-pivot variables, memoized on the table's binding rows
+(_fourier_motzkin): the walk's prefixes and the pieces share a few dozen
+distinct rows, so most systems recur.  Then it solves the pivots
+(lattice.back_substitute).
 piece_geometry likewise finds each distinct set of binding rows' polygon
 once (_polygon).  Both memos are bounded LRU caches of results that depend
 on their key alone.
@@ -56,7 +59,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
-from .lattice import cleared, echelon_rational, primitive, rank_rational, row_reduce
+from .lattice import back_substitute, clear, echelon, primitive, rank_rational
 from .ltsolver import (
     SolvabilityVerdict,
     Solvability,
@@ -261,7 +264,7 @@ class _SpanTree:
         key = (span, p)
         out = self._joins.get(key)
         if out is None:
-            basis = echelon_rational(self._bases[span] + (self.dirs[p],))
+            basis = tuple(echelon(self._bases[span] + (self.dirs[p],), self.dim)[0])
             out = self._ids.get(basis)
             if out is None:
                 out = self._ids[basis] = len(self._bases)
@@ -457,31 +460,16 @@ def scenario_constraints(m: StackyModel, s: Scenario) -> list:
     return [table[key] for key in keys]
 
 
-def _substitute(vec: list, subs: list) -> list:
-    """Eliminate the pivot columns of subs from an integer row, fraction-free.
+def _substitute(vec: list, subs: tuple) -> list:
+    """Eliminate the pivot columns of subs from an integer row, as a primitive row.
 
-    Each pivot row has a positive pivot p, and vec <- p*vec - vec[k]*row
-    multiplies the condition by p > 0, so strict rows keep their meaning.
+    Each pivot row has a positive pivot, so every clear multiplies the
+    condition by a positive number and strict rows keep their meaning.
     """
-    for k, row in subs:
-        c = vec[k]
-        if c:
-            p = row[k]
-            vec = [p * x - c * y for x, y in zip(vec, row)]
+    for row, k in zip(*subs):
+        if vec[k]:
+            vec = clear(vec, row, k)
     return primitive(vec)
-
-
-def _pivots(eqs, n: int):
-    """The pivot rows of integer equalities eqs == 0, or None when they conflict.
-
-    Returns subs, a list of (pivot, row) from the reduced row echelon form
-    (row_reduce), each row cleared to integers: row[pivot] > 0 and the row
-    is zero at every other pivot column.
-    """
-    reduced, pivots, rest = row_reduce(eqs, n)
-    if any(row[n] for row in rest):
-        return None
-    return [(k, cleared(row)) for row, k in zip(reduced, pivots)]
 
 
 def _fold(table: dict, row) -> bool:
@@ -518,7 +506,7 @@ def _binding(rows):
 
 
 @lru_cache(maxsize=4096)
-def _eliminate(rows: frozenset, free: tuple):
+def _fourier_motzkin(rows: frozenset, free: tuple):
     """Witness of binding rows over free, eliminating free[-1] first.
 
     Every row is strict and only involves the variables in free.
@@ -538,12 +526,9 @@ def _eliminate(rows: frozenset, free: tuple):
     for row in rows:
         a = row[k]
         (rest if a == 0 else lowers if a > 0 else uppers).append(row)
-    for lo in lowers:
-        for up in uppers:
-            al, au = lo[k], -up[k]
-            rest.append(primitive([au * x + al * y for x, y in zip(lo, up)]))
+    rest += [clear(up, lo, k) for lo in lowers for up in uppers]
     rest = _binding(rest)
-    sol = None if rest is None else _eliminate(rest, free[:-1])
+    sol = None if rest is None else _fourier_motzkin(rest, free[:-1])
     if sol is None:
         return None
     sol = dict(sol)
@@ -568,38 +553,36 @@ def _eliminate(rows: frozenset, free: tuple):
 def _system(eqs, ineqs, n: int):
     """(subs, table) of integer rows eqs == 0 and ineqs > 0, or None.
 
-    subs are the equalities' pivots (_pivots) and table the binding table
-    of the strict rows with the pivots substituted (_fold).  None means a
-    contradiction already shows: conflicting equalities or a nonpositive
-    constant row.
+    subs are the equalities' pivot rows and pivot columns (echelon) and
+    table the binding table of the strict rows with the pivots substituted
+    (_fold).  None means a contradiction already shows: conflicting
+    equalities or a nonpositive constant row.
     """
-    subs = _pivots(eqs, n)
-    if subs is None:
+    rows, pivots, rest = echelon(eqs, n)
+    if any(row[n] for row in rest):
         return None
+    subs = rows, pivots
     table: dict = {}
     if all(_fold(table, _substitute(row, subs)) for row in ineqs):
         return subs, table
     return None
 
 
-def _solve(subs: list, table: dict, n: int):
+def _solve(subs: tuple, table: dict, n: int):
     """Witness of a system (_system), or None when it is infeasible.
 
     Fourier-Motzkin on the table's binding rows over the non-pivot
-    variables (_eliminate), then each pivot solved from its row, which
-    involves no other pivot.
+    variables (_fourier_motzkin), then each pivot solved from its row
+    (back_substitute).
     """
-    pivots = {p for p, _ in subs}
-    sol = _eliminate(
+    rows, pivots = subs
+    sol = _fourier_motzkin(
         frozenset(row for _, row in table.values()), tuple(k for k in range(n) if k not in pivots)
     )
     if sol is None:
         return None
     sol = dict(sol)
-    for pivot, row in subs:
-        rest = row[n] + sum(row[j] * sol[j] for j in range(n) if j != pivot and row[j])
-        sol[pivot] = Fraction(-rest, row[pivot])
-    return tuple(sol[k] for k in range(n))
+    return tuple(back_substitute(rows, pivots, [sol.get(k, 0) for k in range(n)] + [1])[:n])
 
 
 def _witness(eqs, ineqs, n):

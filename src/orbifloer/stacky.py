@@ -295,11 +295,9 @@ def _reject_recession_rays(b, n):
 
 def _rational_kernel_vector(rows, n):
     """The primitive integer vector, up to sign, orthogonal to n-1 independent rows."""
-    reduced, pivots, _ = lattice.row_reduce(rows, n)
+    reduced, pivots, _ = lattice.echelon(rows, n)
     (free,) = set(range(n)) - set(pivots)
-    x = [int(j == free) for j in range(n)]
-    for row, col in zip(reduced, pivots):
-        x[col] = -row[free]
+    x = lattice.back_substitute(reduced, pivots, [int(j == free) for j in range(n)])
     # with an entry 1, the cleared vector is already primitive
     return tuple(lattice.cleared(x))
 

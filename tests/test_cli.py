@@ -649,6 +649,19 @@ def test_error_json_on_stderr(capsys):
     assert doc["error"] == "PointNotInterior"
 
 
+def test_discs_refuses_a_point_outside_the_polytope(capsys):
+    # its area_at_u once read -39 here
+    code, out, err = run(capsys, "discs", "--preset", "wp:1,3,5", "--u", "5,5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PointNotInterior"
+
+
+def test_discs_takes_no_bulk_file(capsys):
+    code, out, err = run(capsys, "discs", "--preset", "wp:1,3,5", "--bulk", "b.json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ArgumentError"
+
+
 def test_reproduce_matches_committed(capsys):
     code, out, err = run(capsys, "reproduce", "teardrop-a3")
     assert code == 0, err
@@ -673,7 +686,7 @@ def test_lazy_subparser_help_equals_the_full_parsers(name):
 ARGV_BATTERY = [
     ["box", "--preset", "wp:1,3,5"],
     ["box", "--model", "m.json"],
-    ["discs", "--preset", "wp:1,3,5", "--u", "-1/12,1/3", "--bulk", "b.json"],
+    ["discs", "--preset", "wp:1,3,5", "--u", "-1/12,1/3"],
     ["potential", "--model", "m.json", "--u=-1/12,-1/12"],
     ["potential", "--preset", "teardrop:3", "--u", "-1/12"],
     ["critical", "--preset", "x", "--u", "1/2", "--bulk", "b.json", "--t-value", "0.25", "--seed", "3"],

@@ -46,6 +46,12 @@ def test_cone_multiplicity_examples():
         lattice.cone_multiplicity(lattice.SimplicialCone(((1, 2), (2, 4))))
 
 
+@pytest.mark.parametrize("gens", [((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1, 0))])
+def test_cone_needs_one_generator_per_dimension(gens):
+    with pytest.raises(DegenerateCone, match=f"^{len(gens)} generators in dimension {len(gens[0])}:"):
+        lattice.SimplicialCone(gens)
+
+
 def test_box_points_count_and_membership():
     c = lattice.SimplicialCone(((-3, -5), (1, 0)))
     pts = lattice.box_points(c)
@@ -373,12 +379,46 @@ def from_sympy(m):
     return [tuple(Fraction(int(e.p), int(e.q)) for e in m.row(i)) for i in range(m.rows)]
 
 
-@given(deficient_matrices())
-@settings(max_examples=150, deadline=None)
-def test_echelon_matches_sympy_rref(rows):
-    expected = [row for row in from_sympy(to_sympy(rows).rref()[0]) if any(row)]
-    assert list(lattice.echelon_rational(rows)) == expected
-    assert lattice.rank_rational(rows) == len(expected)
+@st.composite
+def equality_systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), max_size=5))
+    # a row combined from earlier ones makes dependent and conflicting systems
+    if rows and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        mixed = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+        mixed[-1] += draw(st.integers(-1, 1))
+        rows.append(mixed)
+    return n, rows
+
+
+@given(equality_systems())
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_sympy_rref(system):
+    n, rows = system
+    want, want_pivots = [], ()
+    if rows:
+        reduced, want_pivots = sympy.Matrix(rows).rref()
+        want = [row for row in reduced.tolist() if any(row)]
+
+    def check(ncols):
+        reduced, pivots, rest = lattice.echelon(rows, ncols)
+        assert pivots == [k for k in want_pivots if k < ncols]
+        for row, k in zip(reduced, pivots):
+            assert row[k] > 0 and lattice.is_primitive(row)
+            assert all(row[j] == 0 for j in pivots if j != k)
+        assert all(not any(row[:ncols]) for row in rest)
+        return [[Fraction(x, row[k]) for x in row] for row, k in zip(reduced, pivots)], rest
+
+    # the span key: every column a pivot column
+    assert check(n + 1) == (want, [[0] * (n + 1)] * (len(rows) - len(want)))
+    assert lattice.rank_rational([[Fraction(x, 3) for x in row] for row in rows]) == len(want)
+    # the equality system: the last column is a constant, and a conflict
+    # (a row reading 0 = nonzero) is a leftover row with a nonzero constant
+    reduced, rest = check(n)
+    assert any(row[n] for row in rest) == (n in want_pivots)
+    if n not in want_pivots:
+        assert reduced == want
 
 
 @st.composite

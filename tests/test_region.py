@@ -9,7 +9,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,37 +188,6 @@ def test_coloop_leaf_matches_the_system_oracle():
             assert hit == oracles.coloop_refutes(scenario_lts(m, s)), (preset, s.levels)
         leaves += len(seen)
     assert leaves == 1736
-
-
-@st.composite
-def equality_systems(draw):
-    n = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), max_size=5))
-    # a row combined from earlier ones makes dependent and conflicting systems
-    if rows and draw(st.booleans()):
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        mixed = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
-        mixed[-1] += draw(st.integers(-1, 1))
-        rows.append(mixed)
-    return n, rows
-
-
-@given(equality_systems())
-@settings(max_examples=200, deadline=None)
-def test_pivots_match_sympy_rref(system):
-    n, rows = system
-    subs = region._pivots(rows, n)
-    if not rows:
-        assert subs == []
-        return
-    reduced, pivots = sympy.Matrix(rows).rref()
-    if n in pivots:  # a row reads 0 = nonzero constant
-        assert subs is None
-        return
-    assert [k for k, _ in subs] == list(pivots)
-    for (k, row), want in zip(subs, reduced.tolist()):
-        assert row[k] > 0 and all(row[j] == 0 for j in pivots if j != k)
-        assert [Fraction(x, row[k]) for x in row] == want
 
 
 def _walk_refuted(m, max_levels=2):
@@ -685,13 +653,13 @@ def test_scenario_region_teardrop():
 
 def test_region_equal_with_warm_and_cold_memos():
     m = build_model("wp:1,3,5")
-    region._eliminate.cache_clear()
+    region._fourier_motzkin.cache_clear()
     region._polygon.cache_clear()
     cold = nondisplaceable_region(m)
     cold_geoms = [piece_geometry(p, 2) for p in cold.pieces]
-    misses = region._eliminate.cache_info().misses, region._polygon.cache_info().misses
+    misses = region._fourier_motzkin.cache_info().misses, region._polygon.cache_info().misses
     warm = nondisplaceable_region(m)
-    assert (region._eliminate.cache_info().misses, region._polygon.cache_info().misses) == misses
+    assert (region._fourier_motzkin.cache_info().misses, region._polygon.cache_info().misses) == misses
     assert warm.pieces == cold.pieces
     assert [p.polyhedron.witness for p in warm.pieces] == [p.polyhedron.witness for p in cold.pieces]
     assert [piece_geometry(p, 2) for p in warm.pieces] == cold_geoms
