@@ -12,6 +12,7 @@ from itertools import combinations, product
 from math import atan2, gcd, inf
 
 import sympy
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 
@@ -841,3 +842,17 @@ def integral_basis_by_det(gens, trace):
                 if best is None or key < best[0]:
                     best = (key, sub)
         gens = best[1]
+
+
+@st.composite
+def equality_systems(draw):
+    """(n, rows): integer rows of n unknowns and a constant, read as rows == 0."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), max_size=5))
+    # a row combined from earlier ones makes dependent and conflicting systems
+    if rows and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        mixed = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+        mixed[-1] += draw(st.integers(-1, 1))
+        rows.append(mixed)
+    return n, rows

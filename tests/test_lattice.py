@@ -379,20 +379,7 @@ def from_sympy(m):
     return [tuple(Fraction(int(e.p), int(e.q)) for e in m.row(i)) for i in range(m.rows)]
 
 
-@st.composite
-def equality_systems(draw):
-    n = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1), max_size=5))
-    # a row combined from earlier ones makes dependent and conflicting systems
-    if rows and draw(st.booleans()):
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        mixed = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
-        mixed[-1] += draw(st.integers(-1, 1))
-        rows.append(mixed)
-    return n, rows
-
-
-@given(equality_systems())
+@given(oracles.equality_systems())
 @settings(max_examples=200, deadline=None)
 def test_echelon_matches_sympy_rref(system):
     n, rows = system

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,6 +189,28 @@ def test_coloop_leaf_matches_the_system_oracle():
             assert hit == oracles.coloop_refutes(scenario_lts(m, s)), (preset, s.levels)
         leaves += len(seen)
     assert leaves == 1736
+
+
+@given(oracles.equality_systems())
+@settings(max_examples=200, deadline=None)
+def test_pivots_match_sympy_rref(system):
+    n, rows = system
+    got = region._system(rows, (), n)
+    if not rows:
+        assert got == (([], []), {})
+        return
+    reduced, pivots = sympy.Matrix(rows).rref()
+    if n in pivots:  # a row reads 0 = nonzero constant
+        assert got is None
+        return
+    (subs, pivot_cols), table = got
+    assert pivot_cols == list(pivots) and table == {}
+    for row, k, want in zip(subs, pivot_cols, reduced.tolist()):
+        assert row[k] > 0 and all(row[j] == 0 for j in pivots if j != k)
+        assert [Fraction(x, row[k]) for x in row] == want
+    # the pivot solve gives a point on every equality
+    point = list(region._solve((subs, pivot_cols), table, n)) + [1]
+    assert all(sum(a * x for a, x in zip(row, point)) == 0 for row in rows)
 
 
 def _walk_refuted(m, max_levels=2):
