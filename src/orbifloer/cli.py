@@ -783,9 +783,9 @@ def _dispatch(args) -> int:
         sys.stdout.write(dump_json(cmd_conebasis(args.cone)))
         return 0
     if args.subcommand == "reproduce":
-        names = list(REPRODUCE) if args.all else ([args.name] if args.name else [])
-        if not names:
-            raise InputError("reproduce needs a name or --all")
+        if args.all == bool(args.name):
+            raise InputError("reproduce needs exactly one of a name and --all")
+        names = list(REPRODUCE) if args.all else [args.name]
         failed = []
         for name in names:
             text, ok = run_reproduce(name, write=args.write, seed=args.seed)
@@ -838,6 +838,8 @@ def _dispatch(args) -> int:
 
 def _check_region_flags(m, args) -> None:
     """InputError for a bad --u, --grid or --svg, before the region is built."""
+    if args.u is not None and args.grid is not None:
+        raise InputError("--grid writes a CSV and takes no --u query")
     if args.u is not None:
         _parse_u(args.u, m.dim)
     if args.grid is not None:

@@ -9,16 +9,17 @@ to print a system.  Solvability of the system over (C*)^n certifies the
 fiber.
 
 Everything up to the verdict is exact.  The one exact certifier is the
-linear pass at +-1 points, whose certificates have residual 0; the numeric
-search only ever produces SolvableCertified (re-verified residuals) or
-gives up.  Proven unsolvability comes from the single structural special
-case, a level that is one monomial (one row), whose derivative is again a
-monomial and therefore never zero on the torus.  Between the linear pass
-and the numeric palette, a level with a coloop in its own exponents (a
-lone row outside the span of the others) ends the solve without a search:
-such a system has no torus root, but its verdict stays unknown, with no
-proof text, until the benchmark gate accepts a proof that cites a level
-which is not a single monomial.
+linear pass at +-1 points, whose certificates have residual 0 and are
+checked in integers on the rows the pass solved; the numeric search only
+ever produces SolvableCertified (re-verified residuals) or gives up.  One
+structural test, a level with a coloop in its own exponents (a lone row
+outside the span of the others, _has_coloop), means no torus root.  On a
+level of one row, a single monomial whose derivative is again a monomial,
+it is a proof, run before the linear pass.  On the other levels it runs
+between the linear pass and the numeric palette and ends the solve without
+a search, but the verdict stays unknown, with no proof text, until the
+benchmark gate accepts a proof that cites a level which is not a single
+monomial.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .errors import SpanNeverFull
-from .lattice import back_substitute, column_hermite, echelon, rank_rational
+from .lattice import back_substitute, cleared, column_hermite, echelon, rank_rational
 from .potential import BulkParam, _EqData, _newton, companion_roots, far_apart, random_starts, sector_terms
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
@@ -328,11 +330,6 @@ def _symbol_assignments(lts: LeadingTermSystem) -> list:
 # zero set); Gaussian integers are (re, im) pairs of ints.
 
 
-def _common_denominator(values) -> int:
-    """Least positive common denominator of Gaussian rationals."""
-    return lcm(*(x.denominator for v in values for x in (v.re, v.im)))
-
-
 def _gaussian_int(v: QC, den: int) -> tuple:
     """den * v as (re, im) ints; den must be a common denominator of v."""
     return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
@@ -349,51 +346,12 @@ def _parity_rows(eq) -> tuple:
     for e, c in eq:
         const, lin = (c.const, c.lin) if isinstance(c, SymLin) else (c, ())
         terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), const, lin))
-    den = _common_denominator(v for _, const, lin in terms for v in (const, *(q for _, q in lin)))
+    values = [v for _, const, lin in terms for v in (const, *(q for _, q in lin))]
+    den = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
     return tuple(
         (mask, _gaussian_int(const, den), tuple((name, _gaussian_int(q, den)) for name, q in lin))
         for mask, const, lin in terms
     )
-
-
-def _integer_env(env) -> tuple:
-    """(den, {name: Gaussian integer}) for an exact symbol assignment."""
-    den = _common_denominator(env.values())
-    return den, {name: _gaussian_int(v, den) for name, v in env.items()}
-
-
-def _parity_table(rows, den: int, at: dict) -> tuple:
-    """Rows with the symbols set to at[name] / den, scaled by den and merged by
-    parity mask: ((mask, re, im), ...) with the zero sums dropped."""
-    sums: dict = {}
-    for mask, (re, im), lin in rows:
-        re *= den
-        im *= den
-        for name, (a, b) in lin:
-            x, y = at[name]
-            re += a * x - b * y
-            im += a * y + b * x
-        acc = sums.get(mask, (0, 0))
-        sums[mask] = (acc[0] + re, acc[1] + im)
-    return tuple((mask, re, im) for mask, (re, im) in sums.items() if re or im)
-
-
-def _vanishes(table, bits: int) -> bool:
-    """Whether the equation is zero where y_k = -1 for the set bits, +1 elsewhere."""
-    re = im = 0
-    for mask, a, b in table:
-        if (mask & bits).bit_count() & 1:
-            re -= a
-            im -= b
-        else:
-            re += a
-            im += b
-    return re == 0 and im == 0
-
-
-def _sign_bits(coords) -> int:
-    """Bit k set where coordinate k of a +-1 point is -1."""
-    return sum(1 << k for k, v in enumerate(coords) if v == -1)
 
 
 def _level_data(equations, own, vals, env) -> _EqData:
@@ -575,14 +533,15 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
     (back_substitute), and the first k that makes every symbol nonzero is
     taken: a symbol that is not identically zero on the solution space is
     a nonzero polynomial of degree <= f in k, so at most S * f values of k
-    fail.  The point is re-verified by parity sums.
+    fail.  The point, cleared of denominators, is checked in integers on
+    every real and imaginary row, the rows echelon eliminated included.
     """
     eqs = [eq for level in rows for eq in level]
     names = lts.symbols
     s = len(names)
     col = {name: j for j, name in enumerate(names)}
     for combo in itertools.product((1, -1), repeat=lts.n):
-        bits = _sign_bits(combo)
+        bits = sum(1 << k for k, y in enumerate(combo) if y == -1)
         system = []
         for eq in eqs:
             parts = ([0] * (s + 1), [0] * (s + 1))  # real and imaginary row
@@ -608,11 +567,10 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
                 break
         else:
             continue
-        env = {name: QC(v) for name, v in zip(names, values)}
-        den, at = _integer_env(env)
-        if all(_vanishes(_parity_table(eq, den, at), bits) for eq in eqs):
+        point = cleared([*values, 1])
+        if all(sum(map(mul, row, point)) == 0 for row in system):
             return Certificate(
-                tuple((name, env[name].to_complex()) for name in names),
+                tuple((name, QC(v).to_complex()) for name, v in zip(names, values)),
                 tuple(complex(c) for c in combo),
                 0.0,
                 True,
@@ -626,7 +584,8 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     The passes, in order, stop at the first verdict:
 
     1. Structural proof: a level that is a single monomial in its own
-       variables has a derivative that never vanishes on the torus.
+       variables (one row, a coloop by _has_coloop) has a derivative that
+       never vanishes on the torus.
     2. Linear pass: at each y in {+-1}^n the equations are linear in the
        free coefficients, and an exact solve over Q with every coefficient
        real and nonzero gives a residual-0 certificate
@@ -645,15 +604,12 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     believed; failure of the search is reported as unknown, never as a
     proof.
     """
-    # The one structural proof: a level that is a single monomial in its own
-    # variable(s).  Wider coloop patterns wait for _has_coloop after the
-    # linear pass, which reports them unknown, not proven.
+    # The one structural proof: a level of one row with a coloop, that is a
+    # single monomial in its own variables.  Wider coloop patterns wait for
+    # _has_coloop after the linear pass, which reports them unknown, not
+    # proven; running it on every level first would cost every solve.
     for li, lv in enumerate(lts.levels):
-        if (
-            len(lv.rows) == 1
-            and _never_zero(lv.rows[0][1])
-            and any(lv.rows[0][0][k] for k in lv.var_indices)
-        ):
+        if len(lv.rows) == 1 and _has_coloop(lv):
             return SolvabilityVerdict(
                 Solvability.UnsolvableProven,
                 proof=f"level {li + 1} is a single monomial; its derivative never vanishes on (C*)^n",

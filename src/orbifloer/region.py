@@ -59,7 +59,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import mul
 
 from .errors import InputError, TooManyScenarios
-from .lattice import back_substitute, clear, echelon, primitive, rank_rational
+from .lattice import back_substitute, clear, cleared, echelon, primitive, rank_rational
 from .ltsolver import (
     SolvabilityVerdict,
     Solvability,
@@ -102,15 +102,13 @@ class Constraint:
         return v > 0
 
 
-def _homogeneous(u) -> tuple:
-    """Integers (U_1, ..., U_n, D) with D > 0 and u = U / D.
+def _homogeneous(u) -> list:
+    """Integers [U_1, ..., U_n, D] with D > 0 and u = U / D.
 
     The sign of a condition at u is the sign of the dot product of its row
-    (coeffs..., const) with this tuple.
+    (coeffs..., const) with this list.
     """
-    u = [Fraction(x) for x in u]
-    d = math.lcm(*(x.denominator for x in u))
-    return (*(x.numerator * (d // x.denominator) for x in u), d)
+    return cleared([*map(Fraction, u), 1])
 
 
 def _row(c: Constraint) -> tuple:
@@ -681,9 +679,10 @@ def _piece_candidates(m: StackyModel):
 
     A prefix is tested once every facet digit is set, so the facet
     conditions are complete; from there each sector placed at a level
-    adds the one strict row ell_anchor - ell_nu, so an infeasible prefix
-    stays infeasible in every completion.  The test is exact integer FM
-    on the rows scenario_constraints emits.  The facet-complete node
+    adds the one strict row ell_anchor - ell_nu, the model's constraint
+    ("sector", a, i, l), so an infeasible prefix stays infeasible in every
+    completion.  The test is exact integer FM on the rows
+    scenario_constraints emits.  The facet-complete node
     builds their system once (_system); a sector child substitutes its one
     new row and folds it into a copy of its parent's binding table
     (_fold), and solves (_solve) only when the row is not positive at its
@@ -705,8 +704,8 @@ def _piece_candidates(m: StackyModel):
     (equality pivots, binding table) of its rows, which a leaf hands to
     scenario_region.
     """
-    facet, sector = _model_rows(m)
-    nf, n = len(facet), len(facet) + len(sector)
+    constraints = _model_constraints(m)
+    nf, n = len(m.facets), len(m.facets) + len(enumerate_box(m))
 
     def grow(tree, digits, state, ctx):
         p = len(digits)
@@ -733,7 +732,8 @@ def _piece_candidates(m: StackyModel):
             return ctx  # a sector left out adds no condition
         else:
             (subs, table), anchors, w = ctx
-            row = [a - b for a, b in zip(facet[anchors[digits[-1] - 1]], sector[p - 1 - nf])]
+            l = digits[-1] - 1
+            row = _row(constraints["sector", anchors[l], p - 1 - nf, l])
             table = dict(table)
             if not _fold(table, _substitute(row, subs)):
                 return None
@@ -793,34 +793,31 @@ def query_point(r: FiberRegion, u) -> QueryReport:
     return QueryReport(uu, bool(matches), matches)
 
 
-def _tighten(bound, closed, v, cl, is_lower):
-    # fold one endpoint candidate into the running (bound, closed) pair
-    if bound is None or (v > bound if is_lower else v < bound):
-        return v, cl
-    if v == bound:
-        return bound, closed and cl
-    return bound, closed
-
-
 def _piece_interval(p: RegionPiece, closed: bool):
-    # exact endpoint data (lo, lo_closed, hi, hi_closed) of a 1-d piece
-    lo = hi = None
-    lo_c = hi_c = False
+    """Exact endpoints (lo, lo_closed, hi, hi_closed) of a 1-d piece.
+
+    A condition a*u + const REL 0 reaches -const/a from below when it is an
+    equality or a > 0, and from above when it is an equality or a < 0.  lo
+    is the largest lower bound and hi the smallest upper bound (None without
+    one).  An endpoint is closed when every condition that reaches it is an
+    equality or, in closure mode, not of kind "interior".
+    """
+    lower, upper = [], []
     for c in p.polyhedron.equalities + p.polyhedron.inequalities:
         a = c.coeffs[0]
         if a == 0:
             continue  # constant condition, already feasible
-        v = Fraction(-c.const, a)
-        if c.rel == "==":
-            lo, lo_c = _tighten(lo, lo_c, v, True, True)
-            hi, hi_c = _tighten(hi, hi_c, v, True, False)
-            continue
-        cl = closed and c.kind != "interior"
-        if a > 0:
-            lo, lo_c = _tighten(lo, lo_c, v, cl, True)
-        else:
-            hi, hi_c = _tighten(hi, hi_c, v, cl, False)
-    return lo, lo_c, hi, hi_c
+        bound = Fraction(-c.const, a), c.rel == "==" or (closed and c.kind != "interior")
+        if c.rel == "==" or a > 0:
+            lower.append(bound)
+        if c.rel == "==" or a < 0:
+            upper.append(bound)
+
+    def endpoint(bounds, pick):
+        v = pick((v for v, _ in bounds), default=None)
+        return v, v is not None and all(cl for w, cl in bounds if w == v)
+
+    return (*endpoint(lower, max), *endpoint(upper, min))
 
 
 def interval_union(r: FiberRegion) -> list:
@@ -853,10 +850,6 @@ def interval_union(r: FiberRegion) -> list:
     return merged
 
 
-def _equality_rank(eqs):
-    return rank_rational([list(c.coeffs) for c in eqs]) if eqs else 0
-
-
 def piece_geometry(p: RegionPiece, dim: int):
     """Closed-piece drawing data for 2-d models.
 
@@ -870,7 +863,7 @@ def piece_geometry(p: RegionPiece, dim: int):
     eqs = p.polyhedron.equalities
     ineqs = p.polyhedron.inequalities
     w = p.polyhedron.witness
-    rank = _equality_rank(eqs)
+    rank = rank_rational([c.coeffs for c in eqs])
     if rank >= 2:
         return ("point", (w,))
     if rank == 1:

@@ -66,8 +66,8 @@ class StackyModel:
     cones: tuple  # SimplicialCone per vertex, facet_indices recorded
 
     def __hash__(self):
-        # the model keys the per-model caches (enumerate_box, region._model_rows),
-        # thousands of lookups per region: hash its nested tuples once
+        # the model keys the per-model caches (enumerate_box, region's constraint
+        # table), thousands of lookups per region: hash its nested tuples once
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.dim, self.facets, self.vertices, self.cones))

@@ -662,6 +662,22 @@ def test_discs_takes_no_bulk_file(capsys):
     assert json.loads(err)["error"] == "ArgumentError"
 
 
+def test_region_refuses_a_query_beside_a_grid(capsys, monkeypatch):
+    # the grid CSV once came out and the query was dropped
+    monkeypatch.setattr(cli, "nondisplaceable_region", lambda *a, **k: pytest.fail("region built"))
+    code, out, err = run(capsys, "region", "--preset", "teardrop:3", "--u", "1/4", "--grid", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_reproduce_refuses_a_name_beside_all(capsys, monkeypatch):
+    # an unknown name beside --all once ran the whole suite and exited 0
+    monkeypatch.setattr(cli, "run_reproduce", lambda *a, **k: pytest.fail("suite ran"))
+    code, out, err = run(capsys, "reproduce", "no-such-case", "--all")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
 def test_reproduce_matches_committed(capsys):
     code, out, err = run(capsys, "reproduce", "teardrop-a3")
     assert code == 0, err

@@ -18,16 +18,12 @@ from orbifloer.ltsolver import (
     _distinct_roots,
     _has_coloop,
     _float_certificate,
-    _integer_env,
     _level_data,
     _linear_certificate,
     _parity_rows,
-    _parity_table,
     _Search,
-    _sign_bits,
     _starts,
     _symbol_assignments,
-    _vanishes,
     build_lts,
     lts_signature,
     scenario_stratification,
@@ -308,6 +304,27 @@ def test_linear_certificate_reads_gaussian_coefficients():
     assert oracles.eval_exact(lts.levels[0].equations[0], (1,), {"a": QC(-2)}).is_zero()
 
 
+def test_linear_certificate_checks_its_solved_point(monkeypatch):
+    # a wp:1,2,2 leaf certified at y = (1, 1), c0 = 1: with every pivot
+    # solved one off, no sign pattern passes the check on its rows
+    from orbifloer import ltsolver, region
+
+    m = build_model("wp:1,2,2")
+    level = (("facet", 1), ("facet", 2), ("sector", 0))
+    lts = region.scenario_lts(m, region.Scenario(0, (level,), (), ()))
+    rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
+    cert = _linear_certificate(lts, rows)
+    assert cert.exact and cert.y == (1, 1) and cert.symbol_values == (("c0", 1),)
+    solved = ltsolver.back_substitute
+
+    def one_off(reduced, pivots, values):
+        x = solved(reduced, pivots, values)
+        return [v + 1 if j in pivots else v for j, v in enumerate(x)]
+
+    monkeypatch.setattr(ltsolver, "back_substitute", one_off)
+    assert _linear_certificate(lts, rows) is None
+
+
 def test_float_certificate_rejects_a_root_drifted_toward_zero():
     # the system of one fiber-probe lte request: its numeric search once
     # ended at y = (1, -6.8e-8 + 1.7e-8i), where the scaled residual is
@@ -457,8 +474,14 @@ def test_solve_deterministic():
 
 
 def parity_vanishes(p, env, y):
-    den, at = _integer_env(env)
-    return _vanishes(_parity_table(_parity_rows(_terms(p)), den, at), _sign_bits(y))
+    # the compiled rows summed at y as the linear pass sums them: a row enters
+    # with the sign of the parity of its mask at the -1 coordinates of y
+    bits = sum(1 << k for k, v in enumerate(y) if v == -1)
+    total = QC(0)
+    for mask, const, lin in _parity_rows(_terms(p)):
+        value = QC(*const) + sum((QC(*q) * env[name] for name, q in lin), QC(0))
+        total += -value if (mask & bits).bit_count() & 1 else value
+    return total.is_zero()
 
 
 gaussian = st.builds(

@@ -696,6 +696,43 @@ def test_piece_geometry_matches_all_pairs_oracle(preset):
         assert piece_geometry(p, 2) == oracles.piece_geometry_all_pairs(p)
 
 
+def feasible_polyhedra(presets, max_levels):
+    for preset, k in itertools.product(presets, max_levels):
+        m = build_model(preset)
+        for s in enumerate_scenarios(m, k):
+            poly = scenario_region(m, s)
+            if poly is not None:
+                yield s, poly
+
+
+def test_piece_interval_endpoints_are_tight():
+    # every feasible scenario polyhedron of five 1-d models, in both closure
+    # modes: lo and hi are the piece's own endpoints, and each is closed
+    # exactly when the piece holds it
+    presets = ["teardrop:2", "teardrop:3", "teardrop:7", "interval:1,1", "interval:2,3"]
+    cases = 0
+    for (s, poly), closed in itertools.product(feasible_polyhedra(presets, (1, 2)), (True, False)):
+        piece = region.RegionPiece(s, poly, None)
+        lo, lo_closed, hi, hi_closed = region._piece_interval(piece, closed)
+        # half the least gap between the conditions' boundaries and the
+        # endpoints: no other boundary lies within delta of lo or of hi
+        conditions = poly.equalities + poly.inequalities
+        ends = {Fraction(-c.const, c.coeffs[0]) for c in conditions if c.coeffs[0]}
+        ends = sorted(ends | {lo, hi})
+        delta = min((b - a for a, b in zip(ends, ends[1:])), default=2) / 2
+        assert not poly.contains((lo - delta,), True)
+        assert not poly.contains((hi + delta,), True)
+        if lo < hi:
+            assert poly.contains((lo + delta,)) and poly.contains((hi - delta,))
+            assert lo_closed == poly.contains((lo,), closed)
+            assert hi_closed == poly.contains((hi,), closed)
+        else:
+            assert lo == hi
+            assert (lo_closed and hi_closed) == poly.contains((lo,), closed)
+        cases += 1
+    assert cases == 948
+
+
 def test_region_teardrop_interval():
     m = build_model("teardrop:3")
     r = nondisplaceable_region(m)
