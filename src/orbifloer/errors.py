@@ -49,9 +49,5 @@ class SpanNeverFull(OrbifloerError):
     """Finite-energy generators never span the ambient space."""
 
 
-class NonLinearSymbolic(OrbifloerError):
-    """Symbolic coefficient arithmetic left the degree <= 1 regime."""
-
-
 class InputError(OrbifloerError):
     """Malformed user input (CLI or JSON)."""

@@ -286,23 +286,18 @@ def _never_zero(coeff) -> bool:
 def _has_coloop(lv: LtsLevel) -> bool:
     """Whether a level has a coloop in its own variables, so no root on the torus.
 
-    The rows are grouped by their exponent in the level's own variables,
-    the zero exponent dropped.  A group of one row whose coefficient is
-    never zero is a coloop when its exponent b leaves the rational span of
-    the other groups' exponents.  A functional that is 1 at b and 0 on
-    that span, applied to the equations y_i d/dy_i, leaves that row's
-    weight c y^a = 0, which no torus point meets.  A group of several rows
-    is no coloop: their summed weight can vanish at some lower root.
+    A row is a coloop when its coefficient is never zero and dropping it
+    lowers the rank of the level's exponents in its own variables, as in
+    the region walk's _SpanTree.coloop_leaf.  A functional that is 1 at the
+    row's own exponent b and 0 on the others' span, applied to the
+    equations y_i d/dy_i, leaves that row's weight c y^a = 0, which no
+    torus point meets.  A zero or shared own exponent never lowers the rank.
     """
-    groups: dict = {}
-    for a, c in lv.rows:
-        own = tuple(a[k] for k in lv.var_indices)
-        if any(own):
-            groups.setdefault(own, []).append(c)
-    full = rank_rational(list(groups))
+    own = [tuple(a[k] for k in lv.var_indices) for a, _ in lv.rows]
+    full = rank_rational(own)
     return any(
-        len(cs) == 1 and _never_zero(cs[0]) and rank_rational([b for b in groups if b != a]) < full
-        for a, cs in groups.items()
+        _never_zero(c) and rank_rational(own[:i] + own[i + 1 :]) < full
+        for i, (_, c) in enumerate(lv.rows)
     )
 
 

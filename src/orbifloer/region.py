@@ -793,39 +793,50 @@ def query_point(r: FiberRegion, u) -> QueryReport:
     return QueryReport(uu, bool(matches), matches)
 
 
-def _piece_interval(p: RegionPiece, closed: bool):
-    """Exact endpoints (lo, lo_closed, hi, hi_closed) of a 1-d piece.
+def _clip(p: RegionPiece, base, d, closed: bool = True):
+    """Exact (lo, lo_closed, hi, hi_closed), in t, of a piece on the line base + t*d.
 
-    A condition a*u + const REL 0 reaches -const/a from below when it is an
-    equality or a > 0, and from above when it is an equality or a < 0.  lo
-    is the largest lower bound and hi the smallest upper bound (None without
-    one).  An endpoint is closed when every condition that reaches it is an
-    equality or, in closure mode, not of kind "interior".
+    A condition with a = coeffs.d != 0 meets the line at t = -value(base)/a,
+    one Fraction of an integer dot product with the homogeneous base
+    (value() in Fractions is 3x slower).  It bounds t from below when it is
+    an equality or a > 0, and from above when it is an equality or a < 0;
+    one with a = 0 is parallel and skipped.  lo is the largest lower bound
+    and hi the smallest upper bound; an end is closed when every condition
+    that reaches it is an equality or, in closure mode, not of kind
+    "interior".  A piece holds the interior rows of a compact polytope, so
+    every line meets bounds on both sides.
     """
+    hb = _homogeneous(base)
     lower, upper = [], []
     for c in p.polyhedron.equalities + p.polyhedron.inequalities:
-        a = c.coeffs[0]
+        a = sum(map(mul, c.coeffs, d))
         if a == 0:
-            continue  # constant condition, already feasible
-        bound = Fraction(-c.const, a), c.rel == "==" or (closed and c.kind != "interior")
+            continue
+        t = Fraction(-sum(map(mul, _row(c), hb)), hb[-1] * a)
+        bound = t, c.rel == "==" or (closed and c.kind != "interior")
         if c.rel == "==" or a > 0:
             lower.append(bound)
         if c.rel == "==" or a < 0:
             upper.append(bound)
 
     def endpoint(bounds, pick):
-        v = pick((v for v, _ in bounds), default=None)
-        return v, v is not None and all(cl for w, cl in bounds if w == v)
+        v = pick(v for v, _ in bounds)
+        return v, all(cl for w, cl in bounds if w == v)
 
     return (*endpoint(lower, max), *endpoint(upper, min))
+
+
+def _piece_interval(p: RegionPiece, closed: bool):
+    """Exact endpoints (lo, lo_closed, hi, hi_closed) of a 1-d piece: its clip of the u-axis."""
+    return _clip(p, (0,), (1,), closed)
 
 
 def interval_union(r: FiberRegion) -> list:
     """Merged 1-d picture of the region: [(lo, lo_closed, hi, hi_closed)].
 
     Only for 1-dimensional models.  Endpoint openness follows the
-    region's closure flag.  None endpoints cannot occur (the polytope is
-    compact and interiority is part of every piece).
+    region's closure flag.  No piece is empty: its witness holds the strict
+    rows strictly, so a one-point piece is closed at both ends.
     """
     if r.model.dim != 1:
         raise ValueError("interval_union needs a 1-dimensional model")
@@ -835,8 +846,6 @@ def interval_union(r: FiberRegion) -> list:
     )
     merged: list = []
     for lo, lo_c, hi, hi_c in ivs:
-        if hi < lo or (hi == lo and not (lo_c and hi_c)):
-            continue  # closure-off degenerate piece, empty as an interval
         if merged:
             plo, plo_c, phi, phi_c = merged[-1]
             if lo < phi or (lo == phi and (lo_c or phi_c)):
@@ -869,33 +878,19 @@ def piece_geometry(p: RegionPiece, dim: int):
     if rank == 1:
         g = next(c.coeffs for c in eqs if any(c.coeffs))
         d = (-g[1], g[0])  # direction along the equality line
-        hw = _homogeneous(w)
-        tmin, tmax = None, None
-        for c in ineqs:
-            a = sum(ci * di for ci, di in zip(c.coeffs, d))
-            if a == 0:
-                continue
-            t = Fraction(-sum(map(mul, _row(c), hw)), hw[-1] * a)
-            if a > 0:
-                tmin = t if tmin is None else max(tmin, t)
-            else:
-                tmax = t if tmax is None else min(tmax, t)
-        assert tmin is not None and tmax is not None, "piece line must be clipped by P"
-        a_pt = tuple(wi + tmin * di for wi, di in zip(w, d))
-        b_pt = tuple(wi + tmax * di for wi, di in zip(w, d))
-        if a_pt == b_pt:
-            return ("point", (a_pt,))
-        return ("segment", (a_pt, b_pt))
-    return _polygon(_binding(map(_row, ineqs))) or ("point", (w,))
+        tmin, _, tmax, _ = _clip(p, w, d)
+        return ("segment", tuple(tuple(wi + t * di for wi, di in zip(w, d)) for t in (tmin, tmax)))
+    return _polygon(_binding(map(_row, ineqs)))
 
 
 @lru_cache(maxsize=1024)
 def _polygon(rows: frozenset):
-    """Closed geometry of the binding rows of a 2-d piece, None without a vertex.
+    """Closed polygon of the binding rows of a 2-d piece of rank 0.
 
     A vertex meets two non-parallel binding rows and satisfies all of them;
     a dominated parallel row carries no vertex and cuts none off, so the
-    binding rows give the same vertices as all of a piece's rows.
+    binding rows give the same vertices as all of a piece's rows.  A piece
+    holds an open disc about its witness, so it has three vertices or more.
     """
     pts = set()
     for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
@@ -908,10 +903,6 @@ def _polygon(rows: frozenset):
         if all(sum(map(mul, r, hv)) >= 0 for r in rows):
             pts.add((Fraction(x, det), Fraction(y, det)))
     pts = sorted(pts)
-    if len(pts) < 3:
-        if len(pts) == 2:
-            return ("segment", tuple(pts))
-        return ("point", (pts[0],)) if pts else None
     cx = sum(x for x, _ in pts) / len(pts)
     cy = sum(y for _, y in pts) / len(pts)
     ordered = sorted(pts, key=lambda q: math.atan2(float(q[1] - cy), float(q[0] - cx)))

@@ -2,9 +2,11 @@
 
 A Novikov scalar is a finite formal sum  a_1*T^{q_1} + ... + a_k*T^{q_k}
 with strictly increasing exact rational exponents.  Coefficients are exact
-Gaussian rationals, or degree-one polynomials in named symbols (used for
-free bulk coefficients; products of two symbols are refused).  Laurent
-polynomials in y1..yn over these scalars carry the potentials.
+Gaussian rationals (QC) or degree-one polynomials in named symbols
+(SymLin, for free bulk coefficients).  Laurent polynomials in y1..yn over
+these scalars carry the potentials.  Scalars and polynomials offer sums,
+integer multiples of a scalar, the log derivative y_i d/dy_i, complex
+evaluation and rendering: what the potentials and the solver use.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import NonLinearSymbolic, ZeroCoordinate
+from .errors import ZeroCoordinate
 
 
 class QC:
@@ -144,32 +146,12 @@ def c_add(a, b):
     return SymLin(a.const + b.const, a.lin + b.lin)
 
 
-def c_neg(a):
+def c_mul(a, k: int):
+    """The integer multiple k*a, without a QC made of k."""
     a = coeff_of(a)
     if isinstance(a, QC):
-        return -a
-    return SymLin(-a.const, tuple((n, -c) for n, c in a.lin))
-
-
-def c_mul(a, b):
-    a = coeff_of(a)
-    if isinstance(b, int):  # an integer multiple, without a QC made of b
-        if isinstance(a, QC):
-            return a * b
-        return SymLin(a.const * b, tuple((n, c * b) for n, c in a.lin))
-    b = coeff_of(b)
-    if isinstance(a, QC) and isinstance(b, QC):
-        return a * b
-    if isinstance(a, SymLin) and isinstance(b, SymLin):
-        if a.is_constant():
-            a = a.const
-        elif b.is_constant():
-            b = b.const
-        else:
-            raise NonLinearSymbolic("product of two symbolic coefficients")
-    if isinstance(a, QC):
-        a, b = b, a  # now a is the SymLin
-    return SymLin(a.const * b, tuple((n, c * b) for n, c in a.lin))
+        return a * k
+    return SymLin(a.const * k, tuple((n, c * k) for n, c in a.lin))
 
 
 def c_is_zero(a) -> bool:
@@ -210,30 +192,14 @@ class NovikovScalar:
     def of(coeff, exponent=0) -> "NovikovScalar":
         return NovikovScalar(((Fraction(exponent), coeff_of(coeff)),))
 
-    @staticmethod
-    def zero() -> "NovikovScalar":
-        return NovikovScalar()
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, o):
         return NovikovScalar(self.terms + o.terms)
 
-    def __neg__(self):
-        return NovikovScalar(tuple((q, c_neg(c)) for q, c in self.terms))
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        if isinstance(o, NovikovScalar):
-            return NovikovScalar(
-                tuple((q1 + q2, c_mul(c1, c2)) for q1, c1 in self.terms for q2, c2 in o.terms)
-            )
-        return NovikovScalar(tuple((q, c_mul(c, o)) for q, c in self.terms))
-
-    __rmul__ = __mul__
+    def __mul__(self, k: int):
+        return NovikovScalar(tuple((q, c_mul(c, k)) for q, c in self.terms))
 
     def __eq__(self, o):
         return isinstance(o, NovikovScalar) and self.terms == o.terms
@@ -302,25 +268,6 @@ class LaurentPoly:
         if self.n != o.n:
             raise ValueError("mixed ambient dimensions")
         return LaurentPoly(self.n, tuple(self._terms.items()) + tuple(o._terms.items()))
-
-    def __neg__(self):
-        return LaurentPoly(self.n, tuple((e, -s) for e, s in self._terms.items()))
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        if isinstance(o, LaurentPoly):
-            if self.n != o.n:
-                raise ValueError("mixed ambient dimensions")
-            out = []
-            for e1, s1 in self._terms.items():
-                for e2, s2 in o._terms.items():
-                    out.append((tuple(a + b for a, b in zip(e1, e2)), s1 * s2))
-            return LaurentPoly(self.n, out)
-        return LaurentPoly(self.n, tuple((e, s * o) for e, s in self._terms.items()))
-
-    __rmul__ = __mul__
 
     def log_derivative(self, i: int) -> "LaurentPoly":
         """y_i * d/dy_i: same supports, coefficients scaled by e_i."""

@@ -523,7 +523,7 @@ def test_parity_table_agrees_with_eval_exact(case):
     value = oracles.eval_exact(p, yq, env)
     assert parity_vanishes(p, env, y) == value.is_zero()
     # shifted to vanish at y, so both outcomes are exercised
-    q = p - LaurentPoly.monomial((0,) * p.n, NovikovScalar.of(value))
+    q = p + LaurentPoly.monomial((0,) * p.n, NovikovScalar.of(value * -1))
     assert oracles.eval_exact(q, yq, env).is_zero()
     assert parity_vanishes(q, env, y)
 
@@ -852,6 +852,44 @@ def test_has_coloop_matches_the_oracle_at_seeded_fibers():
             monomial = any(len(lv.rows) == 1 for lv in lts.levels)
             seen[hit, monomial] = seen.get((hit, monomial), 0) + 1
     assert seen.get((True, False)) and seen.get((False, False)), seen
+
+
+# coefficients that are never zero (constants, bare symbols) and symbolic
+# sums that can vanish; none is zero, since the oracle reads lv.poly
+never_zero = st.one_of(
+    st.builds(QC, st.sampled_from([1, -1, 2, Fraction(1, 2)]), st.sampled_from([0, 1])),
+    st.sampled_from(["c0", "c1"]).map(SymLin.symbol),
+)
+can_vanish = st.builds(
+    SymLin,
+    st.sampled_from([0, 1, -2]),
+    st.lists(
+        st.tuples(st.sampled_from(["c0", "c1"]), st.sampled_from([1, -1])),
+        min_size=1, max_size=2, unique_by=lambda t: t[0],
+    ),
+).filter(lambda c: not (c.const.is_zero() and len(c.lin) == 1))
+
+
+@st.composite
+def coloop_levels(draw):
+    # one level with 1-3 own variables after 0-2 lower ones; own exponents
+    # from a small set, so that rows share them or have them zero
+    lower, own = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-1, 1)] * lower, *[st.sampled_from([0, 1, -1, 2])] * own)
+    rows = draw(
+        st.lists(
+            st.tuples(exps, st.one_of(never_zero, can_vanish)),
+            min_size=1, max_size=5, unique_by=lambda t: t[0],
+        )
+    )
+    rows = tuple(sorted(rows, key=lambda t: t[0]))
+    return _system(lower + own, (rows, tuple(range(lower, lower + own))))
+
+
+@given(coloop_levels())
+@settings(max_examples=300, deadline=None)
+def test_has_coloop_matches_the_oracle_on_random_levels(lts):
+    assert _has_coloop(lts.levels[0]) == oracles.coloop_refutes(lts)
 
 
 def test_has_coloop_finds_none_on_region_leaves(monkeypatch):

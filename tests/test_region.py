@@ -689,10 +689,17 @@ def test_region_equal_with_warm_and_cold_memos():
     assert region._polygon.cache_info().misses == misses[1]
 
 
-@pytest.mark.parametrize("preset", ["square:2,2,1,1", "wp:1,3,5", "wp:1,3,7"])
+@pytest.mark.parametrize("preset", ["square:2,2,1,1", "wp:1,3,5", "wp:1,3,7", "wp:1,2,2", "wp:1,1,3"])
 def test_piece_geometry_matches_all_pairs_oracle(preset):
-    r = nondisplaceable_region(build_model(preset))
-    for p in r.pieces:
+    # the certified pieces of wp:1,3,7, and every feasible scenario
+    # polyhedron of the smaller models at one and two levels; the oracle
+    # keeps its degenerate branches, so a degenerate piece would mismatch
+    if preset == "wp:1,3,7":
+        pieces = nondisplaceable_region(build_model(preset)).pieces
+    else:
+        pieces = [region.RegionPiece(s, poly, None) for s, poly in feasible_polyhedra([preset], (1, 2))]
+    assert pieces
+    for p in pieces:
         assert piece_geometry(p, 2) == oracles.piece_geometry_all_pairs(p)
 
 

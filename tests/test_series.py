@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbifloer import series
-from orbifloer.errors import NonLinearSymbolic, ZeroCoordinate
+from orbifloer.errors import ZeroCoordinate
 from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -21,45 +21,38 @@ def scalars():
     ).map(NovikovScalar)
 
 
-@given(scalars(), scalars(), scalars())
+multiples = st.integers(-4, 4)
+
+
+@given(scalars(), scalars(), scalars(), multiples, multiples)
 @settings(max_examples=100, deadline=None)
-def test_scalar_ring_axioms(a, b, c):
+def test_scalar_ring_axioms(a, b, c, j, k):
+    # the additive group and its integer multiples, the operations scalars offer
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + NovikovScalar.zero() == a
-    assert a * NovikovScalar.of(1) == a
-    assert (a - a).is_zero()
+    assert a + NovikovScalar() == a
+    assert (a + b) * k == a * k + b * k
+    assert a * (j + k) == a * j + a * k
+    assert (a * j) * k == a * (j * k)
+    assert a * 1 == a
+    assert (a * 0).is_zero() and (a + a * -1).is_zero()
 
 
-@given(scalars(), scalars())
+@given(scalars(), scalars(), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
-def test_valuation_inequalities(a, b):
+def test_valuation_inequalities(a, b, k):
     va, vb = oracles.valuation(a), oracles.valuation(b)
     assert oracles.valuation(a + b) >= min(va, vb)
-    if a.is_zero() or b.is_zero():
-        assert oracles.valuation(a * b) == inf
-    else:
-        assert oracles.valuation(a * b) == va + vb
+    assert oracles.valuation(a * k) == oracles.valuation(a * -k) == va
     # the leading coefficient sits at the valuation
     if not a.is_zero():
         assert a.terms[0][0] == va and not a.terms[0][1].is_zero()
 
 
 def test_valuation_and_membership():
-    assert oracles.valuation(NovikovScalar.zero()) == inf
+    assert oracles.valuation(NovikovScalar()) == inf
     s = NovikovScalar.of(3, Fraction(1, 2)) + NovikovScalar.of(QC(0, 1), 2)
     assert oracles.valuation(s) == Fraction(1, 2) and s.terms[0][1] == QC(3)
-
-
-def test_symbolic_degree_cap():
-    c = NovikovScalar.of(SymLin.symbol("c1"))
-    with pytest.raises(NonLinearSymbolic):
-        _ = c * c
-    # multiplying by constants stays legal
-    assert not (c * 3).is_zero()
 
 
 def test_symlin_merges_repeated_names():
@@ -92,21 +85,27 @@ def polys(n):
 @given(polys(2), polys(2), polys(2))
 @settings(max_examples=60, deadline=None)
 def test_poly_ring_axioms(p, q, r):
+    # the additive group, the one operation polynomials offer
     assert p + q == q + p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert (p - p).is_zero()
+    assert (p + q) + r == p + (q + r)
+    assert p + LaurentPoly.zero(2) == p
 
 
-@given(polys(2))
+def shifted(p, b, k=1):
+    """k * y^b * p, built term by term."""
+    return LaurentPoly(p.n, [(tuple(x + y for x, y in zip(e, b)), s * k) for e, s in p.terms()])
+
+
+@given(polys(2), polys(2), exponent_vectors(2))
 @settings(max_examples=60, deadline=None)
-def test_derivative_is_linear_and_leibniz(p):
-    q = LaurentPoly.monomial((1, -2), NovikovScalar.of(3, Fraction(1, 2)))
+def test_derivative_is_linear_and_leibniz(p, q, b):
     for i in range(2):
-        lhs = oracles.partial_derivative(p * q, i)
-        rhs = oracles.partial_derivative(p, i) * q + p * oracles.partial_derivative(q, i)
-        assert lhs == rhs
-        assert p.log_derivative(i) == LaurentPoly.monomial((1 if i == 0 else 0, 1 if i == 1 else 0), 1) * oracles.partial_derivative(p, i)
+        unit = tuple(int(j == i) for j in range(2))
+        # y_i d/dy_i is y_i times the oracle's d/dy_i
+        assert p.log_derivative(i) == shifted(oracles.partial_derivative(p, i), unit)
+        assert (p + q).log_derivative(i) == p.log_derivative(i) + q.log_derivative(i)
+        # Leibniz with a monomial factor y^b, whose log derivative is b_i * y^b
+        assert shifted(p, b).log_derivative(i) == shifted(p.log_derivative(i), b) + shifted(p, b, b[i])
 
 
 def test_eval_paths_agree():
