@@ -801,7 +801,7 @@ def _dispatch(args) -> int:
         sys.stdout.write(dump_json(cmd_box(m)))
         return 0
     if args.subcommand == "region":
-        _check_region_flags(m, args)
+        u = _check_region_flags(m, args)
         r = nondisplaceable_region(
             m, max_levels=args.max_levels, closure=args.closure, seed=args.seed
         )
@@ -813,7 +813,6 @@ def _dispatch(args) -> int:
         if args.grid is not None:
             region_grid_csv(r, args.grid, sys.stdout)
         else:
-            u = None if args.u is None else _parse_u(args.u, m.dim)
             sys.stdout.write(dump_json(cmd_region(r, u)))
         return 0
 
@@ -836,12 +835,11 @@ def _dispatch(args) -> int:
     return 0
 
 
-def _check_region_flags(m, args) -> None:
-    """InputError for a bad --u, --grid or --svg, before the region is built."""
+def _check_region_flags(m, args) -> tuple | None:
+    """Parsed --u (or None), before the region is built; InputError for a bad flag."""
     if args.u is not None and args.grid is not None:
         raise InputError("--grid writes a CSV and takes no --u query")
-    if args.u is not None:
-        _parse_u(args.u, m.dim)
+    u = None if args.u is None else _parse_u(args.u, m.dim)
     if args.grid is not None:
         _check_grid(args.grid)
     if args.svg is not None:
@@ -849,6 +847,7 @@ def _check_region_flags(m, args) -> None:
             raise InputError(f"--svg draws models of dimension 1 or 2, not {m.dim}")
         if not Path(args.svg).parent.is_dir():
             raise InputError(f"--svg {args.svg!r} is not in an existing directory")
+    return u
 
 
 def _merge_dash_values(argv: list) -> list:

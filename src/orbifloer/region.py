@@ -45,8 +45,9 @@ on their key alone.
 
 query_point reads a region through its row index (FiberRegion.row_index),
 built once on the first query: the region's constraints are a few dozen
-distinct integer rows shared by all its pieces, so each row is evaluated
-once per point and each piece is decided by bit masks over those rows.
+distinct integer rows shared by all its pieces, the model's facet rows
+first.  Each row is evaluated once per point, and the sign of its value
+rules out a set of pieces, held as the bits of one int.
 """
 
 from __future__ import annotations
@@ -167,31 +168,32 @@ class FiberRegion:
 
     @cached_property
     def row_index(self) -> tuple:
-        """(rows, masks), the region's constraints as query_point reads them.
+        """(rows, forbid), the region's constraints as query_point reads them.
 
-        rows holds every distinct integer row (coeffs..., const) of the
-        pieces' equalities and inequalities.  masks holds one int per piece
-        with three fields of len(rows) bits, lowest first: the piece's
-        equality rows, its always-strict rows and its rows that may be zero
-        (an inequality that is not "interior", in closure mode).  A row may
-        sit in more than one field.  Built on first use, so a region made
-        by replace() builds its own.
+        rows holds the model's facet rows (distinct: build_model refuses a
+        repeated facet), then every other distinct integer row (coeffs...,
+        const) of the pieces.  forbid[k] holds three ints, bit i for piece
+        i: the pieces row k rules out at a negative, zero and positive
+        value.  An equality rules a piece out at negative and positive
+        values, an always-strict row at negative and zero, and a row that
+        may be zero (an inequality not of kind "interior", in closure mode)
+        at negative values only.  Built on first use, so a region made by
+        replace() builds its own.
         """
-        ids: dict = {}
-        fields = []
-        for p in self.pieces:
-            eq = strict = soft = 0
-            for c in p.polyhedron.equalities:
-                eq |= 1 << ids.setdefault(_row(c), len(ids))
-            for c in p.polyhedron.inequalities:
-                bit = 1 << ids.setdefault(_row(c), len(ids))
-                if self.closure and c.kind != "interior":
-                    soft |= bit
-                else:
-                    strict |= bit
-            fields.append((eq, strict, soft))
-        n = len(ids)
-        return tuple(ids), tuple(eq | strict << n | soft << 2 * n for eq, strict, soft in fields)
+        forbid = {row: [0, 0, 0] for row in _model_rows(self.model)[0]}
+        signs_of: dict = {}  # pieces share Constraint objects: each is read once
+        for i, p in enumerate(self.pieces):
+            bit = 1 << i
+            for c in p.polyhedron.equalities + p.polyhedron.inequalities:
+                hit = signs_of.get(id(c))
+                if hit is None:
+                    soft = self.closure and c.kind != "interior"
+                    signs = (0, 2) if c.rel == "==" else (0,) if soft else (0, 1)
+                    hit = signs_of[id(c)] = forbid.setdefault(_row(c), [0, 0, 0]), signs
+                f, signs = hit
+                for s in signs:
+                    f[s] |= bit
+        return tuple(forbid), tuple(map(tuple, forbid.values()))
 
 
 @dataclass(frozen=True)
@@ -766,30 +768,27 @@ def query_point(r: FiberRegion, u) -> QueryReport:
 
     Points outside the open moment polytope carry no torus fiber, so they
     are reported as non-members rather than rejected; a point with the
-    wrong number of coordinates raises InputError.  Each distinct row of
-    the region's row index is evaluated once, exactly, and a piece matches
-    when its equality rows are zero, its strict rows positive and its
-    other rows positive or zero.
+    wrong number of coordinates raises InputError.  Each row of the row
+    index is evaluated once, in integers: a facet row at or below zero ends
+    the query with interior=False, and the pieces no row rules out
+    (FiberRegion.row_index) are the matches, in r.pieces order.
     """
     uu = tuple(Fraction(x) for x in u)
     if len(uu) != r.model.dim:
         raise InputError(f"u has {len(uu)} coordinates, model has dimension {r.model.dim}")
-    if not r.model.is_interior(uu):
-        return QueryReport(uu, False, (), interior=False)
     hu = _homogeneous(uu)
-    rows, masks = r.row_index
-    pos = zero = 0
-    for k, row in enumerate(rows):
+    rows, forbid = r.row_index
+    nf = len(r.model.facets)
+    out = 0
+    for k, (row, f) in enumerate(zip(rows, forbid)):
         v = sum(map(mul, row, hu))
-        if v > 0:
-            pos |= 1 << k
-        elif v == 0:
-            zero |= 1 << k
-    n = len(rows)
-    full = (1 << n) - 1
-    # the rows that break each field: not zero, not positive, negative
-    bad = (full ^ zero) | (full ^ pos) << n | (full ^ (pos | zero)) << 2 * n
-    matches = tuple(p for p, mask in zip(r.pieces, masks) if not mask & bad)
+        if v <= 0 and k < nf:
+            return QueryReport(uu, False, (), interior=False)
+        out |= f[(v >= 0) + (v > 0)]
+    # one byte per piece, lowest bit first: 1 where no row rules the piece out
+    keep = bin(~out & ((1 << len(r.pieces)) - 1))[:1:-1].encode()
+    keep = keep.translate(bytes.maketrans(b"01", b"\0\1"))
+    matches = tuple(itertools.compress(r.pieces, keep))
     return QueryReport(uu, bool(matches), matches)
 
 

@@ -253,9 +253,13 @@ def test_region_teardrop_interval(capsys):
     assert doc["interval_union"][0]["hi_closed"] is False
 
 
-def test_region_query_flag(capsys):
+def test_region_query_flag(capsys, monkeypatch):
+    parsed = []
+    real = cli._parse_u
+    monkeypatch.setattr(cli, "_parse_u", lambda text, dim: parsed.append(text) or real(text, dim))
     doc = run_json(capsys, "region", "--preset", "teardrop:3", "--u", "1/3")
     assert doc["query"]["member"] is True
+    assert parsed == ["1/3"]  # the flag check hands its point on
     doc = run_json(capsys, "region", "--preset", "teardrop:3", "--no-closure", "--u", "1/3")
     assert doc["query"]["member"] is False
 

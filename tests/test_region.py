@@ -612,6 +612,62 @@ def test_query_point_rejects_a_point_of_the_wrong_dimension():
             query_point(r, u)
 
 
+def _facet_and_outside_points(m):
+    # the vertices and the centre of each facet's vertices, on the boundary;
+    # each vertex reflected in the centre of each of its facets, outside on
+    # that facet's line in 2-d; and points past all of these, away from the
+    # vertex centroid, outside
+    centroid = [sum(v[k] for v in m.vertices) / len(m.vertices) for k in range(m.dim)]
+    pts = list(m.vertices)
+    for j in range(len(m.facets)):
+        on = [v for v, cone in zip(m.vertices, m.cones) if j in cone.facet_indices]
+        mid = tuple(sum(v[k] for v in on) / len(on) for k in range(m.dim))
+        pts += [mid] + [tuple(2 * a - b for a, b in zip(mid, v)) for v in on]
+    boundary = pts[:]
+    for t in (Fraction(1, 7), 1):
+        pts += [tuple(x + t * (x - c) for x, c in zip(u, centroid)) for u in boundary]
+    return pts
+
+
+def test_query_point_at_vertices_facets_and_outside_points():
+    # the points the brute-force test above never asks about: the facet rows
+    # of the row index decide them, and an empty region has no other rows
+    for preset in ("wp:1,3,5", "square:2,2,1,1", "teardrop:3"):
+        m = build_model(preset)
+        closed = nondisplaceable_region(m)
+        points = _facet_and_outside_points(m) + [p.polyhedron.witness for p in closed.pieces]
+        assert any(not m.is_interior(u) for u in points) and any(map(m.is_interior, points))
+        for r in (closed, replace(closed, closure=False), replace(closed, pieces=())):
+            cons = [scenario_constraints(m, p.scenario) for p in r.pieces]
+            for u in points:
+                rep = query_point(r, u)
+                want = [
+                    p.scenario.serial
+                    for p, cs in zip(r.pieces, cons)
+                    if all(c.holds(u, r.closure) for c in cs)
+                ]
+                assert rep.interior == m.is_interior(u), (preset, u)
+                assert [p.scenario.serial for p in rep.matches] == want, (preset, r.closure, u)
+                assert rep.member == bool(want)
+
+
+def test_query_point_lists_dense_answers_in_piece_order():
+    # the committed square_queries list the pieces a point lies in, in
+    # r.pieces order; these points lie in 78 to all 984 closed pieces
+    r = nondisplaceable_region(build_model("square:2,2,2,2"))
+    half = Fraction(1, 2)
+    points = [
+        (Fraction(615, 997), Fraction(519, 997)),  # in 78 open pieces too
+        (half, Fraction(5, 12)),  # on closed piece edges: 83 open pieces
+        (half, half),
+    ]
+    assert [len(query_point(r, u).matches) for u in points] == [78, 233, 984]
+    for reg in (r, replace(r, closure=False)):
+        for u in points:
+            want = [p for p in reg.pieces if p.polyhedron.contains(u, closed=reg.closure)]
+            assert list(query_point(reg, u).matches) == want, (reg.closure, u)
+
+
 def test_square_region_solves_once_per_signature(monkeypatch):
     # the adapted basis is the column Hermite form's, with positive pivots,
     # so the square's 984 pieces come down to 183 distinct systems
