@@ -33,8 +33,10 @@ from math import lcm
 from operator import mul
 
 from .errors import SpanNeverFull
-from .lattice import back_substitute, cleared, column_hermite, echelon, rank_rational
-from .potential import BulkParam, _EqData, _newton, companion_roots, far_apart, random_starts, sector_terms
+from .lattice import back_substitute, cleared, column_hermite, det_int, echelon, rank_rational
+from .potential import (
+    BulkParam, _EqData, _newton, binomial_roots, companion_roots, far_apart, random_starts, sector_terms
+)
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
 
@@ -417,8 +419,37 @@ def _univariate_candidates(eq, own_i, vals, env):
     return [(r,) for r in companion_roots({k: c for k, c in bucket.items() if lo <= k <= hi})]
 
 
+def _circuit_candidates(lv, vals, env):
+    """Complete root set of a circuit level (d own variables, d + 1 rows), or None.
+
+    With C_k the row coefficients, fixed values folded in, and b_k the own
+    exponents, the equations say sum_k x_k b_k = 0 for x_k = C_k y^b_k, so
+    x = s L for the relation L of the b_k (its cofactors).  Eliminating s
+    leaves y^(b_k - b_0) = L_k C_0 / (L_0 C_k), solved by binomial_roots.
+    None, for the multistart, when the rank is below d, a coefficient
+    vanished or det(b_k - b_0) = 0 (the Euler case, sum L = 0); no root
+    when some L_k = 0, since x_k = C_k y^b_k never vanishes.
+    """
+    own = [tuple(a[i] for i in lv.var_indices) for a, _ in lv.rows]
+    coeffs = [_term_value(a, c, vals, env) for a, c in lv.rows]
+    rel = [(-1) ** k * det_int(own[:k] + own[k + 1 :]) for k in range(len(own))]
+    if not any(rel) or not all(coeffs):
+        return None
+    if not all(rel):
+        return []
+    a = [tuple(x - y for x, y in zip(b, own[0])) for b in own[1:]]
+    return binomial_roots(a, [rel[k] * coeffs[0] / (rel[0] * coeffs[k]) for k in range(1, len(own))])
+
+
 class _Search:
-    """One numeric solve attempt under a fixed symbol assignment."""
+    """One numeric solve attempt under a fixed symbol assignment.
+
+    A level's candidates are its complete root set where a closed form
+    exists (_univariate_candidates, _circuit_candidates), else the roots of
+    a seeded multistart, polished and screened alike.  Every level of two
+    or more own variables advances the starts key, so each multistart draws
+    the starts it drew before the closed forms.
+    """
 
     def __init__(self, lts, env, seed):
         self.lts = lts
@@ -454,9 +485,11 @@ class _Search:
         if d == 1:
             numeric = _univariate_candidates(lv.terms[0], lv.var_indices[0], vals, self.env)
         else:
-            ys, res, _ = _newton(data, _starts((self.seed, self.calls), MULTISTARTS, d))
+            numeric = _circuit_candidates(lv, vals, self.env) if len(lv.rows) == d + 1 else None
+            if numeric is None:
+                ys, res, _ = _newton(data, _starts((self.seed, self.calls), MULTISTARTS, d))
+                numeric = _distinct_roots(ys, res)
             self.calls += 1
-            numeric = _distinct_roots(ys, res)
         out = []
         seen = set()
         if numeric:
@@ -592,8 +625,11 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     4. Numeric palette: free coefficients take every combination of 1, -1
        and minus each facet label (at most PALETTE_LIMIT of them), and the
        levels are solved in energy order, each branch substituted into the
-       next, by seeded multistart Newton and univariate roots.  The
-       assignments run one at a time, in that order, until one certifies.
+       next (_Search).  A level of one own variable takes its univariate
+       roots, a circuit level (d own variables, d + 1 rows) its binomial
+       roots in closed form, and any other level, or a circuit whose
+       closed form declines, a seeded multistart Newton.  The assignments
+       run one at a time, in that order, until one certifies.
 
     A certificate must re-verify across every level equation before it is
     believed; failure of the search is reported as unknown, never as a

@@ -25,6 +25,7 @@ from .errors import (
     NonPositiveBulkExponent,
     ZeroCoordinate,
 )
+from .lattice import column_hermite, identity, solve_integer
 from .series import (
     QC,
     LaurentPoly,
@@ -312,6 +313,26 @@ def companion_roots(coeffs: dict) -> list:
 
     vec = [coeffs.get(k, 0j) for k in range(max(coeffs), min(coeffs) - 1, -1)]
     return [complex(r) for r in np.roots(vec) if abs(r) >= 1e-8]
+
+
+def binomial_roots(a, gamma) -> list | None:
+    """The |det a| torus roots of y^a_k = gamma_k, k = 1..d, sorted by root_key; None if det a = 0.
+
+    ``a`` is a d x d integer matrix and ``gamma`` d nonzero numbers.  With
+    column_hermite's a = H W, the coordinates z = y^W solve the lower
+    triangular z_k^H_kk = gamma_k / prod_{j<k} z_j^H_kj one root extraction
+    at a time, and y = z^(W^-1).
+    """
+    d = len(a)
+    h, w, _ = column_hermite(a, d)
+    if not all(h[k][k] for k in range(d)):
+        return None
+    zs = [()]
+    for k, (row, g) in enumerate(zip(h, gamma)):
+        rhs = [complex(g / math.prod(map(pow, z, row))) ** (1 / row[k]) for z in zs]
+        zs = [z + (r * cmath.exp(2j * cmath.pi * m / row[k]),) for z, r in zip(zs, rhs) for m in range(row[k])]
+    v, _ = solve_integer(w, identity(d))
+    return sorted((tuple(math.prod(map(pow, z, vi)) for vi in v) for z in zs), key=root_key)
 
 
 def random_starts(seed, count: int, width: int, lo: float, hi: float) -> list:

@@ -2,18 +2,33 @@
 
 Everything here is written from first principles (determinantal divisors,
 cofactor expansion, sympy normal forms) rather than against the package
-internals, so agreement is evidence and not tautology.
+internals, so agreement is evidence and not tautology.  child_env is the
+environment of the child interpreters some tests start.
 """
 
 import json
+import os
 import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import atan2, gcd, inf
+from pathlib import Path
 
 import sympy
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+
+def child_env() -> dict:
+    """os.environ with the imported package's src first on PYTHONPATH.
+
+    pytest's pythonpath setting reaches only its own process, so a child
+    started with sys.executable finds orbifloer through this.
+    """
+    import orbifloer
+
+    src = str(Path(orbifloer.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def det_cofactor(m):

@@ -241,8 +241,8 @@ def test_wp_central_fiber_convergence():
 
 def test_reproduce_suite_deterministic():
     cmd = [sys.executable, "-m", "orbifloer.cli", "reproduce", "--all"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=oracles.child_env())
+    second = subprocess.run(cmd, capture_output=True, env=oracles.child_env())
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout

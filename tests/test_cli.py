@@ -175,6 +175,32 @@ def test_region_document_is_held_one_piece_at_a_time():
     assert peak <= 3 * len(text)
 
 
+# the serials of the 111 pieces of region --preset wp:1,3,7, and of its 13
+# float certificates
+WP137_SERIALS = (
+    [9, 33, 39, 41, 135, 159, 165, 167, 261, 285, 291, 293, 381, 387, 389, 411, 413, 419, 421, 509, 515, 517]
+    + [539, 541, 547, 549, 637, 643, 645, 667, 669, 675, 677, 772, 796, 802, 804, 892, 898, 900, 922, 924]
+    + [930, 932, 1020, 1026, 1028, 1050, 1052, 1058, 1060, 1148, 1154, 1156, 1178, 1180, 1186, 1188, 1276]
+    + [1282, 1284, 1306, 1308, 1314, 1316, 1402, 1404, 1410, 1412, 1434, 1436, 1442, 1444, 1530, 1532]
+    + [1538, 1540, 1562, 1564, 1570, 1572, 1658, 1660, 1666, 1668, 1690, 1692, 1698, 1700, 2236, 2242]
+    + [2244, 2266, 2268, 2274, 2276, 3580, 3586, 3588, 3610, 3612, 3618, 3620, 4666, 4668, 4674, 4676]
+    + [4698, 4700, 4706, 4708]
+)
+WP137_FLOAT = [509, 515, 539, 1026, 1050, 1276, 1282, 1306, 1402, 1530, 1538, 1658, 4666]
+
+
+def test_region_wp137_keeps_its_pieces_and_certificate_kinds(capsys):
+    # the closed-form circuit roots move float digits only: the same pieces,
+    # all certified, 98 exact and 13 float certificates
+    code, out, _ = run(capsys, "region", "--preset", "wp:1,3,7")
+    doc = json.loads(out)
+    assert code == 0 and doc["piece_count"] == 111
+    assert [p["serial"] for p in doc["pieces"]] == WP137_SERIALS
+    assert {p["verdict"]["status"] for p in doc["pieces"]} == {"SolvableCertified"}
+    floats = [p["serial"] for p in doc["pieces"] if not p["verdict"]["certificate"]["exact"]]
+    assert floats == WP137_FLOAT
+
+
 def test_cli_requests_never_import_numpy_random():
     # the multistart draws its starts without numpy.random: a region with
     # float certificates, and an lte certified by a 2-variable multistart
@@ -187,7 +213,9 @@ for argv in (["region", "--preset", "wp:1,3,7"], ["lte", "--preset", "wp:1,3,5",
         assert cli.main(argv) == 0
 print(json.dumps([json.loads(buf.getvalue())["verdict"]["certificate"]["exact"], "numpy.random" in sys.modules]))
 """
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=oracles.child_env()
+    )
     assert json.loads(out.stdout) == [False, False]
 
 
@@ -208,7 +236,11 @@ def _numpy_probe(*argvs):
     """Whether numpy was loaded after the import of cli and after each request,
     all in one fresh interpreter, and the verdict of the last request."""
     out = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=oracles.child_env(),
     )
     return json.loads(out.stdout)
 
@@ -626,7 +658,7 @@ def test_region_svg_write_error_is_typed(tmp_path, capsys):
 
 def test_python_dash_m_entry_point():
     cmd = [sys.executable, "-m", "orbifloer", "box", "--preset", "teardrop:3"]
-    done = subprocess.run(cmd, capture_output=True)
+    done = subprocess.run(cmd, capture_output=True, env=oracles.child_env())
     assert done.returncode == 0, done.stderr.decode()
     doc = json.loads(done.stdout)
     assert doc["command"] == "box" and len(doc["sectors"]) == 2
@@ -639,7 +671,7 @@ def test_closed_stdout_stops_quietly():
     os.close(read)
     cmd = [sys.executable, "-m", "orbifloer", "region", "--preset", "wp:1,3,5", "--grid", "7"]
     try:
-        done = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE)
+        done = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, env=oracles.child_env())
     finally:
         os.close(write)
     assert done.stderr == b""

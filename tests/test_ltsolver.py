@@ -14,7 +14,9 @@ from orbifloer.ltsolver import (
     PALETTE_LIMIT,
     LeadingTermSystem,
     LtsLevel,
+    MULTISTARTS,
     Solvability,
+    _circuit_candidates,
     _distinct_roots,
     _has_coloop,
     _float_certificate,
@@ -959,3 +961,87 @@ def test_linear_pass_certifies_every_palette_certificate(preset, systems, hits):
         for lv in lts.levels:
             for eq in lv.equations:
                 assert oracles.eval_exact(eq, y, env).is_zero()
+
+
+def _circuit_visits(monkeypatch, preset):
+    """(level, fixed values, env, starts key) of each circuit level the palette meets in a region."""
+    from orbifloer import region
+
+    visits = []
+    candidates = _Search._candidates
+
+    def record(self, li, vals):
+        lv = self.lts.levels[li]
+        if len(lv.var_indices) >= 2 and len(lv.rows) == len(lv.var_indices) + 1:
+            visits.append((lv, list(vals), self.env, (self.seed, self.calls)))
+        return candidates(self, li, vals)
+
+    monkeypatch.setattr(_Search, "_candidates", record)
+    region.nondisplaceable_region(build_model(preset))
+    return visits
+
+
+@pytest.mark.parametrize("preset, levels", [("wp:1,3,5", 4), ("wp:1,3,7", 10)])
+def test_circuit_roots_hold_every_multistart_root(monkeypatch, preset, levels):
+    # on each circuit level of the region's solves, every root that the
+    # 64-start Newton of the same level data and starts key converges to
+    # lies within 1e-6 of a closed-form root
+    visits = _circuit_visits(monkeypatch, preset)
+    assert len(visits) == levels
+    for lv, vals, env, key in visits:
+        exact = _circuit_candidates(lv, vals, env)
+        data = _level_data(lv.terms, lv.var_indices, vals, env)
+        ys, res, _ = _newton(data, _starts(key, MULTISTARTS, len(lv.var_indices)))
+        found = _distinct_roots(ys, res)
+        assert exact and found
+        for y in found:
+            assert min(max(abs(p - q) for p, q in zip(y, z)) for z in exact) < 1e-6
+
+
+def test_singular_circuit_takes_the_multistart(monkeypatch):
+    # wp:1,3,5 piece 109: rows y1^-1 y2^2, y2 and y1 have the relation
+    # (1, -2, 1), whose sum is 0 (the Euler case), so the closed form
+    # declines and the palette runs its 64 starts
+    from orbifloer import ltsolver, region
+
+    m = build_model("wp:1,3,5")
+    (piece,) = [p for p in region.nondisplaceable_region(m).pieces if p.scenario.serial == 109]
+    lts = region.scenario_lts(m, piece.scenario)
+    (lv,) = lts.levels
+    assert [a for a, _ in lv.rows] == [(-1, 2), (0, 1), (1, 0)]
+    starts = []
+    newton = ltsolver._newton
+
+    def counted(data, z0, **kw):
+        starts.append(len(z0))
+        return newton(data, z0, **kw)
+
+    monkeypatch.setattr(ltsolver, "_newton", counted)
+    for env in _symbol_assignments(lts):
+        assert _circuit_candidates(lv, [None, None], env) is None
+    search = _Search(lts, _symbol_assignments(lts)[0], 0)
+    search.run()
+    assert starts[0] == MULTISTARTS and search.calls == 1
+
+
+def test_circuit_level_advances_the_starts_key(monkeypatch):
+    # a circuit level, y1 + y2 + 1/(y1 y2), below a level of four rows: the
+    # closed form stands in for the first multistart, so the second one
+    # still draws its starts with the key (seed, 1)
+    from orbifloer import ltsolver
+
+    lts = _system(
+        4,
+        ((((1, 0, 0, 0), QC(1)), ((0, 1, 0, 0), QC(1)), ((-1, -1, 0, 0), QC(1))), (0, 1)),
+        ((((0, 0, 1, 0), QC(1)), ((0, 0, 0, 1), QC(1)), ((0, 0, -1, 0), QC(1)), ((0, 0, 0, -1), QC(1))), (2, 3)),
+    )
+    keys = []
+    starts = ltsolver._starts
+
+    def recorded(key, *args):
+        keys.append(key)
+        return starts(key, *args)
+
+    monkeypatch.setattr(ltsolver, "_starts", recorded)
+    assert _Search(lts, {}, 0).run() is not None
+    assert keys == [(0, 1)]

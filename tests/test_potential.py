@@ -1,5 +1,6 @@
 """Leading-order potentials: term formulas, residuals, critical points."""
 
+import cmath
 import doctest
 import math
 import random
@@ -22,7 +23,9 @@ from orbifloer.errors import (
 from orbifloer.potential import (
     BulkParam,
     CentralFiberCritical,
+    binomial_roots,
     bulk_leading_potential,
+    companion_roots,
     critical_points,
     critical_residual,
     smooth_leading_potential,
@@ -368,6 +371,41 @@ def test_critical_point_count_holds_as_t_goes_to_zero():
     pot = smooth_leading_potential(m, (Fraction(-1, 10), Fraction(1, 100)))
     for t in (0.5, 1e-9, 1e-12):
         assert len(critical_points(pot, t_value=t)) == 9
+
+
+@st.composite
+def binomial_systems(draw):
+    # a nonsingular integer d x d matrix and d targets of modulus in [0.1, 10]
+    d = draw(st.integers(1, 3))
+    a = draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d).filter(
+            lambda a: oracles.det_cofactor(a) != 0
+        )
+    )
+    gamma = [cmath.rect(draw(st.floats(0.1, 10)), draw(st.floats(0, 2 * math.pi))) for _ in range(d)]
+    return a, gamma
+
+
+@given(binomial_systems())
+@settings(max_examples=300, deadline=None)
+def test_binomial_roots_are_all_the_roots(case):
+    # |det a| roots, pairwise apart, each solving every y^a_k = gamma_k
+    a, gamma = case
+    roots = binomial_roots(a, gamma)
+    assert len(roots) == abs(oracles.det_cofactor(a))
+    for i, y in enumerate(roots):
+        assert all(max(abs(p - q) for p, q in zip(y, z)) > 1e-6 for z in roots[i + 1 :])
+        assert max(abs(math.prod(map(pow, y, row)) / g - 1) for row, g in zip(a, gamma)) < 1e-9
+    if len(a) == 1:
+        (k,), (g,) = a[0], gamma
+        want = companion_roots({k: 1, 0: -g})
+        assert len(want) == len(roots)
+        assert all(min(abs(r - w) for w in want) < 1e-9 for (r,) in roots)
+
+
+def test_binomial_roots_of_a_singular_matrix_are_none():
+    assert binomial_roots([[1, 2], [2, 4]], [1, 1]) is None
+    assert binomial_roots([[0]], [2]) is None
 
 
 def test_wp_central_critical():

@@ -550,7 +550,8 @@ try:
 except AssertionError as e:
     print(sys.flags.optimize, "refused", e)
 """
-    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    cmd = [sys.executable, "-O", "-c", code]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=oracles.child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("1 refused scenario "), done.stdout
 
