@@ -19,7 +19,7 @@ import zlib
 from fractions import Fraction
 from pathlib import Path
 
-from .disc import basic_orbi_discs, basic_smooth_discs, h2_generators, virtual_dimension
+from .disc import h2_generators
 from .errors import (
     DegenerateCone,
     EmptyInterior,
@@ -309,15 +309,14 @@ def cmd_box(m) -> dict:
 
 def cmd_discs(m, u) -> dict:
     classes = []
-    descriptors = basic_smooth_discs(m) + basic_orbi_discs(m)
-    for cls, d in zip(h2_generators(m), descriptors):
+    for cls in h2_generators(m):
         row = {
             "kind": cls.kind,
             "index": cls.index,
             "boundary": list(cls.boundary),
             "maslov_desingularized": cls.mu_de,
             "maslov_cw": _q(cls.mu_cw),
-            "virtual_dim": virtual_dimension(m, d),
+            "virtual_dim": cls.virtual_dim,
             "area": {"gradient": _qvec(cls.area_gradient), "constant": _q(cls.area_constant)},
         }
         if u is not None:

@@ -35,7 +35,8 @@ from operator import mul
 from .errors import SpanNeverFull
 from .lattice import back_substitute, cleared, column_hermite, det_int, echelon, rank_rational
 from .potential import (
-    BulkParam, _EqData, _newton, binomial_roots, companion_roots, far_apart, random_starts, sector_terms
+    BulkParam, _EqData, _newton, binomial_roots, bulk_leading_potential, companion_roots, far_apart,
+    random_starts,
 )
 from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
@@ -64,28 +65,21 @@ class EnergyStratification:
 
 
 def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratification:
-    """Sort generators by energy at u and cut at the first full-span level.
+    """Group the terms of the leading-order potential at u by energy and cut at full span.
 
-    Facet j sits at energy ell_j(u); an activated sector at
-    ell_nu(u) + lambda_nu.  Bulk exponents must be concrete rationals
-    (scenario machinery never calls this).  Bulk rows of one sector at one
-    energy are one member whose coefficient is their sum, and a zero sum is
-    no member: it neither spans nor cuts (potential.sector_terms).  Levels
-    that add no span dimension still appear: their members are part of the
-    partition below the cut, they just own no variables.
+    A level is the terms of bulk_leading_potential(m, u, bp) at one
+    T-exponent, lowest first: member tag (kind, index), direction its
+    y-exponent and coefficient its coefficient, sorted by tag.  Bulk rows
+    of one sector at one energy are therefore one member, and a zero sum is
+    no member: it neither spans nor cuts.  Bulk exponents must be concrete
+    rationals (scenario machinery never calls this).  Levels that add no
+    span dimension still appear: their members are part of the partition
+    below the cut, they just own no variables.
     """
-    m.require_interior(u)
-    uu = tuple(Fraction(x) for x in u)
-    bp = bp or BulkParam.zero()
-    box = enumerate_box(m)
-    entries = []
-    for j, f in enumerate(m.facets):
-        entries.append((m.ell(j, uu), ("facet", j), f.stacky_vector, QC.of(1)))
-    entries.extend((en, ("sector", i), box[i].nu, c) for i, en, c in sector_terms(m, uu, bp))
-
+    pot = bulk_leading_potential(m, u, bp or BulkParam.zero())
     by_energy: dict = {}
-    for en, tag, direction, coeff in entries:
-        by_energy.setdefault(en, []).append((tag, direction, coeff))
+    for t in pot.terms:
+        by_energy.setdefault(t.t_exponent, []).append(((t.kind, t.index), t.exponent, t.coeff))
 
     levels = []
     groups = ((en, sorted(by_energy[en], key=lambda g: g[0])) for en in sorted(by_energy))
@@ -95,7 +89,7 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
             break
     else:
         raise SpanNeverFull("finite-energy generators never span; model is inconsistent")
-    return EnergyStratification(m, uu, tuple(levels), *_adapted_basis(levels, m.dim))
+    return EnergyStratification(m, pot.u, tuple(levels), *_adapted_basis(levels, m.dim))
 
 
 def _stratum_levels(groups, span_dims=()):

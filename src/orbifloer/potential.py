@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InputError,
@@ -100,11 +101,20 @@ class PotentialTerm:
 
 @dataclass(frozen=True)
 class PotentialAtFiber:
-    """Leading-order potential at a fixed interior fiber point."""
+    """Leading-order potential at a fixed interior fiber point, as its terms.
+
+    ``poly`` is the Laurent polynomial view of the terms, built on first use
+    by the requests that evaluate the potential.
+    """
 
     u: tuple
-    poly: LaurentPoly
-    terms: tuple  # PotentialTerm provenance, facets first
+    terms: tuple  # PotentialTerm, facets first
+
+    @cached_property
+    def poly(self) -> LaurentPoly:
+        return LaurentPoly(
+            len(self.u), tuple((t.exponent, NovikovScalar.of(t.coeff, t.t_exponent)) for t in self.terms)
+        )
 
     def __str__(self):
         return " + ".join(str(t) for t in self.terms) if self.terms else "0"
@@ -118,25 +128,21 @@ def smooth_leading_potential(m: StackyModel, u) -> PotentialAtFiber:
     """
     m.require_interior(u)
     uu = tuple(Fraction(x) for x in u)
-    poly = LaurentPoly.zero(m.dim)
-    terms = []
-    for j, f in enumerate(m.facets):
-        b = f.stacky_vector
-        a = m.ell(j, uu)
-        poly = poly + LaurentPoly.monomial(b, NovikovScalar.of(QC.of(1), a))
-        terms.append(PotentialTerm("facet", j, b, a, QC.of(1)))
-    return PotentialAtFiber(uu, poly, tuple(terms))
+    terms = tuple(
+        PotentialTerm("facet", j, f.stacky_vector, m.ell(j, uu), QC.of(1)) for j, f in enumerate(m.facets)
+    )
+    return PotentialAtFiber(uu, terms)
 
 
-def sector_terms(m: StackyModel, u, bp: BulkParam) -> list:
-    """(box index, T-exponent, coefficient) of each activated sector at u.
+def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber:
+    """Smooth potential plus c_nu T^{lambda + ell_nu(u)} y^nu per activated sector.
 
-    A sector's T-exponent is lambda + ell_nu(u).  Bulk rows of one sector
-    at one T-exponent are one term whose coefficient is their sum, and a
-    zero sum is no term.  Terms come in the order of their first row.
-    Every entry's lattice vector must name an actual twisted sector of the
-    model.
+    Bulk rows of one sector at one T-exponent are one term whose
+    coefficient is their sum, and a zero sum is no term.  Sector terms come
+    in the order of their first row.  Every entry's lattice vector must
+    name an actual twisted sector of the model.
     """
+    base = smooth_leading_potential(m, u)
     box = enumerate_box(m)
     by_nu = {s.nu: i for i, s in enumerate(box)}
     sums: dict = {}
@@ -144,26 +150,12 @@ def sector_terms(m: StackyModel, u, bp: BulkParam) -> list:
         if e.nu not in by_nu:
             raise InputError(f"{e.nu} is not a twisted sector of this model")
         i = by_nu[e.nu]
-        key = (i, e.exponent + sector_ell(m, box[i], u))
+        key = (i, e.exponent + sector_ell(m, box[i], base.u))
         sums[key] = c_add(sums[key], e.coeff) if key in sums else e.coeff
-    return [(i, a, c) for (i, a), c in sums.items() if not c_is_zero(c)]
-
-
-def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber:
-    """Smooth potential plus c_nu T^{lambda + ell_nu(u)} y^nu per sector term.
-
-    The sector terms are those of sector_terms: rows of one sector at one
-    T-exponent are summed, and a zero sum is dropped.
-    """
-    base = smooth_leading_potential(m, u)
-    sectors = enumerate_box(m)
-    poly = base.poly
-    terms = list(base.terms)
-    for i, a, c in sector_terms(m, base.u, bp):
-        nu = sectors[i].nu
-        poly = poly + LaurentPoly.monomial(nu, NovikovScalar.of(c, a))
-        terms.append(PotentialTerm("sector", i, nu, a, c))
-    return PotentialAtFiber(base.u, poly, tuple(terms))
+    sectors = tuple(
+        PotentialTerm("sector", i, box[i].nu, a, c) for (i, a), c in sums.items() if not c_is_zero(c)
+    )
+    return PotentialAtFiber(base.u, base.terms + sectors)
 
 
 def log_gradient(p: LaurentPoly) -> tuple:

@@ -46,9 +46,6 @@ class QC:
     def __neg__(self):
         return QC(-self.re, -self.im)
 
-    def __sub__(self, o):
-        return self + (-QC.of(o))
-
     def __mul__(self, o):
         if isinstance(o, int):
             return QC(self.re * o, self.im * o)
@@ -244,15 +241,6 @@ class LaurentPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
-
-    @staticmethod
-    def zero(n: int) -> "LaurentPoly":
-        return LaurentPoly(n)
-
-    @staticmethod
-    def monomial(e, s) -> "LaurentPoly":
-        e = tuple(int(x) for x in e)
-        return LaurentPoly(len(e), ((e, s if isinstance(s, NovikovScalar) else NovikovScalar.of(s)),))
 
     def terms(self):
         """Sorted (exponent_vector, NovikovScalar) pairs."""

@@ -503,7 +503,7 @@ def parse_poly(text, n):
 
     text = text.strip()
     if text == "0":
-        return LaurentPoly.zero(n)
+        return LaurentPoly(n)
     out = []
     for piece in text.split(" + "):
         coeff = QC(1)
@@ -531,7 +531,7 @@ def parse_poly(text, n):
 def lts_by_rewrite(strat):
     """ltsolver.build_lts as it was before systems were built from exponent rows.
 
-    Each level is summed monomial by monomial into a LaurentPoly,
+    Each level's monomials are summed into one LaurentPoly,
     rewritten into adapted coordinates by monomial_rewrite, and
     differentiated by partial_derivative.  Returns (system, terms): the
     system with each level's rows read off its rewritten polynomial, and
@@ -547,9 +547,8 @@ def lts_by_rewrite(strat):
     prev_dim = 0
     names = set()
     for lv in strat.levels:
-        poly = LaurentPoly.zero(n)
-        for direction, coeff in zip(lv.directions, lv.coeffs):
-            poly = poly + LaurentPoly.monomial(direction, NovikovScalar.of(coeff))
+        poly = LaurentPoly(n, tuple((d, NovikovScalar.of(c)) for d, c in zip(lv.directions, lv.coeffs)))
+        for coeff in lv.coeffs:
             if isinstance(coeff, SymLin):
                 names.update(name for name, _ in coeff.lin)
         poly = monomial_rewrite(poly, change)

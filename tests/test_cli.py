@@ -4,6 +4,7 @@ import enum
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -319,6 +320,32 @@ def test_potential_terms(capsys):
     assert doc["terms"][0]["coeff"] == {"re": "1", "im": "0"}
 
 
+@pytest.mark.parametrize("bulk", [False, True], ids=["smooth", "bulk"])
+def test_potential_request_builds_no_laurent_polynomial(tmp_path, capsys, monkeypatch, bulk):
+    # a potential is its term list; only a request that evaluates it (critical)
+    # builds the Laurent polynomial view
+    from orbifloer import series
+
+    built = []
+    real = series.LaurentPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(series.LaurentPoly, "__init__", counted)
+    args = ["--preset", "wp:1,3,5", "--u", "-1/10,1/100"]
+    if bulk:
+        path = tmp_path / "bulk.json"
+        path.write_text(json.dumps({"sectors": [{"nu": [0, -1], "c": "2", "lambda": "1/3"}]}))
+        args += ["--bulk", str(path)]
+    doc = run_json(capsys, "potential", *args)
+    assert [t["kind"] for t in doc["terms"]].count("sector") == bulk
+    assert built == []
+    run_json(capsys, "critical", *args)
+    assert built
+
+
 def test_bulk_file(tmp_path, capsys):
     bulk = tmp_path / "bulk.json"
     bulk.write_text(json.dumps({"sectors": [{"nu": [1], "c": "1", "lambda": "7/15"}]}))
@@ -603,6 +630,30 @@ def test_svg_output(tmp_path, capsys):
     assert code == 0
     text = path.read_text()
     assert text.startswith("<svg") and 'width="800" height="800"' in text
+
+
+def test_region_svg_draws_each_piece_of_a_plane_region(tmp_path, capsys):
+    # one element per piece, in piece order and by piece_geometry kind
+    # (polygon, segment as a line, point as a circle) in the piece's colour,
+    # then the outline polygon; every coordinate sits in the 40..760 frame
+    path = tmp_path / "pic.svg"
+    code, _, err = run(capsys, "region", "--preset", "wp:1,3,5", "--svg", str(path))
+    assert code == 0, err
+    r = nondisplaceable_region(build_model("wp:1,3,5"))
+    shapes = [cli.piece_geometry(p, 2) for p in r.pieces]
+    kinds = [kind for kind, _ in shapes]
+    assert [kinds.count(k) for k in ("polygon", "segment", "point")] == [16, 15, 4]
+    body = path.read_text().splitlines()[2:-1]
+    tag = {"polygon": "<polygon ", "segment": "<line ", "point": "<circle "}
+    assert len(body) == len(r.pieces) + 1
+    for line, p, (kind, data) in zip(body, r.pieces, shapes):
+        assert line.startswith(tag[kind]) and f'"{cli._color(p.scenario.serial)}"' in line
+        if kind == "polygon":
+            assert line.split('"')[1].count(",") == len(data)
+    assert body[-1].startswith("<polygon ") and 'fill="none" stroke="black"' in body[-1]
+    values = [v for line in body for v in re.findall(r'(?:points|[xy][12]|c[xy])="([^"]*)"', line)]
+    coords = [float(x) for v in values for x in re.split("[ ,]", v)]
+    assert coords and all(40 <= x <= 760 for x in coords)
 
 
 def test_validation_exit_codes(capsys):

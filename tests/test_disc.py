@@ -1,71 +1,57 @@
-"""Disc descriptors: Maslov indices, areas, dimension counts."""
+"""Basic disc classes: counts, Maslov indices, areas, dimension counts."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from orbifloer import disc, stacky
-from orbifloer.errors import PointNotInterior
+
+
+def _classes(m, kind):
+    return [c for c in disc.h2_generators(m) if c.kind == kind]
 
 
 def test_basic_smooth_discs():
     m = stacky.build_model("teardrop:3")
-    discs = disc.basic_smooth_discs(m)
-    assert len(discs) == 2
-    assert all(disc.maslov_de(m, d) == 2 for d in discs)
-    assert [c.mu_cw for c in disc.h2_generators(m) if c.kind == "facet"] == [2, 2]
-    m2 = stacky.build_model("wp:1,3,5")
-    assert len(disc.basic_smooth_discs(m2)) == 3
-    assert len(disc.basic_smooth_discs(stacky.build_model("square:1,1,1,1"))) == 4
+    facets = _classes(m, "facet")
+    assert len(facets) == 2
+    assert [c.mu_de for c in facets] == [2, 2]
+    assert [c.mu_cw for c in facets] == [2, 2]
+    assert len(_classes(stacky.build_model("wp:1,3,5"), "facet")) == 3
+    assert len(_classes(stacky.build_model("square:1,1,1,1"), "facet")) == 4
 
 
 def test_basic_orbi_discs():
     m = stacky.build_model("teardrop:3")
-    discs = disc.basic_orbi_discs(m)
-    assert [c.mu_cw for c in disc.h2_generators(m) if c.kind == "sector"] == [Fraction(2, 3), Fraction(4, 3)]
-    assert all(disc.maslov_de(m, d) == 0 for d in discs)
-    assert len(disc.basic_orbi_discs(stacky.build_model("wp:1,3,5"))) == 6
-    assert disc.basic_orbi_discs(stacky.build_model("square:1,1,1,1")) == []
-
-
-def test_maslov_raw_multiplicities():
-    m = stacky.build_model("teardrop:3")
-    assert disc.maslov_de(m, [(7, 3)]) == 4
-    assert disc.maslov_de(m, [(1, 1), (5, 2)]) == 6
-    assert disc.maslov_de(m, [(2, 3)]) == 0
+    sectors = _classes(m, "sector")
+    assert [c.mu_cw for c in sectors] == [Fraction(2, 3), Fraction(4, 3)]
+    assert [c.mu_de for c in sectors] == [0, 0]
+    assert len(_classes(stacky.build_model("wp:1,3,5"), "sector")) == 6
+    assert _classes(stacky.build_model("square:1,1,1,1"), "sector") == []
 
 
 def test_areas_teardrop():
     m = stacky.build_model("teardrop:3")
-    b1, b2 = disc.basic_smooth_discs(m)
+    b1, b2 = _classes(m, "facet")
     u0 = (Fraction(0),)
-    assert disc.area(m, b1, u0) == 1
-    assert disc.area(m, b2, u0) == 1
-    nu1 = disc.basic_orbi_discs(m)[0]
+    assert b1.area_at(u0) == 1
+    assert b2.area_at(u0) == 1
+    nu1 = _classes(m, "sector")[0]
     u = (Fraction(1, 10),)
-    assert disc.area(m, nu1, u) == Fraction(1, 10) + Fraction(1, 3)
-    with pytest.raises(PointNotInterior):
-        disc.area(m, b1, (Fraction(2),))
+    assert nu1.area_at(u) == Fraction(1, 10) + Fraction(1, 3)
 
 
 def test_area_p135_sector():
     m = stacky.build_model("wp:1,3,5")
-    nu2 = disc.basic_orbi_discs(m)[1]
+    nu2 = _classes(m, "sector")[1]
     u = (Fraction(1, 100), Fraction(-1, 50))
-    assert disc.area(m, nu2, u) == Fraction(3, 5) - u[0] - 2 * u[1]
+    assert nu2.area_at(u) == Fraction(3, 5) - u[0] - 2 * u[1]
 
 
 def test_virtual_dimension():
-    td = stacky.build_model("teardrop:3")
-    d = disc.DiscDescriptor((1, 0), (), k_boundary=1)
-    assert disc.virtual_dimension(td, d) == 1
-    m = stacky.build_model("wp:1,3,5")
-    orb = disc.basic_orbi_discs(m)[0]
-    d2 = disc.DiscDescriptor(orb.smooth_mults, orb.orb_points, k_boundary=1)
-    assert disc.virtual_dimension(m, d2) == 2
-    trivial = disc.DiscDescriptor((0, 0, 0))
-    assert disc.virtual_dimension(m, trivial) == -1
+    # n + mu_de + 2 * (interior marked points) - 3: n - 1 on every basic class
+    for preset in ("teardrop:3", "wp:1,3,5", "square:2,2,1,1", "wp:1,2,3,5"):
+        m = stacky.build_model(preset)
+        assert {c.virtual_dim for c in disc.h2_generators(m)} == {m.dim - 1}
 
 
 def test_h2_generators():
@@ -94,39 +80,32 @@ def test_index_identity_randomized():
         stacky.build_model("wp:1,3,5"),
         stacky.build_model("square:2,2,2,2"),
     ]
-    # mu_CW - mu_de is twice the degree shifts on every basic class
+    # mu_CW - mu_de is twice the degree shift of the class's orbifold point
     for m in models:
-        descriptors = disc.basic_smooth_discs(m) + disc.basic_orbi_discs(m)
-        for cls, d in zip(disc.h2_generators(m), descriptors):
-            lhs = cls.mu_cw - disc.maslov_de(m, d)
-            assert lhs == 2 * sum((s.iota for s in d.orb_points), Fraction(0))
-    # and mu_de sees only the facet multiplicities
+        box = stacky.enumerate_box(m)
+        for cls in disc.h2_generators(m):
+            shift = box[cls.index].iota if cls.kind == "sector" else 0
+            assert cls.mu_cw - cls.mu_de == 2 * shift
+    # and the area form is the class's energy ell_j or ell_nu at seeded
+    # interior points, convex combinations of the vertices with weights 1..9
     for _ in range(300):
         m = rng.choice(models)
+        w = [rng.randint(1, 9) for _ in m.vertices]
+        u = tuple(sum(wi * Fraction(v[k]) for wi, v in zip(w, m.vertices)) / sum(w) for k in range(m.dim))
         box = stacky.enumerate_box(m)
-        mults = tuple(rng.randrange(4) for _ in m.facets)
-        orbs = tuple(rng.choice(box) for _ in range(rng.randrange(3))) if box else ()
-        d = disc.DiscDescriptor(mults, orbs, rng.randrange(3), rng.randrange(3))
-        assert disc.maslov_de(m, d) == 2 * sum(mults)
-
-
-def test_area_additivity():
-    m = stacky.build_model("wp:1,3,5")
-    box = stacky.enumerate_box(m)
-    d1 = disc.DiscDescriptor((1, 0, 2), (box[0],))
-    d2 = disc.DiscDescriptor((0, 1, 0), (box[4],))
-    both = disc.DiscDescriptor((1, 1, 2), (box[0], box[4]))
-    u = (Fraction(1, 50), Fraction(-1, 50))
-    assert disc.area(m, both, u) == disc.area(m, d1, u) + disc.area(m, d2, u)
+        for cls in disc.h2_generators(m):
+            if cls.kind == "facet":
+                assert cls.area_at(u) == m.ell(cls.index, u)
+            else:
+                assert cls.area_at(u) == stacky.sector_ell(m, box[cls.index], u)
 
 
 def test_sector_area_is_weighted_facet_area():
     m = stacky.build_model("wp:1,3,5")
-    smooth = disc.basic_smooth_discs(m)
+    smooth = _classes(m, "facet")
+    box = stacky.enumerate_box(m)
     u = (Fraction(-1, 25), Fraction(1, 30))
-    for orb in disc.basic_orbi_discs(m):
-        s = orb.orb_points[0]
-        expected = sum(
-            c * disc.area(m, smooth[j], u) for c, j in zip(s.coeffs, s.facet_indices)
-        )
-        assert disc.area(m, orb, u) == expected
+    for orb in _classes(m, "sector"):
+        s = box[orb.index]
+        expected = sum(c * smooth[j].area_at(u) for c, j in zip(s.coeffs, s.facet_indices))
+        assert orb.area_at(u) == expected

@@ -396,9 +396,7 @@ def test_certificate_transfers_to_original_coordinates():
     )
     env = dict(v.certificate.symbol_values)
     for lv, orig in zip(lts.levels, st.levels):
-        poly = LaurentPoly.zero(2)
-        for direction, coeff in zip(orig.directions, orig.coeffs):
-            poly = poly + LaurentPoly.monomial(direction, NovikovScalar.of(coeff))
+        poly = LaurentPoly(2, tuple((d, NovikovScalar.of(c)) for d, c in zip(orig.directions, orig.coeffs)))
         assert abs(
             poly.eval_complex(yorig, 1.0, env) - lv.poly.eval_complex(z, 1.0, env)
         ) < 1e-9
@@ -525,7 +523,7 @@ def test_parity_table_agrees_with_eval_exact(case):
     value = oracles.eval_exact(p, yq, env)
     assert parity_vanishes(p, env, y) == value.is_zero()
     # shifted to vanish at y, so both outcomes are exercised
-    q = p + LaurentPoly.monomial((0,) * p.n, NovikovScalar.of(value * -1))
+    q = p + LaurentPoly(p.n, (((0,) * p.n, NovikovScalar.of(value * -1)),))
     assert oracles.eval_exact(q, yq, env).is_zero()
     assert parity_vanishes(q, env, y)
 

@@ -192,7 +192,7 @@ def test_residual_examples():
     assert critical_residual(p, (root,), 0.5) < 1e-12
     assert critical_residual(p, (1j * root,), 0.5) < 1e-12
     assert critical_residual(p, (root + 0.1,), 0.5) > 1e-3
-    constant = LaurentPoly.monomial((0,), NovikovScalar.of(QC.of(5)))
+    constant = LaurentPoly(1, (((0,), NovikovScalar.of(QC.of(5))),))
     assert critical_residual(constant, (2.3 + 1j,), 0.5) == 0.0
     with pytest.raises(ZeroCoordinate):
         critical_residual(p, (0.0,), 0.5)

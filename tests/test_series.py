@@ -88,7 +88,7 @@ def test_poly_ring_axioms(p, q, r):
     # the additive group, the one operation polynomials offer
     assert p + q == q + p
     assert (p + q) + r == p + (q + r)
-    assert p + LaurentPoly.zero(2) == p
+    assert p + LaurentPoly(2) == p
 
 
 def shifted(p, b, k=1):
@@ -191,4 +191,4 @@ def test_render_format():
         ],
     )
     assert series.render_poly(p) == "(1-3i) + 2*T^{1/2}*y1^2*y2^-1"
-    assert series.render_poly(LaurentPoly.zero(2)) == "0"
+    assert series.render_poly(LaurentPoly(2)) == "0"
