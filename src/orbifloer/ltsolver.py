@@ -25,7 +25,7 @@ monomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +38,7 @@ from .potential import (
     BulkParam, _EqData, _newton, binomial_roots, bulk_leading_potential, companion_roots, far_apart,
     random_starts,
 )
-from .series import QC, LaurentPoly, NovikovScalar, SymLin, c_mul, c_to_complex
+from .series import QC, LaurentPoly, SymLin, c_mul, c_to_complex
 from .stacky import StackyModel, enumerate_box
 
 
@@ -81,60 +81,46 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
     for t in pot.terms:
         by_energy.setdefault(t.t_exponent, []).append(((t.kind, t.index), t.exponent, t.coeff))
 
-    levels = []
-    groups = ((en, sorted(by_energy[en], key=lambda g: g[0])) for en in sorted(by_energy))
-    for lv in _stratum_levels(groups):
-        levels.append(lv)
-        if lv.span_dim == m.dim:
-            break
-    else:
+    groups = [(en, sorted(by_energy[en], key=lambda g: g[0])) for en in sorted(by_energy)]
+    strat = _stratification(m, pot.u, groups)
+    full = next((l for l, lv in enumerate(strat.levels) if lv.span_dim == m.dim), None)
+    if full is None:
         raise SpanNeverFull("finite-energy generators never span; model is inconsistent")
-    return EnergyStratification(m, pot.u, tuple(levels), *_adapted_basis(levels, m.dim))
+    return replace(strat, levels=strat.levels[: full + 1], exponents=strat.exponents[: full + 1])
 
 
-def _stratum_levels(groups, span_dims=()):
-    """The StratumLevel of each (energy, [(tag, direction, coeff), ...]) group.
-
-    Groups come lowest first.  A level's cumulative span dimension is read
-    from span_dims when the caller knows it (the scenario walk does), and
-    otherwise is the rank of the directions so far.  Levels are yielded one
-    at a time, so a caller can stop at full span.
-    """
-    seen: list = []
-    prev_rank = 0
-    for l, (energy, group) in enumerate(groups):
-        dirs = tuple(g[1] for g in group)
-        if span_dims:
-            r = span_dims[l]
-        else:
-            seen.extend(dirs)
-            r = rank_rational(seen)
-        yield StratumLevel(
-            energy, tuple(g[0] for g in group), dirs, tuple(g[2] for g in group), r - prev_rank, r
-        )
-        prev_rank = r
-
-
-def _adapted_basis(levels, n: int) -> tuple:
-    """The adapted basis of the levels and each level's exponents in it.
+def _stratification(m: StackyModel, u, groups) -> EnergyStratification:
+    """The levels of (energy, [(tag, direction, coeff), ...]) groups, lowest first, and their basis.
 
     One column_hermite pass over the directions stacked level by level:
     its W is the basis, whose first span_dim rows are a Z-basis of each
-    stage's span met with Z^n, and its H holds the members' exponents.
+    stage's span met with Z^n, and its H holds the members' exponents.  H
+    is lower echelon, so the span dimension of the rows up to a level is
+    one past their last nonzero column.  Rows past full span leave W as it
+    is, so cutting the levels there keeps the basis.
     """
-    h, w, _ = column_hermite([d for lv in levels for d in lv.directions], n)
+    h, w, _ = column_hermite([g[1] for _, group in groups for g in group], m.dim)
     rows = iter(map(tuple, h))
-    exponents = tuple(tuple(itertools.islice(rows, len(lv.directions))) for lv in levels)
-    return tuple(map(tuple, w)), exponents
+    levels, exponents, span = [], [], 0
+    for energy, group in groups:
+        exps = tuple(itertools.islice(rows, len(group)))
+        top = max((k + 1 for e in exps for k, x in enumerate(e) if x), default=0)
+        prev, span = span, max(span, top)
+        levels.append(
+            StratumLevel(
+                energy, tuple(g[0] for g in group), tuple(g[1] for g in group), tuple(g[2] for g in group),
+                span - prev, span,
+            )
+        )
+        exponents.append(exps)
+    return EnergyStratification(m, u, tuple(levels), tuple(map(tuple, w)), tuple(exponents))
 
 
-def scenario_stratification(m: StackyModel, groups, coeffs, span_dims=()) -> EnergyStratification:
+def scenario_stratification(m: StackyModel, groups, coeffs) -> EnergyStratification:
     """Stratification-shaped data from an abstract level assignment.
 
     ``groups`` lists the member tags per level, lowest first; ``coeffs``
-    maps tags to coefficients; ``span_dims``, the cumulative span
-    dimension after each level, is taken as given when it is known and
-    computed when it is empty.  No energies are involved: the caller is
+    maps tags to coefficients.  No energies are involved: the caller is
     responsible for the feasibility of the assignment, this only rebuilds
     the span bookkeeping so build_lts can run on it.
     """
@@ -144,15 +130,10 @@ def scenario_stratification(m: StackyModel, groups, coeffs, span_dims=()) -> Ene
         kind, i = tag
         return tag, m.facets[i].stacky_vector if kind == "facet" else box[i].nu, coeffs[tag]
 
-    groups = ((None, [member(tag) for tag in group]) for group in groups)
-    levels = tuple(_stratum_levels(groups, span_dims))
-    if not levels or levels[-1].span_dim != m.dim:
+    strat = _stratification(m, None, [(None, [member(tag) for tag in group]) for group in groups])
+    if not strat.levels or strat.levels[-1].span_dim != m.dim:
         raise SpanNeverFull("scenario levels do not span")
-    return EnergyStratification(m, None, levels, *_adapted_basis(levels, m.dim))
-
-
-def _laurent(n: int, terms) -> LaurentPoly:
-    return LaurentPoly(n, tuple((e, NovikovScalar.of(c)) for e, c in terms))
+    return strat
 
 
 @dataclass(frozen=True)
@@ -178,11 +159,11 @@ class LtsLevel:
 
     @cached_property
     def poly(self) -> LaurentPoly:
-        return _laurent(self.n, self.rows)
+        return LaurentPoly(self.n, self.rows)
 
     @cached_property
     def equations(self) -> tuple:
-        return tuple(_laurent(self.n, eq) for eq in self.terms)
+        return tuple(LaurentPoly(self.n, eq) for eq in self.terms)
 
 
 @dataclass(frozen=True)

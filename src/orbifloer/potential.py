@@ -5,10 +5,11 @@ bulk deformation adds one term per activated twisted sector.  Only the
 leading order is built here: higher corrections have no closed formula, and
 the downstream solvability pipeline never needs them.
 
-Residuals are measured with the logarithmic gradient (y_i d/dy_i), which is
-the coordinate-free notion in the y = e^x chart.  The Newton in log
-coordinates that finds critical points here is also the one ltsolver.solve
-runs on its level equations.
+A potential is its term list, and everything that evaluates it reads the
+terms.  Residuals are measured with the logarithmic gradient (y_i d/dy_i),
+which is the coordinate-free notion in the y = e^x chart.  The Newton in
+log coordinates that finds critical points here is also the one
+ltsolver.solve runs on its level equations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     InputError,
@@ -27,14 +28,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .lattice import column_hermite, identity, solve_integer
-from .series import (
-    QC,
-    LaurentPoly,
-    NovikovScalar,
-    c_add,
-    c_is_zero,
-    render_coeff,
-)
+from .series import QC, c_add, c_is_zero, c_mul, c_to_complex, render_coeff
 from .stacky import StackyModel, build_model, enumerate_box, sector_ell
 
 
@@ -101,20 +95,10 @@ class PotentialTerm:
 
 @dataclass(frozen=True)
 class PotentialAtFiber:
-    """Leading-order potential at a fixed interior fiber point, as its terms.
-
-    ``poly`` is the Laurent polynomial view of the terms, built on first use
-    by the requests that evaluate the potential.
-    """
+    """Leading-order potential at a fixed interior fiber point, as its terms."""
 
     u: tuple
     terms: tuple  # PotentialTerm, facets first
-
-    @cached_property
-    def poly(self) -> LaurentPoly:
-        return LaurentPoly(
-            len(self.u), tuple((t.exponent, NovikovScalar.of(t.coeff, t.t_exponent)) for t in self.terms)
-        )
 
     def __str__(self):
         return " + ".join(str(t) for t in self.terms) if self.terms else "0"
@@ -158,11 +142,6 @@ def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber
     return PotentialAtFiber(base.u, base.terms + sectors)
 
 
-def log_gradient(p: LaurentPoly) -> tuple:
-    """Tuple of y_i * d/dy_i applied to p, one entry per variable."""
-    return tuple(p.log_derivative(i) for i in range(p.n))
-
-
 def _positive_t(t_value) -> float:
     t = float(t_value)
     if not math.isfinite(t) or t <= 0:
@@ -170,23 +149,31 @@ def _positive_t(t_value) -> float:
     return t
 
 
-def critical_residual(p, y, t_value: float = 0.5, env: dict | None = None) -> float:
-    """max_i |y_i dp/dy_i| at the point (y, T = t_value).
+def critical_residual(p: PotentialAtFiber, y, t_value: float = 0.5, env=None) -> float:
+    """max_i |y_i dp/dy_i| at the point (y, T = t_value), summed term by term.
 
-    Accepts a PotentialAtFiber or a bare LaurentPoly.  Symbolic coefficients
-    need values in ``env``.  Non-finite y, or T not finite and positive,
-    raises InputError.
+    Each entry is sum e_i c T^q y^e over the terms of p; the loop shares
+    nothing with critical_points, so it re-checks its points.  Symbolic
+    coefficients need values in ``env``.  Non-finite y, or T not finite
+    and positive, raises InputError.
     """
-    poly = p.poly if isinstance(p, PotentialAtFiber) else p
     t = _positive_t(t_value)
     yy = tuple(complex(c) for c in y)
+    if len(yy) != len(p.u):
+        raise InputError(f"residual needs {len(p.u)} coordinates, got {y!r}")
     if not all(cmath.isfinite(c) for c in yy):
         raise InputError(f"residual needs finite coordinates, got {y!r}")
     if any(c == 0 for c in yy):
         raise ZeroCoordinate("residual undefined on a coordinate hyperplane")
     worst = 0.0
-    for g in log_gradient(poly):
-        worst = max(worst, abs(g.eval_complex(yy, t, env)))
+    for i in range(len(yy)):
+        total = 0j
+        for term in p.terms:
+            e = term.exponent
+            if e[i]:
+                mono = math.prod(z**k for z, k in zip(yy, e))
+                total += c_to_complex(c_mul(term.coeff, e[i]), env) * t ** float(term.t_exponent) * mono
+        worst = max(worst, abs(total))
     return worst
 
 
@@ -385,21 +372,40 @@ CRITICAL_STARTS = 64
 CRITICAL_TOL = 1e-10
 
 
+def _log_gradient(p: PotentialAtFiber, t: float, env) -> tuple:
+    """y_i dp/dy_i at T = t as numeric rows, one tuple per variable i.
+
+    Entry i holds the sorted (exponent, value) rows with e_i != 0, the
+    value summing c * e_i * t^q over the terms at that exponent in
+    ascending q: a sector's bulk rows at two energies share an exponent.
+    """
+    by_exponent: dict = {}
+    for term in p.terms:
+        by_exponent.setdefault(term.exponent, []).append((term.t_exponent, term.coeff))
+    rows = [(e, sorted(qs, key=itemgetter(0))) for e, qs in sorted(by_exponent.items())]
+    return tuple(
+        tuple(
+            (e, sum(c_to_complex(c_mul(c, e[i]), env) * t ** float(q) for q, c in qs)) for e, qs in rows if e[i]
+        )
+        for i in range(len(p.u))
+    )
+
+
 class _GradientData(_EqData):
     """The log-gradient entries of a potential at T = t, one coefficient set.
 
-    Every entry of a leading-order potential scales with a power of T, so
-    the residual divides each entry by the largest modulus among its
-    coefficients at T: the Newton stop and the acceptance bound then mean
-    the same at every T.
+    ``grads`` are _log_gradient's rows.  Every entry of a leading-order
+    potential scales with a power of T, so the residual divides each entry
+    by the largest modulus among its coefficients at T: the Newton stop
+    and the acceptance bound then mean the same at every T.
     """
 
-    def __init__(self, grads, t, env):
+    def __init__(self, grads):
         import numpy as np
 
         n = len(grads)
-        exps = [np.array([e for e, _ in g.terms()], dtype=float).reshape(-1, n) for g in grads]
-        coeffs = [np.array([s.eval_complex(t, env) for _, s in g.terms()], dtype=complex) for g in grads]
+        exps = [np.array([e for e, _ in g], dtype=float).reshape(-1, n) for g in grads]
+        coeffs = [np.array([v for _, v in g], dtype=complex) for g in grads]
         super().__init__(exps, coeffs)
         # an entry without terms is zero everywhere, and any scale serves it
         self.scale = np.array([np.abs(cs).max(initial=0.0) or 1.0 for cs in coeffs])
@@ -408,7 +414,7 @@ class _GradientData(_EqData):
         return (abs(fv) / self.scale).max(axis=1)
 
 
-def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int = 0) -> list:
+def critical_points(p: PotentialAtFiber, t_value: float = 0.5, env=None, seed: int = 0) -> list:
     """Search for critical points of p at T = t_value.
 
     One variable: the companion-matrix roots of the log-derivative, each
@@ -423,21 +429,19 @@ def critical_points(p, t_value: float = 0.5, env: dict | None = None, seed: int 
     """
     import numpy as np
 
-    poly = p.poly if isinstance(p, PotentialAtFiber) else p
-    t = _positive_t(t_value)
-    grads = log_gradient(poly)
-    if poly.n == 1:
-        terms = grads[0].terms()
-        roots = companion_roots({e[0]: s.eval_complex(t, env) for e, s in terms}) if terms else []
+    n = len(p.u)
+    grads = _log_gradient(p, _positive_t(t_value), env)
+    if n == 1:
+        roots = companion_roots({e[0]: v for e, v in grads[0]}) if grads[0] else []
         starts = [(r,) for r in roots]
     else:
-        starts = random_starts(seed, CRITICAL_STARTS, poly.n, 0.2, 2.0)
+        starts = random_starts(seed, CRITICAL_STARTS, n, 0.2, 2.0)
     if not starts:
         return []
-    data = _GradientData(grads, t, env)
+    data = _GradientData(grads)
     ys, res, fv = _newton(data, starts)
     absolute = np.abs(fv).max(axis=1)
-    if poly.n == 1:
+    if n == 1:
         keep = range(len(ys))
     else:
         off_zero = (np.hypot(ys.real, ys.imag) > 1e-8).all(axis=1)

@@ -628,13 +628,9 @@ def _tag_coeff(tag: tuple):
 
 
 def scenario_lts(m: StackyModel, s: Scenario):
-    """The u-independent leading term system of a scenario.
-
-    The level ranks are the scenario's span_dims, or computed when it has
-    none.
-    """
+    """The u-independent leading term system of a scenario."""
     coeffs = {tag: _tag_coeff(tag) for tags in s.levels for tag in tags}
-    return build_lts(scenario_stratification(m, s.levels, coeffs, s.span_dims))
+    return build_lts(scenario_stratification(m, s.levels, coeffs))
 
 
 def nondisplaceable_region(

@@ -1,12 +1,12 @@
-"""Finite Novikov scalars and Laurent polynomials over them.
+"""Exact coefficients, and the T-free Laurent polynomials that print a level.
 
-A Novikov scalar is a finite formal sum  a_1*T^{q_1} + ... + a_k*T^{q_k}
-with strictly increasing exact rational exponents.  Coefficients are exact
-Gaussian rationals (QC) or degree-one polynomials in named symbols
-(SymLin, for free bulk coefficients).  Laurent polynomials in y1..yn over
-these scalars carry the potentials.  Scalars and polynomials offer sums,
-integer multiples of a scalar, the log derivative y_i d/dy_i, complex
-evaluation and rendering: what the potentials and the solver use.
+Coefficients are exact Gaussian rationals (QC) or degree-one polynomials
+in named symbols (SymLin, for free bulk coefficients).  They offer sums,
+integer multiples and complex evaluation: what the potentials and the
+solver use.  A potential is its term list (potential.PotentialAtFiber)
+and a leading term level its exponent rows (ltsolver.LtsLevel); a
+LaurentPoly is the T-free view of such rows, for printing (render_poly)
+and for checking a certificate at a point (eval_complex).
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class QC:
     def __add__(self, o):
         o = QC.of(o)
         return QC(self.re + o.re, self.im + o.im)
-
-    def __neg__(self):
-        return QC(-self.re, -self.im)
 
     def __mul__(self, o):
         if isinstance(o, int):
@@ -165,122 +162,47 @@ def c_to_complex(a, env: dict | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-class NovikovScalar:
-    """Finite formal sum of c * T^q terms, normalized."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged: dict = {}
-        for q, c in terms:
-            q = Fraction(q)
-            c = coeff_of(c)
-            if q in merged:
-                merged[q] = c_add(merged[q], c)
-            else:
-                merged[q] = c
-        clean = tuple((q, merged[q]) for q in sorted(merged) if not c_is_zero(merged[q]))
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("NovikovScalar is immutable")
-
-    @staticmethod
-    def of(coeff, exponent=0) -> "NovikovScalar":
-        return NovikovScalar(((Fraction(exponent), coeff_of(coeff)),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, o):
-        return NovikovScalar(self.terms + o.terms)
-
-    def __mul__(self, k: int):
-        return NovikovScalar(tuple((q, c_mul(c, k)) for q, c in self.terms))
-
-    def __eq__(self, o):
-        return isinstance(o, NovikovScalar) and self.terms == o.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def eval_complex(self, t: float, env: dict | None = None) -> complex:
-        return sum(c_to_complex(c, env) * (t ** float(q)) for q, c in self.terms)
-
-    def __repr__(self):
-        return f"NovikovScalar({self.terms!r})"
-
-
-# ---------------------------------------------------------------------------
-
-
 class LaurentPoly:
-    """Laurent polynomial in y1..yn with NovikovScalar coefficients.
+    """A T-free Laurent polynomial in y1..yn: a leading term level or one of its equations.
 
-    Treat instances as immutable; all operations return fresh objects.
+    Its terms are (exponent vector, coefficient) pairs sorted by exponent.
+    The exponents are distinct and the coefficients nonzero, as in the
+    level rows it is built from; nothing is merged.  Treat instances as
+    immutable.
     """
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=()):
         object.__setattr__(self, "n", int(n))
-        clean: dict = {}
-        for e, s in dict(terms).items() if isinstance(terms, dict) else terms:
-            e = tuple(int(x) for x in e)
-            if len(e) != self.n:
-                raise ValueError("exponent vector has wrong length")
-            if not isinstance(s, NovikovScalar):
-                s = NovikovScalar.of(s)
-            if e in clean:
-                s = clean[e] + s
-            if s.is_zero():
-                clean.pop(e, None)
-            else:
-                clean[e] = s
-        object.__setattr__(self, "_terms", {e: clean[e] for e in sorted(clean)})
+        object.__setattr__(self, "_terms", tuple(sorted(terms, key=itemgetter(0))))
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
     def terms(self):
-        """Sorted (exponent_vector, NovikovScalar) pairs."""
-        return tuple(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        """Sorted (exponent_vector, coefficient) pairs."""
+        return self._terms
 
     def __eq__(self, o):
         return isinstance(o, LaurentPoly) and self.n == o.n and self._terms == o._terms
 
-    def __add__(self, o):
-        if self.n != o.n:
-            raise ValueError("mixed ambient dimensions")
-        return LaurentPoly(self.n, tuple(self._terms.items()) + tuple(o._terms.items()))
-
-    def log_derivative(self, i: int) -> "LaurentPoly":
-        """y_i * d/dy_i: same supports, coefficients scaled by e_i."""
-        out = []
-        for e, s in self._terms.items():
-            if e[i] == 0:
-                continue
-            out.append((e, s * e[i]))
-        return LaurentPoly(self.n, out)
-
     def eval_complex(self, y, t: float, env: dict | None = None) -> complex:
+        """The value at the torus point y; a level is T-free, so t does not enter it."""
         if len(y) != self.n:
             raise ValueError("point has wrong length")
         if any(z == 0 for z in y):
             raise ZeroCoordinate("torus coordinates must be nonzero")
         total = 0j
-        for e, s in self._terms.items():
+        for e, c in self._terms:
             mono = 1 + 0j
             for z, k in zip(y, e):
                 mono *= complex(z) ** k
-            total += s.eval_complex(t, env) * mono
+            total += c_to_complex(c, env) * mono
         return total
 
     def __repr__(self):
-        return f"LaurentPoly({self.n}, {tuple(self._terms.items())!r})"
+        return f"LaurentPoly({self.n}, {self._terms!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +230,13 @@ def render_coeff(c) -> str:
     return f"({_fmt_fraction(c.re)}{'+' if c.im >= 0 else '-'}{_fmt_fraction(abs(c.im))}i)"
 
 
-def render_scalar_term(q: Fraction, c) -> str:
-    cs = render_coeff(c)
-    if q == 0:
-        return cs
-    return f"{cs}*T^{{{_fmt_fraction(q)}}}"
-
-
 def render_poly(p: LaurentPoly) -> str:
-    """Flat sum like `2*T^{1/2}*y1^2*y2^-1 + ...`; `0` for the zero polynomial."""
+    """Flat sum like `2*y1^2*y2^-1 + ...`; `0` for the zero polynomial."""
     pieces = []
-    for e, s in p.terms():
+    for e, c in p.terms():
         mono = "*".join(
             f"y{i + 1}" + (f"^{k}" if k != 1 else "") for i, k in enumerate(e) if k != 0
         )
-        for q, c in s.terms:
-            head = render_scalar_term(q, c)
-            pieces.append(f"{head}*{mono}" if mono else head)
+        head = render_coeff(c)
+        pieces.append(f"{head}*{mono}" if mono else head)
     return " + ".join(pieces) if pieces else "0"

@@ -11,7 +11,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import atan2, gcd, inf
+from math import atan2, gcd
 from pathlib import Path
 
 import sympy
@@ -112,11 +112,6 @@ def integer_inverse(m):
 def in_cone(gens, x):
     """Whether x lies in the closed simplicial cone of independent generators."""
     return all(t >= 0 for t in cone_coordinates(gens, x))
-
-
-def valuation(s):
-    """Lowest T-exponent of a NovikovScalar's terms, inf for zero."""
-    return min((q for q, _ in s.terms), default=inf)
 
 
 def is_unimodular(m):
@@ -262,10 +257,10 @@ def coloop_refutes(lts):
 
     for lv in lts.levels:
         groups = {}
-        for e, s in lv.poly.terms():
+        for e, c in lv.poly.terms():
             a = tuple(e[k] for k in lv.var_indices)
             if any(a):
-                groups.setdefault(a, []).append(s.terms[0][1])
+                groups.setdefault(a, []).append(c)
 
         def rank(exps):
             return sympy.Matrix([list(a) for a in exps]).rank() if exps else 0
@@ -347,11 +342,13 @@ def f_and_jlog_by_equation(exps, coeffs, ys):
 
 
 def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residual_tol=1e-10):
-    """Critical points by per-start Newton, every value taken by LaurentPoly.eval_complex.
+    """Critical points by per-start Newton, every value summed afresh from the potential's terms.
 
-    Each Newton step evaluates each log-gradient and log-Jacobian entry
-    polynomial afresh, coefficients included, with absolute tolerances.
-    The start sequence and trust region are those of
+    The log-gradient entry i at y is sum e_i c T^q y^e over the terms
+    (exponent e, T-exponent q, coefficient c) of a PotentialAtFiber, and
+    its log-Jacobian entry (i, k) is the same sum with e_i e_k; each Newton
+    step evaluates them term by term, coefficients included, with absolute
+    tolerances.  The start sequence and trust region are those of
     potential.critical_points, so at moderate T the two find the same
     points, to rounding.
     """
@@ -360,18 +357,32 @@ def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residua
 
     import numpy as np
 
-    from orbifloer.potential import CriticalPoint, PotentialAtFiber, log_gradient, root_key
+    from orbifloer.potential import CriticalPoint, root_key
+    from orbifloer.series import c_to_complex
 
-    def newton_polish(grads, jac, y, t, env, iters=60):
+    n = len(p.u)
+    t = float(t_value)
+    # (exponent, c * T^q) per term: the T-power is a number once T is fixed
+    weighted = [(trm.exponent, c_to_complex(trm.coeff, env) * t ** float(trm.t_exponent)) for trm in p.terms]
+
+    def entry(y, i, k=None):
+        total = 0j
+        for e, w in weighted:
+            factor = e[i] * (1 if k is None else e[k])
+            if factor:
+                mono = 1 + 0j
+                for z, a in zip(y, e):
+                    mono *= z**a
+                total += factor * w * mono
+        return total
+
+    def newton_polish(y, iters=60):
         yy = np.array(y, dtype=complex)
         for _ in range(iters):
-            fv = np.array([g.eval_complex(tuple(yy), t, env) for g in grads])
-            res = max(abs(v) for v in fv)
-            if res < 1e-14:
+            fv = np.array([entry(tuple(yy), i) for i in range(n)])
+            if max(abs(v) for v in fv) < 1e-14:
                 break
-            jm = np.array(
-                [[jac[i][k].eval_complex(tuple(yy), t, env) for k in range(len(yy))] for i in range(len(fv))]
-            )
+            jm = np.array([[entry(tuple(yy), i, k) for k in range(n)] for i in range(n)])
             try:
                 dx = np.linalg.solve(jm, -fv)
             except np.linalg.LinAlgError:
@@ -382,49 +393,25 @@ def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residua
             yy = yy * np.exp(dx)
             if any(abs(c) > 1e9 or abs(c) < 1e-9 for c in yy):
                 break
-        fv = [g.eval_complex(tuple(yy), t, env) for g in grads]
-        return tuple(complex(c) for c in yy), max(abs(v) for v in fv)
+        return tuple(complex(c) for c in yy), max(abs(entry(tuple(yy), i)) for i in range(n))
 
-    def log_jacobian(grads):
-        return [[g.log_derivative(k) for k in range(g.n)] for g in grads]
-
-    def univariate_critical(poly, t, env):
-        g = poly.log_derivative(0)
-        if g.is_zero():
-            return []
-        exps = [e[0] for e, _ in g.terms()]
-        lo = min(exps)
+    if n == 1:
+        # y dp/dy = sum e c T^q y^e: its numerator's roots by companion matrix
         coeffs = {}
-        for e, s in g.terms():
-            coeffs[e[0] - lo] = s.eval_complex(t, env)
-        deg = max(coeffs)
-        vec = [coeffs.get(d, 0j) for d in range(deg, -1, -1)]
-        roots = [complex(r) for r in np.roots(vec)]
-        grads = log_gradient(poly)
-        jac = log_jacobian(grads)
-        out = []
-        for r in roots:
-            if abs(r) < 1e-8:
-                continue
-            y, res = newton_polish(grads, jac, (r,), t, env)
-            out.append(CriticalPoint(y, res))
-        return out
-
-    poly = p.poly if isinstance(p, PotentialAtFiber) else p
-    t = float(t_value)
-    if poly.n == 1:
-        found = univariate_critical(poly, t, env)
+        for e, w in weighted:
+            if e[0]:
+                coeffs[e[0]] = coeffs.get(e[0], 0j) + e[0] * w
+        if not coeffs:
+            return []
+        lo, hi = min(coeffs), max(coeffs)
+        roots = [complex(r) for r in np.roots([coeffs.get(k, 0j) for k in range(hi, lo - 1, -1)])]
+        found = [CriticalPoint(*newton_polish((r,))) for r in roots if abs(r) >= 1e-8]
     else:
-        grads = log_gradient(poly)
-        jac = log_jacobian(grads)
         rng = random.Random(seed)
         found = []
         for _ in range(starts):
-            y0 = tuple(
-                cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2 * cmath.pi))
-                for _ in range(poly.n)
-            )
-            y, res = newton_polish(grads, jac, y0, t, env)
+            y0 = tuple(cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2 * cmath.pi)) for _ in range(n))
+            y, res = newton_polish(y0)
             if res < residual_tol and all(abs(c) > 1e-8 for c in y):
                 if all(max(abs(a - b) for a, b in zip(y, q.y)) > 1e-6 for q in found):
                     found.append(CriticalPoint(y, res))
@@ -438,18 +425,18 @@ def mat_mul(a, b):
 
 def partial_derivative(p, i):
     """d/dy_i of a LaurentPoly: exponent e picks up factor e_i and drops by one in slot i."""
-    from orbifloer.series import LaurentPoly
+    from orbifloer.series import LaurentPoly, c_mul
 
     out = []
-    for e, s in p.terms():
+    for e, c in p.terms():
         if e[i] == 0:
             continue
-        out.append((e[:i] + (e[i] - 1,) + e[i + 1 :], s * e[i]))
+        out.append((e[:i] + (e[i] - 1,) + e[i + 1 :], c_mul(c, e[i])))
     return LaurentPoly(p.n, out)
 
 
 def eval_exact(p, y, env=None):
-    """Exact value of a T-free LaurentPoly at exact nonzero y, by repeated products.
+    """Exact value of a LaurentPoly at exact nonzero y, by repeated products.
 
     The reference for the solver's integer parity tables.
     """
@@ -461,17 +448,14 @@ def eval_exact(p, y, env=None):
     if any(z.is_zero() for z in vals):
         raise ZeroCoordinate("torus coordinates must be nonzero")
     total = QC()
-    for e, s in p.terms():
-        if any(q != 0 for q, _ in s.terms):
-            raise ValueError("eval_exact needs a T-free polynomial")
+    for e, cf in p.terms():
         c = QC()
-        for _, cf in s.terms:
-            if isinstance(cf, SymLin):
-                # const + sum q * symbol; an unbound symbol raises KeyError
-                for name, q in cf.lin:
-                    c = c + q * QC.of(env[name])
-                cf = cf.const
-            c = c + cf
+        if isinstance(cf, SymLin):
+            # const + sum q * symbol; an unbound symbol raises KeyError
+            for name, q in cf.lin:
+                c = c + q * QC.of(env[name])
+            cf = cf.const
+        c = c + cf
         mono = QC(1)
         for z, k in zip(vals, e):
             # 1/z = conj(z) / |z|^2
@@ -494,12 +478,12 @@ def monomial_rewrite(p, basis_change):
         raise ValueError("basis change must be square of the ambient dimension")
     if abs(det_cofactor(m)) != 1:
         raise ValueError("basis change must have determinant +-1")
-    return LaurentPoly(p.n, [(mat_mul((e,), m)[0], s) for e, s in p.terms()])
+    return LaurentPoly(p.n, [(mat_mul((e,), m)[0], c) for e, c in p.terms()])
 
 
 def parse_poly(text, n):
     """Inverse of series.render_poly for constant (symbol-free) coefficients."""
-    from orbifloer.series import QC, LaurentPoly, NovikovScalar
+    from orbifloer.series import QC, LaurentPoly
 
     text = text.strip()
     if text == "0":
@@ -507,14 +491,9 @@ def parse_poly(text, n):
     out = []
     for piece in text.split(" + "):
         coeff = QC(1)
-        q = Fraction(0)
         e = [0] * n
         for factor in piece.split("*"):
             factor = factor.strip()
-            m = re.fullmatch(r"T\^\{(-?\d+(?:/\d+)?)\}", factor)
-            if m:
-                q = Fraction(m.group(1))
-                continue
             m = re.fullmatch(r"y(\d+)(?:\^(-?\d+))?", factor)
             if m:
                 e[int(m.group(1)) - 1] = int(m.group(2) or 1)
@@ -524,7 +503,7 @@ def parse_poly(text, n):
                 coeff = coeff * QC(Fraction(m.group(1)), Fraction(m.group(2)))
                 continue
             coeff = coeff * QC(Fraction(factor))
-        out.append((tuple(e), NovikovScalar.of(coeff, q)))
+        out.append((tuple(e), coeff))
     return LaurentPoly(n, out)
 
 
@@ -539,7 +518,7 @@ def lts_by_rewrite(strat):
     lts_terms lists them.
     """
     from orbifloer import ltsolver as lt
-    from orbifloer.series import LaurentPoly, NovikovScalar, SymLin
+    from orbifloer.series import LaurentPoly, SymLin
 
     n = strat.model.dim
     change = integer_inverse(strat.adapted_basis)
@@ -547,7 +526,7 @@ def lts_by_rewrite(strat):
     prev_dim = 0
     names = set()
     for lv in strat.levels:
-        poly = LaurentPoly(n, tuple((d, NovikovScalar.of(c)) for d, c in zip(lv.directions, lv.coeffs)))
+        poly = LaurentPoly(n, tuple(zip(lv.directions, lv.coeffs)))
         for coeff in lv.coeffs:
             if isinstance(coeff, SymLin):
                 names.update(name for name, _ in coeff.lin)
@@ -557,10 +536,7 @@ def lts_by_rewrite(strat):
                 raise AssertionError("adapted rewrite leaked a later-level variable")
         own = tuple(range(prev_dim, lv.span_dim))
         eqs = tuple(partial_derivative(poly, i) for i in own)
-        if any(q != 0 for _, s in poly.terms() for q, _ in s.terms):
-            raise AssertionError("a leading term level must be T-free")
-        rows = tuple((e, s.terms[0][1]) for e, s in poly.terms())
-        out.append(lt.LtsLevel(lv.energy, rows, own, n))
+        out.append(lt.LtsLevel(lv.energy, poly.terms(), own, n))
         terms.append([p.terms() for p in (poly, *eqs)])
         prev_dim = lv.span_dim
     system = lt.LeadingTermSystem(
@@ -574,9 +550,13 @@ def lts_by_rewrite(strat):
 
 
 def scenario_lts_by_rewrite(m, s):
-    """region.scenario_lts as it was: level ranks by rank_rational, then lts_by_rewrite."""
+    """region.scenario_lts as it was: level ranks by rank_rational, then lts_by_rewrite.
+
+    The basis is column_hermite's W over the directions stacked level by
+    level, as the package takes it; lts_by_rewrite reads no exponents.
+    """
     from orbifloer import ltsolver as lt
-    from orbifloer.lattice import rank_rational
+    from orbifloer.lattice import column_hermite, rank_rational
     from orbifloer.series import QC, SymLin
     from orbifloer.stacky import enumerate_box
 
@@ -594,7 +574,8 @@ def scenario_lts_by_rewrite(m, s):
         levels.append(lt.StratumLevel(None, tuple(group), tuple(dirs), coeffs, r - prev_rank, r))
         prev_rank = r
     assert prev_rank == m.dim, "scenario levels do not span"
-    strat = lt.EnergyStratification(m, None, tuple(levels), *lt._adapted_basis(levels, m.dim))
+    _, w, _ = column_hermite([d for lv in levels for d in lv.directions], m.dim)
+    strat = lt.EnergyStratification(m, None, tuple(levels), tuple(map(tuple, w)), ())
     return lts_by_rewrite(strat)
 
 
@@ -608,8 +589,7 @@ def signature_by_terms(lts):
 
     names = {}
     for lv in lts.levels:
-        for _, s in lv.poly.terms():
-            c = s.terms[0][1]
+        for _, c in lv.poly.terms():
             if not isinstance(c, QC):
                 for name, _ in c.lin:
                     names.setdefault(name, None)
@@ -626,7 +606,7 @@ def signature_by_terms(lts):
 
     sig = []
     for lv in lts.levels:
-        terms = tuple(sorted((e, ckey(s.terms[0][1])) for e, s in lv.poly.terms()))
+        terms = tuple(sorted((e, ckey(c)) for e, c in lv.poly.terms()))
         sig.append((terms, lv.var_indices))
     return tuple(sig), symbols
 

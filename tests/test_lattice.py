@@ -295,7 +295,7 @@ def test_hermite_basis_is_adapted_to_random_level_groups(case):
 def _stratification(m, s):
     """The stratification of a scenario, every member with coefficient 1."""
     coeffs = {tag: QC(1) for tags in s.levels for tag in tags}
-    return ltsolver.scenario_stratification(m, s.levels, coeffs, s.span_dims)
+    return ltsolver.scenario_stratification(m, s.levels, coeffs)
 
 
 def test_hermite_basis_on_leaf_stacks(monkeypatch):

@@ -33,7 +33,7 @@ from orbifloer.ltsolver import (
     stratify,
 )
 from orbifloer.potential import BulkParam, _EqData, _newton
-from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin, render_poly
+from orbifloer.series import QC, LaurentPoly, SymLin, render_poly
 from orbifloer.stacky import build_model, enumerate_box, sector_ell
 from test_potential import RIM, TIE_X, TIE_Y, TIE_Z, seeded_bulk, seeded_fiber
 
@@ -252,8 +252,8 @@ def test_solve_coefficient_relation_needs_free_pass():
 
 def _linear_pass(*terms):
     """The one-variable system of f = sum c * y^e, and its _linear_certificate."""
-    poly = _poly(1, terms)
-    rows = _terms(poly)
+    poly = LaurentPoly(1, terms)
+    rows = poly.terms()
     symbols = sorted({name for _, c in rows if isinstance(c, SymLin) for name, _ in c.lin})
     level = LtsLevel(None, rows, (0,), 1)
     assert level.equations == (oracles.partial_derivative(poly, 0),)
@@ -396,12 +396,12 @@ def test_certificate_transfers_to_original_coordinates():
     )
     env = dict(v.certificate.symbol_values)
     for lv, orig in zip(lts.levels, st.levels):
-        poly = LaurentPoly(2, tuple((d, NovikovScalar.of(c)) for d, c in zip(orig.directions, orig.coeffs)))
+        poly = LaurentPoly(2, tuple(zip(orig.directions, orig.coeffs)))
         assert abs(
             poly.eval_complex(yorig, 1.0, env) - lv.poly.eval_complex(z, 1.0, env)
         ) < 1e-9
         # z_j d/dz_j = sum_i M_ij * y_i d/dy_i: own-direction gradients vanish
-        g = [poly.log_derivative(k).eval_complex(yorig, 1.0, env) for k in range(2)]
+        g = [yorig[k] * oracles.partial_derivative(poly, k).eval_complex(yorig, 1.0, env) for k in range(2)]
         for j in lv.var_indices:
             assert abs(sum(minv[i][j] * g[i] for i in range(2))) < 1e-8
 
@@ -478,9 +478,9 @@ def parity_vanishes(p, env, y):
     # with the sign of the parity of its mask at the -1 coordinates of y
     bits = sum(1 << k for k, v in enumerate(y) if v == -1)
     total = QC(0)
-    for mask, const, lin in _parity_rows(_terms(p)):
+    for mask, const, lin in _parity_rows(p.terms()):
         value = QC(*const) + sum((QC(*q) * env[name] for name, q in lin), QC(0))
-        total += -value if (mask & bits).bit_count() & 1 else value
+        total += value * -1 if (mask & bits).bit_count() & 1 else value
     return total.is_zero()
 
 
@@ -509,7 +509,7 @@ def t_free_cases(draw):
             st.tuples(exps, st.one_of(gaussian, symbolic)), max_size=5, unique_by=lambda t: t[0]
         )
     )
-    p = LaurentPoly(n, [(e, NovikovScalar.of(c)) for e, c in terms])
+    p = LaurentPoly(n, terms)
     env = {"c0": draw(palette), "c1": draw(palette)}
     y = draw(st.tuples(*[st.sampled_from([1, -1])] * n))
     return p, env, y
@@ -522,8 +522,9 @@ def test_parity_table_agrees_with_eval_exact(case):
     yq = tuple(QC(v) for v in y)
     value = oracles.eval_exact(p, yq, env)
     assert parity_vanishes(p, env, y) == value.is_zero()
-    # shifted to vanish at y, so both outcomes are exercised
-    q = p + LaurentPoly(p.n, (((0,) * p.n, NovikovScalar.of(value * -1)),))
+    # shifted to vanish at y, so both outcomes are exercised: y1^4 is 1 at
+    # every +-1 point, and exponent 4 lies outside the drawn range
+    q = LaurentPoly(p.n, p.terms() + (((4,) + (0,) * (p.n - 1), value * -1),))
     assert oracles.eval_exact(q, yq, env).is_zero()
     assert parity_vanishes(q, env, y)
 
@@ -660,21 +661,12 @@ def test_starts_are_seeded_by_their_key_in_the_modulus_window():
         assert ((0.3 <= moduli) & (moduli <= 1.8)).all()
 
 
-def _poly(n, terms):
-    return LaurentPoly(n, [(e, NovikovScalar.of(c)) for e, c in terms])
-
-
-def _terms(p):
-    """A T-free polynomial's (exponent, coefficient) terms, as LtsLevel holds them."""
-    return tuple((e, s.terms[0][1]) for e, s in p.terms())
-
-
 def test_newton_square_step_survives_a_singular_jacobian():
     # y0*y1 = 2 and y0 = y1: the log-Jacobian rows (y0*y1, y0*y1) and
     # (y0, -y1) are dependent exactly where y0 = -y1
     eqs = (
-        _terms(_poly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))])),
-        _terms(_poly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))])),
+        LaurentPoly(2, [((1, 1), QC(1)), ((0, 0), QC(-2))]).terms(),
+        LaurentPoly(2, [((1, 0), QC(1)), ((0, 1), QC(-1))]).terms(),
     )
     data = _level_data(eqs, (0, 1), [None, None], {})
     starts = np.array([[1.0, -1.0], [1.3, 0.7]], dtype=complex)
@@ -689,8 +681,8 @@ def _two_symbol_level():
     # constants and the log-Jacobian is zero at every start
     s0, s1 = SymLin.symbol("s0"), SymLin.symbol("s1")
     return (
-        _terms(_poly(2, [((1, 2), s0), ((0, 0), QC(-1))])),
-        _terms(_poly(2, [((2, 1), s1), ((0, 0), QC(2))])),
+        LaurentPoly(2, [((1, 2), s0), ((0, 0), QC(-1))]).terms(),
+        LaurentPoly(2, [((2, 1), s1), ((0, 0), QC(2))]).terms(),
     )
 
 

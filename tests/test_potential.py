@@ -23,6 +23,8 @@ from orbifloer.errors import (
 from orbifloer.potential import (
     BulkParam,
     CentralFiberCritical,
+    PotentialAtFiber,
+    PotentialTerm,
     binomial_roots,
     bulk_leading_potential,
     companion_roots,
@@ -31,7 +33,7 @@ from orbifloer.potential import (
     smooth_leading_potential,
     wp_central_critical,
 )
-from orbifloer.series import QC, LaurentPoly, NovikovScalar, SymLin
+from orbifloer.series import QC, SymLin
 from orbifloer.stacky import build_model, enumerate_box, sector_ell
 
 
@@ -108,9 +110,9 @@ def test_bulk_p11a():
 def test_bulk_zero_is_smooth():
     m = build_model("wp:1,3,5")
     u = (Fraction(1, 20), Fraction(0))
-    assert bulk_leading_potential(m, u, BulkParam.zero()).poly == smooth_leading_potential(m, u).poly
+    assert bulk_leading_potential(m, u, BulkParam.zero()).terms == smooth_leading_potential(m, u).terms
     dropped = BulkParam.of([((0, -1), QC.of(0), Fraction(1, 2))])
-    assert bulk_leading_potential(m, u, dropped).poly == smooth_leading_potential(m, u).poly
+    assert bulk_leading_potential(m, u, dropped).terms == smooth_leading_potential(m, u).terms
 
 
 def test_bulk_validation():
@@ -192,10 +194,12 @@ def test_residual_examples():
     assert critical_residual(p, (root,), 0.5) < 1e-12
     assert critical_residual(p, (1j * root,), 0.5) < 1e-12
     assert critical_residual(p, (root + 0.1,), 0.5) > 1e-3
-    constant = LaurentPoly(1, (((0,), NovikovScalar.of(QC.of(5))),))
+    constant = PotentialAtFiber((Fraction(0),), (PotentialTerm("facet", 0, (0,), Fraction(1), QC.of(5)),))
     assert critical_residual(constant, (2.3 + 1j,), 0.5) == 0.0
     with pytest.raises(ZeroCoordinate):
         critical_residual(p, (0.0,), 0.5)
+    with pytest.raises(InputError):
+        critical_residual(p, (0.7, 0.7), 0.5)
 
 
 def test_residual_rejects_non_finite_input():
@@ -280,6 +284,16 @@ def seeded_bulk(m, u, rng):
     return BulkParam.of(out)
 
 
+def merged_bulk(m):
+    """Two rows of the first sector at one lambda and a third at another.
+
+    The first two sum to one term; the third puts the sector's exponent
+    at a second T-power, so one log-gradient row sums two terms.
+    """
+    nu = enumerate_box(m)[0].nu
+    return BulkParam.of([(nu, QC(1), Fraction(1, 9)), (nu, QC(2), Fraction(1, 9)), (nu, QC(-1), Fraction(1, 3))])
+
+
 @pytest.mark.parametrize("preset", ["teardrop:3", "wp:1,3,5", "square:3,2,3,2", "wp:1,2,3,5"])
 def test_critical_points_match_eval_complex_oracle(preset):
     m = build_model(preset)
@@ -287,7 +301,8 @@ def test_critical_points_match_eval_complex_oracle(preset):
     found = 0
     for tie in (False, True):
         u = seeded_fiber(m, rng, tie)
-        for pot in (smooth_leading_potential(m, u), bulk_leading_potential(m, u, seeded_bulk(m, u, rng))):
+        bulks = (seeded_bulk(m, u, rng), merged_bulk(m))
+        for pot in (smooth_leading_potential(m, u), *(bulk_leading_potential(m, u, bp) for bp in bulks)):
             for t in (0.5, 2.0):
                 got = critical_points(pot, t_value=t)
                 want = oracles.critical_points_by_eval(pot, t_value=t)
