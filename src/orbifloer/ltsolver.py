@@ -234,8 +234,10 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
     are renamed by first appearance, level by level, row by row and in
     name order within a coefficient, and ``symbols`` lists the original
     names in that order, so two systems with one key correspond symbol by
-    symbol through them.  A Gaussian rational coefficient enters as (re,
-    im), a symbolic one as (re, im, ((index, re, im), ...)).
+    symbol through them.  Each rational enters as its numerator and
+    denominator, ints that hash faster than the Fraction: a Gaussian
+    rational coefficient as the four ints of (re, im), a symbolic one as
+    (re, im, ((index, re, im), ...)), so the two kinds differ in length.
     """
     names: dict = {}
     key = []
@@ -243,12 +245,17 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
         terms = []
         for e, c in lv.rows:
             if isinstance(c, QC):
-                terms.append((e, c.re, c.im))
+                terms.append((e, *_parts(c)))
             else:
-                lin = tuple((names.setdefault(name, len(names)), q.re, q.im) for name, q in c.lin)
-                terms.append((e, c.const.re, c.const.im, lin))
+                lin = tuple((names.setdefault(name, len(names)), *_parts(q)) for name, q in c.lin)
+                terms.append((e, *_parts(c.const), lin))
         key.append((tuple(terms), lv.var_indices))
     return tuple(key), tuple(names)
+
+
+def _parts(c: QC) -> tuple:
+    re, im = c.re, c.im
+    return re.numerator, re.denominator, im.numerator, im.denominator
 
 
 def _never_zero(coeff) -> bool:

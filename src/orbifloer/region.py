@@ -43,6 +43,17 @@ piece_geometry likewise finds each distinct set of binding rows' polygon
 once (_polygon).  Both memos are bounded LRU caches of results that depend
 on their key alone.
 
+Where only a sign, a hash or a vertex is needed, the work is in integers
+and Fractions are made only of what is returned.  The walk carries each
+prefix's witness as the homogeneous integers [U..., D] of _homogeneous,
+so a new sector row is tested there by one integer dot product.  _polygon
+finds, deduplicates and orders its vertices as reduced homogeneous
+integers (x, y, d), and only the kept ones become Fractions.  _clip keeps
+its bounds as integer pairs (num, den > 0), compared by
+cross-multiplication, and makes one Fraction per end.  The signature
+cache keys each rational by its numerator and denominator
+(lts_signature).
+
 query_point reads a region through its row index (FiberRegion.row_index),
 built once on the first query: the region's constraints are a few dozen
 distinct integer rows shared by all its pieces, the model's facet rows
@@ -684,7 +695,9 @@ def _piece_candidates(m: StackyModel):
     builds their system once (_system); a sector child substitutes its one
     new row and folds it into a copy of its parent's binding table
     (_fold), and solves (_solve) only when the row is not positive at its
-    parent's witness.
+    parent's witness.  The walk carries that witness as the integers
+    [U..., D] of _homogeneous, converted once per _solve, so the test is
+    one integer dot product.
 
     A leaf is first checked for a coloop level (_SpanTree.coloop_leaf): a
     member a of level l whose direction lies outside V_{l-1} + span(others),
@@ -698,8 +711,8 @@ def _piece_candidates(m: StackyModel):
     Fukaya-Oh-Ohta-Ono for toric manifolds), and it is skipped before
     scenario_region, scenario_lts and solve.  A level with one member,
     which must add span, always has one.  The context of a feasible
-    prefix is its (system, level anchors, witness), system the
-    (equality pivots, binding table) of its rows, which a leaf hands to
+    prefix is its (system, level anchors, homogeneous witness), system
+    the (equality pivots, binding table) of its rows, which a leaf hands to
     scenario_region.
     """
     constraints = _model_constraints(m)
@@ -729,18 +742,19 @@ def _piece_candidates(m: StackyModel):
         elif digits[-1] == 0:
             return ctx  # a sector left out adds no condition
         else:
-            (subs, table), anchors, w = ctx
+            (subs, table), anchors, hw = ctx
             l = digits[-1] - 1
             row = _row(constraints["sector", anchors[l], p - 1 - nf, l])
             table = dict(table)
             if not _fold(table, _substitute(row, subs)):
                 return None
             system = subs, table
-            if sum(map(mul, row, w)) + row[-1] <= 0:
-                w = _solve(*system, m.dim)
+            if sum(map(mul, row, hw)) > 0:
+                return system, anchors, hw
+            w = _solve(*system, m.dim)
         if w is None:
             return None
-        return system, anchors, w
+        return system, anchors, _homogeneous(w)
 
     return grow
 
@@ -792,14 +806,15 @@ def _clip(p: RegionPiece, base, d, closed: bool = True):
     """Exact (lo, lo_closed, hi, hi_closed), in t, of a piece on the line base + t*d.
 
     A condition with a = coeffs.d != 0 meets the line at t = -value(base)/a,
-    one Fraction of an integer dot product with the homogeneous base
-    (value() in Fractions is 3x slower).  It bounds t from below when it is
-    an equality or a > 0, and from above when it is an equality or a < 0;
-    one with a = 0 is parallel and skipped.  lo is the largest lower bound
-    and hi the smallest upper bound; an end is closed when every condition
-    that reaches it is an equality or, in closure mode, not of kind
-    "interior".  A piece holds the interior rows of a compact polytope, so
-    every line meets bounds on both sides.
+    kept as the integer pair (-row.hb, a*D) with hb = [U..., D] the
+    homogeneous base, its denominator made positive.  It bounds t from
+    below when it is an equality or a > 0, and from above when it is an
+    equality or a < 0; one with a = 0 is parallel and skipped.  lo is the
+    largest lower bound and hi the smallest upper bound, pairs compared by
+    cross-multiplication, and only the two ends become Fractions.  An end
+    is closed when every condition that reaches it is an equality or, in
+    closure mode, not of kind "interior".  A piece holds the interior rows
+    of a compact polytope, so every line meets bounds on both sides.
     """
     hb = _homogeneous(base)
     lower, upper = [], []
@@ -807,18 +822,23 @@ def _clip(p: RegionPiece, base, d, closed: bool = True):
         a = sum(map(mul, c.coeffs, d))
         if a == 0:
             continue
-        t = Fraction(-sum(map(mul, _row(c), hb)), hb[-1] * a)
-        bound = t, c.rel == "==" or (closed and c.kind != "interior")
+        num, den = -sum(map(mul, _row(c), hb)), hb[-1] * a
+        if den < 0:
+            num, den = -num, -den
+        bound = (num, den), c.rel == "==" or (closed and c.kind != "interior")
         if c.rel == "==" or a > 0:
             lower.append(bound)
         if c.rel == "==" or a < 0:
             upper.append(bound)
 
-    def endpoint(bounds, pick):
-        v = pick(v for v, _ in bounds)
-        return v, all(cl for w, cl in bounds if w == v)
+    def endpoint(bounds, sign):
+        (n, e), _ = bounds[0]
+        for (m, f), _ in bounds[1:]:
+            if (m * e - n * f) * sign > 0:
+                n, e = m, f
+        return Fraction(n, e), all(cl for (m, f), cl in bounds if m * e == n * f)
 
-    return (*endpoint(lower, max), *endpoint(upper, min))
+    return (*endpoint(lower, 1), *endpoint(upper, -1))
 
 
 def _piece_interval(p: RegionPiece, closed: bool):
@@ -886,19 +906,31 @@ def _polygon(rows: frozenset):
     a dominated parallel row carries no vertex and cuts none off, so the
     binding rows give the same vertices as all of a piece's rows.  A piece
     holds an open disc about its witness, so it has three vertices or more.
+    Vertices are found and deduplicated as reduced homogeneous integers
+    (x, y, d), d > 0, and only the kept ones become Fractions.  They are
+    ordered by angle about their centroid, read from integer numerators
+    over D*n (D the lcm of the d, n the vertex count): int/int true
+    division rounds as float() of the Fraction does.  Equal angles fall
+    back to the vertices' coordinates.
     """
-    pts = set()
+    seen: dict = {}
     for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
         det = a1 * b2 - b1 * a2
         if det == 0:
             continue
-        # the vertex (x/det, y/det), homogeneous with a positive denominator
+        # the vertex (x/det, y/det), reduced, with a positive denominator
         x, y = -c1 * b2 + c2 * b1, -c2 * a1 + c1 * a2
-        hv = (x, y, det) if det > 0 else (-x, -y, -det)
-        if all(sum(map(mul, r, hv)) >= 0 for r in rows):
-            pts.add((Fraction(x, det), Fraction(y, det)))
-    pts = sorted(pts)
-    cx = sum(x for x, _ in pts) / len(pts)
-    cy = sum(y for _, y in pts) / len(pts)
-    ordered = sorted(pts, key=lambda q: math.atan2(float(q[1] - cy), float(q[0] - cx)))
-    return ("polygon", tuple(ordered))
+        g = math.gcd(x, y, det) if det > 0 else -math.gcd(x, y, det)
+        x, y, d = x // g, y // g, det // g
+        hv = (x, y, d)
+        if hv not in seen:
+            seen[hv] = all(a * x + b * y + c * d >= 0 for a, b, c in rows)
+    pts = [hv for hv, kept in seen.items() if kept]
+    n, D = len(pts), math.lcm(*(d for _, _, d in pts))
+    scaled = [(x * (D // d), y * (D // d)) for x, y, d in pts]
+    sx, sy = sum(x for x, _ in scaled), sum(y for _, y in scaled)
+    ordered = sorted(
+        (math.atan2((y * n - sy) / (D * n), (x * n - sx) / (D * n)), Fraction(hx, d), Fraction(hy, d))
+        for (x, y), (hx, hy, d) in zip(scaled, pts)
+    )
+    return ("polygon", tuple(q[1:] for q in ordered))

@@ -184,9 +184,6 @@ class LaurentPoly:
         """Sorted (exponent_vector, coefficient) pairs."""
         return self._terms
 
-    def __eq__(self, o):
-        return isinstance(o, LaurentPoly) and self.n == o.n and self._terms == o._terms
-
     def eval_complex(self, y, t: float, env: dict | None = None) -> complex:
         """The value at the torus point y; a level is T-free, so t does not enter it."""
         if len(y) != self.n:

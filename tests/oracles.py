@@ -720,6 +720,54 @@ def piece_geometry_all_pairs(p):
     return ("polygon", tuple(sorted(pts, key=lambda q: atan2(float(q[1] - cy), float(q[0] - cx)))))
 
 
+def polygon_by_fractions(rows):
+    """region._polygon in Fractions, as it was: the polygon of a frozenset of binding rows.
+
+    Every pair of non-parallel rows gives a Fraction vertex, kept when it
+    satisfies every row; the vertices are sorted, then ordered by the float
+    angle about their Fraction centroid.
+    """
+    pts = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
+        det = a1 * b2 - b1 * a2
+        if det == 0:
+            continue
+        v = (Fraction(-c1 * b2 + c2 * b1, det), Fraction(-c2 * a1 + c1 * a2, det))
+        if all(a * v[0] + b * v[1] + c >= 0 for a, b, c in rows):
+            pts.add(v)
+    pts = sorted(pts)
+    cx = sum(x for x, _ in pts) / len(pts)
+    cy = sum(y for _, y in pts) / len(pts)
+    return ("polygon", tuple(sorted(pts, key=lambda q: atan2(float(q[1] - cy), float(q[0] - cx)))))
+
+
+def clip_by_fractions(p, base, d, closed=True):
+    """region._clip in Fractions, as it was: (lo, lo_closed, hi, hi_closed) of a piece on base + t*d.
+
+    Each condition meeting the line gives the Fraction t = -value(base)/a,
+    a = coeffs.d; lo is the largest lower bound and hi the smallest upper
+    one, each closed when every condition reaching it may hold with
+    equality.
+    """
+    lower, upper = [], []
+    for c in p.polyhedron.equalities + p.polyhedron.inequalities:
+        a = sum(x * y for x, y in zip(c.coeffs, d))
+        if a == 0:
+            continue
+        value = sum(x * Fraction(y) for x, y in zip(c.coeffs, base)) + c.const
+        bound = -value / a, c.rel == "==" or (closed and c.kind != "interior")
+        if c.rel == "==" or a > 0:
+            lower.append(bound)
+        if c.rel == "==" or a < 0:
+            upper.append(bound)
+
+    def endpoint(bounds, pick):
+        v = pick(v for v, _ in bounds)
+        return v, all(cl for w, cl in bounds if w == v)
+
+    return (*endpoint(lower, max), *endpoint(upper, min))
+
+
 def scenario_constraints_row_by_row(m, s):
     """region.scenario_constraints as it was: every Constraint built afresh.
 

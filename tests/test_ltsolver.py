@@ -256,7 +256,8 @@ def _linear_pass(*terms):
     rows = poly.terms()
     symbols = sorted({name for _, c in rows if isinstance(c, SymLin) for name, _ in c.lin})
     level = LtsLevel(None, rows, (0,), 1)
-    assert level.equations == (oracles.partial_derivative(poly, 0),)
+    (eq,) = level.equations
+    assert (eq.n, eq.terms()) == (1, oracles.partial_derivative(poly, 0).terms())
     lts = LeadingTermSystem(1, ((1,),), (level,), tuple(symbols), (1,))
     return lts, _linear_certificate(lts, ((_parity_rows(level.terms[0]),),))
 
@@ -423,15 +424,36 @@ def test_signature_stable_under_symbol_names():
 
     # both sectors on the facet's level: a repeated symbol is another system,
     # and so is a conjugate coefficient
-    both = tags + [("sector", sector_index(m, (2,)))]
-
-    def sig(*coeffs):
-        st = scenario_stratification(m, [both], dict(zip(both, (QC.of(1), *coeffs))))
-        return lts_signature(build_lts(st))[0]
-
     a, b = SymLin.symbol("a"), SymLin.symbol("b")
-    assert sig(a, b) == sig(b, a) != sig(a, a)
-    assert sig(QC(1, 1), a) != sig(QC(1, -1), a)
+    assert teardrop_signature(a, b) == teardrop_signature(b, a) != teardrop_signature(a, a)
+    assert teardrop_signature(QC(1, 1), a) != teardrop_signature(QC(1, -1), a)
+
+
+def teardrop_signature(*coeffs):
+    """lts_signature key of the one-level teardrop:3 system: facet 1 and sectors (1,), (2,)."""
+    m = build_model("teardrop:3")
+    tags = [("facet", 1), ("sector", sector_index(m, (1,))), ("sector", sector_index(m, (2,)))]
+    st = scenario_stratification(m, [tags], dict(zip(tags, (QC.of(1), *coeffs))))
+    return lts_signature(build_lts(st))[0]
+
+
+def test_signature_keys_stay_injective():
+    # each rational enters the key as its numerator and denominator: swapping
+    # them, flipping a sign or the real and imaginary part, or putting a
+    # symbol where a constant was gives another key
+    a = SymLin.symbol("a")
+    keys = [
+        teardrop_signature(QC(Fraction(1, 2)), a),
+        teardrop_signature(QC(2), a),
+        teardrop_signature(QC(1), a),
+        teardrop_signature(QC(-1), a),
+        teardrop_signature(QC(0, 1), a),
+        teardrop_signature(SymLin.symbol("b"), a),
+        teardrop_signature(SymLin(Fraction(1, 2), (("b", 2),)), a),
+        teardrop_signature(SymLin(2, (("b", Fraction(1, 2)),)), a),
+        teardrop_signature(a, QC(1)),
+    ]
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("preset", ["teardrop:5", "wp:1,3,5", "square:2,2,2,2", "wp:1,2,3,5"])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -402,14 +402,19 @@ def binomial_systems(draw):
 
 
 @given(binomial_systems())
+@example(([[-1, 3, -4], [2, -3, 4], [-3, -2, 2]], (3, 3, 3)))
+@example(([[3, 4, -4], [-4, -1, -1], [-2, 2, -4]], (2, 3, 0.5)))
 @settings(max_examples=300, deadline=None)
 def test_binomial_roots_are_all_the_roots(case):
-    # |det a| roots, pairwise apart, each solving every y^a_k = gamma_k
+    # |det a| roots, pairwise apart, each solving every y^a_k = gamma_k.
+    # Apart is relative to the coordinates' size: the two pinned draws have
+    # two roots each whose coordinates of size 1e-7 differ only in sign.
     a, gamma = case
     roots = binomial_roots(a, gamma)
     assert len(roots) == abs(oracles.det_cofactor(a))
     for i, y in enumerate(roots):
-        assert all(max(abs(p - q) for p, q in zip(y, z)) > 1e-6 for z in roots[i + 1 :])
+        for z in roots[i + 1 :]:
+            assert max(abs(p - q) / max(abs(p), abs(q)) for p, q in zip(y, z)) > 1e-6
         assert max(abs(math.prod(map(pow, y, row)) / g - 1) for row, g in zip(a, gamma)) < 1e-9
     if len(a) == 1:
         (k,), (g,) = a[0], gamma

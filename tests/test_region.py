@@ -764,6 +764,87 @@ def feasible_polyhedra(presets, max_levels):
                 yield s, poly
 
 
+@pytest.mark.parametrize("closure", [True, False])
+@pytest.mark.parametrize("preset", ["square:2,2,2,2", "wp:1,3,7"])
+def test_integer_polygon_and_clip_match_fraction_oracles(preset, closure):
+    # every distinct binding set of the region's polygons, and every piece
+    # clipped along four lines through its witness and, for a polygon,
+    # through each vertex, where two rows tie
+    r = nondisplaceable_region(build_model(preset), closure=closure)
+    binding_sets = set()
+    for p in r.pieces:
+        bases = [p.polyhedron.witness]
+        kind, data = piece_geometry(p, 2)
+        if kind == "polygon":
+            rows = region._binding(map(region._row, p.polyhedron.inequalities))
+            if rows not in binding_sets:
+                binding_sets.add(rows)
+                assert region._polygon.__wrapped__(rows) == oracles.polygon_by_fractions(rows)
+            bases += data
+        for base, d in itertools.product(bases, ((1, 0), (0, 1), (1, -1), (2, 3))):
+            assert region._clip(p, base, d, closure) == oracles.clip_by_fractions(p, base, d, closure)
+    assert len(binding_sets) == {"square:2,2,2,2": 264, "wp:1,3,7": 31}[preset]
+
+
+@st.composite
+def polygon_rows(draw):
+    # a box about the origin, rows through one point (three lines through a
+    # vertex when it is one) and rows parallel to a drawn one, each strictly
+    # positive at the origin
+    b = draw(st.integers(1, 6))
+    rows = [(-1, 0, b), (1, 0, b), (0, -1, b), (0, 1, b)]
+    ints = st.integers(-5, 5)
+    vx, vy = draw(ints), draw(ints)
+    for a1, a2 in draw(st.lists(st.tuples(ints, ints), min_size=3, max_size=5)):
+        rows.append((a1, a2, -(a1 * vx + a2 * vy)))
+    for k, c in draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 30)), max_size=3)):
+        a1, a2, _ = draw(st.sampled_from(rows))
+        rows.append((k * a1, k * a2, c))
+    rows += draw(st.lists(st.tuples(ints, ints, st.integers(1, 30)), max_size=4))
+    return frozenset(row for row in rows if row[2] > 0 and (row[0] or row[1]))
+
+
+@given(polygon_rows())
+@settings(max_examples=200, deadline=None)
+def test_integer_polygon_matches_fraction_oracle_on_random_rows(rows):
+    assert region._polygon.__wrapped__(rows) == oracles.polygon_by_fractions(rows)
+
+
+@st.composite
+def clip_cases(draw):
+    # a line base + t*d, one condition bounding t from each side, one
+    # parallel to the line, and more of both kinds and relations, some
+    # meeting the line at one common t
+    ints = st.integers(-4, 4)
+    d = draw(st.tuples(ints, ints).filter(any))
+    base = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=6)] * 2))
+    t0 = draw(st.fractions(-3, 3, max_denominator=6))
+    tie = [x + t0 * y for x, y in zip(base, d)]
+    rows = [(*d, draw(ints)), (-d[0], -d[1], draw(ints)), (-d[1], d[0], draw(ints))]
+    for a1, a2, through in draw(st.lists(st.tuples(ints, ints, st.booleans()), max_size=6)):
+        rows.append(cleared((a1, a2, -(a1 * tie[0] + a2 * tie[1]))) if through else (a1, a2, draw(ints)))
+    cons = [
+        Constraint(
+            tuple(row[:2]),
+            row[2],
+            ">" if k < 2 else draw(st.sampled_from([">", "=="])),
+            draw(st.sampled_from(["interior", "sector"])),
+            "t",
+        )
+        for k, row in enumerate(rows)
+    ]
+    eqs = tuple(c for c in cons if c.rel == "==")
+    ineqs = tuple(c for c in cons if c.rel == ">")
+    return region.RegionPiece(None, region.ScenarioPolyhedron(eqs, ineqs, ()), None), base, d
+
+
+@given(clip_cases(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_integer_clip_matches_fraction_oracle_on_random_lines(case, closed):
+    piece, base, d = case
+    assert region._clip(piece, base, d, closed) == oracles.clip_by_fractions(piece, base, d, closed)
+
+
 def test_piece_interval_endpoints_are_tight():
     # every feasible scenario polyhedron of five 1-d models, in both closure
     # modes: lo and hi are the piece's own endpoints, and each is closed

@@ -55,17 +55,19 @@ def test_monomial_rewrite_unimodular_only():
     # y1*y2 under M = [[1,0],[1,1]] becomes y1'^2 * y2'
     p = LaurentPoly(2, [((1, 1), QC(1))])
     q = oracles.monomial_rewrite(p, ((1, 0), (1, 1)))
-    assert q == LaurentPoly(2, [((2, 1), QC(1))])
+    assert (q.n, q.terms()) == (2, (((2, 1), QC(1)),))
     with pytest.raises(ValueError):
         oracles.monomial_rewrite(p, ((2, 0), (0, 1)))
 
 
 def test_monomial_rewrite_identity_and_inverse():
     p = LaurentPoly(2, [((1, 0), QC(1)), ((0, 1), QC(2))])
-    assert oracles.monomial_rewrite(p, ((1, 0), (0, 1))) == p
+    same = oracles.monomial_rewrite(p, ((1, 0), (0, 1)))
+    assert (same.n, same.terms()) == (p.n, p.terms())
     m = ((1, 1), (0, 1))
     minv = ((1, -1), (0, 1))
-    assert oracles.monomial_rewrite(oracles.monomial_rewrite(p, m), minv) == p
+    back = oracles.monomial_rewrite(oracles.monomial_rewrite(p, m), minv)
+    assert (back.n, back.terms()) == (p.n, p.terms())
 
 
 @given(polys(2))
@@ -93,8 +95,8 @@ def simple_polys(n):
 @given(simple_polys(3))
 @settings(max_examples=100, deadline=None)
 def test_render_parse_round_trip(p):
-    text = series.render_poly(p)
-    assert oracles.parse_poly(text, 3) == p
+    q = oracles.parse_poly(series.render_poly(p), 3)
+    assert (q.n, q.terms()) == (p.n, p.terms())
 
 
 def test_render_format():
