@@ -69,12 +69,8 @@ REPRODUCE_DIR = Path(__file__).parent / "data" / "reproduce"
 # serialization
 
 
-def _q(x) -> str:
-    return str(Fraction(x))
-
-
 def _qvec(v) -> list:
-    return [_q(x) for x in v]
+    return list(map(str, v))
 
 
 def _c17(z: complex) -> dict:
@@ -160,16 +156,16 @@ def _emit(o, pad: str, put) -> None:
 
 
 def _coeff_doc(c) -> dict:
-    if not isinstance(c, QC):
+    if c.lin:
         raise InputError("cannot serialize symbolic coefficients")
-    return {"re": _q(c.re), "im": _q(c.im)}
+    return {"re": str(c.const.re), "im": str(c.const.im)}
 
 
 def _model_doc(m) -> dict:
     return {
         "dim": m.dim,
         "facets": [
-            {"normal": list(f.normal), "label": f.label, "offset": _q(f.offset)}
+            {"normal": list(f.normal), "label": f.label, "offset": str(f.offset)}
             for f in m.facets
         ],
         "vertices": [_qvec(v) for v in m.vertices],
@@ -295,13 +291,13 @@ def cmd_box(m) -> dict:
                 "index": i,
                 "nu": list(s.nu),
                 "order": s.order,
-                "iota": _q(s.iota),
+                "iota": str(s.iota),
                 "cone": s.cone_index,
                 "support": list(s.support),
                 "coeffs": {
-                    str(j): _q(q) for j, q in zip(s.facet_indices, s.coeffs) if q
+                    str(j): str(q) for j, q in zip(s.facet_indices, s.coeffs) if q
                 },
-                "ell": {"gradient": _qvec(g), "constant": _q(c)},
+                "ell": {"gradient": _qvec(g), "constant": str(c)},
             }
         )
     return {"command": "box", "model": _model_doc(m), "sectors": sectors}
@@ -315,12 +311,12 @@ def cmd_discs(m, u) -> dict:
             "index": cls.index,
             "boundary": list(cls.boundary),
             "maslov_desingularized": cls.mu_de,
-            "maslov_cw": _q(cls.mu_cw),
+            "maslov_cw": str(cls.mu_cw),
             "virtual_dim": cls.virtual_dim,
-            "area": {"gradient": _qvec(cls.area_gradient), "constant": _q(cls.area_constant)},
+            "area": {"gradient": _qvec(cls.area_gradient), "constant": str(cls.area_constant)},
         }
         if u is not None:
-            row["area_at_u"] = _q(cls.area_at(u))
+            row["area_at_u"] = str(cls.area_at(u))
         classes.append(row)
     doc = {"command": "discs", "model": _model_doc(m), "classes": classes}
     if u is not None:
@@ -344,7 +340,7 @@ def cmd_potential(m, u, bp) -> dict:
                 "kind": t.kind,
                 "index": t.index,
                 "coeff": _coeff_doc(t.coeff),
-                "t_exponent": _q(t.t_exponent),
+                "t_exponent": str(t.t_exponent),
                 "exponent": list(t.exponent),
             }
             for t in pot.terms
@@ -377,7 +373,7 @@ def cmd_lte(m, u, bp, seed) -> dict:
         "symbols": list(lts.symbols),
         "levels": [
             {
-                "energy": None if lv.energy is None else _q(lv.energy),
+                "energy": None if lv.energy is None else str(lv.energy),
                 "poly": render_poly(lv.poly),
                 "own_vars": list(lv.var_indices),
                 "equations": [render_poly(e) for e in lv.equations],
@@ -393,9 +389,9 @@ def _geometry_doc(piece, r) -> dict | None:
         lo, lo_c, hi, hi_c = _piece_interval(piece, r.closure)
         return {
             "type": "interval",
-            "lo": _q(lo),
+            "lo": str(lo),
             "lo_closed": lo_c,
-            "hi": _q(hi),
+            "hi": str(hi),
             "hi_closed": hi_c,
         }
     if r.model.dim == 2:
@@ -434,7 +430,7 @@ def cmd_region(r, u=None) -> dict:
     }
     if m.dim == 1:
         doc["interval_union"] = [
-            {"lo": _q(lo), "lo_closed": lc, "hi": _q(hi), "hi_closed": hc}
+            {"lo": str(lo), "lo_closed": lc, "hi": str(hi), "hi_closed": hc}
             for lo, lc, hi, hc in interval_union(r)
         ]
     if u is not None:

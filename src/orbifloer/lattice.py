@@ -341,14 +341,14 @@ def box_points(c: SimplicialCone) -> list[tuple]:
     return out
 
 
-def integral_basis_in_cone(c: SimplicialCone, trace: list | None = None) -> list:
+def integral_basis_in_cone(c: SimplicialCone, trace: list) -> list:
     """A Z-basis of the ambient lattice whose vectors all lie inside the cone.
 
     Iterative subdivision: pick a fractional lattice point v = sum t_i g_i
     with t_i in [0,1), make v/content primitive, swap it for one generator,
     and recurse into the subdivided cone of smallest multiplicity.  The
-    multiplicity strictly decreases each round (append the trail to ``trace``
-    to observe it), so the loop stops at a unimodular cone whose generators
+    multiplicity strictly decreases each round (its trail is appended to
+    ``trace``), so the loop stops at a unimodular cone whose generators
     are the answer.
 
     Ties between subdivisions are broken by lexicographic minimality of the
@@ -359,8 +359,7 @@ def integral_basis_in_cone(c: SimplicialCone, trace: list | None = None) -> list
     gens = list(c.generators)
     mult = cone_multiplicity(c)
     while True:
-        if trace is not None:
-            trace.append(mult)
+        trace.append(mult)
         if mult == 1:
             return sorted(vec(g) for g in gens)
         best = None

@@ -38,7 +38,7 @@ from .potential import (
     BulkParam, _EqData, _newton, binomial_roots, bulk_leading_potential, companion_roots, far_apart,
     random_starts,
 )
-from .series import QC, LaurentPoly, SymLin, c_mul, c_to_complex
+from .series import QC, LaurentPoly, evaluate
 from .stacky import StackyModel, enumerate_box
 
 
@@ -153,7 +153,7 @@ class LtsLevel:
     def terms(self) -> tuple:
         """Per owned i, d/dy_i as terms (a - e_i, c * a_i), one per row (a, c) with a_i != 0."""
         return tuple(
-            tuple((a[:i] + (a[i] - 1,) + a[i + 1 :], c_mul(c, a[i])) for a, c in self.rows if a[i])
+            tuple((a[:i] + (a[i] - 1,) + a[i + 1 :], c * a[i]) for a, c in self.rows if a[i])
             for i in self.var_indices
         )
 
@@ -191,8 +191,7 @@ def build_lts(strat: EnergyStratification) -> LeadingTermSystem:
     out = []
     for lv, exponents in zip(strat.levels, strat.exponents):
         for coeff in lv.coeffs:
-            if isinstance(coeff, SymLin):
-                names.update(name for name, _ in coeff.lin)
+            names.update(name for name, _ in coeff.lin)
         rows = tuple(sorted(zip(exponents, lv.coeffs)))
         if any(e[k] for e, _ in rows for k in range(lv.span_dim, n)):
             raise AssertionError("adapted rewrite leaked a later-level variable")
@@ -235,20 +234,17 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
     name order within a coefficient, and ``symbols`` lists the original
     names in that order, so two systems with one key correspond symbol by
     symbol through them.  Each rational enters as its numerator and
-    denominator, ints that hash faster than the Fraction: a Gaussian
-    rational coefficient as the four ints of (re, im), a symbolic one as
-    (re, im, ((index, re, im), ...)), so the two kinds differ in length.
+    denominator, ints that hash faster than the Fraction: a row is keyed
+    as (e, re, im, ((index, re, im), ...)), the constant part's four ints
+    and then the symbol part, empty for a constant.
     """
     names: dict = {}
     key = []
     for lv in lts.levels:
         terms = []
         for e, c in lv.rows:
-            if isinstance(c, QC):
-                terms.append((e, *_parts(c)))
-            else:
-                lin = tuple((names.setdefault(name, len(names)), *_parts(q)) for name, q in c.lin)
-                terms.append((e, *_parts(c.const), lin))
+            lin = tuple((names.setdefault(name, len(names)), *_parts(q)) for name, q in c.lin)
+            terms.append((e, *_parts(c.const), lin))
         key.append((tuple(terms), lv.var_indices))
     return tuple(key), tuple(names)
 
@@ -259,12 +255,10 @@ def _parts(c: QC) -> tuple:
 
 
 def _never_zero(coeff) -> bool:
-    # constants are nonzero by normalization; a pure symbol ranges over C*
-    if isinstance(coeff, QC):
-        return not coeff.is_zero()
-    return (coeff.const.is_zero() and len(coeff.lin) == 1) or (
-        coeff.is_constant() and not coeff.const.is_zero()
-    )
+    # a nonzero constant, or a pure symbol, which ranges over C*
+    if coeff.lin:
+        return coeff.const.is_zero() and len(coeff.lin) == 1
+    return not coeff.const.is_zero()
 
 
 def _has_coloop(lv: LtsLevel) -> bool:
@@ -323,8 +317,7 @@ def _parity_rows(eq) -> tuple:
     """
     terms = []
     for e, c in eq:
-        const, lin = (c.const, c.lin) if isinstance(c, SymLin) else (c, ())
-        terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), const, lin))
+        terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), c.const, c.lin))
     values = [v for _, const, lin in terms for v in (const, *(q for _, q in lin))]
     den = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
     return tuple(
@@ -351,7 +344,7 @@ def _level_data(equations, own, vals, env) -> _EqData:
 
 def _term_value(e, c, vals, env) -> complex:
     """A term's complex coefficient times the value of its fixed-variable part."""
-    c = c_to_complex(c, env)
+    c = c.to_complex(env)
     for k, val in enumerate(vals):
         if val is not None and e[k]:
             c *= complex(val) ** e[k]
@@ -488,17 +481,6 @@ class _Search:
         return out[:16]
 
 
-def _evaluate(eq, y, env) -> complex:
-    """The value of an equation's terms at y, summed as LaurentPoly.eval_complex does."""
-    total = 0j
-    for e, c in eq:
-        mono = 1 + 0j
-        for z, k in zip(y, e):
-            mono *= z**k
-        total += c_to_complex(c, env) * mono
-    return total
-
-
 def _float_certificate(lts, vals, env) -> Certificate | None:
     """Float certificate of the point vals under env, or None.
 
@@ -514,16 +496,13 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
     worst = 0.0
     for lv in lts.levels:
         for i, eq in zip(lv.var_indices, lv.terms):
-            worst = max(worst, abs(y[i] * _evaluate(eq, y, env)))
+            worst = max(worst, abs(y[i] * evaluate(eq, y, env)))
             terms = [y[i] * _term_value(e, c, y, env) for e, c in eq]
             if abs(sum(terms)) > 1e-8 * sum(map(abs, terms)):
                 return None
     if worst >= 1e-10:
         return None
-    sym = tuple(
-        (nm, env[nm].to_complex() if isinstance(env[nm], QC) else complex(env[nm]))
-        for nm in lts.symbols
-    )
+    sym = tuple((nm, env[nm].to_complex()) for nm in lts.symbols)
     return Certificate(sym, y, worst, False)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .lattice import column_hermite, identity, solve_integer
-from .series import QC, c_add, c_is_zero, c_mul, c_to_complex, render_coeff
+from .series import QC, render_coeff
 from .stacky import StackyModel, build_model, enumerate_box, sector_ell
 
 
@@ -70,7 +70,7 @@ class BulkParam:
         return BulkParam(tuple(out))
 
     def is_zero(self) -> bool:
-        return all(c_is_zero(e.coeff) for e in self.entries)
+        return all(e.coeff.is_zero() for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber
             raise InputError(f"{e.nu} is not a twisted sector of this model")
         i = by_nu[e.nu]
         key = (i, e.exponent + sector_ell(m, box[i], base.u))
-        sums[key] = c_add(sums[key], e.coeff) if key in sums else e.coeff
+        sums[key] = sums[key] + e.coeff if key in sums else e.coeff
     sectors = tuple(
-        PotentialTerm("sector", i, box[i].nu, a, c) for (i, a), c in sums.items() if not c_is_zero(c)
+        PotentialTerm("sector", i, box[i].nu, a, c) for (i, a), c in sums.items() if not c.is_zero()
     )
     return PotentialAtFiber(base.u, base.terms + sectors)
 
@@ -149,13 +149,13 @@ def _positive_t(t_value) -> float:
     return t
 
 
-def critical_residual(p: PotentialAtFiber, y, t_value: float = 0.5, env=None) -> float:
+def critical_residual(p: PotentialAtFiber, y, t_value: float = 0.5) -> float:
     """max_i |y_i dp/dy_i| at the point (y, T = t_value), summed term by term.
 
     Each entry is sum e_i c T^q y^e over the terms of p; the loop shares
-    nothing with critical_points, so it re-checks its points.  Symbolic
-    coefficients need values in ``env``.  Non-finite y, or T not finite
-    and positive, raises InputError.
+    nothing with critical_points, so it re-checks its points.  A symbolic
+    coefficient raises KeyError.  Non-finite y, or T not finite and
+    positive, raises InputError.
     """
     t = _positive_t(t_value)
     yy = tuple(complex(c) for c in y)
@@ -172,7 +172,7 @@ def critical_residual(p: PotentialAtFiber, y, t_value: float = 0.5, env=None) ->
             e = term.exponent
             if e[i]:
                 mono = math.prod(z**k for z, k in zip(yy, e))
-                total += c_to_complex(c_mul(term.coeff, e[i]), env) * t ** float(term.t_exponent) * mono
+                total += (term.coeff * e[i]).to_complex() * t ** float(term.t_exponent) * mono
         worst = max(worst, abs(total))
     return worst
 
@@ -372,7 +372,7 @@ CRITICAL_STARTS = 64
 CRITICAL_TOL = 1e-10
 
 
-def _log_gradient(p: PotentialAtFiber, t: float, env) -> tuple:
+def _log_gradient(p: PotentialAtFiber, t: float) -> tuple:
     """y_i dp/dy_i at T = t as numeric rows, one tuple per variable i.
 
     Entry i holds the sorted (exponent, value) rows with e_i != 0, the
@@ -385,7 +385,7 @@ def _log_gradient(p: PotentialAtFiber, t: float, env) -> tuple:
     rows = [(e, sorted(qs, key=itemgetter(0))) for e, qs in sorted(by_exponent.items())]
     return tuple(
         tuple(
-            (e, sum(c_to_complex(c_mul(c, e[i]), env) * t ** float(q) for q, c in qs)) for e, qs in rows if e[i]
+            (e, sum((c * e[i]).to_complex() * t ** float(q) for q, c in qs)) for e, qs in rows if e[i]
         )
         for i in range(len(p.u))
     )
@@ -414,7 +414,7 @@ class _GradientData(_EqData):
         return (abs(fv) / self.scale).max(axis=1)
 
 
-def critical_points(p: PotentialAtFiber, t_value: float = 0.5, env=None, seed: int = 0) -> list:
+def critical_points(p: PotentialAtFiber, t_value: float = 0.5, seed: int = 0) -> list:
     """Search for critical points of p at T = t_value.
 
     One variable: the companion-matrix roots of the log-derivative, each
@@ -430,7 +430,7 @@ def critical_points(p: PotentialAtFiber, t_value: float = 0.5, env=None, seed: i
     import numpy as np
 
     n = len(p.u)
-    grads = _log_gradient(p, _positive_t(t_value), env)
+    grads = _log_gradient(p, _positive_t(t_value))
     if n == 1:
         roots = companion_roots({e[0]: v for e, v in grads[0]}) if grads[0] else []
         starts = [(r,) for r in roots]

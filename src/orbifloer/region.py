@@ -115,12 +115,12 @@ class Constraint:
 
 
 def _homogeneous(u) -> list:
-    """Integers [U_1, ..., U_n, D] with D > 0 and u = U / D.
+    """Integers [U_1, ..., U_n, D] with D > 0 and u = U / D, u of ints or Fractions.
 
     The sign of a condition at u is the sign of the dot product of its row
     (coeffs..., const) with this list.
     """
-    return cleared([*map(Fraction, u), 1])
+    return cleared([*u, 1])
 
 
 def _row(c: Constraint) -> tuple:
@@ -132,7 +132,7 @@ class Scenario:
     serial: int
     levels: tuple  # per level: tags ("facet", j) then ("sector", i), each ascending
     excluded: tuple  # sector tags with bulk switched off
-    span_dims: tuple  # cumulative span dimension after each level
+    span_dims: tuple  # always (): scenario_lts reads each level's rank off its Hermite pass
 
     @property
     def K(self) -> int:
@@ -352,7 +352,7 @@ def _leaves(trees: list, nf: int, grow):
     def visit(tree, p, state, ctx):
         nonlocal serial
         if p == tree.n:
-            yield _scenario(serial, digits, nf, [tree.rank(span) for span in state[0]]), ctx
+            yield _scenario(serial, digits, nf, tree.K), ctx
             serial += 1
             return
         for v in range(tree.K + 1):
@@ -372,17 +372,17 @@ def _leaves(trees: list, nf: int, grow):
         yield from visit(tree, 0, tree.root, ())
 
 
-def _scenario(serial: int, digits: list, nf: int, span_dims: list) -> Scenario:
+def _scenario(serial: int, digits: list, nf: int, K: int) -> Scenario:
     sectors = list(enumerate(digits[nf:]))
     levels = tuple(
         tuple(
             [("facet", j) for j in range(nf) if digits[j] == l]
             + [("sector", i) for i, v in sectors if v == l]
         )
-        for l in range(1, len(span_dims) + 1)
+        for l in range(1, K + 1)
     )
     excluded = tuple(("sector", i) for i, v in sectors if v == 0)
-    return Scenario(serial, levels, excluded, tuple(span_dims))
+    return Scenario(serial, levels, excluded, ())
 
 
 @lru_cache(maxsize=None)
@@ -725,11 +725,8 @@ def _piece_candidates(m: StackyModel):
         if p == n and tree.coloop_leaf(digits, state):
             return None
         if p == nf:
-            K = tree.K
-            levels = tuple(
-                tuple(("facet", j) for j in range(nf) if digits[j] == l) for l in range(1, K + 1)
-            )
-            cons = scenario_constraints(m, Scenario(-1, levels, (), ()))
+            facets = _scenario(-1, digits, nf, tree.K)
+            cons = scenario_constraints(m, facets)
             system = _system(
                 [_row(c) for c in cons if c.rel == "=="],
                 [_row(c) for c in cons if c.rel == ">"],
@@ -737,7 +734,7 @@ def _piece_candidates(m: StackyModel):
             )
             if system is None:
                 return None
-            anchors = [tags[0][1] for tags in levels]
+            anchors = [tags[0][1] for tags in facets.levels]
             w = _solve(*system, m.dim)
         elif digits[-1] == 0:
             return ctx  # a sector left out adds no condition

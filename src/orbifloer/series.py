@@ -1,12 +1,14 @@
 """Exact coefficients, and the T-free Laurent polynomials that print a level.
 
 Coefficients are exact Gaussian rationals (QC) or degree-one polynomials
-in named symbols (SymLin, for free bulk coefficients).  They offer sums,
-integer multiples and complex evaluation: what the potentials and the
-solver use.  A potential is its term list (potential.PotentialAtFiber)
-and a leading term level its exponent rows (ltsolver.LtsLevel); a
-LaurentPoly is the T-free view of such rows, for printing (render_poly)
-and for checking a certificate at a point (eval_complex).
+in named symbols (SymLin, for free bulk coefficients).  Both answer one
+protocol, so no caller asks which it holds: ``const`` (a QC), ``lin``
+(sorted (name, QC) pairs, empty for a QC), ``+``, ``* k`` for an integer
+k, ``is_zero()`` and ``to_complex(env)``, which a constant computes
+without env.  A potential is its term list (potential.PotentialAtFiber)
+and a leading term level its exponent rows (ltsolver.LtsLevel); evaluate
+sums such rows at a point, and a LaurentPoly is their T-free view, for
+printing (render_poly) and for checking a certificate (eval_complex).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ class QC:
     """Gaussian rational a + b*i with exact Fraction parts."""
 
     __slots__ = ("re", "im")
+    lin = ()
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
@@ -39,7 +42,13 @@ class QC:
             raise TypeError("floating complex cannot enter the exact path")
         raise TypeError(f"cannot coerce {type(x).__name__} to QC")
 
+    @property
+    def const(self) -> "QC":
+        return self
+
     def __add__(self, o):
+        if isinstance(o, SymLin):
+            return o + self
         o = QC.of(o)
         return QC(self.re + o.re, self.im + o.im)
 
@@ -65,7 +74,7 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def to_complex(self) -> complex:
+    def to_complex(self, env: dict | None = None) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
@@ -97,8 +106,12 @@ class SymLin:
     def is_zero(self) -> bool:
         return self.const.is_zero() and not self.lin
 
-    def is_constant(self) -> bool:
-        return not self.lin
+    def __add__(self, o):
+        return SymLin(self.const + o.const, self.lin + o.lin)
+
+    def __mul__(self, k: int):
+        """The integer multiple k*self, without a QC made of k."""
+        return SymLin(self.const * k, tuple((n, c * k) for n, c in self.lin))
 
     def __eq__(self, o):
         if not isinstance(o, SymLin):
@@ -120,43 +133,6 @@ class SymLin:
 
     def __repr__(self):
         return f"SymLin({self.const!r}, {self.lin!r})"
-
-
-# coefficient universe: QC or SymLin ------------------------------------------
-
-
-def coeff_of(x):
-    if isinstance(x, (QC, SymLin)):
-        return x
-    return QC.of(x)
-
-
-def c_add(a, b):
-    a, b = coeff_of(a), coeff_of(b)
-    if isinstance(a, QC) and isinstance(b, QC):
-        return a + b
-    a = a if isinstance(a, SymLin) else SymLin(a)
-    b = b if isinstance(b, SymLin) else SymLin(b)
-    return SymLin(a.const + b.const, a.lin + b.lin)
-
-
-def c_mul(a, k: int):
-    """The integer multiple k*a, without a QC made of k."""
-    a = coeff_of(a)
-    if isinstance(a, QC):
-        return a * k
-    return SymLin(a.const * k, tuple((n, c * k) for n, c in a.lin))
-
-
-def c_is_zero(a) -> bool:
-    return coeff_of(a).is_zero()
-
-
-def c_to_complex(a, env: dict | None = None) -> complex:
-    a = coeff_of(a)
-    if isinstance(a, QC):
-        return a.to_complex()
-    return a.to_complex(env)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +166,21 @@ class LaurentPoly:
             raise ValueError("point has wrong length")
         if any(z == 0 for z in y):
             raise ZeroCoordinate("torus coordinates must be nonzero")
-        total = 0j
-        for e, c in self._terms:
-            mono = 1 + 0j
-            for z, k in zip(y, e):
-                mono *= complex(z) ** k
-            total += c_to_complex(c, env) * mono
-        return total
+        return evaluate(self._terms, y, env)
 
     def __repr__(self):
         return f"LaurentPoly({self.n}, {self._terms!r})"
+
+
+def evaluate(terms, y, env: dict | None = None) -> complex:
+    """sum c * y^e over (exponent, coefficient) terms, symbols valued in env."""
+    total = 0j
+    for e, c in terms:
+        mono = 1 + 0j
+        for z, k in zip(y, e):
+            mono *= complex(z) ** k
+        total += c.to_complex(env) * mono
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +192,7 @@ def _fmt_fraction(q: Fraction) -> str:
 
 
 def render_coeff(c) -> str:
-    c = coeff_of(c)
-    if isinstance(c, SymLin):
+    if c.lin:
         parts = []
         if not c.const.is_zero():
             parts.append(render_coeff(c.const))
@@ -222,6 +202,7 @@ def render_coeff(c) -> str:
             else:
                 parts.append(f"{render_coeff(q)}*{name}")
         return "(" + " + ".join(parts) + ")" if len(parts) != 1 else parts[0]
+    c = c.const
     if c.im == 0:
         return _fmt_fraction(c.re)
     return f"({_fmt_fraction(c.re)}{'+' if c.im >= 0 else '-'}{_fmt_fraction(abs(c.im))}i)"

@@ -181,8 +181,8 @@ def product_scenarios(fdirs, sdirs, dim, max_levels):
     gets a level digit in 0..K (0 leaves it out), in itertools.product
     order, facets first.  A candidate needs a facet at every level and a
     cumulative span that grows at each level and ends full.  Returns
-    (serial, levels, excluded, span_dims) tuples, serial being the rank
-    among candidates.
+    (serial, levels, excluded) tuples, serial being the rank among
+    candidates.
     """
     from itertools import product
 
@@ -215,7 +215,7 @@ def product_scenarios(fdirs, sdirs, dim, max_levels):
                     for l in range(1, K + 1)
                 )
                 excluded = tuple(("sector", i) for i in range(ns) if sassign[i] == 0)
-                out.append((len(out), levels, excluded, tuple(dims)))
+                out.append((len(out), levels, excluded))
     return out
 
 
@@ -341,7 +341,7 @@ def f_and_jlog_by_equation(exps, coeffs, ys):
     return fv, jm
 
 
-def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residual_tol=1e-10):
+def critical_points_by_eval(p, t_value=0.5, seed=0, starts=64, residual_tol=1e-10):
     """Critical points by per-start Newton, every value summed afresh from the potential's terms.
 
     The log-gradient entry i at y is sum e_i c T^q y^e over the terms
@@ -358,12 +358,11 @@ def critical_points_by_eval(p, t_value=0.5, env=None, seed=0, starts=64, residua
     import numpy as np
 
     from orbifloer.potential import CriticalPoint, root_key
-    from orbifloer.series import c_to_complex
 
     n = len(p.u)
     t = float(t_value)
     # (exponent, c * T^q) per term: the T-power is a number once T is fixed
-    weighted = [(trm.exponent, c_to_complex(trm.coeff, env) * t ** float(trm.t_exponent)) for trm in p.terms]
+    weighted = [(trm.exponent, trm.coeff.to_complex() * t ** float(trm.t_exponent)) for trm in p.terms]
 
     def entry(y, i, k=None):
         total = 0j
@@ -425,13 +424,13 @@ def mat_mul(a, b):
 
 def partial_derivative(p, i):
     """d/dy_i of a LaurentPoly: exponent e picks up factor e_i and drops by one in slot i."""
-    from orbifloer.series import LaurentPoly, c_mul
+    from orbifloer.series import LaurentPoly
 
     out = []
     for e, c in p.terms():
         if e[i] == 0:
             continue
-        out.append((e[:i] + (e[i] - 1,) + e[i + 1 :], c_mul(c, e[i])))
+        out.append((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]))
     return LaurentPoly(p.n, out)
 
 

@@ -456,6 +456,20 @@ def test_signature_keys_stay_injective():
     assert len(set(keys)) == len(keys)
 
 
+def test_mixed_coefficient_sums_and_constant_keys():
+    # a constant plus a symbolic coefficient is one SymLin from either side,
+    # an integer multiple scales every part, and a constant SymLin keys its
+    # system as the equal QC does
+    c = SymLin(QC(1, 2), (("a", 3), ("b", QC(0, -1))))
+    q = QC(Fraction(1, 2), -1)
+    want = SymLin(QC(Fraction(3, 2), 1), (("a", 3), ("b", QC(0, -1))))
+    assert q + c == want and c + q == want
+    assert c * -2 == SymLin(QC(-2, -4), (("a", -6), ("b", QC(0, 2))))
+    assert (c * 0).is_zero()
+    a = SymLin.symbol("a")
+    assert teardrop_signature(SymLin(q), a) == teardrop_signature(q, a)
+
+
 @pytest.mark.parametrize("preset", ["teardrop:5", "wp:1,3,5", "square:2,2,2,2", "wp:1,2,3,5"])
 def test_build_lts_matches_rewrite_oracle_at_points(preset):
     # seeded interior points, half the sectors switched on and mostly tied

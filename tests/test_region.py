@@ -55,7 +55,7 @@ def test_enumerate_teardrop():
     # 2 levels need a second independent direction, impossible in dim 1
     assert len(ss) == 12
     assert [s.serial for s in ss] == list(range(12))
-    assert all(s.span_dims[-1] == 1 for s in ss)
+    assert all(s.K == 1 for s in ss)
 
 
 def test_enumerate_limit():
@@ -73,7 +73,7 @@ def test_enumerate_limit_counts_candidates():
 
 
 def _tuples(scenarios):
-    return [(s.serial, s.levels, s.excluded, s.span_dims) for s in scenarios]
+    return [(s.serial, s.levels, s.excluded) for s in scenarios]
 
 
 @pytest.mark.parametrize(
@@ -178,8 +178,7 @@ def test_coloop_leaf_matches_the_system_oracle():
 
         def grow(tree, digits, state, ctx):
             if len(digits) == n:
-                ranks = [tree.rank(span) for span in state[0]]
-                s = region._scenario(-1, digits, nf, ranks)
+                s = region._scenario(-1, digits, nf, tree.K)
                 seen.append((s, tree.coloop_leaf(digits, state)))
             return ctx
 
@@ -224,8 +223,7 @@ def _walk_refuted(m, max_levels=2):
     def recording(tree, digits, state):
         hit = real(tree, digits, state)
         if hit:
-            ranks = [tree.rank(span) for span in state[0]]
-            refuted.append(region._scenario(-1, digits, len(m.facets), ranks))
+            refuted.append(region._scenario(-1, digits, len(m.facets), tree.K))
         return hit
 
     with pytest.MonkeyPatch.context() as mp:
