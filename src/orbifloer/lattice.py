@@ -11,12 +11,12 @@ this module.
 Every elimination over Q runs here, fraction-free on integer rows: one
 step, ``clear``, combines two rows, and ``_eliminate`` is Gauss-Jordan made
 of it.  ``echelon`` gives the RREF cleared of denominators (a canonical
-span key), ``back_substitute`` solves its pivots and ``rank_rational``
-counts them; ``solve_integer`` returns A^-1 B as an integer matrix over
-one denominator.  Box points use it for the scaled inverse d B^-1 of a
-cone's generators: each point and its coordinates then come from integer
-products and one reduction mod d, and a Fraction is made once per
-coordinate.
+span key), ``back_substitute`` solves its pivots, ``kernel`` gives the
+integer null space and ``rank_rational`` counts the pivots; ``solve_integer``
+returns A^-1 B as an integer matrix over one denominator.  Box points use
+it for the scaled inverse d B^-1 of a cone's generators: each point and its
+coordinates then come from integer products and one reduction mod d, and a
+Fraction is made once per coordinate.
 """
 
 from __future__ import annotations
@@ -51,10 +51,7 @@ def transpose(m: Mat) -> Mat:
 
 def content(v: Vec) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for c in v:
-        g = gcd(g, abs(int(c)))
-    return g
+    return gcd(*map(int, v))
 
 
 def is_primitive(v: Vec) -> bool:
@@ -231,6 +228,21 @@ def back_substitute(rows, pivots, values) -> list:
     for row, p in zip(rows, pivots):
         x[p] = Fraction(-sum(a * v for j, (a, v) in enumerate(zip(row, x)) if a and j != p), row[p])
     return x
+
+
+def kernel(rows, ncols: int) -> list:
+    """An integer basis of {x : row . x = 0}, one vector per column without a pivot.
+
+    Free column j of echelon gets x_j = 1 and the other free columns 0, the
+    pivots are solved (back_substitute) and x is cleared of denominators;
+    with an entry 1 it is primitive.
+
+    >>> kernel([(1, 1, 1)], 3)
+    [(-1, 1, 0), (-1, 0, 1)]
+    """
+    reduced, pivots, _ = echelon(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    return [tuple(cleared(back_substitute(reduced, pivots, [int(k == j) for k in range(ncols)]))) for j in free]
 
 
 def rank_rational(rows) -> int:

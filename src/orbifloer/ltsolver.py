@@ -11,15 +11,16 @@ fiber.
 Everything up to the verdict is exact.  The one exact certifier is the
 linear pass at +-1 points, whose certificates have residual 0 and are
 checked in integers on the rows the pass solved; the numeric search only
-ever produces SolvableCertified (re-verified residuals) or gives up.  One
-structural test, a level with a coloop in its own exponents (a lone row
-outside the span of the others, _has_coloop), means no torus root.  On a
-level of one row, a single monomial whose derivative is again a monomial,
-it is a proof, run before the linear pass.  On the other levels it runs
-between the linear pass and the numeric palette and ends the solve without
-a search, but the verdict stays unknown, with no proof text, until the
-benchmark gate accepts a proof that cites a level which is not a single
-monomial.
+ever produces SolvableCertified (re-verified residuals) or gives up.  A
+level's structure is W, the relations among its rows' own exponents
+(LtsLevel.relations).  A circuit, d + 1 rows with dim W = 1, has its roots
+in closed form.  A coloop, a never-zero row that every relation gives
+weight 0 (_has_coloop), means no torus root.  On a level of one row, a
+single monomial, that is a proof, run before the linear pass.  On the other
+levels it runs between the linear pass and the numeric palette and ends the
+solve without a search, but the verdict stays unknown, with no proof text,
+until the benchmark gate accepts a proof that cites a level which is not a
+single monomial.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from math import lcm
 from operator import mul
 
 from .errors import SpanNeverFull
-from .lattice import back_substitute, cleared, column_hermite, det_int, echelon, rank_rational
+from .lattice import back_substitute, cleared, column_hermite, echelon, kernel, transpose
 from .potential import (
     BulkParam, _EqData, _newton, binomial_roots, bulk_leading_potential, companion_roots, far_apart,
     random_starts,
@@ -140,8 +141,8 @@ def scenario_stratification(m: StackyModel, groups, coeffs) -> EnergyStratificat
 class LtsLevel:
     """One T-free level in adapted coordinates, as sorted (exponent, coefficient) rows.
 
-    The solver reads ``rows`` and ``terms``; ``poly`` and ``equations`` are
-    Laurent polynomial views of them, built on first use, for printing.
+    The solver reads ``rows``, ``terms`` and ``relations``; ``poly`` and
+    ``equations``, Laurent polynomial views built on first use, print them.
     """
 
     energy: Fraction | None
@@ -156,6 +157,16 @@ class LtsLevel:
             tuple((a[:i] + (a[i] - 1,) + a[i + 1 :], c * a[i]) for a, c in self.rows if a[i])
             for i in self.var_indices
         )
+
+    @cached_property
+    def own(self) -> tuple:
+        """Each row's exponent in the level's own coordinates."""
+        return tuple(tuple(a[i] for i in self.var_indices) for a, _ in self.rows)
+
+    @cached_property
+    def relations(self) -> list:
+        """A primitive integer basis of W, the relations x with sum_k x_k own_k = 0."""
+        return kernel(transpose(self.own), len(self.rows))
 
     @cached_property
     def poly(self) -> LaurentPoly:
@@ -264,19 +275,15 @@ def _never_zero(coeff) -> bool:
 def _has_coloop(lv: LtsLevel) -> bool:
     """Whether a level has a coloop in its own variables, so no root on the torus.
 
-    A row is a coloop when its coefficient is never zero and dropping it
-    lowers the rank of the level's exponents in its own variables, as in
-    the region walk's _SpanTree.coloop_leaf.  A functional that is 1 at the
-    row's own exponent b and 0 on the others' span, applied to the
+    A row is a coloop when its coefficient is never zero and every relation
+    among the own exponents (LtsLevel.relations) gives it weight 0: then,
+    and only then, dropping it lowers the rank of those exponents, the rule
+    of the region walk's _SpanTree.coloop_leaf.  A functional that is 1 at
+    the row's own exponent b and 0 on the others' span, applied to the
     equations y_i d/dy_i, leaves that row's weight c y^a = 0, which no
-    torus point meets.  A zero or shared own exponent never lowers the rank.
+    torus point meets.  A zero or shared own exponent is in a relation.
     """
-    own = [tuple(a[k] for k in lv.var_indices) for a, _ in lv.rows]
-    full = rank_rational(own)
-    return any(
-        _never_zero(c) and rank_rational(own[:i] + own[i + 1 :]) < full
-        for i, (_, c) in enumerate(lv.rows)
-    )
+    return any(_never_zero(c) and not any(w[i] for w in lv.relations) for i, (_, c) in enumerate(lv.rows))
 
 
 # the numeric palette tries at most this many combinations of its special values
@@ -395,25 +402,24 @@ def _univariate_candidates(eq, own_i, vals, env):
 
 
 def _circuit_candidates(lv, vals, env):
-    """Complete root set of a circuit level (d own variables, d + 1 rows), or None.
+    """Complete root set of a circuit level (d own variables, d + 1 rows, dim W = 1), or None.
 
     With C_k the row coefficients, fixed values folded in, and b_k the own
     exponents, the equations say sum_k x_k b_k = 0 for x_k = C_k y^b_k, so
-    x = s L for the relation L of the b_k (its cofactors).  Eliminating s
+    x = s L for the one relation L (LtsLevel.relations).  Eliminating s
     leaves y^(b_k - b_0) = L_k C_0 / (L_0 C_k), solved by binomial_roots.
-    None, for the multistart, when the rank is below d, a coefficient
+    None, for the multistart, when the level is no circuit, a coefficient
     vanished or det(b_k - b_0) = 0 (the Euler case, sum L = 0); no root
     when some L_k = 0, since x_k = C_k y^b_k never vanishes.
     """
-    own = [tuple(a[i] for i in lv.var_indices) for a, _ in lv.rows]
     coeffs = [_term_value(a, c, vals, env) for a, c in lv.rows]
-    rel = [(-1) ** k * det_int(own[:k] + own[k + 1 :]) for k in range(len(own))]
-    if not any(rel) or not all(coeffs):
+    if len(lv.rows) != len(lv.var_indices) + 1 or len(lv.relations) != 1 or not all(coeffs):
         return None
+    (rel,) = lv.relations
     if not all(rel):
         return []
-    a = [tuple(x - y for x, y in zip(b, own[0])) for b in own[1:]]
-    return binomial_roots(a, [rel[k] * coeffs[0] / (rel[0] * coeffs[k]) for k in range(1, len(own))])
+    a = [tuple(x - y for x, y in zip(b, lv.own[0])) for b in lv.own[1:]]
+    return binomial_roots(a, [rel[k] * coeffs[0] / (rel[0] * coeffs[k]) for k in range(1, len(rel))])
 
 
 class _Search:
@@ -460,7 +466,7 @@ class _Search:
         if d == 1:
             numeric = _univariate_candidates(lv.terms[0], lv.var_indices[0], vals, self.env)
         else:
-            numeric = _circuit_candidates(lv, vals, self.env) if len(lv.rows) == d + 1 else None
+            numeric = _circuit_candidates(lv, vals, self.env)
             if numeric is None:
                 ys, res, _ = _newton(data, _starts((self.seed, self.calls), MULTISTARTS, d))
                 numeric = _distinct_roots(ys, res)

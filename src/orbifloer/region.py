@@ -288,7 +288,9 @@ class _SpanTree:
 
         Member a of level l is a coloop when the span V_{l-1} of the levels
         below, joined with the level's other members, is smaller than V_l:
-        no combination of the others and the lower levels reaches a.
+        no combination of the others and the lower levels reaches a.  This
+        is the rule of ltsolver._has_coloop, a member that every relation
+        gives weight 0, tested here on spans before any system is built.
         """
         below = 0
         for l, span in enumerate(state[0], 1):
@@ -596,12 +598,6 @@ def _solve(subs: tuple, table: dict, n: int):
     return tuple(back_substitute(rows, pivots, [sol.get(k, 0) for k in range(n)] + [1])[:n])
 
 
-def _witness(eqs, ineqs, n):
-    """Witness of integer rows: eqs == 0 and ineqs > 0, or None."""
-    system = _system(eqs, ineqs, n)
-    return None if system is None else _solve(*system, n)
-
-
 def scenario_region(m: StackyModel, s: Scenario, system=None) -> ScenarioPolyhedron | None:
     """Feasible u-set of a scenario, or None when empty.
 
@@ -615,9 +611,8 @@ def scenario_region(m: StackyModel, s: Scenario, system=None) -> ScenarioPolyhed
     ineqs = tuple(c for c in cons if c.rel == ">")
     if system is None:
         # scenario_constraints rows are integers already
-        w = _witness(list(map(_row, eqs)), list(map(_row, ineqs)), m.dim)
-    else:
-        w = _solve(*system, m.dim)
+        system = _system(list(map(_row, eqs)), list(map(_row, ineqs)), m.dim)
+    w = None if system is None else _solve(*system, m.dim)
     if w is None:
         return None
     poly = ScenarioPolyhedron(eqs, ineqs, w)
@@ -701,19 +696,16 @@ def _piece_candidates(m: StackyModel):
 
     A leaf is first checked for a coloop level (_SpanTree.coloop_leaf): a
     member a of level l whose direction lies outside V_{l-1} + span(others),
-    V_{l-1} the span of the levels below.  Modulo V_{l-1}, the level's
-    own-coordinate equations are sum_a c_a a_i y^a = 0 over the members'
-    residues a, so a root needs a linear relation sum_a w_a a = 0 in which
-    members of equal residue share one weight.  Such a member is alone in
-    its group, with a nonzero residue, and every relation gives it weight
-    zero, yet its weight c_a y^a is never zero (every region coefficient
-    is 1 or a pure symbol).  Such a leaf has no root (the leading-term argument of
-    Fukaya-Oh-Ohta-Ono for toric manifolds), and it is skipped before
-    scenario_region, scenario_lts and solve.  A level with one member,
-    which must add span, always has one.  The context of a feasible
-    prefix is its (system, level anchors, homogeneous witness), system
-    the (equality pivots, binding table) of its rows, which a leaf hands to
-    scenario_region.
+    V_{l-1} the span of the levels below.  Modulo V_{l-1} the members'
+    directions are the level's own exponents, and every relation among
+    them gives a weight 0, yet its term c_a y^a is never zero (every region
+    coefficient is 1 or a pure symbol), so the level has no torus root
+    (ltsolver._has_coloop, after Fukaya-Oh-Ohta-Ono for toric manifolds).
+    The leaf is skipped before scenario_region, scenario_lts and solve.  A
+    level with one member, which must add span, always has one.  The
+    context of a feasible prefix is its (system, level anchors, homogeneous
+    witness), system the (equality pivots, binding table) of its rows,
+    which a leaf hands to scenario_region.
     """
     constraints = _model_constraints(m)
     nf, n = len(m.facets), len(m.facets) + len(enumerate_box(m))

@@ -184,9 +184,7 @@ def _weighted_projective_facets(weights) -> list:
         raise InputError("weights must be (1, a_1, ..., a_n) with positive integers")
     tail = list(weights[1:])
     n = len(tail)
-    g = 0
-    for a in tail:
-        g = gcd(g, a)
+    g = gcd(*tail)
     facets = [Facet(tuple(-a // g for a in tail), g, Fraction(-1))]
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
@@ -280,26 +278,17 @@ def _reject_recession_rays(b, n):
 
     The recession cone is pointed once the normals span; any nonzero member
     then lies on an extreme ray cut out by n-1 of the constraints, so it
-    suffices to scan kernels of (n-1)-subsets.
+    suffices to scan the (n-1)-subsets whose kernel is a line, spanned by
+    the one primitive vector of lattice.kernel.
     """
-    m = len(b)
-    for subset in combinations(range(m), n - 1):
-        rows = [b[j] for j in subset]
-        if lattice.rank_rational(rows) != n - 1:
-            continue
-        d = _rational_kernel_vector(rows, n)
+    for subset in combinations(b, n - 1):
+        normals = lattice.kernel(subset, n)
+        if len(normals) != 1:
+            continue  # the subset is dependent and cuts out no ray
+        (d,) = normals
         for cand in (d, tuple(-x for x in d)):
             if all(sum(x * g for x, g in zip(cand, bj)) >= 0 for bj in b):
                 raise Unbounded(f"direction {cand} recedes")
-
-
-def _rational_kernel_vector(rows, n):
-    """The primitive integer vector, up to sign, orthogonal to n-1 independent rows."""
-    reduced, pivots, _ = lattice.echelon(rows, n)
-    (free,) = set(range(n)) - set(pivots)
-    x = lattice.back_substitute(reduced, pivots, [int(j == free) for j in range(n)])
-    # with an entry 1, the cleared vector is already primitive
-    return tuple(lattice.cleared(x))
 
 
 # ---------------------------------------------------------------------------

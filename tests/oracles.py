@@ -242,6 +242,33 @@ def palette_certificate(lts):
     return None
 
 
+def circuit_relation(own):
+    """The relation of d + 1 own exponents in d variables as signed d x d cofactors.
+
+    Entry k is (-1)^k det of the exponents without row k (det_cofactor), so
+    sum_k L_k b_k = 0 by Cramer's rule; all zero when the rank is below d.
+    """
+    return [(-1) ** k * det_cofactor([list(b) for b in own[:k] + own[k + 1 :]]) for k in range(len(own))]
+
+
+def circuit_roots_by_cofactors(lv, vals, env):
+    """ltsolver._circuit_candidates as it was, with L the cofactor relation (circuit_relation)."""
+    from orbifloer.ltsolver import _term_value
+    from orbifloer.potential import binomial_roots
+
+    own = [tuple(a[i] for i in lv.var_indices) for a, _ in lv.rows]
+    if len(own) != len(lv.var_indices) + 1:
+        return None  # the search never offered such a level
+    coeffs = [_term_value(a, c, vals, env) for a, c in lv.rows]
+    rel = circuit_relation(own)
+    if not any(rel) or not all(coeffs):
+        return None
+    if not all(rel):
+        return []
+    a = [tuple(x - y for x, y in zip(b, own[0])) for b in own[1:]]
+    return binomial_roots(a, [rel[k] * coeffs[0] / (rel[0] * coeffs[k]) for k in range(1, len(own))])
+
+
 def coloop_refutes(lts):
     """Whether some level of a leading term system has a coloop exponent.
 

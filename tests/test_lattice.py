@@ -1,6 +1,7 @@
 """Exact linear algebra: the Hermite form, cones, box points, adapted bases."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -343,6 +344,41 @@ def test_leaf_exponents_rebuild_each_level_in_the_adapted_basis():
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_sympy(rows):
     assert lattice.rank_rational(rows) == sympy.Matrix(rows).rank()
+
+
+@st.composite
+def rows_of_any_rank(draw):
+    # rows that are integer combinations of at most ncols generators, so
+    # every rank from 0 to ncols shows up, rank ncols - 1 among them
+    ncols = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=ncols))
+    nrows = draw(st.integers(1, 6))
+    mix = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
+    return [
+        tuple(sum(c * g[j] for c, g in zip(draw(mix), gens)) for j in range(ncols)) for _ in range(nrows)
+    ]
+
+
+@given(rows_of_any_rank())
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_a_primitive_basis_of_the_null_space(rows):
+    n = len(rows[0])
+    basis = lattice.kernel(rows, n)
+    null = sympy.Matrix(rows).nullspace()
+    assert len(basis) == len(null) == n - sympy.Matrix(rows).rank()
+    for x in basis:
+        assert len(x) == n and all(type(e) is int for e in x)
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+        assert gcd(*x) == 1
+    if basis:
+        assert sympy.Matrix(basis).rank() == len(basis)
+    if len(basis) == 1:
+        # rank n - 1: sympy's rational null vector, cleared of denominators
+        # and content, is the one vector up to sign
+        q = lcm(*(int(e.q) for e in null[0]))
+        ints = [int(e * q) for e in null[0]]
+        expected = tuple(x // gcd(*ints) for x in ints)
+        assert basis[0] in (expected, tuple(-x for x in expected))
 
 
 def test_hermite_transform_entries_stay_small():

@@ -1016,12 +1016,53 @@ def test_circuit_roots_hold_every_multistart_root(monkeypatch, preset, levels):
     assert len(visits) == levels
     for lv, vals, env, key in visits:
         exact = _circuit_candidates(lv, vals, env)
+        # the roots of the cofactor relation, bit for bit
+        assert exact == oracles.circuit_roots_by_cofactors(lv, vals, env)
         data = _level_data(lv.terms, lv.var_indices, vals, env)
         ys, res, _ = _newton(data, _starts(key, MULTISTARTS, len(lv.var_indices)))
         found = _distinct_roots(ys, res)
         assert exact and found
         for y in found:
             assert min(max(abs(p - q) for p, q in zip(y, z)) for z in exact) < 1e-6
+
+
+@st.composite
+def circuit_levels(draw):
+    # a level of d + 1 rows in 1-3 own variables after 0-1 lower ones, with
+    # the lower coordinate fixed; small own exponents give dependent rows,
+    # zero cofactors and the Euler case sum L = 0 often
+    lower, d = draw(st.integers(0, 1)), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-1, 1)] * lower, *[st.integers(-2, 2)] * d)
+    coeffs = st.sampled_from([QC(1), QC(-1), QC(2), QC(Fraction(1, 2), 1)])
+    rows = draw(st.lists(st.tuples(exps, coeffs), min_size=d + 1, max_size=d + 1, unique_by=lambda t: t[0]))
+    lv = LtsLevel(None, tuple(sorted(rows, key=lambda t: t[0])), tuple(range(lower, lower + d)), lower + d)
+    vals = [draw(st.sampled_from([1, -1, 2, 0.5 + 0.5j])) for _ in range(lower)] + [None] * d
+    return lv, vals
+
+
+@given(circuit_levels())
+@settings(max_examples=300, deadline=None)
+def test_circuit_relation_is_the_cofactor_relation(case):
+    # the level's one relation is a rational multiple of its signed
+    # cofactors, its sum vanishes with det(b_k - b_0), and the closed form
+    # finds the roots the cofactor relation gave
+    lv, vals = case
+    cof = oracles.circuit_relation(lv.own)
+    assert (len(lv.relations) == 1) == any(cof)
+    if any(cof):
+        (rel,) = lv.relations
+        k = next(i for i, c in enumerate(cof) if c)
+        assert rel[k] and all(rel[i] * cof[k] == rel[k] * cof[i] for i in range(len(cof)))
+        shifted = [[x - y for x, y in zip(b, lv.own[0])] for b in lv.own[1:]]
+        assert (sum(rel) == 0) == (oracles.det_cofactor(shifted) == 0)
+    roots = _circuit_candidates(lv, vals, {})
+    want = oracles.circuit_roots_by_cofactors(lv, vals, {})
+    if roots is None or want is None:
+        assert roots is want is None
+    else:
+        assert len(roots) == len(want)
+        for y in roots:
+            assert min(max(abs(p - q) for p, q in zip(y, z)) for z in want) < 1e-9
 
 
 def test_singular_circuit_takes_the_multistart(monkeypatch):

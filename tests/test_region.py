@@ -42,10 +42,11 @@ def eq(coeffs, const):
 
 
 def feasible_witness(cons, n):
-    """region._witness on Constraint rows, cleared of their denominators."""
+    """region._system then region._solve on Constraint rows, cleared of their denominators."""
     eqs = [cleared((*c.coeffs, c.const)) for c in cons if c.rel == "=="]
     ineqs = [cleared((*c.coeffs, c.const)) for c in cons if c.rel != "=="]
-    return region._witness(eqs, ineqs, n)
+    system = region._system(eqs, ineqs, n)
+    return None if system is None else region._solve(*system, n)
 
 
 def test_enumerate_teardrop():
@@ -267,10 +268,10 @@ def test_scenario_lts_takes_ranks_from_the_walk(monkeypatch):
     s = next(s for s in enumerate_scenarios(m) if s.K == 2 and scenario_region(m, s))
     want = oracles.lts_terms(scenario_lts(m, s))
 
-    def refuse(rows):
-        raise AssertionError("a level rank was recomputed")
+    def refuse(rows, ncols):
+        raise AssertionError("a level rank or relation was computed")
 
-    monkeypatch.setattr(ltsolver, "rank_rational", refuse)
+    monkeypatch.setattr(ltsolver, "kernel", refuse)
     assert oracles.lts_terms(scenario_lts(m, s)) == want
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -204,31 +203,6 @@ def test_interval_preset_forms():
     assert [(s.nu, s.iota) for s in box] == [((1,), Fraction(1, 2)), ((-1,), Fraction(1, 2))]
     assert stacky.sector_ell(m, box[0], u) == Fraction(3, 10)  # u
     assert stacky.sector_ell(m, box[1], u) == Fraction(7, 10)  # 1-u
-
-
-@given(
-    st.integers(2, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1
-        )
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_rational_kernel_vector_is_the_primitive_normal(rows):
-    n = len(rows[0])
-    if lattice.rank_rational(rows) != n - 1:
-        return
-    d = stacky._rational_kernel_vector(rows, n)
-    assert len(d) == n and any(d)
-    assert gcd(*d) == 1
-    assert all(sum(x * r for x, r in zip(d, row)) == 0 for row in rows)
-    # sympy's rational null vector, cleared of denominators and content
-    (null,) = sympy.Matrix(rows).nullspace()
-    q = sympy.ilcm(*(e.q for e in null))
-    ints = [int(e * q) for e in null]
-    g = gcd(*ints)
-    expected = tuple(x // g for x in ints)
-    assert d in (expected, tuple(-x for x in expected))
 
 
 PRESETS = (
