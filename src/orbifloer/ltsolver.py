@@ -9,8 +9,9 @@ to print a system.  Solvability of the system over (C*)^n certifies the
 fiber.
 
 Everything up to the verdict is exact.  The one exact certifier is the
-linear pass at +-1 points, whose certificates have residual 0 and are
-checked in integers on the rows the pass solved; the numeric search only
+linear pass at rational grid points (+-1, and with free symbols also +-l
+and +-1/l over the facet labels l), whose certificates have residual 0 and
+are checked in integers on the rows the pass solved; the numeric search only
 ever produces SolvableCertified (re-verified residuals) or gives up.  A
 level's structure is W, the relations among its rows' own exponents
 (LtsLevel.relations).  A circuit, d + 1 rows with dim W = 1, has its roots
@@ -30,8 +31,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from math import lcm, prod
+from operator import add, mul, sub
 
 from .errors import SpanNeverFull
 from .lattice import back_substitute, cleared, column_hermite, echelon, kernel, transpose
@@ -303,11 +304,15 @@ def _symbol_assignments(lts: LeadingTermSystem) -> list:
     return [dict(zip(names, combo)) for combo in itertools.islice(combos, PALETTE_LIMIT)]
 
 
-# Exact kernel of the linear pass.  Its candidates have every coordinate +-1,
-# so a level equation at a sign pattern is a signed sum of its coefficients:
-# only exponent parities matter.  Equations are compiled once per solve into
-# integer rows over a positive common denominator (which does not move the
-# zero set); Gaussian integers are (re, im) pairs of ints.
+# Exact kernel of the linear pass.  Its candidates are rational points y,
+# y_k = p_k / q_k, and a level equation times the positive prod_k
+# (|p_k| q_k)^m_k, with m_k the largest |e_k| among its terms, is a sum of
+# its coefficients weighted by the integers +-prod_k |p_k|^(m_k + e_k)
+# q_k^(m_k - e_k).  The sign is that of y^e: the parity of e . bits, bits the
+# coordinates with p_k < 0.  At a +-1 point the sign is the whole weight.
+# Equations are compiled once per solve into integer rows over a positive
+# common denominator; no scale moves the zero set.  Gaussian integers are
+# (re, im) pairs of ints.
 
 
 def _gaussian_int(v: QC, den: int) -> tuple:
@@ -315,21 +320,21 @@ def _gaussian_int(v: QC, den: int) -> tuple:
     return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
 
 
-def _parity_rows(eq) -> tuple:
-    """One level equation's terms as rows (exponent parity mask, const, symbol coefficients).
+def _integer_rows(eq) -> tuple:
+    """One level equation's terms as rows (exponent parity mask, exponent, const, symbol coefficients).
 
     Bit k of the mask is the parity of the exponent of y_k; ``const`` is a
-    Gaussian integer and the symbol coefficients are (name, Gaussian integer)
-    pairs, all scaled by one positive common denominator.
+    Gaussian integer and the symbol coefficients are (name, Gaussian
+    integer) pairs, all scaled by one positive common denominator.
     """
     terms = []
     for e, c in eq:
-        terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), c.const, c.lin))
-    values = [v for _, const, lin in terms for v in (const, *(q for _, q in lin))]
+        terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), e, c.const, c.lin))
+    values = [v for _, _, const, lin in terms for v in (const, *(q for _, q in lin))]
     den = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
     return tuple(
-        (mask, _gaussian_int(const, den), tuple((name, _gaussian_int(q, den)) for name, q in lin))
-        for mask, const, lin in terms
+        (mask, e, _gaussian_int(const, den), tuple((name, _gaussian_int(q, den)) for name, q in lin))
+        for mask, e, const, lin in terms
     )
 
 
@@ -512,40 +517,69 @@ def _float_certificate(lts, vals, env) -> Certificate | None:
     return Certificate(sym, y, worst, False)
 
 
-def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
-    """Exact certificate at a +-1 point with the symbols solved for, or None.
+def _points(lts: LeadingTermSystem):
+    """The candidate points of the linear pass, as (y, scale).
 
-    ``rows`` are the _parity_rows of every level's equation terms.  With y
-    fixed in {+-1}^n each equation is linear in the symbols: a row (mask, const,
-    symbol coefficients) enters with the sign of the parity of mask & bits,
-    its constant in a last column of value 1.  The symbols take real
-    values, so an equation gives its real row and, when that is nonzero,
-    its imaginary row.  Sign patterns are tried in product order, and one
-    whose echelon leaves a nonzero constant is skipped; without symbols
-    that is every pattern at which some equation does not vanish.  The
-    free parameters of a consistent system are set to t_j = k^(j+1) for
-    k = 0, 1, ..., S * f (S symbols, f free parameters), the pivots solved
-    (back_substitute), and the first k that makes every symbol nonzero is
-    taken: a symbol that is not identically zero on the solution space is
-    a nonzero polynomial of degree <= f in k, so at most S * f values of k
-    fail.  The point, cleared of denominators, is checked in integers on
-    every real and imaginary row, the rows echelon eliminated included.
+    y is a tuple of ints and Fractions.  {+-1}^n comes first, in product
+    order, with scale None.  Then, for a system with free symbols, the rest
+    of G^n follows in product order, with scale the tuples of the
+    coordinates' |numerators| and denominators.  G is +-1, then +-l and
+    +-1/l for each distinct facet label l > 1, ascending: the model's own
+    values, as the palette's special values are.
     """
-    eqs = [eq for level in rows for eq in level]
+    for y in itertools.product((1, -1), repeat=lts.n):
+        yield y, None
+    if lts.symbols:
+        grid = [1, -1]
+        for label in sorted(set(lts.labels) - {1}):
+            grid += [label, -label, Fraction(1, label), Fraction(-1, label)]
+        for y in itertools.product(grid, repeat=lts.n):
+            if any(v not in (1, -1) for v in y):
+                yield y, (tuple(abs(v.numerator) for v in y), tuple(v.denominator for v in y))
+
+
+def _linear_certificate(lts: LeadingTermSystem) -> Certificate | None:
+    """Exact certificate at a grid point with the symbols solved for, or None.
+
+    Every level's equation terms are compiled once (_integer_rows).  With y
+    fixed at a rational point (_points: {+-1}^n, then, when there are
+    symbols, the rest of G^n for G = +-1, +-l, +-1/l over the facet labels
+    l > 1) each scaled equation is linear in the symbols with integer
+    coefficients: a row (mask, exponent e, const, symbol coefficients)
+    enters with the sign of the parity of mask & bits, times
+    prod_k |p_k|^(m_k + e_k) q_k^(m_k - e_k) off the +-1 points, its
+    constant in a last column of value 1.  The symbols take real values,
+    so an equation gives its real row and, when that is nonzero, its
+    imaginary row.  A point whose echelon leaves a nonzero constant is
+    skipped; without symbols that is every point at which some equation
+    does not vanish.  The free parameters of a consistent system are set to
+    t_j = k^(j+1) for k = 0, 1, ..., S * f (S symbols, f free parameters),
+    the pivots solved (back_substitute), and the first k that makes every
+    symbol nonzero is taken: a symbol that is not identically zero on the
+    solution space is a nonzero polynomial of degree <= f in k, so at most
+    S * f values of k fail.  The point, cleared of denominators, is checked
+    in integers on every real and imaginary row, the rows echelon
+    eliminated included.
+    """
+    eqs = [_integer_rows(eq) for lv in lts.levels for eq in lv.terms]
     names = lts.symbols
     s = len(names)
     col = {name: j for j, name in enumerate(names)}
-    for combo in itertools.product((1, -1), repeat=lts.n):
-        bits = sum(1 << k for k, y in enumerate(combo) if y == -1)
+    for y, scale in _points(lts):
+        bits = sum(1 << k for k, v in enumerate(y) if v < 0)
         system = []
         for eq in eqs:
             parts = ([0] * (s + 1), [0] * (s + 1))  # real and imaginary row
-            for mask, const, lin in eq:
-                sign = -1 if (mask & bits).bit_count() & 1 else 1
+            if scale:
+                m = [max((abs(e[k]) for _, e, _, _ in eq), default=0) for k in range(lts.n)]
+            for mask, e, const, lin in eq:
+                w = -1 if (mask & bits).bit_count() & 1 else 1
+                if scale:
+                    w *= prod(map(pow, scale[0], map(add, m, e))) * prod(map(pow, scale[1], map(sub, m, e)))
                 for part, row in enumerate(parts):
-                    row[s] += sign * const[part]
+                    row[s] += w * const[part]
                     for name, q in lin:
-                        row[col[name]] += sign * q[part]
+                        row[col[name]] += w * q[part]
             system.append(parts[0])
             if any(parts[1]):
                 system.append(parts[1])
@@ -566,7 +600,7 @@ def _linear_certificate(lts: LeadingTermSystem, rows) -> Certificate | None:
         if all(sum(map(mul, row, point)) == 0 for row in system):
             return Certificate(
                 tuple((name, QC(v).to_complex()) for name, v in zip(names, values)),
-                tuple(complex(c) for c in combo),
+                tuple(complex(v) for v in y),
                 0.0,
                 True,
             )
@@ -581,11 +615,13 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
     1. Structural proof: a level that is a single monomial in its own
        variables (one row, a coloop by _has_coloop) has a derivative that
        never vanishes on the torus.
-    2. Linear pass: at each y in {+-1}^n the equations are linear in the
-       free coefficients, and an exact solve over Q with every coefficient
-       real and nonzero gives a residual-0 certificate
-       (_linear_certificate).  A system without free coefficients is
-       checked at the same points.
+    2. Linear pass: at each rational point y the equations are linear in
+       the free coefficients, and an exact solve over Q with every
+       coefficient real and nonzero gives a residual-0 certificate
+       (_linear_certificate).  The points are {+-1}^n in product order,
+       then the rest of G^n, G = +-1 and +-l, +-1/l for each distinct
+       facet label l > 1 in ascending order.  A system without free
+       coefficients is checked at the {+-1}^n points only.
     3. Coloop short-circuit: a level with a coloop in its own exponents
        (_has_coloop) has no torus root, so no search is run and the
        verdict is unknown, with no proof text.
@@ -612,8 +648,7 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
                 Solvability.UnsolvableProven,
                 proof=f"level {li + 1} is a single monomial; its derivative never vanishes on (C*)^n",
             )
-    rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
-    cert = _linear_certificate(lts, rows)
+    cert = _linear_certificate(lts)
     if cert is not None:
         return SolvabilityVerdict(Solvability.SolvableCertified, certificate=cert)
     if any(_has_coloop(lv) for lv in lts.levels):

@@ -261,6 +261,13 @@ def test_exact_requests_never_import_numpy():
     assert seen == [False, False] and verdict["certificate"]["exact"] is True
 
 
+def test_square_region_never_imports_numpy():
+    # the linear pass certifies every piece of the square, at +-1 or at a
+    # grid point of its labels, so no solve reaches the numeric palette
+    seen, _ = _numpy_probe(["region", "--preset", "square:2,2,2,2"])
+    assert seen == [False, False]
+
+
 def test_float_searches_import_numpy_when_they_run():
     seen, _ = _numpy_probe(["critical", "--preset", "teardrop:3", "--u", "1/4"])
     assert seen == [False, True]

@@ -1,6 +1,7 @@
 """Stratification, adapted-coordinate systems, and solvability verdicts."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,9 @@ from orbifloer.ltsolver import (
     _distinct_roots,
     _has_coloop,
     _float_certificate,
+    _integer_rows,
     _level_data,
     _linear_certificate,
-    _parity_rows,
     _Search,
     _starts,
     _symbol_assignments,
@@ -259,7 +260,7 @@ def _linear_pass(*terms):
     (eq,) = level.equations
     assert (eq.n, eq.terms()) == (1, oracles.partial_derivative(poly, 0).terms())
     lts = LeadingTermSystem(1, ((1,),), (level,), tuple(symbols), (1,))
-    return lts, _linear_certificate(lts, ((_parity_rows(level.terms[0]),),))
+    return lts, _linear_certificate(lts)
 
 
 def _sym(name, q=1):
@@ -315,8 +316,7 @@ def test_linear_certificate_checks_its_solved_point(monkeypatch):
     m = build_model("wp:1,2,2")
     level = (("facet", 1), ("facet", 2), ("sector", 0))
     lts = region.scenario_lts(m, region.Scenario(0, (level,), (), ()))
-    rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
-    cert = _linear_certificate(lts, rows)
+    cert = _linear_certificate(lts)
     assert cert.exact and cert.y == (1, 1) and cert.symbol_values == (("c0", 1),)
     solved = ltsolver.back_substitute
 
@@ -325,7 +325,7 @@ def test_linear_certificate_checks_its_solved_point(monkeypatch):
         return [v + 1 if j in pivots else v for j, v in enumerate(x)]
 
     monkeypatch.setattr(ltsolver, "back_substitute", one_off)
-    assert _linear_certificate(lts, rows) is None
+    assert _linear_certificate(lts) is None
 
 
 def test_float_certificate_rejects_a_root_drifted_toward_zero():
@@ -509,14 +509,19 @@ def test_solve_deterministic():
     assert a == b
 
 
-def parity_vanishes(p, env, y):
-    # the compiled rows summed at y as the linear pass sums them: a row enters
-    # with the sign of the parity of its mask at the -1 coordinates of y
-    bits = sum(1 << k for k, v in enumerate(y) if v == -1)
+def rows_vanish(p, env, y):
+    # the compiled rows summed at a rational y as the linear pass sums them: a
+    # row enters with the sign of the parity of its mask at the negative
+    # coordinates of y, times |p_k|^(m_k + e_k) q_k^(m_k - e_k)
+    rows = _integer_rows(p.terms())
+    bits = sum(1 << k for k, v in enumerate(y) if v < 0)
+    m = [max((abs(e[k]) for _, e, _, _ in rows), default=0) for k in range(p.n)]
     total = QC(0)
-    for mask, const, lin in _parity_rows(p.terms()):
-        value = QC(*const) + sum((QC(*q) * env[name] for name, q in lin), QC(0))
-        total += value * -1 if (mask & bits).bit_count() & 1 else value
+    for mask, e, const, lin in rows:
+        w = -1 if (mask & bits).bit_count() & 1 else 1
+        for v, mk, x in zip(y, m, e):
+            w *= abs(v.numerator) ** (mk + x) * v.denominator ** (mk - x)
+        total += (QC(*const) + sum((QC(*q) * env[name] for name, q in lin), QC(0))) * w
     return total.is_zero()
 
 
@@ -547,7 +552,9 @@ def t_free_cases(draw):
     )
     p = LaurentPoly(n, terms)
     env = {"c0": draw(palette), "c1": draw(palette)}
-    y = draw(st.tuples(*[st.sampled_from([1, -1])] * n))
+    # grid values: +-1, and +-l, +-1/l for labels 2 and 3
+    grid = [Fraction(v) for v in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3), 3)]
+    y = draw(st.tuples(*[st.sampled_from(grid)] * n))
     return p, env, y
 
 
@@ -557,12 +564,12 @@ def test_parity_table_agrees_with_eval_exact(case):
     p, env, y = case
     yq = tuple(QC(v) for v in y)
     value = oracles.eval_exact(p, yq, env)
-    assert parity_vanishes(p, env, y) == value.is_zero()
-    # shifted to vanish at y, so both outcomes are exercised: y1^4 is 1 at
-    # every +-1 point, and exponent 4 lies outside the drawn range
-    q = LaurentPoly(p.n, p.terms() + (((4,) + (0,) * (p.n - 1), value * -1),))
+    assert rows_vanish(p, env, y) == value.is_zero()
+    # shifted to vanish at y, so both outcomes are exercised: exponent 4
+    # lies outside the drawn range
+    q = LaurentPoly(p.n, p.terms() + (((4,) + (0,) * (p.n - 1), value * QC(-1 / y[0] ** 4)),))
     assert oracles.eval_exact(q, yq, env).is_zero()
-    assert parity_vanishes(q, env, y)
+    assert rows_vanish(q, env, y)
 
 
 def test_solve_rational_bulk_coefficients_exact():
@@ -934,25 +941,29 @@ def test_has_coloop_finds_none_on_region_leaves(monkeypatch):
 
 
 def test_palette_certifies_at_its_first_certifying_assignment():
-    # a one-level square system without a linear certificate: the palette
-    # takes only the special values 1, -1 and minus each label, at most
-    # PALETTE_LIMIT times, in order, and (c10, c12) = (1, 1) and (1, -1)
-    # fail before (1, -2) certifies
-    from orbifloer import region
-
-    m = build_model("square:3,2,3,2")
-    level = (("facet", 1), ("facet", 3), ("sector", 10), ("sector", 12))
-    lts = region.scenario_lts(m, region.Scenario(0, (level,), (), ()))
-    assert lts.symbols == ("c10", "c12")
-    rows = tuple(tuple(_parity_rows(eq) for eq in lv.terms) for lv in lts.levels)
-    assert _linear_certificate(lts, rows) is None
+    # a system no linear pass certifies: level 1, 3*y1^2 - 6 = 0, has only
+    # the roots +-sqrt(2), and level 2, (1 - c) - (1 + c)*y2^-2 = 0, is a
+    # monomial at c = 1 and at c = -1, so it has a torus root only off them.
+    # The palette takes only the special values 1, -1 and minus each label,
+    # at most PALETTE_LIMIT times, in order, and c = 1 and c = -1 fail
+    # before c = -2 certifies, at y2^2 = -1/3
+    lts = replace(
+        _system(
+            2,
+            ((((1, 0), QC(-6)), ((3, 0), QC(1))), (0,)),
+            ((((0, -1), SymLin(1, (("c", 1),))), ((0, 1), SymLin(1, (("c", -1),)))), (1,)),
+        ),
+        labels=(2, 2, 1, 1),
+    )
+    assert lts.symbols == ("c",)
+    assert _linear_certificate(lts) is None
     envs = _symbol_assignments(lts)
     special = [QC(1), QC(-1)] + [QC(-c) for c in lts.labels]
     assert len(envs) <= PALETTE_LIMIT
     assert all(v in special for env in envs for v in env.values())
     assert [_Search(lts, env, 0).run() for env in envs[:2]] == [None, None]
     cert = solve(lts).certificate
-    assert cert.symbol_values == (("c10", 1 + 0j), ("c12", -2 + 0j))
+    assert cert.symbol_values == (("c", -2 + 0j),)
     assert not cert.exact and cert.residual < 1e-10
 
 
@@ -969,15 +980,8 @@ def test_linear_pass_certifies_every_palette_certificate(preset, systems, hits):
     # the exact palette solve once ran, rebuilt from eval_exact: every
     # system of a feasible scenario that it certifies gets an exact
     # certificate from solve, and eval_exact confirms it
-    from orbifloer import region
-
-    m = build_model(preset)
-    seen = {}
-    for s in region.enumerate_scenarios(m):
-        if region.scenario_region(m, s) is not None:
-            lts = region.scenario_lts(m, s)
-            seen.setdefault(lts_signature(lts)[0], lts)
-    certified = [lts for lts in seen.values() if oracles.palette_certificate(lts) is not None]
+    seen = _feasible_systems(preset)
+    certified = [lts for lts in seen if oracles.palette_certificate(lts) is not None]
     assert (len(seen), len(certified)) == (systems, hits)
     for lts in certified:
         cert = solve(lts).certificate
@@ -987,6 +991,64 @@ def test_linear_pass_certifies_every_palette_certificate(preset, systems, hits):
         for lv in lts.levels:
             for eq in lv.equations:
                 assert oracles.eval_exact(eq, y, env).is_zero()
+
+
+def _region_systems(monkeypatch, preset):
+    """The distinct systems a region solves, in solve order."""
+    from orbifloer import region
+
+    systems = []
+    real = region.solve
+    monkeypatch.setattr(region, "solve", lambda lts, **kw: systems.append(lts) or real(lts, **kw))
+    region.nondisplaceable_region(build_model(preset))
+    return systems
+
+
+def _unit_certificate(lts):
+    # with every label 1 the grid is {+-1}, so this is the pass at +-1 alone
+    return _linear_certificate(replace(lts, labels=(1,) * len(lts.labels)))
+
+
+@pytest.mark.parametrize("preset, systems, grid", [("square:2,2,2,2", 183, 32), ("interval:2,2", 7, 2)])
+def test_grid_certificates_are_exact(monkeypatch, preset, systems, grid):
+    # every system the +-1 points leave uncertified gets a certificate at a
+    # grid point off {+-1}^n, and eval_exact makes every level equation
+    # zero at that point and the solved symbols
+    solved = _region_systems(monkeypatch, preset)
+    left = [lts for lts in solved if _unit_certificate(lts) is None]
+    assert (len(solved), len(left)) == (systems, grid)
+    for lts in left:
+        cert = _linear_certificate(lts)
+        assert cert is not None and cert.exact and cert.residual == 0.0
+        y = tuple(_exact_value(z) for z in cert.y)
+        assert any(z not in (QC(1), QC(-1)) for z in y)
+        env = {name: _exact_value(z) for name, z in cert.symbol_values}
+        for lv in lts.levels:
+            for eq in lv.equations:
+                assert oracles.eval_exact(eq, y, env).is_zero()
+
+
+def _feasible_systems(preset):
+    """One system per signature among the feasible scenarios of a preset."""
+    from orbifloer import region
+
+    m = build_model(preset)
+    seen = {}
+    for s in region.enumerate_scenarios(m):
+        if region.scenario_region(m, s) is not None:
+            lts = region.scenario_lts(m, s)
+            seen.setdefault(lts_signature(lts)[0], lts)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("preset, units", [("teardrop:3", 9), ("wp:1,3,5", 29), ("square:2,2,1,1", 16)])
+def test_grid_keeps_every_unit_certificate(preset, units):
+    # the +-1 points come first, so a system they certify keeps its certificate
+    certs = [(lts, _unit_certificate(lts)) for lts in _feasible_systems(preset)]
+    certs = [(lts, cert) for lts, cert in certs if cert is not None]
+    assert len(certs) == units
+    for lts, cert in certs:
+        assert _linear_certificate(lts) == cert
 
 
 def _circuit_visits(monkeypatch, preset):
