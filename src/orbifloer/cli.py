@@ -3,13 +3,12 @@
 Conventions shared by every subcommand: rationals are serialized as exact
 "p/q" strings, never floats; complex certificate values appear as
 {"re": .., "im": ..} pairs printed with 17 significant digits; all output
-is deterministic given the input and --seed.  Validation problems exit
-with code 2, a reproduction mismatch with 3, anything unexpected with 1,
-and the error is mirrored as a JSON object on stderr.
+is deterministic given the input and --seed.  A ValidationError (and a
+bad command line) exits with code 2, a reproduction mismatch with 3,
+anything else with 1, and the error is mirrored as a JSON object on stderr.
 """
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -20,18 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .disc import h2_generators
-from .errors import (
-    DegenerateCone,
-    EmptyInterior,
-    InputError,
-    NonPositiveBulkExponent,
-    NonPrimitiveNormal,
-    NotSimple,
-    OrbifloerError,
-    PointNotInterior,
-    Unbounded,
-    ZeroCoordinate,
-)
+from .errors import InputError, ValidationError
 from .lattice import SimplicialCone, cone_multiplicity, integral_basis_in_cone
 from .ltsolver import build_lts, solve, stratify
 from .potential import (
@@ -49,18 +37,6 @@ from .region import (
 )
 from .series import QC, render_poly
 from .stacky import _integer, _integers, build_model, enumerate_box, sector_ell_form
-
-_VALIDATION_ERRORS = (
-    InputError,
-    NotSimple,
-    Unbounded,
-    NonPrimitiveNormal,
-    EmptyInterior,
-    PointNotInterior,
-    NonPositiveBulkExponent,
-    DegenerateCone,
-    ZeroCoordinate,
-)
 
 REPRODUCE_DIR = Path(__file__).parent / "data" / "reproduce"
 
@@ -199,30 +175,26 @@ def _parse_u(text: str, dim: int) -> tuple:
     return u
 
 
+def _read_json(path: str, what: str):
+    """The parsed contents of a --model or --bulk file; InputError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise InputError(f"cannot read {what} file: {e}") from None
+    except json.JSONDecodeError as e:
+        raise InputError(f"{what} file is not valid JSON: {e}") from None
+
+
 def _load_model(args):
     if (args.preset is None) == (args.model is None):
         raise InputError("exactly one of --preset and --model is required")
-    if args.preset is not None:
-        return build_model(args.preset)
-    try:
-        text = Path(args.model).read_text()
-    except OSError as e:
-        raise InputError(f"cannot read model file: {e}")
-    try:
-        return build_model(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise InputError(f"model file is not valid JSON: {e}")
+    return build_model(args.preset if args.model is None else _read_json(args.model, "model"))
 
 
 def _load_bulk(path: str | None, m) -> BulkParam:
     if path is None:
         return BulkParam.zero()
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise InputError(f"cannot read bulk file: {e}")
-    except json.JSONDecodeError as e:
-        raise InputError(f"bulk file is not valid JSON: {e}")
+    doc = _read_json(path, "bulk")
     if not isinstance(doc, dict) or not isinstance(doc.get("sectors"), list):
         raise InputError('bulk file must be an object with a "sectors" list')
     if not isinstance(doc.get("divisors", []), list):
@@ -384,16 +356,13 @@ def cmd_lte(m, u, bp, seed) -> dict:
     }
 
 
+def _interval_doc(lo, lo_closed, hi, hi_closed) -> dict:
+    return {"lo": str(lo), "lo_closed": lo_closed, "hi": str(hi), "hi_closed": hi_closed}
+
+
 def _geometry_doc(piece, r) -> dict | None:
     if r.model.dim == 1:
-        lo, lo_c, hi, hi_c = _piece_interval(piece, r.closure)
-        return {
-            "type": "interval",
-            "lo": str(lo),
-            "lo_closed": lo_c,
-            "hi": str(hi),
-            "hi_closed": hi_c,
-        }
+        return {"type": "interval", **_interval_doc(*_piece_interval(piece, r.closure))}
     if r.model.dim == 2:
         kind, data = piece_geometry(piece, 2)
         pts = [data[0]] if kind == "point" else list(data)
@@ -429,10 +398,7 @@ def cmd_region(r, u=None) -> dict:
         "pieces": _Streamed(r.pieces, lambda p: _piece_doc(p, r)),
     }
     if m.dim == 1:
-        doc["interval_union"] = [
-            {"lo": str(lo), "lo_closed": lc, "hi": str(hi), "hi_closed": hc}
-            for lo, lc, hi, hc in interval_union(r)
-        ]
+        doc["interval_union"] = [_interval_doc(*iv) for iv in interval_union(r)]
     if u is not None:
         doc["query"] = _query_doc(r, u)
     return doc
@@ -448,20 +414,14 @@ def _query_doc(r, u) -> dict:
     }
 
 
-def _check_grid(n: int) -> None:
-    if n < 1:
-        raise InputError("--grid must be a positive integer")
-
-
-def region_grid_csv(r, n: int, out) -> None:
-    """Write CSV membership samples on an n-per-axis grid over the vertex box to out.
+def region_grid_csv(r, n: int):
+    """CSV membership samples on an n-per-axis grid over the vertex box, line by line.
 
     A row gives the point, whether it lies in the polytope's interior (the
     box holds points outside the polytope, which are never members) and
-    whether it is a member.  Each row is written as soon as its point is
-    answered.
+    whether it is a member.  Each row is yielded as soon as its point is
+    answered.  No field holds a comma or a quote, so none is quoted.
     """
-    _check_grid(n)
     m = r.model
     lo = [min(v[k] for v in m.vertices) for k in range(m.dim)]
     hi = [max(v[k] for v in m.vertices) for k in range(m.dim)]
@@ -469,11 +429,10 @@ def region_grid_csv(r, n: int, out) -> None:
         [lo[k] + Fraction(i + 1, n + 1) * (hi[k] - lo[k]) for i in range(n)]
         for k in range(m.dim)
     ]
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([f"u{k + 1}" for k in range(m.dim)] + ["interior", "member"])
+    yield ",".join([f"u{k + 1}" for k in range(m.dim)] + ["interior", "member"]) + "\n"
     for u in itertools.product(*axes):
         rep = query_point(r, u)
-        w.writerow(_qvec(u) + [str(rep.interior).lower(), str(rep.member).lower()])
+        yield ",".join(_qvec(u) + [str(rep.interior).lower(), str(rep.member).lower()]) + "\n"
 
 
 def cmd_conebasis(cone_text: str) -> dict:
@@ -505,10 +464,10 @@ def _svg_frame(xs, ys):
     span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1, 1000))
     scale = Fraction(720) / span
 
-    def to_px(p):
+    def to_px(p) -> tuple:
         x = 40 + float((Fraction(p[0]) - lo_x) * scale)
         y = 760 - float((Fraction(p[1]) - lo_y) * scale)
-        return f"{x:.2f},{y:.2f}"
+        return f"{x:.2f}", f"{y:.2f}"
 
     return to_px
 
@@ -523,22 +482,19 @@ def render_svg(r) -> str:
     if m.dim == 1:
         verts = sorted(v[0] for v in m.vertices)
         to_px = _svg_frame(verts, [Fraction(0)])
-        a, b = to_px((verts[0], 0)), to_px((verts[-1], 0))
         for p in r.pieces:
             lo, _, hi, _ = _piece_interval(p, True)
+            (x1, _), (x2, _) = to_px((lo, 0)), to_px((hi, 0))
             c = _color(p.scenario.serial)
             if lo == hi:
-                out.append(f'<circle cx="{to_px((lo, 0)).split(",")[0]}" cy="400" r="7" fill="{c}"/>')
+                out.append(f'<circle cx="{x1}" cy="400" r="7" fill="{c}"/>')
             else:
                 out.append(
-                    f'<line x1="{to_px((lo, 0)).split(",")[0]}" y1="400" '
-                    f'x2="{to_px((hi, 0)).split(",")[0]}" y2="400" '
+                    f'<line x1="{x1}" y1="400" x2="{x2}" y2="400" '
                     f'stroke="{c}" stroke-width="10" stroke-opacity="0.6"/>'
                 )
-        out.append(
-            f'<line x1="{a.split(",")[0]}" y1="400" x2="{b.split(",")[0]}" y2="400" '
-            'stroke="black" stroke-width="2"/>'
-        )
+        (x1, _), (x2, _) = to_px((verts[0], 0)), to_px((verts[-1], 0))
+        out.append(f'<line x1="{x1}" y1="400" x2="{x2}" y2="400" stroke="black" stroke-width="2"/>')
     else:
         verts = list(m.vertices)
         to_px = _svg_frame([v[0] for v in verts], [v[1] for v in verts])
@@ -551,18 +507,18 @@ def render_svg(r) -> str:
             kind, data = piece_geometry(p, m.dim)
             c = _color(p.scenario.serial)
             if kind == "polygon":
-                pts = " ".join(to_px(q) for q in data)
+                pts = " ".join(",".join(to_px(q)) for q in data)
                 out.append(f'<polygon points="{pts}" fill="{c}" fill-opacity="0.35" stroke="{c}"/>')
             elif kind == "segment":
-                (x1, y1), (x2, y2) = (to_px(q).split(",") for q in data)
+                (x1, y1), (x2, y2) = map(to_px, data)
                 out.append(
                     f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     f'stroke="{c}" stroke-width="4" stroke-opacity="0.8"/>'
                 )
             else:
-                x, y = to_px(data[0]).split(",")
+                x, y = to_px(data[0])
                 out.append(f'<circle cx="{x}" cy="{y}" r="6" fill="{c}"/>')
-        boundary = " ".join(to_px(v) for v in ordered)
+        boundary = " ".join(",".join(to_px(v)) for v in ordered)
         out.append(f'<polygon points="{boundary}" fill="none" stroke="black" stroke-width="2"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -581,7 +537,6 @@ def _rep_teardrop_a3(seed) -> dict:
     m = build_model("teardrop:3")
     region, _ = _region_doc(m, seed)
     return {
-        "name": "teardrop-a3",
         "box": cmd_box(m),
         "critical_at_center": cmd_critical(m, (Fraction(0),), BulkParam.zero(), 0.5, seed),
         "region": region,
@@ -590,41 +545,20 @@ def _rep_teardrop_a3(seed) -> dict:
 
 def _rep_wp135_box(seed) -> dict:
     return {
-        "name": "wp-1-3-5-box",
         "box": cmd_box(build_model("wp:1,3,5")),
         "discs": cmd_discs(build_model("wp:1,3,5"), None),
     }
 
 
-def _rep_p1aa_a2(seed) -> dict:
-    region, queries = _region_doc(
-        build_model("wp:1,2,2"),
-        seed,
-        [(Fraction(-1, 12), Fraction(-1, 12)), (Fraction(-1, 4), Fraction(-1, 4))],
-    )
-    return {"name": "p1aa-a2", "region": region, "queries": queries}
+def _region_case(preset: str, *queries: str):
+    """A reproduce case: the region of a preset and its queries, each written like --u."""
 
+    def build(seed) -> dict:
+        m = build_model(preset)
+        region, docs = _region_doc(m, seed, [_parse_u(u, m.dim) for u in queries])
+        return {"region": region, "queries": docs}
 
-def _rep_p11a_a3(seed) -> dict:
-    region, queries = _region_doc(
-        build_model("wp:1,1,3"), seed, [(Fraction(-1, 2), Fraction(1, 3))]
-    )
-    return {"name": "p11a-a3", "region": region, "queries": queries}
-
-
-def _rep_p135_region(seed) -> dict:
-    region, queries = _region_doc(
-        build_model("wp:1,3,5"),
-        seed,
-        [
-            (Fraction(1, 20), Fraction(0)),
-            (Fraction(-1, 10), Fraction(1, 100)),
-            (Fraction(0), Fraction(-1, 20)),
-            (Fraction(1, 2), Fraction(1, 10)),
-            (Fraction(3, 20), Fraction(1, 10)),
-        ],
-    )
-    return {"name": "p135-region", "region": region, "queries": queries}
+    return build
 
 
 def _rep_allnon_demo(seed) -> dict:
@@ -638,7 +572,6 @@ def _rep_allnon_demo(seed) -> dict:
         for u in [(Fraction(1, 3), Fraction(1, 2)), (Fraction(5, 7), Fraction(1, 5))]
     ]
     return {
-        "name": "allnon-demo",
         "interval": interval,
         "interval_queries": iv_q,
         "square": {
@@ -657,9 +590,9 @@ def _rep_allnon_demo(seed) -> dict:
 REPRODUCE = {
     "teardrop-a3": _rep_teardrop_a3,
     "wp-1-3-5-box": _rep_wp135_box,
-    "p1aa-a2": _rep_p1aa_a2,
-    "p11a-a3": _rep_p11a_a3,
-    "p135-region": _rep_p135_region,
+    "p1aa-a2": _region_case("wp:1,2,2", "-1/12,-1/12", "-1/4,-1/4"),
+    "p11a-a3": _region_case("wp:1,1,3", "-1/2,1/3"),
+    "p135-region": _region_case("wp:1,3,5", "1/20,0", "-1/10,1/100", "0,-1/20", "1/2,1/10", "3/20,1/10"),
     "allnon-demo": _rep_allnon_demo,
 }
 
@@ -668,7 +601,7 @@ def run_reproduce(name: str, write: bool = False, seed: int = 0) -> tuple:
     """(generated text, matches committed text).  write refreshes the file."""
     if name not in REPRODUCE:
         raise InputError(f"unknown reproduction {name!r}; known: {', '.join(REPRODUCE)}")
-    text = dump_json(REPRODUCE[name](seed))
+    text = dump_json({"name": name, **REPRODUCE[name](seed)})
     path = REPRODUCE_DIR / f"{name}.json"
     if write:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -773,10 +706,11 @@ def _build_parser(argv: list) -> _Parser:
     return p
 
 
-def _dispatch(args) -> int:
+def _dispatch(args):
+    """Yield the request's stdout in order: documents, which main serializes, or text."""
     if args.subcommand == "conebasis":
-        sys.stdout.write(dump_json(cmd_conebasis(args.cone)))
-        return 0
+        yield cmd_conebasis(args.cone)
+        return
     if args.subcommand == "reproduce":
         if args.all == bool(args.name):
             raise InputError("reproduce needs exactly one of a name and --all")
@@ -784,18 +718,17 @@ def _dispatch(args) -> int:
         failed = []
         for name in names:
             text, ok = run_reproduce(name, write=args.write, seed=args.seed)
-            sys.stdout.write(text)
+            yield text
             if not ok:
                 failed.append(name)
         if failed:
             _fail(3, "ReproduceMismatch", f"output differs from committed: {', '.join(failed)}")
-        return 0
+        return
 
     m = _load_model(args)
     if args.subcommand == "box":
-        sys.stdout.write(dump_json(cmd_box(m)))
-        return 0
-    if args.subcommand == "region":
+        yield cmd_box(m)
+    elif args.subcommand == "region":
         u = _check_region_flags(m, args)
         r = nondisplaceable_region(
             m, max_levels=args.max_levels, closure=args.closure, seed=args.seed
@@ -805,29 +738,29 @@ def _dispatch(args) -> int:
                 Path(args.svg).write_text(render_svg(r))
             except OSError as e:
                 raise InputError(f"cannot write --svg file: {e}") from None
-        if args.grid is not None:
-            region_grid_csv(r, args.grid, sys.stdout)
+        if args.grid is None:
+            yield cmd_region(r, u)
         else:
-            sys.stdout.write(dump_json(cmd_region(r, u)))
-        return 0
+            yield from region_grid_csv(r, args.grid)
+    else:
+        yield _fiber_doc(m, args)
 
-    # the remaining subcommands are fiber-local; discs alone runs without --u
+
+def _fiber_doc(m, args) -> dict:
+    # the fiber-local subcommands; discs alone runs without --u
     u = None if args.u is None else _parse_u(args.u, m.dim)
     if u is not None:
         m.require_interior(u)
     if args.subcommand == "discs":
-        sys.stdout.write(dump_json(cmd_discs(m, u)))
-        return 0
+        return cmd_discs(m, u)
     if u is None:
         raise InputError(f"{args.subcommand} requires --u")
     bp = _load_bulk(args.bulk, m)
     if args.subcommand == "potential":
-        sys.stdout.write(dump_json(cmd_potential(m, u, bp)))
-    elif args.subcommand == "critical":
-        sys.stdout.write(dump_json(cmd_critical(m, u, bp, args.t_value, args.seed)))
-    elif args.subcommand == "lte":
-        sys.stdout.write(dump_json(cmd_lte(m, u, bp, args.seed)))
-    return 0
+        return cmd_potential(m, u, bp)
+    if args.subcommand == "critical":
+        return cmd_critical(m, u, bp, args.t_value, args.seed)
+    return cmd_lte(m, u, bp, args.seed)
 
 
 def _check_region_flags(m, args) -> tuple | None:
@@ -835,8 +768,8 @@ def _check_region_flags(m, args) -> tuple | None:
     if args.u is not None and args.grid is not None:
         raise InputError("--grid writes a CSV and takes no --u query")
     u = None if args.u is None else _parse_u(args.u, m.dim)
-    if args.grid is not None:
-        _check_grid(args.grid)
+    if args.grid is not None and args.grid < 1:
+        raise InputError("--grid must be a positive integer")
     if args.svg is not None:
         if m.dim > 2:
             raise InputError(f"--svg draws models of dimension 1 or 2, not {m.dim}")
@@ -864,19 +797,17 @@ def main(argv=None) -> int:
     argv = _merge_dash_values(sys.argv[1:] if argv is None else list(argv))
     args = _build_parser(argv).parse_args(argv)
     try:
-        return _dispatch(args)
-    except SystemExit:
-        raise
+        for out in _dispatch(args):
+            sys.stdout.write(out if isinstance(out, str) else dump_json(out))
+        return 0
     except BrokenPipeError:
         # the reader closed stdout (say, head): stop quietly, and point
         # stdout at devnull so that the flush at exit raises nothing more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _VALIDATION_ERRORS as e:
+    except ValidationError as e:
         _fail(2, type(e).__name__, str(e))
-    except OrbifloerError as e:
-        _fail(1, type(e).__name__, str(e))
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         _fail(1, type(e).__name__, str(e))
 
 

@@ -5,35 +5,39 @@ class OrbifloerError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateCone(OrbifloerError):
+class ValidationError(OrbifloerError):
+    """A request refused as invalid: the command line exits 2 on these."""
+
+
+class DegenerateCone(ValidationError):
     """Cone generators are linearly dependent."""
 
 
-class NotSimple(OrbifloerError):
+class NotSimple(ValidationError):
     """Polytope is not simple (or a facet inequality is not supported)."""
 
 
-class Unbounded(OrbifloerError):
+class Unbounded(ValidationError):
     """Polytope has a nonzero recession direction."""
 
 
-class NonPrimitiveNormal(OrbifloerError):
+class NonPrimitiveNormal(ValidationError):
     """A facet normal has content > 1."""
 
 
-class EmptyInterior(OrbifloerError):
+class EmptyInterior(ValidationError):
     """Polytope is empty or not full-dimensional."""
 
 
-class PointNotInterior(OrbifloerError):
+class PointNotInterior(ValidationError):
     """A fiber point u was expected strictly inside the polytope."""
 
 
-class NonPositiveBulkExponent(OrbifloerError):
+class NonPositiveBulkExponent(ValidationError):
     """Bulk deformation exponents must be strictly positive."""
 
 
-class ZeroCoordinate(OrbifloerError):
+class ZeroCoordinate(ValidationError):
     """Torus coordinates must be nonzero."""
 
 
@@ -49,5 +53,5 @@ class SpanNeverFull(OrbifloerError):
     """Finite-energy generators never span the ambient space."""
 
 
-class InputError(OrbifloerError):
+class InputError(ValidationError):
     """Malformed user input (CLI or JSON)."""

@@ -187,10 +187,6 @@ def evaluate(terms, y, env: dict | None = None) -> complex:
 # String rendering, round-trip parseable.
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def render_coeff(c) -> str:
     if c.lin:
         parts = []
@@ -204,8 +200,8 @@ def render_coeff(c) -> str:
         return "(" + " + ".join(parts) + ")" if len(parts) != 1 else parts[0]
     c = c.const
     if c.im == 0:
-        return _fmt_fraction(c.re)
-    return f"({_fmt_fraction(c.re)}{'+' if c.im >= 0 else '-'}{_fmt_fraction(abs(c.im))}i)"
+        return str(c.re)
+    return f"({str(c.re)}{'+' if c.im >= 0 else '-'}{str(abs(c.im))}i)"
 
 
 def render_poly(p: LaurentPoly) -> str:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orbifloer import cli
+from orbifloer import cli, region
 from orbifloer.cli import dump_json, main
+from orbifloer.errors import OrbifloerError, ValidationError
 from orbifloer.region import nondisplaceable_region, query_point
 from orbifloer.stacky import build_model
 
@@ -673,6 +674,45 @@ def test_validation_exit_codes(capsys):
     code, _, err = run(capsys, "reproduce", "nope")
     assert code == 2
     assert json.loads(err)["error"] == "InputError"
+
+
+def test_a_package_error_that_is_no_validation_error_exits_1(capsys, monkeypatch):
+    # the request is well formed, but its 3,139,436,124 scenario candidates
+    # exceed the limit: refused at once, before any scenario is examined
+    monkeypatch.setattr(region, "scenario_region", lambda *a, **k: pytest.fail("scenario examined"))
+    code, out, err = run(capsys, "region", "--preset", "square:3,3,3,3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "TooManyScenarios"
+
+
+def error_types(cls) -> set:
+    """Names of every subclass of cls, direct or not."""
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub.__name__} | error_types(sub)
+    return out
+
+
+def test_every_error_type_has_chosen_its_exit_code():
+    # a ValidationError exits 2 and any other error 1; a new error type
+    # joins one of these two sets on purpose
+    assert error_types(ValidationError) == {
+        "InputError",
+        "NotSimple",
+        "Unbounded",
+        "NonPrimitiveNormal",
+        "EmptyInterior",
+        "PointNotInterior",
+        "NonPositiveBulkExponent",
+        "DegenerateCone",
+        "ZeroCoordinate",
+    }
+    assert error_types(OrbifloerError) - error_types(ValidationError) == {
+        "ValidationError",
+        "TooManyScenarios",
+        "SpanNeverFull",
+        "NoConvergence",
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
-"""The package carries no dead weight.
+"""The package carries no dead weight, and the benchmark sees what it traces.
 
 Every module-level import is used by its own module, no module loads
 numpy when it is imported, and every top-level function, class and method
-is named by the package or by the benchmark.
+is named by the package or by the benchmark.  Every binding that
+perfbench/spans.py wraps is the traced function itself, and the command
+line calls each one through that binding.
 """
 
 import ast
+import importlib
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,13 +117,65 @@ def names_read(paths) -> set:
     return out
 
 
-def traced_names() -> set:
-    """The function names perfbench/spans.py wraps: the key tails of its SPANS table."""
+def spans_table() -> dict:
+    """perfbench/spans.py's SPANS table, read without importing it: {span name: calling modules}."""
     tree = ast.parse((PERFBENCH / "spans.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
-            return {key.value.split(".", 1)[1] for key in node.value.keys}
+            return {
+                ast.literal_eval(key): ast.literal_eval(value.elts[0])
+                for key, value in zip(node.value.keys, node.value.values)
+            }
     raise AssertionError("perfbench/spans.py has no SPANS table")
+
+
+def traced_names() -> set:
+    """The function names perfbench/spans.py wraps: the key tails of its SPANS table."""
+    return {name.split(".", 1)[1] for name in spans_table()}
+
+
+def test_traced_callers_bind_the_home_function():
+    # the tracer wraps the name in each calling module; a caller without
+    # the binding breaks Tracer.install, and one bound to another object
+    # records a span that is not the function's
+    wrong = []
+    for name, callers in spans_table().items():
+        home, attr = name.split(".", 1)
+        fn = getattr(importlib.import_module(f"orbifloer.{home}"), attr)
+        for caller in callers:
+            if getattr(importlib.import_module(f"orbifloer.{caller}"), attr, None) is not fn:
+                wrong.append((name, caller))
+    assert wrong == []
+
+
+def test_cli_calls_every_traced_name_through_its_binding(tmp_path, monkeypatch, capsys):
+    # a reference captured at import (in a table, a default argument or a
+    # closure) keeps running after the tracer rebinds the module name, and
+    # its span silently reads 0 calls
+    from orbifloer import cli
+
+    calls = Counter()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    traced = [name.split(".", 1)[1] for name, callers in spans_table().items() if "cli" in callers]
+    for attr in traced:
+        monkeypatch.setattr(cli, attr, counted(attr, getattr(cli, attr)))
+    bulk = tmp_path / "bulk.json"
+    bulk.write_text(json.dumps({"sectors": [{"nu": [1], "c": "1", "lambda": "7/15"}]}))
+    fiber = ["--preset", "teardrop:3", "--u", "1/10"]
+    requests = [["region", "--preset", "teardrop:3", "--u", "1/4"], ["discs", *fiber], ["box", "--preset", "teardrop:3"]]
+    for kind in ("lte", "critical", "potential"):
+        requests += [[kind, *fiber], [kind, *fiber, "--bulk", str(bulk)]]
+    for argv in requests:
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert [attr for attr in traced if not calls[attr]] == []
 
 
 def test_every_definition_is_named_by_the_package_or_the_benchmark():
