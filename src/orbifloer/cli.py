@@ -134,7 +134,7 @@ def _emit(o, pad: str, put) -> None:
 def _coeff_doc(c) -> dict:
     if c.lin:
         raise InputError("cannot serialize symbolic coefficients")
-    return {"re": str(c.const.re), "im": str(c.const.im)}
+    return {"re": str(c.const.q), "im": "0"}
 
 
 def _model_doc(m) -> dict:
@@ -365,8 +365,7 @@ def _geometry_doc(piece, r) -> dict | None:
         return {"type": "interval", **_interval_doc(*_piece_interval(piece, r.closure))}
     if r.model.dim == 2:
         kind, data = piece_geometry(piece, 2)
-        pts = [data[0]] if kind == "point" else list(data)
-        return {"type": kind, "points": [_qvec(p) for p in pts]}
+        return {"type": kind, "points": [_qvec(p) for p in data]}
     return None
 
 
@@ -544,10 +543,8 @@ def _rep_teardrop_a3(seed) -> dict:
 
 
 def _rep_wp135_box(seed) -> dict:
-    return {
-        "box": cmd_box(build_model("wp:1,3,5")),
-        "discs": cmd_discs(build_model("wp:1,3,5"), None),
-    }
+    m = build_model("wp:1,3,5")
+    return {"box": cmd_box(m), "discs": cmd_discs(m, None)}
 
 
 def _region_case(preset: str, *queries: str):

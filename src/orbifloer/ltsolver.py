@@ -60,7 +60,6 @@ class StratumLevel:
 @dataclass(frozen=True)
 class EnergyStratification:
     model: StackyModel
-    u: tuple | None
     levels: tuple  # StratumLevel, lowest energy first, cut at full span
     adapted_basis: tuple  # rows; prefix of length span_dim spans each stage
     exponents: tuple  # per level, each member's direction in the adapted basis
@@ -84,14 +83,14 @@ def stratify(m: StackyModel, u, bp: BulkParam | None = None) -> EnergyStratifica
         by_energy.setdefault(t.t_exponent, []).append(((t.kind, t.index), t.exponent, t.coeff))
 
     groups = [(en, sorted(by_energy[en], key=lambda g: g[0])) for en in sorted(by_energy)]
-    strat = _stratification(m, pot.u, groups)
+    strat = _stratification(m, groups)
     full = next((l for l, lv in enumerate(strat.levels) if lv.span_dim == m.dim), None)
     if full is None:
         raise SpanNeverFull("finite-energy generators never span; model is inconsistent")
     return replace(strat, levels=strat.levels[: full + 1], exponents=strat.exponents[: full + 1])
 
 
-def _stratification(m: StackyModel, u, groups) -> EnergyStratification:
+def _stratification(m: StackyModel, groups) -> EnergyStratification:
     """The levels of (energy, [(tag, direction, coeff), ...]) groups, lowest first, and their basis.
 
     One column_hermite pass over the directions stacked level by level:
@@ -115,7 +114,7 @@ def _stratification(m: StackyModel, u, groups) -> EnergyStratification:
             )
         )
         exponents.append(exps)
-    return EnergyStratification(m, u, tuple(levels), tuple(map(tuple, w)), tuple(exponents))
+    return EnergyStratification(m, tuple(levels), tuple(map(tuple, w)), tuple(exponents))
 
 
 def scenario_stratification(m: StackyModel, groups, coeffs) -> EnergyStratification:
@@ -132,7 +131,7 @@ def scenario_stratification(m: StackyModel, groups, coeffs) -> EnergyStratificat
         kind, i = tag
         return tag, m.facets[i].stacky_vector if kind == "facet" else box[i].nu, coeffs[tag]
 
-    strat = _stratification(m, None, [(None, [member(tag) for tag in group]) for group in groups])
+    strat = _stratification(m, [(None, [member(tag) for tag in group]) for group in groups])
     if not strat.levels or strat.levels[-1].span_dim != m.dim:
         raise SpanNeverFull("scenario levels do not span")
     return strat
@@ -247,8 +246,8 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
     names in that order, so two systems with one key correspond symbol by
     symbol through them.  Each rational enters as its numerator and
     denominator, ints that hash faster than the Fraction: a row is keyed
-    as (e, re, im, ((index, re, im), ...)), the constant part's four ints
-    and then the symbol part, empty for a constant.
+    as (e, num, den, ((index, num, den), ...)), the constant part's two
+    ints and then the symbol part, empty for a constant.
     """
     names: dict = {}
     key = []
@@ -262,8 +261,7 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
 
 
 def _parts(c: QC) -> tuple:
-    re, im = c.re, c.im
-    return re.numerator, re.denominator, im.numerator, im.denominator
+    return c.q.numerator, c.q.denominator
 
 
 def _never_zero(coeff) -> bool:
@@ -311,30 +309,25 @@ def _symbol_assignments(lts: LeadingTermSystem) -> list:
 # q_k^(m_k - e_k).  The sign is that of y^e: the parity of e . bits, bits the
 # coordinates with p_k < 0.  At a +-1 point the sign is the whole weight.
 # Equations are compiled once per solve into integer rows over a positive
-# common denominator; no scale moves the zero set.  Gaussian integers are
-# (re, im) pairs of ints.
-
-
-def _gaussian_int(v: QC, den: int) -> tuple:
-    """den * v as (re, im) ints; den must be a common denominator of v."""
-    return (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+# common denominator; no scale moves the zero set.
 
 
 def _integer_rows(eq) -> tuple:
     """One level equation's terms as rows (exponent parity mask, exponent, const, symbol coefficients).
 
-    Bit k of the mask is the parity of the exponent of y_k; ``const`` is a
-    Gaussian integer and the symbol coefficients are (name, Gaussian
-    integer) pairs, all scaled by one positive common denominator.
+    Bit k of the mask is the parity of the exponent of y_k; ``const`` is an
+    integer and the symbol coefficients are (name, integer) pairs, all
+    scaled by one positive common denominator.
     """
-    terms = []
-    for e, c in eq:
-        terms.append((sum(1 << k for k, x in enumerate(e) if x & 1), e, c.const, c.lin))
-    values = [v for _, _, const, lin in terms for v in (const, *(q for _, q in lin))]
-    den = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    den = lcm(*(v.q.denominator for _, c in eq for v in (c.const, *(q for _, q in c.lin))))
     return tuple(
-        (mask, e, _gaussian_int(const, den), tuple((name, _gaussian_int(q, den)) for name, q in lin))
-        for mask, e, const, lin in terms
+        (
+            sum(1 << k for k, x in enumerate(e) if x & 1),
+            e,
+            int(c.const.q * den),
+            tuple((name, int(q.q * den)) for name, q in c.lin),
+        )
+        for e, c in eq
     )
 
 
@@ -548,18 +541,16 @@ def _linear_certificate(lts: LeadingTermSystem) -> Certificate | None:
     coefficients: a row (mask, exponent e, const, symbol coefficients)
     enters with the sign of the parity of mask & bits, times
     prod_k |p_k|^(m_k + e_k) q_k^(m_k - e_k) off the +-1 points, its
-    constant in a last column of value 1.  The symbols take real values,
-    so an equation gives its real row and, when that is nonzero, its
-    imaginary row.  A point whose echelon leaves a nonzero constant is
-    skipped; without symbols that is every point at which some equation
-    does not vanish.  The free parameters of a consistent system are set to
+    constant in a last column of value 1, so each equation gives one row.
+    A point whose echelon leaves a nonzero constant is skipped; without
+    symbols that is every point at which some equation does not vanish.
+    The free parameters of a consistent system are set to
     t_j = k^(j+1) for k = 0, 1, ..., S * f (S symbols, f free parameters),
     the pivots solved (back_substitute), and the first k that makes every
     symbol nonzero is taken: a symbol that is not identically zero on the
     solution space is a nonzero polynomial of degree <= f in k, so at most
     S * f values of k fail.  The point, cleared of denominators, is checked
-    in integers on every real and imaginary row, the rows echelon
-    eliminated included.
+    in integers on every row, the rows echelon eliminated included.
     """
     eqs = [_integer_rows(eq) for lv in lts.levels for eq in lv.terms]
     names = lts.symbols
@@ -569,20 +560,17 @@ def _linear_certificate(lts: LeadingTermSystem) -> Certificate | None:
         bits = sum(1 << k for k, v in enumerate(y) if v < 0)
         system = []
         for eq in eqs:
-            parts = ([0] * (s + 1), [0] * (s + 1))  # real and imaginary row
+            row = [0] * (s + 1)
             if scale:
                 m = [max((abs(e[k]) for _, e, _, _ in eq), default=0) for k in range(lts.n)]
             for mask, e, const, lin in eq:
                 w = -1 if (mask & bits).bit_count() & 1 else 1
                 if scale:
                     w *= prod(map(pow, scale[0], map(add, m, e))) * prod(map(pow, scale[1], map(sub, m, e)))
-                for part, row in enumerate(parts):
-                    row[s] += w * const[part]
-                    for name, q in lin:
-                        row[col[name]] += w * q[part]
-            system.append(parts[0])
-            if any(parts[1]):
-                system.append(parts[1])
+                row[s] += w * const
+                for name, q in lin:
+                    row[col[name]] += w * q
+            system.append(row)
         reduced, pivots, rest = echelon(system, s)
         if any(row[s] for row in rest):
             continue
@@ -599,7 +587,7 @@ def _linear_certificate(lts: LeadingTermSystem) -> Certificate | None:
         point = cleared([*values, 1])
         if all(sum(map(mul, row, point)) == 0 for row in system):
             return Certificate(
-                tuple((name, QC(v).to_complex()) for name, v in zip(names, values)),
+                tuple((name, complex(v)) for name, v in zip(names, values)),
                 tuple(complex(v) for v in y),
                 0.0,
                 True,
@@ -617,7 +605,7 @@ def solve(lts: LeadingTermSystem, seed: int = 0) -> SolvabilityVerdict:
        never vanishes on the torus.
     2. Linear pass: at each rational point y the equations are linear in
        the free coefficients, and an exact solve over Q with every
-       coefficient real and nonzero gives a residual-0 certificate
+       coefficient nonzero gives a residual-0 certificate
        (_linear_certificate).  The points are {+-1}^n in product order,
        then the rest of G^n, G = +-1 and +-l, +-1/l for each distinct
        facet label l > 1 in ascending order.  A system without free

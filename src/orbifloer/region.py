@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import mul
+from operator import mul, sub
 
 from .errors import InputError, TooManyScenarios
 from .lattice import back_substitute, clear, cleared, echelon, primitive, rank_rational
@@ -86,45 +86,41 @@ from .stacky import StackyModel, enumerate_box, sector_ell_form
 
 @dataclass(frozen=True)
 class Constraint:
-    """Affine condition coeffs.u + const REL 0, tagged with its origin.
+    """Affine condition row . (u, 1) REL 0, tagged with its origin.
 
-    kind is one of "interior", "level", "order", "sector", "above"; only
-    "interior" constraints stay strict when a region is read in closure
-    mode (the limit argument never leaves the open moment polytope).
-    Coefficients are integers or Fractions.  Only the sign of the value is
-    ever read, so a positive multiple of a condition is the same condition:
-    scenario_constraints emits integer multiples of the forms it names.
+    row is the integer tuple (gradient..., constant).  Only the sign of its
+    value is ever read, so a positive multiple of a condition is the same
+    condition: scenario_constraints emits integer multiples of the forms it
+    names.  kind is one of "interior", "level", "order", "sector", "above".
     """
 
-    coeffs: tuple
-    const: int | Fraction
+    row: tuple
     rel: str  # ">" or "=="
     kind: str
     label: str
 
-    def value(self, u) -> Fraction:
-        return sum(c * Fraction(x) for c, x in zip(self.coeffs, u)) + self.const
+    def admits(self, v, closed: bool) -> bool:
+        """Whether the condition holds where its row's value is v (or has v's sign).
 
-    def holds(self, u, closed: bool = False) -> bool:
-        v = self.value(u)
+        The one closure rule: in closure mode a strict condition may also
+        vanish, unless it is of kind "interior" (the limit argument never
+        leaves the open moment polytope).  An equality holds at 0 only.
+        """
         if self.rel == "==":
             return v == 0
-        if closed and self.kind != "interior":
-            return v >= 0
-        return v > 0
+        return v > 0 or (v == 0 and closed and self.kind != "interior")
+
+    def holds(self, u, closed: bool = False) -> bool:
+        return self.admits(sum(map(mul, self.row, _homogeneous(map(Fraction, u)))), closed)
 
 
 def _homogeneous(u) -> list:
     """Integers [U_1, ..., U_n, D] with D > 0 and u = U / D, u of ints or Fractions.
 
     The sign of a condition at u is the sign of the dot product of its row
-    (coeffs..., const) with this list.
+    with this list.
     """
     return cleared([*u, 1])
-
-
-def _row(c: Constraint) -> tuple:
-    return (*c.coeffs, c.const)
 
 
 @dataclass(frozen=True)
@@ -154,13 +150,8 @@ class ScenarioPolyhedron:
 
     def contains(self, u, closed: bool = False) -> bool:
         p = _homogeneous(u)
-        if any(sum(map(mul, _row(c), p)) for c in self.equalities):
-            return False
-        for c in self.inequalities:
-            v = sum(map(mul, _row(c), p))
-            if v < 0 or (v == 0 and not (closed and c.kind != "interior")):
-                return False
-        return True
+        conditions = self.equalities + self.inequalities
+        return all(c.admits(sum(map(mul, c.row, p)), closed) for c in conditions)
 
 
 @dataclass(frozen=True)
@@ -182,13 +173,11 @@ class FiberRegion:
         """(rows, forbid), the region's constraints as query_point reads them.
 
         rows holds the model's facet rows (distinct: build_model refuses a
-        repeated facet), then every other distinct integer row (coeffs...,
-        const) of the pieces.  forbid[k] holds three ints, bit i for piece
-        i: the pieces row k rules out at a negative, zero and positive
-        value.  An equality rules a piece out at negative and positive
-        values, an always-strict row at negative and zero, and a row that
-        may be zero (an inequality not of kind "interior", in closure mode)
-        at negative values only.  Built on first use, so a region made by
+        repeated facet), then every other distinct condition row of the
+        pieces.  forbid[k] holds three ints, bit i for piece i: the pieces
+        row k rules out at a negative, zero and positive value, the signs
+        at which one of the piece's conditions on that row does not admit
+        it (Constraint.admits).  Built on first use, so a region made by
         replace() builds its own.
         """
         forbid = {row: [0, 0, 0] for row in _model_rows(self.model)[0]}
@@ -198,9 +187,8 @@ class FiberRegion:
             for c in p.polyhedron.equalities + p.polyhedron.inequalities:
                 hit = signs_of.get(id(c))
                 if hit is None:
-                    soft = self.closure and c.kind != "interior"
-                    signs = (0, 2) if c.rel == "==" else (0,) if soft else (0, 1)
-                    hit = signs_of[id(c)] = forbid.setdefault(_row(c), [0, 0, 0]), signs
+                    signs = [s for s in range(3) if not c.admits(s - 1, self.closure)]
+                    hit = signs_of[id(c)] = forbid.setdefault(c.row, [0, 0, 0]), signs
                 f, signs = hit
                 for s in signs:
                     f[s] |= bit
@@ -401,11 +389,6 @@ def _model_rows(m: StackyModel) -> tuple:
     return rows[: len(m.facets)], rows[len(m.facets) :]
 
 
-def _difference(a: tuple, b: tuple, rel: str, kind: str, label: str) -> Constraint:
-    row = [x - y for x, y in zip(a, b)]
-    return Constraint(tuple(row[:-1]), row[-1], rel, kind, label)
-
-
 class _ConstraintTable(dict):
     """A model's Constraint objects keyed by (kind, indices), each built once.
 
@@ -416,7 +399,9 @@ class _ConstraintTable(dict):
       ("sector", a, i, l)   ell_nu_i < S_{l+1}, as ell_a - ell_nu_i > 0
       ("order", b, a, l)    S_{l+2} > S_{l+1}, as ell_b - ell_a > 0
       ("above", j, a, K)    ell_j > S_K, as ell_j - ell_a > 0
-    A missing key builds its Constraint from the model's rows (_model_rows).
+    A missing key builds its Constraint from the model's rows (_model_rows):
+    ell_j's own row for "interior", else the row difference of the two
+    forms it compares.
     """
 
     def __init__(self, m: StackyModel):
@@ -427,19 +412,21 @@ class _ConstraintTable(dict):
         facet, sector = _model_rows(self.m)
         kind, x, *rest = key
         if kind == "interior":
-            c = Constraint(facet[x][:-1], facet[x][-1], ">", "interior", f"ell_{x} > 0")
-        elif kind == "level":
-            c = _difference(facet[x], facet[rest[0]], "==", "level", f"ell_{x} = ell_{rest[0]}")
-        elif kind == "sector":
-            i, l = rest
-            label = f"ell_nu{enumerate_box(self.m)[i].nu} < S{l + 1}"
-            c = _difference(facet[x], sector[i], ">", "sector", label)
-        elif kind == "order":
-            a, l = rest
-            c = _difference(facet[x], facet[a], ">", "order", f"S{l + 2} > S{l + 1}")
+            c = Constraint(facet[x], ">", kind, f"ell_{x} > 0")
         else:
-            a, K = rest
-            c = _difference(facet[x], facet[a], ">", "above", f"ell_{x} > S{K}")
+            if kind == "level":
+                other, rel, label = facet[rest[0]], "==", f"ell_{x} = ell_{rest[0]}"
+            elif kind == "sector":
+                i, l = rest
+                nu = enumerate_box(self.m)[i].nu
+                other, rel, label = sector[i], ">", f"ell_nu{nu} < S{l + 1}"
+            elif kind == "order":
+                a, l = rest
+                other, rel, label = facet[a], ">", f"S{l + 2} > S{l + 1}"
+            else:
+                a, K = rest
+                other, rel, label = facet[a], ">", f"ell_{x} > S{K}"
+            c = Constraint(tuple(map(sub, facet[x], other)), rel, kind, label)
         self[key] = c
         return c
 
@@ -563,20 +550,20 @@ def _fourier_motzkin(rows: frozenset, free: tuple):
     return tuple(sol.items())
 
 
-def _system(eqs, ineqs, n: int):
-    """(subs, table) of integer rows eqs == 0 and ineqs > 0, or None.
+def _system(cons, n: int):
+    """(subs, table) of the conditions cons, or None.
 
     subs are the equalities' pivot rows and pivot columns (echelon) and
     table the binding table of the strict rows with the pivots substituted
     (_fold).  None means a contradiction already shows: conflicting
     equalities or a nonpositive constant row.
     """
-    rows, pivots, rest = echelon(eqs, n)
+    rows, pivots, rest = echelon([c.row for c in cons if c.rel == "=="], n)
     if any(row[n] for row in rest):
         return None
     subs = rows, pivots
     table: dict = {}
-    if all(_fold(table, _substitute(row, subs)) for row in ineqs):
+    if all(_fold(table, _substitute(c.row, subs)) for c in cons if c.rel == ">"):
         return subs, table
     return None
 
@@ -607,15 +594,14 @@ def scenario_region(m: StackyModel, s: Scenario, system=None) -> ScenarioPolyhed
     constraint, which also checks that a given system is this scenario's.
     """
     cons = scenario_constraints(m, s)
-    eqs = tuple(c for c in cons if c.rel == "==")
-    ineqs = tuple(c for c in cons if c.rel == ">")
     if system is None:
-        # scenario_constraints rows are integers already
-        system = _system(list(map(_row, eqs)), list(map(_row, ineqs)), m.dim)
+        system = _system(cons, m.dim)
     w = None if system is None else _solve(*system, m.dim)
     if w is None:
         return None
-    poly = ScenarioPolyhedron(eqs, ineqs, w)
+    poly = ScenarioPolyhedron(
+        tuple(c for c in cons if c.rel == "=="), tuple(c for c in cons if c.rel == ">"), w
+    )
     if not poly.contains(w):
         raise AssertionError(f"scenario {s.serial}: witness {w} breaks its own system")
     return poly
@@ -718,12 +704,7 @@ def _piece_candidates(m: StackyModel):
             return None
         if p == nf:
             facets = _scenario(-1, digits, nf, tree.K)
-            cons = scenario_constraints(m, facets)
-            system = _system(
-                [_row(c) for c in cons if c.rel == "=="],
-                [_row(c) for c in cons if c.rel == ">"],
-                m.dim,
-            )
+            system = _system(scenario_constraints(m, facets), m.dim)
             if system is None:
                 return None
             anchors = [tags[0][1] for tags in facets.levels]
@@ -733,7 +714,7 @@ def _piece_candidates(m: StackyModel):
         else:
             (subs, table), anchors, hw = ctx
             l = digits[-1] - 1
-            row = _row(constraints["sector", anchors[l], p - 1 - nf, l])
+            row = constraints["sector", anchors[l], p - 1 - nf, l].row
             table = dict(table)
             if not _fold(table, _substitute(row, subs)):
                 return None
@@ -794,27 +775,27 @@ def query_point(r: FiberRegion, u) -> QueryReport:
 def _clip(p: RegionPiece, base, d, closed: bool = True):
     """Exact (lo, lo_closed, hi, hi_closed), in t, of a piece on the line base + t*d.
 
-    A condition with a = coeffs.d != 0 meets the line at t = -value(base)/a,
+    A condition with a = gradient.d != 0 meets the line at t = -value(base)/a,
     kept as the integer pair (-row.hb, a*D) with hb = [U..., D] the
     homogeneous base, its denominator made positive.  It bounds t from
     below when it is an equality or a > 0, and from above when it is an
     equality or a < 0; one with a = 0 is parallel and skipped.  lo is the
     largest lower bound and hi the smallest upper bound, pairs compared by
     cross-multiplication, and only the two ends become Fractions.  An end
-    is closed when every condition that reaches it is an equality or, in
-    closure mode, not of kind "interior".  A piece holds the interior rows
+    is closed when every condition that reaches it admits the value 0
+    there (Constraint.admits).  A piece holds the interior rows
     of a compact polytope, so every line meets bounds on both sides.
     """
     hb = _homogeneous(base)
     lower, upper = [], []
     for c in p.polyhedron.equalities + p.polyhedron.inequalities:
-        a = sum(map(mul, c.coeffs, d))
+        a = sum(map(mul, c.row, d))  # d is one shorter: the gradient part
         if a == 0:
             continue
-        num, den = -sum(map(mul, _row(c), hb)), hb[-1] * a
+        num, den = -sum(map(mul, c.row, hb)), hb[-1] * a
         if den < 0:
             num, den = -num, -den
-        bound = (num, den), c.rel == "==" or (closed and c.kind != "interior")
+        bound = (num, den), c.admits(0, closed)
         if c.rel == "==" or a > 0:
             lower.append(bound)
         if c.rel == "==" or a < 0:
@@ -876,15 +857,15 @@ def piece_geometry(p: RegionPiece, dim: int):
     eqs = p.polyhedron.equalities
     ineqs = p.polyhedron.inequalities
     w = p.polyhedron.witness
-    rank = rank_rational([c.coeffs for c in eqs])
+    rank = rank_rational([c.row[:-1] for c in eqs])
     if rank >= 2:
         return ("point", (w,))
     if rank == 1:
-        g = next(c.coeffs for c in eqs if any(c.coeffs))
+        g = next(c.row for c in eqs if any(c.row[:-1]))
         d = (-g[1], g[0])  # direction along the equality line
         tmin, _, tmax, _ = _clip(p, w, d)
         return ("segment", tuple(tuple(wi + t * di for wi, di in zip(w, d)) for t in (tmin, tmax)))
-    return _polygon(_binding(map(_row, ineqs)))
+    return _polygon(_binding(c.row for c in ineqs))
 
 
 @lru_cache(maxsize=1024)

@@ -1,7 +1,7 @@
 """Exact coefficients, and the T-free Laurent polynomials that print a level.
 
-Coefficients are exact Gaussian rationals (QC) or degree-one polynomials
-in named symbols (SymLin, for free bulk coefficients).  Both answer one
+Coefficients are exact rationals (QC) or degree-one polynomials in named
+symbols (SymLin, for free bulk coefficients).  Both answer one
 protocol, so no caller asks which it holds: ``const`` (a QC), ``lin``
 (sorted (name, QC) pairs, empty for a QC), ``+``, ``* k`` for an integer
 k, ``is_zero()`` and ``to_complex(env)``, which a constant computes
@@ -20,14 +20,13 @@ from .errors import ZeroCoordinate
 
 
 class QC:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+    """An exact rational coefficient, held as one Fraction."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("q",)
     lin = ()
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, q=0):
+        object.__setattr__(self, "q", Fraction(q))
 
     def __setattr__(self, *a):
         raise AttributeError("QC is immutable")
@@ -38,8 +37,6 @@ class QC:
             return x
         if isinstance(x, (int, Fraction)):
             return QC(x)
-        if isinstance(x, complex):
-            raise TypeError("floating complex cannot enter the exact path")
         raise TypeError(f"cannot coerce {type(x).__name__} to QC")
 
     @property
@@ -49,14 +46,10 @@ class QC:
     def __add__(self, o):
         if isinstance(o, SymLin):
             return o + self
-        o = QC.of(o)
-        return QC(self.re + o.re, self.im + o.im)
+        return QC(self.q + QC.of(o).q)
 
     def __mul__(self, o):
-        if isinstance(o, int):
-            return QC(self.re * o, self.im * o)
-        o = QC.of(o)
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return QC(self.q * (o if isinstance(o, int) else QC.of(o).q))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -66,19 +59,19 @@ class QC:
             o = QC.of(o)
         except TypeError:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.q == o.q
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.q)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.q == 0
 
     def to_complex(self, env: dict | None = None) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.q)
 
     def __repr__(self):
-        return f"QC({self.re!r}, {self.im!r})"
+        return f"QC({self.q!r})"
 
 
 class SymLin:
@@ -198,10 +191,7 @@ def render_coeff(c) -> str:
             else:
                 parts.append(f"{render_coeff(q)}*{name}")
         return "(" + " + ".join(parts) + ")" if len(parts) != 1 else parts[0]
-    c = c.const
-    if c.im == 0:
-        return str(c.re)
-    return f"({str(c.re)}{'+' if c.im >= 0 else '-'}{str(abs(c.im))}i)"
+    return str(c.const.q)
 
 
 def render_poly(p: LaurentPoly) -> str:

@@ -484,8 +484,7 @@ def eval_exact(p, y, env=None):
         c = c + cf
         mono = QC(1)
         for z, k in zip(vals, e):
-            # 1/z = conj(z) / |z|^2
-            step = z if k > 0 else QC(z.re, -z.im) * QC(1 / (z.re * z.re + z.im * z.im))
+            step = z if k > 0 else QC(1 / z.q)
             for _ in range(abs(k)):
                 mono = mono * step
         total = total + c * mono
@@ -523,10 +522,6 @@ def parse_poly(text, n):
             m = re.fullmatch(r"y(\d+)(?:\^(-?\d+))?", factor)
             if m:
                 e[int(m.group(1)) - 1] = int(m.group(2) or 1)
-                continue
-            m = re.fullmatch(r"\((-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)i\)", factor)
-            if m:
-                coeff = coeff * QC(Fraction(m.group(1)), Fraction(m.group(2)))
                 continue
             coeff = coeff * QC(Fraction(factor))
         out.append((tuple(e), coeff))
@@ -601,7 +596,7 @@ def scenario_lts_by_rewrite(m, s):
         prev_rank = r
     assert prev_rank == m.dim, "scenario levels do not span"
     _, w, _ = column_hermite([d for lv in levels for d in lv.directions], m.dim)
-    strat = lt.EnergyStratification(m, None, tuple(levels), tuple(map(tuple, w)), ())
+    strat = lt.EnergyStratification(m, tuple(levels), tuple(map(tuple, w)), ())
     return lts_by_rewrite(strat)
 
 
@@ -624,10 +619,10 @@ def signature_by_terms(lts):
 
     def ckey(c):
         if isinstance(c, QC):
-            return ("q", str(c.re), str(c.im))
-        parts = [("q", str(c.const.re), str(c.const.im))]
+            return ("q", str(c.q))
+        parts = [("q", str(c.const.q))]
         for name, q in c.lin:
-            parts.append((rename[name], str(q.re), str(q.im)))
+            parts.append((rename[name], str(q.q)))
         return ("s", tuple(parts))
 
     sig = []
@@ -708,16 +703,16 @@ def piece_geometry_all_pairs(p):
     """
     eqs, ineqs = p.polyhedron.equalities, p.polyhedron.inequalities
     w = p.polyhedron.witness
-    rank = sympy.Matrix([list(c.coeffs) for c in eqs]).rank() if eqs else 0
+    rank = sympy.Matrix([list(c.row[:-1]) for c in eqs]).rank() if eqs else 0
     if rank >= 2:
         return ("point", (w,))
 
     def value(row, pt):
         return row[0] * pt[0] + row[1] * pt[1] + row[2]
 
-    rows = [(*c.coeffs, c.const) for c in ineqs]
+    rows = [c.row for c in ineqs]
     if rank == 1:
-        g = next(c.coeffs for c in eqs if any(c.coeffs))
+        g = next(c.row for c in eqs if any(c.row[:-1]))
         d = (-g[1], g[0])
         ts = [
             (Fraction(-value(r, w), r[0] * d[0] + r[1] * d[1]), r[0] * d[0] + r[1] * d[1] > 0)
@@ -771,16 +766,16 @@ def clip_by_fractions(p, base, d, closed=True):
     """region._clip in Fractions, as it was: (lo, lo_closed, hi, hi_closed) of a piece on base + t*d.
 
     Each condition meeting the line gives the Fraction t = -value(base)/a,
-    a = coeffs.d; lo is the largest lower bound and hi the smallest upper
+    a = gradient.d; lo is the largest lower bound and hi the smallest upper
     one, each closed when every condition reaching it may hold with
     equality.
     """
     lower, upper = [], []
     for c in p.polyhedron.equalities + p.polyhedron.inequalities:
-        a = sum(x * y for x, y in zip(c.coeffs, d))
+        a = sum(x * y for x, y in zip(c.row, d))
         if a == 0:
             continue
-        value = sum(x * Fraction(y) for x, y in zip(c.coeffs, base)) + c.const
+        value = condition_value(c, base)
         bound = -value / a, c.rel == "==" or (closed and c.kind != "interior")
         if c.rel == "==" or a > 0:
             lower.append(bound)
@@ -794,6 +789,31 @@ def clip_by_fractions(p, base, d, closed=True):
     return (*endpoint(lower, max), *endpoint(upper, min))
 
 
+def condition_value(c, u):
+    """The value of a region condition's row (gradient..., constant) at u, in Fractions."""
+    return sum(x * Fraction(y) for x, y in zip(c.row, u)) + c.row[-1]
+
+
+def condition_holds(c, u, closed=False):
+    """Constraint.holds, with its closure rule stated here.
+
+    An equality holds where its value is 0 and a strict condition where it
+    is positive; in closure mode a strict condition not of kind "interior"
+    also holds where it is 0.
+    """
+    v = condition_value(c, u)
+    if c.rel == "==":
+        return v == 0
+    if closed and c.kind != "interior":
+        return v >= 0
+    return v > 0
+
+
+def polyhedron_contains(poly, u, closed=False):
+    """ScenarioPolyhedron.contains by condition_holds over every condition."""
+    return all(condition_holds(c, u, closed) for c in poly.equalities + poly.inequalities)
+
+
 def scenario_constraints_row_by_row(m, s):
     """region.scenario_constraints as it was: every Constraint built afresh.
 
@@ -804,15 +824,11 @@ def scenario_constraints_row_by_row(m, s):
     from orbifloer.stacky import enumerate_box
 
     def difference(a, b, rel, kind, label):
-        row = [x - y for x, y in zip(a, b)]
-        return Constraint(tuple(row[:-1]), row[-1], rel, kind, label)
+        return Constraint(tuple(x - y for x, y in zip(a, b)), rel, kind, label)
 
     facet, sector = _model_rows(m)
     box = enumerate_box(m)
-    cons = [
-        Constraint(row[:-1], row[-1], ">", "interior", f"ell_{j} > 0")
-        for j, row in enumerate(facet)
-    ]
+    cons = [Constraint(row, ">", "interior", f"ell_{j} > 0") for j, row in enumerate(facet)]
     anchors = []
     for l, tags in enumerate(s.levels):
         facets = [i for k, i in tags if k == "facet"]

@@ -432,6 +432,9 @@ def test_bulk_file_rows_fail_typed(tmp_path, capsys):
     cases = [
         ({"sectors": [ok, {"nu": [0, -1], "lambda": "1/2"}]}, 'sectors[1]: missing field "c"'),
         ({"sectors": [dict(ok, c="x")]}, "sectors[0].c: cannot read 'x'"),
+        # a coefficient is one rational: complex values are refused
+        ({"sectors": [dict(ok, c="1+2j")]}, "sectors[0].c: cannot read '1+2j'"),
+        ({"sectors": [dict(ok, c={"re": 1, "im": 2})]}, "sectors[0].c: cannot read {'re': 1, 'im': 2}"),
         ({"sectors": [dict(ok, nu="z")]}, "sectors[0].nu: cannot read 'z'"),
         ({"sectors": [ok], "divisors": [{"facet": 9, "c": "1", "lambda": "1/2"}]},
          "divisors[0].facet: 9 is not a facet index"),

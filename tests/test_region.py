@@ -34,18 +34,16 @@ from orbifloer.stacky import build_model, enumerate_box
 
 
 def gt(coeffs, const):
-    return Constraint(tuple(map(Fraction, coeffs)), Fraction(const), ">", "level", "t")
+    return Constraint(tuple(cleared([*coeffs, Fraction(const)])), ">", "level", "t")
 
 
 def eq(coeffs, const):
-    return Constraint(tuple(map(Fraction, coeffs)), Fraction(const), "==", "level", "t")
+    return Constraint(tuple(cleared([*coeffs, Fraction(const)])), "==", "level", "t")
 
 
 def feasible_witness(cons, n):
-    """region._system then region._solve on Constraint rows, cleared of their denominators."""
-    eqs = [cleared((*c.coeffs, c.const)) for c in cons if c.rel == "=="]
-    ineqs = [cleared((*c.coeffs, c.const)) for c in cons if c.rel != "=="]
-    system = region._system(eqs, ineqs, n)
+    """region._system then region._solve on conditions, their rows cleared of denominators."""
+    system = region._system([replace(c, row=tuple(cleared(c.row))) for c in cons], n)
     return None if system is None else region._solve(*system, n)
 
 
@@ -195,7 +193,7 @@ def test_coloop_leaf_matches_the_system_oracle():
 @settings(max_examples=200, deadline=None)
 def test_pivots_match_sympy_rref(system):
     n, rows = system
-    got = region._system(rows, (), n)
+    got = region._system([Constraint(tuple(row), "==", "level", "t") for row in rows], n)
     if not rows:
         assert got == (([], []), {})
         return
@@ -341,8 +339,8 @@ def test_scenario_constraints_tagged():
     level = next(c for c in cons if c.kind == "level")
     assert level.rel == "=="
     # ell_0 = 3u+1, ell_1 = 1-u equal only at u = 0
-    assert level.value((Fraction(0),)) == 0
-    assert level.value((Fraction(1, 10),)) != 0
+    assert oracles.condition_value(level, (Fraction(0),)) == 0
+    assert oracles.condition_value(level, (Fraction(1, 10),)) != 0
 
 
 def test_sector_constraints_name_their_sector():
@@ -362,7 +360,7 @@ def test_sector_constraints_name_their_sector():
 def test_feasible_witness_box():
     cons = [gt([1, 0], 0), gt([0, 1], 0), gt([-1, 0], 1), gt([0, -1], 1)]
     w = feasible_witness(cons, 2)
-    assert w is not None and all(c.holds(w) for c in cons)
+    assert w is not None and all(oracles.condition_holds(c, w) for c in cons)
 
 
 def test_feasible_witness_empty():
@@ -390,10 +388,10 @@ def test_feasible_witness_random_agrees_with_sampling():
         w = feasible_witness(cons, 2)
         if w is None:
             assert not any(
-                all(c.holds((x, y)) for c in cons) for x in grid for y in grid
+                all(oracles.condition_holds(c, (x, y)) for c in cons) for x in grid for y in grid
             )
         else:
-            assert all(c.holds(w) for c in cons)
+            assert all(oracles.condition_holds(c, w) for c in cons)
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -416,22 +414,19 @@ _scales = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(rows=_rows, scales=_scales, data=st.data())
 def test_feasible_witness_invariant_under_positive_row_scaling(rows, scales, data):
-    cons = [Constraint(tuple(map(Fraction, g)), c, rel, "level", "t") for g, c, rel in rows]
+    cons = [Constraint((*g, c), rel, "level", "t") for g, c, rel in rows]
     w = feasible_witness(cons, 3)
     if w is not None:
-        assert all(c.holds(w) for c in cons)
+        assert all(oracles.condition_holds(c, w) for c in cons)
     # Fraction rows with denominators of their own, cleared row by row
-    scaled = [
-        Constraint(tuple(q * x for x in c.coeffs), q * c.const, c.rel, c.kind, c.label)
-        for c, q in zip(cons, scales)
-    ]
+    scaled = [replace(c, row=tuple(q * x for x in c.row)) for c, q in zip(cons, scales)]
     assert feasible_witness(scaled, 3) == w
     # the Fourier-Motzkin memo is keyed on the binding rows: row order,
     # repeated rows and looser parallel rows must not move the witness
     order = data.draw(st.permutations(range(len(cons))))
     repeats = data.draw(st.lists(st.sampled_from(scaled), max_size=3))
     looser = [
-        Constraint(c.coeffs, c.const + slack, ">", c.kind, c.label)
+        replace(c, row=(*c.row[:-1], c.row[-1] + slack))
         for c, slack in zip(
             scaled, data.draw(st.lists(_small.filter(lambda x: x > 0), max_size=6))
         )
@@ -500,12 +495,7 @@ def test_carried_system_gives_the_leaf_region(preset, max_levels, monkeypatch):
     leaves = list(region._scenario_walk(m, max_levels, region._piece_candidates(m)))
     assert leaves
     for s, (system, _, _) in leaves:
-        cons = scenario_constraints(m, s)
-        built = region._system(
-            [region._row(c) for c in cons if c.rel == "=="],
-            [region._row(c) for c in cons if c.rel == ">"],
-            m.dim,
-        )
+        built = region._system(scenario_constraints(m, s), m.dim)
         assert system[0] == built[0], s.serial
         assert system[1] == built[1], s.serial
         carried = scenario_region(m, s, system)
@@ -573,13 +563,20 @@ def _check_query_against_constraints(preset):
     cons = {p.scenario.serial: scenario_constraints(m, p.scenario) for p in closed.pieces}
 
     def want(u, closure):
-        return [s for s, cs in cons.items() if all(c.holds(u, closure) for c in cs)]
+        return [
+            s for s, cs in cons.items() if all(oracles.condition_holds(c, u, closure) for c in cs)
+        ]
 
     def check(r):
         for u in points:
             rep = query_point(r, u)
-            assert [p.scenario.serial for p in rep.matches] == want(u, r.closure), (u, r.closure)
+            serials = want(u, r.closure)
+            assert [p.scenario.serial for p in rep.matches] == serials, (u, r.closure)
             assert rep.interior == m.is_interior(u)
+            # holds and contains read Constraint.admits, the oracle its own rule
+            held = [s for s, cs in cons.items() if all(c.holds(u, r.closure) for c in cs)]
+            contained = [p.scenario.serial for p in r.pieces if p.polyhedron.contains(u, r.closure)]
+            assert held == contained == serials, (u, r.closure)
 
     check(closed)  # builds the closed region's row index before replace
     opened = replace(closed, closure=False)
@@ -639,7 +636,7 @@ def test_query_point_at_vertices_facets_and_outside_points():
                 want = [
                     p.scenario.serial
                     for p, cs in zip(r.pieces, cons)
-                    if all(c.holds(u, r.closure) for c in cs)
+                    if all(oracles.condition_holds(c, u, r.closure) for c in cs)
                 ]
                 assert rep.interior == m.is_interior(u), (preset, u)
                 assert [p.scenario.serial for p in rep.matches] == want, (preset, r.closure, u)
@@ -659,7 +656,9 @@ def test_query_point_lists_dense_answers_in_piece_order():
     assert [len(query_point(r, u).matches) for u in points] == [78, 233, 984]
     for reg in (r, replace(r, closure=False)):
         for u in points:
-            want = [p for p in reg.pieces if p.polyhedron.contains(u, closed=reg.closure)]
+            want = [
+                p for p in reg.pieces if oracles.polyhedron_contains(p.polyhedron, u, reg.closure)
+            ]
             assert list(query_point(reg, u).matches) == want, (reg.closure, u)
 
 
@@ -722,7 +721,7 @@ def test_scenario_region_teardrop():
     assert feas  # the single-facet scenarios are open intervals
     for s in feas:
         poly = scenario_region(m, s)
-        assert poly.contains(poly.witness)
+        assert oracles.polyhedron_contains(poly, poly.witness)
 
 
 def test_region_equal_with_warm_and_cold_memos():
@@ -775,7 +774,7 @@ def test_integer_polygon_and_clip_match_fraction_oracles(preset, closure):
         bases = [p.polyhedron.witness]
         kind, data = piece_geometry(p, 2)
         if kind == "polygon":
-            rows = region._binding(map(region._row, p.polyhedron.inequalities))
+            rows = region._binding(c.row for c in p.polyhedron.inequalities)
             if rows not in binding_sets:
                 binding_sets.add(rows)
                 assert region._polygon.__wrapped__(rows) == oracles.polygon_by_fractions(rows)
@@ -824,8 +823,7 @@ def clip_cases(draw):
         rows.append(cleared((a1, a2, -(a1 * tie[0] + a2 * tie[1]))) if through else (a1, a2, draw(ints)))
     cons = [
         Constraint(
-            tuple(row[:2]),
-            row[2],
+            tuple(row),
             ">" if k < 2 else draw(st.sampled_from([">", "=="])),
             draw(st.sampled_from(["interior", "sector"])),
             "t",
@@ -856,18 +854,22 @@ def test_piece_interval_endpoints_are_tight():
         # half the least gap between the conditions' boundaries and the
         # endpoints: no other boundary lies within delta of lo or of hi
         conditions = poly.equalities + poly.inequalities
-        ends = {Fraction(-c.const, c.coeffs[0]) for c in conditions if c.coeffs[0]}
+        ends = {Fraction(-c.row[1], c.row[0]) for c in conditions if c.row[0]}
         ends = sorted(ends | {lo, hi})
         delta = min((b - a for a, b in zip(ends, ends[1:])), default=2) / 2
-        assert not poly.contains((lo - delta,), True)
-        assert not poly.contains((hi + delta,), True)
+
+        def contains(u, closed=False):
+            return oracles.polyhedron_contains(poly, (u,), closed)
+
+        assert not contains(lo - delta, True)
+        assert not contains(hi + delta, True)
         if lo < hi:
-            assert poly.contains((lo + delta,)) and poly.contains((hi - delta,))
-            assert lo_closed == poly.contains((lo,), closed)
-            assert hi_closed == poly.contains((hi,), closed)
+            assert contains(lo + delta) and contains(hi - delta)
+            assert lo_closed == contains(lo, closed)
+            assert hi_closed == contains(hi, closed)
         else:
             assert lo == hi
-            assert (lo_closed and hi_closed) == poly.contains((lo,), closed)
+            assert (lo_closed and hi_closed) == contains(lo, closed)
         cases += 1
     assert cases == 948
 
