@@ -131,10 +131,10 @@ def _emit(o, pad: str, put) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _coeff_doc(c) -> dict:
+def _coeff_doc(c) -> str:
     if c.lin:
         raise InputError("cannot serialize symbolic coefficients")
-    return {"re": str(c.const.q), "im": "0"}
+    return str(c.const)
 
 
 def _model_doc(m) -> dict:

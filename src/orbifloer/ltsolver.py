@@ -260,15 +260,15 @@ def lts_signature(lts: LeadingTermSystem) -> tuple:
     return tuple(key), tuple(names)
 
 
-def _parts(c: QC) -> tuple:
-    return c.q.numerator, c.q.denominator
+def _parts(q: Fraction) -> tuple:
+    return q.numerator, q.denominator
 
 
 def _never_zero(coeff) -> bool:
     # a nonzero constant, or a pure symbol, which ranges over C*
     if coeff.lin:
-        return coeff.const.is_zero() and len(coeff.lin) == 1
-    return not coeff.const.is_zero()
+        return coeff.const == 0 and len(coeff.lin) == 1
+    return coeff.const != 0
 
 
 def _has_coloop(lv: LtsLevel) -> bool:
@@ -319,13 +319,13 @@ def _integer_rows(eq) -> tuple:
     integer and the symbol coefficients are (name, integer) pairs, all
     scaled by one positive common denominator.
     """
-    den = lcm(*(v.q.denominator for _, c in eq for v in (c.const, *(q for _, q in c.lin))))
+    den = lcm(*(v.denominator for _, c in eq for v in (c.const, *(q for _, q in c.lin))))
     return tuple(
         (
             sum(1 << k for k, x in enumerate(e) if x & 1),
             e,
-            int(c.const.q * den),
-            tuple((name, int(q.q * den)) for name, q in c.lin),
+            int(c.const * den),
+            tuple((name, int(q * den)) for name, q in c.lin),
         )
         for e, c in eq
     )

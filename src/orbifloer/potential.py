@@ -37,7 +37,7 @@ class BulkEntry:
     """One activated sector: coefficient times T^exponent."""
 
     nu: tuple  # lattice vector of a Box' element
-    coeff: object  # QC or SymLin
+    coeff: object  # QC, constant or with free symbols
     exponent: Fraction
 
     def __post_init__(self):

@@ -80,7 +80,7 @@ from .ltsolver import (
     scenario_stratification,
     solve,
 )
-from .series import QC, SymLin
+from .series import QC
 from .stacky import StackyModel, enumerate_box, sector_ell_form
 
 
@@ -144,14 +144,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioPolyhedron:
-    equalities: tuple  # Constraint, rel "=="
-    inequalities: tuple  # Constraint, rel ">"
+    conditions: tuple  # Constraint, rel "==" or ">"
     witness: tuple  # Fractions, strictly feasible
 
     def contains(self, u, closed: bool = False) -> bool:
         p = _homogeneous(u)
-        conditions = self.equalities + self.inequalities
-        return all(c.admits(sum(map(mul, c.row, p)), closed) for c in conditions)
+        return all(c.admits(sum(map(mul, c.row, p)), closed) for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ class FiberRegion:
         signs_of: dict = {}  # pieces share Constraint objects: each is read once
         for i, p in enumerate(self.pieces):
             bit = 1 << i
-            for c in p.polyhedron.equalities + p.polyhedron.inequalities:
+            for c in p.polyhedron.conditions:
                 hit = signs_of.get(id(c))
                 if hit is None:
                     signs = [s for s in range(3) if not c.admits(s - 1, self.closure)]
@@ -203,7 +201,11 @@ class QueryReport:
     interior: bool = True
 
 
-def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6) -> list:
+# the most span-valid scenario candidates a walk takes on
+SCENARIO_LIMIT = 10**6
+
+
+def enumerate_scenarios(m: StackyModel, max_levels: int = 2) -> list:
     """All level assignments with a facet pinning every level.
 
     Facets may be left out (they must then end up above the last level),
@@ -217,10 +219,10 @@ def enumerate_scenarios(m: StackyModel, max_levels: int = 2, limit: int = 10**6)
     the order of the (K+1)^(facets+sectors) product of level digits, K
     ascending; only span-dead subtrees are skipped, so the list is that
     product filtered by span.  A serial is a candidate's rank in this
-    order.  limit bounds the number of candidates: it is counted before
-    any is built, and TooManyScenarios names the count.
+    order.  SCENARIO_LIMIT bounds the number of candidates: it is counted
+    before any is built, and TooManyScenarios names the count.
     """
-    return [s for s, _ in _scenario_walk(m, max_levels, limit=limit)]
+    return [s for s, _ in _scenario_walk(m, max_levels)]
 
 
 class _SpanTree:
@@ -312,7 +314,7 @@ class _SpanTree:
         return sum(self.count(p + 1, self.child(state, p, v)) for v in range(K + 1))
 
 
-def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**6):
+def _scenario_walk(m: StackyModel, max_levels: int, grow=None):
     """Span-valid scenarios in product order, serials counted as ranks.
 
     grow(tree, digits, state, ctx) runs on every node with span-valid
@@ -321,7 +323,7 @@ def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**
     skip it.  A skipped subtree adds its memoized candidate count to the
     serial counter without visiting its leaves.  Yields (scenario, ctx)
     pairs, ctx the leaf's context (() without grow).
-    Raises TooManyScenarios at once when the candidates exceed limit.
+    Raises TooManyScenarios at once when the candidates exceed SCENARIO_LIMIT.
     """
     if max_levels < 1:
         raise InputError(f"max_levels must be a positive integer, got {max_levels}")
@@ -330,8 +332,8 @@ def _scenario_walk(m: StackyModel, max_levels: int, grow=None, limit: int = 10**
     dirs = [f.stacky_vector for f in m.facets] + [s.nu for s in box]
     trees = [_SpanTree(dirs, nf, m.dim, K) for K in range(1, min(max_levels, m.dim) + 1)]
     total = sum(t.count(0, t.root) for t in trees)
-    if total > limit:
-        raise TooManyScenarios(f"{total} scenario candidates, more than the limit {limit}")
+    if total > SCENARIO_LIMIT:
+        raise TooManyScenarios(f"{total} scenario candidates, more than the limit {SCENARIO_LIMIT}")
     return _leaves(trees, nf, grow)
 
 
@@ -599,9 +601,7 @@ def scenario_region(m: StackyModel, s: Scenario, system=None) -> ScenarioPolyhed
     w = None if system is None else _solve(*system, m.dim)
     if w is None:
         return None
-    poly = ScenarioPolyhedron(
-        tuple(c for c in cons if c.rel == "=="), tuple(c for c in cons if c.rel == ">"), w
-    )
+    poly = ScenarioPolyhedron(tuple(cons), w)
     if not poly.contains(w):
         raise AssertionError(f"scenario {s.serial}: witness {w} breaks its own system")
     return poly
@@ -616,7 +616,7 @@ def _tag_coeff(tag: tuple):
     systems share a signature.
     """
     kind, i = tag
-    return QC.of(1) if kind == "facet" else SymLin.symbol(f"c{i}")
+    return QC.of(1) if kind == "facet" else QC.symbol(f"c{i}")
 
 
 def scenario_lts(m: StackyModel, s: Scenario):
@@ -788,7 +788,7 @@ def _clip(p: RegionPiece, base, d, closed: bool = True):
     """
     hb = _homogeneous(base)
     lower, upper = [], []
-    for c in p.polyhedron.equalities + p.polyhedron.inequalities:
+    for c in p.polyhedron.conditions:
         a = sum(map(mul, c.row, d))  # d is one shorter: the gradient part
         if a == 0:
             continue
@@ -854,18 +854,17 @@ def piece_geometry(p: RegionPiece, dim: int):
     """
     if dim != 2:
         raise ValueError("piece_geometry needs a 2-dimensional model")
-    eqs = p.polyhedron.equalities
-    ineqs = p.polyhedron.inequalities
+    eqs = [c.row for c in p.polyhedron.conditions if c.rel == "=="]
     w = p.polyhedron.witness
-    rank = rank_rational([c.row[:-1] for c in eqs])
+    rank = rank_rational([row[:-1] for row in eqs])
     if rank >= 2:
         return ("point", (w,))
     if rank == 1:
-        g = next(c.row for c in eqs if any(c.row[:-1]))
+        g = next(row for row in eqs if any(row[:-1]))
         d = (-g[1], g[0])  # direction along the equality line
         tmin, _, tmax, _ = _clip(p, w, d)
         return ("segment", tuple(tuple(wi + t * di for wi, di in zip(w, d)) for t in (tmin, tmax)))
-    return _polygon(_binding(c.row for c in ineqs))
+    return _polygon(_binding(c.row for c in p.polyhedron.conditions if c.rel == ">"))
 
 
 @lru_cache(maxsize=1024)

@@ -1,11 +1,12 @@
 """Exact coefficients, and the T-free Laurent polynomials that print a level.
 
-Coefficients are exact rationals (QC) or degree-one polynomials in named
-symbols (SymLin, for free bulk coefficients).  Both answer one
-protocol, so no caller asks which it holds: ``const`` (a QC), ``lin``
-(sorted (name, QC) pairs, empty for a QC), ``+``, ``* k`` for an integer
-k, ``is_zero()`` and ``to_complex(env)``, which a constant computes
-without env.  A potential is its term list (potential.PotentialAtFiber)
+A coefficient is one QC: a rational constant plus rational multiples of
+named symbols, the free bulk coefficients of a region scenario.  A
+constant is the QC whose symbol part is empty, so no caller asks which
+kind it holds: ``const`` (a Fraction), ``lin`` (sorted (name, Fraction)
+pairs, empty for a constant), ``+``, ``* k`` for an integer k,
+``is_zero()`` and ``to_complex(env)``, which a constant computes without
+env.  A potential is its term list (potential.PotentialAtFiber)
 and a leading term level its exponent rows (ltsolver.LtsLevel); evaluate
 sums such rows at a point, and a LaurentPoly is their T-free view, for
 printing (render_poly) and for checking a certificate (eval_complex).
@@ -20,13 +21,23 @@ from .errors import ZeroCoordinate
 
 
 class QC:
-    """An exact rational coefficient, held as one Fraction."""
+    """An exact coefficient c0 + sum_k c_k * sym_k, c0 and every c_k rational.
 
-    __slots__ = ("q",)
-    lin = ()
+    ``const`` is the Fraction c0 and ``lin`` the sorted (name, Fraction)
+    pairs, repeated names merged and zeros dropped, empty for a constant.
+    A constant hashes as its Fraction, so QC(1) == 1 agrees with hashing.
+    """
 
-    def __init__(self, q=0):
-        object.__setattr__(self, "q", Fraction(q))
+    __slots__ = ("const", "lin")
+
+    def __init__(self, const=0, lin=()):
+        object.__setattr__(self, "const", Fraction(const))
+        if lin:
+            merged: dict = {}
+            for n, c in lin:
+                merged[n] = merged.get(n, 0) + Fraction(c)
+            lin = tuple(sorted((n, c) for n, c in merged.items() if c))
+        object.__setattr__(self, "lin", lin or ())
 
     def __setattr__(self, *a):
         raise AttributeError("QC is immutable")
@@ -39,93 +50,42 @@ class QC:
             return QC(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to QC")
 
-    @property
-    def const(self) -> "QC":
-        return self
+    @staticmethod
+    def symbol(name: str) -> "QC":
+        return QC(0, ((name, 1),))
 
-    def __add__(self, o):
-        if isinstance(o, SymLin):
-            return o + self
-        return QC(self.q + QC.of(o).q)
+    def __add__(self, o: "QC"):
+        return QC(self.const + o.const, self.lin + o.lin)
 
-    def __mul__(self, o):
-        return QC(self.q * (o if isinstance(o, int) else QC.of(o).q))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
+    def __mul__(self, k: int):
+        """The integer multiple k*self."""
+        return QC(self.const * k, [(n, c * k) for n, c in self.lin])
 
     def __eq__(self, o):
         try:
             o = QC.of(o)
         except TypeError:
             return NotImplemented
-        return self.q == o.q
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def is_zero(self) -> bool:
-        return self.q == 0
-
-    def to_complex(self, env: dict | None = None) -> complex:
-        return complex(self.q)
-
-    def __repr__(self):
-        return f"QC({self.q!r})"
-
-
-class SymLin:
-    """c0 + sum_k c_k * sym_k with QC coefficients; degree <= 1 enforced."""
-
-    __slots__ = ("const", "lin")
-
-    def __init__(self, const=0, lin=()):
-        object.__setattr__(self, "const", QC.of(const))
-        # merge repeated names first: QC has no order, so only names sort
-        merged: dict = {}
-        for n, c in lin:
-            n, c = str(n), QC.of(c)
-            merged[n] = merged[n] + c if n in merged else c
-        clean = sorted(((n, c) for n, c in merged.items() if not c.is_zero()), key=itemgetter(0))
-        object.__setattr__(self, "lin", tuple(clean))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SymLin is immutable")
-
-    @staticmethod
-    def symbol(name: str) -> "SymLin":
-        return SymLin(0, ((name, QC(1)),))
-
-    def is_zero(self) -> bool:
-        return self.const.is_zero() and not self.lin
-
-    def __add__(self, o):
-        return SymLin(self.const + o.const, self.lin + o.lin)
-
-    def __mul__(self, k: int):
-        """The integer multiple k*self, without a QC made of k."""
-        return SymLin(self.const * k, tuple((n, c * k) for n, c in self.lin))
-
-    def __eq__(self, o):
-        if not isinstance(o, SymLin):
-            return NotImplemented
         return self.const == o.const and self.lin == o.lin
 
     def __hash__(self):
-        return hash((self.const, self.lin))
+        return hash((self.const, self.lin)) if self.lin else hash(self.const)
+
+    def is_zero(self) -> bool:
+        return self.const == 0 and not self.lin
 
     def to_complex(self, env: dict | None = None) -> complex:
-        out = self.const.to_complex()
+        """The value, symbols read from env (QC or complex values); a constant needs no env."""
+        out = complex(self.const)
         for name, c in self.lin:
             if env is None or name not in env:
                 raise KeyError(f"unbound symbol {name}")
             val = env[name]
-            val = val.to_complex() if isinstance(val, QC) else complex(val)
-            out += c.to_complex() * val
+            out += complex(c) * (val.to_complex() if isinstance(val, QC) else complex(val))
         return out
 
     def __repr__(self):
-        return f"SymLin({self.const!r}, {self.lin!r})"
+        return f"QC({self.const!r}, {self.lin!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +141,11 @@ def evaluate(terms, y, env: dict | None = None) -> complex:
 
 
 def render_coeff(c) -> str:
-    if c.lin:
-        parts = []
-        if not c.const.is_zero():
-            parts.append(render_coeff(c.const))
-        for name, q in c.lin:
-            if q == QC(1):
-                parts.append(name)
-            else:
-                parts.append(f"{render_coeff(q)}*{name}")
-        return "(" + " + ".join(parts) + ")" if len(parts) != 1 else parts[0]
-    return str(c.const.q)
+    if not c.lin:
+        return str(c.const)
+    parts = [str(c.const)] if c.const else []
+    parts += [name if q == 1 else f"{q}*{name}" for name, q in c.lin]
+    return "(" + " + ".join(parts) + ")" if len(parts) != 1 else parts[0]
 
 
 def render_poly(p: LaurentPoly) -> str:

@@ -237,7 +237,7 @@ def palette_certificate(lts):
     for combo in islice(product(special, repeat=len(lts.symbols)), 64):
         env = dict(zip(lts.symbols, combo))
         for y in product((1, -1), repeat=lts.n):
-            if all(eval_exact(eq, y, env).is_zero() for eq in equations):
+            if all(eval_exact(eq, y, env) == 0 for eq in equations):
                 return combo, y
     return None
 
@@ -280,8 +280,6 @@ def coloop_refutes(lts):
     (sympy rank), and then the own-variable equations have no root on the
     torus.
     """
-    from orbifloer.series import QC
-
     for lv in lts.levels:
         groups = {}
         for e, c in lv.poly.terms():
@@ -295,10 +293,8 @@ def coloop_refutes(lts):
         full = rank(list(groups))
         for a, coeffs in groups.items():
             c = coeffs[0]
-            if isinstance(c, QC):
-                never_zero = not c.is_zero()
-            else:  # a symbolic coefficient: const + sum q * symbol
-                never_zero = (len(c.lin), c.const.is_zero()) in ((0, False), (1, True))
+            # const + sum q * symbol: a nonzero constant or one bare symbol
+            never_zero = (len(c.lin), c.const == 0) in ((0, False), (1, True))
             if len(coeffs) == 1 and never_zero and rank([b for b in groups if b != a]) < full:
                 return True
     return False
@@ -462,29 +458,24 @@ def partial_derivative(p, i):
 
 
 def eval_exact(p, y, env=None):
-    """Exact value of a LaurentPoly at exact nonzero y, by repeated products.
+    """Exact Fraction value of a LaurentPoly at exact nonzero y, by repeated products.
 
     The reference for the solver's integer parity tables.
     """
     from orbifloer.errors import ZeroCoordinate
-    from orbifloer.series import QC, SymLin
+    from orbifloer.series import QC
 
     env = env or {}
-    vals = [QC.of(z) for z in y]
-    if any(z.is_zero() for z in vals):
+    vals = [QC.of(z).const for z in y]
+    if any(z == 0 for z in vals):
         raise ZeroCoordinate("torus coordinates must be nonzero")
-    total = QC()
+    total = Fraction(0)
     for e, cf in p.terms():
-        c = QC()
-        if isinstance(cf, SymLin):
-            # const + sum q * symbol; an unbound symbol raises KeyError
-            for name, q in cf.lin:
-                c = c + q * QC.of(env[name])
-            cf = cf.const
-        c = c + cf
-        mono = QC(1)
+        # const + sum q * symbol; an unbound symbol raises KeyError
+        c = cf.const + sum(q * QC.of(env[name]).const for name, q in cf.lin)
+        mono = Fraction(1)
         for z, k in zip(vals, e):
-            step = z if k > 0 else QC(1 / z.q)
+            step = z if k > 0 else 1 / z
             for _ in range(abs(k)):
                 mono = mono * step
         total = total + c * mono
@@ -515,7 +506,7 @@ def parse_poly(text, n):
         return LaurentPoly(n)
     out = []
     for piece in text.split(" + "):
-        coeff = QC(1)
+        coeff = Fraction(1)
         e = [0] * n
         for factor in piece.split("*"):
             factor = factor.strip()
@@ -523,8 +514,8 @@ def parse_poly(text, n):
             if m:
                 e[int(m.group(1)) - 1] = int(m.group(2) or 1)
                 continue
-            coeff = coeff * QC(Fraction(factor))
-        out.append((tuple(e), coeff))
+            coeff = coeff * Fraction(factor)
+        out.append((tuple(e), QC(coeff)))
     return LaurentPoly(n, out)
 
 
@@ -539,7 +530,7 @@ def lts_by_rewrite(strat):
     lts_terms lists them.
     """
     from orbifloer import ltsolver as lt
-    from orbifloer.series import LaurentPoly, SymLin
+    from orbifloer.series import LaurentPoly
 
     n = strat.model.dim
     change = integer_inverse(strat.adapted_basis)
@@ -549,8 +540,7 @@ def lts_by_rewrite(strat):
     for lv in strat.levels:
         poly = LaurentPoly(n, tuple(zip(lv.directions, lv.coeffs)))
         for coeff in lv.coeffs:
-            if isinstance(coeff, SymLin):
-                names.update(name for name, _ in coeff.lin)
+            names.update(name for name, _ in coeff.lin)
         poly = monomial_rewrite(poly, change)
         for e, _ in poly.terms():
             if any(e[k] for k in range(lv.span_dim, n)):
@@ -578,7 +568,7 @@ def scenario_lts_by_rewrite(m, s):
     """
     from orbifloer import ltsolver as lt
     from orbifloer.lattice import column_hermite, rank_rational
-    from orbifloer.series import QC, SymLin
+    from orbifloer.series import QC
     from orbifloer.stacky import enumerate_box
 
     box = enumerate_box(m)
@@ -591,7 +581,7 @@ def scenario_lts_by_rewrite(m, s):
             dirs.append(m.facets[i].stacky_vector if kind == "facet" else box[i].nu)
         seen.extend(dirs)
         r = rank_rational(seen)
-        coeffs = tuple(QC.of(1) if kind == "facet" else SymLin.symbol(f"c{i}") for kind, i in group)
+        coeffs = tuple(QC.of(1) if kind == "facet" else QC.symbol(f"c{i}") for kind, i in group)
         levels.append(lt.StratumLevel(None, tuple(group), tuple(dirs), coeffs, r - prev_rank, r))
         prev_rank = r
     assert prev_rank == m.dim, "scenario levels do not span"
@@ -606,23 +596,20 @@ def signature_by_terms(lts):
     Read from the level polynomials' terms, coefficients keyed by their
     printed parts and symbols renamed s0, s1, ... by first appearance.
     """
-    from orbifloer.series import QC
-
     names = {}
     for lv in lts.levels:
         for _, c in lv.poly.terms():
-            if not isinstance(c, QC):
-                for name, _ in c.lin:
-                    names.setdefault(name, None)
+            for name, _ in c.lin:
+                names.setdefault(name, None)
     symbols = tuple(names)
     rename = {name: f"s{k}" for k, name in enumerate(symbols)}
 
     def ckey(c):
-        if isinstance(c, QC):
-            return ("q", str(c.q))
-        parts = [("q", str(c.const.q))]
+        if not c.lin:
+            return ("q", str(c.const))
+        parts = [("q", str(c.const))]
         for name, q in c.lin:
-            parts.append((rename[name], str(q.q)))
+            parts.append((rename[name], str(q)))
         return ("s", tuple(parts))
 
     sig = []
@@ -701,7 +688,8 @@ def piece_geometry_all_pairs(p):
     each pairwise vertex is tested against all of them; the equality rank
     comes from sympy.
     """
-    eqs, ineqs = p.polyhedron.equalities, p.polyhedron.inequalities
+    eqs = [c for c in p.polyhedron.conditions if c.rel == "=="]
+    ineqs = [c for c in p.polyhedron.conditions if c.rel == ">"]
     w = p.polyhedron.witness
     rank = sympy.Matrix([list(c.row[:-1]) for c in eqs]).rank() if eqs else 0
     if rank >= 2:
@@ -771,7 +759,7 @@ def clip_by_fractions(p, base, d, closed=True):
     equality.
     """
     lower, upper = [], []
-    for c in p.polyhedron.equalities + p.polyhedron.inequalities:
+    for c in p.polyhedron.conditions:
         a = sum(x * y for x, y in zip(c.row, d))
         if a == 0:
             continue
@@ -811,7 +799,7 @@ def condition_holds(c, u, closed=False):
 
 def polyhedron_contains(poly, u, closed=False):
     """ScenarioPolyhedron.contains by condition_holds over every condition."""
-    return all(condition_holds(c, u, closed) for c in poly.equalities + poly.inequalities)
+    return all(condition_holds(c, u, closed) for c in poly.conditions)
 
 
 def scenario_constraints_row_by_row(m, s):

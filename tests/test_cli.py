@@ -325,7 +325,7 @@ def test_potential_terms(capsys):
         ("facet", "13/10"),
         ("facet", "9/10"),
     ]
-    assert doc["terms"][0]["coeff"] == {"re": "1", "im": "0"}
+    assert doc["terms"][0]["coeff"] == "1"
 
 
 @pytest.mark.parametrize("bulk", [False, True], ids=["smooth", "bulk"])

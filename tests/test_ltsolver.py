@@ -34,7 +34,7 @@ from orbifloer.ltsolver import (
     stratify,
 )
 from orbifloer.potential import BulkParam, _EqData, _newton
-from orbifloer.series import QC, LaurentPoly, SymLin, render_poly
+from orbifloer.series import QC, LaurentPoly, render_poly
 from orbifloer.stacky import build_model, enumerate_box, sector_ell
 from test_potential import RIM, TIE_X, TIE_Y, TIE_Z, seeded_bulk, seeded_fiber
 
@@ -193,7 +193,7 @@ def test_solve_symbolic_coefficient_palette():
     i1 = sector_index(m, (1,))
     tags = [("facet", 1), ("sector", i1)]
     st = scenario_stratification(
-        m, [tags], {tags[0]: QC.of(1), tags[1]: SymLin.symbol("c")}
+        m, [tags], {tags[0]: QC.of(1), tags[1]: QC.symbol("c")}
     )
     v = solve(build_lts(st))
     assert v.status == Solvability.SolvableCertified
@@ -206,7 +206,7 @@ def test_solve_allnon_level_exact():
     i = sector_index(m, (1,))
     tags = [("facet", 0), ("sector", i)]
     st = scenario_stratification(
-        m, [tags], {tags[0]: QC.of(1), tags[1]: SymLin.symbol("c")}
+        m, [tags], {tags[0]: QC.of(1), tags[1]: QC.symbol("c")}
     )
     v = solve(build_lts(st))
     assert v.status == Solvability.SolvableCertified
@@ -223,7 +223,7 @@ def test_solve_dependent_mixed_level_unknown():
     i = sector_index(m, (0, -1))
     tags = [("facet", 0), ("facet", 2), ("sector", i)]
     st = scenario_stratification(
-        m, [tags], {tags[0]: QC.of(1), tags[1]: QC.of(1), tags[2]: SymLin.symbol("c")}
+        m, [tags], {tags[0]: QC.of(1), tags[1]: QC.of(1), tags[2]: QC.symbol("c")}
     )
     v = solve(build_lts(st))
     assert v.status == Solvability.UnknownLikelyUnsolvable
@@ -240,7 +240,7 @@ def test_solve_coefficient_relation_needs_free_pass():
     st = scenario_stratification(
         m,
         [tags],
-        {tags[0]: QC.of(1), tags[1]: SymLin.symbol("c0"), tags[2]: SymLin.symbol("c1")},
+        {tags[0]: QC.of(1), tags[1]: QC.symbol("c0"), tags[2]: QC.symbol("c1")},
     )
     v = solve(build_lts(st))
     assert v.status == Solvability.SolvableCertified
@@ -255,7 +255,7 @@ def _linear_pass(*terms):
     """The one-variable system of f = sum c * y^e, and its _linear_certificate."""
     poly = LaurentPoly(1, terms)
     rows = poly.terms()
-    symbols = sorted({name for _, c in rows if isinstance(c, SymLin) for name, _ in c.lin})
+    symbols = sorted({name for _, c in rows for name, _ in c.lin})
     level = LtsLevel(None, rows, (0,), 1)
     (eq,) = level.equations
     assert (eq.n, eq.terms()) == (1, oracles.partial_derivative(poly, 0).terms())
@@ -264,7 +264,7 @@ def _linear_pass(*terms):
 
 
 def _sym(name, q=1):
-    return SymLin(0, ((name, q),))
+    return QC(0, ((name, q),))
 
 
 def test_linear_certificate_moves_free_parameters_off_zero():
@@ -278,13 +278,13 @@ def test_linear_certificate_moves_free_parameters_off_zero():
     assert cert.symbol_values == (("a", 2 + 0j), ("b", 2 + 0j), ("c", 4 + 0j))
     assert cert.y == (1 + 0j,) and cert.exact and cert.residual == 0.0
     env = {"a": QC(2), "b": QC(2), "c": QC(4)}
-    assert oracles.eval_exact(lts.levels[0].equations[0], (QC(1),), env).is_zero()
+    assert oracles.eval_exact(lts.levels[0].equations[0], (QC(1),), env) == 0
     assert solve(lts).certificate == cert
 
 
 def test_linear_certificate_needs_nonzero_symbols():
     # df/dy = a - 2 + b*y^-2: at y = 1, a = 2 - b; b = k is zero at k = 0
-    _, cert = _linear_pass(((1,), SymLin(-2, (("a", 1),))), ((-1,), _sym("b", -1)))
+    _, cert = _linear_pass(((1,), QC(-2, (("a", 1),))), ((-1,), _sym("b", -1)))
     assert cert.symbol_values == (("a", 1 + 0j), ("b", 1 + 0j))
     # df/dy = a + a*y: y = 1 forces a = 0, and y = -1 leaves a free
     _, cert = _linear_pass(((1,), _sym("a")), ((2,), _sym("a", Fraction(1, 2))))
@@ -344,7 +344,7 @@ def test_solve_two_level_ladder():
     lev2 = [("facet", 0), ("facet", 1)]
     coeffs = {
         lev1[0]: QC.of(1),
-        lev1[1]: SymLin.symbol("c"),
+        lev1[1]: QC.symbol("c"),
         lev2[0]: QC.of(1),
         lev2[1]: QC.of(1),
     }
@@ -365,7 +365,7 @@ def test_certificate_transfers_to_original_coordinates():
     lev2 = [("facet", 0), ("facet", 1)]
     coeffs = {
         lev1[0]: QC.of(1),
-        lev1[1]: SymLin.symbol("c"),
+        lev1[1]: QC.symbol("c"),
         lev2[0]: QC.of(1),
         lev2[1]: QC.of(1),
     }
@@ -399,7 +399,7 @@ def test_signature_stable_under_symbol_names():
 
     def make(symbol):
         st = scenario_stratification(
-            m, [tags], {tags[0]: QC.of(1), tags[1]: SymLin.symbol(symbol)}
+            m, [tags], {tags[0]: QC.of(1), tags[1]: QC.symbol(symbol)}
         )
         return lts_signature(build_lts(st))[0]
 
@@ -408,7 +408,7 @@ def test_signature_stable_under_symbol_names():
     assert make("c") != lts_signature(other)[0]
 
     # both sectors on the facet's level: a repeated symbol is another system
-    a, b = SymLin.symbol("a"), SymLin.symbol("b")
+    a, b = QC.symbol("a"), QC.symbol("b")
     assert teardrop_signature(a, b) == teardrop_signature(b, a) != teardrop_signature(a, a)
 
 
@@ -424,32 +424,54 @@ def test_signature_keys_stay_injective():
     # each rational enters the key as its numerator and denominator: swapping
     # them, flipping a sign, or putting a symbol where a constant was gives
     # another key
-    a = SymLin.symbol("a")
+    a = QC.symbol("a")
     keys = [
         teardrop_signature(QC(Fraction(1, 2)), a),
         teardrop_signature(QC(2), a),
         teardrop_signature(QC(1), a),
         teardrop_signature(QC(-1), a),
-        teardrop_signature(SymLin.symbol("b"), a),
-        teardrop_signature(SymLin(Fraction(1, 2), (("b", 2),)), a),
-        teardrop_signature(SymLin(2, (("b", Fraction(1, 2)),)), a),
+        teardrop_signature(QC.symbol("b"), a),
+        teardrop_signature(QC(Fraction(1, 2), (("b", 2),)), a),
+        teardrop_signature(QC(2, (("b", Fraction(1, 2)),)), a),
         teardrop_signature(a, QC(1)),
     ]
     assert len(set(keys)) == len(keys)
 
 
 def test_mixed_coefficient_sums_and_constant_keys():
-    # a constant plus a symbolic coefficient is one SymLin from either side,
-    # an integer multiple scales every part, and a constant SymLin keys its
-    # system as the equal QC does
-    c = SymLin(QC(1), (("a", 3), ("b", QC(Fraction(-1, 3)))))
+    # a constant plus a symbolic coefficient is one QC from either side, an
+    # integer multiple scales every part, and a sum whose symbols cancel is
+    # a constant that keys its system as the equal constant does
+    c = QC(1, (("a", 3), ("b", Fraction(-1, 3))))
     q = QC(Fraction(1, 2))
-    want = SymLin(QC(Fraction(3, 2)), (("a", 3), ("b", QC(Fraction(-1, 3)))))
+    want = QC(Fraction(3, 2), (("a", 3), ("b", Fraction(-1, 3))))
     assert q + c == want and c + q == want
-    assert c * -2 == SymLin(QC(-2), (("a", -6), ("b", QC(Fraction(2, 3)))))
+    assert c * -2 == QC(-2, (("a", -6), ("b", Fraction(2, 3))))
     assert (c * 0).is_zero()
-    a = SymLin.symbol("a")
-    assert teardrop_signature(SymLin(q), a) == teardrop_signature(q, a)
+    a = QC.symbol("a")
+    flat = c + QC(0, (("a", -3), ("b", Fraction(1, 3))))
+    assert not flat.lin and teardrop_signature(flat, a) == teardrop_signature(QC(1), a)
+
+
+def test_one_coefficient_class():
+    # a constant is the QC with no symbol part: it equals and hashes as its
+    # Fraction, and written with an empty, zero or cancelling symbol part it
+    # is the same coefficient, with the same signature key
+    half, a = QC(Fraction(1, 2)), QC.symbol("a")
+    assert QC(1) == 1 and hash(QC(1)) == hash(1)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    cancel = QC(0, (("b", 1), ("b", -1)))
+    for same in (QC(Fraction(1, 2), ()), QC(Fraction(1, 2), (("b", 0),)), half + cancel):
+        assert same == half and hash(same) == hash(half) and not same.lin
+        assert teardrop_signature(same, a) == teardrop_signature(half, a)
+    x, y = QC(2, (("a", 1), ("b", Fraction(1, 3)))), QC(2, (("b", Fraction(1, 3)), ("a", 1)))
+    assert x == y and hash(x) == hash(y) and x != QC(2)
+    with pytest.raises(TypeError):
+        QC.of(1j)
+    with pytest.raises(KeyError):
+        a.to_complex({"b": QC(1)})
+    with pytest.raises(KeyError):
+        a.to_complex()
 
 
 @pytest.mark.parametrize("preset", ["teardrop:5", "wp:1,3,5", "square:2,2,2,2", "wp:1,2,3,5"])
@@ -459,7 +481,7 @@ def test_build_lts_matches_rewrite_oracle_at_points(preset):
     m = build_model(preset)
     box = enumerate_box(m)
     rng = random.Random(f"rows/{preset}")
-    palette = [QC(1), QC(-1), QC(Fraction(1, 2)), SymLin.symbol("b"), SymLin(2, (("a", 3),))]
+    palette = [QC(1), QC(-1), QC(Fraction(1, 2)), QC.symbol("b"), QC(2, (("a", 3),))]
     pairs = []
     for _ in range(16):
         w = [rng.randint(1, 9) for _ in m.vertices]
@@ -498,21 +520,22 @@ def rows_vanish(p, env, y):
     rows = _integer_rows(p.terms())
     bits = sum(1 << k for k, v in enumerate(y) if v < 0)
     m = [max((abs(e[k]) for _, e, _, _ in rows), default=0) for k in range(p.n)]
-    total = QC(0)
+    total = 0
     for mask, e, const, lin in rows:
         w = -1 if (mask & bits).bit_count() & 1 else 1
         for v, mk, x in zip(y, m, e):
             w *= abs(v.numerator) ** (mk + x) * v.denominator ** (mk - x)
-        total += (QC(const) + sum((QC(q) * env[name] for name, q in lin), QC(0))) * w
-    return total.is_zero()
+        total += (const + sum(q * env[name].const for name, q in lin)) * w
+    return total == 0
 
 
-rational = st.builds(QC, st.fractions(min_value=-3, max_value=3, max_denominator=6))
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+rational = st.builds(QC, small_fractions)
 symbolic = st.builds(
-    SymLin,
-    rational,
+    QC,
+    small_fractions,
     st.lists(
-        st.tuples(st.sampled_from(["c0", "c1"]), rational), max_size=2, unique_by=lambda t: t[0]
+        st.tuples(st.sampled_from(["c0", "c1"]), small_fractions), max_size=2, unique_by=lambda t: t[0]
     ),
 )
 # symbol values: 1, -1 and minus the facet labels; a half as well
@@ -542,11 +565,11 @@ def test_parity_table_agrees_with_eval_exact(case):
     p, env, y = case
     yq = tuple(QC(v) for v in y)
     value = oracles.eval_exact(p, yq, env)
-    assert rows_vanish(p, env, y) == value.is_zero()
+    assert rows_vanish(p, env, y) == (value == 0)
     # shifted to vanish at y, so both outcomes are exercised: exponent 4
     # lies outside the drawn range
-    q = LaurentPoly(p.n, p.terms() + (((4,) + (0,) * (p.n - 1), value * QC(-1 / y[0] ** 4)),))
-    assert oracles.eval_exact(q, yq, env).is_zero()
+    q = LaurentPoly(p.n, p.terms() + (((4,) + (0,) * (p.n - 1), QC(-value / y[0] ** 4)),))
+    assert oracles.eval_exact(q, yq, env) == 0
     assert rows_vanish(q, env, y)
 
 
@@ -700,7 +723,7 @@ def test_newton_square_step_survives_a_singular_jacobian():
 def _two_symbol_level():
     # s0*y0*y1^2 - 1 and s1*y0^2*y1 + 2: with s0 = s1 = 0 both equations are
     # constants and the log-Jacobian is zero at every start
-    s0, s1 = SymLin.symbol("s0"), SymLin.symbol("s1")
+    s0, s1 = QC.symbol("s0"), QC.symbol("s1")
     return (
         LaurentPoly(2, [((1, 2), s0), ((0, 0), QC(-1))]).terms(),
         LaurentPoly(2, [((2, 1), s1), ((0, 0), QC(2))]).terms(),
@@ -807,7 +830,7 @@ COLOOP_SYSTEMS = {
     # d/dy2 = c is never zero
     "two-variable": (
         2,
-        ((((1, 0), QC(1)), ((2, 0), QC(1)), ((0, 1), SymLin.symbol("c"))), (0, 1)),
+        ((((1, 0), QC(1)), ((2, 0), QC(1)), ((0, 1), QC.symbol("c"))), (0, 1)),
     ),
     # y1 + 1/y1 below, which vanishes in d/dy1 at y1 = +-1, then 1 + 3 y2:
     # the coloop sits in the upper level
@@ -822,7 +845,7 @@ COLOOP_SYSTEMS = {
 def _system(n, *levels):
     """A leading term system of hand-made (rows, own coordinates) levels, basis the identity."""
     lts_levels = tuple(LtsLevel(None, rows, own, n) for rows, own in levels)
-    symbols = {name for lv in lts_levels for _, c in lv.rows if isinstance(c, SymLin) for name, _ in c.lin}
+    symbols = {name for lv in lts_levels for _, c in lv.rows for name, _ in c.lin}
     basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return LeadingTermSystem(n, basis, lts_levels, tuple(sorted(symbols)), (1,) * (n + 1))
 
@@ -871,16 +894,16 @@ def test_has_coloop_matches_the_oracle_at_seeded_fibers():
 # sums that can vanish; none is zero, since the oracle reads lv.poly
 never_zero = st.one_of(
     st.builds(QC, st.sampled_from([1, -1, 2, Fraction(1, 2)])),
-    st.sampled_from(["c0", "c1"]).map(SymLin.symbol),
+    st.sampled_from(["c0", "c1"]).map(QC.symbol),
 )
 can_vanish = st.builds(
-    SymLin,
+    QC,
     st.sampled_from([0, 1, -2]),
     st.lists(
         st.tuples(st.sampled_from(["c0", "c1"]), st.sampled_from([1, -1])),
         min_size=1, max_size=2, unique_by=lambda t: t[0],
     ),
-).filter(lambda c: not (c.const.is_zero() and len(c.lin) == 1))
+).filter(lambda c: not (c.const == 0 and len(c.lin) == 1))
 
 
 @st.composite
@@ -929,7 +952,7 @@ def test_palette_certifies_at_its_first_certifying_assignment():
         _system(
             2,
             ((((1, 0), QC(-6)), ((3, 0), QC(1))), (0,)),
-            ((((0, -1), SymLin(1, (("c", 1),))), ((0, 1), SymLin(1, (("c", -1),)))), (1,)),
+            ((((0, -1), QC(1, (("c", 1),))), ((0, 1), QC(1, (("c", -1),)))), (1,)),
         ),
         labels=(2, 2, 1, 1),
     )
@@ -969,7 +992,7 @@ def test_linear_pass_certifies_every_palette_certificate(preset, systems, hits):
         env = {name: _exact_value(z) for name, z in cert.symbol_values}
         for lv in lts.levels:
             for eq in lv.equations:
-                assert oracles.eval_exact(eq, y, env).is_zero()
+                assert oracles.eval_exact(eq, y, env) == 0
 
 
 def _region_systems(monkeypatch, preset):
@@ -1004,7 +1027,7 @@ def test_grid_certificates_are_exact(monkeypatch, preset, systems, grid):
         env = {name: _exact_value(z) for name, z in cert.symbol_values}
         for lv in lts.levels:
             for eq in lv.equations:
-                assert oracles.eval_exact(eq, y, env).is_zero()
+                assert oracles.eval_exact(eq, y, env) == 0
 
 
 def _feasible_systems(preset):

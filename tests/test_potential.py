@@ -33,7 +33,7 @@ from orbifloer.potential import (
     smooth_leading_potential,
     wp_central_critical,
 )
-from orbifloer.series import QC, SymLin
+from orbifloer.series import QC
 from orbifloer.stacky import build_model, enumerate_box, sector_ell
 
 
@@ -129,7 +129,7 @@ def test_bulk_validation():
 def test_bulk_exponents_positive_interior():
     m = build_model("wp:1,3,5")
     bp = BulkParam.of(
-        [((0, -1), QC.of(1), Fraction(1, 9)), ((-1, -2), SymLin.symbol("c"), Fraction(1, 3))]
+        [((0, -1), QC.of(1), Fraction(1, 9)), ((-1, -2), QC.symbol("c"), Fraction(1, 3))]
     )
     for u in [(Fraction(1, 20), Fraction(0)), (Fraction(-1, 10), Fraction(1, 100))]:
         p = bulk_leading_potential(m, u, bp)

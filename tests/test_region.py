@@ -57,18 +57,20 @@ def test_enumerate_teardrop():
     assert all(s.K == 1 for s in ss)
 
 
-def test_enumerate_limit():
-    m = build_model("wp:1,3,5")
-    with pytest.raises(TooManyScenarios):
-        enumerate_scenarios(m, limit=10)
+def test_enumerate_limit(monkeypatch):
+    monkeypatch.setattr(region, "SCENARIO_LIMIT", 10)
+    with pytest.raises(TooManyScenarios, match="more than the limit 10"):
+        enumerate_scenarios(build_model("wp:1,3,5"))
 
 
-def test_enumerate_limit_counts_candidates():
+def test_enumerate_limit_counts_candidates(monkeypatch):
     # the limit bounds span-valid candidates, not the 535,537 product points
     m = build_model("square:2,2,2,2")
-    assert len(enumerate_scenarios(m, limit=23364)) == 23364
+    monkeypatch.setattr(region, "SCENARIO_LIMIT", 23364)
+    assert len(enumerate_scenarios(m)) == 23364
+    monkeypatch.setattr(region, "SCENARIO_LIMIT", 23363)
     with pytest.raises(TooManyScenarios, match="23364 scenario candidates"):
-        enumerate_scenarios(m, limit=23363)
+        enumerate_scenarios(m)
 
 
 def _tuples(scenarios):
@@ -591,7 +593,7 @@ def test_query_point_matches_brute_force_membership():
     _check_query_against_constraints("wp:1,3,5")
     r = _check_query_against_constraints("square:2,2,1,1")
     # segments and points: pieces with equality rows
-    assert any(p.polyhedron.equalities for p in r.pieces)
+    assert any(c.rel == "==" for p in r.pieces for c in p.polyhedron.conditions)
 
 
 def test_query_point_rejects_a_point_of_the_wrong_dimension():
@@ -774,7 +776,7 @@ def test_integer_polygon_and_clip_match_fraction_oracles(preset, closure):
         bases = [p.polyhedron.witness]
         kind, data = piece_geometry(p, 2)
         if kind == "polygon":
-            rows = region._binding(c.row for c in p.polyhedron.inequalities)
+            rows = region._binding(c.row for c in p.polyhedron.conditions if c.rel == ">")
             if rows not in binding_sets:
                 binding_sets.add(rows)
                 assert region._polygon.__wrapped__(rows) == oracles.polygon_by_fractions(rows)
@@ -830,9 +832,7 @@ def clip_cases(draw):
         )
         for k, row in enumerate(rows)
     ]
-    eqs = tuple(c for c in cons if c.rel == "==")
-    ineqs = tuple(c for c in cons if c.rel == ">")
-    return region.RegionPiece(None, region.ScenarioPolyhedron(eqs, ineqs, ()), None), base, d
+    return region.RegionPiece(None, region.ScenarioPolyhedron(tuple(cons), ()), None), base, d
 
 
 @given(clip_cases(), st.booleans())
@@ -853,8 +853,7 @@ def test_piece_interval_endpoints_are_tight():
         lo, lo_closed, hi, hi_closed = region._piece_interval(piece, closed)
         # half the least gap between the conditions' boundaries and the
         # endpoints: no other boundary lies within delta of lo or of hi
-        conditions = poly.equalities + poly.inequalities
-        ends = {Fraction(-c.row[1], c.row[0]) for c in conditions if c.row[0]}
+        ends = {Fraction(-c.row[1], c.row[0]) for c in poly.conditions if c.row[0]}
         ends = sorted(ends | {lo, hi})
         delta = min((b - a for a, b in zip(ends, ends[1:])), default=2) / 2
 
