@@ -13,9 +13,11 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import zlib
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .disc import h2_generators
@@ -199,7 +201,7 @@ def _load_bulk(path: str | None, m) -> BulkParam:
         raise InputError('bulk file must be an object with a "sectors" list')
     if not isinstance(doc.get("divisors", []), list):
         raise InputError('bulk file "divisors" must be a list')
-    known = {s.nu for s in enumerate_box(m)}
+    known = {s.nu for s in enumerate_box(m)} if doc["sectors"] else ()
     entries = []
     for k, row in enumerate(doc["sectors"]):
         where = f"sectors[{k}]"
@@ -686,19 +688,27 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv: list) -> _Parser:
-    """The parser for argv: only the subcommand that argv names first.
+def _build_parser(name: str | None = None) -> _Parser:
+    """Subcommand name's own parser, or with no name the full parser.
 
-    The top-level parser takes no flag but -h, so a request that parses
-    names its subcommand first.  Help, a missing subcommand or a typo get
-    all eight subparsers, so their text and errors list every choice.
+    main hands the rest of argv to the parser of the subcommand that argv
+    names first: prog "orbifloer NAME", its flags, ``subcommand`` as a
+    default and the help width read once, not per argument; its help and
+    errors are the full parser's subparser's.  Help, a missing subcommand
+    or a typo get the full parser of all eight subparsers, so their text
+    and errors list every choice.
     """
-    p = _Parser(prog="orbifloer", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
-        s = sub.add_parser(name)
-        for add_flags in _SUBCOMMANDS[name]:
+    if name is None:
+        p = _Parser(prog="orbifloer", description=__doc__.splitlines()[0])
+        sub = p.add_subparsers(dest="subcommand", required=True)
+        parsers = {n: sub.add_parser(n) for n in _SUBCOMMANDS}
+    else:
+        width = shutil.get_terminal_size().columns - 2
+        p = _Parser(prog=f"orbifloer {name}", formatter_class=partial(argparse.HelpFormatter, width=width))
+        p.set_defaults(subcommand=name)
+        parsers = {name: p}
+    for n, s in parsers.items():
+        for add_flags in _SUBCOMMANDS[n]:
             add_flags(s)
     return p
 
@@ -792,7 +802,8 @@ def _merge_dash_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = _merge_dash_values(sys.argv[1:] if argv is None else list(argv))
-    args = _build_parser(argv).parse_args(argv)
+    name = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _build_parser(name).parse_args(argv if name is None else argv[1:])
     try:
         for out in _dispatch(args):
             sys.stdout.write(out if isinstance(out, str) else dump_json(out))

@@ -37,7 +37,7 @@ Mat = tuple  # tuple[tuple[int, ...], ...]
 
 
 def vec(coords) -> Vec:
-    return tuple(int(c) for c in coords)
+    return tuple(map(int, coords))
 
 
 @lru_cache(maxsize=None)

@@ -127,6 +127,8 @@ def bulk_leading_potential(m: StackyModel, u, bp: BulkParam) -> PotentialAtFiber
     name an actual twisted sector of the model.
     """
     base = smooth_leading_potential(m, u)
+    if not bp.entries:
+        return base
     box = enumerate_box(m)
     by_nu = {s.nu: i for i, s in enumerate(box)}
     sums: dict = {}

@@ -119,7 +119,9 @@ def _as_fraction(x) -> Fraction:
 
 
 def _integer(x) -> int:
-    """2, "2" and 2.0 read as 2; 2.5 and "two" raise ValueError."""
+    """2, "2" and 2.0 read as 2; 2.5, "two", True and None raise ValueError."""
+    if type(x) is int:
+        return x
     q = Fraction(str(x))
     if q.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")
@@ -183,13 +185,9 @@ def _weighted_projective_facets(weights) -> list:
     if len(weights) < 2 or weights[0] != 1 or any(w < 1 for w in weights):
         raise InputError("weights must be (1, a_1, ..., a_n) with positive integers")
     tail = list(weights[1:])
-    n = len(tail)
     g = gcd(*tail)
     facets = [Facet(tuple(-a // g for a in tail), g, Fraction(-1))]
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        facets.append(Facet(e, 1, Fraction(-1)))
-    return facets
+    return facets + [Facet(e, 1, Fraction(-1)) for e in lattice.identity(len(tail))]
 
 
 def build_model(description) -> StackyModel:
@@ -241,7 +239,7 @@ def build_model(description) -> StackyModel:
             continue
         column, d = solved
         x = [row[0] for row in column]
-        slacks = [sum(xi * g for xi, g in zip(x, b[j])) - lam[j] * d for j in range(m)]
+        slacks = [sum(map(mul, x, b[j])) - lam[j] * d for j in range(m)]
         if any(s < 0 for s in slacks):
             continue
         u = tuple(Fraction(xi, d * den) for xi in x)
@@ -264,13 +262,8 @@ def build_model(description) -> StackyModel:
         raise EmptyInterior("polytope has no interior point")
     verts = sorted(vertex_map)
 
-    cones = []
-    for v in verts:
-        active = vertex_map[v]
-        cones.append(
-            lattice.SimplicialCone(tuple(b[j] for j in active), facet_indices=active)
-        )
-    return StackyModel(dim=n, facets=tuple(facets), vertices=tuple(verts), cones=tuple(cones))
+    cones = tuple(lattice.SimplicialCone(tuple(b[j] for j in vertex_map[v]), vertex_map[v]) for v in verts)
+    return StackyModel(dim=n, facets=tuple(facets), vertices=tuple(verts), cones=cones)
 
 
 def _reject_recession_rays(b, n):
@@ -279,16 +272,17 @@ def _reject_recession_rays(b, n):
     The recession cone is pointed once the normals span; any nonzero member
     then lies on an extreme ray cut out by n-1 of the constraints, so it
     suffices to scan the (n-1)-subsets whose kernel is a line, spanned by
-    the one primitive vector of lattice.kernel.
+    the one primitive vector d of lattice.kernel.  d or -d recedes when its
+    products with all b_j share one sign; as the normals span, not both.
     """
     for subset in combinations(b, n - 1):
         normals = lattice.kernel(subset, n)
         if len(normals) != 1:
             continue  # the subset is dependent and cuts out no ray
         (d,) = normals
-        for cand in (d, tuple(-x for x in d)):
-            if all(sum(x * g for x, g in zip(cand, bj)) >= 0 for bj in b):
-                raise Unbounded(f"direction {cand} recedes")
+        dots = [sum(map(mul, d, bj)) for bj in b]
+        if min(dots) >= 0 or max(dots) <= 0:
+            raise Unbounded(f"direction {d if min(dots) >= 0 else tuple(-x for x in d)} recedes")
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +305,22 @@ def _box_cached(m: StackyModel) -> tuple:
     seen: dict = {}
     out = []
     for ci, cone in enumerate(m.cones):
-        entries = []
-        for v, t in lattice.box_points(cone):
-            entries.append((t, v))
-        entries.sort()
-        for t, v in entries:
+        points = lattice.box_points(cone)
+        # each t over one cone denominator: t = r / den, so integer rows r sort as the t do
+        den = lcm(*(x.denominator for _, t in points for x in t))
+        rows = sorted((tuple(x.numerator * (den // x.denominator) for x in t), v, t) for v, t in points)
+        for r, v, t in rows:
             if v in seen:
                 continue
-            denom = lcm(*(x.denominator for x in t))
-            support = tuple(
-                fi for fi, c in zip(cone.facet_indices, t) if c != 0
-            )
+            support = tuple(fi for fi, ri in zip(cone.facet_indices, r) if ri)
             elem = BoxElement(
                 nu=v,
                 cone_index=ci,
                 facet_indices=cone.facet_indices,
                 coeffs=t,
                 support=support,
-                order=denom,
-                iota=sum(t, Fraction(0)),
+                order=den // gcd(den, *r),
+                iota=Fraction(sum(r), den),
             )
             seen[v] = elem
             out.append(elem)

@@ -11,7 +11,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import atan2, gcd
+from math import atan2, gcd, lcm
 from pathlib import Path
 
 import sympy
@@ -885,6 +885,36 @@ def vertices_by_fractions(b, lam, n):
         if sum(centroid[i] * b[j][i] for i in range(n)) - lam[j] <= 0:
             raise EmptyInterior("polytope has no interior point")
     return verts, vertex_map
+
+
+def box_by_fractions(m):
+    """stacky.enumerate_box as it was: each cone's points sorted by their Fraction coordinates.
+
+    The points of each cone come from box_points_by_scan, are sorted as
+    (t, v) tuples of Fractions, and a point already met in an earlier cone
+    is skipped.  A sector's order is the lcm of its coordinates'
+    denominators and its iota their sum, taken in Fractions.
+    """
+    from orbifloer.stacky import BoxElement
+
+    seen, out = set(), []
+    for ci, cone in enumerate(m.cones):
+        for t, v in sorted((t, v) for v, t in box_points_by_scan(cone.generators)):
+            if v in seen:
+                continue
+            seen.add(v)
+            out.append(
+                BoxElement(
+                    nu=v,
+                    cone_index=ci,
+                    facet_indices=cone.facet_indices,
+                    coeffs=t,
+                    support=tuple(fi for fi, c in zip(cone.facet_indices, t) if c != 0),
+                    order=lcm(*(x.denominator for x in t)),
+                    iota=sum(t, Fraction(0)),
+                )
+            )
+    return out
 
 
 def integral_basis_by_det(gens, trace):

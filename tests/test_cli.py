@@ -371,6 +371,30 @@ def test_bulk_file(tmp_path, capsys):
     assert code == 2 and "not a twisted sector" in json.loads(err)["message"]
 
 
+def test_only_a_request_that_reads_a_sector_builds_the_box(tmp_path, capsys, monkeypatch):
+    from orbifloer import disc, potential
+
+    fiber = ["--preset", "wp:1,3,5", "--u", "-1/10,1/100"]
+    divisors = tmp_path / "divisors.json"
+    divisors.write_text(json.dumps({"sectors": [], "divisors": [{"facet": 0, "c": "1", "lambda": "1/2"}]}))
+    sector = tmp_path / "sector.json"
+    sector.write_text(json.dumps({"sectors": [{"nu": [0, -1], "c": "2", "lambda": "1/3"}]}))
+    assert run(capsys, "lte", *fiber, "--bulk", str(sector))[0] == 0
+
+    def unread(m):
+        raise AssertionError("box built")
+
+    for module in (cli, potential, disc):
+        monkeypatch.setattr(module, "enumerate_box", unread)
+    for kind in ("lte", "critical", "potential"):
+        assert run(capsys, kind, *fiber)[0] == 0
+        assert run(capsys, kind, *fiber, "--bulk", str(divisors))[0] == 0
+        code, out, err = run(capsys, kind, *fiber, "--bulk", str(sector))
+        assert (code, out, json.loads(err)["message"]) == (1, "", "box built")
+    code, out, err = run(capsys, "discs", *fiber)
+    assert (code, out, json.loads(err)["message"]) == (1, "", "box built")
+
+
 @pytest.mark.parametrize(
     "coeffs, same",
     [
@@ -829,11 +853,15 @@ def subparsers(parser) -> dict:
 
 
 @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
-def test_lazy_subparser_help_equals_the_full_parsers(name):
-    lazy = subparsers(cli._build_parser([name]))
-    full = subparsers(cli._build_parser([]))
-    assert list(lazy) == [name] and list(full) == list(cli._SUBCOMMANDS)
-    assert lazy[name].format_help() == full[name].format_help()
+def test_lazy_subparser_help_equals_the_full_parsers(name, capsys, monkeypatch):
+    # a named request's own parser against the full parser's subparser, help
+    # read at two terminal widths and printed through main
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = subparsers(cli._build_parser())
+        assert list(full) == list(cli._SUBCOMMANDS)
+        assert cli._build_parser(name).format_help() == full[name].format_help()
+        assert run(capsys, name, "-h") == (0, full[name].format_help(), "")
 
 
 ARGV_BATTERY = [
@@ -856,9 +884,9 @@ ARGV_BATTERY = [
 @pytest.mark.parametrize("argv", ARGV_BATTERY, ids=lambda a: " ".join(a))
 def test_lazy_parser_reads_every_flag_as_the_full_parser(argv):
     argv = cli._merge_dash_values(argv)
-    lazy = cli._build_parser(argv).parse_args(argv)
-    assert lazy == cli._build_parser([]).parse_args(argv)
-    assert lazy.subcommand == argv[0]
+    named = cli._build_parser(argv[0]).parse_args(argv[1:])
+    assert named == cli._build_parser().parse_args(argv)
+    assert named.subcommand == argv[0]
 
 
 @pytest.mark.parametrize(
@@ -866,14 +894,12 @@ def test_lazy_parser_reads_every_flag_as_the_full_parser(argv):
     [["typo", "--preset", "x"], ["box", "--nope"], [], ["lte", "--seed", "x"], ["region", "--grid"]],
 )
 def test_lazy_parser_fails_as_the_full_parser(argv, capsys):
-    def error_of(parser):
-        with pytest.raises(SystemExit) as done:
-            parser.parse_args(argv)
-        return done.value.code, capsys.readouterr()
-
-    lazy = error_of(cli._build_parser(argv))
-    assert lazy == error_of(cli._build_parser([]))
-    assert lazy[0] == 2 and json.loads(lazy[1].err)["error"] == "ArgumentError"
+    # main parses a named request with that subcommand's parser alone
+    with pytest.raises(SystemExit) as done:
+        cli._build_parser().parse_args(argv)
+    full = done.value.code, capsys.readouterr()
+    assert run(capsys, *argv) == (full[0], full[1].out, full[1].err)
+    assert full[0] == 2 and json.loads(full[1].err)["error"] == "ArgumentError"
 
 
 def test_a_request_builds_one_subparser(capsys, monkeypatch):
@@ -887,7 +913,7 @@ def test_a_request_builds_one_subparser(capsys, monkeypatch):
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     code, out, _ = run(capsys, "lte", "--preset", "teardrop:3", "--u", "1/5")
     assert code == 0 and json.loads(out)["command"] == "lte"
-    assert built == ["orbifloer", "orbifloer lte"]
+    assert built == ["orbifloer lte"]
 
 
 @pytest.mark.parametrize(

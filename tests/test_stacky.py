@@ -295,6 +295,50 @@ def test_random_polytope_vertices_match_fraction_enumeration(desc):
     check_vertices_against_fractions(desc)
 
 
+BOX_PRESETS = [f"teardrop:{a}" for a in range(2, 8)] + [
+    "wp:1,3,5",
+    "wp:1,3,7",
+    "wp:1,2,3,5",
+    "wp:1,3,5,7",
+    "square:2,2,2,2",
+    "square:3,2,3,2",
+]
+
+
+def check_box_against_fractions(m):
+    """enumerate_box's integer-row sort against the Fraction construction, field by field."""
+    box = stacky.enumerate_box(m)
+    assert box == oracles.box_by_fractions(m)
+    assert all(type(s.iota) is Fraction and type(s.order) is int for s in box)
+    assert all(type(c) is Fraction for s in box for c in s.coeffs)
+
+
+@pytest.mark.parametrize("preset", BOX_PRESETS)
+def test_preset_box_matches_fraction_construction(preset):
+    check_box_against_fractions(stacky.build_model(preset))
+
+
+@given(polytopes())
+@settings(max_examples=60, deadline=None)
+def test_random_polytope_box_matches_fraction_construction(desc):
+    try:
+        m = stacky.build_model(desc)
+    except (Unbounded, NotSimple, EmptyInterior):
+        assume(False)
+    check_box_against_fractions(m)
+
+
+@pytest.mark.parametrize("x", [2, "2", 2.0])
+def test_integer_reads_integral_values(x):
+    assert stacky._integer(x) == 2 and type(stacky._integer(x)) is int
+
+
+@pytest.mark.parametrize("x", [2.5, "two", True, None])
+def test_integer_refuses_what_is_not_an_integer(x):
+    with pytest.raises(ValueError):
+        stacky._integer(x)
+
+
 def test_vertex_errors_keep_their_messages():
     # three facets through the origin, and an interval shrunk to a point
     through_origin = {
